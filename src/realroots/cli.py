@@ -82,7 +82,10 @@ class Report:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.as_dict(), indent=2, default=str)
+            try:
+                return json.dumps(self.as_dict(), indent=2, default=str, allow_nan=False)
+            except ValueError as exc:  # NaN or infinity is not valid JSON
+                raise ArithmeticError(f"non-finite value in report: {exc}") from exc
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)
@@ -170,8 +173,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "(repeat for mixed systems; one support is reused n times)",
     )
     p_torus.add_argument("--method", default="auto", help="mixed-volume method for the mean")
-    p_torus.add_argument("--samples", type=int, help="also run the Monte Carlo counter")
-    p_torus.add_argument("--seed", type=int, help="seed (required with --samples)")
+    p_torus.add_argument(
+        "--samples", type=int, help="also run the Monte Carlo counter on this many samples (>= 2)"
+    )
+    p_torus.add_argument(
+        "--seed",
+        type=int,
+        help="seed of the Monte Carlo counter (required with --samples) and of the "
+        "mc mixed-volume mean (needed for non-round supports in dimension >= 3)",
+    )
 
     p_group = sub.add_parser("group", parents=[common], help="compact-group ensembles")
     p_group.add_argument("--system", required=True, help="root system name, e.g. A1, A2, B2, G2")
@@ -207,11 +217,14 @@ def _emit(report: Report, fmt: str, out: str | None) -> None:
 def _run_torus(args) -> int:
     sups = [parse_support(s) for s in args.support]
     system = sups if len(sups) > 1 else sups[0]
-    result = torus.real_proportion_torus(system, method=args.method)
-    results = result.as_dict()
     if args.samples is not None:
+        if args.samples < 2:
+            raise SystemExit("--samples must be at least 2 for a mean and its standard error")
         if args.seed is None:
             raise SystemExit("--samples requires --seed")
+    result = torus.real_proportion_torus(system, method=args.method, seed=args.seed)
+    results = result.as_dict()
+    if args.samples is not None:
         dim = sups[0].dim
         if dim == 1:
             stats = montecarlo.count_zeros_circle(sups[0], args.samples, args.seed)
@@ -223,7 +236,7 @@ def _run_torus(args) -> int:
         results["monte_carlo"] = stats.as_dict()
         spread = math.hypot(stats.stderr, result.real_stderr)
         results["monte_carlo"]["z_score"] = (
-            (stats.value - result.real_count) / spread if spread > 0 else 0.0
+            (stats.value - result.real_count) / spread if spread > 0 else None
         )
     report = Report(
         command="torus",

@@ -3,18 +3,23 @@ ellipsoids with floating-point support functions.
 
 Polytope hulls, volumes and mixed volumes are exact (Fraction) in any
 dimension we actually use (<= 4 by contract); ellipsoid computations are
-floating point.  Mixed volumes follow the inclusion-exclusion polarization of
-the volume of Minkowski sums; the ellipsoid variant offers an exact planar
-path, an all-balls product path, and a Monte Carlo path.
+floating point.  Hulls come from an incremental (beneath-beyond) boundary
+complex whose vertices are read off its facet incidences: a boundary point is
+a vertex iff the normals of the facets through it have full rank.  Mixed
+volumes polarize the volume of Minkowski sums over the distinct bodies only,
+so repeated bodies cost no extra sums; the ellipsoid variant offers an exact
+planar path, an all-balls product path, and a Monte Carlo path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,64 +43,6 @@ __all__ = [
     "body_to_json",
     "body_from_json",
 ]
-
-
-# ---------------------------------------------------------------------------
-# exact LP membership test (phase-1 simplex with Bland's rule)
-# ---------------------------------------------------------------------------
-
-def _lp_point_in_hull(point: xa.Vec, generators: Sequence[xa.Vec]) -> bool:
-    """Exact test: is `point` a convex combination of `generators`?"""
-    if not generators:
-        return False
-    d = len(point)
-    m = d + 1
-    n = len(generators)
-    # rows: coordinate constraints plus the affine constraint sum(lambda)=1
-    raw_rows = [[g[c] for g in generators] for c in range(d)]
-    raw_rows.append([Fraction(1)] * n)
-    rhs = list(point) + [Fraction(1)]
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        row = raw_rows[i]
-        b = rhs[i]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tableau.append(list(row) + [Fraction(int(j == i)) for j in range(m)] + [b])
-    basis = [n + i for i in range(m)]
-    ncols = n + m
-    # reduced costs for minimising the sum of artificials
-    red = [Fraction(0)] * ncols
-    for j in range(ncols):
-        cj = Fraction(1) if j >= n else Fraction(0)
-        red[j] = cj - sum(tableau[i][j] for i in range(m))
-    while True:
-        enter = next((j for j in range(ncols) if red[j] < 0), None)
-        if enter is None:
-            break
-        ratio = None
-        leave = None
-        for i in range(m):
-            if tableau[i][enter] > 0:
-                r = tableau[i][ncols] / tableau[i][enter]
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
-        if leave is None:  # pragma: no cover - impossible for phase 1
-            raise RuntimeError("unbounded phase-1 simplex")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        f = red[enter]
-        if f != 0:
-            red = [x - f * y for x, y in zip(red, tableau[leave][:ncols])]
-        basis[leave] = enter
-    objective = sum(tableau[i][ncols] for i in range(m) if basis[i] >= n)
-    return objective == 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +139,18 @@ def _incremental_hull(coords: list[xa.Vec], d: int) -> dict[frozenset[int], tupl
     return facets
 
 
-def _extreme_filter(coords: list[xa.Vec], candidates: list[int]) -> list[int]:
-    extreme = []
-    for i in candidates:
-        others = [coords[j] for j in candidates if j != i]
-        if not _lp_point_in_hull(coords[i], others):
-            extreme.append(i)
-    return extreme
+def _hull_vertices(
+    coords: list[xa.Vec], facets: dict[frozenset[int], tuple[xa.Vec, Fraction]], d: int
+) -> list[int]:
+    """Vertices among the points of a boundary complex.  A point in the
+    relative interior of a k-face lies only on facets whose normals span a
+    (d - k)-dimensional space, so it is a vertex iff those normals have rank d."""
+    normals: dict[int, set[xa.Vec]] = {}
+    for key, (normal, _) in facets.items():
+        for i in key:
+            normals.setdefault(i, set()).add(normal)
+    ext = [i for i, ns in normals.items() if xa.rank(list(ns)) == d]
+    return sorted(ext, key=lambda i: coords[i])
 
 
 def _hull_full_dim(coords: list[xa.Vec], d: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -218,10 +170,9 @@ def _hull_full_dim(coords: list[xa.Vec], d: int) -> tuple[list[int], list[tuple[
         tri = [(pos[ring[0]], pos[ring[i]], pos[ring[i + 1]]) for i in range(1, len(ring) - 1)]
         ext = [ring[k] for k in sorted_idx]
         return ext, [tuple(sorted(t)) for t in tri]
-    facets = _incremental_hull(coords, d)
-    candidates = sorted({i for key in facets for i in key})
-    ext = _extreme_filter(coords, candidates)
-    ext.sort(key=lambda i: coords[i])
+    ext = _hull_vertices(coords, _incremental_hull(coords, d), d)
+    # a second pass over the vertices alone, so the triangulation uses no
+    # boundary point that is not a vertex
     sub = [coords[i] for i in ext]
     facets2 = _incremental_hull(sub, d)
     tri: list[tuple[int, ...]] = []
@@ -315,12 +266,7 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     coords = [xa.solve(bmatT, xa.vec_sub(p, origin)) for p in pts]
     if adim == 0:  # pragma: no cover - handled by dedupe above
         return Polytope([pts[0]])
-    if adim <= 2:
-        ext, _ = _hull_full_dim(coords, adim)
-    else:
-        facets = _incremental_hull(coords, adim)
-        candidates = sorted({i for key in facets for i in key})
-        ext = _extreme_filter(coords, candidates)
+    ext, _ = _hull_full_dim(coords, adim)
     return Polytope([pts[i] for i in ext])
 
 
@@ -335,21 +281,29 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def polarize(bodies: Sequence, functional: Callable) -> Fraction:
-    """Polarization (1/n!) sum_{S nonempty} (-1)^{n-|S|} functional(sum_S)
-    over Minkowski sums of subsets; n = len(bodies)."""
+    """Symmetric multilinear form V(K_1, ..., K_n) with V(K, ..., K) = F(K)
+    of a functional F homogeneous of degree n = len(bodies) on Minkowski
+    combinations (the volume, or any polynomial valuation).
+
+    With the distinct bodies K_i occurring a_i times,
+    n! V = sum_{0 <= b <= a, b != 0} (-1)^(n-|b|) prod C(a_i, b_i) F(sum b_i K_i),
+    which takes prod(a_i + 1) - 1 evaluations of F; one distinct body gives F(K).
+    """
     n = len(bodies)
-    sums: dict[frozenset[int], Polytope] = {}
+    mult = Counter(bodies)
+    if len(mult) == 1:
+        return functional(bodies[0])
+    distinct, counts = list(mult), list(mult.values())
     total = None
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            key = frozenset(subset)
-            if size == 1:
-                sums[key] = bodies[subset[0]]
-            else:
-                sums[key] = minkowski_sum(sums[key - {subset[-1]}], bodies[subset[-1]])
-            term = functional(sums[key])
-            signed = term if (n - size) % 2 == 0 else -term
-            total = signed if total is None else total + signed
+    for b in product(*(range(a + 1) for a in counts)):
+        size = sum(b)
+        if size == 0:
+            continue
+        parts = [body if k == 1 else body.dilate(k) for body, k in zip(distinct, b) if k]
+        coeff = math.prod(math.comb(a, k) for a, k in zip(counts, b))
+        term = coeff * functional(reduce(minkowski_sum, parts))
+        signed = term if (n - size) % 2 == 0 else -term
+        total = signed if total is None else total + signed
     return total / math.factorial(n)
 
 

@@ -289,26 +289,15 @@ def complex_count_reductive(
     rs = ens[0].rs
     n = rs.dimension
     bodies = [weighted_polytope(e) for e in ens]
-    equal_args = all(b == bodies[0] for b in bodies)
 
     if route == "lattice":
         p_rho_sq = Metric(rs).root_product_at_rho() ** 2
-        if equal_args:
-            mixed = _lattice_density_integral(rs, bodies[0]) / p_rho_sq
-        else:
-            mixed = polarize(
-                bodies, lambda b: _lattice_density_integral(rs, b) / p_rho_sq
-            )
+        mixed = polarize(bodies, lambda b: _lattice_density_integral(rs, b)) / p_rho_sq
         return Fraction(math.factorial(n), rs.weyl_order) * mixed
 
     if route == "calibrated":
         metric = metric or Metric(rs)
-        if equal_args:
-            mixed = newton_body_volume(rs, metric=metric, body=bodies[0])
-        else:
-            mixed = polarize(
-                bodies, lambda b: newton_body_volume(rs, metric=metric, body=b)
-            )
+        mixed = polarize(bodies, lambda b: newton_body_volume(rs, metric=metric, body=b))
         value = math.factorial(n) * metric.torus_volume() * mixed
         value /= (
             float(metric.root_product_at_rho()) ** 2

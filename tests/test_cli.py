@@ -10,6 +10,7 @@ from realroots.cli import (
     NUMERICAL_ERROR,
     TOLERANCE_ERROR,
     USAGE_ERROR,
+    Report,
     main,
     parse_spectrum,
     parse_support,
@@ -94,6 +95,52 @@ def test_torus_monte_carlo_attaches_z_score(capsys):
 
 def test_torus_samples_require_seed(capsys):
     assert main(["torus", "--support", "segment:2", "--samples", "10"]) == USAGE_ERROR
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_torus_rejects_fewer_than_two_samples(capsys, samples):
+    argv = ["torus", "--support", "segment:5", "--samples", samples, "--seed", "1"]
+    assert main(argv) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples must be at least 2" in captured.err
+
+
+def test_torus_z_score_is_null_without_spread(capsys):
+    # a cos + b sin always has exactly two zeros, and the mean is exact
+    code, report = run_json(
+        capsys, ["torus", "--support", "points:(1);(-1)", "--samples", "5", "--seed", "1"]
+    )
+    assert code == 0
+    mc = report["results"]["monte_carlo"]
+    assert (mc["value"], mc["stderr"]) == (2.0, 0.0)
+    assert mc["z_score"] is None
+
+
+def test_json_report_rejects_non_finite_values():
+    report = Report("torus", "f", {}, {"real_count": float("nan")})
+    with pytest.raises(ArithmeticError):
+        report.render("json")
+
+
+NON_ROUND_3D = "points:(1,0,0);(-1,0,0);(0,2,0);(0,-2,0);(0,0,1);(0,0,-1);(0,0,0)"
+
+
+def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
+    code, report = run_json(capsys, ["torus", "--support", NON_ROUND_3D, "--seed", "3"])
+    assert code == 0
+    assert report["status"] == "ok"
+    res = report["results"]
+    assert res["method"] == "mc"
+    assert Fraction(res["complex_count"]) == 16
+    # one ellipsoid n times: 3!/(2 pi)^3 * vol(E) = 8 pi sqrt(32) / 7^(3/2)
+    exact = 8 * math.pi * math.sqrt(32) / 7 ** 1.5
+    assert abs(res["real_count"] - exact) < 5 * res["real_stderr"]
+
+
+def test_torus_mc_mean_without_seed_is_usage_error(capsys):
+    assert main(["torus", "--support", NON_ROUND_3D]) == USAGE_ERROR
+    assert "mc method needs a seed" in capsys.readouterr().err
 
 
 def test_torus_bad_support_is_usage_error(capsys):

@@ -2,13 +2,18 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
+from realroots import exactalg as xa
 from realroots.convex import (
+    _incremental_hull,
     Ellipsoid,
     Polytope,
     body_from_json,
@@ -23,7 +28,10 @@ from realroots.convex import (
     polytope_volume,
     unit_ball_volume,
 )
+from realroots.groups import _lattice_density_integral, weighted_polytope
 from realroots.polynomials import Polynomial
+from realroots.rootsystems import root_system
+from realroots.torus import ball_support, box_support, complex_count_torus
 
 coords = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
 
@@ -76,6 +84,49 @@ def test_hull_volume_stable_under_convex_insertions(pts):
         h2 = convex_hull(list(pts) + [mid])
         assert h2.volume() == h.volume()
         assert h2.vertices == verts
+
+
+def test_hull_drops_points_that_end_on_a_later_edge_or_facet():
+    # lexicographic insertion starts from (0,0,0), (0,0,1), (0,1,1), (1,1,1);
+    # later points leave (0,0,1) on an edge and (0,1,1) inside the base square
+    pts = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 2, 0), (0, 2, 2), (1, 1, 1)]
+    boundary = {i for key in _incremental_hull([xa.as_vec(p) for p in pts], 3) for i in key}
+    assert {1, 3} <= boundary
+    h = convex_hull(pts)
+    assert h.vertices == tuple(xa.as_vec(p) for p in [pts[0], pts[2], pts[4], pts[5], pts[6]])
+    assert h.volume() == Fraction(4, 3)
+
+
+def _scipy_vertices(pts: np.ndarray) -> list[tuple[int, ...]]:
+    return sorted(tuple(int(c) for c in pts[i]) for i in ConvexHull(pts).vertices)
+
+
+@pytest.mark.parametrize("dim,count,radius,seed", [(3, 40, 2, 0), (3, 60, 3, 1), (4, 40, 2, 2), (4, 45, 1, 3)])
+def test_hull_vertices_match_scipy_on_integer_clouds(dim, count, radius, seed):
+    # small integer boxes put many points on the hull's edges and facets
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        pts = np.unique(rng.integers(-radius, radius + 1, size=(count, dim)), axis=0)
+        h = convex_hull([tuple(int(c) for c in p) for p in pts])
+        assert [tuple(int(c) for c in v) for v in h.vertices] == _scipy_vertices(pts)
+        assert float(h.volume()) == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
+
+
+def test_hull_of_a_three_flat_in_four_space():
+    rng = np.random.default_rng(4)
+    flat = np.unique(rng.integers(-2, 3, size=(40, 3)), axis=0)
+    pts = [(int(a), int(b), int(c), int(a + b - c)) for a, b, c in flat]
+    h = convex_hull(pts)
+    assert h.dim == 4
+    assert h.volume() == 0 and h.triangulation == ()
+    assert [tuple(int(c) for c in v[:3]) for v in h.vertices] == _scipy_vertices(flat)
+
+
+@pytest.mark.parametrize(
+    "support,count", [(box_support(3, 2), 384), (box_support(4, 1), 384), (ball_support(3, 3), 544)]
+)
+def test_large_torus_complex_counts(support, count):
+    assert complex_count_torus(support) == count
 
 
 def test_translate_and_dilate():
@@ -142,6 +193,47 @@ def test_minkowski_sum_of_squares():
 def test_polarize_diagonal_shortcut_matches_functional():
     h = convex_hull([(0, 0), (3, 0), (0, 2), (3, 2)])
     assert polarize([h, h], polytope_volume) == h.volume()
+
+
+def subset_polarization(bodies, functional):
+    """Reference: (1/n!) sum over all nonempty subsets S of
+    (-1)^(n-|S|) functional(Minkowski sum of S), with no grouping."""
+    n = len(bodies)
+    total = 0
+    for size in range(1, n + 1):
+        for subset in combinations(bodies, size):
+            total += (-1) ** (n - size) * functional(reduce(minkowski_sum, subset))
+    return total / math.factorial(n)
+
+
+TRIANGLE = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+SEGMENT = convex_hull([(0, 0, -1), (0, 0, 2)])
+OCTAHEDRON = convex_hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+BOX = convex_hull([(x, y, z) for x in (0, 2) for y in (0, 1) for z in (-1, 1)])
+
+
+@pytest.mark.parametrize(
+    "bodies",
+    [
+        [OCTAHEDRON, BOX, OCTAHEDRON],
+        [TRIANGLE, TRIANGLE, SEGMENT],
+        [BOX, SEGMENT, OCTAHEDRON],
+        [SEGMENT, SEGMENT, SEGMENT],
+    ],
+)
+def test_polarize_over_distinct_bodies_matches_subset_sum_for_volume(bodies):
+    assert polarize(bodies, Polytope.volume) == subset_polarization(bodies, Polytope.volume)
+
+
+@pytest.mark.parametrize("name,weights", [("A1", [(2,), (2,), (3,)]), ("A1", [(1,), (4,), (1,)])])
+def test_polarize_over_distinct_bodies_matches_subset_sum_for_lattice_functional(name, weights):
+    rs = root_system(name)
+    bodies = [weighted_polytope(rs, w) for w in weights]
+
+    def functional(body):
+        return _lattice_density_integral(rs, body)
+
+    assert polarize(bodies, functional) == subset_polarization(bodies, functional)
 
 
 # -- ellipsoids --------------------------------------------------------------

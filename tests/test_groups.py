@@ -163,6 +163,15 @@ def test_rank_two_adjoint_counts(name, count):
     assert calibrated == pytest.approx(float(count), rel=1e-9)
 
 
+def test_rank_two_mixed_spectra_with_repeats():
+    # nine copies of one body and one other: 19 functional evaluations
+    # after grouping equal bodies, against 1023 Minkowski sums without
+    b2 = root_system("B2")
+    ens = [adjoint(b2)] * 9 + [RepEnsemble.single(b2, (1, 1))]
+    assert complex_count_reductive(ens, route="lattice") == 36864
+    assert complex_count_reductive(ens, route="calibrated") == pytest.approx(36864.0, rel=1e-9)
+
+
 def test_standard_representation_count_a2():
     ens = [RepEnsemble.single(A2, (1, 0))] * A2.dimension
     assert complex_count_reductive(ens) == 3
