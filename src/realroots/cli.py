@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,29 +25,11 @@ import numpy as np
 from . import groups, montecarlo, torus
 from .rootsystems import Metric, root_system
 
-__all__ = ["main", "ExperimentConfig", "Report"]
+__all__ = ["main", "Report"]
 
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 3
 NUMERICAL_ERROR = 4
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed invocation: what to compute and how to report it."""
-
-    command: str
-    supports: list[str] = field(default_factory=list)
-    system: str | None = None
-    spectra: list[str] = field(default_factory=list)
-    samples: int | None = None
-    seed: int | None = None
-    method: str = "auto"
-    route: str = "lattice"
-    metric_scale: str | None = None
-    fmt: str = "json"
-    out: str | None = None
-    tolerance: float = 1e-9
 
 
 @dataclass

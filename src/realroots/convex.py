@@ -32,11 +32,9 @@ __all__ = [
     "Ellipsoid",
     "MixedVolumeResult",
     "convex_hull",
-    "polytope_volume",
     "minkowski_sum",
     "mixed_volume_polytopes",
     "polarize",
-    "ellipsoid_volume",
     "mixed_volume_ellipsoids",
     "unit_ball_volume",
     "integrate_polynomial_over_polytope",
@@ -270,10 +268,6 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return Polytope([pts[i] for i in ext])
 
 
-def polytope_volume(p: Polytope) -> Fraction:
-    return p.volume()
-
-
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     if p.dim != q.dim:
         raise ValueError("dimension mismatch in Minkowski sum")
@@ -362,10 +356,6 @@ class Ellipsoid:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Ellipsoid(dim={self.dim})"
-
-
-def ellipsoid_volume(e: Ellipsoid) -> float:
-    return e.volume()
 
 
 def unit_ball_volume(n: int) -> float:
@@ -521,16 +511,12 @@ def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _frac_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def body_to_json(body: Polytope | Ellipsoid) -> str:
     """Serialize a body; rational coordinates become exact strings."""
     if isinstance(body, Polytope):
         data = {
             "kind": "polytope",
-            "vertices": [[_frac_to_str(c) for c in v] for v in body.vertices],
+            "vertices": [[str(c) for c in v] for v in body.vertices],
         }
     elif isinstance(body, Ellipsoid):
         data = {"kind": "ellipsoid", "Q": body.Q.tolist()}

@@ -16,40 +16,31 @@ Mat = tuple[Vec, ...]
 __all__ = [
     "as_fraction",
     "as_vec",
-    "as_mat",
     "vec_add",
     "vec_sub",
     "vec_scale",
     "dot",
     "mat_vec",
-    "mat_mul",
     "mat_det",
     "mat_inverse",
     "solve",
     "rank",
     "nullspace_vector",
     "bilinear",
-    "simplex_contains",
 ]
 
 
 def as_fraction(x) -> Fraction:
-    """Convert an int/Fraction/str/float to an exact Fraction."""
+    """Convert an int/Fraction/str/float to an exact Fraction.  A float
+    converts to its exact binary expansion; callers wanting decimal semantics
+    pass strings or Fractions."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        # exact binary expansion; callers wanting decimal semantics should
-        # pass strings or Fractions
-        return Fraction(x)
     return Fraction(x)
 
 
 def as_vec(v: Iterable) -> Vec:
     return tuple(as_fraction(x) for x in v)
-
-
-def as_mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(as_vec(r) for r in rows)
 
 
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
@@ -70,11 +61,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
-    cols = list(zip(*b, strict=True))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def bilinear(g: Sequence[Sequence[Fraction]], x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
@@ -172,16 +158,3 @@ def nullspace_vector(m: Sequence[Sequence[Fraction]]) -> Vec:
     for r, c in enumerate(pivots):
         x[c] = -rows[r][free]
     return tuple(x)
-
-
-def simplex_contains(point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact membership of a point in the convex hull of d+1 affinely
-    independent vertices (closed simplex)."""
-    v0 = vertices[0]
-    cols = [vec_sub(v, v0) for v in vertices[1:]]
-    m = tuple(zip(*cols, strict=True)) if cols else ()
-    try:
-        coeffs = solve(m, vec_sub(point, v0)) if cols else ()
-    except ValueError:
-        return False
-    return all(c >= 0 for c in coeffs) and sum(coeffs, Fraction(0)) <= 1

@@ -32,6 +32,7 @@ from .rootsystems import (
     casimir,
     reality_type,
     root_system,
+    symmetric_partner,
     weyl_dimension,
 )
 from .torus import kac_limit
@@ -41,8 +42,6 @@ __all__ = [
     "InvariantHessianForm",
     "GroupEnsembleResult",
     "LimitComparison",
-    "ball_spectrum",
-    "flatten",
     "f_form",
     "killing_radius",
     "weighted_polytope",
@@ -85,6 +84,18 @@ class RepEnsemble:
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "entries", tuple(sorted(merged.items())))
 
+    def require_self_dual(self) -> "RepEnsemble":
+        """Check that the spectrum holds the dual of each of its weights, as
+        a real ensemble needs (the group analogue of -S = S on the torus)."""
+        weights = set(self.weights)
+        missing = sorted({symmetric_partner(self.rs, w) for w in weights} - weights)
+        if missing:
+            names = ", ".join("(" + ",".join(str(c) for c in w) + ")" for w in missing)
+            raise ValueError(
+                f"spectrum must be closed under duality for a real ensemble; add {names}"
+            )
+        return self
+
     @classmethod
     def single(cls, rs: RootSystem, weight, mult: int = 1) -> "RepEnsemble":
         return cls(rs, [(weight, mult)])
@@ -115,17 +126,8 @@ class RepEnsemble:
     def reality_types(self) -> dict[xa.Vec, str]:
         return {w: reality_type(self.rs, w) for w in self.weights}
 
-    def total_squared_dimension(self) -> int:
-        """Dimension of the spanned function space; multiplicities do not
-        enlarge the span."""
-        return sum(weyl_dimension(self.rs, w) ** 2 for w in self.weights)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RepEnsemble({self.rs.name}, {len(self.entries)} weights)"
-
-
-def ball_spectrum(rs: RootSystem, radius, dilation: int = 1) -> RepEnsemble:
-    return RepEnsemble.ball(rs, radius, dilation)
 
 
 def _as_ensemble_list(ensembles, rs: RootSystem | None = None) -> list[RepEnsemble]:
@@ -166,10 +168,6 @@ class InvariantHessianForm:
         import numpy as np
 
         return Ellipsoid(r * r * np.eye(self.dimension))
-
-
-def flatten(ensemble: RepEnsemble) -> RepEnsemble:
-    return ensemble.flatten()
 
 
 def f_form(ensemble: RepEnsemble) -> InvariantHessianForm:
@@ -260,8 +258,11 @@ def mean_real_count_group(
 ) -> float:
     """Expected number of real common zeros of a full system of independent
     invariant ensembles.  The value does not depend on the metric scale; the
-    argument only fixes the geometry the factors are reported in."""
+    argument only fixes the geometry the factors are reported in.  Each
+    spectrum must be closed under duality (`RepEnsemble.require_self_dual`)."""
     ens = _as_ensemble_list(ensembles)
+    for e in set(ens):
+        e.require_self_dual()
     rs = ens[0].rs
     n = rs.dimension
     base = Metric(rs)

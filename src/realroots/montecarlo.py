@@ -4,21 +4,20 @@ Circle counting locates sign changes of real random trigonometric
 polynomials on an oversampled grid; the planar torus counter runs a
 Lipschitz-certified exclusion subdivision followed by Newton polishing, and
 discards (rare) samples it cannot certify.  A Gaussian determinant estimator
-for mixed volumes of ellipsoids and exact spin-representation utilities for
-the rank-one group serve as independent oracles for the analytic formulas.
+for mixed volumes of ellipsoids serves as an independent oracle for the
+analytic formulas.
 
-All samplers are deterministic given a seed: per-sample generators are
-spawned by index, so results do not depend on scheduling or thread count
-(REALROOTS_THREADS caps the optional thread pool).
+Everything runs in the calling thread and is deterministic given a seed.
+The circle counters draw their coefficients in blocks of 256 samples from
+one generator seeded by `seed`; the planar counter spawns one generator per
+sample from `seed`, so its sample i depends only on (seed, i).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,10 +31,6 @@ __all__ = [
     "count_common_zeros_torus2",
     "gaussian_mixed_volume",
     "equidistribution_check",
-    "su2_from_quaternion",
-    "su2_irrep_matrix",
-    "su2_haar_nodes",
-    "su2_f_form_oracle",
 ]
 
 
@@ -60,21 +55,6 @@ class MonteCarloStats:
             "samples": self.samples,
             "discarded": self.discarded,
         }
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("REALROOTS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn: Callable, items: list) -> list:
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +150,33 @@ def _count_flips_with_refinement(
     return counts, flip_cells + cells
 
 
-def count_zeros_circle(
-    support: Support, samples: int, seed: int, grid: int | None = None
-) -> MonteCarloStats:
-    """Monte Carlo mean of the number of zeros on the circle of a random
-    real ensemble with the given frequency support."""
+def _circle_blocks(
+    support: Support, samples: int, seed: int, grid: int | None
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
+    """(coefficients, zero counts, flip cells) for successive blocks of at
+    most 256 samples, all drawn from one generator seeded by `seed`."""
     support.require_symmetric()
     if support.dim != 1:
         raise ValueError("circle counting needs one-dimensional supports")
     degree = max(abs(p[0]) for p in support.points)
     n = grid or max(4096, 64 * degree)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = np.empty(samples)
     done = 0
     while done < samples:
         block = min(256, samples - done)
         coeffs = _sample_coefficient_matrix(support, block, rng)
-        c, _ = _count_flips_with_refinement(support, coeffs, n)
-        counts[done : done + block] = c
+        counts, cells = _count_flips_with_refinement(support, coeffs, n)
+        yield coeffs, counts, cells
         done += block
+
+
+def count_zeros_circle(
+    support: Support, samples: int, seed: int, grid: int | None = None
+) -> MonteCarloStats:
+    """Monte Carlo mean of the number of zeros on the circle of a random
+    real ensemble with the given frequency support."""
+    blocks = [counts for _, counts, _ in _circle_blocks(support, samples, seed, grid)]
+    counts = np.concatenate(blocks) if blocks else np.empty(0)
     return MonteCarloStats(
         value=float(counts.mean()),
         stderr=float(counts.std(ddof=1) / math.sqrt(samples)),
@@ -200,38 +188,21 @@ def circle_zero_locations(
     support: Support, samples: int, seed: int, grid: int | None = None
 ) -> np.ndarray:
     """Pooled zero locations (mod 1) over many samples, refined by bisection."""
-    support.require_symmetric()
-    if support.dim != 1:
-        raise ValueError("circle counting needs one-dimensional supports")
-    degree = max(abs(p[0]) for p in support.points)
-    n = grid or max(4096, 64 * degree)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     locations: list[np.ndarray] = []
-    done = 0
-    while done < samples:
-        block = min(256, samples - done)
-        coeffs = _sample_coefficient_matrix(support, block, rng)
-        _, cells = _count_flips_with_refinement(support, coeffs, n)
-        if cells:
-            freqs = np.array([p[0] for p in support.points], dtype=float)
-            sidx = np.array([c[0] for c in cells])
-            lo = np.array([c[1] for c in cells])
-            hi = np.array([c[2] for c in cells])
-            rows = coeffs[sidx]
-
-            def evaluate(x: np.ndarray) -> np.ndarray:
-                return (rows * np.exp(2j * np.pi * np.outer(x, freqs))).sum(axis=1).real
-
-            flo = evaluate(lo)
-            for _ in range(45):
-                mid = 0.5 * (lo + hi)
-                fmid = evaluate(mid)
-                left = (flo > 0) != (fmid > 0)
-                hi = np.where(left, mid, hi)
-                lo = np.where(left, lo, mid)
-                flo = np.where(left, flo, fmid)
-            locations.append(0.5 * (lo + hi) % 1.0)
-        done += block
+    for coeffs, _, cells in _circle_blocks(support, samples, seed, grid):
+        if not cells:
+            continue
+        sidx, lo, hi = (np.array(column) for column in zip(*cells))
+        rows = coeffs[sidx]
+        flo = _eval_circle(support, rows, lo)
+        for _ in range(45):
+            mid = 0.5 * (lo + hi)
+            fmid = _eval_circle(support, rows, mid)
+            left = (flo > 0) != (fmid > 0)
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            flo = np.where(left, flo, fmid)
+        locations.append(0.5 * (lo + hi) % 1.0)
     return np.concatenate(locations) if locations else np.empty(0)
 
 
@@ -373,7 +344,7 @@ def count_common_zeros_torus2(
         c2 = _sample_coefficient_matrix(s2, 1, rng)[0]
         return _certified_sample_count(f1, c1, f2, c2)
 
-    results = _ordered_map(one, list(children))
+    results = [one(child) for child in children]
     counts = np.array([r for r in results if r is not None], dtype=float)
     discarded = sum(1 for r in results if r is None)
     if counts.size == 0:
@@ -433,96 +404,3 @@ def equidistribution_check(values: np.ndarray, bins: int = 16) -> tuple[float, f
     observed, _ = np.histogram(np.asarray(values) % 1.0, bins=bins, range=(0.0, 1.0))
     result = stats.chisquare(observed)
     return float(result.statistic), float(result.pvalue)
-
-
-# ---------------------------------------------------------------------------
-# rank-one group oracle: spin representations from quaternions
-# ---------------------------------------------------------------------------
-
-def su2_from_quaternion(q: Sequence[float]) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) as a special unitary 2x2 matrix."""
-    w, x, y, z = (float(c) for c in q)
-    return np.array(
-        [[w + 1j * z, x + 1j * y], [-x + 1j * y, w - 1j * z]], dtype=complex
-    )
-
-
-def su2_irrep_matrix(k: int, u: np.ndarray) -> np.ndarray:
-    """Unitary matrix of the (k+1)-dimensional irreducible representation in
-    the orthonormal monomial basis of binary forms of degree k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    v = u.conj().T  # substitution by the inverse gives a left action
-    out = np.zeros((k + 1, k + 1), dtype=complex)
-    binom = [math.comb(k, r) for r in range(k + 1)]
-    for r in range(k + 1):
-        c1 = np.array(
-            [math.comb(k - r, i) * v[0, 0] ** (k - r - i) * v[0, 1] ** i for i in range(k - r + 1)]
-        )
-        c2 = np.array(
-            [math.comb(r, j) * v[1, 0] ** (r - j) * v[1, 1] ** j for j in range(r + 1)]
-        )
-        col = np.convolve(c1, c2)
-        for s in range(k + 1):
-            out[s, r] = col[s] * math.sqrt(binom[r] / binom[s])
-    return out
-
-
-def su2_haar_nodes(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature (quaternions, probability weights) exact for products of
-    matrix elements of representations up to the given degree."""
-    n_phi = 2 * max_degree + 2
-    n_gl = max_degree + 1
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)
-    u = 0.5 * (gl_x + 1.0)
-    uw = 0.5 * gl_w
-    phis = 2 * np.pi * np.arange(n_phi) / n_phi
-    quats = []
-    weights = []
-    for ui, wi in zip(u, uw):
-        ce = math.sqrt(1.0 - ui)
-        se = math.sqrt(ui)
-        for p1 in phis:
-            for p2 in phis:
-                quats.append(
-                    (ce * math.cos(p1), se * math.cos(p2), se * math.sin(p2), ce * math.sin(p1))
-                )
-                weights.append(wi / n_phi**2)
-    return np.array(quats), np.array(weights)
-
-
-def _su2_killing_direction(axis: int, t: float) -> np.ndarray:
-    """Group element exp(t e) along the Killing-orthonormal direction built
-    from the pure quaternion unit of the given axis."""
-    s = t / (2.0 * math.sqrt(2.0))
-    q = [math.cos(s), 0.0, 0.0, 0.0]
-    q[1 + axis] = math.sin(s)
-    return su2_from_quaternion(q)
-
-
-def su2_f_form_oracle(spectrum: Sequence[tuple[int, int]], h: float = 1e-4) -> float:
-    """Squared derivative-covariance radius of a rank-one ensemble, measured
-    by finite differences of matrix elements at the identity.
-
-    `spectrum` lists (k, multiplicity) pairs, k+1 the representation
-    dimension.  Repeated components span no new matrix elements, so the
-    distinct k values are what matters.  Independent of the analytic
-    Casimir route.
-    """
-    ks = sorted({int(k) for k, _ in spectrum})
-
-    def direction_sum(step: float) -> float:
-        total = 0.0
-        for axis in range(3):
-            up = _su2_killing_direction(axis, step)
-            dn = _su2_killing_direction(axis, -step)
-            for k in ks:
-                d = (su2_irrep_matrix(k, up) - su2_irrep_matrix(k, dn)) / (2.0 * step)
-                total += (k + 1) * float((d * d.conj()).real.sum())
-        return total / 3.0
-
-    coarse = direction_sum(2.0 * h)
-    fine = direction_sum(h)
-    num = (4.0 * fine - coarse) / 3.0
-    denom = sum((k + 1) ** 2 for k in ks)
-    return num / denom

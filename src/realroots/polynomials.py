@@ -154,9 +154,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial(self.nvars, {e: fn(c) for e, c in self.coeffs.items()})
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Polynomial({self.nvars}, {self.coeffs!r})"
 

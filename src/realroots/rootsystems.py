@@ -74,6 +74,24 @@ def _simple_root_gram(family: str, rank: int) -> xa.Mat:
     return tuple(tuple(row) for row in gram)
 
 
+def _reflection_closure(cartan: xa.Mat, starts: Iterable[xa.Vec]) -> dict[xa.Vec, int]:
+    """Closure of `starts` under the simple reflections, v -> v - v_i alpha_i
+    with alpha_i row i of the Cartan matrix.  Each point maps to the sign
+    (-1)^k of the shortest word of k reflections reaching it from a start."""
+    signs = dict.fromkeys(starts, 1)
+    frontier = list(signs)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for c, row in zip(v, cartan):
+                w = tuple(x - c * r for x, r in zip(v, row))
+                if w not in signs:
+                    signs[w] = -signs[v]
+                    nxt.append(w)
+        frontier = nxt
+    return signs
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Immutable root-system data; build through :func:`root_system`."""
@@ -121,35 +139,12 @@ class RootSystem:
             v = self.simple_reflection(i, v)
 
     def weyl_orbit(self, lam: Sequence) -> tuple[xa.Vec, ...]:
-        start = xa.as_vec(lam)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    w = self.simple_reflection(i, v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(sorted(_reflection_closure(self.cartan, [xa.as_vec(lam)])))
 
     def signed_weyl_orbit(self, lam: Sequence) -> tuple[tuple[int, xa.Vec], ...]:
         """Orbit of a regular point with the sign of the group element
         carrying the base point there."""
-        start = xa.as_vec(lam)
-        signs = {start: 1}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    w = self.simple_reflection(i, v)
-                    if w not in signs:
-                        signs[w] = -signs[v]
-                        nxt.append(w)
-            frontier = nxt
+        signs = _reflection_closure(self.cartan, [xa.as_vec(lam)])
         return tuple(sorted((s, v) for v, s in signs.items()))
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -176,22 +171,10 @@ def root_system(name: str) -> RootSystem:
         tuple(cinv[i][j] * d[j] for j in range(rank)) for i in range(rank)
     )
     # all roots: Weyl closure of the simple roots
-    seen: set[xa.Vec] = set(cartan)
-    frontier = list(cartan)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rank):
-                c = v[i]
-                row = cartan[i]
-                w = tuple(v[j] - c * row[j] for j in range(rank))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    roots = _reflection_closure(cartan, cartan)
     cartan_t = tuple(zip(*cartan, strict=True))
     positive = []
-    for r in sorted(seen):
+    for r in sorted(roots):
         coeffs = xa.solve(cartan_t, r)
         if all(c >= 0 for c in coeffs):
             positive.append((sum(coeffs), r))
@@ -445,11 +428,6 @@ class Metric:
             / float(Metric(rs).root_product_at_rho())
         )
         return float(self.scale) ** (rs.dimension / 2) * base
-
-    def lebesgue_density(self) -> float:
-        """Density of the metric volume on the weight space relative to
-        Lebesgue measure in weight coordinates."""
-        return self.weight_covolume()
 
     # -- lattice point enumeration ------------------------------------------
 

@@ -1,0 +1,99 @@
+"""Rank-one group oracle for the tests: spin representations of SU(2) from
+quaternions, a Haar quadrature on SU(2), and a finite-difference measurement
+of the derivative-covariance radius that is independent of the Casimir route
+in `realroots.groups`.
+"""
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+
+def su2_from_quaternion(q: Sequence[float]) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) as a special unitary 2x2 matrix."""
+    w, x, y, z = (float(c) for c in q)
+    return np.array(
+        [[w + 1j * z, x + 1j * y], [-x + 1j * y, w - 1j * z]], dtype=complex
+    )
+
+
+def su2_irrep_matrix(k: int, u: np.ndarray) -> np.ndarray:
+    """Unitary matrix of the (k+1)-dimensional irreducible representation in
+    the orthonormal monomial basis of binary forms of degree k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    v = u.conj().T  # substitution by the inverse gives a left action
+    out = np.zeros((k + 1, k + 1), dtype=complex)
+    binom = [math.comb(k, r) for r in range(k + 1)]
+    for r in range(k + 1):
+        c1 = np.array(
+            [math.comb(k - r, i) * v[0, 0] ** (k - r - i) * v[0, 1] ** i for i in range(k - r + 1)]
+        )
+        c2 = np.array(
+            [math.comb(r, j) * v[1, 0] ** (r - j) * v[1, 1] ** j for j in range(r + 1)]
+        )
+        col = np.convolve(c1, c2)
+        for s in range(k + 1):
+            out[s, r] = col[s] * math.sqrt(binom[r] / binom[s])
+    return out
+
+
+def su2_haar_nodes(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature (quaternions, probability weights) exact for products of
+    matrix elements of representations up to the given degree."""
+    n_phi = 2 * max_degree + 2
+    n_gl = max_degree + 1
+    gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)
+    u = 0.5 * (gl_x + 1.0)
+    uw = 0.5 * gl_w
+    phis = 2 * np.pi * np.arange(n_phi) / n_phi
+    quats = []
+    weights = []
+    for ui, wi in zip(u, uw):
+        ce = math.sqrt(1.0 - ui)
+        se = math.sqrt(ui)
+        for p1 in phis:
+            for p2 in phis:
+                quats.append(
+                    (ce * math.cos(p1), se * math.cos(p2), se * math.sin(p2), ce * math.sin(p1))
+                )
+                weights.append(wi / n_phi**2)
+    return np.array(quats), np.array(weights)
+
+
+def _su2_killing_direction(axis: int, t: float) -> np.ndarray:
+    """Group element exp(t e) along the Killing-orthonormal direction built
+    from the pure quaternion unit of the given axis."""
+    s = t / (2.0 * math.sqrt(2.0))
+    q = [math.cos(s), 0.0, 0.0, 0.0]
+    q[1 + axis] = math.sin(s)
+    return su2_from_quaternion(q)
+
+
+def su2_f_form_oracle(spectrum: Sequence[tuple[int, int]], h: float = 1e-4) -> float:
+    """Squared derivative-covariance radius of a rank-one ensemble, measured
+    by finite differences of matrix elements at the identity.
+
+    `spectrum` lists (k, multiplicity) pairs, k+1 the representation
+    dimension.  Repeated components span no new matrix elements, so the
+    distinct k values are what matters.  Independent of the analytic
+    Casimir route.
+    """
+    ks = sorted({int(k) for k, _ in spectrum})
+
+    def direction_sum(step: float) -> float:
+        total = 0.0
+        for axis in range(3):
+            up = _su2_killing_direction(axis, step)
+            dn = _su2_killing_direction(axis, -step)
+            for k in ks:
+                d = (su2_irrep_matrix(k, up) - su2_irrep_matrix(k, dn)) / (2.0 * step)
+                total += (k + 1) * float((d * d.conj()).real.sum())
+        return total / 3.0
+
+    coarse = direction_sum(2.0 * h)
+    fine = direction_sum(h)
+    num = (4.0 * fine - coarse) / 3.0
+    denom = sum((k + 1) ** 2 for k in ks)
+    return num / denom

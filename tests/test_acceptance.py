@@ -20,6 +20,7 @@ from realroots.convex import (
 )
 from realroots.groups import RepEnsemble, f_form, killing_radius, mean_real_count_group
 from realroots.rootsystems import Metric, root_system, unit_volume_metric
+from su2_oracle import su2_f_form_oracle
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -156,7 +157,7 @@ def test_criterion_08_rank_one_radius_formula():
     three = RepEnsemble(A1, [((0,), 1), ((1,), 1), ((2,), 1)])
     exact = killing_radius(three)
     err = abs(exact - 0.5)
-    oracle = math.sqrt(montecarlo.su2_f_form_oracle([(0, 1), (1, 1), (2, 1)]))
+    oracle = math.sqrt(su2_f_form_oracle([(0, 1), (1, 1), (2, 1)]))
     oracle_err = abs(oracle - 0.5)
     adjoint_sq = f_form(RepEnsemble.single(A1, A1.highest_root)).radius_sq_killing
     ok = err <= 1e-12 and oracle_err <= 1e-4 and adjoint_sq == Fraction(1, 3)

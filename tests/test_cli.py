@@ -190,6 +190,14 @@ def test_group_rejects_foreign_ball_spectrum(capsys):
     assert code == USAGE_ERROR
 
 
+@pytest.mark.parametrize("system,spectrum", [("A2", "weight:1,0"), ("A3", "weight:1,0,0")])
+def test_group_rejects_spectrum_not_closed_under_duality(capsys, system, spectrum):
+    assert main(["group", "--system", system, "--spectrum", spectrum]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "closed under duality" in captured.err
+
+
 # -- verify subcommand ---------------------------------------------------------------
 
 def test_verify_passes_at_default_tolerance(capsys):

@@ -19,13 +19,11 @@ from realroots.convex import (
     body_from_json,
     body_to_json,
     convex_hull,
-    ellipsoid_volume,
     integrate_polynomial_over_polytope,
     minkowski_sum,
     mixed_volume_ellipsoids,
     mixed_volume_polytopes,
     polarize,
-    polytope_volume,
     unit_ball_volume,
 )
 from realroots.groups import _lattice_density_integral, weighted_polytope
@@ -192,7 +190,7 @@ def test_minkowski_sum_of_squares():
 
 def test_polarize_diagonal_shortcut_matches_functional():
     h = convex_hull([(0, 0), (3, 0), (0, 2), (3, 2)])
-    assert polarize([h, h], polytope_volume) == h.volume()
+    assert polarize([h, h], Polytope.volume) == h.volume()
 
 
 def subset_polarization(bodies, functional):
@@ -250,7 +248,6 @@ def test_ellipsoid_support_and_volume():
     assert e.support([1.0, 0.0]) == pytest.approx(2.0)
     assert e.support([0.0, 1.0]) == pytest.approx(3.0)
     assert e.volume() == pytest.approx(6 * math.pi)
-    assert ellipsoid_volume(e) == pytest.approx(6 * math.pi)
     assert Ellipsoid(2.25 * np.eye(3)).ball_radius() == pytest.approx(1.5)
     assert Ellipsoid(np.diag([1.0, 2.0])).ball_radius() is None
 

@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from realroots.exactalg import (
     as_fraction,
-    as_mat,
     as_vec,
     bilinear,
     dot,
     mat_det,
     mat_inverse,
-    mat_mul,
     mat_vec,
     nullspace_vector,
     rank,
-    simplex_contains,
     solve,
     vec_add,
     vec_scale,
@@ -39,6 +36,15 @@ def square_matrices(n: int):
 
 def to_np(m) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m])
+
+
+def as_mat(rows):
+    return tuple(as_vec(r) for r in rows)
+
+
+def mat_mul(a, b):
+    cols = list(zip(*b, strict=True))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def test_as_fraction_accepts_common_inputs():
@@ -110,12 +116,3 @@ def test_bilinear_matches_dot(rows, xv, yv):
     g = as_mat(rows)
     x, y = as_vec(xv), as_vec(yv)
     assert bilinear(g, x, y) == dot(x, mat_vec(g, y))
-
-
-def test_simplex_contains_triangle():
-    tri = [as_vec([0, 0]), as_vec([1, 0]), as_vec([0, 1])]
-    assert simplex_contains(as_vec(["1/4", "1/4"]), tri)
-    assert simplex_contains(as_vec([0, 0]), tri)  # boundary counts
-    assert simplex_contains(as_vec(["1/2", "1/2"]), tri)
-    assert not simplex_contains(as_vec(["1/2", "3/4"]), tri)
-    assert not simplex_contains(as_vec([-1, 0]), tri)

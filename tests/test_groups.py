@@ -10,10 +10,8 @@ from realroots.groups import (
     RepEnsemble,
     asymptotic_mean,
     asymptotic_radius,
-    ball_spectrum,
     complex_count_reductive,
     f_form,
-    flatten,
     killing_radius,
     limit_real_proportion_group,
     mean_real_count_group,
@@ -21,7 +19,7 @@ from realroots.groups import (
     real_proportion_group,
     weighted_polytope,
 )
-from realroots.rootsystems import Metric, root_system, unit_volume_metric
+from realroots.rootsystems import Metric, root_system, symmetric_partner, unit_volume_metric
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -47,18 +45,18 @@ def test_ensemble_validation():
 
 
 def test_ball_spectrum_rank_one():
-    ens = ball_spectrum(A1, 1)
+    ens = RepEnsemble.ball(A1, 1)
     assert ens.weights == ((Fraction(0),), (Fraction(1),), (Fraction(2),))
-    bigger = ball_spectrum(A1, 1, dilation=2)
+    bigger = RepEnsemble.ball(A1, 1, dilation=2)
     assert len(bigger.weights) == 1 + math.floor(2 * 2 * math.sqrt(2))
 
 
 def test_flattening():
     heavy = RepEnsemble(A1, [((2,), 3), ((0,), 2)])
     assert not heavy.is_flat
-    flat = flatten(heavy)
+    flat = heavy.flatten()
     assert flat.is_flat and flat.weights == heavy.weights
-    assert flatten(flat) is flat
+    assert flat.flatten() is flat
 
 
 def test_reality_types_summary():
@@ -85,7 +83,7 @@ def test_adjoint_radius_is_inverse_root_dimension():
 
 def test_radius_is_flattening_invariant():
     heavy = RepEnsemble(A1, [((2,), 5), ((1,), 2)])
-    assert killing_radius(heavy) == killing_radius(flatten(heavy))
+    assert killing_radius(heavy) == killing_radius(heavy.flatten())
 
 
 def test_f_form_geometry():
@@ -226,6 +224,34 @@ def test_real_proportion_group_summary():
     assert d["route"] == "lattice"
 
 
+def test_real_count_needs_a_spectrum_closed_under_duality():
+    # the standard representation of SU(3) is of complex type: a real
+    # ensemble needs its dual as well
+    standard = RepEnsemble.single(A2, (1, 0))
+    with pytest.raises(ValueError, match="closed under duality"):
+        mean_real_count_group(standard)
+    with pytest.raises(ValueError, match="closed under duality"):
+        real_proportion_group(standard)
+    closed = RepEnsemble(A2, [((1, 0), 1), ((0, 1), 1)])
+    assert closed.require_self_dual() is closed
+    res = real_proportion_group(closed)
+    assert res.complex_exact == 42
+    assert res.proportion == pytest.approx(0.1679, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_real_count_at_most_complex_count_for_dual_closed_spectra(name):
+    # every nonzero dominant weight of norm <= 1 with its dual; the slack
+    # covers A1 weight (1), whose proportion is exactly 1
+    rs = root_system(name)
+    weights = [w for w in Metric(rs).dominant_weights_in_ball(1) if any(w)]
+    assert weights
+    for w in weights:
+        ens = RepEnsemble(rs, [(w, 1), (symmetric_partner(rs, w), 1)])
+        res = real_proportion_group(ens)
+        assert res.real_count <= res.complex_count * (1 + 1e-12), w
+
+
 # -- asymptotics ----------------------------------------------------------------------
 
 def test_asymptotic_radius_ball_closed_form():
@@ -250,7 +276,7 @@ def test_ball_spectrum_radius_converges_to_asymptote():
     target = 1 / math.sqrt(5)
     errors = []
     for m in (4, 8, 16, 32):
-        errors.append(abs(killing_radius(ball_spectrum(A1, m)) / m - target))
+        errors.append(abs(killing_radius(RepEnsemble.ball(A1, m)) / m - target))
     assert errors[-1] < errors[0]
     assert all(err * m <= 0.5 for err, m in zip(errors, (4, 8, 16, 32)))
 

@@ -1,7 +1,6 @@
 """Seeded stochastic estimators and the matrix-element oracle for rank one."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,13 +14,10 @@ from realroots.montecarlo import (
     equidistribution_check,
     gaussian_mixed_volume,
     sample_real_laurent,
-    su2_f_form_oracle,
-    su2_from_quaternion,
-    su2_haar_nodes,
-    su2_irrep_matrix,
 )
 from realroots.rootsystems import root_system
 from realroots.torus import box_support, segment_support
+from su2_oracle import su2_f_form_oracle, su2_from_quaternion, su2_haar_nodes, su2_irrep_matrix
 
 A1 = root_system("A1")
 
@@ -158,15 +154,6 @@ def test_circle_counts_are_deterministic_given_seed():
     assert isinstance(one, MonteCarloStats)
 
 
-def test_circle_counts_do_not_depend_on_thread_count(monkeypatch):
-    monkeypatch.setenv("REALROOTS_THREADS", "1")
-    serial = count_zeros_circle(segment_support(4), 64, seed=5)
-    monkeypatch.setenv("REALROOTS_THREADS", "4")
-    parallel = count_zeros_circle(segment_support(4), 64, seed=5)
-    assert serial.value == parallel.value
-    assert serial.stderr == parallel.stderr
-
-
 def test_circle_count_statistics_match_formula():
     # m = 3: expected count 2 sqrt(m(m+1)/3) = 4
     stats = count_zeros_circle(segment_support(3), 400, seed=2)
@@ -215,14 +202,6 @@ def test_torus_counts_are_deterministic_and_tracked():
     assert one.discard_rate <= 0.05
     z = (one.value - 4 * math.pi / 3) / one.stderr
     assert abs(z) < 5
-
-
-def test_torus_counts_thread_invariant(monkeypatch):
-    monkeypatch.setenv("REALROOTS_THREADS", "1")
-    serial = count_common_zeros_torus2(box_support(2, 1), 16, seed=9)
-    monkeypatch.setenv("REALROOTS_THREADS", "3")
-    parallel = count_common_zeros_torus2(box_support(2, 1), 16, seed=9)
-    assert serial.value == parallel.value
 
 
 # -- gaussian determinant volumes --------------------------------------------------------
