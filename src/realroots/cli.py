@@ -162,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         help="seed of the Monte Carlo counter (required with --samples) and of the "
-        "mc mixed-volume mean (needed for non-round supports in dimension >= 3)",
+        "mc mixed-volume mean (needed for mixed systems of distinct non-round supports "
+        "in dimension >= 3)",
     )
 
     p_group = sub.add_parser("group", parents=[common], help="compact-group ensembles")

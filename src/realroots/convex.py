@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import exactalg as xa
-from .polynomials import Polynomial, integrate_over_simplex
+from .polynomials import FormProducts, Polynomial, integrate_over_simplex
 
 __all__ = [
     "Polytope",
@@ -431,8 +431,9 @@ def mixed_volume_ellipsoids(
 
     Methods: "exact1d" (n=1 closed form), "exact2d" (planar support-function
     quadrature plus polarization), "balls" (product formula, all E_i balls),
-    "mc" (Gaussian determinant estimator; needs `seed`), and "auto" which
-    picks the cheapest exact path available.
+    "volume" (V(E, ..., E) = vol(E), n copies of one ellipsoid), "mc"
+    (Gaussian determinant estimator; needs `seed`), and "auto" which picks
+    the first of exact1d, balls, exact2d and volume that applies, else mc.
     """
     if not ellipsoids:
         raise ValueError("mixed volume of an empty list")
@@ -443,6 +444,7 @@ def mixed_volume_ellipsoids(
         raise ValueError("dimension mismatch")
 
     radii = [e.ball_radius() for e in ellipsoids]
+    identical = all(np.array_equal(e.Q, ellipsoids[0].Q) for e in ellipsoids[1:])
     if method == "auto":
         if n == 1:
             method = "exact1d"
@@ -450,6 +452,8 @@ def mixed_volume_ellipsoids(
             method = "balls"
         elif n == 2:
             method = "exact2d"
+        elif identical:
+            method = "volume"
         else:
             method = "mc"
 
@@ -462,6 +466,10 @@ def mixed_volume_ellipsoids(
             raise ValueError("balls method needs all ellipsoids to be balls")
         value = unit_ball_volume(n) * float(np.prod(radii))
         return MixedVolumeResult(value, 0.0, method)
+    if method == "volume":
+        if not identical:
+            raise ValueError("volume method needs n copies of one ellipsoid")
+        return MixedVolumeResult(ellipsoids[0].volume(), 0.0, method)
     if method == "exact2d":
         if n != 2:
             raise ValueError("exact2d needs dimension 2")
@@ -484,14 +492,17 @@ def mixed_volume_ellipsoids(
 # polynomial integration over polytopes
 # ---------------------------------------------------------------------------
 
-def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial):
+def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProducts) -> Fraction:
     """Integral of `poly` over `p` against coordinate Lebesgue measure.
 
-    Exact (Fraction) when the polynomial coefficients are rational; zero for
-    polytopes of less than full dimension.
+    Exact (Fraction); a float coefficient counts as its exact binary value.
+    A `FormProducts` integrand is integrated without expanding its products.
+    Zero for polytopes of less than full dimension.
     """
     if poly.nvars != p.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
+    if isinstance(poly, Polynomial):
+        poly = FormProducts.from_polynomial(poly)
     if not p.triangulation:
         return Fraction(0)
     fact = math.factorial(p.dim)

@@ -77,7 +77,7 @@ def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fracti
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
@@ -110,7 +110,7 @@ def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             det = -det
         det *= rows[c][c]
-        inv = 1 / rows[c][c]
+        inv = Fraction(1) / rows[c][c]
         for i in range(c + 1, n):
             if rows[i][c] != 0:
                 f = rows[i][c] * inv

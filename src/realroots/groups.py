@@ -25,7 +25,7 @@ from .convex import (
     polarize,
     unit_ball_volume,
 )
-from .polynomials import Polynomial
+from .polynomials import FormProducts, Polynomial
 from .rootsystems import (
     Metric,
     RootSystem,
@@ -209,15 +209,16 @@ def weighted_polytope(ensemble: RepEnsemble | RootSystem, weight=None) -> Polyto
     return convex_hull(pts)
 
 
-def _squared_root_product_poly(rs: RootSystem) -> Polynomial:
-    poly = Metric(rs).root_product_poly()
-    return poly * poly
+def _squared_root_product(rs: RootSystem) -> FormProducts:
+    """p^2 = c^2 prod_beta l_beta^2 as one product of squared root forms."""
+    const, forms = Metric(rs).root_forms()
+    return FormProducts(rs.rank, forms, [(const * const, (2,) * len(forms))])
 
 
 def _lattice_density_integral(rs: RootSystem, body: Polytope) -> Fraction:
     """Exact integral over the body of the squared root product, against
     Lebesgue measure in weight coordinates (weight-lattice normalization)."""
-    return integrate_polynomial_over_polytope(body, _squared_root_product_poly(rs))
+    return integrate_polynomial_over_polytope(body, _squared_root_product(rs))
 
 
 def newton_body_volume(
@@ -261,15 +262,17 @@ def mean_real_count_group(
     argument only fixes the geometry the factors are reported in.  Each
     spectrum must be closed under duality (`RepEnsemble.require_self_dual`)."""
     ens = _as_ensemble_list(ensembles)
-    for e in set(ens):
+    distinct = set(ens)
+    for e in distinct:
         e.require_self_dual()
     rs = ens[0].rs
     n = rs.dimension
     base = Metric(rs)
     value = base.group_volume() * math.factorial(n) / (2 * math.pi) ** n
     value *= unit_ball_volume(n)
+    radii = {e: killing_radius(e) for e in distinct}
     for e in ens:
-        value *= killing_radius(e)
+        value *= radii[e]
     return value
 
 
@@ -289,7 +292,8 @@ def complex_count_reductive(
     ens = _as_ensemble_list(ensembles)
     rs = ens[0].rs
     n = rs.dimension
-    bodies = [weighted_polytope(e) for e in ens]
+    hulls = {e: weighted_polytope(e) for e in set(ens)}
+    bodies = [hulls[e] for e in ens]
 
     if route == "lattice":
         p_rho_sq = Metric(rs).root_product_at_rho() ** 2
@@ -365,10 +369,9 @@ def asymptotic_radius(rs: RootSystem, body) -> float:
     ball of that radius (closed form radius / sqrt(n + 2))."""
     n = rs.dimension
     if isinstance(body, Polytope):
-        p_sq = _squared_root_product_poly(rs)
-        gram = Metric(rs).gram()
-        norm_poly = Polynomial.quadratic_form(gram)
-        num = integrate_polynomial_over_polytope(body, p_sq * norm_poly)
+        p_sq = _squared_root_product(rs)
+        norm = FormProducts.from_polynomial(Polynomial.quadratic_form(Metric(rs).gram()))
+        num = integrate_polynomial_over_polytope(body, p_sq * norm)
         den = integrate_polynomial_over_polytope(body, p_sq)
         if den == 0:
             raise ValueError("degenerate body")

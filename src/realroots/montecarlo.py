@@ -57,6 +57,11 @@ class MonteCarloStats:
         }
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a mean and its standard error, got {samples}")
+
+
 # ---------------------------------------------------------------------------
 # coefficient sampling
 # ---------------------------------------------------------------------------
@@ -175,8 +180,8 @@ def count_zeros_circle(
 ) -> MonteCarloStats:
     """Monte Carlo mean of the number of zeros on the circle of a random
     real ensemble with the given frequency support."""
-    blocks = [counts for _, counts, _ in _circle_blocks(support, samples, seed, grid)]
-    counts = np.concatenate(blocks) if blocks else np.empty(0)
+    _require_samples(samples)
+    counts = np.concatenate([block for _, block, _ in _circle_blocks(support, samples, seed, grid)])
     return MonteCarloStats(
         value=float(counts.mean()),
         stderr=float(counts.std(ddof=1) / math.sqrt(samples)),
@@ -326,7 +331,9 @@ def count_common_zeros_torus2(
 ) -> MonteCarloStats:
     """Monte Carlo mean of the number of common zeros on [0,1)^2 of a pair
     of independent random real ensembles.  Samples whose zero set cannot be
-    certified are discarded and reported."""
+    certified are discarded and reported; fewer than 2 kept samples raise
+    ArithmeticError."""
+    _require_samples(samples)
     if isinstance(supports, Support):
         supports = [supports, supports]
     s1, s2 = supports
@@ -347,8 +354,8 @@ def count_common_zeros_torus2(
     results = [one(child) for child in children]
     counts = np.array([r for r in results if r is not None], dtype=float)
     discarded = sum(1 for r in results if r is None)
-    if counts.size == 0:
-        raise ArithmeticError("all samples were discarded")
+    if counts.size < 2:
+        raise ArithmeticError(f"{discarded} of {samples} samples were discarded, fewer than 2 kept")
     return MonteCarloStats(
         value=float(counts.mean()),
         stderr=float(counts.std(ddof=1) / math.sqrt(counts.size)),
@@ -366,6 +373,7 @@ def gaussian_mixed_volume(
 ) -> MonteCarloStats:
     """Mixed volume of ellipsoids from the expected absolute determinant of
     a Gaussian matrix whose row i has covariance Q_i."""
+    _require_samples(samples)
     qs = [np.asarray(q, dtype=float) for q in covariances]
     n = qs[0].shape[0]
     if len(qs) != n or any(q.shape != (n, n) for q in qs):

@@ -1,12 +1,14 @@
 """Sparse multivariate polynomials and exact integration rules.
 
 The polynomials here carry Fraction coefficients whenever their inputs are
-rational, which keeps simplex integrals exact.  Two integration backends are
-provided:
+rational.  Simplex integrals take a `FormProducts` integrand, a sum of
+products of powers of linear forms with denominators cleared; a
+`Polynomial` is read as one, monomial by monomial.  Two integration backends
+are provided:
 
 * a Grundmann-Moller rule over simplices, exact for any requested total
-  degree and exact in rational arithmetic when nodes and coefficients are
-  rational, and
+  degree, which evaluates the forms at its nodes in Python ints and keeps
+  one rational per level, and
 * closed-form monomial moments over Euclidean balls and spheres via Gamma
   functions.
 """
@@ -15,14 +17,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .exactalg import as_fraction
 
 __all__ = [
     "Polynomial",
+    "FormProducts",
     "grundmann_moller_rule",
     "integrate_over_simplex",
     "sphere_monomial_integral",
@@ -158,59 +159,154 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.coeffs!r})"
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+class FormProducts:
+    """Sum of products of powers of linear forms on ``nvars`` variables,
+    sum_t c_t prod_j l_j(x)^(m_tj), with rational c_t and l_j.
+
+    Denominators are cleared on construction: `forms` holds integer
+    coefficient tuples and each term is (a_t, (m_t1, m_t2, ...)) with an
+    integer a_t, so the value is sum_t a_t prod_j l_j(x)^(m_tj) / denominator.
+    A product of linear forms, such as a squared root product, is one term
+    and is never expanded.
+    """
+
+    __slots__ = ("nvars", "forms", "terms", "denominator")
+
+    def __init__(self, nvars: int, forms: Sequence[Sequence], terms: Iterable[tuple[object, Sequence[int]]]):
+        self.nvars = int(nvars)
+        fracs = [tuple(as_fraction(c) for c in f) for f in forms]
+        if any(len(f) != self.nvars for f in fracs):
+            raise ValueError("linear form has wrong length")
+        scales = [math.lcm(*(c.denominator for c in f)) for f in fracs]
+        self.forms = tuple(tuple(int(c * s) for c in f) for f, s in zip(fracs, scales))
+        coeffs: dict[tuple[int, ...], Fraction] = {}
+        for c, exps in terms:
+            exps = tuple(int(m) for m in exps)
+            if len(exps) != len(fracs) or any(m < 0 for m in exps):
+                raise ValueError("exponents must be non-negative, one per form")
+            c = as_fraction(c) / math.prod(s**m for s, m in zip(scales, exps))
+            coeffs[exps] = coeffs.get(exps, 0) + c
+        coeffs = {e: c for e, c in coeffs.items() if c != 0}
+        self.denominator = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.terms = tuple((int(c * self.denominator), e) for e, c in coeffs.items())
+
+    @classmethod
+    def from_polynomial(cls, poly: Polynomial) -> "FormProducts":
+        """Read each monomial as a product of powers of coordinate forms."""
+        n = poly.nvars
+        coords = [[int(i == j) for j in range(n)] for i in range(n)]
+        return cls(n, coords, ((c, e) for e, c in poly.coeffs.items()))
+
+    def __mul__(self, other: "FormProducts") -> "FormProducts":
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+        forms = list(self.forms)
+        index = {f: j for j, f in enumerate(forms)}
+        for f in other.forms:
+            if f not in index:
+                index[f] = len(forms)
+                forms.append(f)
+        place = [index[f] for f in other.forms]
+        denom = self.denominator * other.denominator
+        terms = []
+        for a, e in self.terms:
+            for b, g in other.terms:
+                exps = list(e) + [0] * (len(forms) - len(e))
+                for j, m in zip(place, g):
+                    exps[j] += m
+                terms.append((Fraction(a * b, denom), exps))
+        return FormProducts(self.nvars, forms, terms)
+
+    @property
+    def total_degree(self) -> int:
+        return max((sum(e) for _, e in self.terms), default=0)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"FormProducts({self.nvars}, {self.forms!r}, {self.terms!r}, /{self.denominator})"
 
 
-@lru_cache(maxsize=None)
-def grundmann_moller_rule(dim: int, s: int) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+def grundmann_moller_rule(dim: int, s: int) -> tuple[tuple[Fraction, int, int], ...]:
     """Grundmann-Moller rule of degree 2s+1 on the standard `dim`-simplex.
 
-    Returns (weight, barycentric coordinates over dim+1 vertices) pairs with
-    exact rational entries.  The rule integrates polynomials of total degree
-    <= 2s+1 exactly against Lebesgue measure on the simplex of volume 1/dim!.
+    Returns one (weight, q, r) triple per level.  The level's nodes are the
+    points with barycentric coordinates (2 beta_k + 1) / q over the dim+1
+    vertices, for every beta in N^(dim+1) with |beta| = r, and all carry the
+    weight.  The rule integrates polynomials of total degree <= 2s+1 exactly
+    against Lebesgue measure on the simplex of volume 1/dim!.
     """
-    d = dim
-    nodes: list[tuple[Fraction, tuple[Fraction, ...]]] = []
+    levels = []
     for i in range(s + 1):
-        denom = d + 1 + 2 * s - 2 * i
-        w = (
-            Fraction((-1) ** i)
-            * Fraction(denom**(2 * s + 1), 4**s)
-            / (Fraction(math.factorial(i)) * math.factorial(d + 1 + 2 * s - i))
+        q = dim + 1 + 2 * s - 2 * i
+        weight = Fraction(
+            (-1) ** i * q ** (2 * s + 1),
+            4**s * math.factorial(i) * math.factorial(dim + 1 + 2 * s - i),
         )
-        for beta in _compositions(s - i, d + 1):
-            bary = tuple(Fraction(2 * b + 1, denom) for b in beta)
-            nodes.append((w, bary))
-    return tuple(nodes)
+        levels.append((weight, q, s - i))
+    return tuple(levels)
 
 
-def integrate_over_simplex(poly: Polynomial, vertices: Sequence[Sequence], volume) -> object:
-    """Integrate `poly` over the simplex with the given vertices.
+def _level_columns(at_vertex: Sequence[int], s: int) -> list[list[int]]:
+    """For r = 0..s, the list of sum_k (2 beta_k + 1) * at_vertex[k] over
+    every beta in N^len(at_vertex) with |beta| = r, in one fixed order.
+
+    Built from the last coordinate forwards; each shorter tail is shared by
+    every r, so an entry costs about one add and one multiply."""
+    first = sum(at_vertex)
+    *steps, last = (2 * x for x in at_vertex)
+    tails = [[first + r * last] for r in range(s + 1)]
+    for step in reversed(steps):
+        tails = [
+            [u * step + v for u in range(r + 1) for v in tails[r - u]]
+            for r in range(s + 1)
+        ]
+    return tails
+
+
+def integrate_over_simplex(integrand: FormProducts, vertices: Sequence[Sequence], volume) -> Fraction:
+    """Integrate `integrand` exactly over the simplex with the given rational
+    vertices.
 
     `volume` is the (already known) Lebesgue volume of the simplex; passing it
-    avoids recomputing determinants and keeps the result exact when volume and
-    vertices are rational.
+    avoids recomputing determinants.  The Grundmann-Moller nodes are evaluated
+    in integers: with `scale` the lcm of the vertex denominators and
+    L[j][k] = scale * l_j(v_k), form j at a node of a level with denominator
+    q is sum_k (2 beta_k + 1) L[j][k] / (q * scale).  Each level sums the
+    integer numerators of its products, which leaves one rational per level.
     """
-    deg = poly.total_degree
-    s = 0 if deg <= 1 else (deg - 1 + 1) // 2  # smallest s with 2s+1 >= deg
-    rule = grundmann_moller_rule(len(vertices) - 1, s)
     dim = len(vertices) - 1
-    total = 0
-    for w, bary in rule:
-        point = [
-            sum(b * v[c] for b, v in zip(bary, vertices))
-            for c in range(len(vertices[0]))
-        ]
-        total = total + w * poly(point)
-    # rule is normalised for the standard simplex of volume 1/dim!
-    return total * volume * math.factorial(dim)
+    deg = integrand.total_degree
+    s = deg // 2  # the smallest s with 2s + 1 >= deg
+    verts = [[as_fraction(c) for c in v] for v in vertices]
+    scale = math.lcm(*(c.denominator for v in verts for c in v))
+    points = [[c.numerator * (scale // c.denominator) for c in v] for v in verts]
+    columns = [
+        _level_columns([sum(a * x for a, x in zip(form, p)) for p in points], s)
+        for form in integrand.forms
+    ]
+    total = Fraction(0)
+    for weight, q, r in grundmann_moller_rule(dim, s):
+        unit = q * scale
+        level = 0
+        for a, exps in integrand.terms:
+            # prod_j l_j^m_j = (prod_j l_j^(m_j / g))^g with g the gcd of the m_j
+            g = math.gcd(*exps)
+            products = None
+            for col, m in zip(columns, exps):
+                if m:
+                    vals = col[r]
+                    m //= g
+                    if m > 1:
+                        vals = [v**m for v in vals]
+                    products = vals if products is None else [x * v for x, v in zip(products, vals)]
+            if products is None:
+                node_sum = math.comb(r + dim, dim)
+            else:
+                node_sum = sum(x**g for x in products) if g > 1 else sum(products)
+            # a term of lower degree is brought to the denominator (q * scale)^deg
+            level += a * unit ** (deg - sum(exps)) * node_sum
+        total += weight * Fraction(level, q**deg)
+    # the rule is normalised for the standard simplex of volume 1/dim!
+    return total * volume * math.factorial(dim) / (scale**deg * integrand.denominator)
 
 
 def sphere_monomial_integral(exponents: Sequence[int]) -> float:

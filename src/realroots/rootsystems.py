@@ -384,6 +384,21 @@ class Metric:
             poly = poly * Polynomial.linear_form(coeffs)
         return poly
 
+    def root_forms(self) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
+        """The same product as constant * prod_beta <l_beta, x>, with one
+        primitive integer form l_beta per positive root."""
+        const = Fraction(1)
+        forms = []
+        gram = self.gram()
+        for beta in self.rs.positive_roots:
+            coeffs = xa.mat_vec(gram, beta)
+            den = math.lcm(*(c.denominator for c in coeffs))
+            nums = [int(c * den) for c in coeffs]
+            g = math.gcd(*nums)
+            forms.append(tuple(x // g for x in nums))
+            const *= Fraction(g, den)
+        return const, tuple(forms)
+
     def root_product_at_rho(self) -> Fraction:
         return self.root_product(self.rs.rho)
 

@@ -124,22 +124,49 @@ def test_json_report_rejects_non_finite_values():
 
 
 NON_ROUND_3D = "points:(1,0,0);(-1,0,0);(0,2,0);(0,-2,0);(0,0,1);(0,0,-1);(0,0,0)"
+# as many points as NON_ROUND_3D and as wide on every axis, so its ellipsoid
+# contains the NON_ROUND_3D one
+WIDER_3D = "points:(1,0,0);(-1,0,0);(0,2,0);(0,-2,0);(0,0,2);(0,0,-2);(0,0,0)"
 
 
-def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
-    code, report = run_json(capsys, ["torus", "--support", NON_ROUND_3D, "--seed", "3"])
+def octahedron_mean(a: float, b: float, c: float) -> float:
+    """3!/(2 pi)^3 vol(E) for the support {0, +-a e1, +-b e2, +-c e3}, whose
+    ellipsoid has Q = (2 pi)^2 diag(2a^2, 2b^2, 2c^2) / 7."""
+    return 8 * math.pi * math.sqrt(8 / 343) * a * b * c
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+def test_torus_one_non_round_support_is_exact(capsys, seed):
+    code, report = run_json(capsys, ["torus", "--support", NON_ROUND_3D, *seed])
     assert code == 0
-    assert report["status"] == "ok"
     res = report["results"]
-    assert res["method"] == "mc"
+    assert (res["method"], res["real_stderr"]) == ("volume", 0.0)
     assert Fraction(res["complex_count"]) == 16
     # one ellipsoid n times: 3!/(2 pi)^3 * vol(E) = 8 pi sqrt(32) / 7^(3/2)
     exact = 8 * math.pi * math.sqrt(32) / 7 ** 1.5
-    assert abs(res["real_count"] - exact) < 5 * res["real_stderr"]
+    assert abs(res["real_count"] - exact) < 1e-12 * exact
+    assert octahedron_mean(1, 2, 1) == pytest.approx(exact, rel=1e-12)
+
+
+def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
+    argv = ["torus", "--support", NON_ROUND_3D, "--support", WIDER_3D, "--support", WIDER_3D]
+    code, report = run_json(capsys, [*argv, "--seed", "3"])
+    assert code == 0
+    assert report["status"] == "ok"
+    res = report["results"]
+    assert res["method"] == "mc" and res["real_stderr"] > 0
+    # mixed volumes are monotone: V(E1, E1, E1) <= V(E1, E2, E2) <= V(E2, E2, E2)
+    low, high = octahedron_mean(1, 2, 1), octahedron_mean(1, 2, 2)
+    assert low - 5 * res["real_stderr"] < res["real_count"] < high + 5 * res["real_stderr"]
+    _, again = run_json(capsys, [*argv, "--seed", "3"])
+    _, other = run_json(capsys, [*argv, "--seed", "4"])
+    assert again["results"]["real_count"] == res["real_count"]
+    assert other["results"]["real_count"] != res["real_count"]
 
 
 def test_torus_mc_mean_without_seed_is_usage_error(capsys):
-    assert main(["torus", "--support", NON_ROUND_3D]) == USAGE_ERROR
+    argv = ["torus", "--support", NON_ROUND_3D, "--support", WIDER_3D, "--support", WIDER_3D]
+    assert main(argv) == USAGE_ERROR
     assert "mc method needs a seed" in capsys.readouterr().err
 
 

@@ -269,6 +269,21 @@ def test_ball_mixed_volume_three_dimensional():
     assert res.value == pytest.approx(unit_ball_volume(3) * math.prod(radii), rel=1e-12)
 
 
+def test_copies_of_one_ellipsoid_take_its_volume():
+    e = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
+    res = mixed_volume_ellipsoids([e, e, e])
+    assert (res.method, res.stderr) == ("volume", 0.0)
+    assert res.value == pytest.approx(4 / 3 * math.pi * 6.0, rel=1e-12)
+    mc = mixed_volume_ellipsoids([e, e, e], method="mc", samples=200_000, seed=4)
+    assert abs(mc.value - res.value) < 4 * mc.stderr
+    other = Ellipsoid(np.diag([1.0, 4.0, 4.0]))
+    assert mixed_volume_ellipsoids([e, e, other], method="mc", seed=1).method == "mc"
+    with pytest.raises(ValueError):
+        mixed_volume_ellipsoids([e, e, other], method="volume")
+    with pytest.raises(ValueError):
+        mixed_volume_ellipsoids([e, e, other])  # auto falls back to mc, which needs a seed
+
+
 def test_exact2d_agrees_with_ball_formula():
     e1 = Ellipsoid(0.49 * np.eye(2))
     e2 = Ellipsoid(1.21 * np.eye(2))

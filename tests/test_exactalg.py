@@ -116,3 +116,34 @@ def test_bilinear_matches_dot(rows, xv, yv):
     g = as_mat(rows)
     x, y = as_vec(xv), as_vec(yv)
     assert bilinear(g, x, y) == dot(x, mat_vec(g, y))
+
+
+# -- int and mixed int/Fraction input stays exact --------------------------------
+
+def test_det_of_int_matrix_is_exact():
+    det = mat_det([[23, -16], [25, -15]])
+    assert det == 55 and isinstance(det, Fraction)
+    mixed = mat_det([[3, Fraction(1, 2)], [7, 2]])
+    assert mixed == Fraction(5, 2) and isinstance(mixed, Fraction)
+
+
+def test_rank_of_int_matrix_is_exact():
+    # a float elimination leaves 7 - 3 * (7/3) = 8.9e-16, not 0, in row 2
+    assert rank([[3, 7], [7, Fraction(49, 3)]]) == 1
+    assert rank([[3, 7, 1], [7, 16, 2], [10, 23, 3]]) == 2
+
+
+def test_solve_int_system_is_exact():
+    x = solve([[3, 7], [2, 5]], [1, 1])
+    assert x == (Fraction(-2), Fraction(1))
+    assert all(isinstance(c, Fraction) for c in x)
+    y = solve([[3, Fraction(1, 3)], [1, 2]], [1, 0])
+    assert y == (Fraction(6, 17), Fraction(-3, 17))
+
+
+def test_nullspace_of_int_matrix_is_exact():
+    m = [[3, 7, 1], [5, 11, 2]]
+    v = nullspace_vector(m)
+    assert all(isinstance(c, Fraction) for c in v)
+    assert all(sum(a * c for a, c in zip(row, v)) == 0 for row in m)
+    assert v == (Fraction(-3, 2), Fraction(1, 2), Fraction(1))

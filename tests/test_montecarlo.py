@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from realroots import montecarlo
 from realroots.groups import RepEnsemble, f_form, killing_radius
 from realroots.montecarlo import (
     MonteCarloStats,
@@ -223,3 +224,39 @@ def test_gaussian_volume_reproducible():
     a = gaussian_mixed_volume([np.eye(2), 2 * np.eye(2)], samples=50_000, seed=3)
     b = gaussian_mixed_volume([np.eye(2), 2 * np.eye(2)], samples=50_000, seed=3)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+# -- sample-count guards ------------------------------------------------------------------
+
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_counters_need_two_samples(samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        count_zeros_circle(segment_support(3), samples, seed=1)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        count_common_zeros_torus2(box_support(2, 1), samples, seed=1)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=samples, seed=1)
+
+
+def test_two_samples_give_a_finite_standard_error():
+    for stats in (
+        count_zeros_circle(segment_support(3), 2, seed=1),
+        count_common_zeros_torus2(box_support(2, 1), 2, seed=1),
+        gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=2, seed=1),
+    ):
+        assert stats.samples == 2
+        assert math.isfinite(stats.value) and math.isfinite(stats.stderr)
+
+
+def test_torus_counter_needs_two_kept_samples(monkeypatch):
+    certified = montecarlo._certified_sample_count
+    calls = []
+
+    def discard_all_but_first(*args):
+        calls.append(1)
+        return certified(*args) if len(calls) == 1 else None
+
+    monkeypatch.setattr(montecarlo, "_certified_sample_count", discard_all_but_first)
+    with pytest.raises(ArithmeticError, match="fewer than 2 kept"):
+        count_common_zeros_torus2(box_support(2, 1), 3, seed=1)
+    assert len(calls) == 3

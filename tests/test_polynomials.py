@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from realroots.polynomials import (
+    FormProducts,
     Polynomial,
     grundmann_moller_rule,
     integrate_over_simplex,
@@ -40,17 +41,34 @@ def test_simplex_monomial_moments_match_dirichlet(dim):
     for exps in product(range(4), repeat=dim):
         if sum(exps) > 7:
             continue
-        poly = Polynomial(dim, {exps: Fraction(1)})
+        poly = FormProducts.from_polynomial(Polynomial(dim, {exps: Fraction(1)}))
         assert integrate_over_simplex(poly, verts, vol) == dirichlet_moment(exps)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mixed_degree_sum_over_shrunk_simplex_matches_dirichlet(dim):
+    # sum_e c_e x^e over the standard simplex shrunk by 1/3, whose moments
+    # are 3^-(dim + |e|) times the Dirichlet moments
+    shrink = Fraction(1, 3)
+    verts, vol = std_simplex(dim)
+    verts = [tuple(shrink * c for c in v) for v in verts]
+    coeffs = {}
+    for k, exps in enumerate(product(range(3), repeat=dim)):
+        coeffs[exps] = Fraction(k + 1, 2) * (-1) ** k
+    want = sum(c * shrink ** (dim + sum(e)) * dirichlet_moment(e) for e, c in coeffs.items())
+    poly = FormProducts.from_polynomial(Polynomial(dim, coeffs))
+    assert integrate_over_simplex(poly, verts, vol * shrink**dim) == want
 
 
 def test_rule_weights_sum_to_simplex_volume():
     for dim in (1, 2, 3):
         for s in range(4):
             rule = grundmann_moller_rule(dim, s)
-            assert sum(w for w, _ in rule) == Fraction(1, math.factorial(dim))
-            for _, bary in rule:
-                assert sum(bary) == 1
+            nodes = sum(w * math.comb(r + dim, dim) for w, _, r in rule)
+            assert nodes == Fraction(1, math.factorial(dim))
+            # node numerators 2 beta_k + 1 over dim+1 vertices sum to q
+            for _, q, r in rule:
+                assert 2 * r + dim + 1 == q
 
 
 def test_integration_is_affine_covariant():
@@ -58,10 +76,57 @@ def test_integration_is_affine_covariant():
     poly = Polynomial(2, {(1, 1): Fraction(1)})  # x*y
     verts = [(Fraction(1), Fraction(1)), (Fraction(3), Fraction(1)), (Fraction(1), Fraction(2))]
     vol = Fraction(1)  # base 2, height 1, triangle
-    got = integrate_over_simplex(poly, verts, vol)
+    got = integrate_over_simplex(FormProducts.from_polynomial(poly), verts, vol)
     # oracle: int over triangle x in [1,3], y in [1, 2-(x-1)/2] of x*y
     val, _ = quad(lambda x: x * 0.5 * ((2 - (x - 1) / 2) ** 2 - 1.0), 1.0, 3.0)
     assert float(got) == pytest.approx(val, rel=1e-12)
+
+
+def evaluate(products: FormProducts, point) -> Fraction:
+    total = Fraction(0)
+    for a, exps in products.terms:
+        term = Fraction(a, products.denominator)
+        for form, m in zip(products.forms, exps):
+            term *= sum(c * x for c, x in zip(form, point)) ** m
+        total += term
+    return total
+
+
+def test_form_products_clear_denominators():
+    f = FormProducts(2, [(Fraction(1, 2), Fraction(1, 3)), (1, -1)], [(Fraction(3, 4), (2, 1))])
+    assert f.forms == ((3, 2), (1, -1))
+    assert f.terms == ((1, (2, 1)),) and f.denominator == 48  # 3/4 / 6^2
+    assert f.total_degree == 3
+    x, y = Fraction(2, 5), Fraction(-1, 7)
+    assert evaluate(f, (x, y)) == Fraction(3, 4) * (x / 2 + y / 3) ** 2 * (x - y)
+
+
+def test_form_products_multiply_like_polynomials():
+    p = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(-3), (0, 0): Fraction(2)})
+    q = Polynomial.linear_form([Fraction(1), Fraction(2, 3)]) ** 3
+    prod = FormProducts.from_polynomial(p) * FormProducts.from_polynomial(q)
+    for pt in [(Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(-5, 2))]:
+        assert evaluate(prod, pt) == p(pt) * q(pt)
+
+
+def test_unexpanded_product_integrates_like_its_expansion():
+    # a mixed-degree integrand on a simplex with rational vertices: the
+    # product of forms and its expanded polynomial give the same Fraction
+    forms = [(1, 2, 0), (Fraction(1, 2), -1, 3), (0, 1, Fraction(-2, 3))]
+    products = FormProducts(3, forms, [(Fraction(2, 7), (2, 1, 1)), (5, (0, 0, 0)), (-1, (0, 1, 0))])
+    poly = Polynomial.constant(3, Fraction(5)) - Polynomial.linear_form(forms[1])
+    lin = [Polynomial.linear_form([Fraction(c) for c in f]) for f in forms]
+    poly = poly + lin[0] ** 2 * lin[1] * lin[2] * Fraction(2, 7)
+    verts = [
+        (Fraction(0), Fraction(1, 2), Fraction(0)),
+        (Fraction(2, 3), Fraction(0), Fraction(1)),
+        (Fraction(1), Fraction(1), Fraction(-1, 5)),
+        (Fraction(0), Fraction(-1), Fraction(3, 2)),
+    ]
+    vol = Fraction(7, 5)  # any value; both sides scale by it
+    assert integrate_over_simplex(products, verts, vol) == integrate_over_simplex(
+        FormProducts.from_polynomial(poly), verts, vol
+    )
 
 
 def test_quadratic_form_constructor():
