@@ -291,7 +291,7 @@ def _run_verify(args) -> int:
     calibrated = groups.complex_count_reductive(adj, route="calibrated")
     checks.append(("rank-one-adjoint-route-match", abs(lattice - calibrated)))
     checks.append(("rank-one-adjoint-count-integer", abs(lattice - 16.0)))
-    for name in ("A1", "A2"):
+    for name in ("A1", "A2", "B2", "G2"):
         cmp = groups.limit_real_proportion_group(root_system(name))
         checks.append((f"limit-identity-{name}", abs(cmp.identity_factor - 1.0)))
 

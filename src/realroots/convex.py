@@ -255,6 +255,8 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         cand = basis + [xa.vec_sub(p, origin)]
         if xa.rank(cand) > len(basis):
             basis.append(xa.vec_sub(p, origin))
+            if len(basis) == d:
+                break
     adim = len(basis)
     if adim == d:
         ext, tri = _hull_full_dim(list(pts), d)

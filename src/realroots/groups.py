@@ -416,7 +416,8 @@ def limit_real_proportion_group(rs: RootSystem, metric: Metric | None = None) ->
 
     closed_form: the dimension-only constant (n+2)^{-n/2}, shared with the
     torus limit.  pipeline: the same limit assembled from the group volume,
-    the root-product moments on the unit metric ball, and the lattice
+    the moment of the squared root product on the unit metric ball (an
+    exact Gaussian moment times a radial constant), and the lattice
     covolume, all in the supplied metric; the ratio of the two
     (identity_factor) is an exact identity equal to 1 for every metric.
     """

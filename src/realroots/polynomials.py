@@ -1,16 +1,12 @@
-"""Sparse multivariate polynomials and exact integration rules.
+"""Sparse multivariate polynomials and exact simplex integration.
 
 The polynomials here carry Fraction coefficients whenever their inputs are
 rational.  Simplex integrals take a `FormProducts` integrand, a sum of
 products of powers of linear forms with denominators cleared; a
-`Polynomial` is read as one, monomial by monomial.  Two integration backends
-are provided:
-
-* a Grundmann-Moller rule over simplices, exact for any requested total
-  degree, which evaluates the forms at its nodes in Python ints and keeps
-  one rational per level, and
-* closed-form monomial moments over Euclidean balls and spheres via Gamma
-  functions.
+`Polynomial` is read as one, monomial by monomial.  They are integrated by
+a Grundmann-Moller rule over simplices, exact for any requested total degree,
+which evaluates the forms at its nodes in Python ints and keeps one rational
+per level.
 """
 
 from __future__ import annotations
@@ -26,8 +22,6 @@ __all__ = [
     "FormProducts",
     "grundmann_moller_rule",
     "integrate_over_simplex",
-    "sphere_monomial_integral",
-    "integrate_polynomial_over_ball",
 ]
 
 
@@ -140,20 +134,13 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def compose_linear(self, matrix: Sequence[Sequence]) -> "Polynomial":
-        """Substitute x_i = sum_j matrix[i][j] * y_j."""
-        n = self.nvars
-        forms = [Polynomial.linear_form(matrix[i]) for i in range(n)]
-        powers: list[list[Polynomial]] = [[Polynomial.constant(len(matrix[0]), Fraction(1))] for _ in range(n)]
-        out = Polynomial(len(matrix[0]))
+    def partial(self, i: int) -> "Polynomial":
+        """Partial derivative with respect to variable i."""
+        data = {}
         for exps, c in self.coeffs.items():
-            term = Polynomial.constant(len(matrix[0]), c)
-            for i, e in enumerate(exps):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * forms[i])
-                term = term * powers[i][e]
-            out = out + term
-        return out
+            if exps[i]:
+                data[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c * exps[i]
+        return Polynomial(self.nvars, data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Polynomial({self.nvars}, {self.coeffs!r})"
@@ -307,27 +294,3 @@ def integrate_over_simplex(integrand: FormProducts, vertices: Sequence[Sequence]
         total += weight * Fraction(level, q**deg)
     # the rule is normalised for the standard simplex of volume 1/dim!
     return total * volume * math.factorial(dim) / (scale**deg * integrand.denominator)
-
-
-def sphere_monomial_integral(exponents: Sequence[int]) -> float:
-    """Integral of prod x_i^{a_i} over the unit sphere S^{d-1} in R^d."""
-    if any(e % 2 for e in exponents):
-        return 0.0
-    num = 2.0
-    for e in exponents:
-        num *= math.gamma((e + 1) / 2)
-    return num / math.gamma(sum(e + 1 for e in exponents) / 2)
-
-
-def integrate_polynomial_over_ball(poly: Polynomial, radius: float) -> float:
-    """Integral of `poly` over the Euclidean ball of the given radius,
-    centred at the origin, in `poly.nvars` dimensions."""
-    d = poly.nvars
-    total = 0.0
-    for exps, c in poly.coeffs.items():
-        s = sphere_monomial_integral(exps)
-        if s == 0.0:
-            continue
-        p = sum(exps)
-        total += float(c) * s * radius ** (d + p) / (d + p)
-    return total

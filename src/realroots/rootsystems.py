@@ -468,21 +468,46 @@ class Metric:
 
     # -- ball integrals -----------------------------------------------------
 
-    def orthonormal_frame(self) -> np.ndarray:
-        """Matrix B whose columns express weight coordinates in terms of an
-        orthonormal frame: lam = B z with z Euclidean."""
-        g = np.array([[float(x) for x in row] for row in self.gram()])
-        chol = np.linalg.cholesky(g)
-        return np.linalg.inv(chol.T)
-
     def integrate_ball(self, poly: Polynomial, radius: float = 1.0) -> float:
         """Integral of a polynomial on the weight space over the metric ball
-        of the given radius, against the metric volume."""
-        from .polynomials import integrate_polynomial_over_ball
+        of the given radius, against the metric volume.
 
-        b = self.orthonormal_frame()
-        composed = poly.compose_linear(tuple(tuple(row) for row in b))
-        return float(integrate_polynomial_over_ball(composed, radius))
+        The standard Gaussian of the metric has covariance Sigma = G^-1 in
+        weight coordinates (G the Gram matrix), and the homogeneous part q
+        of degree 2N has the exact moment E[q] = Delta^N q / (2^N N!) with
+        Delta = sum_ij Sigma_ij d_i d_j.  Polar coordinates turn it into
+        E[q] (2 pi)^(k/2) r^(2N+k) / (2^(N+k/2-1) Gamma(N+k/2) (2N+k)) on the
+        ball of radius r in rank k; parts of odd degree vanish.  The moments
+        are computed in integers, with the denominators of Sigma and q
+        cleared once."""
+        k = self.rs.rank
+        sigma = xa.mat_inverse(self.gram())
+        s = math.lcm(*(c.denominator for row in sigma for c in row))
+        # Sigma_ij d_i d_j + Sigma_ji d_j d_i for i < j, scaled by s
+        lap = [[int(c * s) * (1 if i == j else 2) for j, c in enumerate(row)]
+               for i, row in enumerate(sigma)]
+        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for exps, c in poly.coeffs.items():
+            parts.setdefault(sum(exps), {})[exps] = xa.as_fraction(c)
+        r = float(radius)
+        total = 0.0
+        for deg, coeffs in parts.items():
+            if deg % 2:
+                continue
+            n = deg // 2
+            d = math.lcm(*(c.denominator for c in coeffs.values()))
+            q = Polynomial(k, {e: int(c * d) for e, c in coeffs.items()})
+            for _ in range(n):
+                first = [q.partial(i) for i in range(k)]
+                q = sum((first[i].partial(j) * lap[i][j]
+                         for i in range(k) for j in range(i, k)), Polynomial(k))
+            moment = Fraction(q.coeffs.get((0,) * k, 0),
+                              d * s**n * 2**n * math.factorial(n))
+            total += float(moment) * (
+                (2 * math.pi) ** (k / 2) * r ** (deg + k)
+                / (2 ** (n + k / 2 - 1) * math.gamma(n + k / 2) * (deg + k))
+            )
+        return total
 
 
 def unit_volume_metric(rs: RootSystem) -> Metric:

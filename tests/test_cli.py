@@ -233,6 +233,9 @@ def test_verify_passes_at_default_tolerance(capsys):
     assert report["status"] == "ok"
     assert report["results"]["failures"] == []
     assert all(err <= 1e-9 for err in report["results"]["checks"].values())
+    assert {f"limit-identity-{name}" for name in ("A1", "A2", "B2", "G2")} <= set(
+        report["results"]["checks"]
+    )
 
 
 def test_verify_flags_tolerance_failures(capsys):

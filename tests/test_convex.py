@@ -120,6 +120,32 @@ def test_hull_of_a_three_flat_in_four_space():
     assert [tuple(int(c) for c in v[:3]) for v in h.vertices] == _scipy_vertices(flat)
 
 
+def test_convex_hull_affine_basis_stops_at_full_rank(monkeypatch):
+    # the affine basis of the 81 points of box_support(4, 1) is complete after
+    # a few points; no rank test may run on d + 1 rows after that (stubbing
+    # the hull itself, whose vertex test takes rank on more rows)
+    import realroots.convex as cx
+
+    class BasisDone(Exception):
+        pass
+
+    def stop(coords, d):
+        raise BasisDone
+
+    rows_seen = []
+    real_rank = xa.rank
+
+    def rank(rows):
+        rows_seen.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(xa, "rank", rank)
+    monkeypatch.setattr(cx, "_hull_full_dim", stop)
+    with pytest.raises(BasisDone):
+        convex_hull(box_support(4, 1).points)
+    assert rows_seen and max(rows_seen) <= 4
+
+
 @pytest.mark.parametrize(
     "support,count", [(box_support(3, 2), 384), (box_support(4, 1), 384), (ball_support(3, 3), 544)]
 )

@@ -1,7 +1,10 @@
-"""Every name a module lists in `__all__` exists in that module."""
+"""Every name a module lists in `__all__` exists in that module, and every
+package name the bench tracer wraps (bench/layers.py) still exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ MODULES = ["realroots"] + [
     for info in pkgutil.iter_modules(realroots.__path__)
     if not info.name.startswith("_")
 ]
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,3 +23,25 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    """bench/layers.py, loaded from its file without running the bench."""
+    monkeypatch.syspath_prepend(str(BENCH))  # for its `from tracer import Tracer`
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_targets_exist(layers):
+    # `bench/run.py --trace 1` wraps methods through the class __dict__ and
+    # exported functions by name; a missing one breaks the traced pass
+    for mod_name, cls_name, attr, _ in layers.METHODS:
+        cls = getattr(importlib.import_module(f"realroots.{mod_name}"), cls_name)
+        assert attr in cls.__dict__, f"{cls_name}.{attr}"
+    for mod_name in layers.MODULES:
+        module = importlib.import_module(f"realroots.{mod_name}")
+        names = layers.EXPORTS.get(mod_name) or module.__all__
+        assert [n for n in names if not hasattr(module, n)] == [], mod_name

@@ -1,4 +1,5 @@
-"""Polynomial arithmetic and exact integration against independent moment oracles."""
+"""Polynomial arithmetic and exact integration against independent moment
+oracles, and the float ball-moment oracle of tests/ball_oracles.py."""
 
 import math
 from fractions import Fraction
@@ -9,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ball_oracles import compose_linear, integrate_polynomial_over_ball, sphere_monomial_integral
 from realroots.polynomials import (
     FormProducts,
     Polynomial,
     grundmann_moller_rule,
     integrate_over_simplex,
-    integrate_polynomial_over_ball,
-    sphere_monomial_integral,
 )
 
 
@@ -154,11 +154,26 @@ def test_ring_operations_agree_with_evaluation(p, q, pt):
     assert (p ** 2)(pt) == p(pt) ** 2
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, st.integers(0, 1))
+def test_partial_derivative_rules(p, q, i):
+    # linear, Leibniz, and d/dx_i x_i^a = a x_i^(a-1)
+    assert (p + q).partial(i).coeffs == (p.partial(i) + q.partial(i)).coeffs
+    assert (p * q).partial(i).coeffs == (p.partial(i) * q + p * q.partial(i)).coeffs
+    for exps in p.coeffs:
+        mono = Polynomial(2, {exps: Fraction(1)}).partial(i)
+        if exps[i]:
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            assert mono.coeffs == {lower: exps[i]}
+        else:
+            assert mono.coeffs == {}
+
+
 @settings(max_examples=50, deadline=None)
 @given(polys, points)
 def test_compose_linear_agrees_with_substitution(p, pt):
     m = [[Fraction(1), Fraction(2)], [Fraction(-1), Fraction(1, 2)]]
-    composed = p.compose_linear(m)
+    composed = compose_linear(p, m)
     substituted = (
         m[0][0] * pt[0] + m[0][1] * pt[1],
         m[1][0] * pt[0] + m[1][1] * pt[1],

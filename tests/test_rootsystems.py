@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ball_oracles import fischer_product, float_integrate_ball, orthonormal_frame, radial_constant
 from realroots.exactalg import dot, mat_vec
+from realroots.polynomials import Polynomial
 from realroots.rootsystems import (
     Metric,
     casimir,
@@ -228,9 +230,45 @@ def test_root_product_poly_matches_pointwise_product():
 def test_orthonormal_frame_diagonalizes_gram():
     for name in ("A2", "B3"):
         met = Metric(root_system(name), Fraction(5, 4))
-        frame = met.orthonormal_frame()
+        frame = orthonormal_frame(met)
         g = np.array([[float(x) for x in row] for row in met.gram()])
         assert np.allclose(frame.T @ g @ frame, np.eye(g.shape[0]), atol=1e-12)
+
+
+RANK_AT_MOST_3 = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
+RANK_AT_MOST_4 = RANK_AT_MOST_3 + ("A4", "B4", "C4", "D4")
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_fischer_product_is_weyl_order_times_root_product_at_rho(name):
+    met = Metric(root_system(name), Fraction(3, 2))
+    assert fischer_product(met) == met.rs.weyl_order * met.root_product_at_rho()
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_3)
+def test_ball_moment_of_squared_root_product_is_fischer_product(name):
+    rs = root_system(name)
+    for met in (Metric(rs), Metric(rs, Fraction(5, 4))):
+        p = met.root_product_poly()
+        for radius in (1.0, 1.5):
+            want = float(fischer_product(met)) * radial_constant(
+                rs.rank, rs.num_positive_roots, radius
+            )
+            assert met.integrate_ball(p * p, radius) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_3)
+def test_ball_integral_matches_float_frame_oracle(name):
+    # mixed degrees, odd parts included, on a non-unit metric and radius
+    met = Metric(root_system(name), Fraction(7, 3))
+    k = met.rs.rank
+    x = [Polynomial.linear_form([int(i == j) for j in range(k)]) for i in range(k)]
+    poly = Polynomial.constant(k, Fraction(2)) + x[0] * Fraction(5) + x[-1] ** 2
+    poly = poly + x[0] * x[-1] * x[k // 2] * Fraction(-3, 2) + (x[0] + x[-1]) ** 4
+    for radius in (1.0, 0.7):
+        assert met.integrate_ball(poly, radius) == pytest.approx(
+            float_integrate_ball(met, poly, radius), rel=1e-12
+        )
 
 
 def test_dominant_ball_enumeration_rank_one():
