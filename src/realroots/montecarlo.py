@@ -1,11 +1,22 @@
 """Monte Carlo verification: direct zero counting for random ensembles.
 
-Circle counting locates sign changes of real random trigonometric
-polynomials on an oversampled grid; the planar torus counter runs a
-Lipschitz-certified exclusion subdivision followed by Newton polishing, and
-discards (rare) samples it cannot certify.  A Gaussian determinant estimator
-for mixed volumes of ellipsoids serves as an independent oracle for the
-analytic formulas.
+Both zero counters count only certified zeros.  On the circle, f and f' come
+from one matmul on a starting grid (16 cells per unit of degree unless
+`grid` is given) and |f''| is bounded by M2 = (2 pi)^2 sum |c_k| k^2.  A
+cell of width h with a sign change holds exactly one zero when
+|f'| - M2 h > 0 at one of its ends; a cell without a sign change holds none
+when the second-order Taylor lower bound on |f| stays positive.  The other
+cells are halved, all of a block at once.  On the 2-torus, boxes are dropped
+by a first- or second-order exclusion bound, and the Krawczyk test (interval
+Jacobian = centre Jacobian +- a Hessian bound from sum |c| |lambda|^2 times
+the radius) certifies exactly one zero in a box or none; each certified zero
+is polished by Newton and credited to the one half-open box that holds it.
+The other boxes are quartered.  A sample with cells or boxes still
+undecided after a fixed number of halvings, or with too many of them, is
+discarded: it is reported in `MonteCarloStats.discarded` and left out of the
+mean, and fewer than 2 kept samples raise ArithmeticError.  A Gaussian
+determinant estimator for mixed volumes of ellipsoids serves as an
+independent oracle for the analytic formulas.
 
 Everything runs in the calling thread and is deterministic given a seed.
 The circle counters draw their coefficients in blocks of 256 samples from
@@ -16,6 +27,7 @@ sample from `seed`, so its sample i depends only on (seed, i).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -105,73 +117,145 @@ def sample_real_laurent(support: Support, rng: np.random.Generator) -> dict[tupl
 
 
 # ---------------------------------------------------------------------------
-# circle (dimension one)
+# certificates shared by both counters
 # ---------------------------------------------------------------------------
 
-def _circle_grid_values(support: Support, coeffs: np.ndarray, grid: int) -> np.ndarray:
-    freqs = np.array([p[0] for p in support.points], dtype=float)
-    x = np.arange(grid) / grid
-    basis = np.exp(2j * np.pi * np.outer(freqs, x))
-    return (coeffs @ basis).real
+# A computed value of an exponential sum is trusted only beyond this multiple
+# of the sum of its |coefficients| (times 2 pi |frequency| for a derivative):
+# far above the rounding error of the evaluation, far below any value the
+# certificates need.
+_ROUNDING = 1e-12
 
 
-def _eval_circle(support: Support, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    freqs = np.array([p[0] for p in support.points], dtype=float)
-    basis = np.exp(2j * np.pi * np.outer(points, freqs))
-    return (basis * coeffs).sum(axis=1).real
+def _kept_stats(counts: np.ndarray, discarded: int) -> MonteCarloStats:
+    """Mean and standard error of the kept per-sample counts; fewer than 2
+    kept samples raise ArithmeticError."""
+    if counts.size < 2:
+        raise ArithmeticError(
+            f"{discarded} of {counts.size + discarded} samples were discarded, fewer than 2 kept"
+        )
+    return MonteCarloStats(
+        value=float(counts.mean()),
+        stderr=float(counts.std(ddof=1) / math.sqrt(counts.size)),
+        samples=int(counts.size),
+        discarded=int(discarded),
+    )
 
 
-def _count_flips_with_refinement(
-    support: Support, coeffs: np.ndarray, grid: int
-) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
-    """Sign-change counts per sample plus the located flip cells.
+# ---------------------------------------------------------------------------
+# circle (dimension one): Taylor-certified cells
+# ---------------------------------------------------------------------------
 
-    Cells whose endpoints are both below the local Lipschitz displacement
-    bound are re-examined on a finer local grid so that zero pairs hiding
-    inside one cell are still counted.
-    """
-    vals = _circle_grid_values(support, coeffs, grid)
-    nxt = np.roll(vals, -1, axis=1)
-    flip = (vals > 0) != (nxt > 0)
-    counts = flip.sum(axis=1).astype(float)
-    freqs = np.array([p[0] for p in support.points], dtype=float)
-    lip = 2 * np.pi * (np.abs(coeffs) * np.abs(freqs)).sum(axis=1)
+_CIRCLE_ROUNDS = 30  # halvings of an undecided cell before its sample is discarded
+_CIRCLE_CELL_CAP = 2048  # undecided cells one sample may hold before it is discarded
+
+
+def _fold(freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Rows g with Re sum_k c_k e(k x) = Re sum_j g_j e(j x), j = 0..max|k|,
+    where e(t) = exp(2 pi i t)."""
+    fold = np.zeros((len(freqs), int(np.abs(freqs).max()) + 1))
+    fold[np.arange(len(freqs)), np.abs(freqs)] = 1.0
+    return np.where(freqs < 0, coeffs.conj(), coeffs) @ fold
+
+
+def _circle_eval(g: np.ndarray, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and f' of the rows g[rows] at the points x, by Horner's rule."""
+    z = np.exp(2j * np.pi * x)
+    top = g.shape[1] - 1
+    f = g[rows, top]
+    df = top * f
+    for j in range(top - 1, -1, -1):
+        col = g[rows, j]
+        f = f * z + col
+        df = df * z + j * col
+    return f.real, (2j * np.pi * df).real
+
+
+def _circle_decide(f0, d0, f1, d1, h, m2, ef, ed):
+    """(exactly one zero, no zero) certificates of cells [x, x + h] from f and
+    f' at both ends, given |f''| <= m2 and evaluation errors ef and ed."""
+    sure = (np.abs(f0) > ef) & (np.abs(f1) > ef)
+    flip = (f0 > 0) != (f1 > 0)
+    # |f'| >= |f'(end)| - m2 h > 0: f is monotone, so a sign change is one zero
+    one = sure & flip & (np.maximum(np.abs(d0), np.abs(d1)) > m2 * h + ed)
+    # on the half cell next to each end, s f >= |f(end)| +- s f'(end) t - m2 t^2 / 2
+    s = np.sign(f0)
+    q = m2 * h * h / 8 + ed * h / 2 + ef
+    free = sure & ~flip & (np.abs(f0) + s * d0 * h / 2 > q) & (np.abs(f1) - s * d1 * h / 2 > q)
+    return one, free
+
+
+def _circle_cells(g: np.ndarray, grid: int):
+    """Certified zeros of real trigonometric polynomials on [0, 1).
+
+    Row s of `g` is f_s(x) = Re sum_j g_sj exp(2 pi i j x).  f and f' on the
+    grid come from one matmul and the cells are decided as one (rows x grid)
+    array; the undecided cells are halved as one flat array, at most
+    _CIRCLE_ROUNDS times.  A row still undecided then, or holding more than
+    _CIRCLE_CELL_CAP undecided cells, is not kept.  Returns the certified zero
+    count of each row, the kept mask, and the certified one-zero cells as
+    (row, left end, width) arrays."""
+    b = len(g)
+    k = np.arange(g.shape[1])
+    mag = np.abs(g)
+    ef = _ROUNDING * mag.sum(axis=1)
+    ed = _ROUNDING * 2 * np.pi * (mag @ k)
+    m2 = (2 * np.pi) ** 2 * (mag @ (k * k))
     h = 1.0 / grid
-    bound = (lip * h)[:, None]
-    suspicious = (np.abs(vals) < bound) & (np.abs(nxt) < bound) & ~flip
-    cells: list[tuple[int, float, float]] = []
-    for s, j in zip(*np.nonzero(suspicious)):
-        lo = j / grid
-        fine = lo + np.arange(33) / (32.0 * grid)
-        fv = _eval_circle(support, coeffs[s], fine)
-        extra = ((fv[:-1] > 0) != (fv[1:] > 0)).sum()
-        counts[s] += extra
-        for t in range(32):
-            if (fv[t] > 0) != (fv[t + 1] > 0):
-                cells.append((s, fine[t], fine[t + 1]))
-    flip_cells = [
-        (int(s), j / grid, (j + 1) / grid) for s, j in zip(*np.nonzero(flip))
-    ]
-    return counts, flip_cells + cells
+    jet = np.vstack([g, 2j * np.pi * k * g])
+    angle = 2 * np.pi / grid * np.outer(k, np.arange(grid))
+    vals = np.hstack([jet.real, -jet.imag]) @ np.vstack([np.cos(angle), np.sin(angle)])
+    f, d = vals[:b], vals[b:]
+    f1, d1 = np.roll(f, -1, axis=1), np.roll(d, -1, axis=1)
+    one, free = _circle_decide(f, d, f1, d1, h, m2[:, None], ef[:, None], ed[:, None])
+    counts = one.sum(axis=1)
+    rows, cols = np.nonzero(one)
+    cells = [(rows, cols * h, np.full(rows.size, h))]
+    rows, cols = np.nonzero(~(one | free))
+    state = (cols * h, f[rows, cols], d[rows, cols], f1[rows, cols], d1[rows, cols])
+    kept = np.ones(b, dtype=bool)
+    for _ in range(_CIRCLE_ROUNDS):
+        if rows.size == 0:
+            break
+        kept &= np.bincount(rows, minlength=b) <= _CIRCLE_CELL_CAP
+        live = kept[rows]
+        rows = rows[live]
+        lo, f0, d0, fe, de = (a[live] for a in state)
+        h /= 2
+        fm, dm = _circle_eval(g, rows, lo + h)
+        rows = np.concatenate([rows, rows])
+        lo, f0, d0, fe, de = (
+            np.concatenate(pair)
+            for pair in ((lo, lo + h), (f0, fm), (d0, dm), (fm, fe), (dm, de))
+        )
+        one, free = _circle_decide(f0, d0, fe, de, h, m2[rows], ef[rows], ed[rows])
+        counts += np.bincount(rows[one], minlength=b)
+        cells.append((rows[one], lo[one], np.full(int(one.sum()), h)))
+        rest = ~(one | free)
+        rows = rows[rest]
+        state = tuple(a[rest] for a in (lo, f0, d0, fe, de))
+    kept[rows] = False
+    return counts, kept, tuple(np.concatenate(column) for column in zip(*cells))
 
 
-def _circle_blocks(
-    support: Support, samples: int, seed: int, grid: int | None
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
-    """(coefficients, zero counts, flip cells) for successive blocks of at
-    most 256 samples, all drawn from one generator seeded by `seed`."""
+def _circle_blocks(support: Support, samples: int, seed: int, grid: int | None) -> Iterator[tuple]:
+    """(folded coefficients g, zero counts, kept mask, one-zero cells) for
+    successive blocks of at most 256 samples, all drawn from one generator
+    seeded by `seed`; see _circle_cells."""
     support.require_symmetric()
     if support.dim != 1:
         raise ValueError("circle counting needs one-dimensional supports")
-    degree = max(abs(p[0]) for p in support.points)
-    n = grid or max(4096, 64 * degree)
+    freqs = np.array([p[0] for p in support.points])
+    if grid is None:
+        grid = 16 * max(1, int(np.abs(freqs).max()))
+    elif isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
+        raise ValueError(f"grid must be a positive integer, got {grid!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     done = 0
     while done < samples:
         block = min(256, samples - done)
-        coeffs = _sample_coefficient_matrix(support, block, rng)
-        counts, cells = _count_flips_with_refinement(support, coeffs, n)
-        yield coeffs, counts, cells
+        g = _fold(freqs, _sample_coefficient_matrix(support, block, rng))
+        yield (g, *_circle_cells(g, int(grid)))
         done += block
 
 
@@ -179,30 +263,30 @@ def count_zeros_circle(
     support: Support, samples: int, seed: int, grid: int | None = None
 ) -> MonteCarloStats:
     """Monte Carlo mean of the number of zeros on the circle of a random
-    real ensemble with the given frequency support."""
+    real ensemble with the given frequency support.  `grid` (a positive int)
+    is the starting number of cells; every counted zero is certified, samples
+    that cannot be certified are discarded and reported, and fewer than 2
+    kept samples raise ArithmeticError."""
     _require_samples(samples)
-    counts = np.concatenate([block for _, block, _ in _circle_blocks(support, samples, seed, grid)])
-    return MonteCarloStats(
-        value=float(counts.mean()),
-        stderr=float(counts.std(ddof=1) / math.sqrt(samples)),
-        samples=samples,
-    )
+    blocks = [counts[kept] for _, counts, kept, _ in _circle_blocks(support, samples, seed, grid)]
+    counts = np.concatenate(blocks).astype(float)
+    return _kept_stats(counts, samples - counts.size)
 
 
 def circle_zero_locations(
     support: Support, samples: int, seed: int, grid: int | None = None
 ) -> np.ndarray:
-    """Pooled zero locations (mod 1) over many samples, refined by bisection."""
+    """Pooled zero locations (mod 1) over the kept samples, found by bisection
+    inside the certified one-zero cells."""
     locations: list[np.ndarray] = []
-    for coeffs, _, cells in _circle_blocks(support, samples, seed, grid):
-        if not cells:
-            continue
-        sidx, lo, hi = (np.array(column) for column in zip(*cells))
-        rows = coeffs[sidx]
-        flo = _eval_circle(support, rows, lo)
-        for _ in range(45):
+    for g, _, kept, (rows, lo, width) in _circle_blocks(support, samples, seed, grid):
+        take = kept[rows]
+        rows, lo = rows[take], lo[take]
+        hi = lo + width[take]
+        flo, _ = _circle_eval(g, rows, lo)
+        for _ in range(52):
             mid = 0.5 * (lo + hi)
-            fmid = _eval_circle(support, rows, mid)
+            fmid, _ = _circle_eval(g, rows, mid)
             left = (flo > 0) != (fmid > 0)
             hi = np.where(left, mid, hi)
             lo = np.where(left, lo, mid)
@@ -212,127 +296,122 @@ def circle_zero_locations(
 
 
 # ---------------------------------------------------------------------------
-# torus in dimension two: certified subdivision + Newton
+# torus in dimension two: exclusion and Krawczyk subdivision
 # ---------------------------------------------------------------------------
 
-def _eval2(points: np.ndarray, freqs: np.ndarray, coeffs: np.ndarray):
-    phase = np.exp(2j * np.pi * (points @ freqs.T))
-    f = (phase @ coeffs).real
-    gx = (phase @ (coeffs * 2j * np.pi * freqs[:, 0])).real
-    gy = (phase @ (coeffs * 2j * np.pi * freqs[:, 1])).real
-    return f, gx, gy
+_BOX_BASE = 16  # boxes per side of the starting grid
+_BOX_LEVELS = 16  # quarterings of an undecided box before its sample is discarded
+_BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
+_BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
+_NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
+# A polished zero is rounded to this lattice before it is credited to a box:
+# far finer than any box edge, far coarser than the spread of two polishes of
+# one zero, so every box that finds a zero credits it to the same box.
+_SNAP = 2.0**-40
 
 
-def _circular_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a[:, None, :] - b[None, :, :])
-    d = np.minimum(d, 1.0 - d)
-    return np.sqrt((d * d).sum(axis=2))
+def _pair_jet(f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray):
+    """A function of points (n x 2) giving F = (F1, F2) (n x 2) and its
+    Jacobian (n x 2 x 2), from one matmul over the distinct frequencies."""
+    freqs, where = np.unique(np.vstack([f1, f2]), axis=0, return_inverse=True)
+    weights = np.zeros((len(freqs), 2, 3), dtype=complex)
+    for i, rows, f, c in ((0, where[: len(f1)], f1, c1), (1, where[len(f1) :], f2, c2)):
+        weights[rows, i] = c[:, None] * np.hstack([np.ones((len(f), 1)), 2j * np.pi * f])
+    weights = weights.reshape(len(freqs), 6)
+
+    def jet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = (np.exp(2j * np.pi * (points @ freqs.T)) @ weights).real.reshape(-1, 2, 3)
+        return out[:, :, 0], out[:, :, 1:]
+
+    return jet
 
 
-def _newton_polish(
-    starts: np.ndarray, f1, c1, f2, c2, iterations: int = 40
-) -> np.ndarray:
-    pts = starts.copy()
-    for _ in range(iterations):
-        v1, ax, ay = _eval2(pts, f1, c1)
-        v2, bx, by = _eval2(pts, f2, c2)
-        det = ax * by - ay * bx
-        det = np.where(np.abs(det) < 1e-300, np.nan, det)
-        dx = (v1 * by - v2 * ay) / det
-        dy = (v2 * ax - v1 * bx) / det
-        step = np.stack([dx, dy], axis=1)
-        pts = pts - step
-    return pts
+def _inverse2(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of 2x2 matrices and the mask of those not too
+    close to singular to invert."""
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    ok = np.abs(det) > _ROUNDING * (jac * jac).sum(axis=(1, 2))
+    adj = jac[:, ::-1, ::-1].transpose(0, 2, 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return adj / np.where(ok, det, 1.0)[:, None, None], ok
 
 
 def _certified_sample_count(
     f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray
 ) -> int | None:
-    """Count common zeros of one sampled pair on [0,1)^2, or None if the
-    subdivision cannot be certified (caller discards the sample)."""
-    lip1 = 2 * np.pi * float((np.abs(c1) * np.linalg.norm(f1, axis=1)).sum())
-    lip2 = 2 * np.pi * float((np.abs(c2) * np.linalg.norm(f2, axis=1)).sum())
+    """Count the common zeros of one sampled pair on [0,1)^2, or None if the
+    subdivision cannot certify them (the caller discards the sample).
 
-    def survivors(centers: np.ndarray, radius: float) -> np.ndarray:
-        v1, _, _ = _eval2(centers, f1, c1)
-        v2, _, _ = _eval2(centers, f2, c2)
-        slack = radius * math.sqrt(2.0)
-        keep = (np.abs(v1) <= lip1 * slack) & (np.abs(v2) <= lip2 * slack)
-        return centers[keep]
+    Each level first drops the boxes where some |F_i| is bounded away from 0
+    by a Lipschitz or second-order Taylor bound around the centre.  On the
+    others, the Krawczyk operator K(X) of the box X blown up by
+    _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
+    +- a Hessian bound times the radius, holds every zero in X: inside int X
+    it certifies exactly one, disjoint from X none.  Newton polishes a
+    certified zero and the box credits it only if its own half-open box
+    holds it, so a zero found by several boxes is counted once.  The
+    remaining boxes are quartered."""
+    pairs = ((f1, c1), (f2, c2))
+    lip = np.array([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in pairs])
+    hess = np.array([(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in pairs])
+    ef = np.array([_ROUNDING * np.abs(c).sum() for _, c in pairs])
+    ed = _ROUNDING * lip
+    jet = _pair_jet(f1, c1, f2, c2)
 
-    def refine(centers: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-        half = radius / 2.0
-        offs = np.array([[-half, -half], [-half, half], [half, -half], [half, half]])
-        return (centers[:, None, :] + offs[None, :, :]).reshape(-1, 2), half
-
-    base = 16
-    ax = (np.arange(base) + 0.5) / base
-    centers = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-    radius = 0.5 / base
-    for _ in range(7):
-        centers = survivors(centers, radius)
-        if centers.size == 0:
-            return 0
-        centers, radius = refine(centers, radius)
-    active = survivors(centers, radius)
-    if active.size == 0:
-        return 0
-
-    def accepted_zeros(starts: np.ndarray) -> np.ndarray:
-        pts = _newton_polish(starts, f1, c1, f2, c2)
-        v1, ax_, ay_ = _eval2(pts, f1, c1)
-        v2, bx_, by_ = _eval2(pts, f2, c2)
-        finite = np.isfinite(pts).all(axis=1)
-        res = np.hypot(v1, v2)
-        tol = 1e-10 * max(lip1, lip2, 1.0)
-        tsum = ax_ * ax_ + ay_ * ay_ + bx_ * bx_ + by_ * by_
-        det = np.abs(ax_ * by_ - ay_ * bx_)
-        disc = np.sqrt(np.maximum(tsum * tsum - 4 * det * det, 0.0))
-        smin = np.sqrt(np.maximum((tsum - disc) / 2.0, 0.0))
-        ok = finite & (res < tol) & (smin > 1e-6 * np.sqrt(np.maximum(tsum, 1e-300)))
-        return pts[ok] % 1.0
-
-    zeros = accepted_zeros(active)
-    uncovered = active
-    extra_levels = 0
-    while True:
-        if zeros.shape[0]:
-            dist = _circular_dist(uncovered, zeros).min(axis=1)
-            uncovered = uncovered[dist > 8 * radius]
-        if uncovered.shape[0] == 0:
-            break
-        if extra_levels >= 8:
+    axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
+    centers = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    radius = 0.5 / _BOX_BASE
+    offsets = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    count = 0
+    for _ in range(_BOX_LEVELS + 1):
+        val, jac = jet(centers)
+        reach = np.minimum(
+            lip * math.sqrt(2.0) * radius,
+            (np.abs(jac).sum(axis=2) + 2 * ed) * radius + hess * radius * radius,
+        )
+        live = (np.abs(val) <= reach + ef).all(axis=1)
+        centers, val, jac = centers[live], val[live], jac[live]
+        # Krawczyk: K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
+        wide = _BOX_INFLATE * radius
+        inv, ok = _inverse2(jac)
+        step = np.einsum("nab,nb->na", inv, val)
+        spread = np.abs(np.eye(2) - inv @ jac).sum(axis=2)
+        spread += 2 * np.abs(inv) @ (hess * math.sqrt(2.0) * wide + ed)
+        k_radius = np.abs(inv) @ ef + wide * spread
+        free = (np.abs(step) > wide + k_radius).any(axis=1)
+        ok &= (np.abs(step) + k_radius < wide).all(axis=1)
+        if ok.any():
+            # a box whose Newton polish leaves it or does not settle stays undecided
+            zeros = centers[ok] - step[ok]
+            settled = np.ones(zeros.shape[0], dtype=bool)
+            for _ in range(_NEWTON_STEPS):
+                zval, zjac = jet(zeros)
+                zinv, zok = _inverse2(zjac)
+                move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
+                settled &= zok
+                zeros = zeros - move
+            settled &= (np.abs(move) < _SNAP).all(axis=1)
+            settled &= (np.abs(zeros - centers[ok]) < wide).all(axis=1)
+            ok[ok] = settled
+            snapped = np.round(zeros[settled] / _SNAP) * _SNAP % 1.0
+            low = centers[ok] - radius
+            count += int(((low <= snapped) & (snapped < low + 2 * radius)).all(axis=1).sum())
+        undecided = centers[~(ok | free)]
+        if undecided.shape[0] == 0:
+            return count
+        if undecided.shape[0] > _BOX_CAP:
             return None
-        uncovered, radius = refine(uncovered, radius)
-        uncovered = survivors(uncovered, radius)
-        extra_levels += 1
-        if uncovered.shape[0] == 0:
-            break
-        zeros = np.concatenate([zeros, accepted_zeros(uncovered)], axis=0)
-
-    if zeros.shape[0] == 0:
-        return 0
-    # deduplicate on the torus
-    order = np.lexsort((zeros[:, 1], zeros[:, 0]))
-    zeros = zeros[order]
-    keep = []
-    for i in range(zeros.shape[0]):
-        if not keep:
-            keep.append(i)
-            continue
-        d = _circular_dist(zeros[i : i + 1], zeros[keep]).min()
-        if d > 1e-6:
-            keep.append(i)
-    return len(keep)
+        radius /= 2.0
+        centers = (undecided[:, None, :] + radius * offsets[None, :, :]).reshape(-1, 2)
+    return None
 
 
 def count_common_zeros_torus2(
     supports: Support | Sequence[Support], samples: int, seed: int
 ) -> MonteCarloStats:
     """Monte Carlo mean of the number of common zeros on [0,1)^2 of a pair
-    of independent random real ensembles.  Samples whose zero set cannot be
-    certified are discarded and reported; fewer than 2 kept samples raise
-    ArithmeticError."""
+    of independent random real ensembles.  Every counted zero is certified;
+    samples that cannot be certified are discarded and reported, and fewer
+    than 2 kept samples raise ArithmeticError."""
     _require_samples(samples)
     if isinstance(supports, Support):
         supports = [supports, supports]
@@ -353,15 +432,7 @@ def count_common_zeros_torus2(
 
     results = [one(child) for child in children]
     counts = np.array([r for r in results if r is not None], dtype=float)
-    discarded = sum(1 for r in results if r is None)
-    if counts.size < 2:
-        raise ArithmeticError(f"{discarded} of {samples} samples were discarded, fewer than 2 kept")
-    return MonteCarloStats(
-        value=float(counts.mean()),
-        stderr=float(counts.std(ddof=1) / math.sqrt(counts.size)),
-        samples=int(counts.size),
-        discarded=discarded,
-    )
+    return _kept_stats(counts, samples - counts.size)
 
 
 # ---------------------------------------------------------------------------

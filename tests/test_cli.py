@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from realroots import montecarlo
 from realroots.cli import (
     NUMERICAL_ERROR,
     TOLERANCE_ERROR,
@@ -91,6 +92,35 @@ def test_torus_monte_carlo_attaches_z_score(capsys):
     mc = report["results"]["monte_carlo"]
     assert mc["samples"] == 200
     assert abs(mc["z_score"]) < 5
+
+
+@pytest.mark.parametrize("support", ["segment:4", "box:2:1"])
+def test_torus_monte_carlo_reports_discarded_samples(capsys, support):
+    argv = ["torus", "--support", support, "--samples", "20", "--seed", "1"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    mc = report["results"]["monte_carlo"]
+    assert (mc["samples"], mc["discarded"]) == (20, 0)
+
+
+def test_torus_monte_carlo_counts_discards_apart(capsys, monkeypatch):
+    # without halving, a circle sample with an undecided grid cell is discarded
+    monkeypatch.setattr(montecarlo, "_CIRCLE_ROUNDS", 0)
+    argv = ["torus", "--support", "segment:4", "--samples", "40", "--seed", "1"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    mc = report["results"]["monte_carlo"]
+    assert mc["discarded"] > 0 and mc["samples"] >= 2
+    assert mc["samples"] + mc["discarded"] == 40
+
+
+def test_torus_monte_carlo_with_every_sample_discarded_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BOX_LEVELS", 0)
+    argv = ["torus", "--support", "box:2:1", "--samples", "5", "--seed", "1"]
+    assert main(argv) == NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fewer than 2 kept" in captured.err
 
 
 def test_torus_samples_require_seed(capsys):

@@ -18,6 +18,7 @@ from realroots.montecarlo import (
 )
 from realroots.rootsystems import root_system
 from realroots.torus import box_support, segment_support
+from circle_oracle import unimodular_root_counts
 from su2_oracle import su2_f_form_oracle, su2_from_quaternion, su2_haar_nodes, su2_irrep_matrix
 
 A1 = root_system("A1")
@@ -188,6 +189,92 @@ def test_equidistribution_chi_square():
     assert p_bad < 1e-10
 
 
+def per_sample_circle_counts(support, samples, seed, grid=None):
+    blocks = list(montecarlo._circle_blocks(support, samples, seed, grid))
+    return (
+        np.concatenate([counts for _, counts, _, _ in blocks]),
+        np.concatenate([kept for _, _, kept, _ in blocks]),
+    )
+
+
+@pytest.mark.parametrize("grid", [-5, 0, 2.5])
+def test_circle_grid_must_be_a_positive_int(grid):
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        count_zeros_circle(segment_support(5), 20, seed=4, grid=grid)
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        circle_zero_locations(segment_support(5), 20, seed=4, grid=grid)
+
+
+def test_circle_counts_do_not_depend_on_the_starting_grid():
+    # certified counts: the grid is only where the subdivision starts
+    want, kept = per_sample_circle_counts(segment_support(5), 200, seed=4)
+    assert kept.all()
+    stats = count_zeros_circle(segment_support(5), 200, seed=4)
+    for grid in (8, 16, 64):
+        counts, kept = per_sample_circle_counts(segment_support(5), 200, seed=4, grid=grid)
+        assert kept.all()
+        assert np.array_equal(counts, want)
+        assert count_zeros_circle(segment_support(5), 200, seed=4, grid=grid) == stats
+
+
+@pytest.mark.parametrize("m,samples,seed", [(3, 256, 11), (5, 256, 12), (20, 128, 13)])
+def test_circle_counts_match_companion_eigenvalues(m, samples, seed):
+    for g, counts, kept, _ in montecarlo._circle_blocks(segment_support(m), samples, seed, None):
+        assert kept.all()
+        assert np.array_equal(counts, unimodular_root_counts(g))
+
+
+@pytest.mark.parametrize("separation", [1 / 50, 1e-4])
+def test_two_zeros_inside_one_cell_are_both_counted(separation):
+    # cos(2 pi (x - a)) - cos(2 pi d) vanishes at a +- d: both lie in cell 10,
+    # closer together than 1/32 of a cell and between two of its 32nd points
+    grid = 64
+    a, d = (10 + 16.5 / 32) / grid, separation / grid / 2
+    g = np.array([[-math.cos(2 * math.pi * d), np.exp(-2j * math.pi * a)]])
+    counts, kept, (rows, lo, width) = montecarlo._circle_cells(g, grid)
+    assert kept.all() and counts.tolist() == [2]
+    assert ((lo >= 10 / grid) & (lo + width <= 11 / grid)).all()
+
+
+def test_zeros_between_the_points_of_a_coarse_grid_are_counted():
+    # 0.9 + cos(2 pi 8 x) is 1.9 with f' = 0 at every point of an 8-point
+    # grid, yet dips below zero twice inside every cell
+    g = np.zeros((1, 9))
+    g[0, 0], g[0, 8] = 0.9, 1.0
+    counts, kept, _ = montecarlo._circle_cells(g, 8)
+    assert kept.all() and counts.tolist() == [16]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3 + 1e-5 * math.pi])
+def test_double_zero_is_discarded(a):
+    # 1 - cos(2 pi (x - a)) touches zero at a without a sign change
+    g = np.array([[1.0, -np.exp(-2j * math.pi * a)], [0.5, 1.0]])
+    counts, kept, _ = montecarlo._circle_cells(g, 64)
+    assert kept.tolist() == [False, True]
+    assert counts[1] == 2
+
+
+def test_circle_discards_are_reported(monkeypatch):
+    # without halving, every sample with an undecided grid cell is discarded
+    monkeypatch.setattr(montecarlo, "_CIRCLE_ROUNDS", 0)
+    stats = count_zeros_circle(segment_support(4), 40, seed=1)
+    assert stats.discarded > 0 and stats.samples >= 2
+    assert stats.samples + stats.discarded == 40
+
+
+def test_circle_counter_needs_two_kept_samples(monkeypatch):
+    cells = montecarlo._circle_cells
+
+    def keep_first_only(g, grid):
+        counts, kept, found = cells(g, grid)
+        kept[1:] = False
+        return counts, kept, found
+
+    monkeypatch.setattr(montecarlo, "_circle_cells", keep_first_only)
+    with pytest.raises(ArithmeticError, match="fewer than 2 kept"):
+        count_zeros_circle(segment_support(3), 3, seed=1)
+
+
 # -- torus counting -------------------------------------------------------------------
 
 def test_torus_counts_are_deterministic_and_tracked():
@@ -203,6 +290,29 @@ def test_torus_counts_are_deterministic_and_tracked():
     assert one.discard_rate <= 0.05
     z = (one.value - 4 * math.pi / 3) / one.stderr
     assert abs(z) < 5
+
+
+def sine_pair(first, second):
+    """sin(2 pi <first, x>) and sin(2 pi <second, x>) as (freqs, coeffs)."""
+    out = []
+    for lam in (first, second):
+        out += [np.array([lam, [-c for c in lam]], dtype=float), np.array([-0.5j, 0.5j])]
+    return out
+
+
+@pytest.mark.parametrize(
+    "first,second,zeros",
+    [((1, 0), (0, 1), 4), ((1, 1), (1, -1), 8)],
+)
+def test_common_zeros_on_box_edges_are_counted_once(first, second, zeros):
+    # every common zero sits on a corner of the dyadic boxes (some on the seam 0 = 1)
+    assert montecarlo._certified_sample_count(*sine_pair(first, second)) == zeros
+
+
+@pytest.mark.parametrize("limit,value", [("_BOX_CAP", 1), ("_BOX_LEVELS", 0)])
+def test_torus_sample_over_a_box_limit_is_discarded(monkeypatch, limit, value):
+    monkeypatch.setattr(montecarlo, limit, value)
+    assert montecarlo._certified_sample_count(*sine_pair((1, 1), (1, -1))) is None
 
 
 # -- gaussian determinant volumes --------------------------------------------------------
