@@ -154,7 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="segment:m | box:n:m | ball:n:m | points:(..);(..)  "
         "(repeat for mixed systems; one support is reused n times)",
     )
-    p_torus.add_argument("--method", default="auto", help="mixed-volume method for the mean")
+    p_torus.add_argument(
+        "--method",
+        default="auto",
+        help="mixed-volume method for the mean: auto | exact1d | balls | volume | sphere | mc",
+    )
     p_torus.add_argument(
         "--samples", type=int, help="also run the Monte Carlo counter on this many samples (>= 2)"
     )
@@ -162,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         help="seed of the Monte Carlo counter (required with --samples) and of the "
-        "mc mixed-volume mean (needed for mixed systems of distinct non-round supports "
-        "in dimension >= 3)",
+        "mc mixed-volume mean (auto takes mc only in dimension >= 4, or in dimension 3 "
+        "when every support lies in a plane)",
     )
 
     p_group = sub.add_parser("group", parents=[common], help="compact-group ensembles")

@@ -7,8 +7,11 @@ floating point.  Hulls come from an incremental (beneath-beyond) boundary
 complex whose vertices are read off its facet incidences: a boundary point is
 a vertex iff the normals of the facets through it have full rank.  Mixed
 volumes polarize the volume of Minkowski sums over the distinct bodies only,
-so repeated bodies cost no extra sums; the ellipsoid variant offers an exact
-planar path, an all-balls product path, and a Monte Carlo path.
+so repeated bodies cost no extra sums.  Mixed volumes of ellipsoids rest on
+V = (2 pi)^(n/2)/n! E|det G|, row i of G drawn from N(0, Q_i) (Kabluchko and
+Zaporozhets, "Random determinants, mixed volumes of ellipsoids, and zeros of
+Gaussian random fields"): a closed form in the plane, averaged over the
+sphere in R^3.
 """
 
 from __future__ import annotations
@@ -367,55 +370,84 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float, depth: int = 24) -> float:
-    c = 0.5 * (a + b)
-    fa, fb, fc = f(a), f(b), f(c)
-
-    def recurse(a, fa, b, fb, c, fc, whole, tol, depth):
-        lm = 0.5 * (a + c)
-        rm = 0.5 * (c + b)
-        flm, frm = f(lm), f(rm)
-        left = (c - a) / 6 * (fa + 4 * flm + fc)
-        right = (b - c) / 6 * (fc + 4 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15
-        return recurse(a, fa, c, fc, lm, flm, left, tol / 2, depth - 1) + recurse(
-            c, fc, b, fb, rm, frm, right, tol / 2, depth - 1
-        )
-
-    whole = (b - a) / 6 * (fa + 4 * fc + fb)
-    return recurse(a, fa, b, fb, c, fc, whole, tol, depth)
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+# Gauss-Legendre nodes in cos(theta) of the coarse and the fine rule on S^2;
+# each takes twice as many trapezoid nodes in phi
+_SPHERE_NODES = (24, 48)
+# a body whose smallest over largest eigenvalue of Q is at most this is flat
+_FLAT = 1e-12
 
 
-def _planar_body_area(Qs: Sequence[np.ndarray], tol: float = 1e-10) -> float:
-    """Area of a Minkowski sum of origin-centred planar ellipsoids via the
-    support-function formula  A = (1/2) int (h^2 - h'^2) dtheta."""
+def _psd_sqrt(q: np.ndarray) -> np.ndarray:
+    """Square roots of a stack of PSD matrices, by eigh so singular ones work."""
+    vals, vecs = np.linalg.eigh(q)
+    root = np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+    return (vecs * root) @ np.swapaxes(vecs, -1, -2)
 
-    def integrand(theta: float) -> float:
-        u = np.array([math.cos(theta), math.sin(theta)])
-        up = np.array([-math.sin(theta), math.cos(theta)])
-        h = 0.0
-        hp = 0.0
-        for Q in Qs:
-            q = float(u @ Q @ u)
-            if q > 0.0:
-                h += math.sqrt(q)
-                hp += float(up @ Q @ u) / math.sqrt(q)
-            # q == 0: support kink of a degenerate summand; h' jump midpoint 0
-        return h * h - hp * hp
 
-    panels = 64
-    total = 0.0
-    for i in range(panels):
-        a = 2 * math.pi * i / panels
-        b = 2 * math.pi * (i + 1) / panels
-        total += _adaptive_simpson(integrand, a, b, tol / panels)
-    return 0.5 * total
+def _mixed_area(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Mixed area V(E_1, E_2) of planar ellipses, batched over leading axes.
+
+    With row i of G drawn from N(0, Q_i), V = pi E|det G| (Kabluchko and
+    Zaporozhets), and det G is a bilinear form in standard normals with
+    matrix M = Q_1^(1/2) J Q_2^(1/2), J the quarter turn.  For singular
+    values s_1 >= s_2 of M this gives V = 2 s_1 E(1 - s_2^2 / s_1^2), with E
+    the complete elliptic integral of the second kind; V = 0 when M = 0.
+    """
+    from scipy.special import ellipe
+
+    s = np.linalg.svd(_psd_sqrt(q1) @ _QUARTER_TURN @ _psd_sqrt(q2), compute_uv=False)
+    s1, s2 = s[..., 0], s[..., 1]
+    ratio = np.divide(s2, s1, out=np.zeros_like(s1), where=s1 > 0)
+    return np.where(s1 > 0, 2.0 * s1 * ellipe(1.0 - ratio * ratio), 0.0)
+
+
+def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> float:
+    """Mean over u in S^2 of the mixed area of U^T P_1 U and U^T P_2 U, U an
+    orthonormal basis of the plane u^perp: Gauss-Legendre in cos(theta) times
+    the trapezoid rule in phi, whose integrand is smooth and periodic.  The
+    integrand is even in u and the Gauss-Legendre rule even in cos(theta), so
+    `nodes` angles in [0, pi) give the rule with 2 `nodes` angles in [0, 2 pi)."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, phi = np.meshgrid(t, np.pi * (np.arange(nodes) + 0.5) / nodes, indexing="ij")
+    e_theta = np.stack([t * np.cos(phi), t * np.sin(phi), -np.sqrt(1 - t * t)], -1)
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], -1)
+    u = np.stack([e_theta, e_phi], -1)
+    ut = np.swapaxes(u, -1, -2)
+    areas = _mixed_area(ut @ p1 @ u, ut @ p2 @ u)
+    return 0.5 * float(w @ areas.mean(axis=1))
+
+
+def _sphere_mixed_volume(qs: Sequence[np.ndarray], k: int) -> tuple[float, float]:
+    """V(E_1, E_2, E_3) in R^3, whitened by the positive-definite body k, and
+    the distance between the coarse and the fine rule as its error estimate.
+
+    With L = chol(Q_k), the whitened row k of G is |g| u with E|g| =
+    2 sqrt(2/pi) and u uniform on S^2, and |det G| = det L |g| times the
+    planar |det| of the other whitened rows projected onto u^perp.  So
+    V = (2 pi)^(3/2)/3! E|det G| = 4/3 sqrt(det Q_k) times the mean over u of
+    the mixed area of U^T P_i U, P_i = L^-1 Q_i L^-T, for the other two i.
+    """
+    chol = np.linalg.cholesky(qs[k])
+    inv = np.linalg.inv(chol)
+    p1, p2 = (inv @ q @ inv.T for i, q in enumerate(qs) if i != k)
+    scale = 4.0 / 3.0 * float(np.prod(np.diag(chol)))
+    coarse, fine = (scale * _sphere_mean_of_mixed_areas(p1, p2, m) for m in _SPHERE_NODES)
+    return fine, abs(fine - coarse)
+
+
+def _roundest_body(ellipsoids: Sequence[Ellipsoid]) -> int | None:
+    """Index of the body with the largest ratio of smallest to largest
+    eigenvalue of Q, or None when every body is flat."""
+    ratios = [e._eigvals[0] / e._eigvals[-1] if e._eigvals[-1] > 0 else 0.0
+              for e in ellipsoids]
+    k = int(np.argmax(ratios))
+    return k if ratios[k] > _FLAT else None
 
 
 @dataclass(frozen=True)
 class MixedVolumeResult:
-    """Mixed volume value with an error estimate (0 for exact paths)."""
+    """Mixed volume value with an error estimate (0 for closed forms)."""
 
     value: float
     stderr: float
@@ -431,11 +463,13 @@ def mixed_volume_ellipsoids(
 ) -> MixedVolumeResult:
     """Mixed volume V(E_1, ..., E_n) of n ellipsoids in R^n.
 
-    Methods: "exact1d" (n=1 closed form), "exact2d" (planar support-function
-    quadrature plus polarization), "balls" (product formula, all E_i balls),
-    "volume" (V(E, ..., E) = vol(E), n copies of one ellipsoid), "mc"
-    (Gaussian determinant estimator; needs `seed`), and "auto" which picks
-    the first of exact1d, balls, exact2d and volume that applies, else mc.
+    Methods: "exact1d" (n = 1), "balls" (all E_i balls), "volume" (n copies
+    of one ellipsoid), "sphere" (n = 2: the closed-form mixed area; n = 3:
+    that area averaged over the planes u^perp, u in S^2, after whitening by
+    the roundest body, which must be positive definite; `stderr` is the
+    distance of the reported 48 x 96 node rule from a 24 x 48 one), "mc"
+    (the Gaussian determinant estimator; needs `seed`), and "auto", which
+    picks the first of exact1d, balls, volume and sphere that applies, else mc.
     """
     if not ellipsoids:
         raise ValueError("mixed volume of an empty list")
@@ -447,15 +481,16 @@ def mixed_volume_ellipsoids(
 
     radii = [e.ball_radius() for e in ellipsoids]
     identical = all(np.array_equal(e.Q, ellipsoids[0].Q) for e in ellipsoids[1:])
+    whiten = _roundest_body(ellipsoids) if n == 3 else None
     if method == "auto":
         if n == 1:
             method = "exact1d"
         elif all(r is not None for r in radii):
             method = "balls"
-        elif n == 2:
-            method = "exact2d"
         elif identical:
             method = "volume"
+        elif n == 2 or whiten is not None:
+            method = "sphere"
         else:
             method = "mc"
 
@@ -472,14 +507,15 @@ def mixed_volume_ellipsoids(
         if not identical:
             raise ValueError("volume method needs n copies of one ellipsoid")
         return MixedVolumeResult(ellipsoids[0].volume(), 0.0, method)
-    if method == "exact2d":
-        if n != 2:
-            raise ValueError("exact2d needs dimension 2")
-        q1, q2 = ellipsoids[0].Q, ellipsoids[1].Q
-        a12 = _planar_body_area([q1, q2])
-        a1 = _planar_body_area([q1])
-        a2 = _planar_body_area([q2])
-        return MixedVolumeResult(0.5 * (a12 - a1 - a2), 0.0, method)
+    if method == "sphere":
+        qs = [e.Q for e in ellipsoids]
+        if n == 2:
+            return MixedVolumeResult(float(_mixed_area(*qs)), 0.0, method)
+        if n != 3:
+            raise ValueError("sphere needs dimension 2 or 3")
+        if whiten is None:
+            raise ValueError("sphere needs a positive-definite ellipsoid in dimension 3")
+        return MixedVolumeResult(*_sphere_mixed_volume(qs, whiten), method)
     if method == "mc":
         if seed is None:
             raise ValueError("mc method needs a seed")
@@ -487,7 +523,9 @@ def mixed_volume_ellipsoids(
 
         stats = gaussian_mixed_volume([e.Q for e in ellipsoids], samples=samples, seed=seed)
         return MixedVolumeResult(stats.value, stats.stderr, method, samples)
-    raise ValueError(f"unknown method {method!r}")
+    raise ValueError(
+        f"unknown method {method!r}; use auto, exact1d, balls, volume, sphere or mc"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class RepEnsemble:
         return f"RepEnsemble({self.rs.name}, {len(self.entries)} weights)"
 
 
-def _as_ensemble_list(ensembles, rs: RootSystem | None = None) -> list[RepEnsemble]:
+def _as_ensemble_list(ensembles) -> list[RepEnsemble]:
     if isinstance(ensembles, RepEnsemble):
         ensembles = [ensembles] * ensembles.rs.dimension
     out = list(ensembles)

@@ -278,6 +278,8 @@ def circle_zero_locations(
 ) -> np.ndarray:
     """Pooled zero locations (mod 1) over the kept samples, found by bisection
     inside the certified one-zero cells."""
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
     locations: list[np.ndarray] = []
     for g, _, kept, (rows, lo, width) in _circle_blocks(support, samples, seed, grid):
         take = kept[rows]

@@ -19,8 +19,6 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import exactalg as xa
 from .polynomials import Polynomial
 
@@ -265,70 +263,20 @@ def _fs_parity(rs: RootSystem, lam: Sequence) -> int:
     return -1 if int(total) % 2 else 1
 
 
-def _character_sum(points: np.ndarray, orbit: Sequence[tuple[int, xa.Vec]]) -> np.ndarray:
-    """Alternating exponential sum over a signed Weyl orbit at `points`
-    (rows are torus coordinates dual to the weight lattice)."""
-    out = np.zeros(points.shape[0], dtype=complex)
-    for sign, mu in orbit:
-        phase = points @ np.array([float(c) for c in mu])
-        out += sign * np.exp(2j * np.pi * phase)
-    return out
-
-
-def _fs_quadrature(rs: RootSystem, lam: Sequence, grid: int | None = None) -> float:
-    """Average of the character at squared group elements, computed on the
-    maximal torus with the Weyl density; exact for a fine enough grid."""
+def frobenius_schur_indicator(rs: RootSystem, lam: Sequence) -> int:
+    """Indicator in {1, 0, -1}: real, complex or quaternionic type, by exact
+    combinatorics (0 unless the representation is self-dual, else the parity
+    of the pairing with the positive coroots)."""
     v = xa.as_vec(lam)
-    rho = rs.rho
-    orbit_num = rs.signed_weyl_orbit(xa.vec_add(v, rho))
-    orbit_rho = rs.signed_weyl_orbit(rho)
-    orbit_lam = rs.weyl_orbit(v)
-
-    def max_coord(vecs: Iterable[xa.Vec]) -> int:
-        return max(int(math.ceil(abs(c))) for vec in vecs for c in vec)
-
-    fmax = 2 * max_coord(orbit_lam) + 2 * max_coord(mu for _, mu in orbit_rho)
-    n = max(grid or 64, fmax + 1)
-    k = rs.rank
-    shifts = np.array([math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13)[:k]])
-    axes = [(np.arange(n) + shifts[j]) / n for j in range(k)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    a_num = _character_sum(2.0 * pts, orbit_num)
-    a_den = _character_sum(2.0 * pts, orbit_rho)
-    a_weyl = _character_sum(pts, orbit_rho)
-    denom_floor = 1e-9 * np.abs(a_den).max()
-    if np.abs(a_den).min() <= denom_floor:  # pragma: no cover - irrational shift
-        raise ArithmeticError("degenerate quadrature grid; increase the grid size")
-    chi = a_num / a_den
-    value = (chi * (a_weyl * np.conj(a_weyl))).mean() / rs.weyl_order
-    return float(value.real)
+    if symmetric_partner(rs, v) != v:
+        return 0
+    return _fs_parity(rs, v)
 
 
-def frobenius_schur_indicator(rs: RootSystem, lam: Sequence, method: str = "parity") -> int:
-    """Indicator in {1, 0, -1}: real, complex or quaternionic type.
-
-    "parity" is exact combinatorics; "quadrature" evaluates the defining
-    character average on the maximal torus and serves as a cross-check.
-    """
-    v = xa.as_vec(lam)
-    if method == "parity":
-        if symmetric_partner(rs, v) != v:
-            return 0
-        return _fs_parity(rs, v)
-    if method == "quadrature":
-        value = _fs_quadrature(rs, v)
-        nearest = round(value)
-        if abs(value - nearest) > 1e-6 or nearest not in (-1, 0, 1):
-            raise ArithmeticError(f"indicator quadrature did not converge: {value}")
-        return int(nearest)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def reality_type(rs: RootSystem, lam: Sequence, method: str = "parity") -> str:
+def reality_type(rs: RootSystem, lam: Sequence) -> str:
     """"real", "complex" or "quaternionic" type of the irreducible
     representation with highest weight lam."""
-    fs = frobenius_schur_indicator(rs, lam, method=method)
+    fs = frobenius_schur_indicator(rs, lam)
     return {1: "real", 0: "complex", -1: "quaternionic"}[fs]
 
 

@@ -115,9 +115,9 @@ def newton_ellipsoid_torus(support: Support) -> Ellipsoid:
     return Ellipsoid(q)
 
 
-def _as_support_list(supports, n: int | None = None) -> list[Support]:
+def _as_support_list(supports) -> list[Support]:
     if isinstance(supports, Support):
-        supports = [supports] * (n or supports.dim)
+        supports = [supports] * supports.dim
     out = list(supports)
     if not out:
         raise ValueError("no supports given")
@@ -137,7 +137,12 @@ def mean_real_count_torus(
 ) -> MixedVolumeResult:
     """Expected number of real common zeros on the torus [0,1)^n of n
     independent random real ensembles: n!/(2 pi)^n times the mixed volume of
-    the second-moment ellipsoids."""
+    the second-moment ellipsoids.
+
+    `method`, `samples` and `seed` go to `mixed_volume_ellipsoids`; `auto`
+    asks for a seed only in dimension >= 4, or in dimension 3 when every
+    support lies in a plane.
+    """
     sups = _as_support_list(supports)
     n = sups[0].dim
     for s in sups:

@@ -179,7 +179,8 @@ def test_torus_one_non_round_support_is_exact(capsys, seed):
 
 
 def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
-    argv = ["torus", "--support", NON_ROUND_3D, "--support", WIDER_3D, "--support", WIDER_3D]
+    argv = ["torus", "--support", NON_ROUND_3D, "--support", WIDER_3D, "--support", WIDER_3D,
+            "--method", "mc"]
     code, report = run_json(capsys, [*argv, "--seed", "3"])
     assert code == 0
     assert report["status"] == "ok"
@@ -195,9 +196,29 @@ def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
 
 
 def test_torus_mc_mean_without_seed_is_usage_error(capsys):
-    argv = ["torus", "--support", NON_ROUND_3D, "--support", WIDER_3D, "--support", WIDER_3D]
+    argv = ["torus", "--support", NON_ROUND_3D, "--support", WIDER_3D, "--support", WIDER_3D,
+            "--method", "mc"]
     assert main(argv) == USAGE_ERROR
     assert "mc method needs a seed" in capsys.readouterr().err
+
+
+def test_torus_mixed_non_round_mean_needs_no_seed(capsys):
+    argv = ["torus", "--support", NON_ROUND_3D, "--support", WIDER_3D, "--support", WIDER_3D]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    res = report["results"]
+    assert res["method"] == "sphere"
+    assert abs(res["real_count"] - 13.12080754300) <= 1e-9
+    assert res["real_stderr"] <= 1e-9
+    assert octahedron_mean(1, 2, 1) < res["real_count"] < octahedron_mean(1, 2, 2)
+
+
+def test_torus_removed_planar_method_is_usage_error(capsys):
+    argv = ["torus", "--support", "points:(1,0);(-1,0);(0,2);(0,-2);(0,0)", "--method", "exact2d"]
+    assert main(argv) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown method 'exact2d'" in captured.err
 
 
 def test_torus_bad_support_is_usage_error(capsys):

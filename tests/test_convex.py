@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from realroots import exactalg as xa
+from planar_oracle import polarized_mixed_area
 from realroots.convex import (
     _incremental_hull,
+    _sphere_mixed_volume,
     Ellipsoid,
     Polytope,
     body_from_json,
@@ -306,14 +308,14 @@ def test_copies_of_one_ellipsoid_take_its_volume():
     assert mixed_volume_ellipsoids([e, e, other], method="mc", seed=1).method == "mc"
     with pytest.raises(ValueError):
         mixed_volume_ellipsoids([e, e, other], method="volume")
-    with pytest.raises(ValueError):
-        mixed_volume_ellipsoids([e, e, other])  # auto falls back to mc, which needs a seed
+    res = mixed_volume_ellipsoids([e, e, other])  # no seed: auto takes sphere, not mc
+    assert res.method == "sphere" and res.samples is None
 
 
 def test_exact2d_agrees_with_ball_formula():
     e1 = Ellipsoid(0.49 * np.eye(2))
     e2 = Ellipsoid(1.21 * np.eye(2))
-    res = mixed_volume_ellipsoids([e1, e2], method="exact2d")
+    res = mixed_volume_ellipsoids([e1, e2], method="sphere")
     assert res.value == pytest.approx(math.pi * 0.7 * 1.1, rel=1e-9)
 
 
@@ -323,7 +325,7 @@ def test_exact2d_on_general_pair_vs_monte_carlo():
     b = rng.normal(size=(2, 2))
     e1 = Ellipsoid(a @ a.T + 0.1 * np.eye(2))
     e2 = Ellipsoid(b @ b.T + 0.1 * np.eye(2))
-    quadrature = mixed_volume_ellipsoids([e1, e2], method="exact2d")
+    quadrature = mixed_volume_ellipsoids([e1, e2], method="sphere")
     mc = mixed_volume_ellipsoids([e1, e2], method="mc", samples=400_000, seed=9)
     assert mc.stderr > 0
     assert abs(mc.value - quadrature.value) < 4 * mc.stderr
@@ -336,8 +338,136 @@ def test_alexandrov_fenchel_on_ellipse_pairs():
         b = rng.normal(size=(2, 2))
         e1 = Ellipsoid(a @ a.T + 0.05 * np.eye(2))
         e2 = Ellipsoid(b @ b.T + 0.05 * np.eye(2))
-        v12 = mixed_volume_ellipsoids([e1, e2], method="exact2d").value
+        v12 = mixed_volume_ellipsoids([e1, e2], method="sphere").value
         assert v12 * v12 >= e1.volume() * e2.volume() * (1 - 1e-9)
+
+
+def criterion_06_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 20 ellipse pairs of acceptance criterion 06, drawn the same way."""
+    rng = np.random.default_rng(20260814)
+
+    def random_spd():
+        a = rng.normal(size=(2, 2))
+        return a.T @ a + 0.3 * np.eye(2)
+
+    return [(random_spd(), random_spd()) for _ in range(20)]
+
+
+def convex_test_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ellipse pairs of the planar tests above."""
+    pairs = [(0.49 * np.eye(2), 1.21 * np.eye(2))]
+    for seed, ridge, count in ((3, 0.1, 1), (5, 0.05, 10)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            a = rng.normal(size=(2, 2))
+            b = rng.normal(size=(2, 2))
+            pairs.append((a @ a.T + ridge * np.eye(2), b @ b.T + ridge * np.eye(2)))
+    return pairs
+
+
+def test_sphere_mixed_area_equals_polarized_support_areas():
+    for q1, q2 in criterion_06_pairs() + convex_test_pairs():
+        e1, e2 = Ellipsoid(q1), Ellipsoid(q2)
+        res = mixed_volume_ellipsoids([e1, e2], method="sphere")
+        assert res.stderr == 0.0
+        assert res.value == pytest.approx(polarized_mixed_area(e1.Q, e2.Q), rel=1e-12)
+
+
+def test_sphere_mixed_area_of_segments_and_a_point():
+    horizontal, vertical = Ellipsoid(np.diag([1.0, 0.0])), Ellipsoid(np.diag([0.0, 1.0]))
+    # two orthogonal unit segments [-1, 1] e_i: their sum is a 2 x 2 square
+    assert mixed_volume_ellipsoids([horizontal, vertical]).value == 2.0
+    assert mixed_volume_ellipsoids([horizontal, horizontal], method="sphere").value == 0.0
+    point = Ellipsoid(np.zeros((2, 2)))
+    assert mixed_volume_ellipsoids([point, Ellipsoid(np.eye(2))], method="sphere").value == 0.0
+
+
+def random_triple(seed: int) -> list[Ellipsoid]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        a = rng.normal(size=(3, 3))
+        out.append(Ellipsoid(a @ a.T + 0.2 * np.eye(3)))
+    return out
+
+
+def test_sphere_closed_forms_in_three_dimensions():
+    e = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
+    res = mixed_volume_ellipsoids([e, e, e], method="sphere")
+    assert res.value == pytest.approx(e.volume(), rel=1e-12)
+    for e in random_triple(11):
+        assert mixed_volume_ellipsoids([e, e, e], method="sphere").value == pytest.approx(
+            e.volume(), rel=1e-12
+        )
+    radii = (0.8, 1.1, 1.7)
+    balls = [Ellipsoid(r * r * np.eye(3)) for r in radii]
+    res = mixed_volume_ellipsoids(balls, method="sphere")
+    assert res.value == pytest.approx(unit_ball_volume(3) * math.prod(radii), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sphere_is_multilinear_and_affine_invariant(seed):
+    es = random_triple(seed)
+    res = mixed_volume_ellipsoids(es)
+    assert res.method == "sphere" and 0 < res.stderr < 1e-6 * res.value
+    scaled = mixed_volume_ellipsoids([Ellipsoid(2.25 * es[0].Q), es[1], es[2]])
+    assert scaled.value == pytest.approx(1.5 * res.value, rel=1e-12)
+    a = np.random.default_rng(100 + seed).normal(size=(3, 3))
+    mapped = mixed_volume_ellipsoids([Ellipsoid(a @ e.Q @ a.T) for e in es])
+    want = abs(np.linalg.det(a)) * res.value
+    assert abs(mapped.value - want) <= mapped.stderr + abs(np.linalg.det(a)) * res.stderr
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sphere_does_not_depend_on_body_order_or_whitening(seed):
+    es = random_triple(seed)
+    res = mixed_volume_ellipsoids(es)
+    for order in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
+        other = mixed_volume_ellipsoids([es[i] for i in order])
+        assert abs(other.value - res.value) <= other.stderr + res.stderr + 1e-14 * res.value
+    # whitening by any of the three bodies gives one value within the errors
+    qs = [e.Q for e in es]
+    for k in range(3):
+        value, err = _sphere_mixed_volume(qs, k)
+        assert abs(value - res.value) <= err + res.stderr + 1e-14 * res.value
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sphere_agrees_with_the_gaussian_determinant(seed):
+    es = random_triple(seed)
+    res = mixed_volume_ellipsoids(es)
+    mc = mixed_volume_ellipsoids(es, method="mc", samples=200_000, seed=seed)
+    assert abs(mc.value - res.value) <= 3 * mc.stderr
+
+
+def test_sphere_error_estimate_covers_flat_bodies():
+    # Steiner: vol(K + tB) = 2 A t + (pi P / 2) t^2 + (4 pi / 3) t^3 for a flat
+    # K of area A and perimeter P, and pi L t^2 + (4 pi / 3) t^3 for a
+    # segment of length L, so V(D, D, B) = 2 pi / 3 and V(D, B, B) = pi^2 / 3
+    # for the unit disc D, and V(S, B, B) = 2 pi / 3 for S = [-e_1, e_1]
+    ball = Ellipsoid(np.eye(3))
+    disc, segment = Ellipsoid(np.diag([1.0, 1.0, 0.0])), Ellipsoid(np.diag([1.0, 0.0, 0.0]))
+    for bodies, want in (
+        ([disc, disc, ball], 2 * math.pi / 3),
+        ([disc, ball, ball], math.pi**2 / 3),
+        ([segment, ball, ball], 2 * math.pi / 3),
+    ):
+        res = mixed_volume_ellipsoids(bodies)
+        assert res.method == "sphere"
+        assert abs(res.value - want) <= res.stderr < 1e-2 * want
+
+
+def test_three_flat_bodies_go_to_monte_carlo():
+    # three discs in the coordinate planes: no body can whiten the others
+    discs = [Ellipsoid(np.diag(d)) for d in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0])]
+    with pytest.raises(ValueError, match="mc method needs a seed"):
+        mixed_volume_ellipsoids(discs)
+    assert mixed_volume_ellipsoids(discs, seed=1).method == "mc"
+    with pytest.raises(ValueError, match="positive-definite"):
+        mixed_volume_ellipsoids(discs, method="sphere")
+    four = [Ellipsoid(np.eye(4))] * 3 + [Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]))]
+    with pytest.raises(ValueError, match="dimension 2 or 3"):
+        mixed_volume_ellipsoids(four, method="sphere")
 
 
 def test_one_dimensional_mixed_volume_is_diameter():

@@ -179,6 +179,12 @@ def test_zero_locations_fill_both_halves():
         assert abs(frac - 0.5) < 0.05  # about 4 standard errors
 
 
+@pytest.mark.parametrize("samples", [-3, 0])
+def test_zero_locations_need_a_sample(samples):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        circle_zero_locations(segment_support(5), samples, seed=1)
+
+
 def test_equidistribution_chi_square():
     for seed in (1, 2, 3):
         locs = circle_zero_locations(segment_support(5), 300, seed=seed)

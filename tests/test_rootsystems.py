@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ball_oracles import fischer_product, float_integrate_ball, orthonormal_frame, radial_constant
+from character_oracle import fs_indicator_quadrature
 from realroots.exactalg import dot, mat_vec
 from realroots.polynomials import Polynomial
 from realroots.rootsystems import (
@@ -162,9 +163,7 @@ def test_frobenius_schur_known_cases():
 def test_character_quadrature_agrees_with_parity(name, weights):
     rs = root_system(name)
     for w in weights:
-        parity = frobenius_schur_indicator(rs, w, method="parity")
-        quad = frobenius_schur_indicator(rs, w, method="quadrature")
-        assert parity == quad
+        assert frobenius_schur_indicator(rs, w) == fs_indicator_quadrature(rs, w)
 
 
 # -- metric geometry ------------------------------------------------------------
