@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_torus.add_argument(
         "--method",
         default="auto",
-        help="mixed-volume method for the mean: auto | exact1d | balls | volume | sphere | mc",
+        help="mixed-volume method for the mean: auto | balls | volume | sphere | mc",
     )
     p_torus.add_argument(
         "--samples", type=int, help="also run the Monte Carlo counter on this many samples (>= 2)"

@@ -1,23 +1,26 @@
 """Convex bodies: lattice polytopes with exact rational arithmetic and
 ellipsoids with floating-point support functions.
 
-Polytope hulls, volumes and mixed volumes are exact (Fraction) in any
-dimension we actually use (<= 4 by contract); ellipsoid computations are
-floating point.  Hulls come from an incremental (beneath-beyond) boundary
-complex whose vertices are read off its facet incidences: a boundary point is
-a vertex iff the normals of the facets through it have full rank.  Mixed
-volumes polarize the volume of Minkowski sums over the distinct bodies only,
-so repeated bodies cost no extra sums.  Mixed volumes of ellipsoids rest on
-V = (2 pi)^(n/2)/n! E|det G|, row i of G drawn from N(0, Q_i) (Kabluchko and
-Zaporozhets, "Random determinants, mixed volumes of ellipsoids, and zeros of
-Gaussian random fields"): a closed form in the plane, averaged over the
-sphere in R^3.
+Polytope hulls, volumes and mixed volumes are exact in any dimension we
+actually use (<= 4 by contract); ellipsoid computations are floating point.
+Hulls run on integer coordinates (the points, or a flat's affine coordinates,
+times the lcm of their denominators): a monotone chain in the plane, else an
+incremental (beneath-beyond) boundary complex with primitive signed-minor
+facet normals, whose vertices are the boundary points where the facet normals
+have full rank.  Only full-dimensional hulls are triangulated, by a second
+pass over their vertices.  Mixed volumes polarize the volume of Minkowski
+sums over the distinct bodies only, so repeated bodies cost no extra sums.
+Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
+drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
+volumes of ellipsoids, and zeros of Gaussian random fields"): a closed form
+in the plane, averaged over the sphere in R^3.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,19 +53,44 @@ __all__ = [
 # exact convex hulls
 # ---------------------------------------------------------------------------
 
-def _hull_1d(coords: list[xa.Vec]) -> list[int]:
-    vals = [(c[0], i) for i, c in enumerate(coords)]
-    lo = min(vals)[1]
-    hi = max(vals)[1]
-    return [lo] if lo == hi else [lo, hi]
+IntVec = tuple[int, ...]
+Plane = tuple[IntVec, int]
 
 
-def _cross2(o: xa.Vec, a: xa.Vec, b: xa.Vec) -> Fraction:
+def _affine_basis(pts: Sequence[Sequence]) -> list[int]:
+    """Indices of a greedy affinely independent subset of `pts`: index 0,
+    then each point off the span so far, until the span is the whole space."""
+    d = len(pts[0])
+    basis = [0]
+    rows: list[xa.Vec] = []
+    for i in range(1, len(pts)):
+        cand = rows + [xa.vec_sub(pts[i], pts[0])]
+        if xa.rank(cand) > len(rows):
+            rows = cand
+            basis.append(i)
+            if len(rows) == d:
+                break
+    return basis
+
+
+def _integer_coords(vecs: Sequence[xa.Vec]) -> list[IntVec]:
+    """The points scaled by the lcm of their denominators; a positive scale
+    changes no hull, and lattice points keep their coordinates."""
+    scale = math.lcm(*(c.denominator for v in vecs for c in v))
+    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vecs]
+
+
+def _dot(a: IntVec, b: IntVec) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _cross2(o: IntVec, a: IntVec, b: IntVec) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_2d(coords: list[xa.Vec]) -> list[int]:
-    """Monotone chain; returns indices of extreme points in ccw order."""
+def _hull_2d(coords: list[IntVec]) -> list[int]:
+    """Monotone chain; returns indices of extreme points in ccw order, from
+    the lexicographically smallest point."""
     order = sorted(range(len(coords)), key=lambda i: coords[i])
     lower: list[int] = []
     for i in order:
@@ -77,115 +105,81 @@ def _hull_2d(coords: list[xa.Vec]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _facet_plane(coords: list[xa.Vec], facet: tuple[int, ...], ref: xa.Vec) -> tuple[xa.Vec, Fraction]:
-    """Outward normal and offset for a facet, oriented away from `ref`."""
+def _facet_plane(coords: list[IntVec], facet: tuple[int, ...], ref: IntVec) -> Plane:
+    """Primitive outward normal and offset of a facet, oriented away from
+    ref / (d + 1), ref the vertex sum of the starting simplex.  The normal is
+    the vector of signed (d-1) x (d-1) minors of the facet's edge vectors;
+    for a point facet in 1-D that is the empty minor, (1,)."""
     v0 = coords[facet[0]]
-    rows = [xa.vec_sub(coords[i], v0) for i in facet[1:]]
-    normal = xa.nullspace_vector(rows)
-    offset = xa.dot(normal, v0)
-    side = xa.dot(normal, ref)
-    if side == offset:  # pragma: no cover - ref is strictly interior
+    d = len(v0)
+    rows = [[a - b for a, b in zip(coords[i], v0)] for i in facet[1:]]
+    minors = [(-1) ** j * int(xa.mat_det([r[:j] + r[j + 1:] for r in rows])) for j in range(d)]
+    g = math.gcd(*minors)
+    normal = tuple(m // g for m in minors)
+    offset = _dot(normal, v0)
+    side = _dot(normal, ref) - (d + 1) * offset
+    if side == 0:  # pragma: no cover - ref / (d + 1) is strictly interior
         raise RuntimeError("degenerate facet orientation")
-    if side > offset:
-        normal = tuple(-x for x in normal)
-        offset = -offset
+    if side > 0:
+        return tuple(-x for x in normal), -offset
     return normal, offset
 
 
-def _incremental_hull(coords: list[xa.Vec], d: int) -> dict[frozenset[int], tuple[xa.Vec, Fraction]]:
-    """Simplicial boundary complex of the hull of full-dimensional points."""
-    # initial affinely independent simplex
-    simplex = [0]
-    rows: list[xa.Vec] = []
-    for i in range(1, len(coords)):
-        cand = rows + [xa.vec_sub(coords[i], coords[0])]
-        if xa.rank(cand) > len(rows):
-            rows = cand
-            simplex.append(i)
-            if len(simplex) == d + 1:
-                break
-    if len(simplex) != d + 1:  # pragma: no cover - guarded by caller
-        raise ValueError("points are not full-dimensional")
-    ref = tuple(sum(coords[i][c] for i in simplex) / (d + 1) for c in range(d))
-    facets: dict[frozenset[int], tuple[xa.Vec, Fraction]] = {}
+def _beneath_beyond(coords: list[IntVec], simplex: list[int]) -> dict[frozenset[int], Plane]:
+    """Simplicial boundary complex of the hull of full-dimensional points:
+    start from the affinely independent `simplex`, then insert the other
+    points in index order."""
+    ref = tuple(map(sum, zip(*(coords[i] for i in simplex))))
+    facets: dict[frozenset[int], Plane] = {}
     for drop in simplex:
         facet = tuple(i for i in simplex if i != drop)
         facets[frozenset(facet)] = _facet_plane(coords, facet, ref)
-    remaining = [i for i in range(len(coords)) if i not in simplex]
-    remaining.sort(key=lambda i: coords[i])
-    for p in remaining:
-        pt = coords[p]
-        visible = [key for key, (n, c) in facets.items() if xa.dot(n, pt) > c]
+    start = set(simplex)
+    for p, pt in enumerate(coords):
+        if p in start:
+            continue
+        visible = [key for key, (n, c) in facets.items() if _dot(n, pt) > c]
         if not visible:
             continue
-        visible_set = set(visible)
-        ridge_owner: dict[frozenset[int], list[frozenset[int]]] = {}
-        for key in facets:
-            for v in key:
-                ridge = key - {v}
-                ridge_owner.setdefault(ridge, []).append(key)
-        horizon: list[frozenset[int]] = []
-        for key in visible:
-            for v in key:
-                ridge = key - {v}
-                owners = ridge_owner[ridge]
-                others = [o for o in owners if o != key]
-                if others and others[0] not in visible_set:
-                    horizon.append(ridge)
+        # each ridge lies in two facets, so the horizon is the ridges that
+        # lie in exactly one visible facet
+        ridges = Counter(key - {v} for key in visible for v in key)
         for key in visible:
             del facets[key]
-        for ridge in horizon:
-            facet = tuple(sorted(ridge | {p}))
-            facets[frozenset(facet)] = _facet_plane(coords, facet, ref)
+        for ridge, count in ridges.items():
+            if count == 1:
+                facet = tuple(sorted(ridge | {p}))
+                facets[frozenset(facet)] = _facet_plane(coords, facet, ref)
     return facets
 
 
-def _hull_vertices(
-    coords: list[xa.Vec], facets: dict[frozenset[int], tuple[xa.Vec, Fraction]], d: int
-) -> list[int]:
-    """Vertices among the points of a boundary complex.  A point in the
-    relative interior of a k-face lies only on facets whose normals span a
-    (d - k)-dimensional space, so it is a vertex iff those normals have rank d."""
-    normals: dict[int, set[xa.Vec]] = {}
-    for key, (normal, _) in facets.items():
+def _extreme_points(coords: list[IntVec], basis: list[int]) -> list[int]:
+    """Sorted indices of the extreme points of full-dimensional points, whose
+    affinely independent subset `basis` starts the hull.  Beyond the plane, a
+    point of the boundary complex in the relative interior of a k-face lies
+    only on facets whose normals span a (d - k)-dimensional space, so it is a
+    vertex iff those normals have rank d."""
+    d = len(coords[0])
+    if d == 2:
+        return sorted(_hull_2d(coords))
+    normals: dict[int, set[IntVec]] = {}
+    for key, (normal, _) in _beneath_beyond(coords, basis).items():
         for i in key:
             normals.setdefault(i, set()).add(normal)
-    ext = [i for i, ns in normals.items() if xa.rank(list(ns)) == d]
-    return sorted(ext, key=lambda i: coords[i])
+    return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)
 
 
-def _hull_full_dim(coords: list[xa.Vec], d: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Extreme point indices plus a triangulation (index tuples into the
-    extreme list, lexicographically sorted)."""
-    if d == 1:
-        ext = _hull_1d(coords)
-        order = sorted(range(len(ext)), key=lambda k: coords[ext[k]])
-        ext = [ext[k] for k in order]
-        tri = [(0, 1)] if len(ext) == 2 else []
-        return ext, tri
-    if d == 2:
-        ring = _hull_2d(coords)
-        # fan triangulation before re-sorting vertices
-        sorted_idx = sorted(range(len(ring)), key=lambda k: coords[ring[k]])
-        pos = {ring[k]: sorted_idx.index(k) for k in range(len(ring))}
-        tri = [(pos[ring[0]], pos[ring[i]], pos[ring[i + 1]]) for i in range(1, len(ring) - 1)]
-        ext = [ring[k] for k in sorted_idx]
-        return ext, [tuple(sorted(t)) for t in tri]
-    ext = _hull_vertices(coords, _incremental_hull(coords, d), d)
-    # a second pass over the vertices alone, so the triangulation uses no
-    # boundary point that is not a vertex
-    sub = [coords[i] for i in ext]
-    facets2 = _incremental_hull(sub, d)
-    tri: list[tuple[int, ...]] = []
-    apex = 0
-    for key in sorted(facets2, key=sorted):
-        if apex in key:
-            continue
-        simplex = (apex, *sorted(key))
-        mat = [xa.vec_sub(sub[i], sub[apex]) for i in simplex[1:]]
-        if xa.mat_det(mat) != 0:
-            tri.append(simplex)
-    return ext, tri
+def _triangulation(verts: list[IntVec]) -> list[tuple[int, ...]]:
+    """Triangulation of the hull of lexicographically sorted, full-dimensional
+    points that are all extreme: cones from the first point over the facets
+    that miss it, as sorted index tuples."""
+    if len(verts[0]) == 2:
+        ring = _hull_2d(verts)
+        return [tuple(sorted((ring[0], a, b))) for a, b in zip(ring[1:-1], ring[2:])]
+    facets = _beneath_beyond(verts, _affine_basis(verts))
+    apex = verts[0]
+    return [(0, *sorted(key)) for key in sorted(facets, key=sorted)
+            if _dot(facets[key][0], apex) != facets[key][1]]
 
 
 class Polytope:
@@ -245,32 +239,23 @@ class Polytope:
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
-    """Exact convex hull; vertices of the result are the extreme points."""
+    """Exact convex hull; vertices of the result are the extreme points.  A
+    full-dimensional hull also carries a triangulation, a flat one does not."""
     pts = sorted({xa.as_vec(p) for p in points})
     if not pts:
         raise ValueError("convex_hull of an empty set")
-    d = len(pts[0])
     if len(pts) == 1:
         return Polytope(pts)
+    basis = _affine_basis(pts)
+    if len(basis) == len(pts[0]) + 1:
+        coords = _integer_coords(pts)
+        ext = _extreme_points(coords, basis)
+        return Polytope([pts[i] for i in ext], _triangulation([coords[i] for i in ext]))
+    # a flat: its hull in affine coordinates on the basis
     origin = pts[0]
-    basis: list[xa.Vec] = []
-    for p in pts[1:]:
-        cand = basis + [xa.vec_sub(p, origin)]
-        if xa.rank(cand) > len(basis):
-            basis.append(xa.vec_sub(p, origin))
-            if len(basis) == d:
-                break
-    adim = len(basis)
-    if adim == d:
-        ext, tri = _hull_full_dim(list(pts), d)
-        return Polytope([pts[i] for i in ext], tri)
-    # lower-dimensional: find extreme points in affine coordinates
-    bmatT = tuple(zip(*basis, strict=True))
-    coords = [xa.solve(bmatT, xa.vec_sub(p, origin)) for p in pts]
-    if adim == 0:  # pragma: no cover - handled by dedupe above
-        return Polytope([pts[0]])
-    ext, _ = _hull_full_dim(coords, adim)
-    return Polytope([pts[i] for i in ext])
+    bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
+    coords = _integer_coords([xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts])
+    return Polytope([pts[i] for i in _extreme_points(coords, basis)])
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -376,6 +361,9 @@ _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 _SPHERE_NODES = (24, 48)
 # a body whose smallest over largest eigenvalue of Q is at most this is flat
 _FLAT = 1e-12
+# AGM steps of the mixed area: the AGM of 1 and any positive double ratio has
+# converged to double precision after 16
+_AGM_STEPS = 16
 
 
 def _psd_sqrt(q: np.ndarray) -> np.ndarray:
@@ -391,15 +379,23 @@ def _mixed_area(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     With row i of G drawn from N(0, Q_i), V = pi E|det G| (Kabluchko and
     Zaporozhets), and det G is a bilinear form in standard normals with
     matrix M = Q_1^(1/2) J Q_2^(1/2), J the quarter turn.  For singular
-    values s_1 >= s_2 of M this gives V = 2 s_1 E(1 - s_2^2 / s_1^2), with E
-    the complete elliptic integral of the second kind; V = 0 when M = 0.
+    values s_1 >= s_2 of M this gives V = 2 s_1 E(1 - s_2^2 / s_1^2), half
+    the perimeter of the ellipse with semi-axes s_1, s_2:
+    pi ((s_1^2 + s_2^2) / 2 - sum_n 2^(n-1) c_n^2) / AGM(s_1, s_2), with
+    c_n = (a_(n-1) - b_(n-1)) / 2 in the AGM steps; V = 2 s_1 when s_2 = 0.
     """
-    from scipy.special import ellipe
-
     s = np.linalg.svd(_psd_sqrt(q1) @ _QUARTER_TURN @ _psd_sqrt(q2), compute_uv=False)
     s1, s2 = s[..., 0], s[..., 1]
     ratio = np.divide(s2, s1, out=np.zeros_like(s1), where=s1 > 0)
-    return np.where(s1 > 0, 2.0 * s1 * ellipe(1.0 - ratio * ratio), 0.0)
+    flat = ratio == 0
+    a, b = np.ones_like(ratio), np.where(flat, 1.0, ratio)  # no AGM(1, 0) = 0
+    total, weight = 0.5 * (1.0 + b * b), 1.0
+    for _ in range(_AGM_STEPS):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        total -= weight * c * c
+        weight *= 2.0
+    return s1 * np.where(flat, 2.0, np.pi * total / a)
 
 
 def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> float:
@@ -463,13 +459,13 @@ def mixed_volume_ellipsoids(
 ) -> MixedVolumeResult:
     """Mixed volume V(E_1, ..., E_n) of n ellipsoids in R^n.
 
-    Methods: "exact1d" (n = 1), "balls" (all E_i balls), "volume" (n copies
+    Methods: "balls" (all E_i balls, every E_i when n = 1), "volume" (n copies
     of one ellipsoid), "sphere" (n = 2: the closed-form mixed area; n = 3:
     that area averaged over the planes u^perp, u in S^2, after whitening by
     the roundest body, which must be positive definite; `stderr` is the
     distance of the reported 48 x 96 node rule from a 24 x 48 one), "mc"
     (the Gaussian determinant estimator; needs `seed`), and "auto", which
-    picks the first of exact1d, balls, volume and sphere that applies, else mc.
+    picks the first of balls, volume and sphere that applies, else mc.
     """
     if not ellipsoids:
         raise ValueError("mixed volume of an empty list")
@@ -483,9 +479,7 @@ def mixed_volume_ellipsoids(
     identical = all(np.array_equal(e.Q, ellipsoids[0].Q) for e in ellipsoids[1:])
     whiten = _roundest_body(ellipsoids) if n == 3 else None
     if method == "auto":
-        if n == 1:
-            method = "exact1d"
-        elif all(r is not None for r in radii):
+        if all(r is not None for r in radii):
             method = "balls"
         elif identical:
             method = "volume"
@@ -494,10 +488,6 @@ def mixed_volume_ellipsoids(
         else:
             method = "mc"
 
-    if method == "exact1d":
-        if n != 1:
-            raise ValueError("exact1d needs dimension 1")
-        return MixedVolumeResult(2.0 * math.sqrt(float(ellipsoids[0].Q[0, 0])), 0.0, method)
     if method == "balls":
         if any(r is None for r in radii):
             raise ValueError("balls method needs all ellipsoids to be balls")
@@ -524,7 +514,7 @@ def mixed_volume_ellipsoids(
         stats = gaussian_mixed_volume([e.Q for e in ellipsoids], samples=samples, seed=seed)
         return MixedVolumeResult(stats.value, stats.stderr, method, samples)
     raise ValueError(
-        f"unknown method {method!r}; use auto, exact1d, balls, volume, sphere or mc"
+        f"unknown method {method!r}; use auto, balls, volume, sphere or mc"
     )
 
 

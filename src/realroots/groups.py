@@ -253,14 +253,11 @@ def newton_body_volume(
 # counting formulas
 # ---------------------------------------------------------------------------
 
-def mean_real_count_group(
-    ensembles: RepEnsemble | Sequence[RepEnsemble],
-    metric: Metric | None = None,
-) -> float:
+def mean_real_count_group(ensembles: RepEnsemble | Sequence[RepEnsemble]) -> float:
     """Expected number of real common zeros of a full system of independent
-    invariant ensembles.  The value does not depend on the metric scale; the
-    argument only fixes the geometry the factors are reported in.  Each
-    spectrum must be closed under duality (`RepEnsemble.require_self_dual`)."""
+    invariant ensembles, computed in the Killing metric; the value does not
+    depend on the metric scale.  Each spectrum must be closed under duality
+    (`RepEnsemble.require_self_dual`)."""
     ens = _as_ensemble_list(ensembles)
     distinct = set(ens)
     for e in distinct:
@@ -343,7 +340,7 @@ def real_proportion_group(
 ) -> GroupEnsembleResult:
     ens = _as_ensemble_list(ensembles)
     rs = ens[0].rs
-    mean = mean_real_count_group(ens, metric=metric)
+    mean = mean_real_count_group(ens)
     total = complex_count_reductive(ens, route=route, metric=metric)
     exact = total if isinstance(total, Fraction) else None
     total_f = float(total)

@@ -221,6 +221,14 @@ def test_torus_removed_planar_method_is_usage_error(capsys):
     assert "unknown method 'exact2d'" in captured.err
 
 
+def test_torus_removed_segment_method_is_usage_error(capsys):
+    argv = ["torus", "--support", "segment:3", "--method", "exact1d"]
+    assert main(argv) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown method 'exact1d'" in captured.err
+
+
 def test_torus_bad_support_is_usage_error(capsys):
     assert main(["torus", "--support", "segment:x"]) == USAGE_ERROR
 

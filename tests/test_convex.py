@@ -14,7 +14,9 @@ from scipy.spatial import ConvexHull
 from realroots import exactalg as xa
 from planar_oracle import polarized_mixed_area
 from realroots.convex import (
-    _incremental_hull,
+    _affine_basis,
+    _beneath_beyond,
+    _mixed_area,
     _sphere_mixed_volume,
     Ellipsoid,
     Polytope,
@@ -90,7 +92,7 @@ def test_hull_drops_points_that_end_on_a_later_edge_or_facet():
     # lexicographic insertion starts from (0,0,0), (0,0,1), (0,1,1), (1,1,1);
     # later points leave (0,0,1) on an edge and (0,1,1) inside the base square
     pts = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 2, 0), (0, 2, 2), (1, 1, 1)]
-    boundary = {i for key in _incremental_hull([xa.as_vec(p) for p in pts], 3) for i in key}
+    boundary = {i for key in _beneath_beyond(pts, _affine_basis(pts)) for i in key}
     assert {1, 3} <= boundary
     h = convex_hull(pts)
     assert h.vertices == tuple(xa.as_vec(p) for p in [pts[0], pts[2], pts[4], pts[5], pts[6]])
@@ -101,7 +103,10 @@ def _scipy_vertices(pts: np.ndarray) -> list[tuple[int, ...]]:
     return sorted(tuple(int(c) for c in pts[i]) for i in ConvexHull(pts).vertices)
 
 
-@pytest.mark.parametrize("dim,count,radius,seed", [(3, 40, 2, 0), (3, 60, 3, 1), (4, 40, 2, 2), (4, 45, 1, 3)])
+@pytest.mark.parametrize(
+    "dim,count,radius,seed",
+    [(2, 30, 3, 5), (2, 60, 2, 6), (3, 40, 2, 0), (3, 60, 3, 1), (4, 40, 2, 2), (4, 45, 1, 3)],
+)
 def test_hull_vertices_match_scipy_on_integer_clouds(dim, count, radius, seed):
     # small integer boxes put many points on the hull's edges and facets
     rng = np.random.default_rng(seed)
@@ -110,6 +115,24 @@ def test_hull_vertices_match_scipy_on_integer_clouds(dim, count, radius, seed):
         h = convex_hull([tuple(int(c) for c in p) for p in pts])
         assert [tuple(int(c) for c in v) for v in h.vertices] == _scipy_vertices(pts)
         assert float(h.volume()) == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
+
+
+def test_one_dimensional_hull_keeps_the_two_end_points():
+    h = convex_hull([(3,), ("1/2",), (-2,), (3,), ("-7/3",), (0,), ("5/2",)])
+    assert h.vertices == ((Fraction(-7, 3),), (Fraction(3),))
+    assert h.triangulation == ((0, 1),)
+    assert h.volume() == Fraction(16, 3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hull_of_a_rational_cloud_is_the_scaled_lattice_hull(dim):
+    rng = np.random.default_rng(10 + dim)
+    pts = [tuple(int(c) for c in p) for p in rng.integers(-3, 4, size=(30, dim))]
+    lattice = convex_hull(pts)
+    scaled = convex_hull([tuple(Fraction(c, 6) for c in p) for p in pts])
+    assert scaled.vertices == tuple(tuple(c / 6 for c in v) for v in lattice.vertices)
+    assert scaled.triangulation == lattice.triangulation
+    assert scaled.volume() == lattice.volume() / 6**dim
 
 
 def test_hull_of_a_three_flat_in_four_space():
@@ -131,7 +154,7 @@ def test_convex_hull_affine_basis_stops_at_full_rank(monkeypatch):
     class BasisDone(Exception):
         pass
 
-    def stop(coords, d):
+    def stop(coords, basis):
         raise BasisDone
 
     rows_seen = []
@@ -142,7 +165,7 @@ def test_convex_hull_affine_basis_stops_at_full_rank(monkeypatch):
         return real_rank(rows)
 
     monkeypatch.setattr(xa, "rank", rank)
-    monkeypatch.setattr(cx, "_hull_full_dim", stop)
+    monkeypatch.setattr(cx, "_beneath_beyond", stop)
     with pytest.raises(BasisDone):
         convex_hull(box_support(4, 1).points)
     assert rows_seen and max(rows_seen) <= 4
@@ -373,6 +396,21 @@ def test_sphere_mixed_area_equals_polarized_support_areas():
         assert res.value == pytest.approx(polarized_mixed_area(e1.Q, e2.Q), rel=1e-12)
 
 
+def test_mixed_area_is_half_the_ellipse_perimeter():
+    # Q_1 = diag(r, 1), Q_2 = diag(1, r) give singular values 1 and r, so the
+    # mixed area is 2 E(1 - r^2), checked against scipy's E down to r = 1e-300
+    from scipy.special import ellipe
+
+    r = np.concatenate([np.logspace(-300, 0, 3001), [0.5, 1 - 1e-12]])
+    q1 = np.zeros((len(r), 2, 2))
+    q1[:, 0, 0], q1[:, 1, 1] = r, 1.0
+    q2 = q1[:, ::-1, ::-1]
+    assert np.allclose(_mixed_area(q1, q2), 2 * ellipe(1 - r * r), rtol=1e-14, atol=0)
+    # a zero and a flat ratio, without a RuntimeWarning
+    assert _mixed_area(np.zeros((2, 2)), np.eye(2)) == 0.0
+    assert _mixed_area(np.diag([4.0, 0.0]), np.diag([0.0, 1.0])) == 4.0
+
+
 def test_sphere_mixed_area_of_segments_and_a_point():
     horizontal, vertical = Ellipsoid(np.diag([1.0, 0.0])), Ellipsoid(np.diag([0.0, 1.0]))
     # two orthogonal unit segments [-1, 1] e_i: their sum is a 2 x 2 square
@@ -471,7 +509,7 @@ def test_three_flat_bodies_go_to_monte_carlo():
 
 
 def test_one_dimensional_mixed_volume_is_diameter():
-    res = mixed_volume_ellipsoids([Ellipsoid(np.array([[6.25]]))], method="exact1d")
+    res = mixed_volume_ellipsoids([Ellipsoid(np.array([[6.25]]))], method="balls")
     assert res.value == pytest.approx(5.0)
 
 

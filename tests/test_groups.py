@@ -180,9 +180,6 @@ def test_counts_are_metric_invariant():
     base = complex_count_reductive(ens, route="calibrated", metric=Metric(A2))
     scaled = complex_count_reductive(ens, route="calibrated", metric=Metric(A2, Fraction(7, 3)))
     assert scaled == pytest.approx(base, rel=1e-11)
-    assert mean_real_count_group(ens, metric=Metric(A2, Fraction(7, 3))) == pytest.approx(
-        mean_real_count_group(ens), rel=1e-12
-    )
 
 
 def test_counts_are_flattening_invariant():

@@ -1,9 +1,14 @@
 """Torus ensembles: closed-form constants, Newton bodies, and count formulas."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import realroots
 
 from realroots.torus import (
     Support,
@@ -97,7 +102,7 @@ def test_newton_ellipsoid_of_box_is_round():
 def test_segment_counts_are_kac_exact():
     for m in (1, 2, 5, 12):
         mean = mean_real_count_torus(segment_support(m))
-        assert mean.method == "exact1d"
+        assert mean.method == "balls"
         assert mean.value == pytest.approx(2 * math.sqrt(m * (m + 1) / 3), rel=1e-13)
         assert complex_count_torus(segment_support(m)) == 2 * m
 
@@ -120,7 +125,7 @@ def test_mixed_supports_complex_count():
 def test_real_proportion_pipeline_consistency():
     seg = segment_support(5)
     res = real_proportion_torus(seg)
-    assert res.method == "exact1d"
+    assert res.method == "balls"
     assert res.real_stderr == 0.0
     assert res.complex_count == 10
     assert res.proportion == pytest.approx(segment_proportion(5), rel=1e-13)
@@ -147,3 +152,16 @@ def test_three_dimensional_box_counts():
 def test_support_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         complex_count_torus([segment_support(1), box_support(2, 1)])
+
+
+def test_planar_sphere_mean_does_not_import_scipy_special():
+    code = (
+        "import sys\n"
+        "from realroots.torus import Support, box_support, mean_real_count_torus\n"
+        "oval = Support([(0, 0), (1, 0), (-1, 0), (0, 2), (0, -2), (1, 1), (-1, -1)])\n"
+        "assert mean_real_count_torus([oval, box_support(2, 1)]).method == 'sphere'\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+    )
+    src = str(Path(realroots.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
