@@ -5,11 +5,12 @@ Polytope hulls, volumes and mixed volumes are exact in any dimension we
 actually use (<= 4 by contract); ellipsoid computations are floating point.
 Hulls run on integer coordinates (the points, or a flat's affine coordinates,
 times the lcm of their denominators): a monotone chain in the plane, else an
-incremental (beneath-beyond) boundary complex with primitive signed-minor
-facet normals, whose vertices are the boundary points where the facet normals
-have full rank.  Only full-dimensional hulls are triangulated, by a second
-pass over their vertices.  Mixed volumes polarize the volume of Minkowski
-sums over the distinct bodies only, so repeated bodies cost no extra sums.
+incremental (beneath-beyond) boundary complex whose facet planes are the
+primitive integer null vectors of their vertices lifted to (v, 1), and whose
+vertices are the boundary points where the facet normals have full rank.
+Only full-dimensional hulls are triangulated, by a second pass over their
+vertices.  Mixed volumes polarize the volume of Minkowski sums over the
+distinct bodies only, so repeated bodies cost no extra sums.
 Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
 drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
 volumes of ellipsoids, and zeros of Gaussian random fields"): a closed form
@@ -53,8 +54,8 @@ __all__ = [
 # exact convex hulls
 # ---------------------------------------------------------------------------
 
-IntVec = tuple[int, ...]
-Plane = tuple[IntVec, int]
+IntVec = Sequence[int]
+Plane = tuple[tuple[int, ...], int]
 
 
 def _affine_basis(pts: Sequence[Sequence]) -> list[int]:
@@ -71,13 +72,6 @@ def _affine_basis(pts: Sequence[Sequence]) -> list[int]:
             if len(rows) == d:
                 break
     return basis
-
-
-def _integer_coords(vecs: Sequence[xa.Vec]) -> list[IntVec]:
-    """The points scaled by the lcm of their denominators; a positive scale
-    changes no hull, and lattice points keep their coordinates."""
-    scale = math.lcm(*(c.denominator for v in vecs for c in v))
-    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vecs]
 
 
 def _dot(a: IntVec, b: IntVec) -> int:
@@ -107,16 +101,14 @@ def _hull_2d(coords: list[IntVec]) -> list[int]:
 
 def _facet_plane(coords: list[IntVec], facet: tuple[int, ...], ref: IntVec) -> Plane:
     """Primitive outward normal and offset of a facet, oriented away from
-    ref / (d + 1), ref the vertex sum of the starting simplex.  The normal is
-    the vector of signed (d-1) x (d-1) minors of the facet's edge vectors;
-    for a point facet in 1-D that is the empty minor, (1,)."""
-    v0 = coords[facet[0]]
-    d = len(v0)
-    rows = [[a - b for a, b in zip(coords[i], v0)] for i in facet[1:]]
-    minors = [(-1) ** j * int(xa.mat_det([r[:j] + r[j + 1:] for r in rows])) for j in range(d)]
-    g = math.gcd(*minors)
-    normal = tuple(m // g for m in minors)
-    offset = _dot(normal, v0)
+    ref / (d + 1), ref the vertex sum of the starting simplex.  (normal,
+    -offset) is the primitive integer null vector of the facet's vertices
+    lifted to (v, 1); on integer points the gcd of the normal divides the
+    offset, so the normal is primitive too."""
+    d = len(ref)
+    (plane,), _ = xa.integer_rows([xa.nullspace_vector([[*coords[i], 1] for i in facet])])
+    g = math.gcd(*plane)
+    normal, offset = tuple(x // g for x in plane[:d]), -(plane[d] // g)
     side = _dot(normal, ref) - (d + 1) * offset
     if side == 0:  # pragma: no cover - ref / (d + 1) is strictly interior
         raise RuntimeError("degenerate facet orientation")
@@ -182,6 +174,12 @@ def _triangulation(verts: list[IntVec]) -> list[tuple[int, ...]]:
             if _dot(facets[key][0], apex) != facets[key][1]]
 
 
+def _simplex_volume(verts: Sequence[xa.Vec]) -> Fraction:
+    """|det(v_i - v_0)| / d! for the d + 1 vertices of a d-simplex."""
+    v0 = verts[0]
+    return abs(xa.mat_det([xa.vec_sub(v, v0) for v in verts[1:]])) / math.factorial(len(v0))
+
+
 class Polytope:
     """Convex lattice/rational polytope given by its extreme points.
 
@@ -207,13 +205,8 @@ class Polytope:
     def volume(self) -> Fraction:
         """Exact Lebesgue volume (0 for lower-dimensional polytopes)."""
         if self._volume is None:
-            total = Fraction(0)
-            fact = math.factorial(self.dim)
-            for simplex in self.triangulation:
-                v0 = self.vertices[simplex[0]]
-                mat = [xa.vec_sub(self.vertices[i], v0) for i in simplex[1:]]
-                total += abs(xa.mat_det(mat))
-            self._volume = total / fact
+            self._volume = sum((_simplex_volume([self.vertices[i] for i in simplex])
+                                for simplex in self.triangulation), Fraction(0))
         return self._volume
 
     def translate(self, shift: Sequence) -> "Polytope":
@@ -248,13 +241,13 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         return Polytope(pts)
     basis = _affine_basis(pts)
     if len(basis) == len(pts[0]) + 1:
-        coords = _integer_coords(pts)
+        coords, _ = xa.integer_rows(pts)
         ext = _extreme_points(coords, basis)
         return Polytope([pts[i] for i in ext], _triangulation([coords[i] for i in ext]))
     # a flat: its hull in affine coordinates on the basis
     origin = pts[0]
     bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
-    coords = _integer_coords([xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts])
+    coords, _ = xa.integer_rows(xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts)
     return Polytope([pts[i] for i in _extreme_points(coords, basis)])
 
 
@@ -535,12 +528,10 @@ def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProdu
         poly = FormProducts.from_polynomial(poly)
     if not p.triangulation:
         return Fraction(0)
-    fact = math.factorial(p.dim)
     total = None
     for simplex in p.triangulation:
         verts = [p.vertices[i] for i in simplex]
-        mat = [xa.vec_sub(v, verts[0]) for v in verts[1:]]
-        vol = abs(xa.mat_det(mat)) / fact
+        vol = _simplex_volume(verts)
         if vol == 0:
             continue
         term = integrate_over_simplex(poly, verts, vol)

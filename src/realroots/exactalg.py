@@ -3,10 +3,15 @@
 Vectors are tuples of :class:`~fractions.Fraction`, matrices are tuples of
 such tuples (row major).  Everything here is exact; callers convert to float
 at the boundary where irrational constants (pi, square roots) enter.
+
+Rank, determinant, inverse, solve and null space share one fraction-free
+Gauss-Jordan elimination on Python ints: `integer_rows` clears the
+denominators once, and Fractions appear again only in the results.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,6 +31,7 @@ __all__ = [
     "solve",
     "rank",
     "nullspace_vector",
+    "integer_rows",
     "bilinear",
 ]
 
@@ -68,74 +74,79 @@ def bilinear(g: Sequence[Sequence[Fraction]], x: Sequence[Fraction], y: Sequence
     return dot(x, mat_vec(g, y))
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Row reduce in place; returns (reduced rows, pivot column indices)."""
+def integer_rows(m: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """The rows of m times the lcm s of all their denominators, and s.
+
+    A common positive scale changes no rank, solution, null space or hull,
+    and it multiplies an n x n determinant by s^n.  Ints and Fractions pass
+    through as they are; anything else is read as `as_fraction` reads it."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in m]
+    s = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (s // x.denominator) for x in r] for r in rows], s
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows in
+    place, with pivots in the first `ncols` columns: pivot p in column c turns
+    every other row into (p row - row[c] pivot_row) / prev, prev the previous
+    pivot, a division that is exact because every entry stays a minor of the
+    input.  Returns (pivot columns, D, sign): pivot row r holds the last pivot
+    D in column pivots[r] and 0 in the other pivot columns; sign is the
+    parity of the row swaps."""
     pivots: list[int] = []
-    r = 0
+    prev, sign = 1, 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(rows):
             break
-    return rows, pivots
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return pivots, prev, sign
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    if not m:
-        return 0
-    rows = [list(r) for r in m]
-    _, pivots = _eliminate(rows, len(m[0]))
-    return len(pivots)
+    rows, _ = integer_rows(m)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+    rows, s = integer_rows(m)
+    pivots, d, sign = _eliminate(rows, n)
+    return Fraction(sign * d, s**n) if len(pivots) == n else Fraction(0)
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
     n = len(m)
-    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    rows, pivots = _eliminate(rows, n)
+    rows, s = integer_rows(m)
+    rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, d, _ = _eliminate(rows, n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
+    # (s m) rows[:, n:] = d I, so the inverse of m is s rows[:, n:] / d
+    return tuple(tuple(Fraction(s * x, d) for x in row[n:]) for row in rows)
 
 
 def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     """Solve m x = b exactly.  m may be rectangular; the system must be
     consistent and have a unique solution on its column space."""
     ncols = len(m[0])
-    rows = [list(r) + [bv] for r, bv in zip(m, b, strict=True)]
-    rows, pivots = _eliminate(rows, ncols)
+    rows, _ = integer_rows([list(r) + [bv] for r, bv in zip(m, b, strict=True)])
+    pivots, d, _ = _eliminate(rows, ncols)
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
+        x[c] = Fraction(rows[r][ncols], d)
     # consistency check on the zero rows
     for i in range(len(pivots), len(rows)):
         if rows[i][ncols] != 0:
@@ -148,13 +159,13 @@ def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
 def nullspace_vector(m: Sequence[Sequence[Fraction]]) -> Vec:
     """One nonzero rational vector in the null space of m (must exist)."""
     ncols = len(m[0])
-    rows = [list(r) for r in m]
-    rows, pivots = _eliminate(rows, ncols)
+    rows, _ = integer_rows(m)
+    pivots, d, _ = _eliminate(rows, ncols)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         raise ValueError("matrix has trivial null space")
     x = [Fraction(0)] * ncols
     x[free] = Fraction(1)
     for r, c in enumerate(pivots):
-        x[c] = -rows[r][free]
+        x[c] = Fraction(-rows[r][free], d)
     return tuple(x)

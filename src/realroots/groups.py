@@ -420,8 +420,10 @@ def limit_real_proportion_group(rs: RootSystem, metric: Metric | None = None) ->
     """
     n = rs.dimension
     base = metric or Metric(rs)
-    p_poly = base.root_product_poly()
-    ball_moment = base.integrate_ball(p_poly * p_poly, 1.0)
+    # p = const * prod_beta l_beta with integer forms l_beta: square in ints
+    const, forms = base.root_forms()
+    p_int = math.prod(map(Polynomial.linear_form, forms), start=Polynomial.constant(rs.rank, 1))
+    ball_moment = base.integrate_ball(p_int * p_int * (const * const), 1.0)
     # derivative-covariance radii live in the dual, hence the scale^-n
     factor = (
         base.group_volume()

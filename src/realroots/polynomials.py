@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import as_fraction
+from .exactalg import as_fraction, integer_rows
 
 __all__ = [
     "Polynomial",
@@ -161,21 +161,21 @@ class FormProducts:
 
     def __init__(self, nvars: int, forms: Sequence[Sequence], terms: Iterable[tuple[object, Sequence[int]]]):
         self.nvars = int(nvars)
-        fracs = [tuple(as_fraction(c) for c in f) for f in forms]
-        if any(len(f) != self.nvars for f in fracs):
+        cleared = [integer_rows([f]) for f in forms]
+        self.forms = tuple(tuple(f) for (f,), _ in cleared)
+        if any(len(f) != self.nvars for f in self.forms):
             raise ValueError("linear form has wrong length")
-        scales = [math.lcm(*(c.denominator for c in f)) for f in fracs]
-        self.forms = tuple(tuple(int(c * s) for c in f) for f, s in zip(fracs, scales))
+        scales = [s for _, s in cleared]
         coeffs: dict[tuple[int, ...], Fraction] = {}
         for c, exps in terms:
             exps = tuple(int(m) for m in exps)
-            if len(exps) != len(fracs) or any(m < 0 for m in exps):
+            if len(exps) != len(scales) or any(m < 0 for m in exps):
                 raise ValueError("exponents must be non-negative, one per form")
             c = as_fraction(c) / math.prod(s**m for s, m in zip(scales, exps))
             coeffs[exps] = coeffs.get(exps, 0) + c
         coeffs = {e: c for e, c in coeffs.items() if c != 0}
-        self.denominator = math.lcm(*(c.denominator for c in coeffs.values()))
-        self.terms = tuple((int(c * self.denominator), e) for e, c in coeffs.items())
+        (nums,), self.denominator = integer_rows([coeffs.values()])
+        self.terms = tuple(zip(nums, coeffs))
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "FormProducts":
@@ -263,9 +263,7 @@ def integrate_over_simplex(integrand: FormProducts, vertices: Sequence[Sequence]
     dim = len(vertices) - 1
     deg = integrand.total_degree
     s = deg // 2  # the smallest s with 2s + 1 >= deg
-    verts = [[as_fraction(c) for c in v] for v in vertices]
-    scale = math.lcm(*(c.denominator for v in verts for c in v))
-    points = [[c.numerator * (scale // c.denominator) for c in v] for v in verts]
+    points, scale = integer_rows(vertices)
     columns = [
         _level_columns([sum(a * x for a, x in zip(form, p)) for p in points], s)
         for form in integrand.forms

@@ -339,9 +339,7 @@ class Metric:
         forms = []
         gram = self.gram()
         for beta in self.rs.positive_roots:
-            coeffs = xa.mat_vec(gram, beta)
-            den = math.lcm(*(c.denominator for c in coeffs))
-            nums = [int(c * den) for c in coeffs]
+            (nums,), den = xa.integer_rows([xa.mat_vec(gram, beta)])
             g = math.gcd(*nums)
             forms.append(tuple(x // g for x in nums))
             const *= Fraction(g, den)
@@ -429,22 +427,21 @@ class Metric:
         are computed in integers, with the denominators of Sigma and q
         cleared once."""
         k = self.rs.rank
-        sigma = xa.mat_inverse(self.gram())
-        s = math.lcm(*(c.denominator for row in sigma for c in row))
+        sigma, s = xa.integer_rows(xa.mat_inverse(self.gram()))
         # Sigma_ij d_i d_j + Sigma_ji d_j d_i for i < j, scaled by s
-        lap = [[int(c * s) * (1 if i == j else 2) for j, c in enumerate(row)]
+        lap = [[c * (1 if i == j else 2) for j, c in enumerate(row)]
                for i, row in enumerate(sigma)]
-        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        parts: dict[int, dict[tuple[int, ...], object]] = {}
         for exps, c in poly.coeffs.items():
-            parts.setdefault(sum(exps), {})[exps] = xa.as_fraction(c)
+            parts.setdefault(sum(exps), {})[exps] = c
         r = float(radius)
         total = 0.0
         for deg, coeffs in parts.items():
             if deg % 2:
                 continue
             n = deg // 2
-            d = math.lcm(*(c.denominator for c in coeffs.values()))
-            q = Polynomial(k, {e: int(c * d) for e, c in coeffs.items()})
+            (nums,), d = xa.integer_rows([coeffs.values()])
+            q = Polynomial(k, dict(zip(coeffs, nums)))
             for _ in range(n):
                 first = [q.partial(i) for i in range(k)]
                 q = sum((first[i].partial(j) * lap[i][j]

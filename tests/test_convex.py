@@ -171,6 +171,24 @@ def test_convex_hull_affine_basis_stops_at_full_rank(monkeypatch):
     assert rows_seen and max(rows_seen) <= 4
 
 
+@pytest.mark.parametrize("support", [box_support(4, 1), ball_support(3, 3)], ids=["box:4:1", "ball:3:3"])
+def test_lattice_hull_does_no_fraction_division(monkeypatch, support):
+    # the hull eliminates fraction-free on integer coordinates, and so do the
+    # facet planes and the vertex rank test
+    calls = []
+    for name in ("__truediv__", "__rtruediv__"):
+        real = getattr(Fraction, name)
+
+        def counted(a, b, real=real):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    hull = convex_hull(support.points)
+    minkowski_sum(hull, hull)
+    assert len(calls) == 0
+
+
 @pytest.mark.parametrize(
     "support,count", [(box_support(3, 2), 384), (box_support(4, 1), 384), (ball_support(3, 3), 544)]
 )

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra against numpy float oracles and identities."""
+"""Exact rational linear algebra against numpy float oracles, the Fraction
+elimination oracle and identities."""
 
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exactalg_oracle as oracle
 from realroots.exactalg import (
     as_fraction,
     as_vec,
     bilinear,
     dot,
+    integer_rows,
     mat_det,
     mat_inverse,
     mat_vec,
@@ -147,3 +150,69 @@ def test_nullspace_of_int_matrix_is_exact():
     assert all(isinstance(c, Fraction) for c in v)
     assert all(sum(a * c for a, c in zip(row, v)) == 0 for row in m)
     assert v == (Fraction(-3, 2), Fraction(1, 2), Fraction(1))
+
+
+# -- the fraction-free elimination against the Fraction oracle ----------------
+
+@st.composite
+def low_rank_systems(draw):
+    """(m, b): an A B product of random integer factors, so low ranks occur,
+    with rows divided and columns scaled by rationals for the rational kinds
+    (which keeps the rank); the mixed kind keeps some integral entries as
+    ints.  b is m x0 for a rational x0, or an arbitrary vector."""
+    rows, cols, inner = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    small = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(small, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    if not b:
+        m = [[0] * cols for _ in range(rows)]
+    kind = draw(st.sampled_from(["int", "rational", "mixed"]))
+    if kind != "int":
+        row_den = draw(st.lists(st.integers(1, 6), min_size=rows, max_size=rows))
+        col_scale = draw(st.lists(st.fractions(Fraction(1, 5), 5, max_denominator=5),
+                                  min_size=cols, max_size=cols))
+        m = [[Fraction(x) * c / r for x, c in zip(row, col_scale)] for row, r in zip(m, row_den)]
+        if kind == "mixed":
+            keep = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+            m = [[int(x) if x.denominator == 1 and keep[i * cols + j] else x
+                  for j, x in enumerate(row)] for i, row in enumerate(m)]
+    if draw(st.booleans()):
+        rhs = list(mat_vec(m, draw(st.lists(rationals, min_size=cols, max_size=cols))))
+    else:
+        rhs = draw(st.lists(rationals, min_size=rows, max_size=rows))
+    return m, rhs
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_systems())
+def test_elimination_matches_fraction_oracle(system):
+    m, b = system
+    assert rank(m) == oracle.rank(m)
+    assert outcome(solve, m, b) == outcome(oracle.solve, m, b)
+    assert outcome(nullspace_vector, m) == outcome(oracle.nullspace_vector, m)
+    if len(m) == len(m[0]):
+        det = mat_det(m)
+        assert det == oracle.mat_det(m) and isinstance(det, Fraction)
+        assert outcome(mat_inverse, m) == outcome(oracle.mat_inverse, m)
+
+
+def test_elimination_of_empty_matrix():
+    assert mat_det([]) == 1 and rank([]) == 0
+
+
+def test_integer_rows_scale_by_common_lcm():
+    rows, s = integer_rows([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]])
+    assert s == 12 and rows == [[6, 36], [-8, 15]]
+    assert all(type(x) is int for row in rows for x in row)
+    assert integer_rows([[3, -7], [0, 2]]) == ([[3, -7], [0, 2]], 1)
+    # a float counts as its binary value, a string as its decimal value
+    assert integer_rows([[0.1]]) == ([[3602879701896397]], 2**55)
+    assert integer_rows([["1/3", 0.5]]) == ([[2, 3]], 6)
