@@ -120,15 +120,22 @@ def rank(m: Sequence[Sequence[Fraction]]) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
-def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+def _require_square(m: Sequence[Sequence[Fraction]]) -> int:
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError(f"matrix is not square: {n} rows of lengths {sorted({len(r) for r in m})}")
+    return n
+
+
+def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    n = _require_square(m)
     rows, s = integer_rows(m)
     pivots, d, sign = _eliminate(rows, n)
     return Fraction(sign * d, s**n) if len(pivots) == n else Fraction(0)
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
-    n = len(m)
+    n = _require_square(m)
     rows, s = integer_rows(m)
     rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     pivots, d, _ = _eliminate(rows, n)

@@ -6,22 +6,27 @@ from one matmul on a starting grid (16 cells per unit of degree unless
 cell of width h with a sign change holds exactly one zero when
 |f'| - M2 h > 0 at one of its ends; a cell without a sign change holds none
 when the second-order Taylor lower bound on |f| stays positive.  The other
-cells are halved, all of a block at once.  On the 2-torus, boxes are dropped
-by a first- or second-order exclusion bound, and the Krawczyk test (interval
-Jacobian = centre Jacobian +- a Hessian bound from sum |c| |lambda|^2 times
-the radius) certifies exactly one zero in a box or none; each certified zero
-is polished by Newton and credited to the one half-open box that holds it.
-The other boxes are quartered.  A sample with cells or boxes still
+cells are halved, all of a block at once.  On the 2-torus, the boxes of a
+whole block of samples are decided together, each box carrying the index of
+its sample: boxes are dropped by a first- or second-order exclusion bound,
+and the Krawczyk test (interval Jacobian = centre Jacobian +- a Hessian
+bound from sum |c| |lambda|^2 times the radius) certifies exactly one zero
+in a box or none; each certified zero is polished by Newton and credited to
+the one half-open box that holds it.  The other boxes are quartered.  F and
+its Jacobian come from per-coordinate tables of exp(2 pi i k t), whose
+products give every frequency.  A sample with cells or boxes still
 undecided after a fixed number of halvings, or with too many of them, is
-discarded: it is reported in `MonteCarloStats.discarded` and left out of the
-mean, and fewer than 2 kept samples raise ArithmeticError.  A Gaussian
-determinant estimator for mixed volumes of ellipsoids serves as an
-independent oracle for the analytic formulas.
+discarded without touching the rest of its block: it is reported in
+`MonteCarloStats.discarded` and left out of the mean, and fewer than 2 kept
+samples raise ArithmeticError.  A Gaussian determinant estimator for mixed
+volumes of ellipsoids serves as an independent oracle for the analytic
+formulas.
 
 Everything runs in the calling thread and is deterministic given a seed.
 The circle counters draw their coefficients in blocks of 256 samples from
 one generator seeded by `seed`; the planar counter spawns one generator per
-sample from `seed`, so its sample i depends only on (seed, i).
+sample from `seed`, so its sample i depends only on (seed, i), and decides
+its samples _SAMPLE_BLOCK at a time, so memory does not grow with `samples`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "circle_zero_locations",
     "count_common_zeros_torus2",
     "gaussian_mixed_volume",
-    "equidistribution_check",
 ]
 
 
@@ -78,41 +82,40 @@ def _require_samples(samples: int) -> None:
 # coefficient sampling
 # ---------------------------------------------------------------------------
 
-def _pair_indices(support: Support) -> tuple[int | None, list[tuple[int, int]]]:
-    """Index of the zero frequency (if present) and (positive, mirror) index
-    pairs; "positive" means lexicographically larger than its negation."""
+def _coefficient_sampler(support: Support):
+    """A function (count, rng) -> rows of complex coefficients with conjugate
+    symmetry and unit variance per frequency, making sum a_lam
+    exp(2 pi i <lam, x>) real and stationary with the counting spectral
+    measure.  The zero frequency (if present) draws first, then one complex
+    value per (positive, mirror) pair; "positive" means lexicographically
+    larger than its negation."""
     index = {p: i for i, p in enumerate(support.points)}
     zero = index.get((0,) * support.dim)
-    pairs = []
+    pos, neg = [], []
     for p, i in index.items():
-        neg = tuple(-c for c in p)
-        if p > neg:
-            pairs.append((i, index[neg]))
-    return zero, pairs
+        mirror = tuple(-c for c in p)
+        if p > mirror:
+            pos.append(i)
+            neg.append(index[mirror])
 
+    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.zeros((count, len(support)), dtype=complex)
+        if zero is not None:
+            out[:, zero] = rng.standard_normal(count)
+        if pos:
+            g = rng.standard_normal((count, len(pos), 2))
+            vals = (g[:, :, 0] + 1j * g[:, :, 1]) / math.sqrt(2.0)
+            out[:, pos] = vals
+            out[:, neg] = vals.conj()
+        return out
 
-def _sample_coefficient_matrix(support: Support, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of complex coefficients with conjugate symmetry and unit variance
-    per frequency, making sum a_lam exp(2 pi i <lam, x>) real and stationary
-    with the counting spectral measure."""
-    zero, pairs = _pair_indices(support)
-    out = np.zeros((count, len(support)), dtype=complex)
-    if zero is not None:
-        out[:, zero] = rng.standard_normal(count)
-    if pairs:
-        g = rng.standard_normal((count, len(pairs), 2))
-        vals = (g[:, :, 0] + 1j * g[:, :, 1]) / math.sqrt(2.0)
-        pos = [p for p, _ in pairs]
-        neg = [q for _, q in pairs]
-        out[:, pos] = vals
-        out[:, neg] = vals.conj()
-    return out
+    return draw
 
 
 def sample_real_laurent(support: Support, rng: np.random.Generator) -> dict[tuple[int, ...], complex]:
     """One random coefficient assignment for a real ensemble on `support`."""
     support.require_symmetric()
-    row = _sample_coefficient_matrix(support, 1, rng)[0]
+    row = _coefficient_sampler(support)(1, rng)[0]
     return dict(zip(support.points, row))
 
 
@@ -250,11 +253,12 @@ def _circle_blocks(support: Support, samples: int, seed: int, grid: int | None) 
         grid = 16 * max(1, int(np.abs(freqs).max()))
     elif isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
         raise ValueError(f"grid must be a positive integer, got {grid!r}")
+    draw = _coefficient_sampler(support)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     done = 0
     while done < samples:
         block = min(256, samples - done)
-        g = _fold(freqs, _sample_coefficient_matrix(support, block, rng))
+        g = _fold(freqs, draw(block, rng))
         yield (g, *_circle_cells(g, int(grid)))
         done += block
 
@@ -310,19 +314,47 @@ _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
 # far finer than any box edge, far coarser than the spread of two polishes of
 # one zero, so every box that finds a zero credits it to the same box.
 _SNAP = 2.0**-40
+_SAMPLE_BLOCK = 64  # samples whose boxes are subdivided together
+_JET_CHUNK = 512  # points per evaluation of the jet
+_CORNERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 
 
-def _pair_jet(f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray):
-    """A function of points (n x 2) giving F = (F1, F2) (n x 2) and its
-    Jacobian (n x 2 x 2), from one matmul over the distinct frequencies."""
-    freqs, where = np.unique(np.vstack([f1, f2]), axis=0, return_inverse=True)
-    weights = np.zeros((len(freqs), 2, 3), dtype=complex)
-    for i, rows, f, c in ((0, where[: len(f1)], f1, c1), (1, where[len(f1) :], f2, c2)):
-        weights[rows, i] = c[:, None] * np.hstack([np.ones((len(f), 1)), 2j * np.pi * f])
-    weights = weights.reshape(len(freqs), 6)
+def _table_jet(f1: np.ndarray, C1: np.ndarray, f2: np.ndarray, C2: np.ndarray):
+    """A function of points (n x 2) and their sample rows (n) giving
+    F = (F1, F2) (n x 2) and its Jacobian (n x 2 x 2) for the coefficient
+    rows C1[rows] and C2[rows].
 
-    def jet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = (np.exp(2j * np.pi * (points @ freqs.T)) @ weights).real.reshape(-1, 2, 3)
+    Only real parts are kept, and Re(w e(-lam t)) = Re(conj(w) e(lam t)), so
+    the weights of -lam fold onto lam, lam lexicographically positive (as
+    `_fold` does on the circle); then lam_1 >= 0.  Frequencies are integers,
+    so e(<lam, t>) = e(t_1)^lam_1 e(t_2)^lam_2, e(x) = exp(2 pi i x), is the
+    product of an entry of a table of e(k t_1), k = 0..top, and one of
+    e(k t_2), k = -top..top: top + 1 `exp`s per coordinate (e(-k t) is the
+    conjugate of e(k t)) instead of one per frequency.  Points are evaluated
+    _JET_CHUNK at a time, so the work arrays stay small however many points
+    there are."""
+    freqs = np.vstack([f1, f2]).astype(int)
+    flip = (freqs[:, 0] < 0) | ((freqs[:, 0] == 0) & (freqs[:, 1] < 0))
+    half, where = np.unique(np.where(flip[:, None], -freqs, freqs), axis=0, return_inverse=True)
+    raw = np.zeros((len(C1), len(freqs), 2, 3), dtype=complex)
+    for i, cols, f, c in ((0, slice(0, len(f1)), f1, C1), (1, slice(len(f1), None), f2, C2)):
+        raw[:, cols, i] = c[:, :, None] * np.hstack([np.ones((len(f), 1)), 2j * np.pi * f])
+    raw = np.where(flip[None, :, None, None], raw.conj(), raw).reshape(len(C1), len(freqs), 6)
+    weights = np.zeros((len(C1), len(half), 6), dtype=complex)
+    np.add.at(weights, (slice(None), where), raw)
+    top = int(np.abs(half).max())
+    ks = 2j * np.pi * np.arange(top + 1)
+    first, second = half[:, 0], half[:, 1] + top
+
+    def jet(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = np.empty((len(points), 6))
+        for lo in range(0, len(points), _JET_CHUNK):
+            part = slice(lo, lo + _JET_CHUNK)
+            table = np.exp(points[part].T[:, :, None] * ks)
+            both = np.concatenate([table[1][:, :0:-1].conj(), table[1]], axis=1)
+            powers = table[0][:, first] * both[:, second]
+            out[part] = np.matmul(powers[:, None, :], weights[rows[part]])[:, 0].real
+        out = out.reshape(-1, 2, 3)
         return out[:, :, 0], out[:, :, 1:]
 
     return jet
@@ -337,56 +369,68 @@ def _inverse2(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj / np.where(ok, det, 1.0)[:, None, None], ok
 
 
-def _certified_sample_count(
-    f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray
-) -> int | None:
-    """Count the common zeros of one sampled pair on [0,1)^2, or None if the
-    subdivision cannot certify them (the caller discards the sample).
+def _certified_counts(
+    f1: np.ndarray, C1: np.ndarray, f2: np.ndarray, C2: np.ndarray
+) -> list[int | None]:
+    """Count the common zeros on [0,1)^2 of the pairs with coefficient rows
+    C1[s] on the frequencies f1 and C2[s] on f2, one count per row s, or
+    None for a row whose zeros the subdivision cannot certify (the caller
+    discards that sample).
 
-    Each level first drops the boxes where some |F_i| is bounded away from 0
-    by a Lipschitz or second-order Taylor bound around the centre.  On the
-    others, the Krawczyk operator K(X) of the box X blown up by
+    The boxes of all rows are subdivided together, level by level; each box
+    carries its row, and the row's bounds and coefficients are gathered by
+    it.  Each level first drops the boxes where some |F_i| is bounded away
+    from 0 by a Lipschitz or second-order Taylor bound around the centre.
+    On the others, the Krawczyk operator K(X) of the box X blown up by
     _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
     +- a Hessian bound times the radius, holds every zero in X: inside int X
     it certifies exactly one, disjoint from X none.  Newton polishes a
-    certified zero and the box credits it only if its own half-open box
-    holds it, so a zero found by several boxes is counted once.  The
-    remaining boxes are quartered."""
-    pairs = ((f1, c1), (f2, c2))
-    lip = np.array([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in pairs])
-    hess = np.array([(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in pairs])
-    ef = np.array([_ROUNDING * np.abs(c).sum() for _, c in pairs])
+    certified zero and the box credits it to its row only if its own
+    half-open box holds it, so a zero found by several boxes is counted
+    once.  The remaining boxes are quartered.  A row with more than
+    _BOX_CAP of them, or with any left after _BOX_LEVELS quarterings, is
+    dropped without touching the others."""
+    pairs = ((f1, C1), (f2, C2))
+    lip = np.stack([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in pairs], axis=1)
+    hess = np.stack(
+        [(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in pairs], axis=1
+    )
+    ef = np.stack([_ROUNDING * np.abs(c).sum(axis=1) for _, c in pairs], axis=1)
     ed = _ROUNDING * lip
-    jet = _pair_jet(f1, c1, f2, c2)
+    jet = _table_jet(f1, C1, f2, C2)
 
+    n = len(C1)
     axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
-    centers = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    centers = np.tile(grid, (n, 1))
+    rows = np.repeat(np.arange(n), len(grid))
     radius = 0.5 / _BOX_BASE
-    offsets = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-    count = 0
-    for _ in range(_BOX_LEVELS + 1):
-        val, jac = jet(centers)
+    counts = np.zeros(n, dtype=int)
+    kept = np.ones(n, dtype=bool)
+    for level in range(_BOX_LEVELS + 1):
+        val, jac = jet(centers, rows)
         reach = np.minimum(
-            lip * math.sqrt(2.0) * radius,
-            (np.abs(jac).sum(axis=2) + 2 * ed) * radius + hess * radius * radius,
+            lip[rows] * math.sqrt(2.0) * radius,
+            (np.abs(jac).sum(axis=2) + 2 * ed[rows]) * radius + hess[rows] * radius * radius,
         )
-        live = (np.abs(val) <= reach + ef).all(axis=1)
-        centers, val, jac = centers[live], val[live], jac[live]
+        live = (np.abs(val) <= reach + ef[rows]).all(axis=1)
+        centers, rows, val, jac = centers[live], rows[live], val[live], jac[live]
         # Krawczyk: K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
         wide = _BOX_INFLATE * radius
         inv, ok = _inverse2(jac)
         step = np.einsum("nab,nb->na", inv, val)
         spread = np.abs(np.eye(2) - inv @ jac).sum(axis=2)
-        spread += 2 * np.abs(inv) @ (hess * math.sqrt(2.0) * wide + ed)
-        k_radius = np.abs(inv) @ ef + wide * spread
+        bound = hess[rows] * math.sqrt(2.0) * wide + ed[rows]
+        spread += 2 * np.einsum("nab,nb->na", np.abs(inv), bound)
+        k_radius = np.einsum("nab,nb->na", np.abs(inv), ef[rows]) + wide * spread
         free = (np.abs(step) > wide + k_radius).any(axis=1)
         ok &= (np.abs(step) + k_radius < wide).all(axis=1)
         if ok.any():
             # a box whose Newton polish leaves it or does not settle stays undecided
-            zeros = centers[ok] - step[ok]
+            zeros, zrows = centers[ok] - step[ok], rows[ok]
             settled = np.ones(zeros.shape[0], dtype=bool)
             for _ in range(_NEWTON_STEPS):
-                zval, zjac = jet(zeros)
+                zval, zjac = jet(zeros, zrows)
                 zinv, zok = _inverse2(zjac)
                 move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
                 settled &= zok
@@ -396,15 +440,21 @@ def _certified_sample_count(
             ok[ok] = settled
             snapped = np.round(zeros[settled] / _SNAP) * _SNAP % 1.0
             low = centers[ok] - radius
-            count += int(((low <= snapped) & (snapped < low + 2 * radius)).all(axis=1).sum())
-        undecided = centers[~(ok | free)]
-        if undecided.shape[0] == 0:
-            return count
-        if undecided.shape[0] > _BOX_CAP:
-            return None
+            inside = ((low <= snapped) & (snapped < low + 2 * radius)).all(axis=1)
+            counts += np.bincount(rows[ok][inside], minlength=n)
+        undecided = ~(ok | free)
+        centers, rows = centers[undecided], rows[undecided]
+        # a row over the cap, or still undecided after the last level, is dropped
+        load = np.bincount(rows, minlength=n)
+        kept &= load <= (_BOX_CAP if level < _BOX_LEVELS else 0)
+        mine = kept[rows]
+        centers, rows = centers[mine], rows[mine]
+        if rows.size == 0:
+            break
         radius /= 2.0
-        centers = (undecided[:, None, :] + radius * offsets[None, :, :]).reshape(-1, 2)
-    return None
+        centers = (centers[:, None, :] + radius * _CORNERS).reshape(-1, 2)
+        rows = np.repeat(rows, 4)
+    return [int(c) if k else None for c, k in zip(counts, kept)]
 
 
 def count_common_zeros_torus2(
@@ -424,15 +474,14 @@ def count_common_zeros_torus2(
             raise ValueError("planar counting needs two-dimensional supports")
     f1 = np.array(s1.points, dtype=float)
     f2 = np.array(s2.points, dtype=float)
-    children = np.random.SeedSequence(seed).spawn(samples)
-
-    def one(child) -> int | None:
-        rng = np.random.default_rng(child)
-        c1 = _sample_coefficient_matrix(s1, 1, rng)[0]
-        c2 = _sample_coefficient_matrix(s2, 1, rng)[0]
-        return _certified_sample_count(f1, c1, f2, c2)
-
-    results = [one(child) for child in children]
+    draw1, draw2 = _coefficient_sampler(s1), _coefficient_sampler(s2)
+    root = np.random.SeedSequence(seed)
+    results: list[int | None] = []
+    while len(results) < samples:
+        # spawning in blocks gives the same children as spawning all at once
+        rngs = map(np.random.default_rng, root.spawn(min(_SAMPLE_BLOCK, samples - len(results))))
+        C1, C2 = (np.vstack(c) for c in zip(*[(draw1(1, rng), draw2(1, rng)) for rng in rngs]))
+        results += _certified_counts(f1, C1, f2, C2)
     counts = np.array([r for r in results if r is not None], dtype=float)
     return _kept_stats(counts, samples - counts.size)
 
@@ -471,17 +520,3 @@ def gaussian_mixed_volume(
         stderr=const * float(dets.std(ddof=1) / math.sqrt(samples)),
         samples=samples,
     )
-
-
-# ---------------------------------------------------------------------------
-# equidistribution
-# ---------------------------------------------------------------------------
-
-def equidistribution_check(values: np.ndarray, bins: int = 16) -> tuple[float, float]:
-    """Chi-square uniformity test of points on the circle; returns the test
-    statistic and its p-value."""
-    from scipy import stats
-
-    observed, _ = np.histogram(np.asarray(values) % 1.0, bins=bins, range=(0.0, 1.0))
-    result = stats.chisquare(observed)
-    return float(result.statistic), float(result.pvalue)

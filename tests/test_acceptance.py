@@ -20,6 +20,7 @@ from realroots.convex import (
 )
 from realroots.groups import RepEnsemble, f_form, killing_radius, mean_real_count_group
 from realroots.rootsystems import Metric, root_system, unit_volume_metric
+from equidistribution import equidistribution_check
 from su2_oracle import su2_f_form_oracle
 
 A1 = root_system("A1")
@@ -272,7 +273,7 @@ def test_criterion_12_property_suites():
     pvals = []
     for seed in (1, 2, 3):
         locs = montecarlo.circle_zero_locations(torus.segment_support(5), 300, seed=seed)
-        pvals.append(montecarlo.equidistribution_check(locs)[1])
+        pvals.append(equidistribution_check(locs)[1])
 
     ok = (
         sym == 0

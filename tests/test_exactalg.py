@@ -208,6 +208,19 @@ def test_elimination_of_empty_matrix():
     assert mat_det([]) == 1 and rank([]) == 0
 
 
+@pytest.mark.parametrize(
+    "m",
+    [[[1, 2]], [[2, 3, 5], [1, 1, 1]], [[1], [2]], [[1, 2], [3, 4], [5, 6]]],
+    ids=["1x2", "2x3", "2x1", "3x2"],
+)
+def test_det_and_inverse_need_a_square_matrix(m):
+    # a wide matrix read its leading square block, a tall one raised IndexError
+    with pytest.raises(ValueError, match="not square"):
+        mat_det(m)
+    with pytest.raises(ValueError, match="not square"):
+        mat_inverse(m)
+
+
 def test_integer_rows_scale_by_common_lcm():
     rows, s = integer_rows([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]])
     assert s == 12 and rows == [[6, 36], [-8, 15]]

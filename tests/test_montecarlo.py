@@ -1,10 +1,15 @@
 """Seeded stochastic estimators and the matrix-element oracle for rank one."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import realroots
 from realroots import montecarlo
 from realroots.groups import RepEnsemble, f_form, killing_radius
 from realroots.montecarlo import (
@@ -12,13 +17,14 @@ from realroots.montecarlo import (
     circle_zero_locations,
     count_common_zeros_torus2,
     count_zeros_circle,
-    equidistribution_check,
     gaussian_mixed_volume,
     sample_real_laurent,
 )
 from realroots.rootsystems import root_system
 from realroots.torus import box_support, segment_support
+import torus2_oracle
 from circle_oracle import unimodular_root_counts
+from equidistribution import equidistribution_check
 from su2_oracle import su2_f_form_oracle, su2_from_quaternion, su2_haar_nodes, su2_irrep_matrix
 
 A1 = root_system("A1")
@@ -299,10 +305,11 @@ def test_torus_counts_are_deterministic_and_tracked():
 
 
 def sine_pair(first, second):
-    """sin(2 pi <first, x>) and sin(2 pi <second, x>) as (freqs, coeffs)."""
+    """sin(2 pi <first, x>) and sin(2 pi <second, x>) as (freqs, one-row
+    coefficient matrix) pairs."""
     out = []
     for lam in (first, second):
-        out += [np.array([lam, [-c for c in lam]], dtype=float), np.array([-0.5j, 0.5j])]
+        out += [np.array([lam, [-c for c in lam]], dtype=float), np.array([[-0.5j, 0.5j]])]
     return out
 
 
@@ -312,13 +319,102 @@ def sine_pair(first, second):
 )
 def test_common_zeros_on_box_edges_are_counted_once(first, second, zeros):
     # every common zero sits on a corner of the dyadic boxes (some on the seam 0 = 1)
-    assert montecarlo._certified_sample_count(*sine_pair(first, second)) == zeros
+    (count,) = montecarlo._certified_counts(*sine_pair(first, second))
+    assert count == zeros
 
 
 @pytest.mark.parametrize("limit,value", [("_BOX_CAP", 1), ("_BOX_LEVELS", 0)])
 def test_torus_sample_over_a_box_limit_is_discarded(monkeypatch, limit, value):
     monkeypatch.setattr(montecarlo, limit, value)
-    assert montecarlo._certified_sample_count(*sine_pair((1, 1), (1, -1))) is None
+    (count,) = montecarlo._certified_counts(*sine_pair((1, 1), (1, -1)))
+    assert count is None
+
+
+def per_sample_torus_counts(monkeypatch, supports, samples, seed):
+    """The counts `count_common_zeros_torus2` gets for each of its samples,
+    None for a discarded one, and its result (None if it raised)."""
+    core = montecarlo._certified_counts
+    seen = []
+
+    def record(*args):
+        counts = core(*args)
+        seen.extend(counts)
+        return counts
+
+    monkeypatch.setattr(montecarlo, "_certified_counts", record)
+    try:
+        stats = count_common_zeros_torus2(supports, samples, seed)
+    except ArithmeticError:
+        stats = None
+    return seen, stats
+
+
+# the seed-1 child seeds of the montecarlo bench workload (bench/workloads.py)
+BENCH_SEEDS = [int(x) for x in np.random.SeedSequence(1).generate_state(5)]
+
+
+@pytest.mark.parametrize(
+    "first,second,samples,seed",
+    [
+        ((2, 2), (2, 2), 12, 0),
+        ((2, 1), (2, 1), 40, BENCH_SEEDS[2]),
+        ((2, 1), (2, 1), 20, BENCH_SEEDS[3]),
+        ((2, 1), (2, 1), 40, 3),
+        ((2, 1), (2, 2), 40, 9),
+    ],
+)
+def test_torus_counts_match_the_per_sample_oracle(monkeypatch, first, second, samples, seed):
+    supports = [box_support(*first), box_support(*second)]
+    counts, stats = per_sample_torus_counts(monkeypatch, supports, samples, seed)
+    assert counts == torus2_oracle.oracle_counts(*supports, samples, seed)
+    assert None not in counts and stats.samples == samples
+
+
+def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
+    # at a cap of 20 undecided boxes some samples of the batch are discarded
+    # and the others keep the count the per-sample oracle gives them
+    for module in (montecarlo, torus2_oracle):
+        monkeypatch.setattr(module, "_BOX_CAP", 20)
+    support = box_support(2, 1)
+    counts, stats = per_sample_torus_counts(monkeypatch, support, 40, seed=3)
+    assert counts == torus2_oracle.oracle_counts(support, support, 40, 3)
+    kept = [c for c in counts if c is not None]
+    assert 2 <= len(kept) < 40
+    assert (stats.samples, stats.discarded) == (len(kept), 40 - len(kept))
+    assert stats.value == pytest.approx(np.mean(kept), abs=1e-12)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_torus_counter_memory_does_not_grow_with_samples():
+    support, block = box_support(2, 2), montecarlo._SAMPLE_BLOCK
+    one = traced_peak(lambda: count_common_zeros_torus2(support, block, seed=1))
+    ten = traced_peak(lambda: count_common_zeros_torus2(support, 10 * block, seed=1))
+    assert ten <= 1.5 * one
+    # a block's jet in one piece would gather the coefficients of every point
+    # at once, about 110 MB here; in chunks the whole block stays near 7 MB
+    assert one < 20e6
+
+
+def test_numpy_only_runtime():
+    # scipy is a test dependency: neither the package nor a Monte Carlo CLI run imports it
+    code = (
+        "import sys\n"
+        "import realroots\n"
+        "from realroots.cli import main\n"
+        "assert main(['torus', '--support', 'box:2:1', '--samples', '4', '--seed', '1']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(realroots.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- gaussian determinant volumes --------------------------------------------------------
@@ -365,14 +461,15 @@ def test_two_samples_give_a_finite_standard_error():
 
 
 def test_torus_counter_needs_two_kept_samples(monkeypatch):
-    certified = montecarlo._certified_sample_count
+    certified = montecarlo._certified_counts
     calls = []
 
-    def discard_all_but_first(*args):
-        calls.append(1)
-        return certified(*args) if len(calls) == 1 else None
+    def discard_all_but_first(f1, c1, f2, c2):
+        counts = certified(f1, c1, f2, c2)
+        calls.extend([1] * len(counts))
+        return counts[:1] + [None] * (len(counts) - 1)
 
-    monkeypatch.setattr(montecarlo, "_certified_sample_count", discard_all_but_first)
+    monkeypatch.setattr(montecarlo, "_certified_counts", discard_all_but_first)
     with pytest.raises(ArithmeticError, match="fewer than 2 kept"):
         count_common_zeros_torus2(box_support(2, 1), 3, seed=1)
     assert len(calls) == 3

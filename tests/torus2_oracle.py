@@ -1,0 +1,128 @@
+"""The per-sample 2-torus counter that `realroots.montecarlo` ran before it
+subdivided the boxes of a whole block of samples at once: a test oracle,
+kept verbatim.
+
+It evaluates F and its Jacobian by one complex `exp` per point and frequency
+(`_pair_jet`) and certifies one sample at a time.  The certificate constants
+are copied here as they were, so a change to the library's constants shows
+up as a disagreement; a test that patches a limit patches both modules.
+`_inverse2` is the library's own.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from realroots.montecarlo import _coefficient_sampler, _inverse2
+
+_ROUNDING = 1e-12
+_BOX_BASE = 16  # boxes per side of the starting grid
+_BOX_LEVELS = 16  # quarterings of an undecided box before its sample is discarded
+_BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
+_BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
+_NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
+_SNAP = 2.0**-40
+
+
+def _pair_jet(f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray):
+    """A function of points (n x 2) giving F = (F1, F2) (n x 2) and its
+    Jacobian (n x 2 x 2), from one matmul over the distinct frequencies."""
+    freqs, where = np.unique(np.vstack([f1, f2]), axis=0, return_inverse=True)
+    weights = np.zeros((len(freqs), 2, 3), dtype=complex)
+    for i, rows, f, c in ((0, where[: len(f1)], f1, c1), (1, where[len(f1) :], f2, c2)):
+        weights[rows, i] = c[:, None] * np.hstack([np.ones((len(f), 1)), 2j * np.pi * f])
+    weights = weights.reshape(len(freqs), 6)
+
+    def jet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = (np.exp(2j * np.pi * (points @ freqs.T)) @ weights).real.reshape(-1, 2, 3)
+        return out[:, :, 0], out[:, :, 1:]
+
+    return jet
+
+
+def _certified_sample_count(
+    f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray
+) -> int | None:
+    """Count the common zeros of one sampled pair on [0,1)^2, or None if the
+    subdivision cannot certify them (the caller discards the sample).
+
+    Each level first drops the boxes where some |F_i| is bounded away from 0
+    by a Lipschitz or second-order Taylor bound around the centre.  On the
+    others, the Krawczyk operator K(X) of the box X blown up by
+    _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
+    +- a Hessian bound times the radius, holds every zero in X: inside int X
+    it certifies exactly one, disjoint from X none.  Newton polishes a
+    certified zero and the box credits it only if its own half-open box
+    holds it, so a zero found by several boxes is counted once.  The
+    remaining boxes are quartered."""
+    pairs = ((f1, c1), (f2, c2))
+    lip = np.array([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in pairs])
+    hess = np.array([(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in pairs])
+    ef = np.array([_ROUNDING * np.abs(c).sum() for _, c in pairs])
+    ed = _ROUNDING * lip
+    jet = _pair_jet(f1, c1, f2, c2)
+
+    axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
+    centers = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    radius = 0.5 / _BOX_BASE
+    offsets = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    count = 0
+    for _ in range(_BOX_LEVELS + 1):
+        val, jac = jet(centers)
+        reach = np.minimum(
+            lip * math.sqrt(2.0) * radius,
+            (np.abs(jac).sum(axis=2) + 2 * ed) * radius + hess * radius * radius,
+        )
+        live = (np.abs(val) <= reach + ef).all(axis=1)
+        centers, val, jac = centers[live], val[live], jac[live]
+        # Krawczyk: K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
+        wide = _BOX_INFLATE * radius
+        inv, ok = _inverse2(jac)
+        step = np.einsum("nab,nb->na", inv, val)
+        spread = np.abs(np.eye(2) - inv @ jac).sum(axis=2)
+        spread += 2 * np.abs(inv) @ (hess * math.sqrt(2.0) * wide + ed)
+        k_radius = np.abs(inv) @ ef + wide * spread
+        free = (np.abs(step) > wide + k_radius).any(axis=1)
+        ok &= (np.abs(step) + k_radius < wide).all(axis=1)
+        if ok.any():
+            # a box whose Newton polish leaves it or does not settle stays undecided
+            zeros = centers[ok] - step[ok]
+            settled = np.ones(zeros.shape[0], dtype=bool)
+            for _ in range(_NEWTON_STEPS):
+                zval, zjac = jet(zeros)
+                zinv, zok = _inverse2(zjac)
+                move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
+                settled &= zok
+                zeros = zeros - move
+            settled &= (np.abs(move) < _SNAP).all(axis=1)
+            settled &= (np.abs(zeros - centers[ok]) < wide).all(axis=1)
+            ok[ok] = settled
+            snapped = np.round(zeros[settled] / _SNAP) * _SNAP % 1.0
+            low = centers[ok] - radius
+            count += int(((low <= snapped) & (snapped < low + 2 * radius)).all(axis=1).sum())
+        undecided = centers[~(ok | free)]
+        if undecided.shape[0] == 0:
+            return count
+        if undecided.shape[0] > _BOX_CAP:
+            return None
+        radius /= 2.0
+        centers = (undecided[:, None, :] + radius * offsets[None, :, :]).reshape(-1, 2)
+    return None
+
+
+def oracle_counts(s1, s2, samples: int, seed: int) -> list[int | None]:
+    """Per-sample counts of `count_common_zeros_torus2(s1, s2)` as the
+    per-sample loop computed them: sample i draws both coefficient rows from
+    the i-th child of SeedSequence(seed)."""
+    f1 = np.array(s1.points, dtype=float)
+    f2 = np.array(s2.points, dtype=float)
+    draw1, draw2 = _coefficient_sampler(s1), _coefficient_sampler(s2)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        c1 = draw1(1, rng)[0]
+        c2 = draw2(1, rng)[0]
+        out.append(_certified_sample_count(f1, c1, f2, c2))
+    return out
