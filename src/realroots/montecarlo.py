@@ -1,26 +1,26 @@
 """Monte Carlo verification: direct zero counting for random ensembles.
 
 Both zero counters count only certified zeros.  On the circle, f and f' come
-from one matmul on a starting grid (16 cells per unit of degree unless
-`grid` is given) and |f''| is bounded by M2 = (2 pi)^2 sum |c_k| k^2.  A
-cell of width h with a sign change holds exactly one zero when
-|f'| - M2 h > 0 at one of its ends; a cell without a sign change holds none
-when the second-order Taylor lower bound on |f| stays positive.  The other
-cells are halved, all of a block at once.  On the 2-torus, the boxes of a
-whole block of samples are decided together, each box carrying the index of
-its sample: boxes are dropped by a first- or second-order exclusion bound,
-and the Krawczyk test (interval Jacobian = centre Jacobian +- a Hessian
-bound from sum |c| |lambda|^2 times the radius) certifies exactly one zero
-in a box or none; each certified zero is polished by Newton and credited to
-the one half-open box that holds it.  The other boxes are quartered.  F and
-its Jacobian come from per-coordinate tables of exp(2 pi i k t), whose
-products give every frequency.  A sample with cells or boxes still
-undecided after a fixed number of halvings, or with too many of them, is
-discarded without touching the rest of its block: it is reported in
-`MonteCarloStats.discarded` and left out of the mean, and fewer than 2 kept
-samples raise ArithmeticError.  A Gaussian determinant estimator for mixed
-volumes of ellipsoids serves as an independent oracle for the analytic
-formulas.
+from one matmul on a starting grid of 16 cells per unit of degree and |f''|
+is bounded by M2 = (2 pi)^2 sum |c_k| k^2.  A cell of width h with a sign
+change holds exactly one zero when |f'| - M2 h > 0 at one of its ends; a
+cell without a sign change holds none when the second-order Taylor lower
+bound on |f| stays positive.  The other cells are halved, all of a block at
+once.  On the 2-torus, a box counter written for n systems on [0,1)^n
+decides the boxes of a whole block of samples together, each box carrying
+the index of its sample: boxes are dropped by a first- or second-order
+exclusion bound, and the Krawczyk test (interval Jacobian = centre Jacobian
++- a Hessian bound from sum |c| |lambda|^2 times the radius) certifies
+exactly one zero in a box or none; each certified zero is polished by
+Newton and credited to the one half-open box that holds it.  The other
+boxes are split in 2^n.  F and its Jacobian come from per-coordinate tables
+of exp(2 pi i k t), whose products give every frequency.  A sample with
+cells or boxes still undecided after a fixed number of splits, or with too
+many of them, is discarded without touching the rest of its block: it is
+reported in `MonteCarloStats.discarded` and left out of the mean, and fewer
+than 2 kept samples raise ArithmeticError.  A Gaussian determinant estimator
+for mixed volumes of ellipsoids serves as an independent oracle for the
+analytic formulas.
 
 Everything runs in the calling thread and is deterministic given a seed.
 The circle counters draw their coefficients in blocks of 256 samples from
@@ -31,8 +31,9 @@ its samples _SAMPLE_BLOCK at a time, so memory does not grow with `samples`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -74,8 +75,8 @@ class MonteCarloStats:
 
 
 def _require_samples(samples: int) -> None:
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples for a mean and its standard error, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"need an integer of at least 2 samples, got {samples!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,51 +242,44 @@ def _circle_cells(g: np.ndarray, grid: int):
     return counts, kept, tuple(np.concatenate(column) for column in zip(*cells))
 
 
-def _circle_blocks(support: Support, samples: int, seed: int, grid: int | None) -> Iterator[tuple]:
+def _circle_blocks(support: Support, samples: int, seed: int) -> Iterator[tuple]:
     """(folded coefficients g, zero counts, kept mask, one-zero cells) for
     successive blocks of at most 256 samples, all drawn from one generator
-    seeded by `seed`; see _circle_cells."""
+    seeded by `seed`, on a starting grid of 16 cells per unit of degree; see
+    _circle_cells."""
     support.require_symmetric()
     if support.dim != 1:
         raise ValueError("circle counting needs one-dimensional supports")
     freqs = np.array([p[0] for p in support.points])
-    if grid is None:
-        grid = 16 * max(1, int(np.abs(freqs).max()))
-    elif isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
-        raise ValueError(f"grid must be a positive integer, got {grid!r}")
+    grid = 16 * max(1, int(np.abs(freqs).max()))
     draw = _coefficient_sampler(support)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     done = 0
     while done < samples:
         block = min(256, samples - done)
         g = _fold(freqs, draw(block, rng))
-        yield (g, *_circle_cells(g, int(grid)))
+        yield (g, *_circle_cells(g, grid))
         done += block
 
 
-def count_zeros_circle(
-    support: Support, samples: int, seed: int, grid: int | None = None
-) -> MonteCarloStats:
+def count_zeros_circle(support: Support, samples: int, seed: int) -> MonteCarloStats:
     """Monte Carlo mean of the number of zeros on the circle of a random
-    real ensemble with the given frequency support.  `grid` (a positive int)
-    is the starting number of cells; every counted zero is certified, samples
-    that cannot be certified are discarded and reported, and fewer than 2
-    kept samples raise ArithmeticError."""
+    real ensemble with the given frequency support.  Every counted zero is
+    certified, samples that cannot be certified are discarded and reported,
+    and fewer than 2 kept samples raise ArithmeticError."""
     _require_samples(samples)
-    blocks = [counts[kept] for _, counts, kept, _ in _circle_blocks(support, samples, seed, grid)]
+    blocks = [counts[kept] for _, counts, kept, _ in _circle_blocks(support, samples, seed)]
     counts = np.concatenate(blocks).astype(float)
     return _kept_stats(counts, samples - counts.size)
 
 
-def circle_zero_locations(
-    support: Support, samples: int, seed: int, grid: int | None = None
-) -> np.ndarray:
+def circle_zero_locations(support: Support, samples: int, seed: int) -> np.ndarray:
     """Pooled zero locations (mod 1) over the kept samples, found by bisection
     inside the certified one-zero cells."""
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     locations: list[np.ndarray] = []
-    for g, _, kept, (rows, lo, width) in _circle_blocks(support, samples, seed, grid):
+    for g, _, kept, (rows, lo, width) in _circle_blocks(support, samples, seed):
         take = kept[rows]
         rows, lo = rows[take], lo[take]
         hi = lo + width[take]
@@ -302,11 +296,11 @@ def circle_zero_locations(
 
 
 # ---------------------------------------------------------------------------
-# torus in dimension two: exclusion and Krawczyk subdivision
+# torus in any dimension: exclusion and Krawczyk subdivision
 # ---------------------------------------------------------------------------
 
 _BOX_BASE = 16  # boxes per side of the starting grid
-_BOX_LEVELS = 16  # quarterings of an undecided box before its sample is discarded
+_BOX_LEVELS = 16  # splits of an undecided box before its sample is discarded
 _BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
 _BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
 _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
@@ -316,112 +310,137 @@ _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
 _SNAP = 2.0**-40
 _SAMPLE_BLOCK = 64  # samples whose boxes are subdivided together
 _JET_CHUNK = 512  # points per evaluation of the jet
-_CORNERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 
 
-def _table_jet(f1: np.ndarray, C1: np.ndarray, f2: np.ndarray, C2: np.ndarray):
-    """A function of points (n x 2) and their sample rows (n) giving
-    F = (F1, F2) (n x 2) and its Jacobian (n x 2 x 2) for the coefficient
-    rows C1[rows] and C2[rows].
+def _table_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
+    """A function of points (m x n) and their sample rows (m) giving
+    F = (F_1, ..., F_n) (m x n) and its Jacobian (m x n x n) for the
+    coefficient rows coeffs[i][rows] on the frequencies freqs[i].
 
     Only real parts are kept, and Re(w e(-lam t)) = Re(conj(w) e(lam t)), so
-    the weights of -lam fold onto lam, lam lexicographically positive (as
-    `_fold` does on the circle); then lam_1 >= 0.  Frequencies are integers,
-    so e(<lam, t>) = e(t_1)^lam_1 e(t_2)^lam_2, e(x) = exp(2 pi i x), is the
-    product of an entry of a table of e(k t_1), k = 0..top, and one of
-    e(k t_2), k = -top..top: top + 1 `exp`s per coordinate (e(-k t) is the
-    conjugate of e(k t)) instead of one per frequency.  Points are evaluated
-    _JET_CHUNK at a time, so the work arrays stay small however many points
-    there are."""
-    freqs = np.vstack([f1, f2]).astype(int)
-    flip = (freqs[:, 0] < 0) | ((freqs[:, 0] == 0) & (freqs[:, 1] < 0))
-    half, where = np.unique(np.where(flip[:, None], -freqs, freqs), axis=0, return_inverse=True)
-    raw = np.zeros((len(C1), len(freqs), 2, 3), dtype=complex)
-    for i, cols, f, c in ((0, slice(0, len(f1)), f1, C1), (1, slice(len(f1), None), f2, C2)):
-        raw[:, cols, i] = c[:, :, None] * np.hstack([np.ones((len(f), 1)), 2j * np.pi * f])
-    raw = np.where(flip[None, :, None, None], raw.conj(), raw).reshape(len(C1), len(freqs), 6)
-    weights = np.zeros((len(C1), len(half), 6), dtype=complex)
+    the weights of -lam fold onto lam, whose first nonzero coordinate is
+    then positive (as `_fold` does on the circle), so lam_1 >= 0.
+    Frequencies are integers, so e(<lam, t>) = prod_c e(t_c)^lam_c,
+    e(x) = exp(2 pi i x), is a product of one entry of a table of e(k t_1),
+    k = 0..top, and one of e(k t_c), k = -top..top, for each later
+    coordinate: top + 1 `exp`s per coordinate (e(-k t) is the conjugate of
+    e(k t)) instead of one per frequency.  Points are evaluated _JET_CHUNK
+    at a time, so the work arrays stay small however many points there
+    are."""
+    n, size, every = len(freqs), len(coeffs[0]), np.vstack(freqs).astype(int)
+    flip = every[np.arange(len(every)), np.argmax(every != 0, axis=1)] < 0
+    half, where = np.unique(np.where(flip[:, None], -every, every), axis=0, return_inverse=True)
+    raw = np.zeros((size, len(every), n, n + 1), dtype=complex)
+    equation = np.repeat(np.arange(n), [len(f) for f in freqs])
+    terms = np.hstack([np.ones((len(every), 1)), 2j * np.pi * every])
+    raw[:, np.arange(len(every)), equation] = np.hstack(coeffs)[:, :, None] * terms
+    raw = np.where(flip[None, :, None, None], raw.conj(), raw).reshape(size, len(every), -1)
+    weights = np.zeros((size, len(half), n * (n + 1)), dtype=complex)
     np.add.at(weights, (slice(None), where), raw)
     top = int(np.abs(half).max())
     ks = 2j * np.pi * np.arange(top + 1)
-    first, second = half[:, 0], half[:, 1] + top
+    index = half.T.copy()
+    index[1:] += top
 
     def jet(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = np.empty((len(points), 6))
+        out = np.empty((len(points), n * (n + 1)))
         for lo in range(0, len(points), _JET_CHUNK):
             part = slice(lo, lo + _JET_CHUNK)
             table = np.exp(points[part].T[:, :, None] * ks)
-            both = np.concatenate([table[1][:, :0:-1].conj(), table[1]], axis=1)
-            powers = table[0][:, first] * both[:, second]
+            powers = table[0][:, index[0]]
+            for c in range(1, n):
+                both = np.concatenate([table[c][:, :0:-1].conj(), table[c]], axis=1)
+                powers = powers * both[:, index[c]]
             out[part] = np.matmul(powers[:, None, :], weights[rows[part]])[:, 0].real
-        out = out.reshape(-1, 2, 3)
+        out = out.reshape(-1, n, n + 1)
         return out[:, :, 0], out[:, :, 1:]
 
     return jet
 
 
-def _inverse2(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of 2x2 matrices and the mask of those not too
-    close to singular to invert."""
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+@functools.lru_cache(maxsize=None)
+def _leibniz(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign tables of the adjugate of an n x n matrix M read as a
+    flat row of n * n entries: adj[i, j] = sum_t sign[i n + j, t] prod_k
+    M.flat[index[i n + j, t, k]], the sum over the permutations p with
+    p(j) = i of sgn(p) prod_{r != j} M[r, p(r)]."""
+    terms: list[list[tuple[float, list[int]]]] = [[] for _ in range(n * n)]
+    for p in itertools.permutations(range(n)):
+        sign = (-1.0) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(n), 2))
+        for j in range(n):
+            terms[p[j] * n + j].append((sign, [r * n + p[r] for r in range(n) if r != j]))
+    index = np.array([[entries for _, entries in entry] for entry in terms], dtype=int)
+    return index, np.array([[sign for sign, _ in entry] for entry in terms])
+
+
+def _inverse(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of n x n matrices, as the Leibniz adjugate over
+    the determinant expanded along the first row, and the mask of those not
+    too close to singular to invert."""
+    n = jac.shape[1]
+    index, signs = _leibniz(n)
+    adj = (signs * jac.reshape(-1, n * n)[:, index].prod(axis=3)).sum(axis=2).reshape(-1, n, n)
+    det = (jac[:, 0, :] * adj[:, :, 0]).sum(axis=1)
     ok = np.abs(det) > _ROUNDING * (jac * jac).sum(axis=(1, 2))
-    adj = jac[:, ::-1, ::-1].transpose(0, 2, 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return adj / np.where(ok, det, 1.0)[:, None, None], ok
 
 
 def _certified_counts(
-    f1: np.ndarray, C1: np.ndarray, f2: np.ndarray, C2: np.ndarray
+    freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
 ) -> list[int | None]:
-    """Count the common zeros on [0,1)^2 of the pairs with coefficient rows
-    C1[s] on the frequencies f1 and C2[s] on f2, one count per row s, or
-    None for a row whose zeros the subdivision cannot certify (the caller
-    discards that sample).
+    """Count the common zeros on [0,1)^n, n = len(freqs), of the systems with
+    coefficient rows coeffs[i][s] on the frequencies freqs[i], one count per
+    row s, or None for a row whose zeros the subdivision cannot certify (the
+    caller discards that sample).
 
     The boxes of all rows are subdivided together, level by level; each box
     carries its row, and the row's bounds and coefficients are gathered by
     it.  Each level first drops the boxes where some |F_i| is bounded away
-    from 0 by a Lipschitz or second-order Taylor bound around the centre.
-    On the others, the Krawczyk operator K(X) of the box X blown up by
-    _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
-    +- a Hessian bound times the radius, holds every zero in X: inside int X
-    it certifies exactly one, disjoint from X none.  Newton polishes a
-    certified zero and the box credits it to its row only if its own
-    half-open box holds it, so a zero found by several boxes is counted
-    once.  The remaining boxes are quartered.  A row with more than
-    _BOX_CAP of them, or with any left after _BOX_LEVELS quarterings, is
-    dropped without touching the others."""
-    pairs = ((f1, C1), (f2, C2))
-    lip = np.stack([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in pairs], axis=1)
+    from 0 by a Lipschitz or second-order Taylor bound around the centre (a
+    box of radius r lies within sqrt(n) r of it, so the Hessian term is
+    (n / 2) r^2 sum |c| |2 pi lam|^2).  On the others, the Krawczyk operator
+    K(X) of the box X blown up by _BOX_INFLATE, with the interval Jacobian
+    taken as the centre Jacobian +- a Hessian bound times sqrt(n) times the
+    radius, holds every zero in X: inside int X it certifies exactly one,
+    disjoint from X none.  Newton polishes a certified zero and the box
+    credits it to its row only if its own half-open box holds it, so a zero
+    found by several boxes is counted once.  The other boxes are split in
+    2^n.  A row with more than _BOX_CAP of them, or with any left after
+    _BOX_LEVELS splits, is dropped without touching the others."""
+    n, size = len(freqs), len(coeffs[0])
+    systems = list(zip(freqs, coeffs))
+    lip = np.stack([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in systems], axis=1)
     hess = np.stack(
-        [(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in pairs], axis=1
+        [(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in systems], axis=1
     )
-    ef = np.stack([_ROUNDING * np.abs(c).sum(axis=1) for _, c in pairs], axis=1)
+    ef = np.stack([_ROUNDING * np.abs(c).sum(axis=1) for _, c in systems], axis=1)
     ed = _ROUNDING * lip
-    jet = _table_jet(f1, C1, f2, C2)
+    jet = _table_jet(freqs, coeffs)
 
-    n = len(C1)
     axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    centers = np.tile(grid, (n, 1))
-    rows = np.repeat(np.arange(n), len(grid))
+    grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    centers = np.tile(grid, (size, 1))
+    rows = np.repeat(np.arange(size), len(grid))
     radius = 0.5 / _BOX_BASE
-    counts = np.zeros(n, dtype=int)
-    kept = np.ones(n, dtype=bool)
+    counts = np.zeros(size, dtype=int)
+    kept = np.ones(size, dtype=bool)
     for level in range(_BOX_LEVELS + 1):
         val, jac = jet(centers, rows)
         reach = np.minimum(
-            lip[rows] * math.sqrt(2.0) * radius,
-            (np.abs(jac).sum(axis=2) + 2 * ed[rows]) * radius + hess[rows] * radius * radius,
+            lip[rows] * math.sqrt(n) * radius,
+            (np.abs(jac).sum(axis=2) + n * ed[rows]) * radius
+            + hess[rows] * (n / 2) * radius * radius,
         )
         live = (np.abs(val) <= reach + ef[rows]).all(axis=1)
         centers, rows, val, jac = centers[live], rows[live], val[live], jac[live]
         # Krawczyk: K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
         wide = _BOX_INFLATE * radius
-        inv, ok = _inverse2(jac)
+        inv, ok = _inverse(jac)
         step = np.einsum("nab,nb->na", inv, val)
-        spread = np.abs(np.eye(2) - inv @ jac).sum(axis=2)
-        bound = hess[rows] * math.sqrt(2.0) * wide + ed[rows]
-        spread += 2 * np.einsum("nab,nb->na", np.abs(inv), bound)
+        spread = np.abs(np.eye(n) - inv @ jac).sum(axis=2)
+        bound = hess[rows] * math.sqrt(n) * wide + ed[rows]
+        spread += n * np.einsum("nab,nb->na", np.abs(inv), bound)
         k_radius = np.einsum("nab,nb->na", np.abs(inv), ef[rows]) + wide * spread
         free = (np.abs(step) > wide + k_radius).any(axis=1)
         ok &= (np.abs(step) + k_radius < wide).all(axis=1)
@@ -431,7 +450,7 @@ def _certified_counts(
             settled = np.ones(zeros.shape[0], dtype=bool)
             for _ in range(_NEWTON_STEPS):
                 zval, zjac = jet(zeros, zrows)
-                zinv, zok = _inverse2(zjac)
+                zinv, zok = _inverse(zjac)
                 move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
                 settled &= zok
                 zeros = zeros - move
@@ -441,19 +460,19 @@ def _certified_counts(
             snapped = np.round(zeros[settled] / _SNAP) * _SNAP % 1.0
             low = centers[ok] - radius
             inside = ((low <= snapped) & (snapped < low + 2 * radius)).all(axis=1)
-            counts += np.bincount(rows[ok][inside], minlength=n)
+            counts += np.bincount(rows[ok][inside], minlength=size)
         undecided = ~(ok | free)
         centers, rows = centers[undecided], rows[undecided]
         # a row over the cap, or still undecided after the last level, is dropped
-        load = np.bincount(rows, minlength=n)
+        load = np.bincount(rows, minlength=size)
         kept &= load <= (_BOX_CAP if level < _BOX_LEVELS else 0)
         mine = kept[rows]
         centers, rows = centers[mine], rows[mine]
         if rows.size == 0:
             break
         radius /= 2.0
-        centers = (centers[:, None, :] + radius * _CORNERS).reshape(-1, 2)
-        rows = np.repeat(rows, 4)
+        centers = (centers[:, None, :] + radius * corners).reshape(-1, n)
+        rows = np.repeat(rows, len(corners))
     return [int(c) if k else None for c, k in zip(counts, kept)]
 
 
@@ -467,21 +486,19 @@ def count_common_zeros_torus2(
     _require_samples(samples)
     if isinstance(supports, Support):
         supports = [supports, supports]
-    s1, s2 = supports
-    for s in (s1, s2):
+    if len(supports) != 2 or any(s.dim != 2 for s in supports):
+        raise ValueError("planar counting needs two two-dimensional supports")
+    for s in supports:
         s.require_symmetric()
-        if s.dim != 2:
-            raise ValueError("planar counting needs two-dimensional supports")
-    f1 = np.array(s1.points, dtype=float)
-    f2 = np.array(s2.points, dtype=float)
-    draw1, draw2 = _coefficient_sampler(s1), _coefficient_sampler(s2)
+    freqs = [np.array(s.points, dtype=float) for s in supports]
+    draws = [_coefficient_sampler(s) for s in supports]
     root = np.random.SeedSequence(seed)
     results: list[int | None] = []
     while len(results) < samples:
         # spawning in blocks gives the same children as spawning all at once
         rngs = map(np.random.default_rng, root.spawn(min(_SAMPLE_BLOCK, samples - len(results))))
-        C1, C2 = (np.vstack(c) for c in zip(*[(draw1(1, rng), draw2(1, rng)) for rng in rngs]))
-        results += _certified_counts(f1, C1, f2, C2)
+        rows = [[draw(1, rng) for draw in draws] for rng in rngs]
+        results += _certified_counts(freqs, [np.vstack(c) for c in zip(*rows)])
     counts = np.array([r for r in results if r is not None], dtype=float)
     return _kept_stats(counts, samples - counts.size)
 

@@ -1,7 +1,8 @@
 """Rank-one group oracle for the tests: spin representations of SU(2) from
-quaternions, a Haar quadrature on SU(2), and a finite-difference measurement
+quaternions, a Haar quadrature on SU(2), a finite-difference measurement
 of the derivative-covariance radius that is independent of the Casimir route
-in `realroots.groups`.
+in `realroots.groups`, and Hopf coordinates that turn a system on SU(2) into
+a trigonometric system on the 3-torus.
 """
 
 import math
@@ -97,3 +98,30 @@ def su2_f_form_oracle(spectrum: Sequence[tuple[int, int]], h: float = 1e-4) -> f
     num = (4.0 * fine - coarse) / 3.0
     denom = sum((k + 1) ** 2 for k in ks)
     return num / denom
+
+
+def hopf_quaternion(t: np.ndarray) -> np.ndarray:
+    """Unit quaternions q(eta, phi, psi) = (cos 2 pi eta e(phi),
+    sin 2 pi eta e(psi)), e(x) = exp(2 pi i x) read as two real coordinates,
+    at the rows (eta, phi, psi) of `t`.  On [0,1)^3 this covers SU(2) = S^3
+    exactly four times, one (eta, phi, psi) per choice of the signs of
+    cos 2 pi eta and sin 2 pi eta, away from the two circles where one of
+    them vanishes, a null set."""
+    c, s = np.cos(2 * np.pi * t[:, 0]), np.sin(2 * np.pi * t[:, 0])
+    phi, psi = 2 * np.pi * t[:, 1], 2 * np.pi * t[:, 2]
+    return np.stack([c * np.cos(phi), c * np.sin(phi), s * np.cos(psi), s * np.sin(psi)], axis=1)
+
+
+def hopf_exponential_sums() -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, table): the eight frequencies lam in Z^3 of the coordinates of
+    `hopf_quaternion` and the 4 x 8 complex matrix with
+    q_k(t) = sum_j table[k, j] exp(2 pi i <freqs[j], t>)."""
+    cos, sin = {1: 0.5, -1: 0.5}, {1: -0.5j, -1: 0.5j}
+    signs = [(a, b) for a in (1, -1) for b in (1, -1)]
+    freqs = [(a, b, 0) for a, b in signs] + [(a, 0, b) for a, b in signs]
+    table = np.zeros((4, len(freqs)), dtype=complex)
+    for k, (first, axis, second) in enumerate([(cos, 1, cos), (cos, 1, sin), (sin, 2, cos), (sin, 2, sin)]):
+        for j, lam in enumerate(freqs):
+            if lam[3 - axis] == 0:
+                table[k, j] = first[lam[0]] * second[lam[axis]]
+    return np.array(freqs, dtype=float), table

@@ -21,11 +21,18 @@ from realroots.montecarlo import (
     sample_real_laurent,
 )
 from realroots.rootsystems import root_system
-from realroots.torus import box_support, segment_support
+from realroots.torus import box_support, complex_count_torus, mean_real_count_torus, segment_support
 import torus2_oracle
 from circle_oracle import unimodular_root_counts
 from equidistribution import equidistribution_check
-from su2_oracle import su2_f_form_oracle, su2_from_quaternion, su2_haar_nodes, su2_irrep_matrix
+from su2_oracle import (
+    hopf_exponential_sums,
+    hopf_quaternion,
+    su2_f_form_oracle,
+    su2_from_quaternion,
+    su2_haar_nodes,
+    su2_irrep_matrix,
+)
 
 A1 = root_system("A1")
 
@@ -201,37 +208,19 @@ def test_equidistribution_chi_square():
     assert p_bad < 1e-10
 
 
-def per_sample_circle_counts(support, samples, seed, grid=None):
-    blocks = list(montecarlo._circle_blocks(support, samples, seed, grid))
-    return (
-        np.concatenate([counts for _, counts, _, _ in blocks]),
-        np.concatenate([kept for _, _, kept, _ in blocks]),
-    )
-
-
-@pytest.mark.parametrize("grid", [-5, 0, 2.5])
-def test_circle_grid_must_be_a_positive_int(grid):
-    with pytest.raises(ValueError, match="grid must be a positive integer"):
-        count_zeros_circle(segment_support(5), 20, seed=4, grid=grid)
-    with pytest.raises(ValueError, match="grid must be a positive integer"):
-        circle_zero_locations(segment_support(5), 20, seed=4, grid=grid)
-
-
 def test_circle_counts_do_not_depend_on_the_starting_grid():
     # certified counts: the grid is only where the subdivision starts
-    want, kept = per_sample_circle_counts(segment_support(5), 200, seed=4)
+    ((g, want, kept, _),) = montecarlo._circle_blocks(segment_support(5), 200, seed=4)
     assert kept.all()
-    stats = count_zeros_circle(segment_support(5), 200, seed=4)
     for grid in (8, 16, 64):
-        counts, kept = per_sample_circle_counts(segment_support(5), 200, seed=4, grid=grid)
+        counts, kept, _ = montecarlo._circle_cells(g, grid)
         assert kept.all()
         assert np.array_equal(counts, want)
-        assert count_zeros_circle(segment_support(5), 200, seed=4, grid=grid) == stats
 
 
 @pytest.mark.parametrize("m,samples,seed", [(3, 256, 11), (5, 256, 12), (20, 128, 13)])
 def test_circle_counts_match_companion_eigenvalues(m, samples, seed):
-    for g, counts, kept, _ in montecarlo._circle_blocks(segment_support(m), samples, seed, None):
+    for g, counts, kept, _ in montecarlo._circle_blocks(segment_support(m), samples, seed):
         assert kept.all()
         assert np.array_equal(counts, unimodular_root_counts(g))
 
@@ -306,11 +295,9 @@ def test_torus_counts_are_deterministic_and_tracked():
 
 def sine_pair(first, second):
     """sin(2 pi <first, x>) and sin(2 pi <second, x>) as (freqs, one-row
-    coefficient matrix) pairs."""
-    out = []
-    for lam in (first, second):
-        out += [np.array([lam, [-c for c in lam]], dtype=float), np.array([[-0.5j, 0.5j]])]
-    return out
+    coefficient matrices)."""
+    freqs = [np.array([lam, [-c for c in lam]], dtype=float) for lam in (first, second)]
+    return freqs, [np.array([[-0.5j, 0.5j]])] * 2
 
 
 @pytest.mark.parametrize(
@@ -384,6 +371,94 @@ def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
     assert stats.value == pytest.approx(np.mean(kept), abs=1e-12)
 
 
+# -- the box counter in three dimensions -------------------------------------------------
+
+def random_systems(supports, samples, seed):
+    """(freqs, coeffs) of `samples` random systems, one equation per support,
+    sample i drawn from the i-th child of SeedSequence(seed) as
+    `count_common_zeros_torus2` draws it."""
+    draws = [montecarlo._coefficient_sampler(s) for s in supports]
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(samples))
+    rows = [[draw(1, rng) for draw in draws] for rng in rngs]
+    return [np.array(s.points, dtype=float) for s in supports], [np.vstack(c) for c in zip(*rows)]
+
+
+def near_singular_stack(rng, size, n):
+    """Rank-one n x n matrices plus perturbations from 1e-16 to 1e-4 of them,
+    so some fall on each side of the inverse's singularity threshold."""
+    rank_one = rng.standard_normal((size, n, 1)) * rng.standard_normal((size, 1, n))
+    return rank_one + 10.0 ** rng.uniform(-16, -4, (size, 1, 1)) * rng.standard_normal((size, n, n))
+
+
+def test_inverse_is_the_closed_form_on_2x2_stacks():
+    rng = np.random.default_rng(12)
+    for jac in (rng.standard_normal((500, 2, 2)), near_singular_stack(rng, 500, 2)):
+        inv, ok = montecarlo._inverse(jac)
+        want, want_ok = torus2_oracle._inverse2(jac)
+        assert np.array_equal(ok, want_ok) and 0 < ok.sum()
+        assert inv.tobytes() == want.tobytes()
+    assert not ok.all()
+
+
+def test_inverse_inverts_3x3_stacks():
+    rng = np.random.default_rng(13)
+    jac = rng.standard_normal((500, 3, 3)) + 3 * np.eye(3)
+    inv, ok = montecarlo._inverse(jac)
+    assert ok.all()
+    assert np.abs(jac @ inv - np.eye(3)).max() < 1e-12
+    _, ok = montecarlo._inverse(near_singular_stack(rng, 500, 3))
+    assert 0 < ok.sum() < 500
+
+
+def test_zeros_off_a_box_centre_in_three_dimensions_are_all_counted():
+    # cos 2 pi (x + y + z - 3a) - cos 6 pi rho, sin 2 pi (x - y), sin 2 pi (y - z):
+    # x - y, y - z in {0, 1/2} (4 ways), x + y + z = 3a +- 3 rho (2 planes), and
+    # three points on each line: 24 zeros, two of them at (a +- rho)(1, 1, 1)
+    # near the centre of a starting box.  The Taylor remainder there needs
+    # the factor n / 2 = 3 / 2; with the planar 1 the count read 16.
+    a, rho = 5.5 / 16, 0.9 / 32
+    freqs = [
+        np.array([[1, 1, 1], [-1, -1, -1], [0, 0, 0]], dtype=float),
+        np.array([[1, -1, 0], [-1, 1, 0]], dtype=float),
+        np.array([[0, 1, -1], [0, -1, 1]], dtype=float),
+    ]
+    shift = np.exp(-6j * math.pi * a)
+    coeffs = [
+        np.array([[shift / 2, shift.conjugate() / 2, -math.cos(6 * math.pi * rho)]]),
+        np.array([[-0.5j, 0.5j]]),
+        np.array([[-0.5j, 0.5j]]),
+    ]
+    assert montecarlo._certified_counts(freqs, coeffs) == [24]
+
+
+def test_three_torus_box_counts_match_the_kac_rice_mean():
+    support = box_support(3, 1)
+    counts = montecarlo._certified_counts(*random_systems([support] * 3, 64, seed=5))
+    kept = np.array([c for c in counts if c is not None])
+    assert len(kept) >= 60
+    assert (kept % 2 == 0).all() and kept.max() <= complex_count_torus(support) == 48
+    z = (kept.mean() - mean_real_count_torus(support).value) / (kept.std(ddof=1) / math.sqrt(len(kept)))
+    assert abs(z) <= 3
+
+
+def test_hopf_exponential_sums_give_unit_quaternions():
+    freqs, table = hopf_exponential_sums()
+    t = np.random.default_rng(14).random((50, 3))
+    q = (np.exp(2j * math.pi * t @ freqs.T) @ table.T).real
+    assert np.allclose(q, hopf_quaternion(t), atol=1e-14)
+    assert np.allclose(np.linalg.norm(q, axis=1), 1.0)
+
+
+def test_spin_half_systems_have_eight_zeros_on_the_hopf_torus():
+    # f_i = A_i . q on SU(2) = S^3 vanishes at the two unit vectors of ker A,
+    # and each has four Hopf preimages on [0,1)^3
+    freqs, table = hopf_exponential_sums()
+    a = np.random.default_rng(15).standard_normal((64, 3, 4))
+    counts = montecarlo._certified_counts([freqs] * 3, list(np.einsum("sik,kj->isj", a, table)))
+    assert sum(c is not None for c in counts) >= 60
+    assert {c for c in counts if c is not None} == {8}
+
+
 def traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -450,6 +525,20 @@ def test_counters_need_two_samples(samples):
         gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=samples, seed=1)
 
 
+@pytest.mark.parametrize("samples", [2.5, 4.0, "4", True])
+def test_counters_need_an_integer_sample_count(samples):
+    with pytest.raises(ValueError, match="integer of at least 2 samples"):
+        count_zeros_circle(segment_support(3), samples, seed=1)
+    with pytest.raises(ValueError, match="integer of at least 2 samples"):
+        count_common_zeros_torus2(box_support(2, 1), samples, seed=1)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_torus_counter_needs_two_supports(count):
+    with pytest.raises(ValueError, match="two two-dimensional supports"):
+        count_common_zeros_torus2([box_support(2, 1)] * count, 4, seed=1)
+
+
 def test_two_samples_give_a_finite_standard_error():
     for stats in (
         count_zeros_circle(segment_support(3), 2, seed=1),
@@ -464,8 +553,8 @@ def test_torus_counter_needs_two_kept_samples(monkeypatch):
     certified = montecarlo._certified_counts
     calls = []
 
-    def discard_all_but_first(f1, c1, f2, c2):
-        counts = certified(f1, c1, f2, c2)
+    def discard_all_but_first(freqs, coeffs):
+        counts = certified(freqs, coeffs)
         calls.extend([1] * len(counts))
         return counts[:1] + [None] * (len(counts) - 1)
 

@@ -6,7 +6,9 @@ It evaluates F and its Jacobian by one complex `exp` per point and frequency
 (`_pair_jet`) and certifies one sample at a time.  The certificate constants
 are copied here as they were, so a change to the library's constants shows
 up as a disagreement; a test that patches a limit patches both modules.
-`_inverse2` is the library's own.
+`_inverse2`, the closed-form 2x2 inverse the library used before its box
+counter was written for n dimensions, is copied too, so the oracle does not
+share the library's Leibniz adjugate.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from realroots.montecarlo import _coefficient_sampler, _inverse2
+from realroots.montecarlo import _coefficient_sampler
 
 _ROUNDING = 1e-12
 _BOX_BASE = 16  # boxes per side of the starting grid
@@ -24,6 +26,15 @@ _BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
 _BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
 _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
 _SNAP = 2.0**-40
+
+
+def _inverse2(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of 2x2 matrices and the mask of those not too
+    close to singular to invert."""
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    ok = np.abs(det) > _ROUNDING * (jac * jac).sum(axis=(1, 2))
+    adj = jac[:, ::-1, ::-1].transpose(0, 2, 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return adj / np.where(ok, det, 1.0)[:, None, None], ok
 
 
 def _pair_jet(f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray):
