@@ -106,9 +106,8 @@ def _facet_plane(coords: list[IntVec], facet: tuple[int, ...], ref: IntVec) -> P
     lifted to (v, 1); on integer points the gcd of the normal divides the
     offset, so the normal is primitive too."""
     d = len(ref)
-    (plane,), _ = xa.integer_rows([xa.nullspace_vector([[*coords[i], 1] for i in facet])])
-    g = math.gcd(*plane)
-    normal, offset = tuple(x // g for x in plane[:d]), -(plane[d] // g)
+    plane = xa.integer_nullspace_vector([[*coords[i], 1] for i in facet])
+    normal, offset = tuple(plane[:d]), -plane[d]
     side = _dot(normal, ref) - (d + 1) * offset
     if side == 0:  # pragma: no cover - ref / (d + 1) is strictly interior
         raise RuntimeError("degenerate facet orientation")

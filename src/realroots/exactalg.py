@@ -7,6 +7,7 @@ at the boundary where irrational constants (pi, square roots) enter.
 Rank, determinant, inverse, solve and null space share one fraction-free
 Gauss-Jordan elimination on Python ints: `integer_rows` clears the
 denominators once, and Fractions appear again only in the results.
+`integer_nullspace_vector` takes an integer matrix and returns integers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "solve",
     "rank",
     "nullspace_vector",
+    "integer_nullspace_vector",
     "integer_rows",
     "bilinear",
 ]
@@ -163,16 +165,33 @@ def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     return tuple(x)
 
 
-def nullspace_vector(m: Sequence[Sequence[Fraction]]) -> Vec:
-    """One nonzero rational vector in the null space of m (must exist)."""
-    ncols = len(m[0])
-    rows, _ = integer_rows(m)
+def _null_vector(rows: list[list[int]]) -> tuple[list[int], int]:
+    """(v, free): an integer null vector of integer rows, eliminated in
+    place, and its first free column.  v holds the last pivot D in that
+    column and -row[free] in the pivot column of each pivot row."""
+    ncols = len(rows[0])
     pivots, d, _ = _eliminate(rows, ncols)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         raise ValueError("matrix has trivial null space")
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
+    v = [0] * ncols
+    v[free] = d
     for r, c in enumerate(pivots):
-        x[c] = Fraction(-rows[r][free], d)
-    return tuple(x)
+        v[c] = -rows[r][free]
+    return v, free
+
+
+def nullspace_vector(m: Sequence[Sequence[Fraction]]) -> Vec:
+    """One nonzero rational vector in the null space of m (must exist); its
+    entry in the first free column is 1."""
+    rows, _ = integer_rows(m)
+    v, free = _null_vector(rows)
+    return tuple(Fraction(x, v[free]) for x in v)
+
+
+def integer_nullspace_vector(m: Sequence[Sequence[int]]) -> list[int]:
+    """The primitive integer multiple of `nullspace_vector(m)`, up to sign,
+    for an integer matrix m: no Fraction is built."""
+    v, _ = _null_vector(list(m))
+    g = math.gcd(*v)
+    return [x // g for x in v]

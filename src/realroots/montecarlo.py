@@ -74,9 +74,9 @@ class MonteCarloStats:
         }
 
 
-def _require_samples(samples: int) -> None:
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ValueError(f"need an integer of at least 2 samples, got {samples!r}")
+def _require_samples(samples: int, minimum: int = 2) -> None:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < minimum:
+        raise ValueError(f"need an integer of at least {minimum} samples, got {samples!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,7 @@ def count_zeros_circle(support: Support, samples: int, seed: int) -> MonteCarloS
 def circle_zero_locations(support: Support, samples: int, seed: int) -> np.ndarray:
     """Pooled zero locations (mod 1) over the kept samples, found by bisection
     inside the certified one-zero cells."""
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
+    _require_samples(samples, 1)
     locations: list[np.ndarray] = []
     for g, _, kept, (rows, lo, width) in _circle_blocks(support, samples, seed):
         take = kept[rows]
@@ -507,11 +506,21 @@ def count_common_zeros_torus2(
 # Gaussian mixed-volume estimator
 # ---------------------------------------------------------------------------
 
+_DET_BLOCK = 16384  # Gaussian matrices drawn and reduced together
+
+
 def gaussian_mixed_volume(
     covariances: Sequence[np.ndarray], samples: int = 100_000, seed: int = 0
 ) -> MonteCarloStats:
     """Mixed volume of ellipsoids from the expected absolute determinant of
-    a Gaussian matrix whose row i has covariance Q_i."""
+    a Gaussian matrix G whose row i has covariance Q_i.
+
+    |det G| is the product of the Gram-Schmidt residual norms of its rows:
+    row i minus its projection on the span of rows 0..i-1.  Each block of
+    _DET_BLOCK matrices is reduced at once: row i of every matrix in the
+    block is one column of an (n, block) array.  The draws are one standard
+    normal stream in (sample, row, column) order, so the blocking does not
+    change them."""
     _require_samples(samples)
     qs = [np.asarray(q, dtype=float) for q in covariances]
     n = qs[0].shape[0]
@@ -524,14 +533,23 @@ def gaussian_mixed_volume(
         factors.append(vecs * np.sqrt(vals))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     const = (2 * math.pi) ** (n / 2) / math.factorial(n)
-    dets = np.empty(samples)
-    done = 0
-    while done < samples:
-        block = min(65536, samples - done)
+    dets = np.ones(samples)
+    for done in range(0, samples, _DET_BLOCK):
+        block = min(_DET_BLOCK, samples - done)
         z = rng.standard_normal((block, n, n))
-        rows = np.stack([z[:, i, :] @ factors[i].T for i in range(n)], axis=1)
-        dets[done : done + block] = np.abs(np.linalg.det(rows))
-        done += block
+        det = dets[done : done + block]
+        basis: list[np.ndarray] = []
+        for i, factor in enumerate(factors):
+            row = factor @ z[:, i, :].T
+            for unit in basis:
+                row -= np.einsum("kb,kb->b", unit, row) * unit
+            norm = np.sqrt(np.einsum("kb,kb->b", row, row))
+            det *= norm
+            if i < n - 1:
+                # a zero residual has already made the determinant 0; as a
+                # zero basis vector it removes nothing from the later rows
+                np.divide(row, norm, out=row, where=norm > 0)
+                basis.append(row)
     return MonteCarloStats(
         value=const * float(dets.mean()),
         stderr=const * float(dets.std(ddof=1) / math.sqrt(samples)),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from realroots import exactalg as xa
+import hull_oracle
 from planar_oracle import polarized_mixed_area
 from realroots.convex import (
     _affine_basis,
@@ -115,6 +116,32 @@ def test_hull_vertices_match_scipy_on_integer_clouds(dim, count, radius, seed):
         h = convex_hull([tuple(int(c) for c in p) for p in pts])
         assert [tuple(int(c) for c in v) for v in h.vertices] == _scipy_vertices(pts)
         assert float(h.volume()) == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim,count,radius,seed", [(3, 40, 1, 20), (3, 60, 2, 21), (4, 40, 1, 22), (4, 45, 2, 23)]
+)
+def test_facet_planes_match_the_fraction_oracle(monkeypatch, dim, count, radius, seed):
+    # small integer boxes put several points on most facets, so the planes
+    # come from elimination orders with and without row swaps
+    import realroots.convex as cx
+
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        pts = sorted({tuple(int(c) for c in p) for p in rng.integers(-radius, radius + 1, size=(count, dim))})
+        basis = _affine_basis(pts)
+        facets = _beneath_beyond(pts, basis)
+        hull = convex_hull(pts)
+        for key, (normal, offset) in facets.items():
+            assert len(key) == dim and math.gcd(*normal) == 1
+            assert all(sum(a * b for a, b in zip(normal, pts[i])) == offset for i in key)
+        with monkeypatch.context() as patch:
+            patch.setattr(cx, "_facet_plane", hull_oracle.facet_plane)
+            assert _beneath_beyond(pts, basis) == facets
+            old = convex_hull(pts)
+        assert (hull.vertices, hull.triangulation, hull.volume()) == (
+            old.vertices, old.triangulation, old.volume()
+        )
 
 
 def test_one_dimensional_hull_keeps_the_two_end_points():

@@ -1,6 +1,7 @@
 """Exact rational linear algebra against numpy float oracles, the Fraction
 elimination oracle and identities."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from realroots.exactalg import (
     as_vec,
     bilinear,
     dot,
+    integer_nullspace_vector,
     integer_rows,
     mat_det,
     mat_inverse,
@@ -202,6 +204,20 @@ def test_elimination_matches_fraction_oracle(system):
         det = mat_det(m)
         assert det == oracle.mat_det(m) and isinstance(det, Fraction)
         assert outcome(mat_inverse, m) == outcome(oracle.mat_inverse, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_systems())
+def test_integer_null_vector_is_the_primitive_oracle_vector(system):
+    rows, _ = integer_rows(system[0])
+    want = outcome(oracle.nullspace_vector, rows)
+    got = outcome(integer_nullspace_vector, rows)
+    if want[0] is ValueError:
+        assert got == want
+    else:
+        (scaled,), _ = integer_rows([want])
+        g = math.gcd(*scaled)
+        assert got in ([x // g for x in scaled], [-x // g for x in scaled])
 
 
 def test_elimination_of_empty_matrix():

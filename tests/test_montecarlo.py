@@ -22,6 +22,7 @@ from realroots.montecarlo import (
 )
 from realroots.rootsystems import root_system
 from realroots.torus import box_support, complex_count_torus, mean_real_count_torus, segment_support
+import gaussian_oracle
 import torus2_oracle
 from circle_oracle import unimodular_root_counts
 from equidistribution import equidistribution_check
@@ -513,6 +514,35 @@ def test_gaussian_volume_reproducible():
     assert a.value == b.value and a.stderr == b.stderr
 
 
+def _spd(n: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + 0.1 * np.eye(n)
+
+
+GAUSSIAN_BODIES = {
+    "line": [np.array([[2.5]])],
+    "two-discs": [np.eye(2), np.eye(2)],
+    "two-ellipses": [_spd(2, 1), _spd(2, 2)],
+    "point-and-disc": [np.zeros((2, 2)), np.eye(2)],
+    "three-balls": [np.eye(3)] * 3,
+    "flat-and-two": [np.diag([1.0, 2.0, 0.0]), _spd(3, 3), _spd(3, 4)],
+    "four-mixed": [_spd(4, 5), _spd(4, 6), np.eye(4), _spd(4, 7)],
+    "four-equal": [_spd(4, 8)] * 4,
+}
+
+
+@pytest.mark.parametrize("samples", [2, 16385, 100_003])
+@pytest.mark.parametrize("bodies", GAUSSIAN_BODIES.values(), ids=GAUSSIAN_BODIES.keys())
+def test_gaussian_volume_matches_the_lapack_determinant_oracle(bodies, samples):
+    # same draws, in the same order across block boundaries: only the
+    # determinant's rounding differs
+    got = gaussian_mixed_volume(bodies, samples=samples, seed=samples + len(bodies))
+    want = gaussian_oracle.gaussian_mixed_volume(bodies, samples=samples, seed=samples + len(bodies))
+    assert got.samples == want.samples == samples
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
+
+
 # -- sample-count guards ------------------------------------------------------------------
 
 @pytest.mark.parametrize("samples", [-1, 0, 1])
@@ -531,6 +561,10 @@ def test_counters_need_an_integer_sample_count(samples):
         count_zeros_circle(segment_support(3), samples, seed=1)
     with pytest.raises(ValueError, match="integer of at least 2 samples"):
         count_common_zeros_torus2(box_support(2, 1), samples, seed=1)
+    with pytest.raises(ValueError, match="integer of at least 2 samples"):
+        gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=samples, seed=1)
+    with pytest.raises(ValueError, match="integer of at least 1 sample"):
+        circle_zero_locations(segment_support(3), samples, seed=1)
 
 
 @pytest.mark.parametrize("count", [1, 3])
