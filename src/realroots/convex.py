@@ -3,8 +3,12 @@ ellipsoids with floating-point support functions.
 
 Polytope hulls, volumes and mixed volumes are exact in any dimension we
 actually use (<= 4 by contract); ellipsoid computations are floating point.
+A polytope holds its extreme points as integer rows over their least common
+denominator; hulls, Minkowski sums, dilations, simplex volumes and the
+quadrature's vertex rows all run on those integers, and the Fraction
+vertices are built only when read.
 Hulls run on integer coordinates (the points, or a flat's affine coordinates,
-times the lcm of their denominators): a monotone chain in the plane, else an
+times a common denominator): a monotone chain in the plane, else an
 incremental (beneath-beyond) boundary complex whose facet planes are the
 primitive integer null vectors of their vertices lifted to (v, 1), and whose
 vertices are the boundary points where the facet normals have full rank.
@@ -173,87 +177,132 @@ def _triangulation(verts: list[IntVec]) -> list[tuple[int, ...]]:
             if _dot(facets[key][0], apex) != facets[key][1]]
 
 
-def _simplex_volume(verts: Sequence[xa.Vec]) -> Fraction:
-    """|det(v_i - v_0)| / d! for the d + 1 vertices of a d-simplex."""
-    v0 = verts[0]
-    return abs(xa.mat_det([xa.vec_sub(v, v0) for v in verts[1:]])) / math.factorial(len(v0))
+def _simplex_det(rows: Sequence[IntVec]) -> int:
+    """|det(v_i - v_0)| for the d + 1 integer vertices of a d-simplex, d!
+    times its volume."""
+    v0 = rows[0]
+    return abs(xa.mat_det([xa.vec_sub(v, v0) for v in rows[1:]])).numerator
 
 
 class Polytope:
     """Convex lattice/rational polytope given by its extreme points.
 
     Construct through :func:`convex_hull`; the constructor itself trusts the
-    caller that `vertices` are exactly the extreme points.
+    caller that `vertices` are exactly the extreme points.  The points are
+    held as the lexicographically sorted integer rows `coords` over their
+    least common `denominator`; `vertices` are the same points as Fraction
+    tuples, built on first use.
     """
 
-    __slots__ = ("dim", "vertices", "triangulation", "_volume")
+    __slots__ = ("dim", "coords", "denominator", "triangulation", "_vertices", "_volume")
 
     def __init__(self, vertices: Sequence[Sequence], triangulation: Sequence[tuple[int, ...]] = ()):
-        verts = tuple(sorted(xa.as_vec(v) for v in vertices))
-        if not verts:
+        coords, denominator = xa.integer_rows(vertices)
+        self._set(sorted(map(tuple, coords)), denominator, triangulation)
+
+    @classmethod
+    def _lattice(cls, coords: list[IntVec], denominator: int,
+                 triangulation: Sequence[tuple[int, ...]] = ()) -> "Polytope":
+        """The polytope with the sorted integer rows `coords` / `denominator`
+        as its vertices."""
+        body = cls.__new__(cls)
+        body._set(coords, denominator, triangulation)
+        return body
+
+    def _set(self, coords: list[IntVec], denominator: int,
+             triangulation: Sequence[tuple[int, ...]]) -> None:
+        if not coords:
             raise ValueError("a polytope needs at least one point")
-        self.dim = len(verts[0])
-        if any(len(v) != self.dim for v in verts):
+        self.dim = len(coords[0])
+        if any(len(v) != self.dim for v in coords):
             raise ValueError("inconsistent vertex dimensions")
-        self.vertices = verts
+        g = math.gcd(denominator, *(x for v in coords for x in v))
+        if g > 1:
+            coords = [tuple(x // g for x in v) for v in coords]
+        self.coords = tuple(coords)
+        self.denominator = denominator // g
         self.triangulation = tuple(tuple(t) for t in triangulation)
+        self._vertices: tuple[xa.Vec, ...] | None = None
         self._volume: Fraction | None = None
+
+    @property
+    def vertices(self) -> tuple[xa.Vec, ...]:
+        if self._vertices is None:
+            s = self.denominator
+            self._vertices = tuple(tuple(Fraction(x, s) for x in v) for v in self.coords)
+        return self._vertices
 
     # -- basic geometry -------------------------------------------------
 
     def volume(self) -> Fraction:
         """Exact Lebesgue volume (0 for lower-dimensional polytopes)."""
         if self._volume is None:
-            self._volume = sum((_simplex_volume([self.vertices[i] for i in simplex])
-                                for simplex in self.triangulation), Fraction(0))
+            dets = sum(_simplex_det([self.coords[i] for i in simplex])
+                       for simplex in self.triangulation)
+            self._volume = Fraction(dets, math.factorial(self.dim) * self.denominator**self.dim)
         return self._volume
 
     def translate(self, shift: Sequence) -> "Polytope":
-        s = xa.as_vec(shift)
-        return Polytope([xa.vec_add(v, s) for v in self.vertices], self.triangulation)
+        (row,), t = xa.integer_rows([shift])
+        if len(row) != self.dim:
+            raise ValueError("shift has the wrong dimension")
+        s = math.lcm(self.denominator, t)
+        a, b = s // self.denominator, s // t
+        coords = [tuple(a * x + b * y for x, y in zip(v, row)) for v in self.coords]
+        return Polytope._lattice(coords, s, self.triangulation)
 
     def dilate(self, factor) -> "Polytope":
         f = xa.as_fraction(factor)
         if f < 0:
             raise ValueError("dilation factor must be non-negative")
         if f == 0:
-            return Polytope([(Fraction(0),) * self.dim])
-        return Polytope([xa.vec_scale(v, f) for v in self.vertices], self.triangulation)
+            return Polytope._lattice([(0,) * self.dim], 1)
+        coords = [tuple(f.numerator * x for x in v) for v in self.coords]
+        return Polytope._lattice(coords, self.denominator * f.denominator, self.triangulation)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polytope) and self.vertices == other.vertices
+        return (isinstance(other, Polytope) and self.denominator == other.denominator
+                and self.coords == other.coords)
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash((self.denominator, self.coords))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Polytope(dim={self.dim}, nvertices={len(self.vertices)})"
+        return f"Polytope(dim={self.dim}, nvertices={len(self.coords)})"
+
+
+def _lattice_hull(pts: list[IntVec], denominator: int) -> Polytope:
+    """Hull of distinct, lexicographically sorted integer rows over a
+    positive `denominator`."""
+    if len(pts) == 1:
+        return Polytope._lattice(pts, denominator)
+    basis = _affine_basis(pts)
+    if len(basis) == len(pts[0]) + 1:
+        verts = [pts[i] for i in _extreme_points(pts, basis)]
+        return Polytope._lattice(verts, denominator, _triangulation(verts))
+    # a flat: its hull in affine coordinates on the basis
+    origin = pts[0]
+    bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
+    coords, _ = xa.integer_rows(xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts)
+    return Polytope._lattice([pts[i] for i in _extreme_points(coords, basis)], denominator)
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
     """Exact convex hull; vertices of the result are the extreme points.  A
     full-dimensional hull also carries a triangulation, a flat one does not."""
-    pts = sorted({xa.as_vec(p) for p in points})
-    if not pts:
+    coords, denominator = xa.integer_rows(points)
+    if not coords:
         raise ValueError("convex_hull of an empty set")
-    if len(pts) == 1:
-        return Polytope(pts)
-    basis = _affine_basis(pts)
-    if len(basis) == len(pts[0]) + 1:
-        coords, _ = xa.integer_rows(pts)
-        ext = _extreme_points(coords, basis)
-        return Polytope([pts[i] for i in ext], _triangulation([coords[i] for i in ext]))
-    # a flat: its hull in affine coordinates on the basis
-    origin = pts[0]
-    bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
-    coords, _ = xa.integer_rows(xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts)
-    return Polytope([pts[i] for i in _extreme_points(coords, basis)])
+    return _lattice_hull(sorted(set(map(tuple, coords))), denominator)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     if p.dim != q.dim:
         raise ValueError("dimension mismatch in Minkowski sum")
-    return convex_hull([xa.vec_add(v, w) for v in p.vertices for w in q.vertices])
+    s = math.lcm(p.denominator, q.denominator)
+    a, b = s // p.denominator, s // q.denominator
+    pts = {tuple(a * x + b * y for x, y in zip(v, w)) for v in p.coords for w in q.coords}
+    return _lattice_hull(sorted(pts), s)
 
 
 def polarize(bodies: Sequence, functional: Callable) -> Fraction:
@@ -527,13 +576,14 @@ def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProdu
         poly = FormProducts.from_polynomial(poly)
     if not p.triangulation:
         return Fraction(0)
+    unit = math.factorial(p.dim) * p.denominator**p.dim
     total = None
     for simplex in p.triangulation:
-        verts = [p.vertices[i] for i in simplex]
-        vol = _simplex_volume(verts)
-        if vol == 0:
+        rows = [p.coords[i] for i in simplex]
+        det = _simplex_det(rows)
+        if det == 0:
             continue
-        term = integrate_over_simplex(poly, verts, vol)
+        term = integrate_over_simplex(poly, rows, Fraction(det, unit), p.denominator)
         total = term if total is None else total + term
     return Fraction(0) if total is None else total
 

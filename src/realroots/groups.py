@@ -203,10 +203,12 @@ def weighted_polytope(ensemble: RepEnsemble | RootSystem, weight=None) -> Polyto
     else:
         rs = ensemble
         weights = [xa.as_vec(weight)]
-    pts = []
-    for w in weights:
-        pts.extend(rs.weyl_orbit(w))
-    return convex_hull(pts)
+    # the orbits of the integer rows s w, s a common denominator, shrunk by s
+    rows, s = xa.integer_rows(weights)
+    pts = set()
+    for row in rows:
+        pts.update(rs.lattice_orbit(row)[0])
+    return convex_hull(pts).dilate(Fraction(1, s))
 
 
 def _squared_root_product(rs: RootSystem) -> FormProducts:
@@ -219,6 +221,17 @@ def _lattice_density_integral(rs: RootSystem, body: Polytope) -> Fraction:
     """Exact integral over the body of the squared root product, against
     Lebesgue measure in weight coordinates (weight-lattice normalization)."""
     return integrate_polynomial_over_polytope(body, _squared_root_product(rs))
+
+
+def _newton_body_factor(rs: RootSystem, metric: Metric) -> float:
+    """The body-independent factor of `newton_body_volume`: the group over
+    the torus calibration times the metric density of the lattice integral."""
+    scale = float(metric.scale)
+    p = rs.num_positive_roots
+    k = rs.rank
+    density = scale ** (2 * p + k / 2) * Metric(rs).weight_covolume()
+    calibration = metric.group_volume() / (rs.weyl_order * metric.torus_volume())
+    return calibration * density
 
 
 def newton_body_volume(
@@ -239,14 +252,8 @@ def newton_body_volume(
         rs = ensemble
         if body is None:
             body = weighted_polytope(rs, weight)
-    metric = metric or Metric(rs)
-    exact = _lattice_density_integral(rs, body)
-    scale = float(metric.scale)
-    p = rs.num_positive_roots
-    k = rs.rank
-    density = scale ** (2 * p + k / 2) * Metric(rs).weight_covolume()
-    calibration = metric.group_volume() / (rs.weyl_order * metric.torus_volume())
-    return calibration * density * float(exact)
+    factor = _newton_body_factor(rs, metric or Metric(rs))
+    return factor * float(_lattice_density_integral(rs, body))
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +298,20 @@ def complex_count_reductive(
     n = rs.dimension
     hulls = {e: weighted_polytope(e) for e in set(ens)}
     bodies = [hulls[e] for e in ens]
+    p_sq = _squared_root_product(rs)
+
+    def density_integral(body: Polytope) -> Fraction:
+        return integrate_polynomial_over_polytope(body, p_sq)
 
     if route == "lattice":
         p_rho_sq = Metric(rs).root_product_at_rho() ** 2
-        mixed = polarize(bodies, lambda b: _lattice_density_integral(rs, b)) / p_rho_sq
+        mixed = polarize(bodies, density_integral) / p_rho_sq
         return Fraction(math.factorial(n), rs.weyl_order) * mixed
 
     if route == "calibrated":
         metric = metric or Metric(rs)
-        mixed = polarize(bodies, lambda b: newton_body_volume(rs, metric=metric, body=b))
+        factor = _newton_body_factor(rs, metric)
+        mixed = polarize(bodies, lambda b: factor * float(density_integral(b)))
         value = math.factorial(n) * metric.torus_volume() * mixed
         value /= (
             float(metric.root_product_at_rho()) ** 2

@@ -249,13 +249,15 @@ def _level_columns(at_vertex: Sequence[int], s: int) -> list[list[int]]:
     return tails
 
 
-def integrate_over_simplex(integrand: FormProducts, vertices: Sequence[Sequence], volume) -> Fraction:
-    """Integrate `integrand` exactly over the simplex with the given rational
-    vertices.
+def integrate_over_simplex(integrand: FormProducts, vertices: Sequence[Sequence], volume,
+                           denominator: int = 1) -> Fraction:
+    """Integrate `integrand` exactly over the simplex whose vertices are the
+    given rational rows divided by `denominator` (integer rows over their
+    common denominator go in as they are).
 
     `volume` is the (already known) Lebesgue volume of the simplex; passing it
     avoids recomputing determinants.  The Grundmann-Moller nodes are evaluated
-    in integers: with `scale` the lcm of the vertex denominators and
+    in integers: with `scale` a common denominator of the vertices and
     L[j][k] = scale * l_j(v_k), form j at a node of a level with denominator
     q is sum_k (2 beta_k + 1) L[j][k] / (q * scale).  Each level sums the
     integer numerators of its products, which leaves one rational per level.
@@ -264,6 +266,7 @@ def integrate_over_simplex(integrand: FormProducts, vertices: Sequence[Sequence]
     deg = integrand.total_degree
     s = deg // 2  # the smallest s with 2s + 1 >= deg
     points, scale = integer_rows(vertices)
+    scale *= denominator
     columns = [
         _level_columns([sum(a * x for a, x in zip(form, p)) for p in points], s)
         for form in integrand.forms

@@ -2,7 +2,13 @@
 
 Weights live in fundamental-weight coordinates: a weight is a tuple of
 rationals (integers for lattice points), and the simple root alpha_i is row i
-of the Cartan matrix.  All pairings are exact rationals.
+of the Cartan matrix.  Weyl orbits close integer rows under the integer
+Cartan rows.  Each positive root beta carries a primitive integer coroot row
+k_beta, with (lam, beta^vee) = sum_i k_i lam_i, and its length ratio
+r_beta = 2 / (beta, beta) (long roots have squared length 2); Weyl
+dimensions, the root product and the group and torus volumes are products
+and sums of these integers, with one rational constant at the end.  Inner
+products of general weights are exact rationals.
 
 The reference inner product on the weight space is the one induced by the
 negative Killing form of the compact group; a :class:`Metric` rescales it by
@@ -13,6 +19,7 @@ through the fixed Killing identification of the Cartan algebra with its dual.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,10 +79,14 @@ def _simple_root_gram(family: str, rank: int) -> xa.Mat:
     return tuple(tuple(row) for row in gram)
 
 
-def _reflection_closure(cartan: xa.Mat, starts: Iterable[xa.Vec]) -> dict[xa.Vec, int]:
-    """Closure of `starts` under the simple reflections, v -> v - v_i alpha_i
-    with alpha_i row i of the Cartan matrix.  Each point maps to the sign
-    (-1)^k of the shortest word of k reflections reaching it from a start."""
+IntVec = tuple[int, ...]
+
+
+def _reflection_closure(cartan: Sequence[Sequence[int]], starts: Iterable[IntVec]) -> dict[IntVec, int]:
+    """Closure of the integer rows `starts` under the simple reflections,
+    v -> v - v_i alpha_i with alpha_i row i of the integer Cartan matrix.
+    Each point maps to the sign (-1)^k of the shortest word of k reflections
+    reaching it from a start."""
     signs = dict.fromkeys(starts, 1)
     frontier = list(signs)
     while frontier:
@@ -101,6 +112,11 @@ class RootSystem:
     gram_std: xa.Mat                  # fundamental-weight Gram, long roots norm 2
     gram_killing: xa.Mat              # fundamental-weight Gram, Killing normalization
     positive_roots: tuple[xa.Vec, ...]
+    # per positive root: the coroot row k_beta, (lam, beta^vee) = sum_i k_i lam_i,
+    # and r_beta = 2 / (beta, beta), so (lam, beta) = <k_beta, lam> / r_beta
+    # in the long-roots-norm-2 pairing; the simple roots come first
+    coroots: tuple[IntVec, ...]
+    root_ratios: tuple[int, ...]
     highest_root: xa.Vec
     weyl_order: int
     dual_coxeter: int
@@ -136,14 +152,28 @@ class RootSystem:
                 return v
             v = self.simple_reflection(i, v)
 
+    def lattice_orbit(self, lam: Sequence) -> tuple[dict[IntVec, int], int]:
+        """Weyl orbit of lam as integer rows over the least common
+        denominator s of lam, each mapped to the sign of the shortest group
+        element carrying s lam there; and s."""
+        (row,), s = xa.integer_rows([lam])
+        cartan = [[int(x) for x in r] for r in self.cartan]
+        return _reflection_closure(cartan, [tuple(row)]), s
+
     def weyl_orbit(self, lam: Sequence) -> tuple[xa.Vec, ...]:
-        return tuple(sorted(_reflection_closure(self.cartan, [xa.as_vec(lam)])))
+        signs, s = self.lattice_orbit(lam)
+        return tuple(tuple(Fraction(x, s) for x in v) for v in sorted(signs))
 
     def signed_weyl_orbit(self, lam: Sequence) -> tuple[tuple[int, xa.Vec], ...]:
         """Orbit of a regular point with the sign of the group element
         carrying the base point there."""
-        signs = _reflection_closure(self.cartan, [xa.as_vec(lam)])
-        return tuple(sorted((s, v) for v, s in signs.items()))
+        signs, s = self.lattice_orbit(lam)
+        return tuple(sorted((sign, tuple(Fraction(x, s) for x in v))
+                            for v, sign in signs.items()))
+
+    def __hash__(self) -> int:
+        # the name determines the rest; ensembles are hashed with their system
+        return hash(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.name})"
@@ -169,16 +199,26 @@ def root_system(name: str) -> RootSystem:
         tuple(cinv[i][j] * d[j] for j in range(rank)) for i in range(rank)
     )
     # all roots: Weyl closure of the simple roots
-    roots = _reflection_closure(cartan, cartan)
+    cartan_int = [[int(x) for x in row] for row in cartan]
+    roots = _reflection_closure(cartan_int, map(tuple, cartan_int))
     cartan_t = tuple(zip(*cartan, strict=True))
     positive = []
     for r in sorted(roots):
         coeffs = xa.solve(cartan_t, r)
         if all(c >= 0 for c in coeffs):
-            positive.append((sum(coeffs), r))
-    positive.sort()
+            positive.append((sum(coeffs), xa.as_vec(r)))
+    positive.sort()  # by height, so the simple roots come first
     highest = positive[-1][1]
     pos_roots = tuple(r for _, r in positive)
+    # coroot rows: k_i = (omega_i, beta^vee) = r_beta (G beta)_i
+    coroots, ratios = [], []
+    for beta in pos_roots:
+        ratio = 2 / xa.bilinear(gram_std, beta, beta)
+        row = xa.vec_scale(xa.mat_vec(gram_std, beta), ratio)
+        if ratio.denominator != 1 or any(k.denominator != 1 for k in row):
+            raise AssertionError("coroot rows must be integral")  # pragma: no cover
+        ratios.append(int(ratio))
+        coroots.append(tuple(int(k) for k in row))
     # dual Coxeter number from the highest root
     rho = (Fraction(1),) * rank
     hr_norm = xa.bilinear(gram_std, highest, highest)
@@ -208,6 +248,8 @@ def root_system(name: str) -> RootSystem:
         gram_std=gram_std,
         gram_killing=gram_k,
         positive_roots=pos_roots,
+        coroots=tuple(coroots),
+        root_ratios=tuple(ratios),
         highest_root=highest,
         weyl_order=order,
         dual_coxeter=int(hvee),
@@ -219,22 +261,22 @@ def root_system(name: str) -> RootSystem:
 # representation-theoretic quantities (metric independent)
 # ---------------------------------------------------------------------------
 
+def _coroot_pairings(rs: RootSystem, row: Sequence[int]) -> list[int]:
+    """<k_beta, row> for every positive root beta."""
+    return [sum(map(operator.mul, k, row)) for k in rs.coroots]
+
+
 def weyl_dimension(rs: RootSystem, lam: Sequence) -> int:
-    """Dimension of the irreducible representation with highest weight lam."""
+    """Dimension of the irreducible representation with highest weight lam:
+    prod_beta (lam + rho, beta^vee) / (rho, beta^vee)."""
     v = xa.as_vec(lam)
     if any(c < 0 or c.denominator != 1 for c in v):
         raise ValueError("highest weight must be dominant integral")
-    num = Fraction(1)
-    den = Fraction(1)
-    rho = rs.rho
-    lam_rho = xa.vec_add(v, rho)
-    for beta in rs.positive_roots:
-        num *= xa.bilinear(rs.gram_std, lam_rho, beta)
-        den *= xa.bilinear(rs.gram_std, rho, beta)
-    dim = num / den
-    if dim.denominator != 1:  # pragma: no cover - Weyl dimension is integral
+    num = math.prod(_coroot_pairings(rs, [int(c) + 1 for c in v]))
+    dim, rem = divmod(num, math.prod(map(sum, rs.coroots)))
+    if rem:  # pragma: no cover - Weyl dimension is integral
         raise AssertionError("non-integral dimension")
-    return int(dim)
+    return dim
 
 
 def casimir(rs: RootSystem, lam: Sequence, scale: Fraction | int = 1) -> Fraction:
@@ -254,13 +296,11 @@ def symmetric_partner(rs: RootSystem, lam: Sequence) -> xa.Vec:
 def _fs_parity(rs: RootSystem, lam: Sequence) -> int:
     """Indicator for self-dual representations via the pairing of the
     highest weight with the sum of positive coroots."""
-    v = xa.as_vec(lam)
-    total = Fraction(0)
-    for beta in rs.positive_roots:
-        total += 2 * xa.bilinear(rs.gram_std, v, beta) / xa.bilinear(rs.gram_std, beta, beta)
-    if total.denominator != 1:  # pragma: no cover - integral for integral weights
+    (row,), s = xa.integer_rows([lam])
+    total, rem = divmod(sum(_coroot_pairings(rs, row)), s)
+    if rem:  # pragma: no cover - integral for integral weights
         raise AssertionError("non-integral coroot pairing")
-    return -1 if int(total) % 2 else 1
+    return -1 if total % 2 else 1
 
 
 def frobenius_schur_indicator(rs: RootSystem, lam: Sequence) -> int:
@@ -316,37 +356,30 @@ class Metric:
 
     def root_product(self, lam: Sequence) -> Fraction:
         """Product over positive roots of the pairing with lam."""
-        v = xa.as_vec(lam)
-        out = Fraction(1)
-        for beta in self.rs.positive_roots:
-            out *= self.pairing(v, beta)
-        return out
+        const, forms = self.root_forms()
+        (row,), s = xa.integer_rows([lam])
+        return const * Fraction(math.prod(_coroot_pairings(self.rs, row)), s ** len(forms))
 
     def root_product_poly(self) -> Polynomial:
         """The same product as a polynomial in weight coordinates."""
-        rank = self.rs.rank
-        poly = Polynomial.constant(rank, Fraction(1))
-        gram = self.gram()
-        for beta in self.rs.positive_roots:
-            coeffs = xa.mat_vec(gram, beta)
-            poly = poly * Polynomial.linear_form(coeffs)
+        const, forms = self.root_forms()
+        poly = Polynomial.constant(self.rs.rank, const)
+        for k in forms:
+            poly = poly * Polynomial.linear_form(k)
         return poly
 
-    def root_forms(self) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
-        """The same product as constant * prod_beta <l_beta, x>, with one
-        primitive integer form l_beta per positive root."""
-        const = Fraction(1)
-        forms = []
-        gram = self.gram()
-        for beta in self.rs.positive_roots:
-            (nums,), den = xa.integer_rows([xa.mat_vec(gram, beta)])
-            g = math.gcd(*nums)
-            forms.append(tuple(x // g for x in nums))
-            const *= Fraction(g, den)
-        return const, tuple(forms)
+    def root_forms(self) -> tuple[Fraction, tuple[IntVec, ...]]:
+        """The same product as constant * prod_beta <k_beta, x>, with the
+        primitive integer coroot rows k_beta: the Killing pairing with beta is
+        <k_beta, x> / (2 h r_beta), h the dual Coxeter number."""
+        rs = self.rs
+        p = rs.num_positive_roots
+        const = self.scale**p / ((2 * rs.dual_coxeter) ** p * math.prod(rs.root_ratios))
+        return const, rs.coroots
 
     def root_product_at_rho(self) -> Fraction:
-        return self.root_product(self.rs.rho)
+        const, forms = self.root_forms()
+        return const * math.prod(map(sum, forms))
 
     # -- lattices and volumes ----------------------------------------------
 
@@ -364,17 +397,13 @@ class Metric:
 
         The image vectors are fixed by the unscaled pairing (they live on the
         group side of the identification); only the measuring pairing carries
-        the scale, so the covolume grows like scale^(rank/2)."""
+        the scale, so the covolume grows like scale^(rank/2).  In the Killing
+        pairing the image of alpha_i is 2 h r_i alpha_i, so the Gram entry
+        (i, j) is scale 2 h r_i cartan_ij, with r_i the length ratio of the
+        i-th simple root."""
         rs = self.rs
-        base = self if self.scale == 1 else Metric(rs)
-        images = []
-        for i in range(rs.rank):
-            alpha = rs.cartan[i]
-            images.append(xa.vec_scale(alpha, 2 / base.pairing(alpha, alpha)))
-        gram = tuple(
-            tuple(self.pairing(a, b) for b in images) for a in images
-        )
-        return xa.mat_det(gram)
+        simple = math.prod(rs.root_ratios[: rs.rank])
+        return (2 * rs.dual_coxeter * self.scale) ** rs.rank * simple * xa.mat_det(rs.cartan)
 
     def torus_volume(self) -> float:
         """Riemannian volume of the maximal torus."""
@@ -398,19 +427,24 @@ class Metric:
         if r < 0:
             raise ValueError("radius must be non-negative")
         rs = self.rs
-        gram_inv = xa.mat_inverse(self.gram())
+        gram = self.gram()
+        gram_inv = xa.mat_inverse(gram)
         r_f = float(r)
         bounds = []
         for j in range(rs.rank):
             bound = r_f * math.sqrt(float(gram_inv[j][j])) + 1e-9
             bounds.append(int(math.floor(bound)))
-        out = []
+        # |c|^2 <= r^2 in integers: with s G integral, c^T (s G) c den(r^2)
+        # <= s num(r^2); the box is scanned in lexicographic order
+        g, s = xa.integer_rows(gram)
         rsq = r * r
+        cap = s * rsq.numerator
+        out = []
         for coords in _iproduct(*(range(b + 1) for b in bounds)):
-            v = tuple(Fraction(c) for c in coords)
-            if self.norm_sq(v) <= rsq:
-                out.append(v)
-        return tuple(sorted(out))
+            norm = sum(c * sum(map(operator.mul, row, coords)) for c, row in zip(coords, g))
+            if norm * rsq.denominator <= cap:
+                out.append(tuple(Fraction(c) for c in coords))
+        return tuple(out)
 
     # -- ball integrals -----------------------------------------------------
 
@@ -425,12 +459,20 @@ class Metric:
         E[q] (2 pi)^(k/2) r^(2N+k) / (2^(N+k/2-1) Gamma(N+k/2) (2N+k)) on the
         ball of radius r in rank k; parts of odd degree vanish.  The moments
         are computed in integers, with the denominators of Sigma and q
-        cleared once."""
+        cleared once; each application of Delta is one pass over the integer
+        coefficients."""
         k = self.rs.rank
         sigma, s = xa.integer_rows(xa.mat_inverse(self.gram()))
-        # Sigma_ij d_i d_j + Sigma_ji d_j d_i for i < j, scaled by s
-        lap = [[c * (1 if i == j else 2) for j, c in enumerate(row)]
-               for i, row in enumerate(sigma)]
+        # Sigma_ij d_i d_j + Sigma_ji d_j d_i for i < j, scaled by s, as
+        # (i, j, exponent drop e_i + e_j, coefficient)
+        steps = []
+        for i in range(k):
+            for j in range(i, k):
+                if sigma[i][j]:
+                    drop = [0] * k
+                    drop[i] += 1
+                    drop[j] += 1
+                    steps.append((i, j, drop, sigma[i][j] * (1 if i == j else 2)))
         parts: dict[int, dict[tuple[int, ...], object]] = {}
         for exps, c in poly.coeffs.items():
             parts.setdefault(sum(exps), {})[exps] = c
@@ -441,12 +483,18 @@ class Metric:
                 continue
             n = deg // 2
             (nums,), d = xa.integer_rows([coeffs.values()])
-            q = Polynomial(k, dict(zip(coeffs, nums)))
+            q = dict(zip(coeffs, nums))
             for _ in range(n):
-                first = [q.partial(i) for i in range(k)]
-                q = sum((first[i].partial(j) * lap[i][j]
-                         for i in range(k) for j in range(i, k)), Polynomial(k))
-            moment = Fraction(q.coeffs.get((0,) * k, 0),
+                out: dict[tuple[int, ...], int] = {}
+                for exps, c in q.items():
+                    for i, j, drop, lap in steps:
+                        # d_i d_j x^e = e_i (e_j - [i = j]) x^(e - e_i - e_j)
+                        f = exps[i] * (exps[j] - (i == j))
+                        if f > 0:
+                            key = tuple(map(operator.sub, exps, drop))
+                            out[key] = out.get(key, 0) + f * lap * c
+                q = out
+            moment = Fraction(q.get((0,) * k, 0),
                               d * s**n * 2**n * math.factorial(n))
             total += float(moment) * (
                 (2 * math.pi) ** (k / 2) * r ** (deg + k)

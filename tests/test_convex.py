@@ -230,6 +230,45 @@ def test_translate_and_dilate():
     assert h.dilate(Fraction(1, 2)).volume() == Fraction(1, 4)
 
 
+def test_integer_input_gives_fraction_vertices():
+    # hulls run on integer rows, but every public vertex is a Fraction tuple,
+    # so v / 6 stays exact
+    cube = convex_hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (-1, 1)])
+    flat = convex_hull([(0, 0), (2, 2), (1, 1)])
+    bodies = [
+        cube,
+        flat,
+        convex_hull([(5,)]),
+        minkowski_sum(cube, cube),
+        minkowski_sum(flat, square()),
+        cube.translate([1, 2, 3]),
+        cube.dilate(3),
+        cube.dilate(0),
+        Polytope([(1, 2), (3, 4)]),
+    ]
+    for body in bodies:
+        assert all(type(c) is Fraction for v in body.vertices for c in v)
+    assert cube.vertices[0][2] / 6 == Fraction(-1, 6)
+    assert flat.vertices == ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(2)))
+
+
+def test_rational_bodies_compare_by_their_least_denominator():
+    h = convex_hull([(0, 0), (3, 0), (0, 2), ("-1/2", "1/3"), ("1/2", "1/3")])
+    assert h.denominator == 6
+    halved = h.dilate(Fraction(1, 2))
+    assert halved.denominator == 12
+    back = halved.dilate(2)
+    assert back == h and hash(back) == hash(h) and back.denominator == 6
+    assert back.triangulation == h.triangulation
+    assert h.translate([Fraction(1, 2), 0]).translate([Fraction(-1, 2), 0]) == h
+    assert Polytope(h.vertices, h.triangulation) == h
+    assert minkowski_sum(halved, halved) == h
+    assert minkowski_sum(h, halved) == h.dilate(Fraction(3, 2))
+    third = square().dilate(Fraction(1, 3))
+    sums = [xa.vec_add(v, w) for v in halved.vertices for w in third.vertices]
+    assert minkowski_sum(halved, third) == convex_hull(sums)
+
+
 # -- mixed volumes of polytopes ---------------------------------------------
 
 def test_mixed_volume_diagonal_is_volume():
@@ -573,6 +612,10 @@ def test_polytope_moments_over_unit_square():
     assert integrate_polynomial_over_polytope(sq, x * x * y * y) == Fraction(1, 9)
     assert integrate_polynomial_over_polytope(sq, x ** 6) == Fraction(1, 7)
     assert integrate_polynomial_over_polytope(sq, (x + y) ** 2) == Fraction(7, 6)
+    # a rational square: the integrand's monomials scale by their degree
+    half = sq.dilate(Fraction(1, 2))
+    assert integrate_polynomial_over_polytope(half, x * x * y * y) == Fraction(1, 9 * 2**6)
+    assert integrate_polynomial_over_polytope(half, x ** 6 + y) == Fraction(1, 7 * 2**8) + Fraction(1, 16)
 
 
 def test_polytope_moment_over_centered_hexagon():

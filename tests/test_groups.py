@@ -111,6 +111,9 @@ def test_weighted_polytope_shapes():
     # spectrum with several weights: hull of all orbits
     both = weighted_polytope(RepEnsemble(A2, [((1, 0), 1), ((1, 1), 1)]))
     assert both.volume() == hexagon.volume()
+    # a rational weight: the orbit of (1, 1), halved
+    half = weighted_polytope(A2, (Fraction(1, 2), Fraction(1, 2)))
+    assert half == hexagon.dilate(Fraction(1, 2)) and half.volume() == Fraction(9, 4)
 
 
 def test_newton_body_volume_of_unit_metric_ball():

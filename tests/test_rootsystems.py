@@ -2,16 +2,19 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ball_oracles import fischer_product, float_integrate_ball, orthonormal_frame, radial_constant
 from character_oracle import fs_indicator_quadrature
+import rootsystem_oracle
 from realroots.exactalg import dot, mat_vec
 from realroots.polynomials import Polynomial
 from realroots.rootsystems import (
     Metric,
+    _fs_parity,
     casimir,
     frobenius_schur_indicator,
     reality_type,
@@ -126,6 +129,39 @@ def test_weyl_order_matches_regular_orbit_size(name):
     # the group acts simply transitively on the orbit of a regular point
     rs = root_system(name)
     assert rs.weyl_order == len(rs.weyl_orbit(rs.rho))
+
+
+ORACLE_SYSTEMS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_coroot_table_pairs_each_root_to_two(name):
+    # <beta, beta^vee> = sum_i k_i beta_i = 2, and k_beta is the primitive
+    # integer row 2 G beta / (beta, beta)
+    rs = root_system(name)
+    assert len(rs.coroots) == len(rs.root_ratios) == rs.num_positive_roots
+    for beta, k, ratio in zip(rs.positive_roots, rs.coroots, rs.root_ratios):
+        assert all(type(x) is int for x in k)
+        assert sum(a * b for a, b in zip(k, beta)) == 2
+        assert k == rootsystem_oracle.coroot(rs, beta)
+        assert math.gcd(*k) == 1
+        assert ratio == 2 / dot(beta, mat_vec(rs.gram_std, beta))
+    # the simple roots come first: their coroot rows are the unit rows
+    units = {tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)}
+    assert set(rs.coroots[: rs.rank]) == units
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_coroot_table_matches_the_fraction_gram_oracle(name):
+    rs = root_system(name)
+    met = Metric(rs, Fraction(7, 5))
+    for lam in product(range(4), repeat=rs.rank):
+        assert weyl_dimension(rs, lam) == rootsystem_oracle.weyl_dimension(rs, lam)
+        assert _fs_parity(rs, lam) == rootsystem_oracle.fs_parity(rs, lam)
+        assert met.root_product(lam) == rootsystem_oracle.root_product(met, lam)
+    off_lattice = ((Fraction(1, 2), Fraction(-3, 7)) + (Fraction(2),) * rs.rank)[: rs.rank]
+    assert met.root_product(off_lattice) == rootsystem_oracle.root_product(met, off_lattice)
+    assert met.root_product_at_rho() == rootsystem_oracle.root_product(met, rs.rho)
 
 
 # -- reality types -------------------------------------------------------------
@@ -270,6 +306,23 @@ def test_ball_integral_matches_float_frame_oracle(name):
         )
 
 
+def test_weights_come_out_as_fractions():
+    # orbits are closed on integer rows, but every public weight is a
+    # Fraction tuple, so v / 6 stays exact
+    a2, b2 = root_system("A2"), root_system("B2")
+    weights = [
+        *a2.weyl_orbit((2, 1)),
+        *b2.weyl_orbit((Fraction(1, 2), 1)),
+        *(v for _, v in a2.signed_weyl_orbit(a2.rho)),
+        *Metric(b2).dominant_weights_in_ball(1),
+    ]
+    assert weights and all(type(c) is Fraction for v in weights for c in v)
+    assert a2.weyl_orbit((2, 1))[0][0] / 6 == Fraction(-1, 2)
+    assert b2.weyl_orbit((Fraction(1, 2), 1)) == tuple(
+        tuple(c / 2 for c in v) for v in b2.weyl_orbit((1, 2))
+    )
+
+
 def test_dominant_ball_enumeration_rank_one():
     a1 = root_system("A1")
     met = Metric(a1)
@@ -294,6 +347,17 @@ def test_dominant_ball_enumeration_is_complete_and_sound():
             if met.norm_sq((a, b)) <= radius * radius:
                 brute.add((Fraction(a), Fraction(b)))
     assert got == brute
+
+
+def test_dominant_ball_enumeration_keeps_weights_on_the_sphere():
+    # at scale 9/7 the weight (2, 1) has norm exactly 1
+    met = Metric(root_system("A2"), Fraction(9, 7))
+    assert met.norm_sq((2, 1)) == 1
+    got = met.dominant_weights_in_ball(1)
+    assert (2, 1) in got
+    assert got == tuple(
+        (Fraction(a), Fraction(b)) for a in range(6) for b in range(6) if met.norm_sq((a, b)) <= 1
+    )
 
 
 def test_unit_volume_metric_normalizes_group_volume():
