@@ -12,9 +12,15 @@ times a common denominator): a monotone chain in the plane, else an
 incremental (beneath-beyond) boundary complex whose facet planes are the
 primitive integer null vectors of their vertices lifted to (v, 1), and whose
 vertices are the boundary points where the facet normals have full rank.
-Only full-dimensional hulls are triangulated, by a second pass over their
-vertices.  Mixed volumes polarize the volume of Minkowski sums over the
-distinct bodies only, so repeated bodies cost no extra sums.
+A full-dimensional hull keeps the boundary complex of a second pass over its
+vertices (the ring's edges in the plane), grouped per facet plane; its
+triangulation is the cones from the first vertex over that complex.
+Polynomials are integrated over signed cones from the origin over the facet
+simplices, each reduced by homogeneity to a rule on a (d - 1)-simplex
+(Lasserre, "Integration on a convex polytope", 1998); a caller that knows a
+symmetry of body and integrand integrates one plane per orbit.  Mixed
+volumes polarize the volume of Minkowski sums over the distinct bodies only,
+so repeated bodies cost no extra sums.
 Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
 drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
 volumes of ellipsoids, and zeros of Gaussian random fields"): a closed form
@@ -60,6 +66,8 @@ __all__ = [
 
 IntVec = Sequence[int]
 Plane = tuple[tuple[int, ...], int]
+# per facet plane: its primitive outward integer normal and its facet simplices
+Facets = tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
 
 def _affine_basis(pts: Sequence[Sequence]) -> list[int]:
@@ -164,17 +172,39 @@ def _extreme_points(coords: list[IntVec], basis: list[int]) -> list[int]:
     return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)
 
 
-def _triangulation(verts: list[IntVec]) -> list[tuple[int, ...]]:
-    """Triangulation of the hull of lexicographically sorted, full-dimensional
-    points that are all extreme: cones from the first point over the facets
-    that miss it, as sorted index tuples."""
+def _boundary(verts: list[IntVec]) -> list[tuple[tuple[int, ...], Plane]]:
+    """Simplicial boundary complex of the hull of lexicographically sorted,
+    full-dimensional points that are all extreme, as (sorted facet simplex,
+    its primitive outward plane) pairs: the ring's edges from the first point
+    in the plane, else the beneath-beyond facets in sorted order."""
     if len(verts[0]) == 2:
         ring = _hull_2d(verts)
-        return [tuple(sorted((ring[0], a, b))) for a, b in zip(ring[1:-1], ring[2:])]
+        edges = []
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            (px, py), (qx, qy) = verts[a], verts[b]
+            g = math.gcd(qy - py, qx - px)
+            normal = ((qy - py) // g, (px - qx) // g)
+            edges.append((tuple(sorted((a, b))), (normal, _dot(normal, verts[a]))))
+        return edges
     facets = _beneath_beyond(verts, _affine_basis(verts))
+    return [(tuple(sorted(key)), facets[key]) for key in sorted(facets, key=sorted)]
+
+
+def _triangulation(verts: list[IntVec],
+                   boundary: list[tuple[tuple[int, ...], Plane]]) -> list[tuple[int, ...]]:
+    """Triangulation of the hull of lexicographically sorted, full-dimensional
+    points that are all extreme: cones from the first point over the facet
+    simplices of their `boundary` that miss it, as sorted index tuples."""
     apex = verts[0]
-    return [(0, *sorted(key)) for key in sorted(facets, key=sorted)
-            if _dot(facets[key][0], apex) != facets[key][1]]
+    return [(0, *key) for key, (normal, offset) in boundary if _dot(normal, apex) != offset]
+
+
+def _facets_per_plane(boundary: list[tuple[tuple[int, ...], Plane]]) -> Facets:
+    """The boundary complex grouped per facet plane, as (normal, simplices)."""
+    planes: dict[IntVec, list[tuple[int, ...]]] = {}
+    for key, (normal, _) in boundary:
+        planes.setdefault(normal, []).append(key)
+    return tuple((normal, tuple(keys)) for normal, keys in planes.items())
 
 
 def _simplex_det(rows: Sequence[IntVec]) -> int:
@@ -191,26 +221,30 @@ class Polytope:
     caller that `vertices` are exactly the extreme points.  The points are
     held as the lexicographically sorted integer rows `coords` over their
     least common `denominator`; `vertices` are the same points as Fraction
-    tuples, built on first use.
+    tuples, built on first use.  A full-dimensional polytope also carries
+    its simplicial boundary complex, grouped per facet plane in `facets`.
     """
 
-    __slots__ = ("dim", "coords", "denominator", "triangulation", "_vertices", "_volume")
+    __slots__ = ("dim", "coords", "denominator", "triangulation", "_facets", "_vertices",
+                 "_volume")
 
     def __init__(self, vertices: Sequence[Sequence], triangulation: Sequence[tuple[int, ...]] = ()):
         coords, denominator = xa.integer_rows(vertices)
-        self._set(sorted(map(tuple, coords)), denominator, triangulation)
+        self._set(sorted(map(tuple, coords)), denominator, triangulation, None)
 
     @classmethod
     def _lattice(cls, coords: list[IntVec], denominator: int,
-                 triangulation: Sequence[tuple[int, ...]] = ()) -> "Polytope":
+                 triangulation: Sequence[tuple[int, ...]] = (),
+                 facets: Facets | None = ()) -> "Polytope":
         """The polytope with the sorted integer rows `coords` / `denominator`
-        as its vertices."""
+        as its vertices, and `facets` as its boundary complex (None: derive
+        it when read)."""
         body = cls.__new__(cls)
-        body._set(coords, denominator, triangulation)
+        body._set(coords, denominator, triangulation, facets)
         return body
 
     def _set(self, coords: list[IntVec], denominator: int,
-             triangulation: Sequence[tuple[int, ...]]) -> None:
+             triangulation: Sequence[tuple[int, ...]], facets: Facets | None) -> None:
         if not coords:
             raise ValueError("a polytope needs at least one point")
         self.dim = len(coords[0])
@@ -222,6 +256,7 @@ class Polytope:
         self.coords = tuple(coords)
         self.denominator = denominator // g
         self.triangulation = tuple(tuple(t) for t in triangulation)
+        self._facets = facets
         self._vertices: tuple[xa.Vec, ...] | None = None
         self._volume: Fraction | None = None
 
@@ -231,6 +266,17 @@ class Polytope:
             s = self.denominator
             self._vertices = tuple(tuple(Fraction(x, s) for x in v) for v in self.coords)
         return self._vertices
+
+    @property
+    def facets(self) -> Facets:
+        """Per facet plane, its primitive outward integer normal n (n . x <= c
+        on the integer rows x) and the sorted vertex-index tuples of the
+        boundary simplices on it; empty for a polytope without a
+        triangulation."""
+        if self._facets is None:
+            self._facets = (_facets_per_plane(_boundary(list(self.coords)))
+                            if self.triangulation else ())
+        return self._facets
 
     # -- basic geometry -------------------------------------------------
 
@@ -249,7 +295,7 @@ class Polytope:
         s = math.lcm(self.denominator, t)
         a, b = s // self.denominator, s // t
         coords = [tuple(a * x + b * y for x, y in zip(v, row)) for v in self.coords]
-        return Polytope._lattice(coords, s, self.triangulation)
+        return Polytope._lattice(coords, s, self.triangulation, self._facets)
 
     def dilate(self, factor) -> "Polytope":
         f = xa.as_fraction(factor)
@@ -258,7 +304,8 @@ class Polytope:
         if f == 0:
             return Polytope._lattice([(0,) * self.dim], 1)
         coords = [tuple(f.numerator * x for x in v) for v in self.coords]
-        return Polytope._lattice(coords, self.denominator * f.denominator, self.triangulation)
+        return Polytope._lattice(coords, self.denominator * f.denominator, self.triangulation,
+                                 self._facets)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polytope) and self.denominator == other.denominator
@@ -279,7 +326,9 @@ def _lattice_hull(pts: list[IntVec], denominator: int) -> Polytope:
     basis = _affine_basis(pts)
     if len(basis) == len(pts[0]) + 1:
         verts = [pts[i] for i in _extreme_points(pts, basis)]
-        return Polytope._lattice(verts, denominator, _triangulation(verts))
+        boundary = _boundary(verts)
+        return Polytope._lattice(verts, denominator, _triangulation(verts, boundary),
+                                 _facets_per_plane(boundary))
     # a flat: its hull in affine coordinates on the basis
     origin = pts[0]
     bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
@@ -570,22 +619,52 @@ def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProdu
     A `FormProducts` integrand is integrated without expanding its products.
     Zero for polytopes of less than full dimension.
     """
+    return _facet_integral(p, poly)
+
+
+def _facet_integral(p: Polytope, poly: Polynomial | FormProducts,
+                    normal_class: Callable[[IntVec], object] | None = None) -> Fraction:
+    """`integrate_polynomial_over_polytope` over signed cones from the origin.
+
+    P is the signed sum of the cones from the origin over its facet
+    simplices, with the sign of their plane's offset c (Lasserre, "Integration
+    on a convex polytope", 1998); a plane through the origin adds nothing.
+    By homogeneity a term of degree k integrates over the cone over the
+    simplex V = (v_1 ... v_d) as |det V| / (k + d) times its integral over
+    the standard (d - 1)-simplex at V b.  With `normal_class`, a key on facet
+    normals whose classes are orbits of a linear symmetry of both p and poly,
+    one plane of each (class, c) is integrated, times the class size.
+    """
     if poly.nvars != p.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
     if isinstance(poly, Polynomial):
         poly = FormProducts.from_polynomial(poly)
-    if not p.triangulation:
-        return Fraction(0)
-    unit = math.factorial(p.dim) * p.denominator**p.dim
-    total = None
-    for simplex in p.triangulation:
-        rows = [p.coords[i] for i in simplex]
-        det = _simplex_det(rows)
-        if det == 0:
+    d, s = p.dim, p.denominator
+    # (class, offset) -> [planes in the class, the one with fewest simplices]
+    classes: dict[tuple[object, int], list] = {}
+    for normal, simplices in p.facets:
+        offset = _dot(normal, p.coords[simplices[0][0]])
+        if offset == 0:
             continue
-        term = integrate_over_simplex(poly, rows, Fraction(det, unit), p.denominator)
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+        key = normal if normal_class is None else normal_class(normal)
+        entry = classes.setdefault((key, offset), [0, simplices])
+        entry[0] += 1
+        if len(simplices) < len(entry[1]):
+            entry[1] = simplices
+    if not classes:
+        return Fraction(0)
+    cone = FormProducts(d, poly.forms, [(Fraction(a, (sum(e) + d) * poly.denominator), e)
+                                        for a, e in poly.terms])
+    unit = math.factorial(d - 1) * s**d
+    total = Fraction(0)
+    for (_, offset), (size, simplices) in classes.items():
+        part = Fraction(0)
+        for simplex in simplices:
+            rows = [p.coords[i] for i in simplex]
+            det = abs(xa.mat_det(rows)).numerator
+            part += integrate_over_simplex(cone, rows, Fraction(det, unit), s)
+        total += size * part if offset > 0 else -size * part
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ routes, and the large-spectrum limits of the real/complex proportion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,8 +21,8 @@ from . import exactalg as xa
 from .convex import (
     Ellipsoid,
     Polytope,
+    _facet_integral,
     convex_hull,
-    integrate_polynomial_over_polytope,
     polarize,
     unit_ball_volume,
 )
@@ -29,10 +30,11 @@ from .polynomials import FormProducts, Polynomial
 from .rootsystems import (
     Metric,
     RootSystem,
-    casimir,
+    _casimir_numerator,
+    _casimir_unit,
+    _dominant_row,
     reality_type,
     root_system,
-    symmetric_partner,
     weyl_dimension,
 )
 from .torus import kac_limit
@@ -87,10 +89,12 @@ class RepEnsemble:
     def require_self_dual(self) -> "RepEnsemble":
         """Check that the spectrum holds the dual of each of its weights, as
         a real ensemble needs (the group analogue of -S = S on the torus)."""
-        weights = set(self.weights)
-        missing = sorted({symmetric_partner(self.rs, w) for w in weights} - weights)
+        # the weights are integral, so their dual weights are too
+        rows = {tuple(c.numerator for c in w) for w in self.weights}
+        cartan = self.rs.cartan_rows
+        missing = sorted({_dominant_row(cartan, [-x for x in row]) for row in rows} - rows)
         if missing:
-            names = ", ".join("(" + ",".join(str(c) for c in w) + ")" for w in missing)
+            names = ", ".join("(" + ",".join(map(str, w)) + ")" for w in missing)
             raise ValueError(
                 f"spectrum must be closed under duality for a real ensemble; add {names}"
             )
@@ -177,13 +181,12 @@ def f_form(ensemble: RepEnsemble) -> InvariantHessianForm:
     space of a repeated component is the same as of a single copy.)"""
     rs = ensemble.rs
     n = rs.dimension
-    num = Fraction(0)
-    den = Fraction(0)
+    num = den = 0
     for weight in ensemble.weights:
-        d2 = Fraction(weyl_dimension(rs, weight) ** 2)
-        num += d2 * casimir(rs, weight)
+        d2 = weyl_dimension(rs, weight) ** 2
+        num += d2 * _casimir_numerator(rs, [c.numerator for c in weight])
         den += d2
-    return InvariantHessianForm(n, num / (n * den))
+    return InvariantHessianForm(n, Fraction(num, _casimir_unit(rs) * n * den))
 
 
 def killing_radius(ensemble: RepEnsemble) -> float:
@@ -217,10 +220,44 @@ def _squared_root_product(rs: RootSystem) -> FormProducts:
     return FormProducts(rs.rank, forms, [(const * const, (2,) * len(forms))])
 
 
+def _weyl_normal_class(rs: RootSystem, body: Polytope):
+    """Key of the Weyl orbit of a facet normal of `body`, or None unless the
+    body's vertex rows are closed under the simple reflections.
+
+    W acts on normals contragrediently, s_i n = n - (n . alpha_i) e_i, which
+    flips the sign of n . alpha_i; the key is the dominant conjugate, reached
+    by reflecting while some n . alpha_i < 0."""
+    cartan = rs.cartan_rows
+    verts = set(body.coords)
+    if any(tuple(x - v[i] * a for x, a in zip(v, row)) not in verts
+           for v in body.coords for i, row in enumerate(cartan)):
+        return None
+
+    def dominant(normal):
+        n = list(normal)
+        while True:
+            for i, row in enumerate(cartan):
+                t = sum(map(operator.mul, n, row))
+                if t < 0:
+                    n[i] -= t
+                    break
+            else:
+                return tuple(n)
+
+    return dominant
+
+
+def _invariant_integral(rs: RootSystem, body: Polytope, integrand: FormProducts) -> Fraction:
+    """Exact integral of a W-invariant integrand over the body, against
+    Lebesgue measure in weight coordinates (W acts by unimodular integer
+    matrices), one facet plane per W-orbit when the body is W-stable."""
+    return _facet_integral(body, integrand, _weyl_normal_class(rs, body))
+
+
 def _lattice_density_integral(rs: RootSystem, body: Polytope) -> Fraction:
     """Exact integral over the body of the squared root product, against
     Lebesgue measure in weight coordinates (weight-lattice normalization)."""
-    return integrate_polynomial_over_polytope(body, _squared_root_product(rs))
+    return _invariant_integral(rs, body, _squared_root_product(rs))
 
 
 def _newton_body_factor(rs: RootSystem, metric: Metric) -> float:
@@ -301,7 +338,7 @@ def complex_count_reductive(
     p_sq = _squared_root_product(rs)
 
     def density_integral(body: Polytope) -> Fraction:
-        return integrate_polynomial_over_polytope(body, p_sq)
+        return _invariant_integral(rs, body, p_sq)
 
     if route == "lattice":
         p_rho_sq = Metric(rs).root_product_at_rho() ** 2
@@ -380,8 +417,8 @@ def asymptotic_radius(rs: RootSystem, body) -> float:
     if isinstance(body, Polytope):
         p_sq = _squared_root_product(rs)
         norm = FormProducts.from_polynomial(Polynomial.quadratic_form(Metric(rs).gram()))
-        num = integrate_polynomial_over_polytope(body, p_sq * norm)
-        den = integrate_polynomial_over_polytope(body, p_sq)
+        num = _invariant_integral(rs, body, p_sq * norm)
+        den = _invariant_integral(rs, body, p_sq)
         if den == 0:
             raise ValueError("degenerate body")
         return math.sqrt(float(num / den) / n)

@@ -3,12 +3,13 @@
 Weights live in fundamental-weight coordinates: a weight is a tuple of
 rationals (integers for lattice points), and the simple root alpha_i is row i
 of the Cartan matrix.  Weyl orbits close integer rows under the integer
-Cartan rows.  Each positive root beta carries a primitive integer coroot row
-k_beta, with (lam, beta^vee) = sum_i k_i lam_i, and its length ratio
+Cartan rows, and dominant conjugates reflect integer rows by them.  Each
+positive root beta carries a primitive integer coroot row k_beta, with
+(lam, beta^vee) = sum_i k_i lam_i, and its length ratio
 r_beta = 2 / (beta, beta) (long roots have squared length 2); Weyl
-dimensions, the root product and the group and torus volumes are products
-and sums of these integers, with one rational constant at the end.  Inner
-products of general weights are exact rationals.
+dimensions, Casimir values, the root product and the group and torus
+volumes are products and sums of these integers, with one rational constant
+at the end.  Inner products of general weights are exact rationals.
 
 The reference inner product on the weight space is the one induced by the
 negative Killing form of the compact group; a :class:`Metric` rescales it by
@@ -101,6 +102,19 @@ def _reflection_closure(cartan: Sequence[Sequence[int]], starts: Iterable[IntVec
     return signs
 
 
+def _dominant_row(cartan: Sequence[Sequence[int]], row: Sequence[int]) -> IntVec:
+    """The dominant Weyl conjugate of an integer row: reflect in the first
+    simple root alpha_i with v_i < 0, v -> v - v_i alpha_i, until none is
+    left."""
+    v = tuple(row)
+    while True:
+        i = next((j for j, x in enumerate(v) if x < 0), None)
+        if i is None:
+            return v
+        c = v[i]
+        v = tuple(x - c * r for x, r in zip(v, cartan[i]))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Immutable root-system data; build through :func:`root_system`."""
@@ -109,6 +123,7 @@ class RootSystem:
     family: str
     rank: int
     cartan: xa.Mat                    # row i = simple root alpha_i in weight coords
+    cartan_rows: tuple[IntVec, ...]   # the same rows as ints
     gram_std: xa.Mat                  # fundamental-weight Gram, long roots norm 2
     gram_killing: xa.Mat              # fundamental-weight Gram, Killing normalization
     positive_roots: tuple[xa.Vec, ...]
@@ -145,20 +160,15 @@ class RootSystem:
         return tuple(v[j] - c * row[j] for j in range(self.rank))
 
     def to_dominant(self, lam: Sequence) -> xa.Vec:
-        v = xa.as_vec(lam)
-        while True:
-            i = next((j for j in range(self.rank) if v[j] < 0), None)
-            if i is None:
-                return v
-            v = self.simple_reflection(i, v)
+        (row,), s = xa.integer_rows([lam])
+        return tuple(Fraction(x, s) for x in _dominant_row(self.cartan_rows, row))
 
     def lattice_orbit(self, lam: Sequence) -> tuple[dict[IntVec, int], int]:
         """Weyl orbit of lam as integer rows over the least common
         denominator s of lam, each mapped to the sign of the shortest group
         element carrying s lam there; and s."""
         (row,), s = xa.integer_rows([lam])
-        cartan = [[int(x) for x in r] for r in self.cartan]
-        return _reflection_closure(cartan, [tuple(row)]), s
+        return _reflection_closure(self.cartan_rows, [tuple(row)]), s
 
     def weyl_orbit(self, lam: Sequence) -> tuple[xa.Vec, ...]:
         signs, s = self.lattice_orbit(lam)
@@ -245,6 +255,7 @@ def root_system(name: str) -> RootSystem:
         family=family,
         rank=rank,
         cartan=cartan,
+        cartan_rows=tuple(map(tuple, cartan_int)),
         gram_std=gram_std,
         gram_killing=gram_k,
         positive_roots=pos_roots,
@@ -279,12 +290,30 @@ def weyl_dimension(rs: RootSystem, lam: Sequence) -> int:
     return dim
 
 
+def _casimir_numerator(rs: RootSystem, row: Sequence[int], s: int = 1) -> int:
+    """(lam, lam + 2 rho) for lam = row / s, in the Killing pairing, times
+    `_casimir_unit(rs)` s^2.
+
+    The Killing pairing is the sum over all roots of the pairings with the
+    root, (lam, mu) = 2 sum_beta (lam, beta)(mu, beta) over the positive
+    roots, and (lam, beta) = <k_beta, lam> / (2 h r_beta) (see
+    `Metric.root_forms`); (rho, beta^vee) = sum k_beta."""
+    r2 = max(rs.root_ratios) ** 2
+    return sum(a * (a + 2 * s * sum(k)) * (r2 // (r * r))
+               for a, k, r in zip(_coroot_pairings(rs, row), rs.coroots, rs.root_ratios))
+
+
+def _casimir_unit(rs: RootSystem) -> int:
+    return 2 * rs.dual_coxeter**2 * max(rs.root_ratios) ** 2
+
+
 def casimir(rs: RootSystem, lam: Sequence, scale: Fraction | int = 1) -> Fraction:
     """Casimir eigenvalue (lam, lam + 2 rho) in the (rescaled) Killing
-    pairing; equals 1 on the highest root at scale 1."""
-    v = xa.as_vec(lam)
-    two_rho = xa.vec_scale(rs.rho, Fraction(2))
-    return xa.as_fraction(scale) * xa.bilinear(rs.gram_killing, v, xa.vec_add(v, two_rho))
+    pairing; equals 1 on the highest root at scale 1.  Summed in integers
+    over the coroot table."""
+    (row,), s = xa.integer_rows([lam])
+    value = Fraction(_casimir_numerator(rs, row, s), _casimir_unit(rs) * s * s)
+    return xa.as_fraction(scale) * value
 
 
 def symmetric_partner(rs: RootSystem, lam: Sequence) -> xa.Vec:

@@ -1,10 +1,16 @@
-"""Two simplex-quadrature oracles for the tests, independent of the integer
-evaluation in `realroots.polynomials`:
+"""Quadrature oracles for the tests.
+
+Two are independent of the integer evaluation in `realroots.polynomials`:
 
 * `expanded_gm_integral`: the Grundmann-Moller rule with Fraction nodes,
   applied to the fully expanded polynomial (exact);
 * `collapsed_gauss_integral`: Gauss-Legendre quadrature in collapsed
   (Duffy) coordinates, in numpy floats, for a product of linear forms.
+
+The third, `vertex_cone_integral`, is the whole-body rule that
+`integrate_polynomial_over_polytope` used before it integrated over the
+facets: the package's integer Grundmann-Moller rule on every d-simplex of
+the body's triangulation (exact, fast enough for rank-4 bodies).
 """
 
 import math
@@ -14,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from realroots import exactalg as xa
-from realroots.polynomials import Polynomial
+from realroots.polynomials import FormProducts, Polynomial, integrate_over_simplex
 
 
 def _compositions(total: int, parts: int):
@@ -49,6 +55,23 @@ def _simplices(polytope):
         det = xa.mat_det([xa.vec_sub(v, verts[0]) for v in verts[1:]])
         if det != 0:
             yield verts, abs(det)
+
+
+def vertex_cone_integral(polytope, integrand) -> Fraction:
+    """Integral of a `Polynomial` or `FormProducts` integrand over the
+    d-simplices of the polytope's triangulation (cones from its first
+    vertex), each by the integer Grundmann-Moller rule."""
+    if isinstance(integrand, Polynomial):
+        integrand = FormProducts.from_polynomial(integrand)
+    s = polytope.denominator
+    unit = math.factorial(polytope.dim) * s**polytope.dim
+    total = Fraction(0)
+    for simplex in polytope.triangulation:
+        rows = [polytope.coords[i] for i in simplex]
+        det = abs(xa.mat_det([xa.vec_sub(v, rows[0]) for v in rows[1:]]))
+        if det:
+            total += integrate_over_simplex(integrand, rows, det / unit, s)
+    return total
 
 
 def expanded_gm_integral(polytope, poly: Polynomial) -> Fraction:

@@ -148,6 +148,7 @@ def test_one_dimensional_hull_keeps_the_two_end_points():
     h = convex_hull([(3,), ("1/2",), (-2,), (3,), ("-7/3",), (0,), ("5/2",)])
     assert h.vertices == ((Fraction(-7, 3),), (Fraction(3),))
     assert h.triangulation == ((0, 1),)
+    assert h.facets == (((-1,), ((0,),)), ((1,), ((1,),)))
     assert h.volume() == Fraction(16, 3)
 
 
@@ -250,6 +251,45 @@ def test_integer_input_gives_fraction_vertices():
         assert all(type(c) is Fraction for v in body.vertices for c in v)
     assert cube.vertices[0][2] / 6 == Fraction(-1, 6)
     assert flat.vertices == ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(2)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_boundary_complex_is_carried_by_affine_maps(dim):
+    rng = np.random.default_rng(30 + dim)
+    pts = [tuple(int(c) for c in p) for p in rng.integers(-3, 4, size=(25, dim))]
+    h = convex_hull(pts)
+    shift = (Fraction(1, 2),) + (Fraction(-3),) * (dim - 1)
+    for moved, image in [
+        (h.translate(shift), [xa.vec_add(v, shift) for v in h.vertices]),
+        (h.dilate(Fraction(5, 3)), [xa.vec_scale(v, Fraction(5, 3)) for v in h.vertices]),
+    ]:
+        fresh = convex_hull(image)
+        assert moved._facets is not None and moved.facets == fresh.facets
+        assert moved.triangulation == fresh.triangulation
+    assert Polytope(h.vertices, h.triangulation).facets == h.facets
+    assert Polytope(h.vertices).facets == () and h.dilate(0).facets == ()
+    # one entry per facet plane, each simplex on its plane, and the facet
+    # simplices off the planes through the first vertex are the
+    # triangulation's cones
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    assert len({normal for normal, _ in h.facets}) == len(h.facets)
+    cones = set()
+    for normal, simplices in h.facets:
+        offset = dot(normal, h.coords[simplices[0][0]])
+        assert all(dot(normal, v) <= offset for v in h.coords)
+        assert all(len(key) == dim and all(dot(normal, h.coords[i]) == offset for i in key)
+                   for key in simplices)
+        if dot(normal, h.coords[0]) != offset:
+            cones.update((0, *key) for key in simplices)
+    assert cones == set(h.triangulation)
+
+
+def test_square_facets_are_its_edges_with_primitive_outward_normals():
+    assert dict(square().dilate(3).facets) == {
+        (0, -1): ((0, 2),), (1, 0): ((2, 3),), (0, 1): ((1, 3),), (-1, 0): ((0, 1),)
+    }
 
 
 def test_rational_bodies_compare_by_their_least_denominator():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import rootsystem_oracle
 from realroots.convex import convex_hull
 from realroots.groups import (
     RepEnsemble,
@@ -237,6 +238,25 @@ def test_real_count_needs_a_spectrum_closed_under_duality():
     res = real_proportion_group(closed)
     assert res.complex_exact == 42
     assert res.proportion == pytest.approx(0.1679, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "C3", "D4", "G2"])
+def test_integer_radius_and_duality_check_match_the_fraction_oracle(name):
+    rs = root_system(name)
+    ball = RepEnsemble.ball(rs, 1)
+    assert f_form(ball).radius_sq_killing == rootsystem_oracle.radius_sq_killing(ball)
+    assert rootsystem_oracle.missing_duals(ball) == ""
+    assert ball.require_self_dual() is ball
+    # keep one weight of each dual pair: the message lists the other ones
+    half = RepEnsemble(rs, [(w, 1) for w in ball.weights if w >= symmetric_partner(rs, w)])
+    message = rootsystem_oracle.missing_duals(half)
+    assert (message != "") == (name in ("A2", "A3", "A4"))
+    if message:
+        with pytest.raises(ValueError) as err:
+            half.require_self_dual()
+        assert str(err.value) == message
+    else:
+        assert half.require_self_dual() is half
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])

@@ -1,19 +1,26 @@
-"""The integer simplex quadrature of the squared root product against two
-independent oracles (tests/quadrature_oracles.py), and the exact adjoint
-counts past rank 3 that it makes computable."""
+"""The facet integral of the squared root product against the whole-body
+and two independent oracles (tests/quadrature_oracles.py), and the exact
+adjoint counts past rank 3 that it makes computable."""
+
+import math
+from fractions import Fraction
 
 import pytest
 
-from quadrature_oracles import collapsed_gauss_integral, expanded_gm_integral
+from quadrature_oracles import collapsed_gauss_integral, expanded_gm_integral, vertex_cone_integral
 from realroots import (
     Metric,
     RepEnsemble,
+    asymptotic_radius,
     complex_count_reductive,
+    convex_hull,
+    integrate_polynomial_over_polytope,
     minkowski_sum,
     root_system,
     weighted_polytope,
 )
-from realroots.groups import _lattice_density_integral
+from realroots.groups import _lattice_density_integral, _squared_root_product, _weyl_normal_class
+from realroots.polynomials import FormProducts, Polynomial
 
 
 def adjoint(name: str) -> RepEnsemble:
@@ -71,3 +78,106 @@ def test_rank_four_adjoint_counts_both_routes(name, count):
     ens = adjoint(name)
     assert complex_count_reductive(ens, route="lattice") == count
     assert complex_count_reductive(ens, route="calibrated") == pytest.approx(count, rel=1e-9)
+
+
+# C5 was checked once against the whole-body integral (tests/quadrature_oracles.py
+# `vertex_cone_integral`, about 45 s), since the calibrated route shares the
+# facet integral
+@pytest.mark.parametrize("name, count", [("A5", 144731674926697824),
+                                         ("C5", 74329153773280640750321664),
+                                         ("D5", 831378542987006337856512)])
+def test_rank_five_adjoint_counts(name, count):
+    assert complex_count_reductive(adjoint(name)) == count
+
+
+# -- facet integrals against the whole-body oracle ------------------------------
+
+def plane_offsets(body):
+    return [sum(a * x for a, x in zip(normal, body.coords[simplices[0][0]]))
+            for normal, simplices in body.facets]
+
+
+def assert_weyl_classes_match_the_oracle(rs, body):
+    """The integral over one facet plane per W-orbit, over every plane, and
+    over the body's triangulation agree exactly."""
+    assert _weyl_normal_class(rs, body) is not None
+    p_sq = _squared_root_product(rs)
+    want = vertex_cone_integral(body, p_sq)
+    assert want > 0
+    assert _lattice_density_integral(rs, body) == want
+    assert integrate_polynomial_over_polytope(body, p_sq) == want
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"])
+def test_facet_orbit_integral_of_adjoint_bodies_equals_the_whole_body_oracle(name):
+    assert_weyl_classes_match_the_oracle(root_system(name), weighted_polytope(adjoint(name)))
+
+
+def test_facet_orbit_integral_of_a_minkowski_sum_equals_the_whole_body_oracle():
+    rs = root_system("B3")
+    body = minkowski_sum(weighted_polytope(adjoint("B3")), weighted_polytope(rs, (0, 0, 1)))
+    assert_weyl_classes_match_the_oracle(rs, body)
+
+
+def test_facet_orbit_integral_of_a_rational_weight_polytope_equals_the_whole_body_oracle():
+    rs = root_system("C3")
+    body = weighted_polytope(rs, (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)))
+    assert body.denominator == 30
+    assert_weyl_classes_match_the_oracle(rs, body)
+
+
+def test_facet_integral_of_a_body_that_misses_the_origin():
+    # planes with negative offsets enter with a minus sign
+    rs = root_system("A3")
+    body = weighted_polytope(adjoint("A3")).translate((3, 1, 2))
+    assert min(plane_offsets(body)) < 0 < max(plane_offsets(body))
+    assert _weyl_normal_class(rs, body) is None
+    p_sq = _squared_root_product(rs)
+    want = vertex_cone_integral(body, p_sq)
+    assert _lattice_density_integral(rs, body) == want
+    assert integrate_polynomial_over_polytope(body, p_sq) == want
+
+
+def test_facet_integral_with_planes_through_the_origin_and_an_inhomogeneous_integrand():
+    body = convex_hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 2), (2, 1, 2), ("1/2", 2, 1)])
+    assert 0 in plane_offsets(body)
+    x, y, z = (Polynomial.linear_form([Fraction(int(i == j)) for j in range(3)]) for i in range(3))
+    one = Polynomial.constant(3, Fraction(1))
+    poly = (x + one) ** 3 * y + one * 2 - z + x * x * z * z * Fraction(5, 7)
+    want = expanded_gm_integral(body, poly)
+    assert vertex_cone_integral(body, poly) == want
+    assert integrate_polynomial_over_polytope(body, poly) == want
+    assert integrate_polynomial_over_polytope(body, one) == body.volume()
+
+
+def test_facet_integral_of_an_inhomogeneous_integrand_off_the_origin():
+    body = convex_hull([(1, 1), (4, 2), ("5/2", 5), (2, 4)])
+    assert min(plane_offsets(body)) < 0
+    x, y = (Polynomial.linear_form([Fraction(int(i == j)) for j in range(2)]) for i in range(2))
+    poly = x**4 * y - x * 3 + Polynomial.constant(2, Fraction(2, 3))
+    want = expanded_gm_integral(body, poly)
+    assert vertex_cone_integral(body, poly) == want
+    assert integrate_polynomial_over_polytope(body, poly) == want
+
+
+def test_facet_integral_over_a_segment():
+    # the facets are the two end points, each a 0-simplex
+    segment = convex_hull([(3,), ("-7/3",), (1,)])
+    x = Polynomial.linear_form([Fraction(1)])
+    poly = x**4 + x * 3 + Polynomial.constant(1, Fraction(1))
+    a, b = Fraction(-7, 3), Fraction(3)
+    want = (b**5 - a**5) / 5 + 3 * (b * b - a * a) / 2 + (b - a)
+    assert integrate_polynomial_over_polytope(segment, poly) == want
+    assert integrate_polynomial_over_polytope(convex_hull([(3,), (0,)]), x**4) == Fraction(243, 5)
+
+
+def test_asymptotic_radius_of_a_body_that_is_not_weyl_stable():
+    # a corner cut off the triangle conv(W (3, 0)): its three edges lie on
+    # one W-orbit of planes but are no longer W-images of each other
+    rs = root_system("A2")
+    body = convex_hull([(2, "1/2"), (2, -1), (-3, 3), (0, -3)])
+    assert _weyl_normal_class(rs, body) is None
+    p_sq = _squared_root_product(rs)
+    norm = FormProducts.from_polynomial(Polynomial.quadratic_form(Metric(rs).gram()))
+    num, den = vertex_cone_integral(body, p_sq * norm), vertex_cone_integral(body, p_sq)
+    assert asymptotic_radius(rs, body) == math.sqrt(float(num / den) / rs.dimension)

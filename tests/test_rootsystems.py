@@ -164,6 +164,20 @@ def test_coroot_table_matches_the_fraction_gram_oracle(name):
     assert met.root_product_at_rho() == rootsystem_oracle.root_product(met, rs.rho)
 
 
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_integer_duals_and_casimir_match_the_fraction_oracle(name):
+    rs = root_system(name)
+    scale = Fraction(7, 5)
+    off_lattice = ((Fraction(1, 2), Fraction(-3, 7)) + (Fraction(-2),) * rs.rank)[: rs.rank]
+    for lam in [*product(range(-1, 3), repeat=rs.rank), off_lattice]:
+        want = rootsystem_oracle.to_dominant(rs, lam)
+        got = rs.to_dominant(lam)
+        assert got == want and all(type(c) is Fraction for c in got)
+        assert symmetric_partner(rs, lam) == rootsystem_oracle.symmetric_partner(rs, lam)
+        assert casimir(rs, lam, scale) == rootsystem_oracle.casimir(rs, lam, scale)
+        assert type(casimir(rs, lam)) is Fraction
+
+
 # -- reality types -------------------------------------------------------------
 
 def test_frobenius_schur_rank_one_parity():
