@@ -12,9 +12,10 @@ times a common denominator): a monotone chain in the plane, else an
 incremental (beneath-beyond) boundary complex whose facet planes are the
 primitive integer null vectors of their vertices lifted to (v, 1), and whose
 vertices are the boundary points where the facet normals have full rank.
-A full-dimensional hull keeps the boundary complex of a second pass over its
-vertices (the ring's edges in the plane), grouped per facet plane; its
-triangulation is the cones from the first vertex over that complex.
+Every polytope is built as the hull of its points.  A full-dimensional one
+stores the boundary complex of a second pass over its vertices (the ring's
+edges in the plane), grouped per facet plane; its triangulation, read on
+demand, is the cones from the first vertex over that complex.
 Polynomials are integrated over signed cones from the origin over the facet
 simplices, each reduced by homogeneity to a rule on a (d - 1)-simplex
 (Lasserre, "Integration on a convex polytope", 1998); a caller that knows a
@@ -172,11 +173,12 @@ def _extreme_points(coords: list[IntVec], basis: list[int]) -> list[int]:
     return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)
 
 
-def _boundary(verts: list[IntVec]) -> list[tuple[tuple[int, ...], Plane]]:
+def _boundary(verts: list[IntVec]) -> Facets:
     """Simplicial boundary complex of the hull of lexicographically sorted,
-    full-dimensional points that are all extreme, as (sorted facet simplex,
-    its primitive outward plane) pairs: the ring's edges from the first point
-    in the plane, else the beneath-beyond facets in sorted order."""
+    full-dimensional points that are all extreme, grouped per facet plane as
+    (primitive outward normal, sorted facet simplices): the ring's edges from
+    the first point in the plane, else the beneath-beyond facets in sorted
+    order."""
     if len(verts[0]) == 2:
         ring = _hull_2d(verts)
         edges = []
@@ -184,27 +186,29 @@ def _boundary(verts: list[IntVec]) -> list[tuple[tuple[int, ...], Plane]]:
             (px, py), (qx, qy) = verts[a], verts[b]
             g = math.gcd(qy - py, qx - px)
             normal = ((qy - py) // g, (px - qx) // g)
-            edges.append((tuple(sorted((a, b))), (normal, _dot(normal, verts[a]))))
-        return edges
-    facets = _beneath_beyond(verts, _affine_basis(verts))
-    return [(tuple(sorted(key)), facets[key]) for key in sorted(facets, key=sorted)]
-
-
-def _triangulation(verts: list[IntVec],
-                   boundary: list[tuple[tuple[int, ...], Plane]]) -> list[tuple[int, ...]]:
-    """Triangulation of the hull of lexicographically sorted, full-dimensional
-    points that are all extreme: cones from the first point over the facet
-    simplices of their `boundary` that miss it, as sorted index tuples."""
-    apex = verts[0]
-    return [(0, *key) for key, (normal, offset) in boundary if _dot(normal, apex) != offset]
-
-
-def _facets_per_plane(boundary: list[tuple[tuple[int, ...], Plane]]) -> Facets:
-    """The boundary complex grouped per facet plane, as (normal, simplices)."""
+            edges.append((normal, (tuple(sorted((a, b))),)))
+        return tuple(edges)
     planes: dict[IntVec, list[tuple[int, ...]]] = {}
-    for key, (normal, _) in boundary:
-        planes.setdefault(normal, []).append(key)
+    facets = _beneath_beyond(verts, _affine_basis(verts))
+    for key in sorted(facets, key=sorted):
+        planes.setdefault(facets[key][0], []).append(tuple(sorted(key)))
     return tuple((normal, tuple(keys)) for normal, keys in planes.items())
+
+
+def _hull(pts: list[IntVec]) -> tuple[list[IntVec], Facets]:
+    """Extreme points and boundary complex (empty unless full-dimensional)
+    of the hull of distinct, lexicographically sorted integer rows."""
+    if len(pts) == 1:
+        return pts, ()
+    basis = _affine_basis(pts)
+    if len(basis) == len(pts[0]) + 1:
+        verts = [pts[i] for i in _extreme_points(pts, basis)]
+        return verts, _boundary(verts)
+    # a flat: its hull in affine coordinates on the basis
+    origin = pts[0]
+    bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
+    coords, _ = xa.integer_rows(xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts)
+    return [pts[i] for i in _extreme_points(coords, basis)], ()
 
 
 def _simplex_det(rows: Sequence[IntVec]) -> int:
@@ -215,48 +219,45 @@ def _simplex_det(rows: Sequence[IntVec]) -> int:
 
 
 class Polytope:
-    """Convex lattice/rational polytope given by its extreme points.
+    """Convex lattice/rational polytope: the exact hull of the given points.
 
-    Construct through :func:`convex_hull`; the constructor itself trusts the
-    caller that `vertices` are exactly the extreme points.  The points are
-    held as the lexicographically sorted integer rows `coords` over their
-    least common `denominator`; `vertices` are the same points as Fraction
-    tuples, built on first use.  A full-dimensional polytope also carries
-    its simplicial boundary complex, grouped per facet plane in `facets`.
+    The extreme points are held as the lexicographically sorted integer rows
+    `coords` over their least common `denominator`; `vertices` are the same
+    points as Fraction tuples, built on first use.  `facets` is the
+    simplicial boundary complex of a full-dimensional polytope (empty for a
+    flat one): per facet plane, its primitive outward integer normal n (n . x
+    <= c on the integer rows x) and the sorted vertex-index tuples of the
+    boundary simplices on it.  The triangulation and the volume are derived
+    from `facets`.
     """
 
-    __slots__ = ("dim", "coords", "denominator", "triangulation", "_facets", "_vertices",
-                 "_volume")
+    __slots__ = ("dim", "coords", "denominator", "facets", "_vertices", "_volume")
 
-    def __init__(self, vertices: Sequence[Sequence], triangulation: Sequence[tuple[int, ...]] = ()):
-        coords, denominator = xa.integer_rows(vertices)
-        self._set(sorted(map(tuple, coords)), denominator, triangulation, None)
-
-    @classmethod
-    def _lattice(cls, coords: list[IntVec], denominator: int,
-                 triangulation: Sequence[tuple[int, ...]] = (),
-                 facets: Facets | None = ()) -> "Polytope":
-        """The polytope with the sorted integer rows `coords` / `denominator`
-        as its vertices, and `facets` as its boundary complex (None: derive
-        it when read)."""
-        body = cls.__new__(cls)
-        body._set(coords, denominator, triangulation, facets)
-        return body
-
-    def _set(self, coords: list[IntVec], denominator: int,
-             triangulation: Sequence[tuple[int, ...]], facets: Facets | None) -> None:
+    def __init__(self, points: Iterable[Sequence]):
+        coords, denominator = xa.integer_rows(points)
         if not coords:
             raise ValueError("a polytope needs at least one point")
+        if any(len(v) != len(coords[0]) for v in coords):
+            raise ValueError("inconsistent point dimensions")
+        verts, facets = _hull(sorted(set(map(tuple, coords))))
+        self._set(verts, denominator, facets)
+
+    @classmethod
+    def _lattice(cls, coords: list[IntVec], denominator: int, facets: Facets = ()) -> "Polytope":
+        """The polytope with the sorted extreme integer rows `coords` /
+        `denominator` as its vertices and `facets` as its boundary complex."""
+        body = cls.__new__(cls)
+        body._set(coords, denominator, facets)
+        return body
+
+    def _set(self, coords: list[IntVec], denominator: int, facets: Facets) -> None:
         self.dim = len(coords[0])
-        if any(len(v) != self.dim for v in coords):
-            raise ValueError("inconsistent vertex dimensions")
         g = math.gcd(denominator, *(x for v in coords for x in v))
         if g > 1:
             coords = [tuple(x // g for x in v) for v in coords]
         self.coords = tuple(coords)
         self.denominator = denominator // g
-        self.triangulation = tuple(tuple(t) for t in triangulation)
-        self._facets = facets
+        self.facets = facets
         self._vertices: tuple[xa.Vec, ...] | None = None
         self._volume: Fraction | None = None
 
@@ -268,15 +269,14 @@ class Polytope:
         return self._vertices
 
     @property
-    def facets(self) -> Facets:
-        """Per facet plane, its primitive outward integer normal n (n . x <= c
-        on the integer rows x) and the sorted vertex-index tuples of the
-        boundary simplices on it; empty for a polytope without a
-        triangulation."""
-        if self._facets is None:
-            self._facets = (_facets_per_plane(_boundary(list(self.coords)))
-                            if self.triangulation else ())
-        return self._facets
+    def triangulation(self) -> tuple[tuple[int, ...], ...]:
+        """Cones from the first vertex over the facet simplices that miss it,
+        as sorted vertex-index tuples, plane by plane; empty for a polytope of
+        less than full dimension."""
+        apex = self.coords[0]
+        return tuple((0, *key) for normal, simplices in self.facets
+                     if _dot(normal, apex) != _dot(normal, self.coords[simplices[0][0]])
+                     for key in simplices)
 
     # -- basic geometry -------------------------------------------------
 
@@ -295,7 +295,7 @@ class Polytope:
         s = math.lcm(self.denominator, t)
         a, b = s // self.denominator, s // t
         coords = [tuple(a * x + b * y for x, y in zip(v, row)) for v in self.coords]
-        return Polytope._lattice(coords, s, self.triangulation, self._facets)
+        return Polytope._lattice(coords, s, self.facets)
 
     def dilate(self, factor) -> "Polytope":
         f = xa.as_fraction(factor)
@@ -304,8 +304,7 @@ class Polytope:
         if f == 0:
             return Polytope._lattice([(0,) * self.dim], 1)
         coords = [tuple(f.numerator * x for x in v) for v in self.coords]
-        return Polytope._lattice(coords, self.denominator * f.denominator, self.triangulation,
-                                 self._facets)
+        return Polytope._lattice(coords, self.denominator * f.denominator, self.facets)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polytope) and self.denominator == other.denominator
@@ -318,31 +317,9 @@ class Polytope:
         return f"Polytope(dim={self.dim}, nvertices={len(self.coords)})"
 
 
-def _lattice_hull(pts: list[IntVec], denominator: int) -> Polytope:
-    """Hull of distinct, lexicographically sorted integer rows over a
-    positive `denominator`."""
-    if len(pts) == 1:
-        return Polytope._lattice(pts, denominator)
-    basis = _affine_basis(pts)
-    if len(basis) == len(pts[0]) + 1:
-        verts = [pts[i] for i in _extreme_points(pts, basis)]
-        boundary = _boundary(verts)
-        return Polytope._lattice(verts, denominator, _triangulation(verts, boundary),
-                                 _facets_per_plane(boundary))
-    # a flat: its hull in affine coordinates on the basis
-    origin = pts[0]
-    bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
-    coords, _ = xa.integer_rows(xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts)
-    return Polytope._lattice([pts[i] for i in _extreme_points(coords, basis)], denominator)
-
-
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
-    """Exact convex hull; vertices of the result are the extreme points.  A
-    full-dimensional hull also carries a triangulation, a flat one does not."""
-    coords, denominator = xa.integer_rows(points)
-    if not coords:
-        raise ValueError("convex_hull of an empty set")
-    return _lattice_hull(sorted(set(map(tuple, coords))), denominator)
+    """Exact convex hull; vertices of the result are the extreme points."""
+    return Polytope(points)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -351,7 +328,8 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     s = math.lcm(p.denominator, q.denominator)
     a, b = s // p.denominator, s // q.denominator
     pts = {tuple(a * x + b * y for x, y in zip(v, w)) for v in p.coords for w in q.coords}
-    return _lattice_hull(sorted(pts), s)
+    verts, facets = _hull(sorted(pts))
+    return Polytope._lattice(verts, s, facets)
 
 
 def polarize(bodies: Sequence, functional: Callable) -> Fraction:
@@ -364,6 +342,8 @@ def polarize(bodies: Sequence, functional: Callable) -> Fraction:
     which takes prod(a_i + 1) - 1 evaluations of F; one distinct body gives F(K).
     """
     n = len(bodies)
+    if not n:
+        raise ValueError("polarize needs at least one body")
     mult = Counter(bodies)
     if len(mult) == 1:
         return functional(bodies[0])

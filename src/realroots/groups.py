@@ -64,13 +64,13 @@ __all__ = [
 @dataclass(frozen=True)
 class RepEnsemble:
     """Spectrum of a random invariant function: dominant integral highest
-    weights with positive multiplicities."""
+    weights, held as int tuples, with positive multiplicities."""
 
     rs: RootSystem
-    entries: tuple[tuple[xa.Vec, int], ...]
+    entries: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, rs: RootSystem, entries):
-        merged: dict[xa.Vec, int] = {}
+        merged: dict[tuple[int, ...], int] = {}
         for weight, mult in entries:
             v = xa.as_vec(weight)
             if len(v) != rs.rank:
@@ -80,7 +80,8 @@ class RepEnsemble:
             m = int(mult)
             if m < 1:
                 raise ValueError("multiplicities must be positive")
-            merged[v] = merged.get(v, 0) + m
+            row = tuple(c.numerator for c in v)
+            merged[row] = merged.get(row, 0) + m
         if not merged:
             raise ValueError("empty spectrum")
         object.__setattr__(self, "rs", rs)
@@ -89,8 +90,7 @@ class RepEnsemble:
     def require_self_dual(self) -> "RepEnsemble":
         """Check that the spectrum holds the dual of each of its weights, as
         a real ensemble needs (the group analogue of -S = S on the torus)."""
-        # the weights are integral, so their dual weights are too
-        rows = {tuple(c.numerator for c in w) for w in self.weights}
+        rows = set(self.weights)
         cartan = self.rs.cartan_rows
         missing = sorted({_dominant_row(cartan, [-x for x in row]) for row in rows} - rows)
         if missing:
@@ -112,7 +112,7 @@ class RepEnsemble:
         return cls(rs, [(w, 1) for w in weights])
 
     @property
-    def weights(self) -> tuple[xa.Vec, ...]:
+    def weights(self) -> tuple[tuple[int, ...], ...]:
         return tuple(w for w, _ in self.entries)
 
     @property
@@ -127,7 +127,7 @@ class RepEnsemble:
             return self
         return RepEnsemble(self.rs, [(w, 1) for w in self.weights])
 
-    def reality_types(self) -> dict[xa.Vec, str]:
+    def reality_types(self) -> dict[tuple[int, ...], str]:
         return {w: reality_type(self.rs, w) for w in self.weights}
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -184,7 +184,7 @@ def f_form(ensemble: RepEnsemble) -> InvariantHessianForm:
     num = den = 0
     for weight in ensemble.weights:
         d2 = weyl_dimension(rs, weight) ** 2
-        num += d2 * _casimir_numerator(rs, [c.numerator for c in weight])
+        num += d2 * _casimir_numerator(rs, weight)
         den += d2
     return InvariantHessianForm(n, Fraction(num, _casimir_unit(rs) * n * den))
 

@@ -168,6 +168,8 @@ class RootSystem:
         denominator s of lam, each mapped to the sign of the shortest group
         element carrying s lam there; and s."""
         (row,), s = xa.integer_rows([lam])
+        if len(row) != self.rank:
+            raise ValueError("weight rank mismatch")
         return _reflection_closure(self.cartan_rows, [tuple(row)]), s
 
     def weyl_orbit(self, lam: Sequence) -> tuple[xa.Vec, ...]:

@@ -58,6 +58,34 @@ def test_hull_drops_interior_and_duplicate_points():
     assert h.volume() == 1
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_polytope_of_points_is_their_hull(dim):
+    # the constructor hulls its points: interior and repeated points drop out
+    rng = np.random.default_rng(40 + dim)
+    pts = [tuple(int(c) for c in p) for p in rng.integers(-2, 3, size=(20, dim))]
+    pts += pts[:5] + [(0,) * dim]
+    body, hull = Polytope(pts), convex_hull(pts)
+    assert body == hull
+    assert (body.vertices, body.facets, body.triangulation, body.volume()) == (
+        hull.vertices, hull.facets, hull.triangulation, hull.volume()
+    )
+    assert len(body.vertices) < len(set(pts))
+    expected = (max(pts)[0] - min(pts)[0] if dim == 1
+                else ConvexHull(np.array(pts, dtype=float)).volume)
+    assert body.volume() == pytest.approx(expected, rel=1e-12)
+
+
+def test_polytope_of_a_triangle_has_its_area_and_mixed_volume():
+    triangle = Polytope([(0, 0), (1, 0), (0, 1)])
+    assert triangle.volume() == Fraction(1, 2) and len(triangle.facets) == 3
+    assert triangle.triangulation == ((0, 1, 2),)
+    assert mixed_volume_polytopes([triangle] * 2) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        Polytope([])
+    with pytest.raises(ValueError):
+        Polytope([(0, 0), (1,)])
+
+
 def test_hull_of_cube_with_centroid():
     pts = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     h = convex_hull(pts + [("1/2", "1/2", "1/2")])
@@ -264,10 +292,9 @@ def test_boundary_complex_is_carried_by_affine_maps(dim):
         (h.dilate(Fraction(5, 3)), [xa.vec_scale(v, Fraction(5, 3)) for v in h.vertices]),
     ]:
         fresh = convex_hull(image)
-        assert moved._facets is not None and moved.facets == fresh.facets
+        assert moved.facets == fresh.facets
         assert moved.triangulation == fresh.triangulation
-    assert Polytope(h.vertices, h.triangulation).facets == h.facets
-    assert Polytope(h.vertices).facets == () and h.dilate(0).facets == ()
+    assert Polytope(h.vertices).facets == h.facets and h.dilate(0).facets == ()
     # one entry per facet plane, each simplex on its plane, and the facet
     # simplices off the planes through the first vertex are the
     # triangulation's cones
@@ -301,7 +328,7 @@ def test_rational_bodies_compare_by_their_least_denominator():
     assert back == h and hash(back) == hash(h) and back.denominator == 6
     assert back.triangulation == h.triangulation
     assert h.translate([Fraction(1, 2), 0]).translate([Fraction(-1, 2), 0]) == h
-    assert Polytope(h.vertices, h.triangulation) == h
+    assert Polytope(h.vertices) == h
     assert minkowski_sum(halved, halved) == h
     assert minkowski_sum(h, halved) == h.dilate(Fraction(3, 2))
     third = square().dilate(Fraction(1, 3))
@@ -366,6 +393,11 @@ def test_minkowski_sum_of_squares():
 def test_polarize_diagonal_shortcut_matches_functional():
     h = convex_hull([(0, 0), (3, 0), (0, 2), (3, 2)])
     assert polarize([h, h], Polytope.volume) == h.volume()
+
+
+def test_polarize_of_no_bodies_is_a_value_error():
+    with pytest.raises(ValueError):
+        polarize([], Polytope.volume)
 
 
 def subset_polarization(bodies, functional):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import rootsystem_oracle
-from realroots.convex import convex_hull
+from realroots.convex import Polytope, convex_hull
 from realroots.groups import (
     RepEnsemble,
     asymptotic_mean,
@@ -43,6 +43,15 @@ def test_ensemble_validation():
         RepEnsemble(A1, [((1,), 0)])  # multiplicity must be positive
     merged = RepEnsemble(A1, [((1,), 1), ((1,), 2)])
     assert merged.entries == (((Fraction(1),), 3),)
+
+
+def test_ensemble_weights_are_int_rows():
+    ens = RepEnsemble(A2, [((Fraction(1), 1), 1), ((1, 1), 2), (("2", 0), 1), ((0, 2.0), 1)])
+    assert ens.entries == (((0, 2), 1), ((1, 1), 3), ((2, 0), 1))
+    assert all(type(c) is int for w in ens.weights for c in w)
+    # ints compare and hash equal to integral Fractions
+    assert hash(ens.weights[1]) == hash((Fraction(1), Fraction(1)))
+    assert ens.require_self_dual() is ens
 
 
 def test_ball_spectrum_rank_one():
@@ -115,6 +124,28 @@ def test_weighted_polytope_shapes():
     # a rational weight: the orbit of (1, 1), halved
     half = weighted_polytope(A2, (Fraction(1, 2), Fraction(1, 2)))
     assert half == hexagon.dilate(Fraction(1, 2)) and half.volume() == Fraction(9, 4)
+
+
+def test_wrong_rank_weight_is_a_value_error():
+    # a short weight row would zip against the Cartan rows and give a
+    # lower-dimensional orbit
+    with pytest.raises(ValueError, match="rank"):
+        A2.lattice_orbit((1,))
+    with pytest.raises(ValueError, match="rank"):
+        weighted_polytope(A2, (1,))
+    with pytest.raises(ValueError, match="rank"):
+        newton_body_volume(A2, (1, 1, 1))
+    with pytest.raises(ValueError, match="rank"):
+        A1.weyl_orbit((1, 0))
+
+
+def test_a_body_built_from_vertices_is_the_weight_polytope():
+    h = weighted_polytope(A2, (1, 1))
+    body = Polytope(h.vertices)
+    assert body == h and body.volume() == h.volume() == 9
+    assert asymptotic_radius(A2, body) == asymptotic_radius(A2, h)
+    assert newton_body_volume(A2, (1, 1), body=body) == newton_body_volume(A2, (1, 1))
+    assert newton_body_volume(A2, (1, 1)) > 0
 
 
 def test_newton_body_volume_of_unit_metric_ball():
