@@ -9,9 +9,11 @@ quadrature's vertex rows all run on those integers, and the Fraction
 vertices are built only when read.
 Hulls run on integer coordinates (the points, or a flat's affine coordinates,
 times a common denominator): a monotone chain in the plane, else an
-incremental (beneath-beyond) boundary complex whose facet planes are the
-primitive integer null vectors of their vertices lifted to (v, 1), and whose
-vertices are the boundary points where the facet normals have full rank.
+incremental (beneath-beyond) boundary complex whose facet normals are the
+primitive integer null vectors of their edge vectors v_i - v_0.  The vertices
+are the boundary points where the facet normals have full rank; that pass
+inserts the points farthest from the centroid first, so that most of the
+others fall inside the partial hull and are skipped (as in Quickhull).
 Every polytope is built as the hull of its points.  A full-dimensional one
 stores the boundary complex of a second pass over its vertices (the ring's
 edges in the plane), grouped per facet plane; its triangulation, read on
@@ -114,13 +116,15 @@ def _hull_2d(coords: list[IntVec]) -> list[int]:
 
 def _facet_plane(coords: list[IntVec], facet: tuple[int, ...], ref: IntVec) -> Plane:
     """Primitive outward normal and offset of a facet, oriented away from
-    ref / (d + 1), ref the vertex sum of the starting simplex.  (normal,
-    -offset) is the primitive integer null vector of the facet's vertices
-    lifted to (v, 1); on integer points the gcd of the normal divides the
-    offset, so the normal is primitive too."""
+    ref / (d + 1), ref the vertex sum of the starting simplex.  The normal is
+    the primitive integer null vector of the facet's d - 1 edge vectors
+    v_i - v_0 (no edge in dimension one), and the offset is normal . v_0."""
     d = len(ref)
-    plane = xa.integer_nullspace_vector([[*coords[i], 1] for i in facet])
-    normal, offset = tuple(plane[:d]), -plane[d]
+    v0 = coords[facet[0]]
+    v, _ = xa._null_vector([[x - y for x, y in zip(coords[i], v0)] for i in facet[1:]], d)
+    g = math.gcd(*v)
+    normal = tuple(x // g for x in v)
+    offset = _dot(normal, v0)
     side = _dot(normal, ref) - (d + 1) * offset
     if side == 0:  # pragma: no cover - ref / (d + 1) is strictly interior
         raise RuntimeError("degenerate facet orientation")
@@ -159,17 +163,25 @@ def _beneath_beyond(coords: list[IntVec], simplex: list[int]) -> dict[frozenset[
 
 def _extreme_points(coords: list[IntVec], basis: list[int]) -> list[int]:
     """Sorted indices of the extreme points of full-dimensional points, whose
-    affinely independent subset `basis` starts the hull.  Beyond the plane, a
-    point of the boundary complex in the relative interior of a k-face lies
-    only on facets whose normals span a (d - k)-dimensional space, so it is a
-    vertex iff those normals have rank d."""
+    affinely independent subset `basis` starts the hull.  Beyond the plane,
+    the other points are inserted in decreasing distance |k p - sum p| from
+    the centroid (k points; ties in index order), so the far ones come first
+    and most near ones fall inside the partial hull and are skipped.  A point
+    of the boundary complex in the relative interior of a k-face lies only on
+    facets whose normals span a (d - k)-dimensional space, so it is a vertex
+    iff those normals have rank d."""
     d = len(coords[0])
     if d == 2:
         return sorted(_hull_2d(coords))
+    k = len(coords)
+    total = [sum(col) for col in zip(*coords)]
+    order = sorted(range(k), key=lambda i: -sum((k * x - t) ** 2 for x, t in zip(coords[i], total)))
+    position = {i: j for j, i in enumerate(order)}
+    facets = _beneath_beyond([coords[i] for i in order], [position[i] for i in basis])
     normals: dict[int, set[IntVec]] = {}
-    for key, (normal, _) in _beneath_beyond(coords, basis).items():
-        for i in key:
-            normals.setdefault(i, set()).add(normal)
+    for key, (normal, _) in facets.items():
+        for j in key:
+            normals.setdefault(order[j], set()).add(normal)
     return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)
 
 

@@ -117,9 +117,18 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
+def _width(rows: Sequence[Sequence]) -> int:
+    """The common length of the rows (0 for no rows); ValueError if they
+    are ragged."""
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise ValueError(f"ragged matrix: rows of lengths {sorted(widths)}")
+    return widths.pop() if widths else 0
+
+
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     rows, _ = integer_rows(m)
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
+    return len(_eliminate(rows, _width(rows))[0])
 
 
 def _require_square(m: Sequence[Sequence[Fraction]]) -> int:
@@ -165,11 +174,11 @@ def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     return tuple(x)
 
 
-def _null_vector(rows: list[list[int]]) -> tuple[list[int], int]:
-    """(v, free): an integer null vector of integer rows, eliminated in
-    place, and its first free column.  v holds the last pivot D in that
-    column and -row[free] in the pivot column of each pivot row."""
-    ncols = len(rows[0])
+def _null_vector(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """(v, free): an integer null vector of integer rows of length `ncols`
+    (there may be none), eliminated in place, and its first free column.  v
+    holds the last pivot D in that column and -row[free] in the pivot column
+    of each pivot row."""
     pivots, d, _ = _eliminate(rows, ncols)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
@@ -185,13 +194,14 @@ def nullspace_vector(m: Sequence[Sequence[Fraction]]) -> Vec:
     """One nonzero rational vector in the null space of m (must exist); its
     entry in the first free column is 1."""
     rows, _ = integer_rows(m)
-    v, free = _null_vector(rows)
+    v, free = _null_vector(rows, _width(rows))
     return tuple(Fraction(x, v[free]) for x in v)
 
 
 def integer_nullspace_vector(m: Sequence[Sequence[int]]) -> list[int]:
     """The primitive integer multiple of `nullspace_vector(m)`, up to sign,
     for an integer matrix m: no Fraction is built."""
-    v, _ = _null_vector(list(m))
+    rows = list(m)
+    v, _ = _null_vector(rows, _width(rows))
     g = math.gcd(*v)
     return [x // g for x in v]

@@ -159,17 +159,23 @@ class RootSystem:
         row = self.cartan[i]
         return tuple(v[j] - c * row[j] for j in range(self.rank))
 
-    def to_dominant(self, lam: Sequence) -> xa.Vec:
+    def _weight_row(self, lam: Sequence) -> tuple[list[int], int]:
+        """lam as an integer row over its least common denominator s, and s;
+        ValueError unless lam has one coordinate per simple root."""
         (row,), s = xa.integer_rows([lam])
+        if len(row) != self.rank:
+            raise ValueError("weight rank mismatch")
+        return row, s
+
+    def to_dominant(self, lam: Sequence) -> xa.Vec:
+        row, s = self._weight_row(lam)
         return tuple(Fraction(x, s) for x in _dominant_row(self.cartan_rows, row))
 
     def lattice_orbit(self, lam: Sequence) -> tuple[dict[IntVec, int], int]:
         """Weyl orbit of lam as integer rows over the least common
         denominator s of lam, each mapped to the sign of the shortest group
         element carrying s lam there; and s."""
-        (row,), s = xa.integer_rows([lam])
-        if len(row) != self.rank:
-            raise ValueError("weight rank mismatch")
+        row, s = self._weight_row(lam)
         return _reflection_closure(self.cartan_rows, [tuple(row)]), s
 
     def weyl_orbit(self, lam: Sequence) -> tuple[xa.Vec, ...]:
@@ -282,10 +288,10 @@ def _coroot_pairings(rs: RootSystem, row: Sequence[int]) -> list[int]:
 def weyl_dimension(rs: RootSystem, lam: Sequence) -> int:
     """Dimension of the irreducible representation with highest weight lam:
     prod_beta (lam + rho, beta^vee) / (rho, beta^vee)."""
-    v = xa.as_vec(lam)
-    if any(c < 0 or c.denominator != 1 for c in v):
+    row, s = rs._weight_row(lam)
+    if s != 1 or any(x < 0 for x in row):
         raise ValueError("highest weight must be dominant integral")
-    num = math.prod(_coroot_pairings(rs, [int(c) + 1 for c in v]))
+    num = math.prod(_coroot_pairings(rs, [x + 1 for x in row]))
     dim, rem = divmod(num, math.prod(map(sum, rs.coroots)))
     if rem:  # pragma: no cover - Weyl dimension is integral
         raise AssertionError("non-integral dimension")
@@ -313,7 +319,7 @@ def casimir(rs: RootSystem, lam: Sequence, scale: Fraction | int = 1) -> Fractio
     """Casimir eigenvalue (lam, lam + 2 rho) in the (rescaled) Killing
     pairing; equals 1 on the highest root at scale 1.  Summed in integers
     over the coroot table."""
-    (row,), s = xa.integer_rows([lam])
+    row, s = rs._weight_row(lam)
     value = Fraction(_casimir_numerator(rs, row, s), _casimir_unit(rs) * s * s)
     return xa.as_fraction(scale) * value
 
@@ -388,7 +394,7 @@ class Metric:
     def root_product(self, lam: Sequence) -> Fraction:
         """Product over positive roots of the pairing with lam."""
         const, forms = self.root_forms()
-        (row,), s = xa.integer_rows([lam])
+        row, s = self.rs._weight_row(lam)
         return const * Fraction(math.prod(_coroot_pairings(self.rs, row)), s ** len(forms))
 
     def root_product_poly(self) -> Polynomial:

@@ -155,10 +155,11 @@ def mean_real_count_torus(
 
 def complex_count_torus(supports: Support | Sequence[Support]) -> Fraction:
     """Generic number of complex-torus solutions: n! times the mixed volume
-    of the frequency hulls (exact)."""
+    of the frequency hulls (exact), one hull per distinct support."""
     sups = _as_support_list(supports)
     n = sups[0].dim
-    bodies = [newton_polytope(s) for s in sups]
+    hulls = {s: newton_polytope(s) for s in set(sups)}
+    bodies = [hulls[s] for s in sups]
     return math.factorial(n) * mixed_volume_polytopes(bodies)
 
 

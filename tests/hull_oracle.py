@@ -1,10 +1,11 @@
-"""The facet plane that `realroots.convex` computed before it read the plane
-straight off the integer elimination: a test oracle, kept verbatim.
+"""Routes that `realroots.convex` took before, kept as test oracles.
 
-It takes the rational null vector of the facet's vertices lifted to (v, 1)
-(`xa.nullspace_vector`), clears its denominators (`xa.integer_rows`),
-divides by the gcd and orients the plane away from ref / (d + 1), ref the
-vertex sum of the hull's starting simplex.
+`facet_plane` is the facet plane lifted to (v, 1): the rational null vector
+of the facet's vertices with a 1 appended (`xa.nullspace_vector`), cleared
+of denominators (`xa.integer_rows`), divided by its gcd and oriented away
+from ref / (d + 1), ref the vertex sum of the hull's starting simplex.
+
+`extreme_points` is the vertex pass that inserts the points in index order.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import operator
 from typing import Sequence
 
+from realroots import convex as cx
 from realroots import exactalg as xa
 
 
@@ -35,3 +37,17 @@ def facet_plane(
     if side > 0:
         return tuple(-x for x in normal), -offset
     return normal, offset
+
+
+def extreme_points(coords: list[Sequence[int]], basis: list[int]) -> list[int]:
+    """Sorted indices of the extreme points of full-dimensional points: the
+    beneath-beyond complex of the points in index order, from `basis`, and
+    the boundary points whose facet normals have rank d."""
+    d = len(coords[0])
+    if d == 2:
+        return sorted(cx._hull_2d(coords))
+    normals: dict[int, set] = {}
+    for key, (normal, _) in cx._beneath_beyond(coords, basis).items():
+        for i in key:
+            normals.setdefault(i, set()).add(normal)
+    return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)

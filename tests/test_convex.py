@@ -146,8 +146,28 @@ def test_hull_vertices_match_scipy_on_integer_clouds(dim, count, radius, seed):
         assert float(h.volume()) == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
 
 
+def _hull_record(h: Polytope):
+    return h.coords, h.denominator, h.facets, h.triangulation, h.volume()
+
+
+def _assert_hulls_match_the_oracles(monkeypatch, build):
+    # the lifted (v, 1) plane and the index-order vertex pass, alone and
+    # together, give the same hull to the last facet's position
+    import realroots.convex as cx
+
+    want = _hull_record(build())
+    oracles = {"_facet_plane": hull_oracle.facet_plane, "_extreme_points": hull_oracle.extreme_points}
+    for names in (["_facet_plane"], ["_extreme_points"], list(oracles)):
+        with monkeypatch.context() as patch:
+            for name in names:
+                patch.setattr(cx, name, oracles[name])
+            assert _hull_record(build()) == want
+
+
 @pytest.mark.parametrize(
-    "dim,count,radius,seed", [(3, 40, 1, 20), (3, 60, 2, 21), (4, 40, 1, 22), (4, 45, 2, 23)]
+    "dim,count,radius,seed",
+    [(1, 12, 3, 24), (2, 30, 2, 25), (3, 40, 1, 20), (3, 60, 2, 21), (4, 40, 1, 22), (4, 45, 2, 23),
+     (5, 24, 1, 26)],
 )
 def test_facet_planes_match_the_fraction_oracle(monkeypatch, dim, count, radius, seed):
     # small integer boxes put several points on most facets, so the planes
@@ -159,17 +179,48 @@ def test_facet_planes_match_the_fraction_oracle(monkeypatch, dim, count, radius,
         pts = sorted({tuple(int(c) for c in p) for p in rng.integers(-radius, radius + 1, size=(count, dim))})
         basis = _affine_basis(pts)
         facets = _beneath_beyond(pts, basis)
-        hull = convex_hull(pts)
         for key, (normal, offset) in facets.items():
             assert len(key) == dim and math.gcd(*normal) == 1
             assert all(sum(a * b for a, b in zip(normal, pts[i])) == offset for i in key)
         with monkeypatch.context() as patch:
             patch.setattr(cx, "_facet_plane", hull_oracle.facet_plane)
             assert _beneath_beyond(pts, basis) == facets
-            old = convex_hull(pts)
-        assert (hull.vertices, hull.triangulation, hull.volume()) == (
-            old.vertices, old.triangulation, old.volume()
-        )
+        _assert_hulls_match_the_oracles(monkeypatch, lambda: convex_hull(pts))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: convex_hull(box_support(3, 2).points),
+        lambda: convex_hull(box_support(4, 1).points),
+        lambda: convex_hull(ball_support(3, 2).points),
+        lambda: minkowski_sum(convex_hull(box_support(3, 1).points), convex_hull(ball_support(3, 1).points)),
+    ],
+    ids=["box:3:2", "box:4:1", "ball:3:2", "box:3:1+ball:3:1"],
+)
+def test_support_hulls_match_the_oracles(monkeypatch, build):
+    _assert_hulls_match_the_oracles(monkeypatch, build)
+
+
+def test_farthest_first_pass_keeps_a_point_that_ends_on_an_edge(monkeypatch):
+    # farthest first, (4,0,4) and then (4,0,3) go in before (4,0,2), so
+    # (4,0,3) stays in the vertex pass's complex, on the edge from (4,0,2) to
+    # (4,0,4), and only the rank test drops it
+    import realroots.convex as cx
+
+    complexes = []
+
+    def spy(coords, simplex):
+        facets = _beneath_beyond(coords, simplex)
+        complexes.append({coords[i] for key in facets for i in key})
+        return facets
+
+    monkeypatch.setattr(cx, "_beneath_beyond", spy)
+    pts = [(0, 2, 0), (1, 2, 2), (2, 1, 1), (2, 4, 0), (4, 0, 2), (4, 0, 3), (4, 0, 4)]
+    h = convex_hull(pts)
+    assert (4, 0, 3) in complexes[0]
+    assert h.coords == ((0, 2, 0), (1, 2, 2), (2, 4, 0), (4, 0, 2), (4, 0, 4))
+    assert h.volume() == Fraction(20, 3)
 
 
 def test_one_dimensional_hull_keeps_the_two_end_points():

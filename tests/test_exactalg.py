@@ -237,6 +237,23 @@ def test_det_and_inverse_need_a_square_matrix(m):
         mat_inverse(m)
 
 
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 0, 0], [0, 1]]],
+                         ids=["long-short", "short-long", "3-2"])
+@pytest.mark.parametrize("fn", [rank, nullspace_vector, integer_nullspace_vector])
+def test_rank_and_null_space_reject_ragged_rows(fn, m):
+    # a short row raised IndexError in the elimination; a short first row
+    # set the width, so the longer rows were read in part
+    with pytest.raises(ValueError, match="ragged"):
+        fn(m)
+
+
+@pytest.mark.parametrize("fn", [nullspace_vector, integer_nullspace_vector])
+def test_null_space_of_no_rows_is_a_value_error(fn):
+    # a matrix without rows has no column count; it raised IndexError
+    with pytest.raises(ValueError):
+        fn([])
+
+
 def test_integer_rows_scale_by_common_lcm():
     rows, s = integer_rows([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]])
     assert s == 12 and rows == [[6, 36], [-8, 15]]

@@ -180,6 +180,29 @@ def test_integer_duals_and_casimir_match_the_fraction_oracle(name):
 
 # -- reality types -------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, lam: weyl_dimension(rs, lam),
+        lambda rs, lam: symmetric_partner(rs, lam),
+        lambda rs, lam: frobenius_schur_indicator(rs, lam),
+        lambda rs, lam: reality_type(rs, lam),
+        lambda rs, lam: rs.to_dominant(lam),
+        lambda rs, lam: casimir(rs, lam),
+        lambda rs, lam: Metric(rs).root_product(lam),
+    ],
+    ids=["weyl_dimension", "symmetric_partner", "frobenius_schur_indicator", "reality_type",
+         "to_dominant", "casimir", "root_product"],
+)
+@pytest.mark.parametrize("lam", [(1,), (1, 2, 3)], ids=["short", "long"])
+def test_wrong_rank_weight_is_a_value_error(call, lam):
+    # a weight row of the wrong length would zip against the Cartan or
+    # coroot rows: weyl_dimension(A2, (1,)) read 0 and reality_type "real"
+    A2 = root_system("A2")
+    with pytest.raises(ValueError, match="weight rank mismatch"):
+        call(A2, lam)
+
+
 def test_frobenius_schur_rank_one_parity():
     a1 = root_system("A1")
     for k in range(7):

@@ -149,6 +149,25 @@ def test_three_dimensional_box_counts():
     assert mean.value == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "supports,hulls,count",
+    [(box_support(3, 1), 1, 48), ([box_support(3, 1), ball_support(3, 1), ball_support(3, 1)], 2, 24)],
+    ids=["box:3:1", "box:3:1+ball:3:1+ball:3:1"],
+)
+def test_complex_count_builds_one_hull_per_distinct_support(monkeypatch, supports, hulls, count):
+    import realroots.torus as tor
+
+    built = []
+
+    def counted(support):
+        built.append(support)
+        return newton_polytope(support)
+
+    monkeypatch.setattr(tor, "newton_polytope", counted)
+    assert complex_count_torus(supports) == count
+    assert len(built) == hulls
+
+
 def test_support_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         complex_count_torus([segment_support(1), box_support(2, 1)])
