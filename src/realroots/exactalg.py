@@ -7,7 +7,6 @@ at the boundary where irrational constants (pi, square roots) enter.
 Rank, determinant, inverse, solve and null space share one fraction-free
 Gauss-Jordan elimination on Python ints: `integer_rows` clears the
 denominators once, and Fractions appear again only in the results.
-`integer_nullspace_vector` takes an integer matrix and returns integers.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "solve",
     "rank",
     "nullspace_vector",
-    "integer_nullspace_vector",
     "integer_rows",
     "bilinear",
 ]
@@ -197,11 +195,3 @@ def nullspace_vector(m: Sequence[Sequence[Fraction]]) -> Vec:
     v, free = _null_vector(rows, _width(rows))
     return tuple(Fraction(x, v[free]) for x in v)
 
-
-def integer_nullspace_vector(m: Sequence[Sequence[int]]) -> list[int]:
-    """The primitive integer multiple of `nullspace_vector(m)`, up to sign,
-    for an integer matrix m: no Fraction is built."""
-    rows = list(m)
-    v, _ = _null_vector(rows, _width(rows))
-    g = math.gcd(*v)
-    return [x // g for x in v]

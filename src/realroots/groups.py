@@ -7,6 +7,13 @@ sum of dim * character terms.  The module computes the exact second-moment
 radius of such an ensemble, the expected number of real common zeros of a
 full system, the generic complex solution count along two independent
 routes, and the large-spectrum limits of the real/complex proportion.
+
+Every integrand is built from the integer coroot forms <k_beta, x> of
+`Metric.root_forms`: the squared root product p^2 is one product of them, and
+the Killing norm |x|^2 = sum_beta <k_beta, x>^2 / (2 h^2 r_beta^2) times p^2
+is a sum of such products over the same forms.  The limit law reads the
+Gaussian moment of p^2 off its closed form (`Metric.root_product_moment`).
+A metric passed to a function must belong to the same root system.
 """
 
 from __future__ import annotations
@@ -26,10 +33,11 @@ from .convex import (
     polarize,
     unit_ball_volume,
 )
-from .polynomials import FormProducts, Polynomial
+from .polynomials import FormProducts
 from .rootsystems import (
     Metric,
     RootSystem,
+    _ball_factor,
     _casimir_numerator,
     _casimir_unit,
     _dominant_row,
@@ -224,27 +232,16 @@ def _weyl_normal_class(rs: RootSystem, body: Polytope):
     """Key of the Weyl orbit of a facet normal of `body`, or None unless the
     body's vertex rows are closed under the simple reflections.
 
-    W acts on normals contragrediently, s_i n = n - (n . alpha_i) e_i, which
-    flips the sign of n . alpha_i; the key is the dominant conjugate, reached
-    by reflecting while some n . alpha_i < 0."""
+    W acts on normals contragrediently, s_i n = n - (n . alpha_i) e_i.  So
+    t = C n, t_i = n . alpha_i, reflects as t - t_i (column i of C), and the
+    key is the dominant conjugate of t under the columns of C."""
     cartan = rs.cartan_rows
     verts = set(body.coords)
     if any(tuple(x - v[i] * a for x, a in zip(v, row)) not in verts
            for v in body.coords for i, row in enumerate(cartan)):
         return None
-
-    def dominant(normal):
-        n = list(normal)
-        while True:
-            for i, row in enumerate(cartan):
-                t = sum(map(operator.mul, n, row))
-                if t < 0:
-                    n[i] -= t
-                    break
-            else:
-                return tuple(n)
-
-    return dominant
+    columns = tuple(zip(*cartan))
+    return lambda n: _dominant_row(columns, [sum(map(operator.mul, n, row)) for row in cartan])
 
 
 def _invariant_integral(rs: RootSystem, body: Polytope, integrand: FormProducts) -> Fraction:
@@ -254,10 +251,14 @@ def _invariant_integral(rs: RootSystem, body: Polytope, integrand: FormProducts)
     return _facet_integral(body, integrand, _weyl_normal_class(rs, body))
 
 
-def _lattice_density_integral(rs: RootSystem, body: Polytope) -> Fraction:
-    """Exact integral over the body of the squared root product, against
-    Lebesgue measure in weight coordinates (weight-lattice normalization)."""
-    return _invariant_integral(rs, body, _squared_root_product(rs))
+def _metric_of(rs: RootSystem, metric: Metric | None) -> Metric:
+    """`metric`, or the Killing metric of rs if it is None; ValueError for a
+    metric of another root system."""
+    if metric is None:
+        return Metric(rs)
+    if metric.rs != rs:
+        raise ValueError(f"metric of {metric.rs.name} given for a system on {rs.name}")
+    return metric
 
 
 def _newton_body_factor(rs: RootSystem, metric: Metric) -> float:
@@ -289,8 +290,8 @@ def newton_body_volume(
         rs = ensemble
         if body is None:
             body = weighted_polytope(rs, weight)
-    factor = _newton_body_factor(rs, metric or Metric(rs))
-    return factor * float(_lattice_density_integral(rs, body))
+    factor = _newton_body_factor(rs, _metric_of(rs, metric))
+    return factor * float(_invariant_integral(rs, body, _squared_root_product(rs)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +333,7 @@ def complex_count_reductive(
     """
     ens = _as_ensemble_list(ensembles)
     rs = ens[0].rs
+    metric = _metric_of(rs, metric)
     n = rs.dimension
     hulls = {e: weighted_polytope(e) for e in set(ens)}
     bodies = [hulls[e] for e in ens]
@@ -346,7 +348,6 @@ def complex_count_reductive(
         return Fraction(math.factorial(n), rs.weyl_order) * mixed
 
     if route == "calibrated":
-        metric = metric or Metric(rs)
         factor = _newton_body_factor(rs, metric)
         mixed = polarize(bodies, lambda b: factor * float(density_integral(b)))
         value = math.factorial(n) * metric.torus_volume() * mixed
@@ -416,8 +417,14 @@ def asymptotic_radius(rs: RootSystem, body) -> float:
     n = rs.dimension
     if isinstance(body, Polytope):
         p_sq = _squared_root_product(rs)
-        norm = FormProducts.from_polynomial(Polynomial.quadratic_form(Metric(rs).gram()))
-        num = _invariant_integral(rs, body, p_sq * norm)
+        const, forms = Metric(rs).root_forms()
+        c2, h2, twos = const * const, 2 * rs.dual_coxeter**2, (2,) * len(forms)
+        # |x|^2 p^2 over the same forms: the Killing form is
+        # sum_beta <k_beta, x>^2 / (2 h^2 r_beta^2) (see `_casimir_numerator`)
+        norm_p_sq = FormProducts(rs.rank, forms, [
+            (c2 / (h2 * r * r), twos[:j] + (4,) + twos[j + 1:])
+            for j, r in enumerate(rs.root_ratios)])
+        num = _invariant_integral(rs, body, norm_p_sq)
         den = _invariant_integral(rs, body, p_sq)
         if den == 0:
             raise ValueError("degenerate body")
@@ -462,17 +469,17 @@ def limit_real_proportion_group(rs: RootSystem, metric: Metric | None = None) ->
 
     closed_form: the dimension-only constant (n+2)^{-n/2}, shared with the
     torus limit.  pipeline: the same limit assembled from the group volume,
-    the moment of the squared root product on the unit metric ball (an
-    exact Gaussian moment times a radial constant), and the lattice
+    the moment of the squared root product on the unit metric ball (its
+    closed-form Gaussian moment times a radial constant), and the lattice
     covolume, all in the supplied metric; the ratio of the two
-    (identity_factor) is an exact identity equal to 1 for every metric.
+    (identity_factor) is an exact identity equal to 1 for every metric.  It
+    sets Macdonald's volume formula (`Metric.group_volume`) against the
+    Macdonald-Mehta integral.
     """
     n = rs.dimension
-    base = metric or Metric(rs)
-    # p = const * prod_beta l_beta with integer forms l_beta: square in ints
-    const, forms = base.root_forms()
-    p_int = math.prod(map(Polynomial.linear_form, forms), start=Polynomial.constant(rs.rank, 1))
-    ball_moment = base.integrate_ball(p_int * p_int * (const * const), 1.0)
+    base = _metric_of(rs, metric)
+    ball_moment = float(base.root_product_moment()) * _ball_factor(
+        rs.num_positive_roots, rs.rank, 1.0)
     # derivative-covariance radii live in the dual, hence the scale^-n
     factor = (
         base.group_volume()

@@ -61,21 +61,6 @@ class Polynomial:
                 data[tuple(e)] = c
         return cls(n, data)
 
-    @classmethod
-    def quadratic_form(cls, gram: Sequence[Sequence]) -> "Polynomial":
-        """x^T gram x as a polynomial."""
-        n = len(gram)
-        p = cls(n)
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] == 0:
-                    continue
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                p = p + cls(n, {tuple(e): gram[i][j]})
-        return p
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -183,26 +168,6 @@ class FormProducts:
         n = poly.nvars
         coords = [[int(i == j) for j in range(n)] for i in range(n)]
         return cls(n, coords, ((c, e) for e, c in poly.coeffs.items()))
-
-    def __mul__(self, other: "FormProducts") -> "FormProducts":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        forms = list(self.forms)
-        index = {f: j for j, f in enumerate(forms)}
-        for f in other.forms:
-            if f not in index:
-                index[f] = len(forms)
-                forms.append(f)
-        place = [index[f] for f in other.forms]
-        denom = self.denominator * other.denominator
-        terms = []
-        for a, e in self.terms:
-            for b, g in other.terms:
-                exps = list(e) + [0] * (len(forms) - len(e))
-                for j, m in zip(place, g):
-                    exps[j] += m
-                terms.append((Fraction(a * b, denom), exps))
-        return FormProducts(self.nvars, forms, terms)
 
     @property
     def total_degree(self) -> int:

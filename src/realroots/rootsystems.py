@@ -9,7 +9,9 @@ positive root beta carries a primitive integer coroot row k_beta, with
 r_beta = 2 / (beta, beta) (long roots have squared length 2); Weyl
 dimensions, Casimir values, the root product and the group and torus
 volumes are products and sums of these integers, with one rational constant
-at the end.  Inner products of general weights are exact rationals.
+at the end.  Inner products of general weights are exact rationals.  The
+degrees d_j of the basic invariants of W give |W| = prod d_j and, with the
+root lengths, the Gaussian moment of the squared root product.
 
 The reference inner product on the weight space is the one induced by the
 negative Killing form of the compact group; a :class:`Metric` rescales it by
@@ -133,7 +135,7 @@ class RootSystem:
     coroots: tuple[IntVec, ...]
     root_ratios: tuple[int, ...]
     highest_root: xa.Vec
-    weyl_order: int
+    degrees: tuple[int, ...]          # degrees of the basic invariants of W
     dual_coxeter: int
 
     # -- basic derived quantities ----------------------------------------
@@ -141,6 +143,10 @@ class RootSystem:
     @property
     def rho(self) -> xa.Vec:
         return (Fraction(1),) * self.rank
+
+    @property
+    def weyl_order(self) -> int:
+        return math.prod(self.degrees)
 
     @property
     def num_positive_roots(self) -> int:
@@ -248,16 +254,16 @@ def root_system(name: str) -> RootSystem:
     gram_k = tuple(
         tuple(x / (2 * hvee) for x in row) for row in gram_std
     )
-    # closed-form orders; enumerating the orbit of rho is O(|W|) and the
-    # tests cross-check it against the orbit size for small ranks
+    # the degrees of the basic invariants of W: |W| is their product and the
+    # number of positive roots is sum (d_j - 1)
     if family == "A":
-        order = math.factorial(rank + 1)
+        degrees = range(2, rank + 2)
     elif family in ("B", "C"):
-        order = 2**rank * math.factorial(rank)
+        degrees = range(2, 2 * rank + 1, 2)
     elif family == "D":
-        order = 2 ** (rank - 1) * math.factorial(rank)
+        degrees = sorted([*range(2, 2 * rank - 1, 2), rank])
     else:
-        order = 12
+        degrees = (2, 6)
     rs = RootSystem(
         name=f"{family}{rank}",
         family=family,
@@ -270,7 +276,7 @@ def root_system(name: str) -> RootSystem:
         coroots=tuple(coroots),
         root_ratios=tuple(ratios),
         highest_root=highest,
-        weyl_order=order,
+        degrees=tuple(degrees),
         dual_coxeter=int(hvee),
     )
     return rs
@@ -418,6 +424,15 @@ class Metric:
         const, forms = self.root_forms()
         return const * math.prod(map(sum, forms))
 
+    def root_product_moment(self) -> Fraction:
+        """E[p^2] for the standard Gaussian of the metric and p the root
+        product: prod_j d_j! prod_beta (beta, beta) / 2 over the degrees d_j
+        of W (the Macdonald-Mehta integral; Opdam, Invent. Math. 98, 1989).
+        The second product is the constant of `root_forms`, since
+        (beta, beta) = scale / (h r_beta)."""
+        const, _ = self.root_forms()
+        return math.prod(map(math.factorial, self.rs.degrees)) * const
+
     # -- lattices and volumes ----------------------------------------------
 
     def weight_gram_det(self) -> Fraction:
@@ -533,11 +548,16 @@ class Metric:
                 q = out
             moment = Fraction(q.get((0,) * k, 0),
                               d * s**n * 2**n * math.factorial(n))
-            total += float(moment) * (
-                (2 * math.pi) ** (k / 2) * r ** (deg + k)
-                / (2 ** (n + k / 2 - 1) * math.gamma(n + k / 2) * (deg + k))
-            )
+            total += float(moment) * _ball_factor(n, k, r)
         return total
+
+
+def _ball_factor(n: int, k: int, r: float) -> float:
+    """Integral over the ball of radius r in rank k of a homogeneous
+    polynomial of degree 2n, over its Gaussian moment (see
+    `Metric.integrate_ball`)."""
+    return (2 * math.pi) ** (k / 2) * r ** (2 * n + k) / (
+        2 ** (n + k / 2 - 1) * math.gamma(n + k / 2) * (2 * n + k))
 
 
 def unit_volume_metric(rs: RootSystem) -> Metric:

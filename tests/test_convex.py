@@ -31,7 +31,7 @@ from realroots.convex import (
     polarize,
     unit_ball_volume,
 )
-from realroots.groups import _lattice_density_integral, weighted_polytope
+from realroots.groups import _invariant_integral, _squared_root_product, weighted_polytope
 from realroots.polynomials import Polynomial
 from realroots.rootsystems import root_system
 from realroots.torus import ball_support, box_support, complex_count_torus
@@ -487,7 +487,7 @@ def test_polarize_over_distinct_bodies_matches_subset_sum_for_lattice_functional
     bodies = [weighted_polytope(rs, w) for w in weights]
 
     def functional(body):
-        return _lattice_density_integral(rs, body)
+        return _invariant_integral(rs, body, _squared_root_product(rs))
 
     assert polarize(bodies, functional) == subset_polarization(bodies, functional)
 

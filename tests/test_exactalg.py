@@ -1,7 +1,6 @@
 """Exact rational linear algebra against numpy float oracles, the Fraction
 elimination oracle and identities."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from realroots.exactalg import (
     as_vec,
     bilinear,
     dot,
-    integer_nullspace_vector,
     integer_rows,
     mat_det,
     mat_inverse,
@@ -206,20 +204,6 @@ def test_elimination_matches_fraction_oracle(system):
         assert outcome(mat_inverse, m) == outcome(oracle.mat_inverse, m)
 
 
-@settings(max_examples=60, deadline=None)
-@given(low_rank_systems())
-def test_integer_null_vector_is_the_primitive_oracle_vector(system):
-    rows, _ = integer_rows(system[0])
-    want = outcome(oracle.nullspace_vector, rows)
-    got = outcome(integer_nullspace_vector, rows)
-    if want[0] is ValueError:
-        assert got == want
-    else:
-        (scaled,), _ = integer_rows([want])
-        g = math.gcd(*scaled)
-        assert got in ([x // g for x in scaled], [-x // g for x in scaled])
-
-
 def test_elimination_of_empty_matrix():
     assert mat_det([]) == 1 and rank([]) == 0
 
@@ -239,7 +223,7 @@ def test_det_and_inverse_need_a_square_matrix(m):
 
 @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 0, 0], [0, 1]]],
                          ids=["long-short", "short-long", "3-2"])
-@pytest.mark.parametrize("fn", [rank, nullspace_vector, integer_nullspace_vector])
+@pytest.mark.parametrize("fn", [rank, nullspace_vector])
 def test_rank_and_null_space_reject_ragged_rows(fn, m):
     # a short row raised IndexError in the elimination; a short first row
     # set the width, so the longer rows were read in part
@@ -247,7 +231,7 @@ def test_rank_and_null_space_reject_ragged_rows(fn, m):
         fn(m)
 
 
-@pytest.mark.parametrize("fn", [nullspace_vector, integer_nullspace_vector])
+@pytest.mark.parametrize("fn", [nullspace_vector])
 def test_null_space_of_no_rows_is_a_value_error(fn):
     # a matrix without rows has no column count; it raised IndexError
     with pytest.raises(ValueError):

@@ -350,7 +350,7 @@ def test_asymptotic_mean_formula():
 
 # B4 and C4 read 1 + 4e-4 when the ball moment went through float sphere sums
 @pytest.mark.parametrize(
-    "name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "B4", "C4"]
+    "name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "B4", "C4", "A5", "B5", "C5", "D5"]
 )
 def test_limit_identity_factor_is_one(name):
     rs = root_system(name)
@@ -368,6 +368,32 @@ def test_limit_is_metric_independent():
 
 def kac_limit_a1() -> float:
     return 5 ** (-1.5)
+
+
+# a metric of B2 given for an A2 system read identity_factor 47.12, a
+# calibrated count of 411036.4 for 5562 and a Newton-body volume of 1.532
+# for 0.0305
+
+def test_limit_rejects_a_metric_of_another_system():
+    with pytest.raises(ValueError, match="B2.*A2"):
+        limit_real_proportion_group(A2, Metric(root_system("B2")))
+
+
+@pytest.mark.parametrize("route", ["lattice", "calibrated"])
+def test_complex_count_rejects_a_metric_of_another_system(route):
+    with pytest.raises(ValueError, match="B2.*A2"):
+        complex_count_reductive(adjoint(A2), route=route, metric=Metric(root_system("B2")))
+
+
+@pytest.mark.parametrize("route", ["lattice", "calibrated"])
+def test_real_proportion_rejects_a_metric_of_another_system(route):
+    with pytest.raises(ValueError, match="B2.*A2"):
+        real_proportion_group(adjoint(A2), route=route, metric=Metric(root_system("B2")))
+
+
+def test_newton_body_volume_rejects_a_metric_of_another_system():
+    with pytest.raises(ValueError, match="B2.*A2"):
+        newton_body_volume(adjoint(A2), metric=Metric(root_system("B2")))
 
 
 def test_mismatched_systems_rejected():

@@ -432,6 +432,27 @@ def test_zeros_off_a_box_centre_in_three_dimensions_are_all_counted():
     assert montecarlo._certified_counts(freqs, coeffs) == [24]
 
 
+def test_a_zero_decided_by_the_lipschitz_bound_in_three_dimensions_is_counted():
+    # sin 2 pi (x + y + z - 3a - 3 rho), sin 2 pi (x - y), sin 2 pi (y - z): 24
+    # zeros, one at (a + rho)(1, 1, 1) off the centre of a starting box where
+    # the gradient of F_1 is nonzero, so the Lipschitz reach, whose radius
+    # factor is sqrt(n) = sqrt(3), decides that box; with the planar sqrt(2)
+    # the count read 8
+    a, rho = 5.5 / 16, 0.9 / 32
+    freqs = [
+        np.array([[1, 1, 1], [-1, -1, -1]], dtype=float),
+        np.array([[1, -1, 0], [-1, 1, 0]], dtype=float),
+        np.array([[0, 1, -1], [0, -1, 1]], dtype=float),
+    ]
+    shift = np.exp(-6j * math.pi * (a + rho))
+    coeffs = [
+        np.array([[-0.5j * shift, 0.5j * shift.conjugate()]]),
+        np.array([[-0.5j, 0.5j]]),
+        np.array([[-0.5j, 0.5j]]),
+    ]
+    assert montecarlo._certified_counts(freqs, coeffs) == [24]
+
+
 def test_three_torus_box_counts_match_the_kac_rice_mean():
     support = box_support(3, 1)
     counts = montecarlo._certified_counts(*random_systems([support] * 3, 64, seed=5))

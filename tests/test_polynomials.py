@@ -101,14 +101,6 @@ def test_form_products_clear_denominators():
     assert evaluate(f, (x, y)) == Fraction(3, 4) * (x / 2 + y / 3) ** 2 * (x - y)
 
 
-def test_form_products_multiply_like_polynomials():
-    p = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(-3), (0, 0): Fraction(2)})
-    q = Polynomial.linear_form([Fraction(1), Fraction(2, 3)]) ** 3
-    prod = FormProducts.from_polynomial(p) * FormProducts.from_polynomial(q)
-    for pt in [(Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(-5, 2))]:
-        assert evaluate(prod, pt) == p(pt) * q(pt)
-
-
 def test_unexpanded_product_integrates_like_its_expansion():
     # a mixed-degree integrand on a simplex with rational vertices: the
     # product of forms and its expanded polynomial give the same Fraction
@@ -127,14 +119,6 @@ def test_unexpanded_product_integrates_like_its_expansion():
     assert integrate_over_simplex(products, verts, vol) == integrate_over_simplex(
         FormProducts.from_polynomial(poly), verts, vol
     )
-
-
-def test_quadratic_form_constructor():
-    g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    q = Polynomial.quadratic_form(g)
-    for x, y in [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(-2))]:
-        want = 2 * x * x + 2 * x * y + 3 * y * y
-        assert q((x, y)) == want
 
 
 coeffs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)

@@ -19,8 +19,8 @@ from realroots import (
     root_system,
     weighted_polytope,
 )
-from realroots.groups import _lattice_density_integral, _squared_root_product, _weyl_normal_class
-from realroots.polynomials import FormProducts, Polynomial
+from realroots.groups import _invariant_integral, _squared_root_product, _weyl_normal_class
+from realroots.polynomials import Polynomial
 
 
 def adjoint(name: str) -> RepEnsemble:
@@ -31,6 +31,10 @@ def adjoint(name: str) -> RepEnsemble:
 def squared_root_product_poly(rs):
     p = Metric(rs).root_product_poly()
     return p * p
+
+
+def density_integral(rs, body):
+    return _invariant_integral(rs, body, _squared_root_product(rs))
 
 
 def test_root_forms_multiply_to_the_root_product():
@@ -51,14 +55,14 @@ def test_adjoint_integral_equals_expanded_fraction_quadrature(name):
     rs = root_system(name)
     body = weighted_polytope(adjoint(name))
     want = expanded_gm_integral(body, squared_root_product_poly(rs))
-    assert _lattice_density_integral(rs, body) == want
+    assert density_integral(rs, body) == want
 
 
 def test_minkowski_sum_integral_equals_expanded_fraction_quadrature():
     rs = root_system("A2")
     body = minkowski_sum(weighted_polytope(adjoint("A2")), weighted_polytope(rs, (2, 0)))
     want = expanded_gm_integral(body, squared_root_product_poly(rs))
-    assert _lattice_density_integral(rs, body) == want
+    assert density_integral(rs, body) == want
 
 
 def test_a4_integral_matches_collapsed_gauss_quadrature():
@@ -66,7 +70,7 @@ def test_a4_integral_matches_collapsed_gauss_quadrature():
     body = weighted_polytope(adjoint("A4"))
     const, forms = Metric(rs).root_forms()
     oracle = collapsed_gauss_integral(body, [f for f in forms for _ in range(2)], float(const) ** 2)
-    assert float(_lattice_density_integral(rs, body)) == pytest.approx(oracle, rel=1e-12)
+    assert float(density_integral(rs, body)) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_b3_adjoint_count():
@@ -104,7 +108,7 @@ def assert_weyl_classes_match_the_oracle(rs, body):
     p_sq = _squared_root_product(rs)
     want = vertex_cone_integral(body, p_sq)
     assert want > 0
-    assert _lattice_density_integral(rs, body) == want
+    assert density_integral(rs, body) == want
     assert integrate_polynomial_over_polytope(body, p_sq) == want
 
 
@@ -134,7 +138,7 @@ def test_facet_integral_of_a_body_that_misses_the_origin():
     assert _weyl_normal_class(rs, body) is None
     p_sq = _squared_root_product(rs)
     want = vertex_cone_integral(body, p_sq)
-    assert _lattice_density_integral(rs, body) == want
+    assert density_integral(rs, body) == want
     assert integrate_polynomial_over_polytope(body, p_sq) == want
 
 
@@ -177,7 +181,10 @@ def test_asymptotic_radius_of_a_body_that_is_not_weyl_stable():
     rs = root_system("A2")
     body = convex_hull([(2, "1/2"), (2, -1), (-3, 3), (0, -3)])
     assert _weyl_normal_class(rs, body) is None
-    p_sq = _squared_root_product(rs)
-    norm = FormProducts.from_polynomial(Polynomial.quadratic_form(Metric(rs).gram()))
+    # the Killing form x^T G x, expanded
+    x = [Polynomial.linear_form([int(i == j) for j in range(rs.rank)]) for i in range(rs.rank)]
+    norm = sum((x[i] * x[j] * g for i, row in enumerate(Metric(rs).gram()) for j, g in enumerate(row)),
+               Polynomial(rs.rank))
+    p_sq = squared_root_product_poly(rs)
     num, den = vertex_cone_integral(body, p_sq * norm), vertex_cone_integral(body, p_sq)
     assert asymptotic_radius(rs, body) == math.sqrt(float(num / den) / rs.dimension)

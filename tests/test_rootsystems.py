@@ -14,6 +14,7 @@ from realroots.exactalg import dot, mat_vec
 from realroots.polynomials import Polynomial
 from realroots.rootsystems import (
     Metric,
+    _ball_factor,
     _fs_parity,
     casimir,
     frobenius_schur_indicator,
@@ -122,6 +123,19 @@ def test_signed_orbit_of_regular_weight_balances():
     assert len(signed) == a2.weyl_order
     assert sum(s for s, _ in signed) == 0
     assert {s for s, _ in signed} == {-1, 1}
+
+
+DEGREE_SYSTEMS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                  for rank in range(low, 9)] + ["G2"]
+
+
+@pytest.mark.parametrize("name", DEGREE_SYSTEMS)
+def test_degrees_of_w_add_up_to_the_positive_roots(name):
+    # sum (d_j - 1) = N, with N counted by the root closure; prod d_j = |W| is
+    # pinned by the catalogue and the regular orbit size
+    rs = root_system(name)
+    assert len(rs.degrees) == rs.rank
+    assert sum(d - 1 for d in rs.degrees) == rs.num_positive_roots
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
@@ -314,7 +328,21 @@ RANK_AT_MOST_4 = RANK_AT_MOST_3 + ("A4", "B4", "C4", "D4")
 @pytest.mark.parametrize("name", RANK_AT_MOST_4)
 def test_fischer_product_is_weyl_order_times_root_product_at_rho(name):
     met = Metric(root_system(name), Fraction(3, 2))
-    assert fischer_product(met) == met.rs.weyl_order * met.root_product_at_rho()
+    fischer = fischer_product(met)
+    assert fischer == met.rs.weyl_order * met.root_product_at_rho()
+    # the Gaussian moment of p^2 is p(d) p, since p is harmonic
+    assert met.root_product_moment() == fischer
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_closed_form_moment_of_squared_root_product_is_the_laplacian_moment(name):
+    # the Macdonald-Mehta moment times the shared radial constant reads the
+    # same float as the exact Laplacian moment of the expanded p^2
+    rs = root_system(name)
+    for met in (Metric(rs), Metric(rs, Fraction(3, 2))):
+        p = met.root_product_poly()
+        want = float(met.root_product_moment()) * _ball_factor(rs.num_positive_roots, rs.rank, 1.0)
+        assert met.integrate_ball(p * p, 1.0) == want
 
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_3)
