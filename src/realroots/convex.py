@@ -27,7 +27,12 @@ so repeated bodies cost no extra sums.
 Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
 drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
 volumes of ellipsoids, and zeros of Gaussian random fields"): a closed form
-in the plane, averaged over the sphere in R^3.
+in the plane, averaged over the sphere in R^3, and otherwise estimated by
+`montecarlo.gaussian_mixed_volume`, which draws rows 0..n-2 and integrates
+the last row out in closed form: given the others, |det G| averages to
+sqrt(2/pi) times their Gram-Schmidt residual norms times the standard
+deviation of the last row along their unit normal.  Every Q is checked to
+be finite and positive semidefinite by one rule (`_psd_eigh`).
 """
 
 from __future__ import annotations
@@ -402,12 +407,7 @@ class Ellipsoid:
         q = np.asarray(Q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("Q must be a square matrix")
-        q = 0.5 * (q + q.T)
-        vals, vecs = np.linalg.eigh(q)
-        tol = 1e-12 * max(1.0, float(np.trace(q)))
-        if vals.min() < -tol:
-            raise ValueError(f"Q is not positive semidefinite (min eigenvalue {vals.min():g})")
-        vals = np.clip(vals, 0.0, None)
+        vals, vecs = _psd_eigh(q)
         self.dim = q.shape[0]
         self.Q = (vecs * vals) @ vecs.T
         self._eigvals = vals
@@ -428,6 +428,20 @@ class Ellipsoid:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Ellipsoid(dim={self.dim})"
+
+
+def _psd_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, clipped at 0, and eigenvectors of the symmetric part of
+    the square matrix q.  Raises ValueError for a non-finite entry or an
+    eigenvalue below -1e-12 max(1, tr q)."""
+    if not np.isfinite(q).all():
+        raise ValueError("Q has a non-finite entry")
+    q = 0.5 * (q + q.T)
+    vals, vecs = np.linalg.eigh(q)
+    tol = 1e-12 * max(1.0, float(np.trace(q)))
+    if vals.min() < -tol:
+        raise ValueError(f"Q is not positive semidefinite (min eigenvalue {vals.min():g})")
+    return np.clip(vals, 0.0, None), vecs
 
 
 def unit_ball_volume(n: int) -> float:

@@ -165,13 +165,15 @@ def complex_count_torus(supports: Support | Sequence[Support]) -> Fraction:
 
 @dataclass(frozen=True)
 class TorusEnsembleResult:
-    """Real/complex zero-count summary for a torus system."""
+    """Real/complex zero-count summary for a torus system; `samples` is the
+    Gaussian sample count of a Monte Carlo mean (None for a closed form)."""
 
     real_count: float
     real_stderr: float
     complex_count: Fraction
     proportion: float
     method: str
+    samples: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -180,6 +182,7 @@ class TorusEnsembleResult:
             "complex_count": str(self.complex_count),
             "proportion": self.proportion,
             "method": self.method,
+            "samples": self.samples,
         }
 
 
@@ -201,6 +204,7 @@ def real_proportion_torus(
         complex_count=total,
         proportion=mean.value / float(total),
         method=mean.method,
+        samples=mean.samples,
     )
 
 

@@ -136,13 +136,13 @@ def test_criterion_06_gaussian_volume_oracle():
         worst = max(worst, abs(estimate - exact) / exact)
 
     line = montecarlo.gaussian_mixed_volume([np.array([[2.25]])], samples=400_000, seed=7)
-    z = (line.value - 2 * math.sqrt(2.25)) / line.stderr
-    ok = worst < 0.01 and abs(z) <= 3.0
+    line_err = abs(line.value - 2 * math.sqrt(2.25)) / (2 * math.sqrt(2.25))
+    ok = worst < 0.01 and line_err <= 1e-15 and line.stderr == 0.0
     report(
         6,
         ok,
         f"20 ellipse pairs worst rel err {worst:.2%} (<1%); "
-        f"1-d normalization z = {z:+.2f} (|z|<=3)",
+        f"1-d normalization rel err {line_err:.1e} (<=1e-15), stderr {line.stderr:g} (0)",
     )
 
 

@@ -170,7 +170,7 @@ def test_torus_one_non_round_support_is_exact(capsys, seed):
     code, report = run_json(capsys, ["torus", "--support", NON_ROUND_3D, *seed])
     assert code == 0
     res = report["results"]
-    assert (res["method"], res["real_stderr"]) == ("volume", 0.0)
+    assert (res["method"], res["real_stderr"], res["samples"]) == ("volume", 0.0, None)
     assert Fraction(res["complex_count"]) == 16
     # one ellipsoid n times: 3!/(2 pi)^3 * vol(E) = 8 pi sqrt(32) / 7^(3/2)
     exact = 8 * math.pi * math.sqrt(32) / 7 ** 1.5
@@ -186,6 +186,8 @@ def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
     assert report["status"] == "ok"
     res = report["results"]
     assert res["method"] == "mc" and res["real_stderr"] > 0
+    # the mean's own sample count, apart from the counter's --samples
+    assert res["samples"] == 100_000 and report["config"]["samples"] is None
     # mixed volumes are monotone: V(E1, E1, E1) <= V(E1, E2, E2) <= V(E2, E2, E2)
     low, high = octahedron_mean(1, 2, 1), octahedron_mean(1, 2, 2)
     assert low - 5 * res["real_stderr"] < res["real_count"] < high + 5 * res["real_stderr"]

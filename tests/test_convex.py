@@ -510,6 +510,21 @@ def test_ellipsoid_support_and_volume():
     assert Ellipsoid(np.diag([1.0, 2.0])).ball_radius() is None
 
 
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (np.diag([1.0, -1.0]), "not positive semidefinite"),
+        (np.diag([1.0, -1e-6]), "not positive semidefinite"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+        (np.diag([np.inf, 1.0]), "non-finite"),
+        (np.ones((2, 3)), "square"),
+    ],
+)
+def test_ellipsoid_rejects_invalid_matrices(q, message):
+    with pytest.raises(ValueError, match=message):
+        Ellipsoid(q)
+
+
 def test_disc_pair_mixed_volume_is_pi_r_s():
     # mixed volume of balls is the product of radii times the unit ball volume
     for r, s in [(1.0, 1.0), (0.5, 2.0), (1.3, 0.7)]:

@@ -517,10 +517,11 @@ def test_numpy_only_runtime():
 # -- gaussian determinant volumes --------------------------------------------------------
 
 def test_gaussian_volume_one_dimensional_normalization():
+    # with the one row integrated out, a segment's length is exact
     for q in (1.0, 2.5):
         stats = gaussian_mixed_volume([np.array([[q]])], samples=200_000, seed=1)
-        z = (stats.value - 2 * math.sqrt(q)) / stats.stderr
-        assert abs(z) < 4
+        assert stats.value == pytest.approx(2 * math.sqrt(q), rel=1e-15)
+        assert stats.stderr == 0.0
 
 
 def test_gaussian_volume_disc_pair():
@@ -562,6 +563,42 @@ def test_gaussian_volume_matches_the_lapack_determinant_oracle(bodies, samples):
     assert got.samples == want.samples == samples
     assert got.value == pytest.approx(want.value, rel=1e-12)
     assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("bodies", GAUSSIAN_BODIES.values(), ids=GAUSSIAN_BODIES.keys())
+def test_gaussian_volume_agrees_with_the_full_draw_estimator(bodies):
+    # averaging |det G| over all n^2 draws has the same mean and a larger
+    # variance than integrating the last row out
+    samples, n = 100_003, len(bodies)
+    got = gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
+    full = gaussian_oracle.full_draw_gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
+    assert abs(got.value - full.value) <= 4 * math.hypot(got.stderr, full.stderr)
+    if n >= 2 and full.value > 0:
+        assert got.stderr < full.stderr
+
+
+@pytest.mark.parametrize(
+    "bodies",
+    [
+        [np.diag([1.0, -1.0]), np.eye(2)],
+        [np.eye(2), np.diag([1.0, -1e-6])],
+        [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)],
+        [np.eye(2), np.diag([np.inf, 1.0])],
+        [],
+        [np.eye(2)],
+    ],
+    ids=["indefinite", "slightly-negative-last", "nan", "inf", "none", "too-few"],
+)
+def test_gaussian_volume_rejects_invalid_covariances(bodies):
+    with pytest.raises(ValueError, match="not positive semidefinite|non-finite|covariance matrices"):
+        gaussian_mixed_volume(bodies, samples=1000, seed=1)
+
+
+def test_gaussian_volume_allows_rounding_below_zero():
+    # an eigenvalue within 1e-12 max(1, tr Q) of 0 counts as 0, as for Ellipsoid
+    flat = np.diag([1.0, -1e-13])
+    stats = gaussian_mixed_volume([flat, np.eye(2)], samples=1000, seed=1)
+    assert stats.value == gaussian_mixed_volume([np.diag([1.0, 0.0]), np.eye(2)], samples=1000, seed=1).value
 
 
 # -- sample-count guards ------------------------------------------------------------------

@@ -130,7 +130,15 @@ def test_real_proportion_pipeline_consistency():
     assert res.complex_count == 10
     assert res.proportion == pytest.approx(segment_proportion(5), rel=1e-13)
     d = res.as_dict()
-    assert set(d) >= {"real_count", "complex_count", "proportion", "method"}
+    assert set(d) >= {"real_count", "complex_count", "proportion", "method", "samples"}
+    assert res.samples is None and d["samples"] is None
+
+
+def test_real_proportion_reports_the_monte_carlo_sample_count():
+    sups = [box_support(3, 1), ball_support(3, 1), ball_support(3, 1)]
+    res = real_proportion_torus(sups, method="mc", samples=5000, seed=3)
+    assert (res.method, res.samples, res.as_dict()["samples"]) == ("mc", 5000, 5000)
+    assert res.real_stderr > 0
 
 
 def test_box_proportion_value():
