@@ -195,8 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(report: Report, fmt: str, out: str | None) -> None:
     text = report.render(fmt)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SystemExit(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -277,6 +280,8 @@ def _run_group(args) -> int:
 
 def _run_verify(args) -> int:
     tol = args.tolerance
+    if not 0 <= tol < math.inf:
+        raise SystemExit(f"--tolerance must be finite and non-negative, got {tol}")
     checks: list[tuple[str, float]] = []
 
     for n in range(1, 11):

@@ -618,19 +618,14 @@ def mixed_volume_ellipsoids(
 # polynomial integration over polytopes
 # ---------------------------------------------------------------------------
 
-def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProducts) -> Fraction:
+def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProducts, *,
+                                       normal_class: Callable[[IntVec], object] | None = None
+                                       ) -> Fraction:
     """Integral of `poly` over `p` against coordinate Lebesgue measure.
 
     Exact (Fraction); a float coefficient counts as its exact binary value.
     A `FormProducts` integrand is integrated without expanding its products.
     Zero for polytopes of less than full dimension.
-    """
-    return _facet_integral(p, poly)
-
-
-def _facet_integral(p: Polytope, poly: Polynomial | FormProducts,
-                    normal_class: Callable[[IntVec], object] | None = None) -> Fraction:
-    """`integrate_polynomial_over_polytope` over signed cones from the origin.
 
     P is the signed sum of the cones from the origin over its facet
     simplices, with the sign of their plane's offset c (Lasserre, "Integration

@@ -28,8 +28,8 @@ from . import exactalg as xa
 from .convex import (
     Ellipsoid,
     Polytope,
-    _facet_integral,
     convex_hull,
+    integrate_polynomial_over_polytope,
     polarize,
     unit_ball_volume,
 )
@@ -99,8 +99,7 @@ class RepEnsemble:
         """Check that the spectrum holds the dual of each of its weights, as
         a real ensemble needs (the group analogue of -S = S on the torus)."""
         rows = set(self.weights)
-        cartan = self.rs.cartan_rows
-        missing = sorted({_dominant_row(cartan, [-x for x in row]) for row in rows} - rows)
+        missing = sorted({_dominant_row(self.rs.cartan, [-x for x in row]) for row in rows} - rows)
         if missing:
             names = ", ".join("(" + ",".join(map(str, w)) + ")" for w in missing)
             raise ValueError(
@@ -235,7 +234,7 @@ def _weyl_normal_class(rs: RootSystem, body: Polytope):
     W acts on normals contragrediently, s_i n = n - (n . alpha_i) e_i.  So
     t = C n, t_i = n . alpha_i, reflects as t - t_i (column i of C), and the
     key is the dominant conjugate of t under the columns of C."""
-    cartan = rs.cartan_rows
+    cartan = rs.cartan
     verts = set(body.coords)
     if any(tuple(x - v[i] * a for x, a in zip(v, row)) not in verts
            for v in body.coords for i, row in enumerate(cartan)):
@@ -248,7 +247,8 @@ def _invariant_integral(rs: RootSystem, body: Polytope, integrand: FormProducts)
     """Exact integral of a W-invariant integrand over the body, against
     Lebesgue measure in weight coordinates (W acts by unimodular integer
     matrices), one facet plane per W-orbit when the body is W-stable."""
-    return _facet_integral(body, integrand, _weyl_normal_class(rs, body))
+    return integrate_polynomial_over_polytope(body, integrand,
+                                              normal_class=_weyl_normal_class(rs, body))
 
 
 def _metric_of(rs: RootSystem, metric: Metric | None) -> Metric:

@@ -1,17 +1,23 @@
 """Root-system combinatorics and invariant metrics for compact simple groups.
 
-Weights live in fundamental-weight coordinates: a weight is a tuple of
-rationals (integers for lattice points), and the simple root alpha_i is row i
-of the Cartan matrix.  Weyl orbits close integer rows under the integer
-Cartan rows, and dominant conjugates reflect integer rows by them.  Each
-positive root beta carries a primitive integer coroot row k_beta, with
-(lam, beta^vee) = sum_i k_i lam_i, and its length ratio
-r_beta = 2 / (beta, beta) (long roots have squared length 2); Weyl
-dimensions, Casimir values, the root product and the group and torus
-volumes are products and sums of these integers, with one rational constant
-at the end.  Inner products of general weights are exact rationals.  The
-degrees d_j of the basic invariants of W give |W| = prod d_j and, with the
-root lengths, the Gaussian moment of the squared root product.
+A system is read off its Dynkin diagram in integers: the length ratios
+r_i = 2 / (alpha_i, alpha_i) of the simple roots (long roots have squared
+length 2) and the bonds give the integer Cartan matrix.  Weights live in
+fundamental-weight coordinates: a weight is a tuple of rationals (integers
+for lattice points), and the simple root alpha_i is row i of the Cartan
+matrix.  Weyl orbits close integer rows under the Cartan rows, and dominant
+conjugates reflect integer rows by them.  The roots are the Weyl orbits of
+the simple roots; the inverse Cartan matrix gives each its simple-root
+coordinates, hence its sign and height, and its primitive integer coroot row
+k_beta, with (lam, beta^vee) = sum_i k_i lam_i, and each keeps the length
+ratio r_beta of its simple root.  Weyl dimensions, Casimir values, pairings,
+the root product and the group and torus volumes are products and sums of
+these integers, with one rational constant at the end.  The dual Coxeter
+number is 1 + sum_i k_i on the highest root, and the degrees d_j of the basic
+invariants of W are one more than the exponents, the partition dual to the
+number of positive roots of each height (Kostant, Amer. J. Math. 81, 1959).
+They give |W| = prod d_j and, with the root lengths, the Gaussian moment of
+the squared root product.
 
 The reference inner product on the weight space is the one induced by the
 negative Killing form of the compact group; a :class:`Metric` rescales it by
@@ -46,40 +52,24 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# catalogue of simple-root Gram matrices (long roots have squared length 2)
+# Dynkin diagrams
 # ---------------------------------------------------------------------------
 
-def _simple_root_gram(family: str, rank: int) -> xa.Mat:
-    F = Fraction
+def _dynkin(family: str, rank: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The length ratios r_i = 2 / (alpha_i, alpha_i) of the simple roots
+    (long roots have squared length 2) and the bonds of the Dynkin diagram."""
+    chain = [(i, i + 1) for i in range(rank - 1)]
     if family == "A" and rank >= 1:
-        norms = [F(2)] * rank
-        links = {(i, i + 1): F(-1) for i in range(rank - 1)}
-    elif family == "B" and rank >= 2:
-        # last simple root short
-        norms = [F(2)] * (rank - 1) + [F(1)]
-        links = {(i, i + 1): F(-1) for i in range(rank - 1)}
-    elif family == "C" and rank >= 2:
-        # last simple root long
-        norms = [F(1)] * (rank - 1) + [F(2)]
-        links = {(i, i + 1): F(-1, 2) for i in range(rank - 2)}
-        links[(rank - 2, rank - 1)] = F(-1)
-    elif family == "D" and rank >= 3:
-        norms = [F(2)] * rank
-        links = {(i, i + 1): F(-1) for i in range(rank - 2)}
-        links[(rank - 3, rank - 1)] = F(-1)
-    elif family == "G" and rank == 2:
-        # first simple root short
-        norms = [F(2, 3), F(2)]
-        links = {(0, 1): F(-1)}
-    else:
-        raise ValueError(f"unsupported root system {family}{rank}")
-    gram = [[F(0)] * rank for _ in range(rank)]
-    for i in range(rank):
-        gram[i][i] = norms[i]
-    for (i, j), v in links.items():
-        gram[i][j] = v
-        gram[j][i] = v
-    return tuple(tuple(row) for row in gram)
+        return [1] * rank, chain
+    if family == "B" and rank >= 2:
+        return [1] * (rank - 1) + [2], chain  # last simple root short
+    if family == "C" and rank >= 2:
+        return [2] * (rank - 1) + [1], chain  # last simple root long
+    if family == "D" and rank >= 3:
+        return [1] * rank, chain[:-1] + [(rank - 3, rank - 1)]
+    if family == "G" and rank == 2:
+        return [3, 1], chain  # first simple root short
+    raise ValueError(f"unsupported root system {family}{rank}")
 
 
 IntVec = tuple[int, ...]
@@ -124,8 +114,7 @@ class RootSystem:
     name: str
     family: str
     rank: int
-    cartan: xa.Mat                    # row i = simple root alpha_i in weight coords
-    cartan_rows: tuple[IntVec, ...]   # the same rows as ints
+    cartan: tuple[IntVec, ...]        # row i = simple root alpha_i in weight coords
     gram_std: xa.Mat                  # fundamental-weight Gram, long roots norm 2
     gram_killing: xa.Mat              # fundamental-weight Gram, Killing normalization
     positive_roots: tuple[xa.Vec, ...]
@@ -175,14 +164,14 @@ class RootSystem:
 
     def to_dominant(self, lam: Sequence) -> xa.Vec:
         row, s = self._weight_row(lam)
-        return tuple(Fraction(x, s) for x in _dominant_row(self.cartan_rows, row))
+        return tuple(Fraction(x, s) for x in _dominant_row(self.cartan, row))
 
     def lattice_orbit(self, lam: Sequence) -> tuple[dict[IntVec, int], int]:
         """Weyl orbit of lam as integer rows over the least common
         denominator s of lam, each mapped to the sign of the shortest group
         element carrying s lam there; and s."""
         row, s = self._weight_row(lam)
-        return _reflection_closure(self.cartan_rows, [tuple(row)]), s
+        return _reflection_closure(self.cartan, [tuple(row)]), s
 
     def weyl_orbit(self, lam: Sequence) -> tuple[xa.Vec, ...]:
         signs, s = self.lattice_orbit(lam)
@@ -203,83 +192,67 @@ class RootSystem:
         return f"RootSystem({self.name})"
 
 
-@lru_cache(maxsize=None)
 def root_system(name: str) -> RootSystem:
-    """Root system by name: A1..A3, B2..B3, C2..C3, D3, G2 (and larger
-    ranks of the classical families)."""
+    """Root system by name, in either case: A_n (n >= 1), B_n and C_n
+    (n >= 2), D_n (n >= 3) or G2.  Each system is built once."""
     name = name.strip().upper()
     if len(name) < 2 or name[0] not in "ABCDG" or not name[1:].isdigit():
         raise ValueError(f"cannot parse root system name {name!r}")
-    family, rank = name[0], int(name[1:])
-    gram_s = _simple_root_gram(family, rank)
-    d = tuple(gram_s[j][j] / 2 for j in range(rank))
-    # Cartan matrix: alpha_i in weight coordinates
-    cartan = tuple(
-        tuple(gram_s[i][j] / d[j] for j in range(rank)) for i in range(rank)
-    )
-    # fundamental-weight Gram: inverse Cartan times diag(d)
+    return _root_system(name[0], int(name[1:]))
+
+
+@lru_cache(maxsize=None)
+def _root_system(family: str, rank: int) -> RootSystem:
+    ratios, bonds = _dynkin(family, rank)
+    # Cartan matrix C_ij = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j); a bond
+    # pairs two simple roots to -1 / min(r_i, r_j)
+    cartan = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in bonds:
+        low = min(ratios[i], ratios[j])
+        cartan[i][j], cartan[j][i] = -ratios[j] // low, -ratios[i] // low
+    cartan = tuple(map(tuple, cartan))
+    # fundamental-weight Gram: C^-1 diag(1 / r)
     cinv = xa.mat_inverse(cartan)
-    gram_std = tuple(
-        tuple(cinv[i][j] * d[j] for j in range(rank)) for i in range(rank)
-    )
-    # all roots: Weyl closure of the simple roots
-    cartan_int = [[int(x) for x in row] for row in cartan]
-    roots = _reflection_closure(cartan_int, map(tuple, cartan_int))
-    cartan_t = tuple(zip(*cartan, strict=True))
+    gram_std = tuple(tuple(x / r for x, r in zip(row, ratios)) for row in cinv)
+    # the roots are the W-orbits of the simple roots, and a root has the
+    # length of the simple roots in its orbit
+    ratio_of: dict[IntVec, int] = {}
+    for row, r in zip(cartan, ratios):
+        if row not in ratio_of:
+            ratio_of.update(dict.fromkeys(_reflection_closure(cartan, [row]), r))
+    # s times the simple-root coordinates c of a root w are w (s C^-1); the
+    # root is positive iff its height sum(c) is, and beta^vee = r_beta beta
+    # has the simple-coroot coordinates c_i r_beta / r_i
+    adj, s = xa.integer_rows(cinv)
     positive = []
-    for r in sorted(roots):
-        coeffs = xa.solve(cartan_t, r)
-        if all(c >= 0 for c in coeffs):
-            positive.append((sum(coeffs), xa.as_vec(r)))
+    for w, r in ratio_of.items():
+        c = [sum(map(operator.mul, w, col)) for col in zip(*adj)]
+        height = sum(c) // s
+        if height > 0:
+            positive.append((height, w, tuple(x * r // (s * q) for x, q in zip(c, ratios)), r))
     positive.sort()  # by height, so the simple roots come first
-    highest = positive[-1][1]
-    pos_roots = tuple(r for _, r in positive)
-    # coroot rows: k_i = (omega_i, beta^vee) = r_beta (G beta)_i
-    coroots, ratios = [], []
-    for beta in pos_roots:
-        ratio = 2 / xa.bilinear(gram_std, beta, beta)
-        row = xa.vec_scale(xa.mat_vec(gram_std, beta), ratio)
-        if ratio.denominator != 1 or any(k.denominator != 1 for k in row):
-            raise AssertionError("coroot rows must be integral")  # pragma: no cover
-        ratios.append(int(ratio))
-        coroots.append(tuple(int(k) for k in row))
-    # dual Coxeter number from the highest root
-    rho = (Fraction(1),) * rank
-    hr_norm = xa.bilinear(gram_std, highest, highest)
-    if hr_norm != 2:  # pragma: no cover - normalization invariant
-        raise AssertionError("highest root must have squared length 2")
-    hvee = 1 + 2 * xa.bilinear(gram_std, rho, highest) / hr_norm
-    if hvee.denominator != 1:  # pragma: no cover
-        raise AssertionError("dual Coxeter number must be an integer")
-    gram_k = tuple(
-        tuple(x / (2 * hvee) for x in row) for row in gram_std
-    )
-    # the degrees of the basic invariants of W: |W| is their product and the
-    # number of positive roots is sum (d_j - 1)
-    if family == "A":
-        degrees = range(2, rank + 2)
-    elif family in ("B", "C"):
-        degrees = range(2, 2 * rank + 1, 2)
-    elif family == "D":
-        degrees = sorted([*range(2, 2 * rank - 1, 2), rank])
-    else:
-        degrees = (2, 6)
-    rs = RootSystem(
+    heights, roots, coroots, root_ratios = zip(*positive)
+    # the number of positive roots of height k is the number of exponents
+    # m_j >= k (Kostant), so the exponents are the dual partition, and the
+    # degrees of W are m_j + 1
+    counts = [heights.count(k) for k in range(1, heights[-1] + 1)]
+    degrees = sorted(1 + sum(n >= j for n in counts) for j in range(1, rank + 1))
+    # h^vee = 1 + (rho, theta^vee), theta the highest root
+    hvee = 1 + sum(coroots[-1])
+    return RootSystem(
         name=f"{family}{rank}",
         family=family,
         rank=rank,
         cartan=cartan,
-        cartan_rows=tuple(map(tuple, cartan_int)),
         gram_std=gram_std,
-        gram_killing=gram_k,
-        positive_roots=pos_roots,
-        coroots=tuple(coroots),
-        root_ratios=tuple(ratios),
-        highest_root=highest,
+        gram_killing=tuple(tuple(x / (2 * hvee) for x in row) for row in gram_std),
+        positive_roots=tuple(map(xa.as_vec, roots)),
+        coroots=coroots,
+        root_ratios=root_ratios,
+        highest_root=xa.as_vec(roots[-1]),
         degrees=tuple(degrees),
-        dual_coxeter=int(hvee),
+        dual_coxeter=hvee,
     )
-    return rs
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +277,22 @@ def weyl_dimension(rs: RootSystem, lam: Sequence) -> int:
     return dim
 
 
-def _casimir_numerator(rs: RootSystem, row: Sequence[int], s: int = 1) -> int:
-    """(lam, lam + 2 rho) for lam = row / s, in the Killing pairing, times
-    `_casimir_unit(rs)` s^2.
+def _killing_numerator(rs: RootSystem, row: Sequence[int], other: Sequence[int]) -> int:
+    """(row, other) in the Killing pairing, times `_casimir_unit(rs)`.
 
     The Killing pairing is the sum over all roots of the pairings with the
     root, (lam, mu) = 2 sum_beta (lam, beta)(mu, beta) over the positive
     roots, and (lam, beta) = <k_beta, lam> / (2 h r_beta) (see
-    `Metric.root_forms`); (rho, beta^vee) = sum k_beta."""
+    `Metric.root_forms`)."""
     r2 = max(rs.root_ratios) ** 2
-    return sum(a * (a + 2 * s * sum(k)) * (r2 // (r * r))
-               for a, k, r in zip(_coroot_pairings(rs, row), rs.coroots, rs.root_ratios))
+    return sum(a * b * (r2 // (r * r)) for a, b, r in
+               zip(_coroot_pairings(rs, row), _coroot_pairings(rs, other), rs.root_ratios))
+
+
+def _casimir_numerator(rs: RootSystem, row: Sequence[int], s: int = 1) -> int:
+    """(lam, lam + 2 rho) for lam = row / s, in the Killing pairing, times
+    `_casimir_unit(rs)` s^2."""
+    return _killing_numerator(rs, row, [x + 2 * s for x in row])
 
 
 def _casimir_unit(rs: RootSystem) -> int:
@@ -387,7 +365,9 @@ class Metric:
     # -- pairings ---------------------------------------------------------
 
     def pairing(self, lam: Sequence, mu: Sequence) -> Fraction:
-        return self.scale * xa.bilinear(self.rs.gram_killing, xa.as_vec(lam), xa.as_vec(mu))
+        """Summed in integers over the coroot table, as `casimir` is."""
+        (a, s), (b, t) = self.rs._weight_row(lam), self.rs._weight_row(mu)
+        return self.scale * Fraction(_killing_numerator(self.rs, a, b), _casimir_unit(self.rs) * s * t)
 
     def norm_sq(self, lam: Sequence) -> Fraction:
         return self.pairing(lam, lam)

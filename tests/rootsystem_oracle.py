@@ -1,7 +1,14 @@
-"""The Weyl dimension, Frobenius-Schur parity, root product, dominant
-conjugate, dual weight and Casimir value that `realroots.rootsystems`
-computed before it read them off integer rows and the integer coroot table:
-a test oracle, kept verbatim.
+"""The root-system construction, Weyl dimension, Frobenius-Schur parity,
+root product, dominant conjugate, dual weight and Casimir value that
+`realroots.rootsystems` computed before it read them off the integer Dynkin
+data, integer rows and the integer coroot table: a test oracle, kept
+verbatim.
+
+`root_system_fields` builds a system from a `Fraction` Gram table of its
+simple roots: one exact solve per root for its simple-root coordinates, a
+`Fraction` pairing per root for its length ratio and coroot row, h^vee from
+the pairing of rho with the highest root, and the degrees of W from a table
+per family.
 
 Every factor is a `Fraction` pairing in the fundamental-weight Gram matrix:
 (lam + rho, beta) over (rho, beta) for the dimension, 2 (lam, beta) /
@@ -17,6 +24,116 @@ from fractions import Fraction
 from typing import Sequence
 
 from realroots import exactalg as xa
+
+
+def _simple_root_gram(family: str, rank: int) -> xa.Mat:
+    F = Fraction
+    if family == "A" and rank >= 1:
+        norms = [F(2)] * rank
+        links = {(i, i + 1): F(-1) for i in range(rank - 1)}
+    elif family == "B" and rank >= 2:
+        # last simple root short
+        norms = [F(2)] * (rank - 1) + [F(1)]
+        links = {(i, i + 1): F(-1) for i in range(rank - 1)}
+    elif family == "C" and rank >= 2:
+        # last simple root long
+        norms = [F(1)] * (rank - 1) + [F(2)]
+        links = {(i, i + 1): F(-1, 2) for i in range(rank - 2)}
+        links[(rank - 2, rank - 1)] = F(-1)
+    elif family == "D" and rank >= 3:
+        norms = [F(2)] * rank
+        links = {(i, i + 1): F(-1) for i in range(rank - 2)}
+        links[(rank - 3, rank - 1)] = F(-1)
+    elif family == "G" and rank == 2:
+        # first simple root short
+        norms = [F(2, 3), F(2)]
+        links = {(0, 1): F(-1)}
+    else:
+        raise ValueError(f"unsupported root system {family}{rank}")
+    gram = [[F(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = norms[i]
+    for (i, j), v in links.items():
+        gram[i][j] = v
+        gram[j][i] = v
+    return tuple(tuple(row) for row in gram)
+
+
+def root_system_fields(name: str) -> dict:
+    """Every field of `RootSystem` for the system `name` (e.g. "B4"), by
+    field name; the Cartan rows are Fractions."""
+    family, rank = name[0], int(name[1:])
+    gram_s = _simple_root_gram(family, rank)
+    d = tuple(gram_s[j][j] / 2 for j in range(rank))
+    # Cartan matrix: alpha_i in weight coordinates
+    cartan = tuple(
+        tuple(gram_s[i][j] / d[j] for j in range(rank)) for i in range(rank)
+    )
+    # fundamental-weight Gram: inverse Cartan times diag(d)
+    cinv = xa.mat_inverse(cartan)
+    gram_std = tuple(
+        tuple(cinv[i][j] * d[j] for j in range(rank)) for i in range(rank)
+    )
+    # all roots: closure of the simple roots under the simple reflections
+    roots = set(cartan)
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for c, row in zip(v, cartan):
+                w = tuple(x - c * r for x, r in zip(v, row))
+                if w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    cartan_t = tuple(zip(*cartan, strict=True))
+    positive = []
+    for r in sorted(roots):
+        coeffs = xa.solve(cartan_t, r)
+        if all(c >= 0 for c in coeffs):
+            positive.append((sum(coeffs), xa.as_vec(r)))
+    positive.sort()  # by height, so the simple roots come first
+    highest = positive[-1][1]
+    pos_roots = tuple(r for _, r in positive)
+    # coroot rows: k_i = (omega_i, beta^vee) = r_beta (G beta)_i
+    coroots, ratios = [], []
+    for beta in pos_roots:
+        ratio = 2 / xa.bilinear(gram_std, beta, beta)
+        row = xa.vec_scale(xa.mat_vec(gram_std, beta), ratio)
+        assert ratio.denominator == 1 and all(k.denominator == 1 for k in row)
+        ratios.append(int(ratio))
+        coroots.append(tuple(int(k) for k in row))
+    # dual Coxeter number from the highest root
+    rho = (Fraction(1),) * rank
+    hr_norm = xa.bilinear(gram_std, highest, highest)
+    assert hr_norm == 2
+    hvee = 1 + 2 * xa.bilinear(gram_std, rho, highest) / hr_norm
+    assert hvee.denominator == 1
+    gram_k = tuple(
+        tuple(x / (2 * hvee) for x in row) for row in gram_std
+    )
+    if family == "A":
+        degrees = range(2, rank + 2)
+    elif family in ("B", "C"):
+        degrees = range(2, 2 * rank + 1, 2)
+    elif family == "D":
+        degrees = sorted([*range(2, 2 * rank - 1, 2), rank])
+    else:
+        degrees = (2, 6)
+    return dict(
+        name=f"{family}{rank}",
+        family=family,
+        rank=rank,
+        cartan=cartan,
+        gram_std=gram_std,
+        gram_killing=gram_k,
+        positive_roots=pos_roots,
+        coroots=tuple(coroots),
+        root_ratios=tuple(ratios),
+        highest_root=highest,
+        degrees=tuple(degrees),
+        dual_coxeter=int(hvee),
+    )
 
 
 def weyl_dimension(rs, lam: Sequence) -> int:

@@ -306,6 +306,15 @@ def test_verify_flags_tolerance_failures(capsys):
     assert report["results"]["failures"]
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+def test_verify_rejects_a_non_finite_or_negative_tolerance(capsys, tolerance):
+    # no error is <= nan, so every check used to fail as a numerical failure
+    assert main(["verify", "--tolerance", tolerance]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --tolerance must be finite and non-negative" in captured.err
+
+
 # -- report formats ------------------------------------------------------------------
 
 def test_missing_subcommand_is_argparse_exit():
@@ -330,6 +339,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(target.read_text())
     assert report["command"] == "verify"
+
+
+def test_out_to_a_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["torus", "--support", "segment:3", "--out", str(target)])
+    assert code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {target}" in captured.err
+    assert not target.parent.exists()
 
 
 def test_exit_code_constants_are_distinct():

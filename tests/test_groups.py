@@ -181,6 +181,15 @@ def test_rank_one_mixed_arguments():
     assert calibrated == pytest.approx(32.0, rel=1e-12)
 
 
+def test_rank_one_system_spelled_two_ways_is_one_system():
+    # "a1" and "A1" name one root system: a system of ensembles built from
+    # both spellings is a system on A1, not a mismatch
+    ens = [adjoint(root_system("a1")), adjoint(A1), RepEnsemble.single(root_system(" a1"), (4,))]
+    assert complex_count_reductive(ens) == 32
+    assert mean_real_count_group(ens) == mean_real_count_group(
+        [adjoint(A1), adjoint(A1), RepEnsemble.single(A1, (4,))])
+
+
 @pytest.mark.parametrize(
     "name,count",
     [("A2", 5562), ("B2", 24576), ("G2", 10576332)],

@@ -1,5 +1,6 @@
 """Root system catalogue, Weyl combinatorics, reality types, and metric geometry."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -129,20 +130,49 @@ DEGREE_SYSTEMS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C"
                   for rank in range(low, 9)] + ["G2"]
 
 
+def _types(value):
+    """The type of value, with tuples mapped entry by entry."""
+    if isinstance(value, tuple):
+        return tuple(map(_types, value))
+    return type(value)
+
+
+@pytest.mark.parametrize("name", DEGREE_SYSTEMS)
+def test_root_system_matches_the_fraction_gram_construction(name):
+    # every field, value and type, against the Fraction Gram table, the
+    # per-root solve and pairings and the per-family degrees; the oracle's
+    # Cartan rows are Fractions, so they are compared by value only
+    rs = root_system(name)
+    want = rootsystem_oracle.root_system_fields(name)
+    assert [f.name for f in dataclasses.fields(rs)] == list(want)
+    for field, value in want.items():
+        got = getattr(rs, field)
+        assert got == value, field
+        if field != "cartan":
+            assert _types(got) == _types(value), field
+    assert _types(rs.cartan) == ((int,) * rs.rank,) * rs.rank
+
+
 @pytest.mark.parametrize("name", DEGREE_SYSTEMS)
 def test_degrees_of_w_add_up_to_the_positive_roots(name):
-    # sum (d_j - 1) = N, with N counted by the root closure; prod d_j = |W| is
-    # pinned by the catalogue and the regular orbit size
+    # sum (d_j - 1) = N, with N counted by the root closure (the degrees are
+    # read off the root heights, so this holds by construction); prod d_j =
+    # |W| is pinned by the catalogue and the regular orbit size
     rs = root_system(name)
     assert len(rs.degrees) == rs.rank
     assert sum(d - 1 for d in rs.degrees) == rs.num_positive_roots
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
+ORBIT_SYSTEMS = [f"{family}{rank}" for family, low, high in (("A", 1, 6), ("B", 2, 5), ("C", 2, 5),
+                                                             ("D", 3, 6)) for rank in range(low, high + 1)] + ["G2"]
+
+
+@pytest.mark.parametrize("name", ORBIT_SYSTEMS)
 def test_weyl_order_matches_regular_orbit_size(name):
-    # the group acts simply transitively on the orbit of a regular point
+    # the group acts simply transitively on the orbit of a regular point, so
+    # the product of the degrees read off the root heights counts it
     rs = root_system(name)
-    assert rs.weyl_order == len(rs.weyl_orbit(rs.rho))
+    assert rs.weyl_order == len(rs.lattice_orbit(rs.rho)[0])
 
 
 ORACLE_SYSTEMS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
@@ -433,6 +463,13 @@ def test_unit_volume_metric_normalizes_group_volume():
 
 def test_root_system_objects_are_cached():
     assert root_system("A2") is root_system("A2")
+
+
+def test_root_system_spellings_share_one_object():
+    # ensembles of one system are compared by identity, so "a1" and " A1 "
+    # must give the object "A1" gives
+    assert root_system("a1") is root_system("A1") is root_system(" A1 ")
+    assert root_system("g2") is root_system("G2")
 
 
 def test_unknown_family_rejected():
