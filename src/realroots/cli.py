@@ -134,8 +134,23 @@ def parse_spectrum(rs, text: str) -> groups.RepEnsemble:
     raise SystemExit(f"cannot parse spectrum {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every float literal, "-1e-9" and "-inf"
+    too, as a value.  argparse before Python 3.13 reads only the "-1" and
+    "-.5" forms of a negative number as one, and any other word that starts
+    with "-" as an option, so `--tolerance -1e-9` stopped at "expected one
+    argument" before the tolerance check."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realroots",
         description="Expected real and complex zero counts of random "
         "exponential sums on tori and compact groups.",

@@ -21,9 +21,14 @@ demand, is the cones from the first vertex over that complex.
 Polynomials are integrated over signed cones from the origin over the facet
 simplices, each reduced by homogeneity to a rule on a (d - 1)-simplex
 (Lasserre, "Integration on a convex polytope", 1998); a caller that knows a
-symmetry of body and integrand integrates one plane per orbit.  Mixed
-volumes polarize the volume of Minkowski sums over the distinct bodies only,
-so repeated bodies cost no extra sums.
+symmetry of body and integrand integrates one plane per orbit of planes and,
+on it, one simplex per orbit of its simplices, times their number there.
+Mixed volumes polarize the volume of Minkowski sums over the distinct
+primitive shapes only: a body is a positive dilate t K' of its integer rows
+over their gcd, the form is multilinear in positive dilations, and the
+functional, homogeneous of degree n, is evaluated once per primitive
+combination b / gcd(b) of the shapes.  So repeated bodies and dilates cost
+no extra sums, and n dilates of one body cost one evaluation.
 Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
 drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
 volumes of ellipsoids, and zeros of Gaussian random fields"): a closed form
@@ -349,33 +354,56 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     return Polytope._lattice(verts, s, facets)
 
 
-def polarize(bodies: Sequence, functional: Callable) -> Fraction:
+def _primitive(body: Polytope) -> tuple[Polytope, Fraction]:
+    """(K', t) with body = t K' and t > 0: K' has the integer rows of body
+    divided by their gcd g over denominator 1, and t = g / denominator.  A
+    body that is already primitive, or a point at the origin, is its own K'."""
+    g = math.gcd(*(x for v in body.coords for x in v))
+    if g == 0 or (g == 1 and body.denominator == 1):
+        return body, Fraction(1)
+    shape = Polytope._lattice([tuple(x // g for x in v) for v in body.coords], 1, body.facets)
+    return shape, Fraction(g, body.denominator)
+
+
+def polarize(bodies: Sequence[Polytope], functional: Callable) -> Fraction:
     """Symmetric multilinear form V(K_1, ..., K_n) with V(K, ..., K) = F(K)
     of a functional F homogeneous of degree n = len(bodies) on Minkowski
     combinations (the volume, or any polynomial valuation).
 
-    With the distinct bodies K_i occurring a_i times,
-    n! V = sum_{0 <= b <= a, b != 0} (-1)^(n-|b|) prod C(a_i, b_i) F(sum b_i K_i),
-    which takes prod(a_i + 1) - 1 evaluations of F; one distinct body gives F(K).
+    Each body is a positive dilate t_i K'_i of its primitive shape
+    (`_primitive`), and V is multilinear in positive dilations, so
+    V = prod t_i V(K'_1, ..., K'_n).  With the distinct shapes K'_j
+    occurring a_j times,
+    n! V(K'_1, ...) = sum_{0 <= b <= a, b != 0} (-1)^(n-|b|) prod C(a_j, b_j) F(sum b_j K'_j),
+    and F(g K) = g^n F(K) gathers the terms of b = g b' on the primitive b',
+    gcd(b') = 1.  So F is evaluated once per primitive b' (13 times for 4 + 4
+    copies of two shapes instead of prod(a_j + 1) - 1 = 24), and once when
+    all bodies are dilates of one shape, whose coefficient is then
+    sum_b (-1)^(n-b) C(n, b) b^n = n!.
     """
     n = len(bodies)
     if not n:
         raise ValueError("polarize needs at least one body")
-    mult = Counter(bodies)
-    if len(mult) == 1:
-        return functional(bodies[0])
-    distinct, counts = list(mult), list(mult.values())
-    total = None
+    shapes: Counter = Counter()
+    scale = Fraction(1)
+    for body, a in Counter(bodies).items():
+        shape, t = _primitive(body)
+        shapes[shape] += a
+        scale *= t**a
+    distinct, counts = list(shapes), list(shapes.values())
+    coeffs: dict[tuple[int, ...], int] = {}
     for b in product(*(range(a + 1) for a in counts)):
-        size = sum(b)
-        if size == 0:
+        g = math.gcd(*b)
+        if g == 0:
             continue
-        parts = [body if k == 1 else body.dilate(k) for body, k in zip(distinct, b) if k]
-        coeff = math.prod(math.comb(a, k) for a, k in zip(counts, b))
-        term = coeff * functional(reduce(minkowski_sum, parts))
-        signed = term if (n - size) % 2 == 0 else -term
-        total = signed if total is None else total + signed
-    return total / math.factorial(n)
+        coeff = math.prod(math.comb(a, k) for a, k in zip(counts, b)) * g**n
+        primitive = tuple(k // g for k in b)
+        coeffs[primitive] = coeffs.get(primitive, 0) + (coeff if (n - sum(b)) % 2 == 0 else -coeff)
+    total = sum(coeff * functional(reduce(minkowski_sum, [body if k == 1 else body.dilate(k)
+                                                           for body, k in zip(distinct, b) if k]))
+                for b, coeff in coeffs.items())
+    value = total / math.factorial(n)
+    return value if scale == 1 else value * scale
 
 
 def mixed_volume_polytopes(bodies: Sequence[Polytope]) -> Fraction:
@@ -619,7 +647,7 @@ def mixed_volume_ellipsoids(
 # ---------------------------------------------------------------------------
 
 def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProducts, *,
-                                       normal_class: Callable[[IntVec], object] | None = None
+                                       normal_class: Callable[..., object] | None = None
                                        ) -> Fraction:
     """Integral of `poly` over `p` against coordinate Lebesgue measure.
 
@@ -632,38 +660,51 @@ def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProdu
     on a convex polytope", 1998); a plane through the origin adds nothing.
     By homogeneity a term of degree k integrates over the cone over the
     simplex V = (v_1 ... v_d) as |det V| / (k + d) times its integral over
-    the standard (d - 1)-simplex at V b.  With `normal_class`, a key on facet
-    normals whose classes are orbits of a linear symmetry of both p and poly,
-    one plane of each (class, c) is integrated, times the class size.
+    the standard (d - 1)-simplex at V b.
+
+    `normal_class` keys the orbits of a group G of unimodular linear maps
+    that preserve both p and poly: `normal_class(n)` the orbit of a facet
+    normal n, and `normal_class(n, rows)` the orbit of the facet simplex on
+    the plane of n with the integer vertex rows `rows` (rows of `p.coords`).
+    One plane of each (class, c), the one with fewest simplices, is
+    integrated, times the class size; and on it one simplex of each simplex
+    class, times the number of the plane's simplices in that class (not the
+    orbit size, since the triangulation need not be G-stable).  Conjugate
+    cones have equal integrals, so the value is the same.
     """
     if poly.nvars != p.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
     if isinstance(poly, Polynomial):
         poly = FormProducts.from_polynomial(poly)
     d, s = p.dim, p.denominator
-    # (class, offset) -> [planes in the class, the one with fewest simplices]
+    # (class, offset) -> [planes in the class, the plane with fewest simplices]
     classes: dict[tuple[object, int], list] = {}
     for normal, simplices in p.facets:
         offset = _dot(normal, p.coords[simplices[0][0]])
         if offset == 0:
             continue
         key = normal if normal_class is None else normal_class(normal)
-        entry = classes.setdefault((key, offset), [0, simplices])
+        entry = classes.setdefault((key, offset), [0, (normal, simplices)])
         entry[0] += 1
-        if len(simplices) < len(entry[1]):
-            entry[1] = simplices
+        if len(simplices) < len(entry[1][1]):
+            entry[1] = (normal, simplices)
     if not classes:
         return Fraction(0)
     cone = FormProducts(d, poly.forms, [(Fraction(a, (sum(e) + d) * poly.denominator), e)
                                         for a, e in poly.terms])
     unit = math.factorial(d - 1) * s**d
     total = Fraction(0)
-    for (_, offset), (size, simplices) in classes.items():
-        part = Fraction(0)
+    for (_, offset), (size, (normal, simplices)) in classes.items():
+        # simplex class -> [simplices of the plane in it, the first one's rows]
+        groups: dict[object, list] = {}
         for simplex in simplices:
             rows = [p.coords[i] for i in simplex]
+            key = simplex if normal_class is None else normal_class(normal, rows)
+            groups.setdefault(key, [0, rows])[0] += 1
+        part = Fraction(0)
+        for count, rows in groups.values():
             det = abs(xa.mat_det(rows)).numerator
-            part += integrate_over_simplex(cone, rows, Fraction(det, unit), s)
+            part += count * integrate_over_simplex(cone, rows, Fraction(det, unit), s)
         total += size * part if offset > 0 else -size * part
     return total
 

@@ -7,11 +7,18 @@ at the boundary where irrational constants (pi, square roots) enter.
 Rank, determinant, inverse, solve and null space share one fraction-free
 Gauss-Jordan elimination on Python ints: `integer_rows` clears the
 denominators once, and Fractions appear again only in the results.
+
+Where pi enters through Gamma at half-integers, `_gamma_sq` keeps it exact as
+a rational times a power of pi, held as (a, b, e) for a / b pi^e;
+`_quotient` multiplies such values in ints, and `_sqrt_pi_power` reads the
+square root of one as a double with its binary exponent split off, so that
+no intermediate leaves the double range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -81,6 +88,8 @@ def integer_rows(m: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     and it multiplies an n x n determinant by s^n.  Ints and Fractions pass
     through as they are; anything else is read as `as_fraction` reads it."""
     rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in m]
+    if all(type(x) is int for r in rows for x in r):
+        return rows, 1
     s = math.lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (s // x.denominator) for x in r] for r in rows], s
 
@@ -195,3 +204,44 @@ def nullspace_vector(m: Sequence[Sequence[Fraction]]) -> Vec:
     v, free = _null_vector(rows, _width(rows))
     return tuple(Fraction(x, v[free]) for x in v)
 
+
+def _gamma_sq(m: int) -> tuple[int, int, int]:
+    """Gamma(m / 2)^2 for an integer m >= 1 as (a, b, e), a / b pi^e:
+    ((j - 1)!)^2 at m = 2j, and ((2j)! / (4^j j!))^2 pi at m = 2j + 1."""
+    j, odd = divmod(m, 2)
+    if not odd:
+        return math.factorial(j - 1) ** 2, 1, 0
+    return math.factorial(2 * j) ** 2, (4**j * math.factorial(j)) ** 2, 1
+
+
+def _quotient(up: Iterable, down: Iterable) -> tuple[int, int, int]:
+    """prod(up) / prod(down) as (a, b, e), a / b pi^e with a and b not
+    reduced, for factors that are ints, Fractions or such triples."""
+    num = den = 1
+    e = 0
+    for x in up:
+        if type(x) is tuple:
+            num, den, e = num * x[0], den * x[1], e + x[2]
+        else:
+            num, den = num * x.numerator, den * x.denominator
+    for x in down:
+        if type(x) is tuple:
+            num, den, e = num * x[1], den * x[0], e - x[2]
+        else:
+            num, den = num * x.denominator, den * x.numerator
+    return num, den, e
+
+
+def _sqrt_pi_power(a: int, b: int, e: int = 0) -> float:
+    """sqrt(a / b pi^e) for positive ints a, b and an int e, to a few ulps
+    however far a / b lies outside the double range: with a / b = m 4^k,
+    m in [1/2, 8), and pi^e = (pi / 4)^e 4^e, the value is
+    sqrt(m (pi / 4)^e) 2^(k + e), the power of two restored by `math.ldexp`.
+    OverflowError above the largest double, ArithmeticError below the
+    smallest normal one."""
+    k = (a.bit_length() - b.bit_length()) // 2
+    m = a / (b << 2 * k) if k >= 0 else (a << -2 * k) / b  # int division rounds once
+    value = math.ldexp(math.sqrt(m * (math.pi / 4) ** e), k + e)
+    if value < sys.float_info.min:
+        raise ArithmeticError(f"sqrt(a / b pi^{e}), about 2^{k + e}, underflows a double")
+    return value

@@ -37,9 +37,10 @@ from .polynomials import FormProducts
 from .rootsystems import (
     Metric,
     RootSystem,
-    _ball_factor,
+    _ball_factor_sq,
     _casimir_numerator,
     _casimir_unit,
+    _conjugacy_key,
     _dominant_row,
     reality_type,
     root_system,
@@ -228,8 +229,10 @@ def _squared_root_product(rs: RootSystem) -> FormProducts:
 
 
 def _weyl_normal_class(rs: RootSystem, body: Polytope):
-    """Key of the Weyl orbit of a facet normal of `body`, or None unless the
-    body's vertex rows are closed under the simple reflections.
+    """The `normal_class` hook of W on `body`, or None unless the body's
+    vertex rows are closed under the simple reflections: the key of the Weyl
+    orbit of a facet normal n, and with the vertex rows of a facet simplex
+    the key of the simplex's orbit (`_conjugacy_key`).
 
     W acts on normals contragrediently, s_i n = n - (n . alpha_i) e_i.  So
     t = C n, t_i = n . alpha_i, reflects as t - t_i (column i of C), and the
@@ -240,7 +243,12 @@ def _weyl_normal_class(rs: RootSystem, body: Polytope):
            for v in body.coords for i, row in enumerate(cartan)):
         return None
     columns = tuple(zip(*cartan))
-    return lambda n: _dominant_row(columns, [sum(map(operator.mul, n, row)) for row in cartan])
+
+    def key(n, rows=None):
+        if rows is not None:
+            return _conjugacy_key(cartan, rows)
+        return _dominant_row(columns, [sum(map(operator.mul, n, row)) for row in cartan])
+    return key
 
 
 def _invariant_integral(rs: RootSystem, body: Polytope, integrand: FormProducts) -> Fraction:
@@ -468,30 +476,39 @@ def limit_real_proportion_group(rs: RootSystem, metric: Metric | None = None) ->
     """Limiting real/complex proportion for growing ball spectra.
 
     closed_form: the dimension-only constant (n+2)^{-n/2}, shared with the
-    torus limit.  pipeline: the same limit assembled from the group volume,
-    the moment of the squared root product on the unit metric ball (its
-    closed-form Gaussian moment times a radial constant), and the lattice
-    covolume, all in the supplied metric; the ratio of the two
-    (identity_factor) is an exact identity equal to 1 for every metric.  It
-    sets Macdonald's volume formula (`Metric.group_volume`) against the
-    Macdonald-Mehta integral.
+    torus limit (`kac_limit`, which raises ArithmeticError where it
+    underflows a double, from n = 256 on).  pipeline: the same limit
+    assembled from the group volume, the moment of the squared root product
+    on the unit metric ball (its closed-form Gaussian moment times a radial
+    constant), and the lattice covolume, all in the supplied metric; the
+    ratio of the two (identity_factor) is an exact identity equal to 1 for
+    every metric.  It sets Macdonald's volume formula (`Metric.group_volume`)
+    against the Macdonald-Mehta integral.
     """
     n = rs.dimension
-    base = _metric_of(rs, metric)
-    ball_moment = float(base.root_product_moment()) * _ball_factor(
-        rs.num_positive_roots, rs.rank, 1.0)
-    # derivative-covariance radii live in the dual, hence the scale^-n
-    factor = (
-        base.group_volume()
-        * unit_ball_volume(n)
-        * rs.weyl_order
-        * float(base.root_product_at_rho()) ** 2
-        * base.weight_covolume()
-        / ((2 * math.pi) ** n * ball_moment * float(base.scale) ** n)
-    )
+    factor = _limit_identity_factor(rs, _metric_of(rs, metric))
     closed = kac_limit(n)
     return LimitComparison(
         closed_form=closed,
         pipeline=factor * (n + 2) ** (-n / 2),
         identity_factor=factor,
     )
+
+
+def _limit_identity_factor(rs: RootSystem, metric: Metric) -> float:
+    """The identity factor of `limit_real_proportion_group`:
+    vol(G) vol(B^n) |W| p(rho)^2 covol / ((2 pi)^n E_ball[p^2] scale^n), with
+    E_ball[p^2] the Macdonald-Mehta moment times `_ball_factor` and the
+    scale^-n because derivative-covariance radii live in the dual.  Its
+    square is a rational times a power of pi, gathered exactly (Gamma at
+    half-integers through `exactalg._gamma_sq`), so that no part of it
+    leaves the double range at any rank."""
+    n = rs.dimension
+    p_rho, moment, scale_n = metric.root_product_at_rho(), metric.root_product_moment(), metric.scale**n
+    # squared: vol(G), vol(B^n) = pi^(n/2) / Gamma(n/2 + 1), |W| p(rho)^2 and
+    # covol over (2 pi)^n, E_ball[p^2] and scale^n
+    return xa._sqrt_pi_power(*xa._quotient(
+        [metric._group_volume_sq(), (1, 1, n), rs.weyl_order**2, p_rho, p_rho, p_rho, p_rho,
+         metric.weight_gram_det()],
+        [xa._gamma_sq(n + 2), (4**n, 1, 2 * n), moment, moment,
+         _ball_factor_sq(rs.num_positive_roots, rs.rank), scale_n, scale_n]))

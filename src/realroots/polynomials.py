@@ -243,17 +243,12 @@ def integrate_over_simplex(integrand: FormProducts, vertices: Sequence[Sequence]
         for a, exps in integrand.terms:
             # prod_j l_j^m_j = (prod_j l_j^(m_j / g))^g with g the gcd of the m_j
             g = math.gcd(*exps)
-            products = None
-            for col, m in zip(columns, exps):
-                if m:
-                    vals = col[r]
-                    m //= g
-                    if m > 1:
-                        vals = [v**m for v in vals]
-                    products = vals if products is None else [x * v for x, v in zip(products, vals)]
-            if products is None:
+            factors = [col[r] if m == g else [v ** (m // g) for v in col[r]]
+                       for col, m in zip(columns, exps) if m]
+            if not factors:
                 node_sum = math.comb(r + dim, dim)
             else:
+                products = map(math.prod, zip(*factors))  # one product per node
                 node_sum = sum(x**g for x in products) if g > 1 else sum(products)
             # a term of lower degree is brought to the denominator (q * scale)^deg
             level += a * unit ** (deg - sum(exps)) * node_sum

@@ -6,11 +6,13 @@ length 2) and the bonds give the integer Cartan matrix.  Weights live in
 fundamental-weight coordinates: a weight is a tuple of rationals (integers
 for lattice points), and the simple root alpha_i is row i of the Cartan
 matrix.  Weyl orbits close integer rows under the Cartan rows, and dominant
-conjugates reflect integer rows by them.  The roots are the Weyl orbits of
-the simple roots; the inverse Cartan matrix gives each its simple-root
-coordinates, hence its sign and height, and its primitive integer coroot row
-k_beta, with (lam, beta^vee) = sum_i k_i lam_i, and each keeps the length
-ratio r_beta of its simple root.  Weyl dimensions, Casimir values, pairings,
+conjugates reflect integer rows by them; a set of rows is keyed by its
+W-orbit through the dominant conjugate of its sum and then that point's
+parabolic stabilizer, with no enumeration of W.  The roots are the Weyl
+orbits of the simple roots; the inverse Cartan matrix gives each its
+simple-root coordinates, hence its sign and height, and its primitive
+integer coroot row k_beta, with (lam, beta^vee) = sum_i k_i lam_i, and each
+keeps the length ratio r_beta of its simple root.  Weyl dimensions, Casimir values, pairings,
 the root product and the group and torus volumes are products and sums of
 these integers, with one rational constant at the end.  The dual Coxeter
 number is 1 + sum_i k_i on the highest root, and the degrees d_j of the basic
@@ -94,17 +96,52 @@ def _reflection_closure(cartan: Sequence[Sequence[int]], starts: Iterable[IntVec
     return signs
 
 
-def _dominant_row(cartan: Sequence[Sequence[int]], row: Sequence[int]) -> IntVec:
-    """The dominant Weyl conjugate of an integer row: reflect in the first
-    simple root alpha_i with v_i < 0, v -> v - v_i alpha_i, until none is
-    left."""
-    v = tuple(row)
+def _dominant_frame(cartan: Sequence[Sequence[int]], row: Sequence[int], carry: Iterable[IntVec],
+                    simple: Sequence[int]) -> tuple[IntVec, list[IntVec]]:
+    """The conjugate of an integer row that is dominant for the parabolic
+    subgroup W_J, J = `simple`, and the rows `carry` moved by the same
+    element: reflect in the first alpha_i, i in J, with v_i < 0,
+    v -> v - v_i alpha_i, until none is left.  That conjugate is unique,
+    since {v : v_j >= 0 for j in J} is a fundamental domain of W_J."""
+    v, carry = tuple(row), list(carry)
     while True:
-        i = next((j for j, x in enumerate(v) if x < 0), None)
+        i = next((j for j in simple if v[j] < 0), None)
         if i is None:
-            return v
-        c = v[i]
-        v = tuple(x - c * r for x, r in zip(v, cartan[i]))
+            return v, carry
+        c, alpha = v[i], cartan[i]
+        v = tuple(x - c * r for x, r in zip(v, alpha))
+        carry = [tuple(x - w[i] * r for x, r in zip(w, alpha)) for w in carry]
+
+
+def _dominant_row(cartan: Sequence[Sequence[int]], row: Sequence[int]) -> IntVec:
+    """The dominant Weyl conjugate of an integer row."""
+    return _dominant_frame(cartan, row, (), range(len(row)))[0]
+
+
+def _least_frame(cartan: Sequence[Sequence[int]], rows: list[IntVec], simple: list[int]) -> tuple:
+    """The least, over the orderings of the distinct integer `rows`, of the
+    sequence of W_J-dominant conjugates in which each row is taken under the
+    stabilizer of the ones before it, which is again parabolic (generated by
+    the s_j, j in J, that fix the conjugate).  Two row sets are W_J-conjugate
+    iff their least frames agree.  Only the rows whose conjugate is least
+    are followed."""
+    if not simple or not rows:
+        return tuple(sorted(rows))
+    moved = [_dominant_frame(cartan, v, rows[:k] + rows[k + 1:], simple)
+             for k, v in enumerate(rows)]
+    low = min(u for u, _ in moved)
+    fixing = [j for j in simple if low[j] == 0]
+    return (low,) + min(_least_frame(cartan, rest, fixing) for u, rest in moved if u == low)
+
+
+def _conjugacy_key(cartan: Sequence[Sequence[int]], rows: Sequence[IntVec]) -> tuple:
+    """Key of the W-orbit of a set of integer rows: equal keys iff the sets
+    are W-conjugate, found without enumerating W.  The row sum is moved to
+    its dominant conjugate b, the rows with it; b's stabilizer is the
+    parabolic subgroup W_J, J = {j : b_j = 0}, and the moved rows are keyed
+    by their least frame under it (`_least_frame`)."""
+    b, moved = _dominant_frame(cartan, [sum(col) for col in zip(*rows)], rows, range(len(cartan)))
+    return b, _least_frame(cartan, moved, [j for j, x in enumerate(b) if x == 0])
 
 
 @dataclass(frozen=True)
@@ -345,10 +382,6 @@ def reality_type(rs: RootSystem, lam: Sequence) -> str:
 # metrics
 # ---------------------------------------------------------------------------
 
-def _sqrt_fraction(x: Fraction) -> float:
-    return math.sqrt(x.numerator) / math.sqrt(x.denominator)
-
-
 @dataclass(frozen=True)
 class Metric:
     """Bi-invariant metric: the Killing pairing on the weight space times a
@@ -417,11 +450,16 @@ class Metric:
 
     def weight_gram_det(self) -> Fraction:
         """Determinant of the fundamental-weight Gram matrix (covolume
-        squared of the weight lattice)."""
-        return xa.mat_det(self.gram())
+        squared of the weight lattice).  That matrix is
+        scale C^-1 diag(1 / r) / (2 h), r the simple length ratios, so the
+        determinant is scale^rank / ((2 h)^rank det C prod r_i)."""
+        rs = self.rs
+        return self.scale**rs.rank / (
+            (2 * rs.dual_coxeter) ** rs.rank * xa.mat_det(rs.cartan) * math.prod(rs.root_ratios[: rs.rank]))
 
     def weight_covolume(self) -> float:
-        return _sqrt_fraction(self.weight_gram_det())
+        q = self.weight_gram_det()
+        return xa._sqrt_pi_power(q.numerator, q.denominator)
 
     def coroot_gram_det(self) -> Fraction:
         """Covolume squared of the lattice spanned by the images
@@ -439,17 +477,23 @@ class Metric:
 
     def torus_volume(self) -> float:
         """Riemannian volume of the maximal torus."""
-        return (2 * math.pi) ** self.rs.rank * _sqrt_fraction(self.coroot_gram_det())
+        q = self.coroot_gram_det()
+        return xa._sqrt_pi_power(4**self.rs.rank * q.numerator, q.denominator, 2 * self.rs.rank)
 
     def group_volume(self) -> float:
         """Riemannian volume of the compact simply connected group."""
+        return xa._sqrt_pi_power(*self._group_volume_sq())
+
+    def _group_volume_sq(self) -> tuple[int, int, int]:
+        """The squared group volume as (a, b, e), a / b pi^e: Macdonald's
+        formula (2 pi)^N times the torus volume over the root product at rho,
+        both of the Killing metric, times scale^(dim / 2), squared."""
         rs = self.rs
-        base = (
-            (2 * math.pi) ** rs.num_positive_roots
-            * Metric(rs).torus_volume()
-            / float(Metric(rs).root_product_at_rho())
-        )
-        return float(self.scale) ** (rs.dimension / 2) * base
+        base = self if self.scale == 1 else Metric(rs)
+        k = rs.num_positive_roots + rs.rank
+        p_rho = base.root_product_at_rho()
+        return xa._quotient([(4**k, 1, 2 * k), base.coroot_gram_det(), self.scale**rs.dimension],
+                            [p_rho, p_rho])
 
     # -- lattice point enumeration ------------------------------------------
 
@@ -536,8 +580,13 @@ def _ball_factor(n: int, k: int, r: float) -> float:
     """Integral over the ball of radius r in rank k of a homogeneous
     polynomial of degree 2n, over its Gaussian moment (see
     `Metric.integrate_ball`)."""
-    return (2 * math.pi) ** (k / 2) * r ** (2 * n + k) / (
-        2 ** (n + k / 2 - 1) * math.gamma(n + k / 2) * (2 * n + k))
+    return xa._sqrt_pi_power(*_ball_factor_sq(n, k)) * r ** (2 * n + k)
+
+
+def _ball_factor_sq(n: int, k: int) -> tuple[int, int, int]:
+    """The square of `_ball_factor(n, k, 1)` as (a, b, e), a / b pi^e: the
+    factor is (2 pi)^(k/2) / (2^(n + k/2 - 1) Gamma(n + k/2) (2n + k))."""
+    return xa._quotient([(4, 1, k)], [4**n, (2 * n + k) ** 2, xa._gamma_sq(2 * n + k)])
 
 
 def unit_volume_metric(rs: RootSystem) -> Metric:

@@ -11,6 +11,7 @@ constants these ratios converge to.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -18,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import exactalg as xa
 from .convex import (
     Ellipsoid,
     MixedVolumeResult,
@@ -25,7 +27,6 @@ from .convex import (
     convex_hull,
     mixed_volume_ellipsoids,
     mixed_volume_polytopes,
-    unit_ball_volume,
 )
 
 __all__ = [
@@ -212,21 +213,33 @@ def real_proportion_torus(
 # one-dimensional limit constants
 # ---------------------------------------------------------------------------
 
+def _beta_sq(n: int) -> tuple[int, int, int]:
+    """B(3/2, (n+1)/2)^2 = Gamma(3/2)^2 Gamma((n+1)/2)^2 / Gamma(n/2+2)^2 as
+    (a, b, e), a / b pi^e."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return xa._quotient([xa._gamma_sq(3), xa._gamma_sq(n + 1)], [xa._gamma_sq(n + 4)])
+
+
 def beta_constant(n: int) -> float:
     """Euler beta value B(3/2, (n+1)/2), the moment constant entering the
     n-dimensional zero-density limit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.gamma(1.5) * math.gamma((n + 1) / 2) / math.gamma(n / 2 + 2)
+    return xa._sqrt_pi_power(*_beta_sq(n))
 
 
 def kac_limit(n: int) -> float:
     """Limiting real/complex proportion in dimension n:
-    (sigma_{n-1} beta_n / sigma_n)^{n/2}, which equals (n+2)^{-n/2}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    surface_ratio = unit_ball_volume(n - 1) * beta_constant(n) / unit_ball_volume(n)
-    return surface_ratio ** (n / 2)
+    (sigma_{n-1} beta_n / sigma_n)^{n/2}, which equals (n+2)^{-n/2}.  The
+    ratio is assembled exactly, with vol(B^m)^2 = pi^m / Gamma(m/2 + 1)^2;
+    ArithmeticError where its power underflows the normal doubles, from
+    n = 256 on."""
+    surface_ratio = xa._sqrt_pi_power(*xa._quotient(
+        [_beta_sq(n), (1, 1, n - 1), xa._gamma_sq(n + 2)], [xa._gamma_sq(n + 1), (1, 1, n)]))
+    value = surface_ratio ** (n / 2)
+    if value < sys.float_info.min:
+        raise ArithmeticError(f"kac_limit({n}) = {n + 2}^(-{n}/2) = "
+                              f"10^{-n / 2 * math.log10(n + 2):.1f} underflows a double")
+    return value
 
 
 def segment_proportion(m: int) -> float:

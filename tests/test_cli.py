@@ -306,9 +306,10 @@ def test_verify_flags_tolerance_failures(capsys):
     assert report["results"]["failures"]
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "-1e-9", "-inf"])
 def test_verify_rejects_a_non_finite_or_negative_tolerance(capsys, tolerance):
-    # no error is <= nan, so every check used to fail as a numerical failure
+    # no error is <= nan, so every check used to fail as a numerical failure;
+    # "-1e-9" and "-inf" used to stop in argparse at "expected one argument"
     assert main(["verify", "--tolerance", tolerance]) == USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""

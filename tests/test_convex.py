@@ -481,6 +481,57 @@ def test_polarize_over_distinct_bodies_matches_subset_sum_for_volume(bodies):
     assert polarize(bodies, Polytope.volume) == subset_polarization(bodies, Polytope.volume)
 
 
+@pytest.mark.parametrize(
+    "bodies",
+    [
+        [BOX, BOX.dilate(2), OCTAHEDRON],
+        [OCTAHEDRON.dilate(Fraction(1, 2)), BOX.dilate(Fraction(2, 3)), OCTAHEDRON.dilate(3)],
+        [TRIANGLE.dilate(Fraction(3, 2)), SEGMENT, TRIANGLE],
+        [SEGMENT.dilate(Fraction(5, 7)), SEGMENT.dilate(2), SEGMENT],
+    ],
+)
+def test_polarize_over_dilation_classes_matches_subset_sum_for_volume(bodies):
+    assert polarize(bodies, Polytope.volume) == subset_polarization(bodies, Polytope.volume)
+
+
+SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+WEDGE = convex_hull([(0, 0), (2, 0), (0, 1)])
+
+
+def counting(functional):
+    """`functional` with a list of the bodies it was called on."""
+    calls = []
+
+    def counted(body):
+        calls.append(body)
+        return functional(body)
+    return counted, calls
+
+
+def fourth_power_of_area(body):
+    # homogeneous of degree 8 on Minkowski combinations in the plane
+    return body.volume() ** 4
+
+
+def test_polarize_evaluates_dilates_of_one_body_once():
+    factors = (1, 2, Fraction(1, 3), 3, 1, Fraction(5, 2), 5, 1)
+    bodies = [SQUARE.dilate(t) for t in factors]
+    functional, calls = counting(fourth_power_of_area)
+    assert polarize(bodies, functional) == math.prod(factors) * fourth_power_of_area(SQUARE)
+    assert calls == [SQUARE]
+    assert polarize(bodies, fourth_power_of_area) == subset_polarization(bodies, fourth_power_of_area)
+
+
+def test_polarize_evaluates_once_per_primitive_combination():
+    # 4 + 4 dilates of two shapes: b / gcd(b) over 0 <= b <= (4, 4) takes 13
+    # values, against (4 + 1)(4 + 1) - 1 = 24 Minkowski combinations
+    bodies = [SQUARE, SQUARE.dilate(2), SQUARE.dilate(Fraction(1, 2)), SQUARE,
+              WEDGE, WEDGE.dilate(3), WEDGE, WEDGE.dilate(Fraction(2, 3))]
+    functional, calls = counting(fourth_power_of_area)
+    assert polarize(bodies, functional) == subset_polarization(bodies, fourth_power_of_area)
+    assert len(calls) == 13
+
+
 @pytest.mark.parametrize("name,weights", [("A1", [(2,), (2,), (3,)]), ("A1", [(1,), (4,), (1,)])])
 def test_polarize_over_distinct_bodies_matches_subset_sum_for_lattice_functional(name, weights):
     rs = root_system(name)

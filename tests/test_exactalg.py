@@ -1,6 +1,7 @@
 """Exact rational linear algebra against numpy float oracles, the Fraction
 elimination oracle and identities."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 import exactalg_oracle as oracle
 from realroots.exactalg import (
+    _gamma_sq,
+    _quotient,
+    _sqrt_pi_power,
     as_fraction,
     as_vec,
     bilinear,
@@ -246,3 +250,31 @@ def test_integer_rows_scale_by_common_lcm():
     # a float counts as its binary value, a string as its decimal value
     assert integer_rows([[0.1]]) == ([[3602879701896397]], 2**55)
     assert integer_rows([["1/3", 0.5]]) == ([[2, 3]], 6)
+
+
+# -- rationals times powers of pi, read as doubles -----------------------------------
+
+def test_gamma_squares_at_half_integers():
+    assert _gamma_sq(1) == (1, 1, 1)  # Gamma(1/2)^2 = pi
+    assert _gamma_sq(8) == (36, 1, 0)  # Gamma(4) = 3!
+    a, b, e = _gamma_sq(7)  # Gamma(7/2) = 15 sqrt(pi) / 8
+    assert (Fraction(a, b), e) == (Fraction(225, 64), 1)
+    for m in range(1, 40):
+        a, b, e = _gamma_sq(m)
+        assert a / b * math.pi**e == pytest.approx(math.gamma(m / 2) ** 2, rel=1e-13)
+
+
+def test_quotients_of_rationals_times_powers_of_pi():
+    a, b, e = _quotient([Fraction(3, 4), (5, 7, 2), 2], [(1, 3, 1), Fraction(9, 2)])
+    assert (Fraction(a, b), e) == (Fraction(3 * 5 * 2 * 3 * 2, 4 * 7 * 9), 1)
+
+
+def test_square_roots_of_rationals_outside_the_double_range():
+    assert _sqrt_pi_power(10**600, 1) == pytest.approx(1e300, rel=1e-15)
+    assert _sqrt_pi_power(1, 10**600) == pytest.approx(1e-300, rel=1e-15)
+    assert _sqrt_pi_power(9, 10**600, 400) == pytest.approx(3e-300 * math.pi**200, rel=1e-13)
+    assert _sqrt_pi_power(1, 1, 2) == math.pi
+    with pytest.raises(OverflowError):
+        _sqrt_pi_power(10**700, 1)
+    with pytest.raises(ArithmeticError, match="underflows a double"):
+        _sqrt_pi_power(1, 10**700)

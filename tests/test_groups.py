@@ -9,6 +9,7 @@ import rootsystem_oracle
 from realroots.convex import Polytope, convex_hull
 from realroots.groups import (
     RepEnsemble,
+    _limit_identity_factor,
     asymptotic_mean,
     asymptotic_radius,
     complex_count_reductive,
@@ -195,8 +196,11 @@ def test_rank_one_system_spelled_two_ways_is_one_system():
     [("A2", 5562), ("B2", 24576), ("G2", 10576332)],
 )
 def test_rank_two_adjoint_counts(name, count):
-    # frozen lattice-route values; the A2/B2/G2 density integrals are
-    # cross-checked against independent Monte Carlo estimates
+    # frozen lattice-route values.  In Tier-1 the A2, B2 and G2 density
+    # integrals are checked against the expanded-Fraction Grundmann-Moller
+    # rule and the whole-body rule (tests/test_quadrature.py); both share the
+    # exact hull, and the calibrated route below shares the facet integral,
+    # so nothing here is independent of the hull
     rs = root_system(name)
     ens = [adjoint(rs)] * rs.dimension
     lattice = complex_count_reductive(ens, route="lattice")
@@ -206,12 +210,26 @@ def test_rank_two_adjoint_counts(name, count):
 
 
 def test_rank_two_mixed_spectra_with_repeats():
-    # nine copies of one body and one other: 19 functional evaluations
-    # after grouping equal bodies, against 1023 Minkowski sums without
+    # nine copies of one body and one other, not a dilate of it: 11
+    # functional evaluations, one per b / gcd(b) over 0 <= b <= (9, 1),
+    # against 1023 Minkowski sums without grouping
     b2 = root_system("B2")
     ens = [adjoint(b2)] * 9 + [RepEnsemble.single(b2, (1, 1))]
     assert complex_count_reductive(ens, route="lattice") == 36864
     assert complex_count_reductive(ens, route="calibrated") == pytest.approx(36864.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("route", ["lattice", "calibrated"])
+def test_a2_spectra_of_dilated_adjoint_bodies(route):
+    # the (2, 2) body is twice the adjoint one, and the count is homogeneous
+    # of degree 1 in each of the dim A2 = 8 bodies
+    for a in range(9):
+        ens = [adjoint(A2)] * a + [RepEnsemble.single(A2, (2, 2))] * (8 - a)
+        count = complex_count_reductive(ens, route=route)
+        if route == "lattice":
+            assert count == 5562 * 2 ** (8 - a)
+        else:
+            assert count == pytest.approx(5562 * 2 ** (8 - a), rel=1e-9)
 
 
 def test_standard_representation_count_a2():
@@ -367,6 +385,28 @@ def test_limit_identity_factor_is_one(name):
     assert cmp_.closed_form == pytest.approx((rs.dimension + 2) ** (-rs.dimension / 2), abs=1e-15)
     assert cmp_.identity_factor == pytest.approx(1.0, rel=1e-14)
     assert cmp_.pipeline == pytest.approx(cmp_.closed_form, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["A15", "B11", "C11"])
+def test_limit_stays_in_range_past_rank_ten(name):
+    # the ball moment underflowed to 0 here (ZeroDivisionError)
+    rs = root_system(name)
+    cmp_ = limit_real_proportion_group(rs)
+    assert cmp_.identity_factor == pytest.approx(1.0, abs=1e-12)
+    assert cmp_.closed_form > 0
+    assert cmp_.pipeline == pytest.approx(cmp_.closed_form, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["D12", "A20"])
+def test_limit_past_the_double_range_names_the_underflow(name):
+    # dim D12 = 276 and dim A20 = 440: (n + 2)^(-n/2) is below 1e-308, so the
+    # proportion cannot be a double; the identity factor still reads 1 (A20
+    # raised OverflowError in math.gamma, D12 ZeroDivisionError)
+    rs = root_system(name)
+    for met in (Metric(rs), Metric(rs, Fraction(7, 3))):
+        assert _limit_identity_factor(rs, met) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ArithmeticError, match="underflows a double"):
+        limit_real_proportion_group(rs)
 
 
 def test_limit_is_metric_independent():

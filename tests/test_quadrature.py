@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quadrature_oracles import collapsed_gauss_integral, expanded_gm_integral, vertex_cone_integral
+from realroots import convex
 from realroots import (
     Metric,
     RepEnsemble,
@@ -84,14 +85,43 @@ def test_rank_four_adjoint_counts_both_routes(name, count):
     assert complex_count_reductive(ens, route="calibrated") == pytest.approx(count, rel=1e-9)
 
 
+def counting_simplex_integrals(monkeypatch) -> list:
+    """Record every simplex integral of the facet route."""
+    calls = []
+    rule = convex.integrate_over_simplex
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+    monkeypatch.setattr(convex, "integrate_over_simplex", counted)
+    return calls
+
+
+# the facet route integrates one simplex per W-class of the representative
+# plane's simplices: D5's 30 fall into 7 classes, B5's 19 into 4 and A5's 16
+# into 10; C5's facet is one simplex
+SIMPLEX_CLASSES = {"D4": 3, "A5": 10, "C5": 1, "D5": 7, "B5": 4}
+
+
+@pytest.mark.parametrize("name, count", [("D4", 540163580375040)])
+def test_one_simplex_is_integrated_per_weyl_class(name, count, monkeypatch):
+    calls = counting_simplex_integrals(monkeypatch)
+    assert complex_count_reductive(adjoint(name)) == count
+    assert len(calls) == SIMPLEX_CLASSES[name]
+
+
 # C5 was checked once against the whole-body integral (tests/quadrature_oracles.py
 # `vertex_cone_integral`, about 45 s), since the calibrated route shares the
-# facet integral
+# facet integral.  B5 is the value both earlier routes gave (the Weyl-dimension
+# sum prototype of ROADMAP item 2 and the facet route without simplex classes)
 @pytest.mark.parametrize("name, count", [("A5", 144731674926697824),
                                          ("C5", 74329153773280640750321664),
-                                         ("D5", 831378542987006337856512)])
-def test_rank_five_adjoint_counts(name, count):
+                                         ("D5", 831378542987006337856512),
+                                         ("B5", 141907942932041738064007004160)])
+def test_rank_five_adjoint_counts(name, count, monkeypatch):
+    calls = counting_simplex_integrals(monkeypatch)
     assert complex_count_reductive(adjoint(name)) == count
+    assert len(calls) == SIMPLEX_CLASSES[name]
 
 
 # -- facet integrals against the whole-body oracle ------------------------------

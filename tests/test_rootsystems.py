@@ -11,11 +11,13 @@ import pytest
 from ball_oracles import fischer_product, float_integrate_ball, orthonormal_frame, radial_constant
 from character_oracle import fs_indicator_quadrature
 import rootsystem_oracle
+from realroots.convex import convex_hull
 from realroots.exactalg import dot, mat_vec
 from realroots.polynomials import Polynomial
 from realroots.rootsystems import (
     Metric,
     _ball_factor,
+    _conjugacy_key,
     _fs_parity,
     casimir,
     frobenius_schur_indicator,
@@ -116,6 +118,52 @@ def test_weyl_orbits_and_dominance():
         once = a2.simple_reflection(i, lam)
         assert a2.simple_reflection(i, once) == lam
         assert met.norm_sq(once) == met.norm_sq(lam)
+
+
+def weyl_orbit_of_set(rs, rows) -> set:
+    """Every W-image of a set of integer rows, as frozensets: the closure
+    of the set under the simple reflections (W enumerated)."""
+    start = frozenset(map(tuple, rows))
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for rows in frontier:
+            for i, alpha in enumerate(rs.cartan):
+                image = frozenset(tuple(x - v[i] * a for x, a in zip(v, alpha)) for v in rows)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "A3", "B3", "C3", "D4"])
+def test_conjugacy_key_separates_exactly_the_weyl_orbits_of_sets(name):
+    # facet simplices of the adjoint body, whose sums lie on walls; random
+    # sets of lattice points; random subsets of two orbits, whose rows often
+    # tie for the least conjugate; and pairs summing to 0 (stabilizer W)
+    rs = root_system(name)
+    orbit = set(rs.lattice_orbit(rs.highest_root)[0])
+    body = convex_hull(orbit)
+    sets = [[body.coords[i] for i in simplex] for _, simplices in body.facets for simplex in simplices]
+    rng = np.random.default_rng(len(sets))
+    box = [tuple(int(x) for x in v) for v in product(range(-2, 3), repeat=rs.rank)]
+    two_orbits = sorted(orbit | set(rs.lattice_orbit((1,) + (0,) * (rs.rank - 1))[0]))
+    for points in (box, two_orbits):
+        for k in (1, 2, 3, 4):
+            for _ in range(12):
+                picks = rng.choice(len(points), size=k, replace=False)
+                sets.append([points[i] for i in picks])
+    sets += [[v, tuple(-x for x in v)] for v in sorted(orbit)[:4]]
+    keys = [_conjugacy_key(rs.cartan, rows) for rows in sets]
+    for rows, key in zip(sets, keys):
+        images = weyl_orbit_of_set(rs, rows)
+        assert all((other == key) == (frozenset(others) in images) for others, other in zip(sets, keys))
+        # every image, its rows in any order, has the same key
+        for image in sorted(images)[:6]:
+            shuffled = [tuple(v) for v in rng.permutation(sorted(image))]
+            assert _conjugacy_key(rs.cartan, shuffled) == key
+    assert len(set(keys)) < len(keys)
 
 
 def test_signed_orbit_of_regular_weight_balances():

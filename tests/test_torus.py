@@ -51,6 +51,24 @@ def test_kac_limit_closed_form():
     assert kac_limit(2) == pytest.approx(0.25, abs=1e-14)
 
 
+def test_kac_limit_is_positive_or_names_the_underflow():
+    # the power underflowed to a silent 0.0 from n = 270 on
+    for n in (100, 253, 255):
+        assert kac_limit(n) == pytest.approx((n + 2) ** (-n / 2), rel=1e-12)
+        assert kac_limit(n) > 0
+    for n in (256, 270, 1000):
+        with pytest.raises(ArithmeticError, match="underflows a double"):
+            kac_limit(n)
+
+
+def test_beta_constant_past_the_gamma_overflow():
+    # math.gamma((n + 1) / 2) overflows from n = 343 on; B(3/2, (n+1)/2)
+    # decays like (sqrt(pi) / 2) (n / 2)^(-3/2)
+    n = 2001
+    assert beta_constant(n) == pytest.approx(
+        math.exp(math.lgamma(1.5) + math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 2)), rel=1e-12)
+
+
 def test_segment_proportion_closed_form():
     for m in range(1, 101):
         assert segment_proportion(m) == pytest.approx(
