@@ -473,10 +473,11 @@ def _psd_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume of the Euclidean unit ball in R^n (1 for n = 0)."""
+    """Volume of the Euclidean unit ball in R^n (1 for n = 0), read from its
+    exact square; ArithmeticError where it underflows, from n = 436 on."""
     if n < 0:
         raise ValueError("negative dimension")
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    return xa._sqrt_pi_power(*xa._quotient([(1, 1, n)], [xa._gamma_sq(n + 2)]))
 
 
 _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -233,15 +233,18 @@ def _quotient(up: Iterable, down: Iterable) -> tuple[int, int, int]:
 
 
 def _sqrt_pi_power(a: int, b: int, e: int = 0) -> float:
-    """sqrt(a / b pi^e) for positive ints a, b and an int e, to a few ulps
+    """sqrt(a / b pi^e) for ints a >= 0 and b > 0 and an int e, to a few ulps
     however far a / b lies outside the double range: with a / b = m 4^k,
     m in [1/2, 8), and pi^e = (pi / 4)^e 4^e, the value is
     sqrt(m (pi / 4)^e) 2^(k + e), the power of two restored by `math.ldexp`.
-    OverflowError above the largest double, ArithmeticError below the
-    smallest normal one."""
+    0.0 for a = 0; OverflowError above the largest double, ArithmeticError
+    below the smallest normal one."""
+    if not a:
+        return 0.0
     k = (a.bit_length() - b.bit_length()) // 2
     m = a / (b << 2 * k) if k >= 0 else (a << -2 * k) / b  # int division rounds once
     value = math.ldexp(math.sqrt(m * (math.pi / 4) ** e), k + e)
     if value < sys.float_info.min:
-        raise ArithmeticError(f"sqrt(a / b pi^{e}), about 2^{k + e}, underflows a double")
+        log2 = k + e + (math.log2(m) + e * math.log2(math.pi / 4)) / 2
+        raise ArithmeticError(f"sqrt(a / b pi^{e}), about 2^{log2:.0f}, underflows a double")
     return value

@@ -14,6 +14,14 @@ the Killing norm |x|^2 = sum_beta <k_beta, x>^2 / (2 h^2 r_beta^2) times p^2
 is a sum of such products over the same forms.  The limit law reads the
 Gaussian moment of p^2 off its closed form (`Metric.root_product_moment`).
 A metric passed to a function must belong to the same root system.
+
+Every constant is gathered exactly as a rational times a power of pi and
+read as one double (`exactalg._sqrt_pi_power`): the Kac-Rice constant of the
+real mean, the Newton-body calibration and the limit law's identity factor,
+so none leaves the double range before the answer does.  The calibrated
+route polarizes the same exact integrals as the lattice route, and vol(G)
+and vol(T) cancel inside it, so it checks only the metric-scale powers and
+the weight covolume against p(rho)^2.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from .convex import (
     convex_hull,
     integrate_polynomial_over_polytope,
     polarize,
-    unit_ball_volume,
 )
 from .polynomials import FormProducts
 from .rootsystems import (
@@ -269,15 +276,14 @@ def _metric_of(rs: RootSystem, metric: Metric | None) -> Metric:
     return metric
 
 
-def _newton_body_factor(rs: RootSystem, metric: Metric) -> float:
-    """The body-independent factor of `newton_body_volume`: the group over
-    the torus calibration times the metric density of the lattice integral."""
-    scale = float(metric.scale)
-    p = rs.num_positive_roots
-    k = rs.rank
-    density = scale ** (2 * p + k / 2) * Metric(rs).weight_covolume()
-    calibration = metric.group_volume() / (rs.weyl_order * metric.torus_volume())
-    return calibration * density
+def _calibration_sq(rs: RootSystem, metric: Metric) -> tuple[int, int, int]:
+    """The square of the body-independent factor of `newton_body_volume` as
+    (a, b, e), a / b pi^e: the calibration vol(G) / (|W| vol(T)) times the
+    metric density scale^(2N + rank / 2) times the Killing weight covolume."""
+    return xa._quotient(
+        [metric._group_volume_sq(), metric.scale ** (4 * rs.num_positive_roots + rs.rank),
+         Metric(rs).weight_gram_det()],
+        [rs.weyl_order**2, metric._torus_volume_sq()])
 
 
 def newton_body_volume(
@@ -298,13 +304,23 @@ def newton_body_volume(
         rs = ensemble
         if body is None:
             body = weighted_polytope(rs, weight)
-    factor = _newton_body_factor(rs, _metric_of(rs, metric))
-    return factor * float(_invariant_integral(rs, body, _squared_root_product(rs)))
+    calibration = _calibration_sq(rs, _metric_of(rs, metric))
+    integral = _invariant_integral(rs, body, _squared_root_product(rs))
+    return xa._sqrt_pi_power(*xa._quotient([calibration, integral, integral], []))
 
 
 # ---------------------------------------------------------------------------
 # counting formulas
 # ---------------------------------------------------------------------------
+
+def _kac_rice_sq(rs: RootSystem, metric: Metric) -> tuple[int, int, int]:
+    """(vol(G) n! vol(B^n) / (2 pi)^n)^2 as (a, b, e), a / b pi^e, with
+    vol(B^n)^2 = pi^n / Gamma(n/2 + 1)^2: the Kac-Rice constant that, times
+    the n derivative radii in `metric`, is the expected real count."""
+    n = rs.dimension
+    return xa._quotient([metric._group_volume_sq(), math.factorial(n) ** 2, (1, 1, n)],
+                        [xa._gamma_sq(n + 2), (4**n, 1, 2 * n)])
+
 
 def mean_real_count_group(ensembles: RepEnsemble | Sequence[RepEnsemble]) -> float:
     """Expected number of real common zeros of a full system of independent
@@ -312,18 +328,9 @@ def mean_real_count_group(ensembles: RepEnsemble | Sequence[RepEnsemble]) -> flo
     depend on the metric scale.  Each spectrum must be closed under duality
     (`RepEnsemble.require_self_dual`)."""
     ens = _as_ensemble_list(ensembles)
-    distinct = set(ens)
-    for e in distinct:
-        e.require_self_dual()
-    rs = ens[0].rs
-    n = rs.dimension
-    base = Metric(rs)
-    value = base.group_volume() * math.factorial(n) / (2 * math.pi) ** n
-    value *= unit_ball_volume(n)
-    radii = {e: killing_radius(e) for e in distinct}
-    for e in ens:
-        value *= radii[e]
-    return value
+    radii_sq = {e: f_form(e.require_self_dual()).radius_sq_killing for e in set(ens)}
+    return xa._sqrt_pi_power(*xa._quotient(
+        [_kac_rice_sq(ens[0].rs, Metric(ens[0].rs)), *(radii_sq[e] for e in ens)], []))
 
 
 def complex_count_reductive(
@@ -336,37 +343,26 @@ def complex_count_reductive(
     route="lattice": exact rational value from the polarized weight-polytope
     integrals of the normalized squared root product.
     route="calibrated": floating-point value from metric Newton-body volumes
-    calibrated by torus/group volumes; agrees with the lattice route and is
-    independent of the metric scale.
+    calibrated by torus/group volumes, over the same exact polarized
+    integral; agrees with the lattice route and is independent of the
+    metric scale.
     """
+    if route not in ("lattice", "calibrated"):
+        raise ValueError(f"unknown route {route!r}")
     ens = _as_ensemble_list(ensembles)
     rs = ens[0].rs
     metric = _metric_of(rs, metric)
     n = rs.dimension
     hulls = {e: weighted_polytope(e) for e in set(ens)}
-    bodies = [hulls[e] for e in ens]
     p_sq = _squared_root_product(rs)
-
-    def density_integral(body: Polytope) -> Fraction:
-        return _invariant_integral(rs, body, p_sq)
-
+    mixed = polarize([hulls[e] for e in ens], lambda body: _invariant_integral(rs, body, p_sq))
     if route == "lattice":
-        p_rho_sq = Metric(rs).root_product_at_rho() ** 2
-        mixed = polarize(bodies, density_integral) / p_rho_sq
-        return Fraction(math.factorial(n), rs.weyl_order) * mixed
-
-    if route == "calibrated":
-        factor = _newton_body_factor(rs, metric)
-        mixed = polarize(bodies, lambda b: factor * float(density_integral(b)))
-        value = math.factorial(n) * metric.torus_volume() * mixed
-        value /= (
-            float(metric.root_product_at_rho()) ** 2
-            * metric.weight_covolume()
-            * metric.group_volume()
-        )
-        return value
-
-    raise ValueError(f"unknown route {route!r}")
+        p_rho = Metric(rs).root_product_at_rho()
+        return Fraction(math.factorial(n), rs.weyl_order) * mixed / (p_rho * p_rho)
+    p_rho = metric.root_product_at_rho()
+    return xa._sqrt_pi_power(*xa._quotient(
+        [math.factorial(n) ** 2, metric._torus_volume_sq(), _calibration_sq(rs, metric), mixed, mixed],
+        [p_rho, p_rho, p_rho, p_rho, metric.weight_gram_det(), metric._group_volume_sq()]))
 
 
 @dataclass(frozen=True)
@@ -420,8 +416,16 @@ def real_proportion_group(
 
 def asymptotic_radius(rs: RootSystem, body) -> float:
     """Limit of killing_radius(spectrum of m * body) / m as the dilation m
-    grows.  `body` is a weight-space polytope, or a number for the metric
-    ball of that radius (closed form radius / sqrt(n + 2))."""
+    grows.  `body` is a weight-space polytope, or a finite non-negative
+    number for the metric ball of that radius (closed form
+    radius / sqrt(n + 2)); ValueError otherwise."""
+    r_sq = _asymptotic_radius_sq(rs, body)
+    return xa._sqrt_pi_power(r_sq.numerator, r_sq.denominator)
+
+
+def _asymptotic_radius_sq(rs: RootSystem, body) -> Fraction:
+    """The square of `asymptotic_radius`, exactly: the mean of |x|^2 / n
+    under the density p^2 on a polytope, radius^2 / (n + 2) on a ball."""
     n = rs.dimension
     if isinstance(body, Polytope):
         p_sq = _squared_root_product(rs)
@@ -436,24 +440,21 @@ def asymptotic_radius(rs: RootSystem, body) -> float:
         den = _invariant_integral(rs, body, p_sq)
         if den == 0:
             raise ValueError("degenerate body")
-        return math.sqrt(float(num / den) / n)
-    radius = float(body)
-    return radius / math.sqrt(n + 2)
+        return num / den / n
+    if not (math.isfinite(body) and body >= 0):
+        raise ValueError(f"ball radius must be finite and non-negative, got {body!r}")
+    return xa.as_fraction(body) ** 2 / (n + 2)
 
 
 def asymptotic_mean(rs: RootSystem, radius, dilation: float) -> float:
-    """Leading-order expected real count for the ball spectrum of the given
-    radius at a large dilation."""
-    n = rs.dimension
-    r_inf = asymptotic_radius(rs, radius)
-    base = Metric(rs)
-    return (
-        base.group_volume()
-        * math.factorial(n)
-        / (2 * math.pi) ** n
-        * unit_ball_volume(n)
-        * (dilation * r_inf) ** n
-    )
+    """Leading-order expected real count for the spectrum of a large
+    dilation of a body: a weight-space polytope or a ball radius, as in
+    `asymptotic_radius`.  ValueError for a ball radius that is not finite and
+    non-negative, or a dilation that is not finite and positive."""
+    if not (math.isfinite(dilation) and dilation > 0):
+        raise ValueError(f"dilation must be finite and positive, got {dilation!r}")
+    r_sq = xa.as_fraction(dilation) ** 2 * _asymptotic_radius_sq(rs, radius)
+    return xa._sqrt_pi_power(*xa._quotient([_kac_rice_sq(rs, Metric(rs)), r_sq**rs.dimension], []))
 
 
 @dataclass(frozen=True)
@@ -499,16 +500,12 @@ def _limit_identity_factor(rs: RootSystem, metric: Metric) -> float:
     """The identity factor of `limit_real_proportion_group`:
     vol(G) vol(B^n) |W| p(rho)^2 covol / ((2 pi)^n E_ball[p^2] scale^n), with
     E_ball[p^2] the Macdonald-Mehta moment times `_ball_factor` and the
-    scale^-n because derivative-covariance radii live in the dual.  Its
-    square is a rational times a power of pi, gathered exactly (Gamma at
-    half-integers through `exactalg._gamma_sq`), so that no part of it
-    leaves the double range at any rank."""
+    scale^-n because derivative-covariance radii live in the dual; its
+    square is gathered exactly, as every constant of this module is."""
     n = rs.dimension
     p_rho, moment, scale_n = metric.root_product_at_rho(), metric.root_product_moment(), metric.scale**n
-    # squared: vol(G), vol(B^n) = pi^(n/2) / Gamma(n/2 + 1), |W| p(rho)^2 and
-    # covol over (2 pi)^n, E_ball[p^2] and scale^n
+    # squared: the Kac-Rice constant, |W| p(rho)^2 and covol over n!, E_ball[p^2] and scale^n
     return xa._sqrt_pi_power(*xa._quotient(
-        [metric._group_volume_sq(), (1, 1, n), rs.weyl_order**2, p_rho, p_rho, p_rho, p_rho,
-         metric.weight_gram_det()],
-        [xa._gamma_sq(n + 2), (4**n, 1, 2 * n), moment, moment,
-         _ball_factor_sq(rs.num_positive_roots, rs.rank), scale_n, scale_n]))
+        [_kac_rice_sq(rs, metric), rs.weyl_order**2, p_rho, p_rho, p_rho, p_rho, metric.weight_gram_det()],
+        [math.factorial(n) ** 2, moment, moment, _ball_factor_sq(rs.num_positive_roots, rs.rank),
+         scale_n, scale_n]))

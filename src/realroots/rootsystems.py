@@ -457,10 +457,6 @@ class Metric:
         return self.scale**rs.rank / (
             (2 * rs.dual_coxeter) ** rs.rank * xa.mat_det(rs.cartan) * math.prod(rs.root_ratios[: rs.rank]))
 
-    def weight_covolume(self) -> float:
-        q = self.weight_gram_det()
-        return xa._sqrt_pi_power(q.numerator, q.denominator)
-
     def coroot_gram_det(self) -> Fraction:
         """Covolume squared of the lattice spanned by the images
         2 beta / (beta, beta) of the simple coroots.
@@ -477,8 +473,11 @@ class Metric:
 
     def torus_volume(self) -> float:
         """Riemannian volume of the maximal torus."""
-        q = self.coroot_gram_det()
-        return xa._sqrt_pi_power(4**self.rs.rank * q.numerator, q.denominator, 2 * self.rs.rank)
+        return xa._sqrt_pi_power(*self._torus_volume_sq())
+
+    def _torus_volume_sq(self) -> tuple[int, int, int]:
+        """(2 pi)^(2 rank) times `coroot_gram_det`, as (a, b, e), a / b pi^e."""
+        return xa._quotient([(4**self.rs.rank, 1, 2 * self.rs.rank), self.coroot_gram_det()], [])
 
     def group_volume(self) -> float:
         """Riemannian volume of the compact simply connected group."""
@@ -486,14 +485,11 @@ class Metric:
 
     def _group_volume_sq(self) -> tuple[int, int, int]:
         """The squared group volume as (a, b, e), a / b pi^e: Macdonald's
-        formula (2 pi)^N times the torus volume over the root product at rho,
-        both of the Killing metric, times scale^(dim / 2), squared."""
-        rs = self.rs
-        base = self if self.scale == 1 else Metric(rs)
-        k = rs.num_positive_roots + rs.rank
-        p_rho = base.root_product_at_rho()
-        return xa._quotient([(4**k, 1, 2 * k), base.coroot_gram_det(), self.scale**rs.dimension],
-                            [p_rho, p_rho])
+        formula (2 pi)^N vol(T) / p(rho) in the Killing metric, times
+        scale^(dim / 2).  Read in this metric, vol(T) / p(rho) carries
+        scale^(rank / 2 - N) of it, so scale^(2N) is left (4N squared)."""
+        p, p_rho = self.rs.num_positive_roots, self.root_product_at_rho()
+        return xa._quotient([(4**p, 1, 2 * p), self._torus_volume_sq(), self.scale ** (4 * p)], [p_rho, p_rho])
 
     # -- lattice point enumeration ------------------------------------------
 
@@ -590,7 +586,8 @@ def _ball_factor_sq(n: int, k: int) -> tuple[int, int, int]:
 
 
 def unit_volume_metric(rs: RootSystem) -> Metric:
-    """The rescaled Killing metric normalizing the group volume to 1."""
-    base = Metric(rs).group_volume()
-    scale = xa.as_fraction(base ** (-2.0 / rs.dimension))
-    return Metric(rs, scale)
+    """The rescaled Killing metric normalizing the group volume to 1: the
+    scale is (vol(G)^2)^(-1 / dim), read in logs of its exact ints."""
+    a, b, e = Metric(rs)._group_volume_sq()
+    scale = math.exp((math.log(b) - math.log(a) - e * math.log(math.pi)) / rs.dimension)
+    return Metric(rs, xa.as_fraction(scale))

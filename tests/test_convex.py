@@ -552,6 +552,24 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(4) == pytest.approx(math.pi ** 2 / 2)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_unit_ball_volume_closed_forms(n):
+    # pi^k / k! in dimension 2k, 2^(k+1) pi^k / (2k+1)!! in dimension 2k + 1
+    k, odd = divmod(n, 2)
+    want = math.pi**k / math.factorial(k)
+    if odd:
+        want = 2 ** (k + 1) * math.pi**k / math.prod(range(1, n + 1, 2))
+    assert unit_ball_volume(n) == pytest.approx(want, rel=1e-15)
+
+
+def test_unit_ball_volume_past_the_double_range_names_the_underflow():
+    # vol(B^440) is about 1e-312 (A20 has dimension 440); math.gamma(221)
+    # raised OverflowError here
+    assert 0 < unit_ball_volume(435) < 1e-307
+    with pytest.raises(ArithmeticError, match="underflows a double"):
+        unit_ball_volume(440)
+
+
 def test_ellipsoid_support_and_volume():
     e = Ellipsoid(np.diag([4.0, 9.0]))
     assert e.support([1.0, 0.0]) == pytest.approx(2.0)

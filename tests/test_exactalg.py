@@ -278,3 +278,9 @@ def test_square_roots_of_rationals_outside_the_double_range():
         _sqrt_pi_power(10**700, 1)
     with pytest.raises(ArithmeticError, match="underflows a double"):
         _sqrt_pi_power(1, 10**700)
+
+
+def test_a_zero_square_reads_zero():
+    # a trivial spectrum's mean and a point body's volume gather a = 0
+    assert _sqrt_pi_power(0, 7, 3) == 0.0
+    assert _sqrt_pi_power(0, 1) == 0.0

@@ -244,6 +244,29 @@ def test_counts_are_metric_invariant():
     assert scaled == pytest.approx(base, rel=1e-11)
 
 
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(7, 3)], ids=["1", "7/3"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "C3"])
+def test_calibrated_count_reads_the_lattice_count(name, scale):
+    # the calibrated route gathers its constants exactly and reads one
+    # double, so it is float(lattice) to 2 ulp (the float chain was off by
+    # up to 1.1e-15)
+    rs = root_system(name)
+    ens = [adjoint(rs)] * rs.dimension
+    lattice = float(complex_count_reductive(ens))
+    calibrated = complex_count_reductive(ens, route="calibrated", metric=Metric(rs, scale))
+    assert abs(calibrated - lattice) <= 4.5e-16 * lattice
+
+
+def test_trivial_spectrum_and_point_body_give_zero():
+    for rs in (A1, A2):
+        zero = (0,) * rs.rank
+        trivial = RepEnsemble.single(rs, zero)
+        assert mean_real_count_group(trivial) == 0.0
+        assert newton_body_volume(rs, zero) == 0.0
+        assert newton_body_volume(trivial, metric=Metric(rs, Fraction(7, 3))) == 0.0
+        assert complex_count_reductive(trivial, route="calibrated") == 0.0
+
+
 def test_counts_are_flattening_invariant():
     heavy = RepEnsemble(A1, [((2,), 4)])
     assert complex_count_reductive([heavy] * 3) == 16
@@ -257,6 +280,27 @@ def test_counts_are_flattening_invariant():
 def test_rank_one_adjoint_mean():
     mean = mean_real_count_group([adjoint(A1)] * 3)
     assert mean == pytest.approx(32 * math.sqrt(6) / 9, rel=1e-12)
+
+
+def _log(q: Fraction) -> float:
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+@pytest.mark.parametrize("name", ["A13", "B10", "A15", "D12", "A20"])
+def test_adjoint_mean_past_the_double_range(name):
+    # n! times a float overflowed from dim K = 171 on, and math.gamma in the
+    # unit-ball volume at A20; the reference is a log sum: Macdonald's
+    # vol(K) = (2 pi)^(N + r) covol(coroots) / p(rho), then
+    # n! vol(B^n) / (2 pi)^n and n equal radii
+    rs = root_system(name)
+    n, met = rs.dimension, Metric(rs)
+    log_vol = ((rs.num_positive_roots + rs.rank) * math.log(2 * math.pi)
+               + _log(met.coroot_gram_det()) / 2 - _log(met.root_product_at_rho()))
+    log_want = (log_vol + math.lgamma(n + 1) + n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1)
+                - n * math.log(2 * math.pi) + n / 2 * _log(f_form(adjoint(rs)).radius_sq_killing))
+    mean = mean_real_count_group(adjoint(rs))
+    assert math.isfinite(mean)
+    assert mean == pytest.approx(math.exp(log_want), rel=1e-9)
 
 
 def test_hodge_equality_rank_one():
@@ -371,6 +415,45 @@ def test_asymptotic_mean_formula():
         * (8 / math.sqrt(5)) ** n
     )
     assert asymptotic_mean(rs, 1.0, 8.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [-1, -2.0, -math.inf, math.inf, math.nan])
+def test_asymptotics_reject_a_ball_radius_that_is_not_finite_and_non_negative(radius):
+    # -1 read a radius of -0.447 and -2.0 a mean of -32.38 at dilation 1
+    with pytest.raises(ValueError, match="ball radius"):
+        asymptotic_radius(A1, radius)
+    with pytest.raises(ValueError, match="ball radius"):
+        asymptotic_mean(A1, radius, 1.0)
+
+
+@pytest.mark.parametrize("dilation", [-2.0, 0, -math.inf, math.inf, math.nan])
+def test_asymptotic_mean_rejects_a_dilation_that_is_not_finite_and_positive(dilation):
+    # -2.0 read -32.38; inf and nan came back as inf and nan
+    for body in (1, weighted_polytope(adjoint(A1))):
+        with pytest.raises(ValueError, match="dilation"):
+            asymptotic_mean(A1, body, dilation)
+
+
+def test_asymptotic_mean_of_a_zero_ball_is_zero():
+    assert asymptotic_radius(A1, 0) == 0.0
+    assert asymptotic_mean(A1, 0, 3) == 0.0
+
+
+def test_polytope_limit_law_by_richardson_extrapolation():
+    # the limit law beyond the ball: S_m, the dominant weights in m P with
+    # P = [-2, 2] = conv(W theta), has Newton body m P, so its complex count
+    # is m^3 count(theta); its proportion over L(P), the asymptotic mean of P
+    # over count(theta), is 1 + c / m + O(1 / m^2) (1.071 at m = 32, 1.035 at
+    # m = 64), and 2 r(64) - r(32) removes the 1 / m term
+    body = weighted_polytope(adjoint(A1))
+    limit = asymptotic_mean(A1, body, 1) / float(complex_count_reductive(adjoint(A1)))
+
+    def ratio(m):
+        spectrum = RepEnsemble(A1, [((w,), 1) for w in range(2 * m + 1)])
+        assert weighted_polytope(spectrum) == body.dilate(m)
+        return real_proportion_group(spectrum).proportion / limit
+
+    assert 2 * ratio(64) - ratio(32) == pytest.approx(1.0, abs=1e-3)
 
 
 # -- limits ------------------------------------------------------------------------------

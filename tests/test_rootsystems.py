@@ -509,6 +509,17 @@ def test_unit_volume_metric_normalizes_group_volume():
         assert met.group_volume() == pytest.approx(1.0, rel=1e-12)
 
 
+def test_unit_volume_metric_where_the_killing_volume_is_no_double():
+    # the Killing volume of A20 is above 1.8e308 (it raised OverflowError);
+    # the scale is read from the logs of its exact square
+    rs = root_system("A20")
+    with pytest.raises(OverflowError):
+        Metric(rs).group_volume()
+    met = unit_volume_metric(rs)
+    assert 0.017 < met.scale < 0.018
+    assert met.group_volume() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_root_system_objects_are_cached():
     assert root_system("A2") is root_system("A2")
 
