@@ -220,6 +220,8 @@ def _emit(report: Report, fmt: str, out: str | None) -> None:
 
 
 def _run_torus(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise SystemExit("--seed must be a non-negative integer")
     sups = [parse_support(s) for s in args.support]
     system = sups if len(sups) > 1 else sups[0]
     if args.samples is not None:

@@ -18,11 +18,12 @@ Every polytope is built as the hull of its points.  A full-dimensional one
 stores the boundary complex of a second pass over its vertices (the ring's
 edges in the plane), grouped per facet plane; its triangulation, read on
 demand, is the cones from the first vertex over that complex.
-Polynomials are integrated over signed cones from the origin over the facet
-simplices, each reduced by homogeneity to a rule on a (d - 1)-simplex
-(Lasserre, "Integration on a convex polytope", 1998); a caller that knows a
-symmetry of body and integrand integrates one plane per orbit of planes and,
-on it, one simplex per orbit of its simplices, times their number there.
+`FormProducts` integrands are integrated over signed cones from the origin
+over the facet simplices, each reduced by homogeneity to a rule on a
+(d - 1)-simplex (Lasserre, "Integration on a convex polytope", 1998); a
+caller that knows a symmetry of body and integrand integrates one plane per
+orbit of planes and, on it, one simplex per orbit of its simplices, times
+their number there.
 Mixed volumes polarize the volume of Minkowski sums over the distinct
 primitive shapes only: a body is a positive dilate t K' of its integer rows
 over their gcd, the form is multilinear in positive dilations, and the
@@ -55,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import exactalg as xa
-from .polynomials import FormProducts, Polynomial, integrate_over_simplex
+from .polynomials import FormProducts, integrate_over_simplex
 
 __all__ = [
     "Polytope",
@@ -309,15 +310,6 @@ class Polytope:
                        for simplex in self.triangulation)
             self._volume = Fraction(dets, math.factorial(self.dim) * self.denominator**self.dim)
         return self._volume
-
-    def translate(self, shift: Sequence) -> "Polytope":
-        (row,), t = xa.integer_rows([shift])
-        if len(row) != self.dim:
-            raise ValueError("shift has the wrong dimension")
-        s = math.lcm(self.denominator, t)
-        a, b = s // self.denominator, s // t
-        coords = [tuple(a * x + b * y for x, y in zip(v, row)) for v in self.coords]
-        return Polytope._lattice(coords, s, self.facets)
 
     def dilate(self, factor) -> "Polytope":
         f = xa.as_fraction(factor)
@@ -647,13 +639,11 @@ def mixed_volume_ellipsoids(
 # polynomial integration over polytopes
 # ---------------------------------------------------------------------------
 
-def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProducts, *,
+def integrate_polynomial_over_polytope(p: Polytope, poly: FormProducts, *,
                                        normal_class: Callable[..., object] | None = None
                                        ) -> Fraction:
-    """Integral of `poly` over `p` against coordinate Lebesgue measure.
-
-    Exact (Fraction); a float coefficient counts as its exact binary value.
-    A `FormProducts` integrand is integrated without expanding its products.
+    """Integral of the `FormProducts` integrand `poly` over `p` against
+    coordinate Lebesgue measure, exact and without expanding its products.
     Zero for polytopes of less than full dimension.
 
     P is the signed sum of the cones from the origin over its facet
@@ -675,8 +665,6 @@ def integrate_polynomial_over_polytope(p: Polytope, poly: Polynomial | FormProdu
     """
     if poly.nvars != p.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
-    if isinstance(poly, Polynomial):
-        poly = FormProducts.from_polynomial(poly)
     d, s = p.dim, p.denominator
     # (class, offset) -> [planes in the class, the plane with fewest simplices]
     classes: dict[tuple[object, int], list] = {}

@@ -28,9 +28,7 @@ Mat = tuple[Vec, ...]
 __all__ = [
     "as_fraction",
     "as_vec",
-    "vec_add",
     "vec_sub",
-    "vec_scale",
     "dot",
     "mat_vec",
     "mat_det",
@@ -39,7 +37,6 @@ __all__ = [
     "rank",
     "nullspace_vector",
     "integer_rows",
-    "bilinear",
 ]
 
 
@@ -56,16 +53,8 @@ def as_vec(v: Iterable) -> Vec:
     return tuple(as_fraction(x) for x in v)
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(a: Sequence[Fraction], c: Fraction) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -74,11 +63,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def bilinear(g: Sequence[Sequence[Fraction]], x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """x^T g y with exact arithmetic."""
-    return dot(x, mat_vec(g, y))
 
 
 def integer_rows(m: Iterable[Iterable]) -> tuple[list[list[int]], int]:

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from . import exactalg as xa
 from .convex import (
-    Ellipsoid,
     Polytope,
     convex_hull,
     integrate_polynomial_over_polytope,
@@ -49,8 +48,6 @@ from .rootsystems import (
     _casimir_unit,
     _conjugacy_key,
     _dominant_row,
-    reality_type,
-    root_system,
     weyl_dimension,
 )
 from .torus import kac_limit
@@ -142,9 +139,6 @@ class RepEnsemble:
             return self
         return RepEnsemble(self.rs, [(w, 1) for w in self.weights])
 
-    def reality_types(self) -> dict[tuple[int, ...], str]:
-        return {w: reality_type(self.rs, w) for w in self.weights}
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RepEnsemble({self.rs.name}, {len(self.entries)} weights)"
 
@@ -181,12 +175,6 @@ class InvariantHessianForm:
     def radius(self, metric: Metric | None = None) -> float:
         scale = float(metric.scale) if metric is not None else 1.0
         return math.sqrt(float(self.radius_sq_killing) / scale)
-
-    def as_ellipsoid(self, metric: Metric | None = None) -> Ellipsoid:
-        r = self.radius(metric)
-        import numpy as np
-
-        return Ellipsoid(r * r * np.eye(self.dimension))
 
 
 def f_form(ensemble: RepEnsemble) -> InvariantHessianForm:

@@ -44,7 +44,6 @@ from .torus import Support
 
 __all__ = [
     "MonteCarloStats",
-    "sample_real_laurent",
     "count_zeros_circle",
     "circle_zero_locations",
     "count_common_zeros_torus2",
@@ -60,11 +59,6 @@ class MonteCarloStats:
     stderr: float
     samples: int
     discarded: int = 0
-
-    @property
-    def discard_rate(self) -> float:
-        total = self.samples + self.discarded
-        return self.discarded / total if total else 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -112,13 +106,6 @@ def _coefficient_sampler(support: Support):
         return out
 
     return draw
-
-
-def sample_real_laurent(support: Support, rng: np.random.Generator) -> dict[tuple[int, ...], complex]:
-    """One random coefficient assignment for a real ensemble on `support`."""
-    support.require_symmetric()
-    row = _coefficient_sampler(support)(1, rng)[0]
-    return dict(zip(support.points, row))
 
 
 # ---------------------------------------------------------------------------

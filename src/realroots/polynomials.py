@@ -2,11 +2,10 @@
 
 The polynomials here carry Fraction coefficients whenever their inputs are
 rational.  Simplex integrals take a `FormProducts` integrand, a sum of
-products of powers of linear forms with denominators cleared; a
-`Polynomial` is read as one, monomial by monomial.  They are integrated by
-a Grundmann-Moller rule over simplices, exact for any requested total degree,
-which evaluates the forms at its nodes in Python ints and keeps one rational
-per level.
+products of powers of linear forms with denominators cleared.  They are
+integrated by a Grundmann-Moller rule over simplices, exact for any requested
+total degree, which evaluates the forms at its nodes in Python ints and keeps
+one rational per level.
 """
 
 from __future__ import annotations
@@ -29,7 +28,9 @@ class Polynomial:
     """Sparse polynomial in ``nvars`` variables.
 
     Coefficients may be Fractions (exact paths) or floats; the arithmetic is
-    agnostic.  Exponent keys are tuples of non-negative ints.
+    agnostic.  Exponent keys are tuples of non-negative ints.  It stays in
+    the library only because `bench/layers.py` `METHODS` wraps it by name,
+    until ROADMAP item 3 lands; no library integral takes one.
     """
 
     __slots__ = ("nvars", "coeffs")
@@ -161,13 +162,6 @@ class FormProducts:
         coeffs = {e: c for e, c in coeffs.items() if c != 0}
         (nums,), self.denominator = integer_rows([coeffs.values()])
         self.terms = tuple(zip(nums, coeffs))
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "FormProducts":
-        """Read each monomial as a product of powers of coordinate forms."""
-        n = poly.nvars
-        coords = [[int(i == j) for j in range(n)] for i in range(n)]
-        return cls(n, coords, ((c, e) for e, c in poly.coeffs.items()))
 
     @property
     def total_degree(self) -> int:

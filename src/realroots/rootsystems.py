@@ -12,7 +12,7 @@ parabolic stabilizer, with no enumeration of W.  The roots are the Weyl
 orbits of the simple roots; the inverse Cartan matrix gives each its
 simple-root coordinates, hence its sign and height, and its primitive
 integer coroot row k_beta, with (lam, beta^vee) = sum_i k_i lam_i, and each
-keeps the length ratio r_beta of its simple root.  Weyl dimensions, Casimir values, pairings,
+keeps the length ratio r_beta of its simple root.  Weyl dimensions, Casimir values,
 the root product and the group and torus volumes are products and sums of
 these integers, with one rational constant at the end.  The dual Coxeter
 number is 1 + sum_i k_i on the highest root, and the degrees d_j of the basic
@@ -152,8 +152,6 @@ class RootSystem:
     family: str
     rank: int
     cartan: tuple[IntVec, ...]        # row i = simple root alpha_i in weight coords
-    gram_std: xa.Mat                  # fundamental-weight Gram, long roots norm 2
-    gram_killing: xa.Mat              # fundamental-weight Gram, Killing normalization
     positive_roots: tuple[xa.Vec, ...]
     # per positive root: the coroot row k_beta, (lam, beta^vee) = sum_i k_i lam_i,
     # and r_beta = 2 / (beta, beta), so (lam, beta) = <k_beta, lam> / r_beta
@@ -185,12 +183,6 @@ class RootSystem:
 
     # -- Weyl group action ------------------------------------------------
 
-    def simple_reflection(self, i: int, lam: Sequence) -> xa.Vec:
-        v = xa.as_vec(lam)
-        c = v[i]
-        row = self.cartan[i]
-        return tuple(v[j] - c * row[j] for j in range(self.rank))
-
     def _weight_row(self, lam: Sequence) -> tuple[list[int], int]:
         """lam as an integer row over its least common denominator s, and s;
         ValueError unless lam has one coordinate per simple root."""
@@ -213,13 +205,6 @@ class RootSystem:
     def weyl_orbit(self, lam: Sequence) -> tuple[xa.Vec, ...]:
         signs, s = self.lattice_orbit(lam)
         return tuple(tuple(Fraction(x, s) for x in v) for v in sorted(signs))
-
-    def signed_weyl_orbit(self, lam: Sequence) -> tuple[tuple[int, xa.Vec], ...]:
-        """Orbit of a regular point with the sign of the group element
-        carrying the base point there."""
-        signs, s = self.lattice_orbit(lam)
-        return tuple(sorted((sign, tuple(Fraction(x, s) for x in v))
-                            for v, sign in signs.items()))
 
     def __hash__(self) -> int:
         # the name determines the rest; ensembles are hashed with their system
@@ -248,9 +233,7 @@ def _root_system(family: str, rank: int) -> RootSystem:
         low = min(ratios[i], ratios[j])
         cartan[i][j], cartan[j][i] = -ratios[j] // low, -ratios[i] // low
     cartan = tuple(map(tuple, cartan))
-    # fundamental-weight Gram: C^-1 diag(1 / r)
     cinv = xa.mat_inverse(cartan)
-    gram_std = tuple(tuple(x / r for x, r in zip(row, ratios)) for row in cinv)
     # the roots are the W-orbits of the simple roots, and a root has the
     # length of the simple roots in its orbit
     ratio_of: dict[IntVec, int] = {}
@@ -281,8 +264,6 @@ def _root_system(family: str, rank: int) -> RootSystem:
         family=family,
         rank=rank,
         cartan=cartan,
-        gram_std=gram_std,
-        gram_killing=tuple(tuple(x / (2 * hvee) for x in row) for row in gram_std),
         positive_roots=tuple(map(xa.as_vec, roots)),
         coroots=coroots,
         root_ratios=root_ratios,
@@ -395,29 +376,12 @@ class Metric:
         if self.scale <= 0:
             raise ValueError("metric scale must be positive")
 
-    # -- pairings ---------------------------------------------------------
-
-    def pairing(self, lam: Sequence, mu: Sequence) -> Fraction:
-        """Summed in integers over the coroot table, as `casimir` is."""
-        (a, s), (b, t) = self.rs._weight_row(lam), self.rs._weight_row(mu)
-        return self.scale * Fraction(_killing_numerator(self.rs, a, b), _casimir_unit(self.rs) * s * t)
-
-    def norm_sq(self, lam: Sequence) -> Fraction:
-        return self.pairing(lam, lam)
-
-    def gram(self) -> xa.Mat:
-        return tuple(tuple(self.scale * x for x in row) for row in self.rs.gram_killing)
-
     # -- the product of root pairings --------------------------------------
 
-    def root_product(self, lam: Sequence) -> Fraction:
-        """Product over positive roots of the pairing with lam."""
-        const, forms = self.root_forms()
-        row, s = self.rs._weight_row(lam)
-        return const * Fraction(math.prod(_coroot_pairings(self.rs, row)), s ** len(forms))
-
     def root_product_poly(self) -> Polynomial:
-        """The same product as a polynomial in weight coordinates."""
+        """The root product as a polynomial in weight coordinates.  It stays
+        in the library only because `bench/layers.py` `METHODS` wraps it by
+        name, until ROADMAP item 3 lands."""
         const, forms = self.root_forms()
         poly = Polynomial.constant(self.rs.rank, const)
         for k in forms:
@@ -425,8 +389,9 @@ class Metric:
         return poly
 
     def root_forms(self) -> tuple[Fraction, tuple[IntVec, ...]]:
-        """The same product as constant * prod_beta <k_beta, x>, with the
-        primitive integer coroot rows k_beta: the Killing pairing with beta is
+        """The product over the positive roots of the metric pairing with
+        them, as constant * prod_beta <k_beta, x> over the primitive integer
+        coroot rows k_beta: the Killing pairing with beta is
         <k_beta, x> / (2 h r_beta), h the dual Coxeter number."""
         rs = self.rs
         p = rs.num_positive_roots
@@ -493,48 +458,56 @@ class Metric:
 
     # -- lattice point enumeration ------------------------------------------
 
+    def _inverse_gram(self) -> tuple[list[list[int]], int]:
+        """The inverse of the fundamental-weight Gram matrix of the metric as
+        integer rows over a common denominator: (2 h / scale) r_i C_ij, with
+        r the simple length ratios in diagram order.  (That Gram matrix is
+        scale C^-1 diag(1 / r) / (2 h); see `weight_gram_det`.)"""
+        rs, scale = self.rs, self.scale
+        ratios, _ = _dynkin(rs.family, rs.rank)
+        unit = 2 * rs.dual_coxeter * scale.denominator
+        return [[unit * r * c for c in row] for r, row in zip(ratios, rs.cartan)], scale.numerator
+
     def dominant_weights_in_ball(self, radius) -> tuple[xa.Vec, ...]:
-        """All dominant integral weights with metric norm <= radius."""
+        """All dominant integral weights with metric norm <= radius, in
+        lexicographic order.  Coordinate j is at most radius times the square
+        root of entry (j, j) of the inverse Gram matrix, 4 h r_j / scale; each
+        point of that box is kept when its Killing numerator (the integer
+        Gram form of `_killing_numerator`) times scale / `_casimir_unit` is at
+        most radius^2, compared in integers."""
         r = xa.as_fraction(radius)
         if r < 0:
             raise ValueError("radius must be non-negative")
-        rs = self.rs
-        gram = self.gram()
-        gram_inv = xa.mat_inverse(gram)
-        r_f = float(r)
-        bounds = []
-        for j in range(rs.rank):
-            bound = r_f * math.sqrt(float(gram_inv[j][j])) + 1e-9
-            bounds.append(int(math.floor(bound)))
-        # |c|^2 <= r^2 in integers: with s G integral, c^T (s G) c den(r^2)
-        # <= s num(r^2); the box is scanned in lexicographic order
-        g, s = xa.integer_rows(gram)
-        rsq = r * r
-        cap = s * rsq.numerator
-        out = []
-        for coords in _iproduct(*(range(b + 1) for b in bounds)):
-            norm = sum(c * sum(map(operator.mul, row, coords)) for c, row in zip(coords, g))
-            if norm * rsq.denominator <= cap:
-                out.append(tuple(Fraction(c) for c in coords))
-        return tuple(out)
+        rs, rsq = self.rs, r * r
+        sigma, s = self._inverse_gram()
+        bounds = [math.floor(float(r) * math.sqrt(sigma[j][j] / s) + 1e-9) for j in range(rs.rank)]
+        units = [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+        g = [[_killing_numerator(rs, a, b) for b in units] for a in units]
+        lhs = self.scale.numerator * rsq.denominator
+        cap = rsq.numerator * _casimir_unit(rs) * self.scale.denominator
+        return tuple(tuple(Fraction(c) for c in coords) for coords in _iproduct(*(range(b + 1) for b in bounds))
+                     if sum(c * sum(map(operator.mul, row, coords)) for c, row in zip(coords, g)) * lhs <= cap)
 
     # -- ball integrals -----------------------------------------------------
 
     def integrate_ball(self, poly: Polynomial, radius: float = 1.0) -> float:
         """Integral of a polynomial on the weight space over the metric ball
-        of the given radius, against the metric volume.
+        of the given radius, against the metric volume.  It stays in the
+        library only because `bench/layers.py` `METHODS` wraps it by name,
+        until ROADMAP item 3 lands.
 
         The standard Gaussian of the metric has covariance Sigma = G^-1 in
-        weight coordinates (G the Gram matrix), and the homogeneous part q
-        of degree 2N has the exact moment E[q] = Delta^N q / (2^N N!) with
-        Delta = sum_ij Sigma_ij d_i d_j.  Polar coordinates turn it into
+        weight coordinates (G the Gram matrix, `_inverse_gram`), and the
+        homogeneous part q of degree 2N has the exact moment
+        E[q] = Delta^N q / (2^N N!) with Delta = sum_ij Sigma_ij d_i d_j.
+        Polar coordinates turn it into
         E[q] (2 pi)^(k/2) r^(2N+k) / (2^(N+k/2-1) Gamma(N+k/2) (2N+k)) on the
         ball of radius r in rank k; parts of odd degree vanish.  The moments
         are computed in integers, with the denominators of Sigma and q
         cleared once; each application of Delta is one pass over the integer
         coefficients."""
         k = self.rs.rank
-        sigma, s = xa.integer_rows(xa.mat_inverse(self.gram()))
+        sigma, s = self._inverse_gram()
         # Sigma_ij d_i d_j + Sigma_ji d_j d_i for i < j, scaled by s, as
         # (i, j, exponent drop e_i + e_j, coefficient)
         steps = []

@@ -18,13 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
+import rootsystem_oracle
 from realroots.polynomials import Polynomial
 
 
 def orthonormal_frame(metric) -> np.ndarray:
     """Matrix B whose columns express weight coordinates in terms of an
     orthonormal frame: lam = B z with z Euclidean."""
-    g = np.array([[float(x) for x in row] for row in metric.gram()])
+    g = np.array([[float(x) for x in row] for row in rootsystem_oracle.metric_gram(metric)])
     chol = np.linalg.cholesky(g)
     return np.linalg.inv(chol.T)
 

@@ -8,6 +8,7 @@ of the parity rule in `realroots.rootsystems`:
 """
 
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,12 +26,19 @@ def _character_sum(points: np.ndarray, orbit: Sequence[tuple[int, xa.Vec]]) -> n
     return out
 
 
+def _signed_orbit(rs, lam: Sequence) -> list[tuple[int, xa.Vec]]:
+    """The Weyl orbit of a regular point, each with the sign of the group
+    element carrying the base point there."""
+    signs, s = rs.lattice_orbit(lam)
+    return sorted((sign, tuple(Fraction(x, s) for x in v)) for v, sign in signs.items())
+
+
 def fs_indicator_quadrature(rs, lam: Sequence, grid: int = 64) -> int:
     """Indicator in {1, 0, -1} of the irreducible representation with
     highest weight lam; raises if the average is not within 1e-6 of one."""
     v = xa.as_vec(lam)
-    orbit_num = rs.signed_weyl_orbit(xa.vec_add(v, rs.rho))
-    orbit_rho = rs.signed_weyl_orbit(rs.rho)
+    orbit_num = _signed_orbit(rs, [x + 1 for x in v])
+    orbit_rho = _signed_orbit(rs, rs.rho)
 
     def max_coord(vecs: Iterable[xa.Vec]) -> int:
         return max(int(math.ceil(abs(c))) for vec in vecs for c in vec)

@@ -6,6 +6,8 @@ of denominators (`xa.integer_rows`), divided by its gcd and oriented away
 from ref / (d + 1), ref the vertex sum of the hull's starting simplex.
 
 `extreme_points` is the vertex pass that inserts the points in index order.
+
+`translate` is the body moved by a rational shift, built as a fresh hull.
 """
 
 from __future__ import annotations
@@ -51,3 +53,8 @@ def extreme_points(coords: list[Sequence[int]], basis: list[int]) -> list[int]:
         for i in key:
             normals.setdefault(i, set()).add(normal)
     return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)
+
+
+def translate(body: cx.Polytope, shift: Sequence) -> cx.Polytope:
+    """The hull of the vertices of `body` moved by `shift`."""
+    return cx.Polytope([[x + y for x, y in zip(v, xa.as_vec(shift), strict=True)] for v in body.vertices])

@@ -11,6 +11,9 @@ The third, `vertex_cone_integral`, is the whole-body rule that
 `integrate_polynomial_over_polytope` used before it integrated over the
 facets: the package's integer Grundmann-Moller rule on every d-simplex of
 the body's triangulation (exact, fast enough for rank-4 bodies).
+
+`monomial_forms` reads a `Polynomial` as the `FormProducts` integrand of
+its monomials, products of powers of the coordinate forms.
 """
 
 import math
@@ -21,6 +24,13 @@ import numpy as np
 
 from realroots import exactalg as xa
 from realroots.polynomials import FormProducts, Polynomial, integrate_over_simplex
+
+
+def monomial_forms(poly: Polynomial) -> FormProducts:
+    """Each monomial of `poly` as a product of powers of coordinate forms."""
+    n = poly.nvars
+    coords = [[int(i == j) for j in range(n)] for i in range(n)]
+    return FormProducts(n, coords, ((c, e) for e, c in poly.coeffs.items()))
 
 
 def _compositions(total: int, parts: int):
@@ -62,7 +72,7 @@ def vertex_cone_integral(polytope, integrand) -> Fraction:
     d-simplices of the polytope's triangulation (cones from its first
     vertex), each by the integer Grundmann-Moller rule."""
     if isinstance(integrand, Polynomial):
-        integrand = FormProducts.from_polynomial(integrand)
+        integrand = monomial_forms(integrand)
     s = polytope.denominator
     unit = math.factorial(polytope.dim) * s**polytope.dim
     total = Fraction(0)

@@ -1,29 +1,44 @@
 """The root-system construction, Weyl dimension, Frobenius-Schur parity,
 root product, dominant conjugate, dual weight and Casimir value that
 `realroots.rootsystems` computed before it read them off the integer Dynkin
-data, integer rows and the integer coroot table: a test oracle, kept
-verbatim.
+data, integer rows and the integer coroot table, and the ball enumeration
+it computed before it read the inverse Gram matrix off the Cartan matrix: a
+test oracle, kept verbatim.
 
 `root_system_fields` builds a system from a `Fraction` Gram table of its
 simple roots: one exact solve per root for its simple-root coordinates, a
 `Fraction` pairing per root for its length ratio and coroot row, h^vee from
 the pairing of rho with the highest root, and the degrees of W from a table
-per family.
+per family.  The same construction gives the `Fraction` Gram tables of the
+fundamental weights (`gram_std`, long roots of squared length 2, and
+`metric_gram`, the Killing one times the metric scale).
 
 Every factor is a `Fraction` pairing in the fundamental-weight Gram matrix:
 (lam + rho, beta) over (rho, beta) for the dimension, 2 (lam, beta) /
 (beta, beta) summed over the positive roots for the parity, the metric
 pairing (lam, beta) for the root product, and (lam, lam + 2 rho) in the
 Killing Gram matrix for the Casimir value; the dominant conjugate applies
-the `Fraction` simple reflections.
+the `Fraction` simple reflections.  `dominant_weights_in_ball` bounds its
+box by the exact inverse of `metric_gram` (`xa.mat_inverse`) and tests its
+points on the integer rows of `metric_gram`; `integrate_ball` runs the
+library's moment rule with that exact inverse as the covariance.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
+from unittest.mock import patch
 
 from realroots import exactalg as xa
+
+
+def _bilinear(g: Sequence[Sequence], x: Sequence, y: Sequence) -> Fraction:
+    return xa.dot(x, xa.mat_vec(g, y))
 
 
 def _simple_root_gram(family: str, rank: int) -> xa.Mat:
@@ -62,6 +77,24 @@ def _simple_root_gram(family: str, rank: int) -> xa.Mat:
 def root_system_fields(name: str) -> dict:
     """Every field of `RootSystem` for the system `name` (e.g. "B4"), by
     field name; the Cartan rows are Fractions."""
+    fields = dict(_construction(name))
+    del fields["gram_std"], fields["gram_killing"]
+    return fields
+
+
+def gram_std(rs) -> xa.Mat:
+    """Fundamental-weight Gram matrix, long roots of squared length 2."""
+    return _construction(rs.name)["gram_std"]
+
+
+def metric_gram(metric) -> xa.Mat:
+    """Fundamental-weight Gram matrix of the metric: the Killing one times
+    the scale."""
+    return tuple(tuple(metric.scale * x for x in row) for row in _construction(metric.rs.name)["gram_killing"])
+
+
+@lru_cache(maxsize=None)
+def _construction(name: str) -> dict:
     family, rank = name[0], int(name[1:])
     gram_s = _simple_root_gram(family, rank)
     d = tuple(gram_s[j][j] / 2 for j in range(rank))
@@ -98,16 +131,16 @@ def root_system_fields(name: str) -> dict:
     # coroot rows: k_i = (omega_i, beta^vee) = r_beta (G beta)_i
     coroots, ratios = [], []
     for beta in pos_roots:
-        ratio = 2 / xa.bilinear(gram_std, beta, beta)
-        row = xa.vec_scale(xa.mat_vec(gram_std, beta), ratio)
+        ratio = 2 / _bilinear(gram_std, beta, beta)
+        row = tuple(ratio * x for x in xa.mat_vec(gram_std, beta))
         assert ratio.denominator == 1 and all(k.denominator == 1 for k in row)
         ratios.append(int(ratio))
         coroots.append(tuple(int(k) for k in row))
     # dual Coxeter number from the highest root
     rho = (Fraction(1),) * rank
-    hr_norm = xa.bilinear(gram_std, highest, highest)
+    hr_norm = _bilinear(gram_std, highest, highest)
     assert hr_norm == 2
-    hvee = 1 + 2 * xa.bilinear(gram_std, rho, highest) / hr_norm
+    hvee = 1 + 2 * _bilinear(gram_std, rho, highest) / hr_norm
     assert hvee.denominator == 1
     gram_k = tuple(
         tuple(x / (2 * hvee) for x in row) for row in gram_std
@@ -141,10 +174,10 @@ def weyl_dimension(rs, lam: Sequence) -> int:
     num = Fraction(1)
     den = Fraction(1)
     rho = rs.rho
-    lam_rho = xa.vec_add(v, rho)
+    lam_rho = tuple(x + 1 for x in v)
     for beta in rs.positive_roots:
-        num *= xa.bilinear(rs.gram_std, lam_rho, beta)
-        den *= xa.bilinear(rs.gram_std, rho, beta)
+        num *= _bilinear(gram_std(rs), lam_rho, beta)
+        den *= _bilinear(gram_std(rs), rho, beta)
     dim = num / den
     assert dim.denominator == 1
     return int(dim)
@@ -154,23 +187,32 @@ def fs_parity(rs, lam: Sequence) -> int:
     v = xa.as_vec(lam)
     total = Fraction(0)
     for beta in rs.positive_roots:
-        total += 2 * xa.bilinear(rs.gram_std, v, beta) / xa.bilinear(rs.gram_std, beta, beta)
+        total += 2 * _bilinear(gram_std(rs), v, beta) / _bilinear(gram_std(rs), beta, beta)
     assert total.denominator == 1
     return -1 if int(total) % 2 else 1
+
+
+def pairing(metric, lam: Sequence, mu: Sequence) -> Fraction:
+    return _bilinear(metric_gram(metric), xa.as_vec(lam), xa.as_vec(mu))
+
+
+def norm_sq(metric, lam: Sequence) -> Fraction:
+    return pairing(metric, lam, lam)
 
 
 def root_product(metric, lam: Sequence) -> Fraction:
     v = xa.as_vec(lam)
     out = Fraction(1)
     for beta in metric.rs.positive_roots:
-        out *= metric.pairing(v, beta)
+        out *= pairing(metric, v, beta)
     return out
 
 
 def coroot(rs, beta: Sequence) -> xa.Vec:
     """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates, which
     are its pairings (omega_i, beta^vee) with the fundamental weights."""
-    return xa.vec_scale(xa.mat_vec(rs.gram_std, beta), 2 / xa.bilinear(rs.gram_std, beta, beta))
+    ratio = 2 / _bilinear(gram_std(rs), beta, beta)
+    return tuple(ratio * x for x in xa.mat_vec(gram_std(rs), beta))
 
 
 def to_dominant(rs, lam: Sequence) -> xa.Vec:
@@ -179,7 +221,7 @@ def to_dominant(rs, lam: Sequence) -> xa.Vec:
         i = next((j for j in range(rs.rank) if v[j] < 0), None)
         if i is None:
             return v
-        v = rs.simple_reflection(i, v)
+        v = tuple(x - v[i] * a for x, a in zip(v, rs.cartan[i]))
 
 
 def symmetric_partner(rs, lam: Sequence) -> xa.Vec:
@@ -188,8 +230,8 @@ def symmetric_partner(rs, lam: Sequence) -> xa.Vec:
 
 def casimir(rs, lam: Sequence, scale=1) -> Fraction:
     v = xa.as_vec(lam)
-    two_rho = xa.vec_scale(rs.rho, Fraction(2))
-    return xa.as_fraction(scale) * xa.bilinear(rs.gram_killing, v, xa.vec_add(v, two_rho))
+    lam_two_rho = tuple(x + 2 for x in v)
+    return xa.as_fraction(scale) * _bilinear(_construction(rs.name)["gram_killing"], v, lam_two_rho)
 
 
 def radius_sq_killing(ensemble) -> Fraction:
@@ -213,3 +255,31 @@ def missing_duals(ensemble) -> str:
         return ""
     names = ", ".join("(" + ",".join(str(c) for c in w) + ")" for w in missing)
     return f"spectrum must be closed under duality for a real ensemble; add {names}"
+
+
+def dominant_weights_in_ball(metric, radius) -> tuple[xa.Vec, ...]:
+    """All dominant integral weights with metric norm <= radius: a box
+    bounded by radius sqrt((G^-1)_jj), scanned in lexicographic order, and
+    |c|^2 <= r^2 tested in integers on s G."""
+    r = xa.as_fraction(radius)
+    gram = metric_gram(metric)
+    gram_inv = xa.mat_inverse(gram)
+    r_f = float(r)
+    bounds = [int(math.floor(r_f * math.sqrt(float(gram_inv[j][j])) + 1e-9)) for j in range(len(gram))]
+    g, s = xa.integer_rows(gram)
+    rsq = r * r
+    cap = s * rsq.numerator
+    out = []
+    for coords in product(*(range(b + 1) for b in bounds)):
+        norm = sum(c * sum(map(operator.mul, row, coords)) for c, row in zip(coords, g))
+        if norm * rsq.denominator <= cap:
+            out.append(tuple(Fraction(c) for c in coords))
+    return tuple(out)
+
+
+def integrate_ball(metric, poly, radius: float = 1.0) -> float:
+    """`Metric.integrate_ball` with its covariance Sigma = G^-1 taken from
+    `xa.mat_inverse` of `metric_gram` (the moment code is unchanged)."""
+    sigma = xa.integer_rows(xa.mat_inverse(metric_gram(metric)))
+    with patch.object(type(metric), "_inverse_gram", lambda self: sigma):
+        return metric.integrate_ball(poly, radius)

@@ -2,7 +2,8 @@
 quaternions, a Haar quadrature on SU(2), a finite-difference measurement
 of the derivative-covariance radius that is independent of the Casimir route
 in `realroots.groups`, and Hopf coordinates that turn a system on SU(2) into
-a trigonometric system on the 3-torus.
+a trigonometric system on the 3-torus: the spin-1/2 systems A q and the
+adjoint systems tr(A R(q)), R(q) the rotation of the unit quaternion q.
 """
 
 import math
@@ -125,3 +126,31 @@ def hopf_exponential_sums() -> tuple[np.ndarray, np.ndarray]:
             if lam[3 - axis] == 0:
                 table[k, j] = first[lam[0]] * second[lam[axis]]
     return np.array(freqs, dtype=float), table
+
+
+def quaternion_rotation(q: np.ndarray) -> np.ndarray:
+    """R(q), the 3 x 3 matrix of v -> q v q^-1 on the pure quaternions, at
+    the rows q = (w, x, y, z) of `q`: the adjoint representation of SU(2).
+    Each entry is a quadratic form in q (for unit q)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        np.stack([w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+        np.stack([2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)], -1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z], -1),
+    ], -2)
+
+
+def adjoint_hopf_systems(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, coeffs) of f_i(t) = tr(A_i R(q(t))), q = `hopf_quaternion`,
+    for the rows A of `a` (shape (samples, 3, 3, 3)): coeffs[i] has one row
+    per sample with f_i(t) = sum_j coeffs[i][s, j] exp(2 pi i <freqs[j], t>).
+    R is quadratic in q, so the frequencies are at most 2 per angle, and the
+    5^3-point FFT of f_i gives them exactly; the adjoint carries 22 of them."""
+    def lattice(axis):
+        return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+
+    values = np.einsum("siab,pba->isp", a, quaternion_rotation(hopf_quaternion(lattice(np.arange(5) / 5))))
+    coeffs = np.fft.fftn(values.reshape(3, len(a), 5, 5, 5), axes=(2, 3, 4)).reshape(3, len(a), -1) / 125
+    freqs = lattice(np.fft.fftfreq(5, 1 / 5))
+    keep = np.abs(coeffs).max(axis=(0, 1)) > 1e-9
+    return freqs[keep], coeffs[:, :, keep]

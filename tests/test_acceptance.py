@@ -105,14 +105,14 @@ def test_criterion_05_monte_carlo_torus_pair():
     ok = (
         stats.samples >= 500
         and abs(z) <= 3.0
-        and stats.discard_rate < 0.01
+        and stats.discarded < 0.01 * (stats.samples + stats.discarded)
         and elapsed < 600.0
     )
     report(
         5,
         ok,
         f"torus pair mean {stats.value:.4f} vs {4 * math.pi / 3:.4f}, z = {z:+.2f} "
-        f"(|z|<=3), {stats.samples} accepted, discard {stats.discard_rate:.3%} (<1%); "
+        f"(|z|<=3), {stats.samples} accepted, {stats.discarded} discarded (<1%); "
         f"{elapsed:.1f}s (<10min)",
     )
 

@@ -136,6 +136,18 @@ def test_torus_rejects_fewer_than_two_samples(capsys, samples):
     assert "--samples must be at least 2" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--support", "segment:3", "--samples", "3", "--seed", "-1"],
+    ["--support", "box:2:1", "--method", "mc", "--seed", "-1"],
+], ids=["counter", "mc-mean"])
+def test_torus_negative_seed_is_a_usage_error_naming_the_flag(capsys, argv):
+    # numpy read "expected non-negative integer", naming no flag
+    assert main(["torus", *argv]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --seed must be a non-negative integer" in captured.err
+
+
 def test_torus_z_score_is_null_without_spread(capsys):
     # a cos + b sin always has exactly two zeros, and the mean is exact
     code, report = run_json(

@@ -16,7 +16,6 @@ from realroots.exactalg import (
     _sqrt_pi_power,
     as_fraction,
     as_vec,
-    bilinear,
     dot,
     integer_rows,
     mat_det,
@@ -25,8 +24,6 @@ from realroots.exactalg import (
     nullspace_vector,
     rank,
     solve,
-    vec_add,
-    vec_scale,
     vec_sub,
 )
 
@@ -64,9 +61,7 @@ def test_as_fraction_accepts_common_inputs():
 def test_vector_arithmetic():
     a = as_vec([1, 2, 3])
     b = as_vec(["1/2", 0, -1])
-    assert vec_add(a, b) == as_vec(["3/2", 2, 2])
     assert vec_sub(a, b) == as_vec(["1/2", 2, 4])
-    assert vec_scale(a, Fraction(1, 3)) == as_vec(["1/3", "2/3", 1])
     assert dot(a, b) == Fraction(-5, 2)
 
 
@@ -114,15 +109,6 @@ def test_rank_and_nullspace():
     v = nullspace_vector(m)
     assert any(c != 0 for c in v)
     assert all(dot(row, v) == 0 for row in m)
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_matrices(3), st.lists(rationals, min_size=3, max_size=3),
-       st.lists(rationals, min_size=3, max_size=3))
-def test_bilinear_matches_dot(rows, xv, yv):
-    g = as_mat(rows)
-    x, y = as_vec(xv), as_vec(yv)
-    assert bilinear(g, x, y) == dot(x, mat_vec(g, y))
 
 
 # -- int and mixed int/Fraction input stays exact --------------------------------

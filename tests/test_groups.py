@@ -21,7 +21,7 @@ from realroots.groups import (
     real_proportion_group,
     weighted_polytope,
 )
-from realroots.rootsystems import Metric, root_system, symmetric_partner, unit_volume_metric
+from realroots.rootsystems import Metric, reality_type, root_system, symmetric_partner, unit_volume_metric
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -71,10 +71,9 @@ def test_flattening():
 
 
 def test_reality_types_summary():
-    types = RepEnsemble(A1, [((0,), 1), ((1,), 1), ((2,), 1)]).reality_types()
-    assert types[(Fraction(0),)] == "real"
-    assert types[(Fraction(1),)] == "quaternionic"
-    assert types[(Fraction(2),)] == "real"
+    ens = RepEnsemble(A1, [((0,), 1), ((1,), 1), ((2,), 1)])
+    types = [reality_type(A1, w) for w in ens.weights]
+    assert types == ["real", "quaternionic", "real"]
 
 
 # -- derivative covariance radii -------------------------------------------------
@@ -101,8 +100,7 @@ def test_f_form_geometry():
     form = f_form(adjoint(A1))
     assert form.dimension == 3
     assert form.radius_sq_killing == Fraction(1, 3)
-    ball = form.as_ellipsoid()
-    assert ball.ball_radius() == pytest.approx(1 / math.sqrt(3), rel=1e-12)
+    assert form.radius() == pytest.approx(1 / math.sqrt(3), rel=1e-12)
     # dual object: rescaling the metric by c shrinks the radius by sqrt(c)
     assert form.radius(Metric(A1, Fraction(4))) == pytest.approx(
         form.radius() / 2, rel=1e-14

@@ -11,14 +11,13 @@ import pytest
 
 import realroots
 from realroots import montecarlo
-from realroots.groups import RepEnsemble, f_form, killing_radius
+from realroots.groups import RepEnsemble, complex_count_reductive, f_form, killing_radius, mean_real_count_group
 from realroots.montecarlo import (
     MonteCarloStats,
     circle_zero_locations,
     count_common_zeros_torus2,
     count_zeros_circle,
     gaussian_mixed_volume,
-    sample_real_laurent,
 )
 from realroots.rootsystems import root_system
 from realroots.torus import box_support, complex_count_torus, mean_real_count_torus, segment_support
@@ -27,8 +26,10 @@ import torus2_oracle
 from circle_oracle import unimodular_root_counts
 from equidistribution import equidistribution_check
 from su2_oracle import (
+    adjoint_hopf_systems,
     hopf_exponential_sums,
     hopf_quaternion,
+    quaternion_rotation,
     su2_f_form_oracle,
     su2_from_quaternion,
     su2_haar_nodes,
@@ -146,8 +147,8 @@ def test_oracle_ignores_multiplicities():
 # -- coefficient sampling --------------------------------------------------------
 
 def test_sampled_coefficients_are_conjugate_symmetric():
-    rng = np.random.default_rng(7)
-    coeffs = sample_real_laurent(box_support(2, 1), rng)
+    support = box_support(2, 1)
+    coeffs = dict(zip(support.points, montecarlo._coefficient_sampler(support)(1, np.random.default_rng(7))[0]))
     assert coeffs[(0, 0)].imag == 0.0
     for lam, value in coeffs.items():
         mirror = tuple(-c for c in lam)
@@ -155,9 +156,8 @@ def test_sampled_coefficients_are_conjugate_symmetric():
 
 
 def test_sampling_is_reproducible():
-    a = sample_real_laurent(segment_support(3), np.random.default_rng(11))
-    b = sample_real_laurent(segment_support(3), np.random.default_rng(11))
-    assert a == b
+    draw = montecarlo._coefficient_sampler(segment_support(3))
+    assert np.array_equal(draw(4, np.random.default_rng(11)), draw(4, np.random.default_rng(11)))
 
 
 # -- circle counting ---------------------------------------------------------------
@@ -289,7 +289,7 @@ def test_torus_counts_are_deterministic_and_tracked():
         two.discarded,
     )
     assert one.samples == 40
-    assert one.discard_rate <= 0.05
+    assert one.discarded <= 0.05 * (one.samples + one.discarded)
     z = (one.value - 4 * math.pi / 3) / one.stderr
     assert abs(z) < 5
 
@@ -479,6 +479,29 @@ def test_spin_half_systems_have_eight_zeros_on_the_hopf_torus():
     counts = montecarlo._certified_counts([freqs] * 3, list(np.einsum("sik,kj->isj", a, table)))
     assert sum(c is not None for c in counts) >= 60
     assert {c for c in counts if c is not None} == {8}
+
+
+def test_su2_adjoint_root_counts_match_the_group_kac_rice_mean():
+    # f_i = tr(A_i R(q)), A_i standard Gaussian 3 x 3, is the invariant
+    # adjoint ensemble of SU(2); its zeros come in pairs +-q, and each has
+    # four Hopf preimages on [0,1)^3.  The first root-counting check of a
+    # group real count: 32 sqrt(6) / 9 = 8.709 (31 of 32 samples kept)
+    q1, q2 = (q / np.linalg.norm(q) for q in np.random.default_rng(3).standard_normal((2, 4)))
+    assert np.allclose(quaternion_rotation(quat_mul(q1, q2)), quaternion_rotation(q1) @ quaternion_rotation(q2))
+    a = np.random.default_rng(1).standard_normal((32, 3, 3, 3))
+    freqs, coeffs = adjoint_hopf_systems(a)
+    assert np.abs(freqs).max() == 2
+    t = np.random.default_rng(2).random((20, 3))
+    direct = np.einsum("sab,pba->sp", a[:, 0], quaternion_rotation(hopf_quaternion(t)))
+    assert np.allclose(coeffs[0] @ np.exp(2j * math.pi * freqs @ t.T), direct, atol=1e-13)
+    counts = montecarlo._certified_counts([freqs] * 3, list(coeffs))
+    kept = np.array([c for c in counts if c is not None])
+    assert len(kept) >= 28 and (kept % 8 == 0).all()
+    zeros = kept / 4
+    assert zeros.max() <= complex_count_reductive(RepEnsemble.single(A1, (2,))) == 16
+    want = mean_real_count_group(RepEnsemble.single(A1, (2,)))
+    assert want == pytest.approx(32 * math.sqrt(6) / 9, rel=1e-14)
+    assert abs(zeros.mean() - want) <= 4 * zeros.std(ddof=1) / math.sqrt(len(zeros))
 
 
 def traced_peak(fn) -> int:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ball_oracles import compose_linear, integrate_polynomial_over_ball, sphere_monomial_integral
+from quadrature_oracles import monomial_forms
 from realroots.polynomials import (
     FormProducts,
     Polynomial,
@@ -41,7 +42,7 @@ def test_simplex_monomial_moments_match_dirichlet(dim):
     for exps in product(range(4), repeat=dim):
         if sum(exps) > 7:
             continue
-        poly = FormProducts.from_polynomial(Polynomial(dim, {exps: Fraction(1)}))
+        poly = monomial_forms(Polynomial(dim, {exps: Fraction(1)}))
         assert integrate_over_simplex(poly, verts, vol) == dirichlet_moment(exps)
 
 
@@ -56,7 +57,7 @@ def test_mixed_degree_sum_over_shrunk_simplex_matches_dirichlet(dim):
     for k, exps in enumerate(product(range(3), repeat=dim)):
         coeffs[exps] = Fraction(k + 1, 2) * (-1) ** k
     want = sum(c * shrink ** (dim + sum(e)) * dirichlet_moment(e) for e, c in coeffs.items())
-    poly = FormProducts.from_polynomial(Polynomial(dim, coeffs))
+    poly = monomial_forms(Polynomial(dim, coeffs))
     assert integrate_over_simplex(poly, verts, vol * shrink**dim) == want
 
 
@@ -76,7 +77,7 @@ def test_integration_is_affine_covariant():
     poly = Polynomial(2, {(1, 1): Fraction(1)})  # x*y
     verts = [(Fraction(1), Fraction(1)), (Fraction(3), Fraction(1)), (Fraction(1), Fraction(2))]
     vol = Fraction(1)  # base 2, height 1, triangle
-    got = integrate_over_simplex(FormProducts.from_polynomial(poly), verts, vol)
+    got = integrate_over_simplex(monomial_forms(poly), verts, vol)
     # oracle: int over triangle x in [1,3], y in [1, 2-(x-1)/2] of x*y
     val, _ = quad(lambda x: x * 0.5 * ((2 - (x - 1) / 2) ** 2 - 1.0), 1.0, 3.0)
     assert float(got) == pytest.approx(val, rel=1e-12)
@@ -117,7 +118,7 @@ def test_unexpanded_product_integrates_like_its_expansion():
     ]
     vol = Fraction(7, 5)  # any value; both sides scale by it
     assert integrate_over_simplex(products, verts, vol) == integrate_over_simplex(
-        FormProducts.from_polynomial(poly), verts, vol
+        monomial_forms(poly), verts, vol
     )
 
 

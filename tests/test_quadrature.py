@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from quadrature_oracles import collapsed_gauss_integral, expanded_gm_integral, vertex_cone_integral
+import rootsystem_oracle
+from hull_oracle import translate
+from quadrature_oracles import (collapsed_gauss_integral, expanded_gm_integral, monomial_forms,
+                                vertex_cone_integral)
 from realroots import convex
 from realroots import (
     Metric,
@@ -48,7 +51,7 @@ def test_root_forms_multiply_to_the_root_product():
             value = const
             for form in forms:
                 value *= sum(a * x for a, x in zip(form, lam))
-            assert value == Metric(rs).root_product(lam)
+            assert value == rootsystem_oracle.root_product(Metric(rs), lam)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C2", "G2"])
@@ -163,7 +166,7 @@ def test_facet_orbit_integral_of_a_rational_weight_polytope_equals_the_whole_bod
 def test_facet_integral_of_a_body_that_misses_the_origin():
     # planes with negative offsets enter with a minus sign
     rs = root_system("A3")
-    body = weighted_polytope(adjoint("A3")).translate((3, 1, 2))
+    body = translate(weighted_polytope(adjoint("A3")), (3, 1, 2))
     assert min(plane_offsets(body)) < 0 < max(plane_offsets(body))
     assert _weyl_normal_class(rs, body) is None
     p_sq = _squared_root_product(rs)
@@ -180,8 +183,8 @@ def test_facet_integral_with_planes_through_the_origin_and_an_inhomogeneous_inte
     poly = (x + one) ** 3 * y + one * 2 - z + x * x * z * z * Fraction(5, 7)
     want = expanded_gm_integral(body, poly)
     assert vertex_cone_integral(body, poly) == want
-    assert integrate_polynomial_over_polytope(body, poly) == want
-    assert integrate_polynomial_over_polytope(body, one) == body.volume()
+    assert integrate_polynomial_over_polytope(body, monomial_forms(poly)) == want
+    assert integrate_polynomial_over_polytope(body, monomial_forms(one)) == body.volume()
 
 
 def test_facet_integral_of_an_inhomogeneous_integrand_off_the_origin():
@@ -191,7 +194,7 @@ def test_facet_integral_of_an_inhomogeneous_integrand_off_the_origin():
     poly = x**4 * y - x * 3 + Polynomial.constant(2, Fraction(2, 3))
     want = expanded_gm_integral(body, poly)
     assert vertex_cone_integral(body, poly) == want
-    assert integrate_polynomial_over_polytope(body, poly) == want
+    assert integrate_polynomial_over_polytope(body, monomial_forms(poly)) == want
 
 
 def test_facet_integral_over_a_segment():
@@ -201,8 +204,9 @@ def test_facet_integral_over_a_segment():
     poly = x**4 + x * 3 + Polynomial.constant(1, Fraction(1))
     a, b = Fraction(-7, 3), Fraction(3)
     want = (b**5 - a**5) / 5 + 3 * (b * b - a * a) / 2 + (b - a)
-    assert integrate_polynomial_over_polytope(segment, poly) == want
-    assert integrate_polynomial_over_polytope(convex_hull([(3,), (0,)]), x**4) == Fraction(243, 5)
+    assert integrate_polynomial_over_polytope(segment, monomial_forms(poly)) == want
+    segment = convex_hull([(3,), (0,)])
+    assert integrate_polynomial_over_polytope(segment, monomial_forms(x**4)) == Fraction(243, 5)
 
 
 def test_asymptotic_radius_of_a_body_that_is_not_weyl_stable():
@@ -213,7 +217,8 @@ def test_asymptotic_radius_of_a_body_that_is_not_weyl_stable():
     assert _weyl_normal_class(rs, body) is None
     # the Killing form x^T G x, expanded
     x = [Polynomial.linear_form([int(i == j) for j in range(rs.rank)]) for i in range(rs.rank)]
-    norm = sum((x[i] * x[j] * g for i, row in enumerate(Metric(rs).gram()) for j, g in enumerate(row)),
+    gram = rootsystem_oracle.metric_gram(Metric(rs))
+    norm = sum((x[i] * x[j] * g for i, row in enumerate(gram) for j, g in enumerate(row)),
                Polynomial(rs.rank))
     p_sq = squared_root_product_poly(rs)
     num, den = vertex_cone_integral(body, p_sq * norm), vertex_cone_integral(body, p_sq)

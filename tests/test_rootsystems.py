@@ -17,8 +17,10 @@ from realroots.polynomials import Polynomial
 from realroots.rootsystems import (
     Metric,
     _ball_factor,
+    _casimir_unit,
     _conjugacy_key,
     _fs_parity,
+    _killing_numerator,
     casimir,
     frobenius_schur_indicator,
     reality_type,
@@ -111,13 +113,13 @@ def test_weyl_orbits_and_dominance():
     assert len(root_system("B2").weyl_orbit((1, 0))) == 4
     for w in a2.weyl_orbit((2, 1)):
         assert a2.to_dominant(w) == (Fraction(2), Fraction(1))
-    # reflections are norm-preserving involutions
+    # the Cartan rows reflect as norm-preserving involutions
     met = Metric(a2)
     lam = (Fraction(3), Fraction(-1))
-    for i in range(a2.rank):
-        once = a2.simple_reflection(i, lam)
-        assert a2.simple_reflection(i, once) == lam
-        assert met.norm_sq(once) == met.norm_sq(lam)
+    for i, alpha in enumerate(a2.cartan):
+        once = tuple(x - lam[i] * a for x, a in zip(lam, alpha))
+        assert tuple(x - once[i] * a for x, a in zip(once, alpha)) == lam
+        assert rootsystem_oracle.norm_sq(met, once) == rootsystem_oracle.norm_sq(met, lam)
 
 
 def weyl_orbit_of_set(rs, rows) -> set:
@@ -168,10 +170,10 @@ def test_conjugacy_key_separates_exactly_the_weyl_orbits_of_sets(name):
 
 def test_signed_orbit_of_regular_weight_balances():
     a2 = root_system("A2")
-    signed = a2.signed_weyl_orbit(a2.rho)
-    assert len(signed) == a2.weyl_order
-    assert sum(s for s, _ in signed) == 0
-    assert {s for s, _ in signed} == {-1, 1}
+    signs, _ = a2.lattice_orbit(a2.rho)
+    assert len(signs) == a2.weyl_order
+    assert sum(signs.values()) == 0
+    assert set(signs.values()) == {-1, 1}
 
 
 DEGREE_SYSTEMS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
@@ -237,10 +239,16 @@ def test_coroot_table_pairs_each_root_to_two(name):
         assert sum(a * b for a, b in zip(k, beta)) == 2
         assert k == rootsystem_oracle.coroot(rs, beta)
         assert math.gcd(*k) == 1
-        assert ratio == 2 / dot(beta, mat_vec(rs.gram_std, beta))
+        assert ratio == 2 / dot(beta, mat_vec(rootsystem_oracle.gram_std(rs), beta))
     # the simple roots come first: their coroot rows are the unit rows
     units = {tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)}
     assert set(rs.coroots[: rs.rank]) == units
+
+
+def forms_product(met, lam) -> Fraction:
+    """The root product at lam from `Metric.root_forms`."""
+    const, forms = met.root_forms()
+    return const * math.prod(sum(a * x for a, x in zip(k, lam)) for k in forms)
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
@@ -250,9 +258,9 @@ def test_coroot_table_matches_the_fraction_gram_oracle(name):
     for lam in product(range(4), repeat=rs.rank):
         assert weyl_dimension(rs, lam) == rootsystem_oracle.weyl_dimension(rs, lam)
         assert _fs_parity(rs, lam) == rootsystem_oracle.fs_parity(rs, lam)
-        assert met.root_product(lam) == rootsystem_oracle.root_product(met, lam)
+        assert forms_product(met, lam) == rootsystem_oracle.root_product(met, lam)
     off_lattice = ((Fraction(1, 2), Fraction(-3, 7)) + (Fraction(2),) * rs.rank)[: rs.rank]
-    assert met.root_product(off_lattice) == rootsystem_oracle.root_product(met, off_lattice)
+    assert forms_product(met, off_lattice) == rootsystem_oracle.root_product(met, off_lattice)
     assert met.root_product_at_rho() == rootsystem_oracle.root_product(met, rs.rho)
 
 
@@ -281,10 +289,9 @@ def test_integer_duals_and_casimir_match_the_fraction_oracle(name):
         lambda rs, lam: reality_type(rs, lam),
         lambda rs, lam: rs.to_dominant(lam),
         lambda rs, lam: casimir(rs, lam),
-        lambda rs, lam: Metric(rs).root_product(lam),
     ],
     ids=["weyl_dimension", "symmetric_partner", "frobenius_schur_indicator", "reality_type",
-         "to_dominant", "casimir", "root_product"],
+         "to_dominant", "casimir"],
 )
 @pytest.mark.parametrize("lam", [(1,), (1, 2, 3)], ids=["short", "long"])
 def test_wrong_rank_weight_is_a_value_error(call, lam):
@@ -336,8 +343,8 @@ def test_character_quadrature_agrees_with_parity(name, weights):
 def test_rank_one_metric_anchors():
     a1 = root_system("A1")
     met = Metric(a1)
-    alpha = a1.positive_roots[0]
-    assert met.norm_sq(alpha) == Fraction(1, 2)
+    assert a1.positive_roots[0] == (2,)
+    assert Fraction(_killing_numerator(a1, (2,), (2,)), _casimir_unit(a1)) == Fraction(1, 2)
     assert met.root_product_at_rho() == Fraction(1, 4)
     assert casimir(a1, (1,)) == Fraction(3, 8)
     assert met.torus_volume() == pytest.approx(4 * math.sqrt(2) * math.pi, rel=1e-12)
@@ -352,10 +359,8 @@ def test_rank_one_metric_anchors():
 def test_rank_two_metric_anchors():
     a2 = root_system("A2")
     met = Metric(a2)
-    assert met.gram() == (
-        (Fraction(1, 9), Fraction(1, 18)),
-        (Fraction(1, 18), Fraction(1, 9)),
-    )
+    # the Gram matrix is ((1/9, 1/18), (1/18, 1/9)), and its inverse 6 C
+    assert met._inverse_gram() == ([[12, -6], [-6, 12]], 1)
     assert met.root_product_at_rho() == Fraction(1, 108)
     assert met.torus_volume() == pytest.approx(24 * math.sqrt(3) * math.pi ** 2, rel=1e-12)
     assert met.group_volume() == pytest.approx(
@@ -371,8 +376,9 @@ def test_metric_scaling_laws():
     base = Metric(a2)
     scaled = Metric(a2, Fraction(9, 2))
     c = Fraction(9, 2)
-    lam, mu = (1, 2), (3, -1)
-    assert scaled.pairing(lam, mu) == c * base.pairing(lam, mu)
+    (sigma, s), (scaled_sigma, t) = base._inverse_gram(), scaled._inverse_gram()
+    assert [[Fraction(x, t) for x in row] for row in scaled_sigma] == [
+        [Fraction(x, s) / c for x in row] for row in sigma]
     k, p, n = a2.rank, a2.num_positive_roots, a2.dimension
     assert scaled.root_product_at_rho() == c ** p * base.root_product_at_rho()
     assert scaled.torus_volume() == pytest.approx(
@@ -388,14 +394,14 @@ def test_root_product_poly_matches_pointwise_product():
         met = Metric(root_system(name))
         poly = met.root_product_poly()
         for lam in [(1, 1), (2, -1), (Fraction(1, 2), 3)]:
-            assert poly(lam) == met.root_product(lam)
+            assert poly(lam) == rootsystem_oracle.root_product(met, lam)
 
 
 def test_orthonormal_frame_diagonalizes_gram():
     for name in ("A2", "B3"):
         met = Metric(root_system(name), Fraction(5, 4))
         frame = orthonormal_frame(met)
-        g = np.array([[float(x) for x in row] for row in met.gram()])
+        g = np.array([[float(x) for x in row] for row in rootsystem_oracle.metric_gram(met)])
         assert np.allclose(frame.T @ g @ frame, np.eye(g.shape[0]), atol=1e-12)
 
 
@@ -449,6 +455,36 @@ def test_ball_integral_matches_float_frame_oracle(name):
         )
 
 
+GRAM_SYSTEMS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                for rank in range(low, 6)] + ["G2"]
+
+
+@pytest.mark.parametrize("name", GRAM_SYSTEMS)
+def test_ball_enumeration_and_moments_match_the_fraction_gram_oracle(name):
+    # the inverse Gram matrix read off the Cartan matrix, (2 h / scale) r_i
+    # C_ij, against the Fraction Gram table and its exact inverse: the same
+    # weights in the same order, and the same float, since each moment is an
+    # exact Fraction.  At rank 5 the box at radius 3/2 already holds 3e3 to
+    # 1.3e5 points, scanned on both sides, so only radius 1 is taken there
+    rs = root_system(name)
+    k = rs.rank
+    x = [Polynomial.linear_form([int(i == j) for j in range(k)]) for i in range(k)]
+    polys = [
+        Polynomial.constant(k, Fraction(2)) + x[0] * Fraction(5) + x[-1] ** 2
+        + x[0] * x[-1] * x[k // 2] * Fraction(-3, 2) + (x[0] + x[-1]) ** 4,
+        (x[0] * 2 - x[-1] + x[k // 2] * Fraction(1, 3)) ** 6,
+    ]
+    radii = (1,) if k == 5 else (1, Fraction(3, 2), 2)
+    for scale in (1, Fraction(7, 3), Fraction(3, 2)):
+        met = Metric(rs, scale)
+        for radius in radii:
+            want = rootsystem_oracle.dominant_weights_in_ball(met, radius)
+            assert met.dominant_weights_in_ball(radius) == want
+        for poly in polys:
+            for radius in (1.0, 0.7):
+                assert met.integrate_ball(poly, radius) == rootsystem_oracle.integrate_ball(met, poly, radius)
+
+
 def test_weights_come_out_as_fractions():
     # orbits are closed on integer rows, but every public weight is a
     # Fraction tuple, so v / 6 stays exact
@@ -456,7 +492,6 @@ def test_weights_come_out_as_fractions():
     weights = [
         *a2.weyl_orbit((2, 1)),
         *b2.weyl_orbit((Fraction(1, 2), 1)),
-        *(v for _, v in a2.signed_weyl_orbit(a2.rho)),
         *Metric(b2).dominant_weights_in_ball(1),
     ]
     assert weights and all(type(c) is Fraction for v in weights for c in v)
@@ -482,12 +517,12 @@ def test_dominant_ball_enumeration_is_complete_and_sound():
     got = set(met.dominant_weights_in_ball(radius))
     for lam in got:
         assert all(c >= 0 and c.denominator == 1 for c in lam)
-        assert met.norm_sq(lam) <= radius * radius
+        assert rootsystem_oracle.norm_sq(met, lam) <= radius * radius
     # brute-force box scan oracle
     brute = set()
     for a in range(40):
         for b in range(40):
-            if met.norm_sq((a, b)) <= radius * radius:
+            if rootsystem_oracle.norm_sq(met, (a, b)) <= radius * radius:
                 brute.add((Fraction(a), Fraction(b)))
     assert got == brute
 
@@ -495,11 +530,12 @@ def test_dominant_ball_enumeration_is_complete_and_sound():
 def test_dominant_ball_enumeration_keeps_weights_on_the_sphere():
     # at scale 9/7 the weight (2, 1) has norm exactly 1
     met = Metric(root_system("A2"), Fraction(9, 7))
-    assert met.norm_sq((2, 1)) == 1
+    assert rootsystem_oracle.norm_sq(met, (2, 1)) == 1
     got = met.dominant_weights_in_ball(1)
     assert (2, 1) in got
     assert got == tuple(
-        (Fraction(a), Fraction(b)) for a in range(6) for b in range(6) if met.norm_sq((a, b)) <= 1
+        (Fraction(a), Fraction(b)) for a in range(6) for b in range(6)
+        if rootsystem_oracle.norm_sq(met, (a, b)) <= 1
     )
 
 
