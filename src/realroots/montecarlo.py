@@ -9,16 +9,20 @@ bound on |f| stays positive.  The other cells are halved, all of a block at
 once.  On the 2-torus, a box counter written for n systems on [0,1)^n
 decides the boxes of a whole block of samples together, each box carrying
 the index of its sample: boxes are dropped by a first- or second-order
-exclusion bound, and the Krawczyk test (interval Jacobian = centre Jacobian
-+- a Hessian bound from sum |c| |lambda|^2 times the radius) certifies
-exactly one zero in a box or none; each certified zero is polished by
-Newton and credited to the one half-open box that holds it.  The other
-boxes are split in 2^n.  F and its Jacobian come from per-coordinate tables
-of exp(2 pi i k t), whose products give every frequency.  A sample with
-cells or boxes still undecided after a fixed number of splits, or with too
-many of them, is discarded without touching the rest of its block: it is
-reported in `MonteCarloStats.discarded` and left out of the mean, and fewer
-than 2 kept samples raise ArithmeticError.  A Gaussian determinant estimator
+exclusion bound as they are made, and the Krawczyk test (interval Jacobian
+= centre Jacobian +- a Hessian bound from sum |c| |lambda|^2 times the
+radius) certifies exactly one zero in a box or none.  The other boxes are
+split in 2^n.  F and its Jacobian are real matmuls of a box's exponential
+products e(<lambda, x>) with its sample's weights; the starting grid's
+products are computed once per block, and a child's are its parent's times
+a fixed unit shift per corner, so no `exp` runs below the grid.  The
+certified boxes of every level are polished by Newton together, and each
+zero is credited to the one half-open box that holds it.  A sample with
+cells or boxes still undecided after a fixed number of splits, with too
+many of them, or with a certified box whose polish does not settle, is
+discarded without touching the rest of its block: it is reported in
+`MonteCarloStats.discarded` and left out of the mean, and fewer than 2 kept
+samples raise ArithmeticError.  A Gaussian determinant estimator
 for mixed volumes of ellipsoids serves as an independent oracle for the
 analytic formulas.
 
@@ -296,24 +300,26 @@ _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
 # one zero, so every box that finds a zero credits it to the same box.
 _SNAP = 2.0**-40
 _SAMPLE_BLOCK = 64  # samples whose boxes are subdivided together
-_JET_CHUNK = 512  # points per evaluation of the jet
+_BOX_CHUNK = 2048  # boxes made and tested for exclusion at once
 
 
-def _table_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
-    """A function of points (m x n) and their sample rows (m) giving
-    F = (F_1, ..., F_n) (m x n) and its Jacobian (m x n x n) for the
-    coefficient rows coeffs[i][rows] on the frequencies freqs[i].
+def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
+    """(half, jet) for the systems with coefficient rows coeffs[i][s] on the
+    frequencies freqs[i]: `half` (H x n) holds the distinct frequencies up
+    to sign, and jet(products, rows) gives F = (F_1, ..., F_n) (m x n) and
+    its Jacobian (m x n x n) at m points from their exponential products
+    e(<half, x>) (m x H), e(t) = exp(2 pi i t).
 
     Only real parts are kept, and Re(w e(-lam t)) = Re(conj(w) e(lam t)), so
     the weights of -lam fold onto lam, whose first nonzero coordinate is
-    then positive (as `_fold` does on the circle), so lam_1 >= 0.
-    Frequencies are integers, so e(<lam, t>) = prod_c e(t_c)^lam_c,
-    e(x) = exp(2 pi i x), is a product of one entry of a table of e(k t_1),
-    k = 0..top, and one of e(k t_c), k = -top..top, for each later
-    coordinate: top + 1 `exp`s per coordinate (e(-k t) is the conjugate of
-    e(k t)) instead of one per frequency.  Points are evaluated _JET_CHUNK
-    at a time, so the work arrays stay small however many points there
-    are."""
+    then positive (as `_fold` does on the circle).  The weights of row s
+    are one real (2H x n(n + 1)) matrix acting on the products read as
+    (Re, Im) pairs, so F and J are real matmuls.  `rows` gives the sample
+    row of each point and must be sorted: each run of one row is contracted
+    with that row's weights in one matmul, and no weights are gathered per
+    point.  A slice of rows instead evaluates every point for each row in
+    it, one row after the other (as the starting grid, which every sample
+    shares, is evaluated)."""
     n, size, every = len(freqs), len(coeffs[0]), np.vstack(freqs).astype(int)
     flip = every[np.arange(len(every)), np.argmax(every != 0, axis=1)] < 0
     half, where = np.unique(np.where(flip[:, None], -every, every), axis=0, return_inverse=True)
@@ -322,27 +328,48 @@ def _table_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
     terms = np.hstack([np.ones((len(every), 1)), 2j * np.pi * every])
     raw[:, np.arange(len(every)), equation] = np.hstack(coeffs)[:, :, None] * terms
     raw = np.where(flip[None, :, None, None], raw.conj(), raw).reshape(size, len(every), -1)
-    weights = np.zeros((size, len(half), n * (n + 1)), dtype=complex)
-    np.add.at(weights, (slice(None), where), raw)
-    top = int(np.abs(half).max())
-    ks = 2j * np.pi * np.arange(top + 1)
-    index = half.T.copy()
-    index[1:] += top
+    folded = np.zeros((size, len(half), n * (n + 1)), dtype=complex)
+    np.add.at(folded, (slice(None), where), raw)
+    # Re(p w) = Re p Re w - Im p Im w, against p's (Re, Im) pairs
+    weights = np.stack([folded.real, -folded.imag], axis=2).reshape(size, 2 * len(half), -1)
 
-    def jet(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = np.empty((len(points), n * (n + 1)))
-        for lo in range(0, len(points), _JET_CHUNK):
-            part = slice(lo, lo + _JET_CHUNK)
-            table = np.exp(points[part].T[:, :, None] * ks)
-            powers = table[0][:, index[0]]
-            for c in range(1, n):
-                both = np.concatenate([table[c][:, :0:-1].conj(), table[c]], axis=1)
-                powers = powers * both[:, index[c]]
-            out[part] = np.matmul(powers[:, None, :], weights[rows[part]])[:, 0].real
+    def jet(products: np.ndarray, rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+        flat = products.view(float)
+        if isinstance(rows, slice):
+            out = flat @ weights[rows]
+        else:
+            out = np.empty((len(rows), n * (n + 1)))
+            starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1)][: len(rows)]
+            for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+                np.matmul(flat[lo:hi], weights[rows[lo]], out=out[lo:hi])
         out = out.reshape(-1, n, n + 1)
         return out[:, :, 0], out[:, :, 1:]
 
-    return jet
+    return half, jet
+
+
+def _exponentials(points: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The products e(<half, x>) (m x H) at the points x (m x n)."""
+    return np.exp(2j * np.pi * (points @ half.T))
+
+
+def _children(
+    centers: np.ndarray, products: np.ndarray, radius: float, half: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and products e(<half, .>) of the 2^n children of radius
+    `radius` of boxes with the given centres and products, children of one
+    parent consecutive.  The child c + radius corner has the products
+    e(<half, c>) e(radius <half, corner>): the parent's times a unit shift
+    per corner, so no `exp` runs per box.  Each split adds about one
+    rounding to the products, far below the _ROUNDING margin of the
+    certificates after _BOX_LEVELS splits."""
+    n = centers.shape[1]
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    shifts = _exponentials(radius * corners, half)
+    return (
+        (centers[:, None, :] + radius * corners).reshape(-1, n),
+        (products[:, None, :] * shifts).reshape(-1, len(half)),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,6 +385,12 @@ def _leibniz(n: int) -> tuple[np.ndarray, np.ndarray]:
             terms[p[j] * n + j].append((sign, [r * n + p[r] for r in range(n) if r != j]))
     index = np.array([[entries for _, entries in entry] for entry in terms], dtype=int)
     return index, np.array([[sign for sign, _ in entry] for entry in terms])
+
+
+def _row_sums(stack: np.ndarray) -> np.ndarray:
+    """stack.sum(axis=-1) for a short last axis, added term by term: the same
+    floats, without numpy's slow reduction over a short strided axis."""
+    return sum(np.moveaxis(stack, -1, 0))
 
 
 def _inverse(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,19 +414,27 @@ def _certified_counts(
     caller discards that sample).
 
     The boxes of all rows are subdivided together, level by level; each box
-    carries its row, and the row's bounds and coefficients are gathered by
-    it.  Each level first drops the boxes where some |F_i| is bounded away
-    from 0 by a Lipschitz or second-order Taylor bound around the centre (a
-    box of radius r lies within sqrt(n) r of it, so the Hessian term is
-    (n / 2) r^2 sum |c| |2 pi lam|^2).  On the others, the Krawczyk operator
-    K(X) of the box X blown up by _BOX_INFLATE, with the interval Jacobian
-    taken as the centre Jacobian +- a Hessian bound times sqrt(n) times the
-    radius, holds every zero in X: inside int X it certifies exactly one,
-    disjoint from X none.  Newton polishes a certified zero and the box
-    credits it to its row only if its own half-open box holds it, so a zero
-    found by several boxes is counted once.  The other boxes are split in
-    2^n.  A row with more than _BOX_CAP of them, or with any left after
-    _BOX_LEVELS splits, is dropped without touching the others."""
+    carries its row, kept sorted, and the row's bounds are gathered by it.
+    Each box is tested for exclusion as it is made: it is dropped where some
+    |F_i| is bounded away from 0 by a Lipschitz or second-order Taylor bound
+    around the centre (a box of radius r lies within sqrt(n) r of it, so the
+    Hessian term is (n / 2) r^2 sum |c| |2 pi lam|^2).  The products of the
+    starting grid are computed once for the whole block, and only the boxes
+    that survive keep theirs; a child's products are its parent's times a
+    shift (`_children`).  Boxes are made and tested _BOX_CHUNK at a time, so
+    memory stays near (live boxes x H).  On the surviving boxes, the
+    Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE, with the
+    interval Jacobian taken as the centre Jacobian +- a Hessian bound times
+    sqrt(n) times the radius, holds every zero in X: inside int X it
+    certifies exactly one, disjoint from X none.  The other boxes are split
+    in 2^n.  A row with more than _BOX_CAP of them, or with any left after
+    _BOX_LEVELS splits, is dropped without touching the others.  The
+    certified boxes of every level are polished together at the end, by
+    _NEWTON_STEPS Newton steps from their first Krawczyk iterate, and each
+    credits its zero to its row only if its own half-open box holds it, so
+    a zero found by several boxes is counted once.  A row with a certified
+    box whose polish does not settle, or leaves the blown-up box, is dropped
+    too (it is not split further)."""
     n, size = len(freqs), len(coeffs[0])
     systems = list(zip(freqs, coeffs))
     lip = np.stack([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in systems], axis=1)
@@ -402,64 +443,94 @@ def _certified_counts(
     )
     ef = np.stack([_ROUNDING * np.abs(c).sum(axis=1) for _, c in systems], axis=1)
     ed = _ROUNDING * lip
-    jet = _table_jet(freqs, coeffs)
+    per_row = np.stack([lip, hess, ef, ed], axis=1)
+    half, jet = _product_jet(freqs, coeffs)
 
-    axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
-    grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    centers = np.tile(grid, (size, 1))
-    rows = np.repeat(np.arange(size), len(grid))
-    radius = 0.5 / _BOX_BASE
-    counts = np.zeros(size, dtype=int)
-    kept = np.ones(size, dtype=bool)
-    for level in range(_BOX_LEVELS + 1):
-        val, jac = jet(centers, rows)
+    def live(val, jac, rows, radius):
+        lip, hess, ef, ed = np.take(per_row, rows, axis=0).transpose(1, 0, 2)
         reach = np.minimum(
-            lip[rows] * math.sqrt(n) * radius,
-            (np.abs(jac).sum(axis=2) + n * ed[rows]) * radius
-            + hess[rows] * (n / 2) * radius * radius,
+            lip * math.sqrt(n) * radius,
+            (_row_sums(np.abs(jac)) + n * ed) * radius + hess * (n / 2) * radius * radius,
         )
-        live = (np.abs(val) <= reach + ef[rows]).all(axis=1)
-        centers, rows, val, jac = centers[live], rows[live], val[live], jac[live]
-        # Krawczyk: K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
+        return (np.abs(val) <= reach + ef).all(axis=1)
+
+    def krawczyk(val, jac, rows, radius):
+        """(exactly one zero, no zero, Newton step) of each box."""
+        # K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
+        _, hess, ef, ed = np.take(per_row, rows, axis=0).transpose(1, 0, 2)
         wide = _BOX_INFLATE * radius
         inv, ok = _inverse(jac)
         step = np.einsum("nab,nb->na", inv, val)
-        spread = np.abs(np.eye(n) - inv @ jac).sum(axis=2)
-        bound = hess[rows] * math.sqrt(n) * wide + ed[rows]
+        spread = _row_sums(np.abs(np.eye(n) - inv @ jac))
+        bound = hess * math.sqrt(n) * wide + ed
         spread += n * np.einsum("nab,nb->na", np.abs(inv), bound)
-        k_radius = np.einsum("nab,nb->na", np.abs(inv), ef[rows]) + wide * spread
+        k_radius = np.einsum("nab,nb->na", np.abs(inv), ef) + wide * spread
         free = (np.abs(step) > wide + k_radius).any(axis=1)
         ok &= (np.abs(step) + k_radius < wide).all(axis=1)
-        if ok.any():
-            # a box whose Newton polish leaves it or does not settle stays undecided
-            zeros, zrows = centers[ok] - step[ok], rows[ok]
-            settled = np.ones(zeros.shape[0], dtype=bool)
-            for _ in range(_NEWTON_STEPS):
-                zval, zjac = jet(zeros, zrows)
-                zinv, zok = _inverse(zjac)
-                move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
-                settled &= zok
-                zeros = zeros - move
-            settled &= (np.abs(move) < _SNAP).all(axis=1)
-            settled &= (np.abs(zeros - centers[ok]) < wide).all(axis=1)
-            ok[ok] = settled
-            snapped = np.round(zeros[settled] / _SNAP) * _SNAP % 1.0
-            low = centers[ok] - radius
-            inside = ((low <= snapped) & (snapped < low + 2 * radius)).all(axis=1)
-            counts += np.bincount(rows[ok][inside], minlength=size)
+        return ok, free, step
+
+    def grid_survivors(radius):
+        # every row starts from the same grid, whose products are computed once
+        every = max(1, _BOX_CHUNK // len(grid))
+        for lo in range(0, size, every):
+            samples = slice(lo, lo + every)
+            val, jac = jet(grid_products, samples)
+            rows = np.repeat(np.arange(size)[samples], len(grid))
+            mine = live(val, jac, rows, radius)
+            at = np.flatnonzero(mine) % len(grid)
+            yield grid[at], rows[mine], grid_products[at], val[mine], jac[mine]
+
+    def child_survivors(centers, rows, products, radius):
+        every = max(1, _BOX_CHUNK >> n)
+        for lo in range(0, len(rows), every):
+            part = slice(lo, lo + every)
+            child_centers, child_products = _children(centers[part], products[part], radius, half)
+            child_rows = np.repeat(rows[part], 2**n)
+            val, jac = jet(child_products, child_rows)
+            mine = live(val, jac, child_rows, radius)
+            yield child_centers[mine], child_rows[mine], child_products[mine], val[mine], jac[mine]
+
+    axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
+    grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    grid_products = _exponentials(grid, half)
+    radius = 0.5 / _BOX_BASE
+    centers, rows, products, val, jac = (np.concatenate(c) for c in zip(*grid_survivors(radius)))
+    kept = np.ones(size, dtype=bool)
+    certified = []
+    for level in range(_BOX_LEVELS + 1):
+        ok, free, step = krawczyk(val, jac, rows, radius)
+        certified.append((centers[ok] - step[ok], centers[ok], rows[ok], np.full(ok.sum(), radius)))
         undecided = ~(ok | free)
-        centers, rows = centers[undecided], rows[undecided]
         # a row over the cap, or still undecided after the last level, is dropped
-        load = np.bincount(rows, minlength=size)
+        load = np.bincount(rows[undecided], minlength=size)
         kept &= load <= (_BOX_CAP if level < _BOX_LEVELS else 0)
-        mine = kept[rows]
-        centers, rows = centers[mine], rows[mine]
-        if rows.size == 0:
+        undecided &= kept[rows]
+        if not undecided.any():
             break
+        centers, rows, products = centers[undecided], rows[undecided], products[undecided]
         radius /= 2.0
-        centers = (centers[:, None, :] + radius * corners).reshape(-1, n)
-        rows = np.repeat(rows, len(corners))
+        children = zip(*child_survivors(centers, rows, products, radius))
+        centers, rows, products, val, jac = (np.concatenate(c) for c in children)
+
+    # one Newton polish for the certified boxes of every level and kept row
+    zeros, centers, rows, radii = (np.concatenate(column) for column in zip(*certified))
+    order = np.argsort(rows, kind="stable")
+    order = order[kept[rows[order]]]
+    zeros, centers, rows, radii = zeros[order], centers[order], rows[order], radii[order, None]
+    settled = np.ones(len(rows), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        zval, zjac = jet(_exponentials(zeros, half), rows)
+        zinv, zok = _inverse(zjac)
+        move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
+        settled &= zok
+        zeros = zeros - move
+    settled &= (np.abs(move) < _SNAP).all(axis=1)
+    settled &= (np.abs(zeros - centers) < _BOX_INFLATE * radii).all(axis=1)
+    kept[rows[~settled]] = False
+    snapped = np.round(zeros / _SNAP) * _SNAP % 1.0
+    low = centers - radii
+    inside = ((low <= snapped) & (snapped < low + 2 * radii)).all(axis=1)
+    counts = np.bincount(rows[inside], minlength=size)
     return [int(c) if k else None for c, k in zip(counts, kept)]
 
 

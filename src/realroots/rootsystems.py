@@ -34,7 +34,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iproduct
 from typing import Iterable, Sequence
 
 from . import exactalg as xa
@@ -470,23 +469,37 @@ class Metric:
 
     def dominant_weights_in_ball(self, radius) -> tuple[xa.Vec, ...]:
         """All dominant integral weights with metric norm <= radius, in
-        lexicographic order.  Coordinate j is at most radius times the square
-        root of entry (j, j) of the inverse Gram matrix, 4 h r_j / scale; each
-        point of that box is kept when its Killing numerator (the integer
-        Gram form of `_killing_numerator`) times scale / `_casimir_unit` is at
-        most radius^2, compared in integers."""
+        lexicographic order.  A weight is kept when its Killing numerator
+        (the integer Gram form of `_killing_numerator`) times scale /
+        `_casimir_unit` is at most radius^2, compared in integers.  That Gram
+        form is a positive multiple of C^-1 diag(1 / r), every entry of which
+        is positive, so on dominant weights the norm grows in each
+        coordinate: the lexicographic scan stops a coordinate at its first
+        value outside the ball (the later coordinates 0) and visits about
+        rank points per weight kept."""
         r = xa.as_fraction(radius)
         if r < 0:
             raise ValueError("radius must be non-negative")
         rs, rsq = self.rs, r * r
-        sigma, s = self._inverse_gram()
-        bounds = [math.floor(float(r) * math.sqrt(sigma[j][j] / s) + 1e-9) for j in range(rs.rank)]
         units = [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
         g = [[_killing_numerator(rs, a, b) for b in units] for a in units]
         lhs = self.scale.numerator * rsq.denominator
         cap = rsq.numerator * _casimir_unit(rs) * self.scale.denominator
-        return tuple(tuple(Fraction(c) for c in coords) for coords in _iproduct(*(range(b + 1) for b in bounds))
-                     if sum(c * sum(map(operator.mul, row, coords)) for c, row in zip(coords, g)) * lhs <= cap)
+        out: list[xa.Vec] = []
+
+        def scan(prefix: tuple[int, ...], norm: int, pull: list[int]) -> None:
+            # norm = prefix^T g prefix and pull = g prefix, the later coordinates 0
+            j = len(prefix)
+            if j == rs.rank:
+                out.append(tuple(Fraction(c) for c in prefix))
+                return
+            c = 0
+            while (q := norm + c * (2 * pull[j] + c * g[j][j])) * lhs <= cap:
+                scan((*prefix, c), q, [p + c * x for p, x in zip(pull, g[j])])
+                c += 1
+
+        scan((), 0, [0] * rs.rank)
+        return tuple(out)
 
     # -- ball integrals -----------------------------------------------------
 

@@ -372,6 +372,44 @@ def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
     assert stats.value == pytest.approx(np.mean(kept), abs=1e-12)
 
 
+@pytest.mark.parametrize("steps,seed,kept_with_zeros", [(1, 1, 0), (2, 10, 1)])
+def test_a_zero_whose_polish_does_not_settle_discards_only_its_sample(
+    monkeypatch, steps, seed, kept_with_zeros
+):
+    # the certified boxes of a block are polished together at the end; with
+    # too few Newton steps a polish does not settle within _SNAP, and the
+    # sample that certified the box is discarded while the others of the
+    # block keep the count the per-sample oracle (six steps) gives them
+    support = box_support(2, 1)
+    want = torus2_oracle.oracle_counts(support, support, 64, seed)
+    monkeypatch.setattr(montecarlo, "_NEWTON_STEPS", steps)
+    got = montecarlo._certified_counts(*random_systems([support] * 2, 64, seed))
+    dropped = [w for g, w in zip(got, want) if g is None]
+    assert dropped and all(w > 0 for w in dropped)
+    assert all(g == w for g, w in zip(got, want) if g is not None)
+    assert 0 in got and sum(g is not None and g > 0 for g in got) == kept_with_zeros
+
+
+@pytest.mark.parametrize("support", [box_support(2, 2), box_support(3, 2)], ids=["n2", "n3"])
+def test_split_products_stay_within_rounding_of_a_fresh_exp(support):
+    # a child's products are its parent's times a unit shift; walked down
+    # every split from the starting grid they stay within 1e-14 of exp
+    n = support.dim
+    half, _ = montecarlo._product_jet(*random_systems([support] * n, 1, seed=0))
+    rng = np.random.default_rng(16)
+    radius = 0.5 / montecarlo._BOX_BASE
+    centers = (rng.integers(0, montecarlo._BOX_BASE, (8, n)) + 0.5) * 2 * radius
+    products = montecarlo._exponentials(centers, half)
+    for _ in range(montecarlo._BOX_LEVELS):
+        radius /= 2
+        centers, products = montecarlo._children(centers, products, radius, half)
+        pick = np.arange(8) * 2**n + rng.integers(0, 2**n, 8)
+        centers, products = centers[pick], products[pick]
+        exact = np.exp(2j * np.pi * centers @ half.T)
+        assert np.abs(products - exact).max() <= 1e-14
+    assert radius == 0.5 / montecarlo._BOX_BASE / 2**montecarlo._BOX_LEVELS
+
+
 # -- the box counter in three dimensions -------------------------------------------------
 
 def random_systems(supports, samples, seed):
@@ -518,8 +556,9 @@ def test_torus_counter_memory_does_not_grow_with_samples():
     one = traced_peak(lambda: count_common_zeros_torus2(support, block, seed=1))
     ten = traced_peak(lambda: count_common_zeros_torus2(support, 10 * block, seed=1))
     assert ten <= 1.5 * one
-    # a block's jet in one piece would gather the coefficients of every point
-    # at once, about 110 MB here; in chunks the whole block stays near 7 MB
+    # boxes are made and tested _BOX_CHUNK at a time and only survivors keep
+    # their exponential products: the whole block stays near 7 MB (16 MB with
+    # every level's children made at once)
     assert one < 20e6
 
 

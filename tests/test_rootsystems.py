@@ -464,8 +464,8 @@ def test_ball_enumeration_and_moments_match_the_fraction_gram_oracle(name):
     # the inverse Gram matrix read off the Cartan matrix, (2 h / scale) r_i
     # C_ij, against the Fraction Gram table and its exact inverse: the same
     # weights in the same order, and the same float, since each moment is an
-    # exact Fraction.  At rank 5 the box at radius 3/2 already holds 3e3 to
-    # 1.3e5 points, scanned on both sides, so only radius 1 is taken there
+    # exact Fraction.  At rank 5 the oracle's box at radius 3/2 already holds
+    # 3e3 to 1.3e5 points, so only radius 1 is taken there
     rs = root_system(name)
     k = rs.rank
     x = [Polynomial.linear_form([int(i == j) for j in range(k)]) for i in range(k)]
@@ -483,6 +483,16 @@ def test_ball_enumeration_and_moments_match_the_fraction_gram_oracle(name):
         for poly in polys:
             for radius in (1.0, 0.7):
                 assert met.integrate_ball(poly, radius) == rootsystem_oracle.integrate_ball(met, poly, radius)
+
+
+def test_pruned_ball_scan_matches_the_full_box_scan_at_rank_five():
+    # the library stops each coordinate at its first value outside the ball;
+    # the oracle scans the whole box, 485 k points at B5 and radius 2, for
+    # the same 546 weights in the same order
+    met = Metric(root_system("B5"))
+    got = met.dominant_weights_in_ball(2)
+    assert len(got) == 546
+    assert got == rootsystem_oracle.dominant_weights_in_ball(met, 2)
 
 
 def test_weights_come_out_as_fractions():
