@@ -22,10 +22,18 @@ so none leaves the double range before the answer does.  The calibrated
 route polarizes the same exact integrals as the lattice route, and vol(G)
 and vol(T) cancel inside it, so it checks only the metric-scale powers and
 the weight covolume against p(rho)^2.
+
+Each exact piece is computed once per process: the hull of the Weyl orbits
+of a spectrum's maximal weights (`_orbit_hull`, keyed on the root system and
+the weights' integer rows) and the p^2 integral over a body
+(`_density_integral`, keyed on the root system and the body), which both
+count routes and `newton_body_volume` read.  Both are `functools.lru_cache`s
+of at most _CACHE_SIZE entries; `cache_clear()` on either empties it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -48,6 +56,7 @@ from .rootsystems import (
     _casimir_unit,
     _conjugacy_key,
     _dominant_row,
+    _reflection_closure,
     weyl_dimension,
 )
 from .torus import kac_limit
@@ -200,9 +209,22 @@ def killing_radius(ensemble: RepEnsemble) -> float:
 # weight polytopes and their densities
 # ---------------------------------------------------------------------------
 
+# hulls and density integrals kept per process (`_orbit_hull`,
+# `_density_integral`): far more than the distinct bodies of one system
+_CACHE_SIZE = 128
+
+
 def weighted_polytope(ensemble: RepEnsemble | RootSystem, weight=None) -> Polytope:
     """Convex hull of the Weyl orbits of the spectrum (exact, in weight
-    coordinates).  Accepts either an ensemble or (root system, weight)."""
+    coordinates).  Accepts either an ensemble or (root system, weight).
+
+    Only the orbits of the maximal weights are hulled.  A dominant mu lies in
+    conv(W lambda), lambda dominant, exactly when lambda - mu is a
+    non-negative combination of simple roots, and conv(W lambda) is
+    W-stable, so it holds the whole orbit of mu.  Dropping such orbits keeps
+    every extreme point, and `Polytope` reads its facets and triangulation
+    off the extreme points alone, so the polytope is the same as the hull of
+    every orbit."""
     if isinstance(ensemble, RepEnsemble):
         rs = ensemble.rs
         weights = ensemble.weights
@@ -211,10 +233,31 @@ def weighted_polytope(ensemble: RepEnsemble | RootSystem, weight=None) -> Polyto
         weights = [xa.as_vec(weight)]
     # the orbits of the integer rows s w, s a common denominator, shrunk by s
     rows, s = xa.integer_rows(weights)
-    pts = set()
+    if any(len(row) != rs.rank for row in rows):
+        raise ValueError("weight rank mismatch")
+    return _orbit_hull(rs, tuple(map(tuple, rows))).dilate(Fraction(1, s))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _orbit_hull(rs: RootSystem, rows: tuple[tuple[int, ...], ...]) -> Polytope:
+    """Hull of the W-orbits of the integer rows, from their maximal dominant
+    conjugates.  mu is dropped when some lambda has (lambda - mu) C^-1 >= 0,
+    C the Cartan matrix (row i = alpha_i), read on C^-1 cleared to integers:
+    a positive multiple of the simple-root coordinates."""
+    cartan = rs.cartan
+    adj, _ = xa.integer_rows(xa.mat_inverse(cartan))
+    coeffs = {}
     for row in rows:
-        pts.update(rs.lattice_orbit(row)[0])
-    return convex_hull(pts).dilate(Fraction(1, s))
+        v = _dominant_row(cartan, row)
+        coeffs[v] = tuple(sum(map(operator.mul, v, col)) for col in zip(*adj))
+    # a weight is only dominated by one of larger height (coefficient sum),
+    # and domination is transitive, so each is compared with the maximal
+    # ones found before it
+    maximal: list[tuple[int, ...]] = []
+    for v in sorted(coeffs, key=lambda v: sum(coeffs[v]), reverse=True):
+        if not any(all(map(operator.ge, coeffs[u], coeffs[v])) for u in maximal):
+            maximal.append(v)
+    return convex_hull(_reflection_closure(cartan, maximal))
 
 
 def _squared_root_product(rs: RootSystem) -> FormProducts:
@@ -252,6 +295,13 @@ def _invariant_integral(rs: RootSystem, body: Polytope, integrand: FormProducts)
     matrices), one facet plane per W-orbit when the body is W-stable."""
     return integrate_polynomial_over_polytope(body, integrand,
                                               normal_class=_weyl_normal_class(rs, body))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _density_integral(rs: RootSystem, body: Polytope) -> Fraction:
+    """Exact integral of p^2 over the body, taken once per body: both count
+    routes and `newton_body_volume` read it from here."""
+    return _invariant_integral(rs, body, _squared_root_product(rs))
 
 
 def _metric_of(rs: RootSystem, metric: Metric | None) -> Metric:
@@ -293,7 +343,7 @@ def newton_body_volume(
         if body is None:
             body = weighted_polytope(rs, weight)
     calibration = _calibration_sq(rs, _metric_of(rs, metric))
-    integral = _invariant_integral(rs, body, _squared_root_product(rs))
+    integral = _density_integral(rs, body)
     return xa._sqrt_pi_power(*xa._quotient([calibration, integral, integral], []))
 
 
@@ -342,8 +392,7 @@ def complex_count_reductive(
     metric = _metric_of(rs, metric)
     n = rs.dimension
     hulls = {e: weighted_polytope(e) for e in set(ens)}
-    p_sq = _squared_root_product(rs)
-    mixed = polarize([hulls[e] for e in ens], lambda body: _invariant_integral(rs, body, p_sq))
+    mixed = polarize([hulls[e] for e in ens], functools.partial(_density_integral, rs))
     if route == "lattice":
         p_rho = Metric(rs).root_product_at_rho()
         return Fraction(math.factorial(n), rs.weyl_order) * mixed / (p_rho * p_rho)
@@ -416,7 +465,6 @@ def _asymptotic_radius_sq(rs: RootSystem, body) -> Fraction:
     under the density p^2 on a polytope, radius^2 / (n + 2) on a ball."""
     n = rs.dimension
     if isinstance(body, Polytope):
-        p_sq = _squared_root_product(rs)
         const, forms = Metric(rs).root_forms()
         c2, h2, twos = const * const, 2 * rs.dual_coxeter**2, (2,) * len(forms)
         # |x|^2 p^2 over the same forms: the Killing form is
@@ -425,7 +473,7 @@ def _asymptotic_radius_sq(rs: RootSystem, body) -> Fraction:
             (c2 / (h2 * r * r), twos[:j] + (4,) + twos[j + 1:])
             for j, r in enumerate(rs.root_ratios)])
         num = _invariant_integral(rs, body, norm_p_sq)
-        den = _invariant_integral(rs, body, p_sq)
+        den = _density_integral(rs, body)
         if den == 0:
             raise ValueError("degenerate body")
         return num / den / n

@@ -300,7 +300,7 @@ _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
 # one zero, so every box that finds a zero credits it to the same box.
 _SNAP = 2.0**-40
 _SAMPLE_BLOCK = 64  # samples whose boxes are subdivided together
-_BOX_CHUNK = 2048  # boxes made and tested for exclusion at once
+_BOX_CHUNK = 2048  # boxes made and tested for exclusion, or Krawczyk-tested, at once
 
 
 def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
@@ -422,19 +422,19 @@ def _certified_counts(
     starting grid are computed once for the whole block, and only the boxes
     that survive keep theirs; a child's products are its parent's times a
     shift (`_children`).  Boxes are made and tested _BOX_CHUNK at a time, so
-    memory stays near (live boxes x H).  On the surviving boxes, the
-    Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE, with the
-    interval Jacobian taken as the centre Jacobian +- a Hessian bound times
-    sqrt(n) times the radius, holds every zero in X: inside int X it
-    certifies exactly one, disjoint from X none.  The other boxes are split
-    in 2^n.  A row with more than _BOX_CAP of them, or with any left after
-    _BOX_LEVELS splits, is dropped without touching the others.  The
-    certified boxes of every level are polished together at the end, by
-    _NEWTON_STEPS Newton steps from their first Krawczyk iterate, and each
-    credits its zero to its row only if its own half-open box holds it, so
-    a zero found by several boxes is counted once.  A row with a certified
-    box whose polish does not settle, or leaves the blown-up box, is dropped
-    too (it is not split further)."""
+    memory stays near (live boxes x H).  On the surviving boxes, again
+    _BOX_CHUNK at a time, the Krawczyk operator K(X) of the box X blown up
+    by _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
+    +- a Hessian bound times sqrt(n) times the radius, holds every zero in
+    X: inside int X it certifies exactly one, disjoint from X none.  The
+    other boxes are split in 2^n.  A row with more than _BOX_CAP of them, or
+    with any left after _BOX_LEVELS splits, is dropped without touching the
+    others.  The certified boxes of every level are polished together at the
+    end, by _NEWTON_STEPS Newton steps from their first Krawczyk iterate,
+    and each credits its zero to its row only if its own half-open box holds
+    it, so a zero found by several boxes is counted once.  A row with a
+    certified box whose polish does not settle, or leaves the blown-up box,
+    is dropped too (it is not split further)."""
     n, size = len(freqs), len(coeffs[0])
     systems = list(zip(freqs, coeffs))
     lip = np.stack([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in systems], axis=1)
@@ -498,7 +498,10 @@ def _certified_counts(
     kept = np.ones(size, dtype=bool)
     certified = []
     for level in range(_BOX_LEVELS + 1):
-        ok, free, step = krawczyk(val, jac, rows, radius)
+        # at least one part, so a level without boxes gives empty columns
+        parts = [slice(lo, lo + _BOX_CHUNK) for lo in range(0, max(len(rows), 1), _BOX_CHUNK)]
+        tests = (krawczyk(val[part], jac[part], rows[part], radius) for part in parts)
+        ok, free, step = (np.concatenate(c) for c in zip(*tests))
         certified.append((centers[ok] - step[ok], centers[ok], rows[ok], np.full(ok.sum(), radius)))
         undecided = ~(ok | free)
         # a row over the cap, or still undecided after the last level, is dropped

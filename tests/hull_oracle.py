@@ -8,12 +8,17 @@ from ref / (d + 1), ref the vertex sum of the hull's starting simplex.
 `extreme_points` is the vertex pass that inserts the points in index order.
 
 `translate` is the body moved by a rational shift, built as a fresh hull.
+
+`orbit_polytope` is the hull of the whole Weyl orbit of every weight, as
+`realroots.groups.weighted_polytope` built it before it kept only the orbits
+of the maximal weights.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from typing import Sequence
 
 from realroots import convex as cx
@@ -58,3 +63,13 @@ def extreme_points(coords: list[Sequence[int]], basis: list[int]) -> list[int]:
 def translate(body: cx.Polytope, shift: Sequence) -> cx.Polytope:
     """The hull of the vertices of `body` moved by `shift`."""
     return cx.Polytope([[x + y for x, y in zip(v, xa.as_vec(shift), strict=True)] for v in body.vertices])
+
+
+def orbit_polytope(rs, weights) -> cx.Polytope:
+    """The hull of the Weyl orbits of all `weights`: those of the integer
+    rows s w, s a common denominator, shrunk by s."""
+    rows, s = xa.integer_rows(weights)
+    pts = set()
+    for row in rows:
+        pts.update(rs.lattice_orbit(row)[0])
+    return cx.convex_hull(pts).dilate(Fraction(1, s))

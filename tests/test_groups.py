@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 import rootsystem_oracle
+from hull_oracle import orbit_polytope
+from package_caches import clear_package_caches, package_caches
+from realroots import convex, groups
 from realroots.convex import Polytope, convex_hull
 from realroots.groups import (
     RepEnsemble,
@@ -125,6 +128,41 @@ def test_weighted_polytope_shapes():
     assert half == hexagon.dilate(Fraction(1, 2)) and half.volume() == Fraction(9, 4)
 
 
+def assert_same_polytope(body, want):
+    assert body.coords == want.coords and body.denominator == want.denominator
+    assert body.facets == want.facets and body.triangulation == want.triangulation
+    assert body.volume() == want.volume()
+
+
+@pytest.mark.parametrize("name, radii", [("A2", (2, 4, 6)), ("B2", (2, 4, 6)), ("G2", (2, 4, 6)),
+                                         ("A3", (1, 2)), ("C3", (1, 2))])
+def test_ball_body_from_maximal_weights_is_the_hull_of_every_orbit(name, radii):
+    rs = root_system(name)
+    for r in radii:
+        ens = RepEnsemble.ball(rs, 1, r)
+        assert_same_polytope(weighted_polytope(ens), orbit_polytope(rs, ens.weights))
+
+
+def test_a_dominated_weight_leaves_the_body_unchanged():
+    # (2, 2) - (1, 1) = alpha_1 + alpha_2, so the adjoint orbit lies inside
+    # the hull of the orbit of (2, 2)
+    ens = RepEnsemble(A2, [((1, 1), 1), ((2, 2), 1)])
+    body = weighted_polytope(ens)
+    assert_same_polytope(body, orbit_polytope(A2, ens.weights))
+    assert_same_polytope(body, weighted_polytope(A2, (2, 2)))
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("A2", (Fraction(1, 2), Fraction(1, 3))),
+    ("B2", (Fraction(3, 2), Fraction(-1, 3))),
+    ("G2", (-1, 2)),
+    ("A3", (1, -2, 1)),
+], ids=["A2-rational", "B2-rational-non-dominant", "G2-non-dominant", "A3-non-dominant"])
+def test_a_rational_or_non_dominant_weight_gives_the_hull_of_its_orbit(name, weight):
+    rs = root_system(name)
+    assert_same_polytope(weighted_polytope(rs, weight), orbit_polytope(rs, [weight]))
+
+
 def test_wrong_rank_weight_is_a_value_error():
     # a short weight row would zip against the Cartan rows and give a
     # lower-dimensional orbit
@@ -228,6 +266,60 @@ def test_a2_spectra_of_dilated_adjoint_bodies(route):
             assert count == 5562 * 2 ** (8 - a)
         else:
             assert count == pytest.approx(5562 * 2 ** (8 - a), rel=1e-9)
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Record every call of module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_second_route_reads_hulls_and_integrals_from_the_caches(monkeypatch):
+    clear_package_caches()
+    ens = adjoint(root_system("B2"))
+    real_proportion_group(ens)
+    integrals = counting(monkeypatch, convex, "integrate_over_simplex")
+    hulls = counting(monkeypatch, groups, "convex_hull")
+    calibrated = complex_count_reductive(ens, route="calibrated")
+    assert integrals == [] and hulls == []
+    # cleared by the rule the bench applies before each pass, it recomputes
+    caches = package_caches()
+    assert groups._orbit_hull in caches and groups._density_integral in caches
+    for cache in caches:
+        cache.cache_clear()
+    assert complex_count_reductive(ens, route="calibrated") == calibrated
+    assert len(hulls) == 1 and integrals
+
+
+# the adjoint counts the bench pins, and the A2 system of a adjoint bodies and
+# 8 - a of twice their size
+ADJOINT_COUNTS = {"A1": 16, "A2": 5562, "A3": 15933760, "B2": 24576, "C3": 3657433088,
+                  "G2": 10576332}
+CACHED_SYSTEMS = [(name, None) for name in ADJOINT_COUNTS] + [("A2", a) for a in range(1, 8)]
+
+
+@pytest.mark.parametrize("name, a", CACHED_SYSTEMS,
+                         ids=[name if a is None else f"A2-{a}+{8 - a}" for name, a in CACHED_SYSTEMS])
+def test_counts_are_the_same_from_warm_and_cold_caches(name, a):
+    clear_package_caches()
+    rs = root_system(name)
+    if a is None:
+        system, want = adjoint(rs), ADJOINT_COUNTS[name]
+    else:
+        system = [adjoint(rs)] * a + [RepEnsemble.single(rs, (2, 2))] * (8 - a)
+        want = 5562 * 2 ** (8 - a)
+    cold_lattice = complex_count_reductive(system, route="lattice")
+    clear_package_caches()
+    cold_calibrated = complex_count_reductive(system, route="calibrated")
+    warm = [complex_count_reductive(system, route=route) for route in ("lattice", "calibrated")]
+    assert cold_lattice == warm[0] == want and type(warm[0]) is Fraction
+    assert cold_calibrated == warm[1] and type(warm[1]) is float
 
 
 def test_standard_representation_count_a2():

@@ -501,6 +501,13 @@ def test_three_torus_box_counts_match_the_kac_rice_mean():
     assert abs(z) <= 3
 
 
+def test_three_torus_krawczyk_step_runs_in_chunks():
+    # 64 615 boxes survive exclusion at level 0 of this block; Krawczyk-tested
+    # _BOX_CHUNK at a time the block peaks near 49 MB (58 MB all at once)
+    systems = random_systems([box_support(3, 1)] * 3, montecarlo._SAMPLE_BLOCK, seed=5)
+    assert traced_peak(lambda: montecarlo._certified_counts(*systems)) < 53e6
+
+
 def test_hopf_exponential_sums_give_unit_quaternions():
     freqs, table = hopf_exponential_sums()
     t = np.random.default_rng(14).random((50, 3))

@@ -9,6 +9,7 @@ import pytest
 
 import rootsystem_oracle
 from hull_oracle import translate
+from package_caches import clear_package_caches
 from quadrature_oracles import (collapsed_gauss_integral, expanded_gm_integral, monomial_forms,
                                 vertex_cone_integral)
 from realroots import convex
@@ -89,7 +90,9 @@ def test_rank_four_adjoint_counts_both_routes(name, count):
 
 
 def counting_simplex_integrals(monkeypatch) -> list:
-    """Record every simplex integral of the facet route."""
+    """Record every simplex integral of the facet route, from cold caches
+    (a body integrated before is read from `_density_integral`)."""
+    clear_package_caches()
     calls = []
     rule = convex.integrate_over_simplex
 
