@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -149,7 +150,10 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The `realroots` argument parser, built once per process: parsing
+    keeps no state in it, as each call fills a fresh namespace."""
     parser = _Parser(
         prog="realroots",
         description="Expected real and complex zero counts of random "

@@ -9,8 +9,10 @@ quadrature's vertex rows all run on those integers, and the Fraction
 vertices are built only when read.
 Hulls run on integer coordinates (the points, or a flat's affine coordinates,
 times a common denominator): a monotone chain in the plane, else an
-incremental (beneath-beyond) boundary complex whose facet normals are the
-primitive integer null vectors of their edge vectors v_i - v_0.  The vertices
+incremental (beneath-beyond) boundary complex.  The starting simplex's facet
+normals are the primitive integer null vectors of their edge vectors
+v_i - v_0; each later facet's plane is rotated about its horizon ridge out
+of the visible facet's plane and the invisible neighbour's.  The vertices
 are the boundary points where the facet normals have full rank; that pass
 inserts the points farthest from the centroid first, so that most of the
 others fall inside the partial hull and are skipped (as in Quickhull).
@@ -24,12 +26,18 @@ over the facet simplices, each reduced by homogeneity to a rule on a
 caller that knows a symmetry of body and integrand integrates one plane per
 orbit of planes and, on it, one simplex per orbit of its simplices, times
 their number there.
-Mixed volumes polarize the volume of Minkowski sums over the distinct
-primitive shapes only: a body is a positive dilate t K' of its integer rows
-over their gcd, the form is multilinear in positive dilations, and the
-functional, homogeneous of degree n, is evaluated once per primitive
-combination b / gcd(b) of the shapes.  So repeated bodies and dilates cost
-no extra sums, and n dilates of one body cost one evaluation.
+Mixed volumes of polytopes pair one body's support function with the mixed
+area measure of the other n - 1, V(K_1, ..., K_n) =
+(1/n) sum_u h_(K_1)(u) S(K_2, ..., K_n; u), and that measure is polarized
+from the area measure of one body: per facet plane, its primitive normal u
+and the facet's (d - 1)-volume over |u|, read in integers off the facet's
+shadow on a coordinate hyperplane.  `polarize` evaluates a functional
+homogeneous of degree n over the distinct primitive shapes only: a body is
+a positive dilate t K' of its integer rows over their gcd, the form is
+multilinear in positive dilations, and the functional is evaluated once
+per primitive combination b / gcd(b) of the shapes.  So repeated bodies and
+dilates cost no extra Minkowski sums, n dilates of one body cost one area
+measure, and box + ball + ball costs none.
 Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
 drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
 volumes of ellipsoids, and zeros of Gaussian random fields"): a closed form
@@ -147,28 +155,60 @@ def _facet_plane(coords: list[IntVec], facet: tuple[int, ...], ref: IntVec) -> P
 def _beneath_beyond(coords: list[IntVec], simplex: list[int]) -> dict[frozenset[int], Plane]:
     """Simplicial boundary complex of the hull of full-dimensional points:
     start from the affinely independent `simplex`, then insert the other
-    points in index order."""
+    points in index order.
+
+    Each ridge lies in two facets, so the horizon of a point is the ridges
+    between a visible and an invisible facet.  The new facet over a horizon
+    ridge is the pencil's plane through the point: with its heights dv > 0
+    over the visible plane (n_v, c_v) and di <= 0 over the invisible one
+    (n_o, c_o), dv (n_o, c_o) - di (n_v, c_v) holds the ridge and the point,
+    and as a non-negative combination of two outward planes it is outward.
+    Divided by the gcd of its normal it is the primitive plane."""
     ref = tuple(map(sum, zip(*(coords[i] for i in simplex))))
     facets: dict[frozenset[int], Plane] = {}
     for drop in simplex:
         facet = tuple(i for i in simplex if i != drop)
         facets[frozenset(facet)] = _facet_plane(coords, facet, ref)
+    # ridge -> the two facets that hold it
+    ridges: dict[frozenset[int], list[frozenset[int]]] = {}
+    for key in facets:
+        for v in key:
+            ridges.setdefault(key - {v}, []).append(key)
     start = set(simplex)
     for p, pt in enumerate(coords):
         if p in start:
             continue
-        visible = [key for key, (n, c) in facets.items() if _dot(n, pt) > c]
-        if not visible:
+        heights = {}
+        for key, (n, c) in facets.items():
+            h = _dot(n, pt) - c
+            if h > 0:
+                heights[key] = h
+        if not heights:
             continue
-        # each ridge lies in two facets, so the horizon is the ridges that
-        # lie in exactly one visible facet
-        ridges = Counter(key - {v} for key in visible for v in key)
-        for key in visible:
+        new = []
+        for key, dv in heights.items():
+            nv, cv = facets[key]
+            for v in key:
+                ridge = key - {v}
+                a, b = ridges[ridge]
+                other = b if a == key else a
+                if other in heights:
+                    continue
+                no, co = facets[other]
+                di = _dot(no, pt) - co
+                normal = [dv * x - di * y for x, y in zip(no, nv)]
+                g = math.gcd(*normal)
+                new.append((ridge, other, tuple(x // g for x in normal), (dv * co - di * cv) // g))
+        for key in heights:
             del facets[key]
-        for ridge, count in ridges.items():
-            if count == 1:
-                facet = tuple(sorted(ridge | {p}))
-                facets[frozenset(facet)] = _facet_plane(coords, facet, ref)
+            for v in key:
+                ridges.pop(key - {v}, None)
+        for ridge, other, normal, offset in new:
+            facet = ridge | {p}
+            facets[facet] = normal, offset
+            ridges[ridge] = [other, facet]
+            for v in ridge:
+                ridges.setdefault(facet - {v}, []).append(facet)
     return facets
 
 
@@ -193,7 +233,7 @@ def _extreme_points(coords: list[IntVec], basis: list[int]) -> list[int]:
     for key, (normal, _) in facets.items():
         for j in key:
             normals.setdefault(order[j], set()).add(normal)
-    return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)
+    return sorted(i for i, ns in normals.items() if len(xa._eliminate(list(map(list, ns)), d)[0]) == d)
 
 
 def _boundary(verts: list[IntVec]) -> Facets:
@@ -234,11 +274,17 @@ def _hull(pts: list[IntVec]) -> tuple[list[IntVec], Facets]:
     return [pts[i] for i in _extreme_points(coords, basis)], ()
 
 
+def _abs_det(rows: list[list[int]]) -> int:
+    """|det| of a square integer matrix, eliminated in place."""
+    pivots, det, _ = xa._eliminate(rows, len(rows))
+    return abs(det) if len(pivots) == len(rows) else 0
+
+
 def _simplex_det(rows: Sequence[IntVec]) -> int:
     """|det(v_i - v_0)| for the d + 1 integer vertices of a d-simplex, d!
     times its volume."""
     v0 = rows[0]
-    return abs(xa.mat_det([xa.vec_sub(v, v0) for v in rows[1:]])).numerator
+    return _abs_det([[x - y for x, y in zip(v, v0)] for v in rows[1:]])
 
 
 class Polytope:
@@ -398,10 +444,88 @@ def polarize(bodies: Sequence[Polytope], functional: Callable) -> Fraction:
     return value if scale == 1 else value * scale
 
 
+def _area_pairing(body: Polytope, height: Callable[[IntVec, int], int]) -> tuple[int, int]:
+    """sum_u height(u, c) a_u over the area measure S(L) of a polytope L in
+    R^d, d >= 2, as an integer numerator and denominator.  S(L) has an atom
+    at the primitive integer normal u of each (d-1)-dimensional face F of
+    L: c is the largest u . x over the integer rows x of L, and the mass is
+    a = vol_(d-1)(F) / |u|, so that sum_u h_K(u) a = d V(K, L, ..., L) for
+    any body K.  Atoms of height 0 are not measured.
+
+    A face's mass is read off its shadow along a coordinate axis k with
+    u_k != 0: projecting onto x_k = 0 scales vol_(d-1)(F) by |u_k| / |u|, so
+    a is the shadow's volume over |u_k|.  A full-dimensional L has one atom
+    per facet plane, each facet simplex with edges e_1, ..., e_(d-1) adding
+    the minor of its edges without column k, over (d-1)! s^(d-1) |u_k|, s
+    the denominator of L.  That minor is +-det(e_1, ..., e_(d-1), e_k), and
+    the edges' generalized cross product is an integer multiple of u, so the
+    division by |u_k| is exact.  A (d-1)-flat has the atoms +-u, both of the
+    flat's shadow volume over |u_k|, and a lower flat none."""
+    d, s = body.dim, body.denominator
+    if body.facets:
+        total = 0
+        for normal, simplices in body.facets:
+            h = height(normal, _dot(normal, body.coords[simplices[0][0]]))
+            if not h:
+                continue
+            k = next(j for j, x in enumerate(normal) if x)
+            shadow = 0
+            for simplex in simplices:
+                v0 = body.coords[simplex[0]]
+                shadow += _abs_det([[x - y for j, (x, y) in enumerate(zip(body.coords[i], v0)) if j != k]
+                                    for i in simplex[1:]])
+            total += h * (shadow // abs(normal[k]))
+        return total, math.factorial(d - 1) * s ** (d - 1)
+    basis = _affine_basis(body.coords)
+    if len(basis) < d:
+        return 0, 1
+    v0 = body.coords[0]
+    normal, _ = xa._null_vector([[x - y for x, y in zip(body.coords[i], v0)] for i in basis[1:]], d)
+    g = math.gcd(*normal)
+    u = tuple(x // g for x in normal)
+    c = _dot(u, v0)
+    h = height(u, c) + height(tuple(-x for x in u), -c)
+    if not h:
+        return 0, 1
+    k = next(j for j, x in enumerate(u) if x)
+    shadow = Polytope([v[:k] + v[k + 1:] for v in body.coords]).volume()
+    return h * shadow.numerator, shadow.denominator * s ** (d - 1) * abs(u[k])
+
+
+def _support_pairing(first: Polytope, shape: Polytope, t: Fraction, n: int
+                     ) -> Callable[[Polytope], Fraction]:
+    """L -> V(K, L, ..., L) = (1/n) sum_u h_K(u) a_u over the area measure of
+    L, K = `first` = t `shape` (`_primitive`), homogeneous of degree n - 1
+    in L.  h_K(u) is the largest u . x over the integer rows x of K, over
+    its denominator.  When L is K's shape, K moved by -t v_0, v_0 L's first
+    vertex, has h = t (c - u . v_0) over L's denominator (V is translation
+    invariant), which is 0 on the facets through v_0."""
+
+    def functional(body: Polytope) -> Fraction:
+        if body == shape:
+            v0 = body.coords[0]
+            total, unit = _area_pairing(body, lambda u, c: c - _dot(u, v0))
+            return Fraction(t.numerator * total, t.denominator * unit * n * body.denominator)
+        total, unit = _area_pairing(body, lambda u, c: max(_dot(u, v) for v in first.coords))
+        return Fraction(total, unit * n * first.denominator)
+
+    return functional
+
+
 def mixed_volume_polytopes(bodies: Sequence[Polytope]) -> Fraction:
     """Exact mixed volume V(K_1, ..., K_n) of n polytopes in R^n.
 
-    Symmetric and Minkowski-multilinear; V(K, ..., K) = vol(K).
+    Symmetric and Minkowski-multilinear; V(K, ..., K) = vol(K).  One body K
+    pairs its support function with the mixed area measure of the others:
+    V(K, K_2, ..., K_n) = (1/n) sum_u h_K(u) S(K_2, ..., K_n; u) (Schneider,
+    "Convex Bodies: The Brunn-Minkowski Theory", ch. 5), and `polarize`
+    builds that pairing from the area measure of one body
+    (`_support_pairing`, `_area_pairing`) over the n - 1 others.  K is a
+    body whose primitive shape occurs least often, of those the one with
+    the most vertices, so that the others have as few distinct shapes as
+    may be: n copies of one body pair one area measure with its own facet
+    offsets, box + ball + ball builds no Minkowski sum, and three distinct
+    shapes build one sum of two.  For n = 1 the mixed volume is the length.
     """
     if not bodies:
         raise ValueError("mixed volume of an empty list")
@@ -410,7 +534,14 @@ def mixed_volume_polytopes(bodies: Sequence[Polytope]) -> Fraction:
         raise ValueError(f"need exactly {n} bodies in dimension {n}")
     if any(b.dim != n for b in bodies):
         raise ValueError("dimension mismatch")
-    return polarize(bodies, Polytope.volume)
+    if n == 1:
+        (body,) = bodies
+        return Fraction(body.coords[-1][0] - body.coords[0][0], body.denominator)
+    primitives = {b: _primitive(b) for b in set(bodies)}
+    counts = Counter(primitives[b][0] for b in bodies)
+    first = min(range(n), key=lambda i: (counts[primitives[bodies[i]][0]], -len(bodies[i].coords)))
+    others = [b for i, b in enumerate(bodies) if i != first]
+    return polarize(others, _support_pairing(bodies[first], *primitives[bodies[first]], n))
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def _as_ensemble_list(ensembles) -> list[RepEnsemble]:
     if not out:
         raise ValueError("no ensembles given")
     rs0 = out[0].rs
-    if any(e.rs is not rs0 for e in out):
+    if any(e.rs != rs0 for e in out):
         raise ValueError("ensembles must share one root system")
     if len(out) != rs0.dimension:
         raise ValueError(

@@ -10,6 +10,7 @@ constants these ratios converge to.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -103,8 +104,10 @@ def ball_support(n: int, m: int) -> Support:
     return Support(pts)
 
 
+@functools.lru_cache(maxsize=128)
 def newton_polytope(support: Support) -> Polytope:
-    """Convex hull of the frequency support (exact)."""
+    """Convex hull of the frequency support (exact), hulled once per support
+    per process (`newton_polytope.cache_clear()` empties the cache)."""
     return convex_hull(support.points)
 
 

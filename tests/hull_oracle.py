@@ -9,6 +9,9 @@ from ref / (d + 1), ref the vertex sum of the hull's starting simplex.
 
 `translate` is the body moved by a rational shift, built as a fresh hull.
 
+`polarized_volume` is the mixed volume polarized from the volumes of
+Minkowski combinations of all n bodies, `polarize(bodies, Polytope.volume)`.
+
 `orbit_polytope` is the hull of the whole Weyl orbit of every weight, as
 `realroots.groups.weighted_polytope` built it before it kept only the orbits
 of the maximal weights.
@@ -63,6 +66,12 @@ def extreme_points(coords: list[Sequence[int]], basis: list[int]) -> list[int]:
 def translate(body: cx.Polytope, shift: Sequence) -> cx.Polytope:
     """The hull of the vertices of `body` moved by `shift`."""
     return cx.Polytope([[x + y for x, y in zip(v, xa.as_vec(shift), strict=True)] for v in body.vertices])
+
+
+def polarized_volume(bodies: Sequence[cx.Polytope]) -> Fraction:
+    """V(K_1, ..., K_n) from the volumes of the Minkowski combinations of
+    the n bodies."""
+    return cx.polarize(bodies, cx.Polytope.volume)
 
 
 def orbit_polytope(rs, weights) -> cx.Polytope:

@@ -336,6 +336,24 @@ def test_missing_subcommand_is_argparse_exit():
     assert exc.value.code == USAGE_ERROR
 
 
+def test_one_parser_serves_every_call_and_keeps_no_state(capsys):
+    # built once per process: an argparse exit, two reports and a usage
+    # error, and no call sees another's values
+    from realroots import cli
+
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["torus"])
+    assert exc.value.code == USAGE_ERROR
+    code, first = run_json(capsys, ["torus", "--support", "segment:2"])
+    code2, second = run_json(capsys, ["torus", "--support", "segment:3"])
+    assert code == code2 == 0
+    assert first["config"]["supports"] == ["segment:2"] and second["config"]["supports"] == ["segment:3"]
+    assert main(["torus", "--support", "segment:x"]) == USAGE_ERROR
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_csv_and_md_render(capsys):
     assert main(["torus", "--support", "segment:2", "--format", "csv"]) == 0
     csv_text = capsys.readouterr().out

@@ -35,7 +35,7 @@ from realroots.convex import (
 from realroots.groups import _invariant_integral, _squared_root_product, weighted_polytope
 from realroots.polynomials import Polynomial
 from realroots.rootsystems import root_system
-from realroots.torus import ball_support, box_support, complex_count_torus
+from realroots.torus import Support, ball_support, box_support, complex_count_torus
 
 coords = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
 
@@ -171,21 +171,21 @@ def _assert_hulls_match_the_oracles(monkeypatch, build):
      (5, 24, 1, 26)],
 )
 def test_facet_planes_match_the_fraction_oracle(monkeypatch, dim, count, radius, seed):
-    # small integer boxes put several points on most facets, so the planes
-    # come from elimination orders with and without row swaps
-    import realroots.convex as cx
-
+    # small integer boxes put several points on most facet planes, so the
+    # starting planes come from elimination orders with and without row
+    # swaps, and many later planes are rotated onto the plane of the
+    # invisible facet the new point lies on; every facet's plane must be the
+    # lifted null vector of its own vertices
     rng = np.random.default_rng(seed)
     for _ in range(4):
         pts = sorted({tuple(int(c) for c in p) for p in rng.integers(-radius, radius + 1, size=(count, dim))})
         basis = _affine_basis(pts)
+        ref = tuple(map(sum, zip(*(pts[i] for i in basis))))
         facets = _beneath_beyond(pts, basis)
         for key, (normal, offset) in facets.items():
             assert len(key) == dim and math.gcd(*normal) == 1
             assert all(sum(a * b for a, b in zip(normal, pts[i])) == offset for i in key)
-        with monkeypatch.context() as patch:
-            patch.setattr(cx, "_facet_plane", hull_oracle.facet_plane)
-            assert _beneath_beyond(pts, basis) == facets
+            assert (normal, offset) == hull_oracle.facet_plane(pts, tuple(sorted(key)), ref)
         _assert_hulls_match_the_oracles(monkeypatch, lambda: convex_hull(pts))
 
 
@@ -429,6 +429,112 @@ def test_bkk_bezout_case():
     for d1, d2 in [(1, 1), (2, 3)]:
         v = mixed_volume_polytopes([t.dilate(d1), t.dilate(d2)])
         assert math.factorial(2) * v == d1 * d2
+
+
+def _random_body(rng, dim: int, kind: str) -> Polytope:
+    """A seeded body in R^dim: the hull of a lattice cloud in [-2, 2]^dim
+    ("cloud"), of that cloud moved onto a hyperplane x_dim = a . x + b (a
+    (dim - 1)-flat), of lattice points on a line, or of a cloud over 6."""
+    pts = rng.integers(-2, 3, size=(int(rng.integers(dim + 1, 2 * dim + 3)), dim))
+    if kind == "hyperplane":
+        pts[:, -1] = pts[:, :-1] @ rng.integers(-1, 2, size=dim - 1) + rng.integers(-1, 2)
+    elif kind == "line":
+        step = rng.integers(-2, 3, size=dim)
+        step[rng.integers(dim)] = 1
+        pts = pts[0] + np.outer(rng.integers(-2, 3, size=4), step)
+    rows = [tuple(int(c) for c in p) for p in pts]
+    if kind == "rational":
+        rows = [tuple(Fraction(c, 6) for c in p) for p in rows]
+    return convex_hull(rows)
+
+
+MIXED_PATTERNS = {
+    # kinds of the three bodies a, b, c, and the system built from them
+    "repeats": (("cloud",) * 3, lambda a, b, c, n: [a] * n),
+    "dilates": (("cloud",) * 3, lambda a, b, c, n: [a.dilate(t) for t in (1, 2, Fraction(1, 3), Fraction(5, 2))[:n]]),
+    "two-shapes": (("cloud",) * 3, lambda a, b, c, n: [a, b, b, a.dilate(2)][:n]),
+    "three-shapes": (("cloud",) * 3, lambda a, b, c, n: [a, b, c, c][:n]),
+    "rational": (("rational", "cloud", "rational"), lambda a, b, c, n: [a, b, c, a][:n]),
+    "hyperplanes": (("hyperplane", "cloud", "hyperplane"), lambda a, b, c, n: [a, b, c, a][:n]),
+    "hyperplane-repeats": (("hyperplane", "cloud", "cloud"), lambda a, b, c, n: [a] * (n - 1) + [b]),
+    "lines": (("line", "cloud", "line"), lambda a, b, c, n: [a, b, c, b][:n]),
+}
+
+
+@pytest.mark.parametrize(
+    "dim,pattern",
+    [(1, "repeats"), (1, "rational")] + [(d, p) for d in (2, 3, 4) for p in MIXED_PATTERNS],
+)
+def test_mixed_volume_matches_the_polarized_volume_oracle(dim, pattern):
+    # the support function of one body against the mixed area measure of
+    # the others, and the volumes of Minkowski combinations of all n, give
+    # the same Fraction
+    kinds, build = MIXED_PATTERNS[pattern]
+    rng = np.random.default_rng([dim, list(MIXED_PATTERNS).index(pattern)])
+    for _ in range(3):
+        bodies = build(*(_random_body(rng, dim, kind) for kind in kinds), dim)
+        assert mixed_volume_polytopes(bodies) == hull_oracle.polarized_volume(bodies)
+
+
+def test_mixed_volume_of_three_segments_is_their_determinant_over_six():
+    rng = np.random.default_rng(9)
+    for _ in range(8):
+        starts, steps = rng.integers(-3, 4, size=(2, 3, 3))
+        segs = [convex_hull([tuple(map(int, p)), tuple(map(int, p + q))]) for p, q in zip(starts, steps)]
+        det = abs(xa.mat_det([tuple(map(int, q)) for q in steps]))
+        assert mixed_volume_polytopes(segs) == det / 6 == hull_oracle.polarized_volume(segs)
+
+
+def test_flats_and_lengths_take_no_volume_of_a_full_dimensional_body(monkeypatch):
+    # a (n - 1)-flat enters by its two normals and its shadow's volume, and
+    # n = 1 by the length, so no volume of an n-dimensional body is taken
+    dims = []
+    volume = Polytope.volume
+
+    def spy(body):
+        dims.append(body.dim)
+        return volume(body)
+
+    monkeypatch.setattr(Polytope, "volume", spy)
+    square = convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    cube = convex_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    rod = segment((0, 0, 1), 2)
+    assert mixed_volume_polytopes([convex_hull([(-1,), ("5/2",)])]) == Fraction(7, 2)
+    assert mixed_volume_polytopes([square, square, rod]) == Fraction(2, 3)
+    assert mixed_volume_polytopes([square, cube, cube]) == Fraction(2, 3)
+    assert mixed_volume_polytopes([square, square, cube]) == Fraction(1, 3)
+    assert mixed_volume_polytopes([square] * 3) == 0
+    assert dims and max(dims) < 3
+
+
+def count_minkowski_sums(monkeypatch) -> list:
+    import realroots.convex as cx
+
+    calls = []
+    real = cx.minkowski_sum
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(cx, "minkowski_sum", counted)
+    return calls
+
+
+def test_box_ball_ball_count_builds_no_minkowski_sum(monkeypatch):
+    # the box pairs its support function with the ball's own area measure
+    sums = count_minkowski_sums(monkeypatch)
+    box, ball = box_support(3, 1), ball_support(3, 1)
+    assert complex_count_torus([box, ball, ball]) == 24
+    assert sums == []
+
+
+def test_three_distinct_shapes_build_one_minkowski_sum_of_two(monkeypatch):
+    # the box is taken out, and the ball and the planar body are summed once
+    sums = count_minkowski_sums(monkeypatch)
+    planar = Support([(1, 1, 0), (-1, -1, 0), (0, 1, 0), (0, -1, 0), (0, 0, 0)])
+    assert complex_count_torus([box_support(3, 2), ball_support(3, 1), planar]) == 56
+    assert len(sums) == 1
 
 
 def test_minkowski_sum_of_squares():

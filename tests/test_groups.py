@@ -8,7 +8,7 @@ import pytest
 import rootsystem_oracle
 from hull_oracle import orbit_polytope
 from package_caches import clear_package_caches, package_caches
-from realroots import convex, groups
+from realroots import convex, groups, rootsystems
 from realroots.convex import Polytope, convex_hull
 from realroots.groups import (
     RepEnsemble,
@@ -266,6 +266,16 @@ def test_a2_spectra_of_dilated_adjoint_bodies(route):
             assert count == 5562 * 2 ** (8 - a)
         else:
             assert count == pytest.approx(5562 * 2 ** (8 - a), rel=1e-9)
+
+
+def test_ensembles_on_equal_root_systems_from_before_and_after_a_cache_clear_form_one_system():
+    # root_system hands out one object per system only while its cache holds
+    # it: built again after cache_clear(), the system is equal, not the same
+    before = adjoint(root_system("A2"))
+    rootsystems._root_system.cache_clear()
+    after = adjoint(root_system("A2"))
+    assert before.rs is not after.rs and before.rs == after.rs
+    assert complex_count_reductive([before] * 4 + [after] * 4) == 5562
 
 
 def counting(monkeypatch, module, name) -> list:

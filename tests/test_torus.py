@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import realroots
+from package_caches import clear_package_caches, package_caches
 
 from realroots.torus import (
     Support,
@@ -192,6 +193,29 @@ def test_complex_count_builds_one_hull_per_distinct_support(monkeypatch, support
     monkeypatch.setattr(tor, "newton_polytope", counted)
     assert complex_count_torus(supports) == count
     assert len(built) == hulls
+
+
+def test_newton_polytopes_are_hulled_once_per_support_per_process(monkeypatch):
+    # the box of the one-support system is the box of the mixed one; cleared
+    # by the rule the bench applies before each pass, the cache hulls again
+    import realroots.torus as tor
+
+    clear_package_caches()
+    hulled = []
+
+    def counted(points):
+        hulled.append(points)
+        return realroots.convex_hull(points)
+
+    monkeypatch.setattr(tor, "convex_hull", counted)
+    box, ball = box_support(3, 1), ball_support(3, 1)
+    assert complex_count_torus(box) == 48
+    assert complex_count_torus([box, ball, ball]) == 24
+    assert newton_polytope(Support(box.points)) is newton_polytope(box)
+    assert hulled == [box.points, ball.points]
+    assert tor.newton_polytope in package_caches()
+    clear_package_caches()
+    assert complex_count_torus(box) == 48 and len(hulled) == 3
 
 
 def test_support_dimension_mismatch_rejected():
