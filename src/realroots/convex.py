@@ -7,9 +7,11 @@ A polytope holds its extreme points as integer rows over their least common
 denominator; hulls, Minkowski sums, dilations, simplex volumes and the
 quadrature's vertex rows all run on those integers, and the Fraction
 vertices are built only when read.
-Hulls run on integer coordinates (the points, or a flat's affine coordinates,
-times a common denominator): a monotone chain in the plane, else an
-incremental (beneath-beyond) boundary complex.  The starting simplex's facet
+Hulls run on integer coordinates: the points times a common denominator,
+or for a flat its shadow on the pivot columns of the fraction-free
+elimination that finds its affine basis, which the projection maps one to
+one.  A monotone chain runs in the plane, else an incremental
+(beneath-beyond) boundary complex.  The starting simplex's facet
 normals are the primitive integer null vectors of their edge vectors
 v_i - v_0; each later facet's plane is rotated about its horizon ridge out
 of the visible facet's plane and the invisible neighbour's.  The vertices
@@ -92,20 +94,24 @@ Plane = tuple[tuple[int, ...], int]
 Facets = tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
 
-def _affine_basis(pts: Sequence[Sequence]) -> list[int]:
-    """Indices of a greedy affinely independent subset of `pts`: index 0,
-    then each point off the span so far, until the span is the whole space."""
-    d = len(pts[0])
-    basis = [0]
-    rows: list[xa.Vec] = []
+def _affine_basis(pts: Sequence[IntVec]) -> tuple[list[int], list[int]]:
+    """Indices of a greedy affinely independent subset of the integer rows
+    `pts`: index 0, then each point off the span so far, until the span is
+    the whole space; and the pivot columns of the elimination of the
+    basis's difference rows v_i - v_0, on whose coordinates the flat they
+    span projects one to one."""
+    d, v0 = len(pts[0]), pts[0]
+    basis, rows, pivots = [0], [], []
     for i in range(1, len(pts)):
-        cand = rows + [xa.vec_sub(pts[i], pts[0])]
-        if xa.rank(cand) > len(rows):
-            rows = cand
+        row = [x - y for x, y in zip(pts[i], v0)]
+        found = xa._eliminate(rows + [row], d)[0]
+        if len(found) > len(rows):
+            rows.append(row)
             basis.append(i)
+            pivots = found
             if len(rows) == d:
                 break
-    return basis
+    return basis, pivots
 
 
 def _dot(a: IntVec, b: IntVec) -> int:
@@ -252,7 +258,7 @@ def _boundary(verts: list[IntVec]) -> Facets:
             edges.append((normal, (tuple(sorted((a, b))),)))
         return tuple(edges)
     planes: dict[IntVec, list[tuple[int, ...]]] = {}
-    facets = _beneath_beyond(verts, _affine_basis(verts))
+    facets = _beneath_beyond(verts, _affine_basis(verts)[0])
     for key in sorted(facets, key=sorted):
         planes.setdefault(facets[key][0], []).append(tuple(sorted(key)))
     return tuple((normal, tuple(keys)) for normal, keys in planes.items())
@@ -263,14 +269,12 @@ def _hull(pts: list[IntVec]) -> tuple[list[IntVec], Facets]:
     of the hull of distinct, lexicographically sorted integer rows."""
     if len(pts) == 1:
         return pts, ()
-    basis = _affine_basis(pts)
+    basis, pivots = _affine_basis(pts)
     if len(basis) == len(pts[0]) + 1:
         verts = [pts[i] for i in _extreme_points(pts, basis)]
         return verts, _boundary(verts)
-    # a flat: its hull in affine coordinates on the basis
-    origin = pts[0]
-    bmat_t = tuple(zip(*(xa.vec_sub(pts[i], origin) for i in basis[1:])))
-    coords, _ = xa.integer_rows(xa.solve(bmat_t, xa.vec_sub(p, origin)) for p in pts)
+    # a flat: its hull in its shadow on the pivot columns, a one-to-one image
+    coords = [tuple(p[c] for c in pivots) for p in pts]
     return [pts[i] for i in _extreme_points(coords, basis)], ()
 
 
@@ -476,18 +480,17 @@ def _area_pairing(body: Polytope, height: Callable[[IntVec, int], int]) -> tuple
                                     for i in simplex[1:]])
             total += h * (shadow // abs(normal[k]))
         return total, math.factorial(d - 1) * s ** (d - 1)
-    basis = _affine_basis(body.coords)
+    basis, _ = _affine_basis(body.coords)
     if len(basis) < d:
         return 0, 1
     v0 = body.coords[0]
-    normal, _ = xa._null_vector([[x - y for x, y in zip(body.coords[i], v0)] for i in basis[1:]], d)
+    normal, k = xa._null_vector([[x - y for x, y in zip(body.coords[i], v0)] for i in basis[1:]], d)
     g = math.gcd(*normal)
     u = tuple(x // g for x in normal)
     c = _dot(u, v0)
     h = height(u, c) + height(tuple(-x for x in u), -c)
     if not h:
         return 0, 1
-    k = next(j for j, x in enumerate(u) if x)
     shadow = Polytope([v[:k] + v[k + 1:] for v in body.coords]).volume()
     return h * shadow.numerator, shadow.denominator * s ** (d - 1) * abs(u[k])
 
@@ -823,8 +826,7 @@ def integrate_polynomial_over_polytope(p: Polytope, poly: FormProducts, *,
             groups.setdefault(key, [0, rows])[0] += 1
         part = Fraction(0)
         for count, rows in groups.values():
-            det = abs(xa.mat_det(rows)).numerator
-            part += count * integrate_over_simplex(cone, rows, Fraction(det, unit), s)
+            part += count * integrate_over_simplex(cone, rows, Fraction(_abs_det(list(rows)), unit), s)
         total += size * part if offset > 0 else -size * part
     return total
 

@@ -28,7 +28,6 @@ Mat = tuple[Vec, ...]
 __all__ = [
     "as_fraction",
     "as_vec",
-    "vec_sub",
     "dot",
     "mat_vec",
     "mat_det",
@@ -43,18 +42,17 @@ __all__ = [
 def as_fraction(x) -> Fraction:
     """Convert an int/Fraction/str/float to an exact Fraction.  A float
     converts to its exact binary expansion; callers wanting decimal semantics
-    pass strings or Fractions."""
+    pass strings or Fractions.  ValueError, naming the value, for an
+    infinite or NaN float."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
     return Fraction(x)
 
 
 def as_vec(v: Iterable) -> Vec:
     return tuple(as_fraction(x) for x in v)
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

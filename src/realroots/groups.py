@@ -112,8 +112,8 @@ class RepEnsemble:
     def require_self_dual(self) -> "RepEnsemble":
         """Check that the spectrum holds the dual of each of its weights, as
         a real ensemble needs (the group analogue of -S = S on the torus)."""
-        rows = set(self.weights)
-        missing = sorted({_dominant_row(self.rs.cartan, [-x for x in row]) for row in rows} - rows)
+        dual, rows = self.rs.dual_permutation, set(self.weights)
+        missing = sorted({tuple(row[i] for i in dual) for row in rows} - rows)
         if missing:
             names = ", ".join("(" + ",".join(map(str, w)) + ")" for w in missing)
             raise ValueError(
@@ -226,11 +226,9 @@ def weighted_polytope(ensemble: RepEnsemble | RootSystem, weight=None) -> Polyto
     off the extreme points alone, so the polytope is the same as the hull of
     every orbit."""
     if isinstance(ensemble, RepEnsemble):
-        rs = ensemble.rs
-        weights = ensemble.weights
+        rs, weights = ensemble.rs, ensemble.weights
     else:
-        rs = ensemble
-        weights = [xa.as_vec(weight)]
+        rs, weights = ensemble, [xa.as_vec(weight)]
     # the orbits of the integer rows s w, s a common denominator, shrunk by s
     rows, s = xa.integer_rows(weights)
     if any(len(row) != rs.rank for row in rows):
@@ -242,14 +240,11 @@ def weighted_polytope(ensemble: RepEnsemble | RootSystem, weight=None) -> Polyto
 def _orbit_hull(rs: RootSystem, rows: tuple[tuple[int, ...], ...]) -> Polytope:
     """Hull of the W-orbits of the integer rows, from their maximal dominant
     conjugates.  mu is dropped when some lambda has (lambda - mu) C^-1 >= 0,
-    C the Cartan matrix (row i = alpha_i), read on C^-1 cleared to integers:
+    C the Cartan matrix (row i = alpha_i), read on `RootSystem.cartan_inverse`:
     a positive multiple of the simple-root coordinates."""
-    cartan = rs.cartan
-    adj, _ = xa.integer_rows(xa.mat_inverse(cartan))
-    coeffs = {}
-    for row in rows:
-        v = _dominant_row(cartan, row)
-        coeffs[v] = tuple(sum(map(operator.mul, v, col)) for col in zip(*adj))
+    cartan, columns = rs.cartan, tuple(zip(*rs.cartan_inverse))
+    coeffs = {v: tuple(sum(map(operator.mul, v, col)) for col in columns)
+              for v in (_dominant_row(cartan, row) for row in rows)}
     # a weight is only dominated by one of larger height (coefficient sum),
     # and domination is transitive, so each is compared with the maximal
     # ones found before it
@@ -334,14 +329,9 @@ def newton_body_volume(
     carrying the squared root-product density, calibrated by the group and
     torus volumes.  For the unit metric ball in rank one this reproduces the
     Euclidean unit-ball volume in the group dimension."""
-    if isinstance(ensemble, RepEnsemble):
-        rs = ensemble.rs
-        if body is None:
-            body = weighted_polytope(ensemble)
-    else:
-        rs = ensemble
-        if body is None:
-            body = weighted_polytope(rs, weight)
+    rs = ensemble.rs if isinstance(ensemble, RepEnsemble) else ensemble
+    if body is None:
+        body = weighted_polytope(ensemble, weight)
     calibration = _calibration_sq(rs, _metric_of(rs, metric))
     integral = _density_integral(rs, body)
     return xa._sqrt_pi_power(*xa._quotient([calibration, integral, integral], []))

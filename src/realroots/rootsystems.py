@@ -151,6 +151,10 @@ class RootSystem:
     family: str
     rank: int
     cartan: tuple[IntVec, ...]        # row i = simple root alpha_i in weight coords
+    cartan_det: int
+    cartan_inverse: tuple[IntVec, ...]  # s C^-1 in integers, s = inverse_denominator
+    inverse_denominator: int            # the least common denominator of C^-1
+    dual_permutation: tuple[int, ...]   # pi with -w0 omega_i = omega_pi(i), an involution
     positive_roots: tuple[xa.Vec, ...]
     # per positive root: the coroot row k_beta, (lam, beta^vee) = sum_i k_i lam_i,
     # and r_beta = 2 / (beta, beta), so (lam, beta) = <k_beta, lam> / r_beta
@@ -232,7 +236,8 @@ def _root_system(family: str, rank: int) -> RootSystem:
         low = min(ratios[i], ratios[j])
         cartan[i][j], cartan[j][i] = -ratios[j] // low, -ratios[i] // low
     cartan = tuple(map(tuple, cartan))
-    cinv = xa.mat_inverse(cartan)
+    _, det, sign = xa._eliminate(list(cartan), rank)  # det C = sign * the last pivot
+    adj, s = xa.integer_rows(xa.mat_inverse(cartan))
     # the roots are the W-orbits of the simple roots, and a root has the
     # length of the simple roots in its orbit
     ratio_of: dict[IntVec, int] = {}
@@ -242,7 +247,6 @@ def _root_system(family: str, rank: int) -> RootSystem:
     # s times the simple-root coordinates c of a root w are w (s C^-1); the
     # root is positive iff its height sum(c) is, and beta^vee = r_beta beta
     # has the simple-coroot coordinates c_i r_beta / r_i
-    adj, s = xa.integer_rows(cinv)
     positive = []
     for w, r in ratio_of.items():
         c = [sum(map(operator.mul, w, col)) for col in zip(*adj)]
@@ -256,19 +260,23 @@ def _root_system(family: str, rank: int) -> RootSystem:
     # degrees of W are m_j + 1
     counts = [heights.count(k) for k in range(1, heights[-1] + 1)]
     degrees = sorted(1 + sum(n >= j for n in counts) for j in range(1, rank + 1))
-    # h^vee = 1 + (rho, theta^vee), theta the highest root
-    hvee = 1 + sum(coroots[-1])
+    # -w0 omega_i is the dominant conjugate of -omega_i
+    dual = tuple(_dominant_row(cartan, [-int(i == j) for j in range(rank)]).index(1) for i in range(rank))
     return RootSystem(
         name=f"{family}{rank}",
         family=family,
         rank=rank,
         cartan=cartan,
+        cartan_det=sign * det,
+        cartan_inverse=tuple(map(tuple, adj)),
+        inverse_denominator=s,
+        dual_permutation=dual,
         positive_roots=tuple(map(xa.as_vec, roots)),
         coroots=coroots,
         root_ratios=root_ratios,
         highest_root=xa.as_vec(roots[-1]),
         degrees=tuple(degrees),
-        dual_coxeter=hvee,
+        dual_coxeter=1 + sum(coroots[-1]),  # 1 + (rho, theta^vee), theta the highest root
     )
 
 
@@ -326,9 +334,11 @@ def casimir(rs: RootSystem, lam: Sequence, scale: Fraction | int = 1) -> Fractio
 
 
 def symmetric_partner(rs: RootSystem, lam: Sequence) -> xa.Vec:
-    """Highest weight of the dual representation: the dominant form of -lam."""
-    v = xa.as_vec(lam)
-    return rs.to_dominant(tuple(-c for c in v))
+    """Highest weight of the dual representation: the dominant form of -lam.
+    With mu the dominant form of lam, that is -w0 mu, the coordinates of mu
+    permuted by the involution `RootSystem.dual_permutation`."""
+    mu = rs.to_dominant(lam)
+    return tuple(mu[i] for i in rs.dual_permutation)
 
 
 def _fs_parity(rs: RootSystem, lam: Sequence) -> int:
@@ -346,9 +356,7 @@ def frobenius_schur_indicator(rs: RootSystem, lam: Sequence) -> int:
     combinatorics (0 unless the representation is self-dual, else the parity
     of the pairing with the positive coroots)."""
     v = xa.as_vec(lam)
-    if symmetric_partner(rs, v) != v:
-        return 0
-    return _fs_parity(rs, v)
+    return _fs_parity(rs, v) if symmetric_partner(rs, v) == v else 0
 
 
 def reality_type(rs: RootSystem, lam: Sequence) -> str:
@@ -419,7 +427,7 @@ class Metric:
         determinant is scale^rank / ((2 h)^rank det C prod r_i)."""
         rs = self.rs
         return self.scale**rs.rank / (
-            (2 * rs.dual_coxeter) ** rs.rank * xa.mat_det(rs.cartan) * math.prod(rs.root_ratios[: rs.rank]))
+            (2 * rs.dual_coxeter) ** rs.rank * rs.cartan_det * math.prod(rs.root_ratios[: rs.rank]))
 
     def coroot_gram_det(self) -> Fraction:
         """Covolume squared of the lattice spanned by the images
@@ -433,7 +441,7 @@ class Metric:
         i-th simple root."""
         rs = self.rs
         simple = math.prod(rs.root_ratios[: rs.rank])
-        return (2 * rs.dual_coxeter * self.scale) ** rs.rank * simple * xa.mat_det(rs.cartan)
+        return (2 * rs.dual_coxeter * self.scale) ** rs.rank * simple * rs.cartan_det
 
     def torus_volume(self) -> float:
         """Riemannian volume of the maximal torus."""

@@ -7,6 +7,10 @@ from ref / (d + 1), ref the vertex sum of the hull's starting simplex.
 
 `extreme_points` is the vertex pass that inserts the points in index order.
 
+`flat_vertices` is the hull of points that span a flat, from their affine
+coordinates on the affine basis: one `xa.solve` per point, cleared of
+denominators (`xa.integer_rows`), and `extreme_points` on those.
+
 `translate` is the body moved by a rational shift, built as a fresh hull.
 
 `polarized_volume` is the mixed volume polarized from the volumes of
@@ -61,6 +65,20 @@ def extreme_points(coords: list[Sequence[int]], basis: list[int]) -> list[int]:
         for i in key:
             normals.setdefault(i, set()).add(normal)
     return sorted(i for i, ns in normals.items() if xa.rank(list(ns)) == d)
+
+
+def flat_vertices(points: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
+    """The vertices, as sorted Fraction rows, of the hull of rational points
+    that span a flat of positive dimension below the ambient one."""
+    rows, s = xa.integer_rows(points)
+    pts = sorted(set(map(tuple, rows)))
+    basis, _ = cx._affine_basis(pts)
+    assert 1 < len(basis) <= len(pts[0])
+    origin = xa.as_vec(pts[0])
+    edges = [tuple(x - y for x, y in zip(pts[i], origin)) for i in basis[1:]]
+    coords, _ = xa.integer_rows(xa.solve(tuple(zip(*edges)), tuple(x - y for x, y in zip(p, origin)))
+                                for p in pts)
+    return tuple(tuple(Fraction(x, s) for x in pts[i]) for i in extreme_points(coords, basis))
 
 
 def translate(body: cx.Polytope, shift: Sequence) -> cx.Polytope:

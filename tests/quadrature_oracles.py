@@ -14,6 +14,9 @@ the body's triangulation (exact, fast enough for rank-4 bodies).
 
 `monomial_forms` reads a `Polynomial` as the `FormProducts` integrand of
 its monomials, products of powers of the coordinate forms.
+
+`vec_sub` is the Fraction vector difference these oracles take simplex
+edges with; the package's exact layer no longer exports it.
 """
 
 import math
@@ -24,6 +27,10 @@ import numpy as np
 
 from realroots import exactalg as xa
 from realroots.polynomials import FormProducts, Polynomial, integrate_over_simplex
+
+
+def vec_sub(a, b) -> xa.Vec:
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def monomial_forms(poly: Polynomial) -> FormProducts:
@@ -62,7 +69,7 @@ def gm_nodes(dim: int, s: int) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
 def _simplices(polytope):
     for simplex in polytope.triangulation:
         verts = [polytope.vertices[i] for i in simplex]
-        det = xa.mat_det([xa.vec_sub(v, verts[0]) for v in verts[1:]])
+        det = xa.mat_det([vec_sub(v, verts[0]) for v in verts[1:]])
         if det != 0:
             yield verts, abs(det)
 
@@ -78,7 +85,7 @@ def vertex_cone_integral(polytope, integrand) -> Fraction:
     total = Fraction(0)
     for simplex in polytope.triangulation:
         rows = [polytope.coords[i] for i in simplex]
-        det = abs(xa.mat_det([xa.vec_sub(v, rows[0]) for v in rows[1:]]))
+        det = abs(xa.mat_det([vec_sub(v, rows[0]) for v in rows[1:]]))
         if det:
             total += integrate_over_simplex(integrand, rows, det / unit, s)
     return total

@@ -8,8 +8,10 @@ test oracle, kept verbatim.
 `root_system_fields` builds a system from a `Fraction` Gram table of its
 simple roots: one exact solve per root for its simple-root coordinates, a
 `Fraction` pairing per root for its length ratio and coroot row, h^vee from
-the pairing of rho with the highest root, and the degrees of W from a table
-per family.  The same construction gives the `Fraction` Gram tables of the
+the pairing of rho with the highest root, the degrees of W from a table
+per family, det C and C^-1 by the `Fraction` API (`xa.mat_det`,
+`xa.mat_inverse`), and the dual permutation from the `Fraction` dominant
+conjugate of each -omega_i.  The same construction gives the `Fraction` Gram tables of the
 fundamental weights (`gram_std`, long roots of squared length 2, and
 `metric_gram`, the Killing one times the metric scale).
 
@@ -104,6 +106,12 @@ def _construction(name: str) -> dict:
     )
     # fundamental-weight Gram: inverse Cartan times diag(d)
     cinv = xa.mat_inverse(cartan)
+    det = xa.mat_det(cartan)
+    assert det.denominator == 1
+    inverse, s = xa.integer_rows(cinv)
+    # -w0 omega_i = omega_pi(i), the dominant conjugate of -omega_i
+    units = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
+    dual = tuple(units.index(_dominant(cartan, tuple(-x for x in u))) for u in units)
     gram_std = tuple(
         tuple(cinv[i][j] * d[j] for j in range(rank)) for i in range(rank)
     )
@@ -158,6 +166,10 @@ def _construction(name: str) -> dict:
         family=family,
         rank=rank,
         cartan=cartan,
+        cartan_det=int(det),
+        cartan_inverse=tuple(map(tuple, inverse)),
+        inverse_denominator=s,
+        dual_permutation=dual,
         gram_std=gram_std,
         gram_killing=gram_k,
         positive_roots=pos_roots,
@@ -215,13 +227,17 @@ def coroot(rs, beta: Sequence) -> xa.Vec:
     return tuple(ratio * x for x in xa.mat_vec(gram_std(rs), beta))
 
 
-def to_dominant(rs, lam: Sequence) -> xa.Vec:
-    v = xa.as_vec(lam)
+def _dominant(cartan: Sequence[Sequence], v: xa.Vec) -> xa.Vec:
+    """The dominant conjugate of v by the `Fraction` simple reflections."""
     while True:
-        i = next((j for j in range(rs.rank) if v[j] < 0), None)
+        i = next((j for j in range(len(v)) if v[j] < 0), None)
         if i is None:
             return v
-        v = tuple(x - v[i] * a for x, a in zip(v, rs.cartan[i]))
+        v = tuple(x - v[i] * a for x, a in zip(v, cartan[i]))
+
+
+def to_dominant(rs, lam: Sequence) -> xa.Vec:
+    return _dominant(rs.cartan, xa.as_vec(lam))
 
 
 def symmetric_partner(rs, lam: Sequence) -> xa.Vec:

@@ -122,7 +122,7 @@ def test_hull_drops_points_that_end_on_a_later_edge_or_facet():
     # lexicographic insertion starts from (0,0,0), (0,0,1), (0,1,1), (1,1,1);
     # later points leave (0,0,1) on an edge and (0,1,1) inside the base square
     pts = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 2, 0), (0, 2, 2), (1, 1, 1)]
-    boundary = {i for key in _beneath_beyond(pts, _affine_basis(pts)) for i in key}
+    boundary = {i for key in _beneath_beyond(pts, _affine_basis(pts)[0]) for i in key}
     assert {1, 3} <= boundary
     h = convex_hull(pts)
     assert h.vertices == tuple(xa.as_vec(p) for p in [pts[0], pts[2], pts[4], pts[5], pts[6]])
@@ -179,7 +179,7 @@ def test_facet_planes_match_the_fraction_oracle(monkeypatch, dim, count, radius,
     rng = np.random.default_rng(seed)
     for _ in range(4):
         pts = sorted({tuple(int(c) for c in p) for p in rng.integers(-radius, radius + 1, size=(count, dim))})
-        basis = _affine_basis(pts)
+        basis, _ = _affine_basis(pts)
         ref = tuple(map(sum, zip(*(pts[i] for i in basis))))
         facets = _beneath_beyond(pts, basis)
         for key, (normal, offset) in facets.items():
@@ -253,10 +253,51 @@ def test_hull_of_a_three_flat_in_four_space():
     assert [tuple(int(c) for c in v[:3]) for v in h.vertices] == _scipy_vertices(flat)
 
 
+def _integer_flat(rng, dim, count, ambient, radius):
+    """`count` points of an affine image of a random integer cloud in R^dim,
+    in R^ambient, with a constant first coordinate, so that the shadow of the
+    flat is not on the leading columns."""
+    lift = rng.integers(-2, 3, size=(dim, ambient - 1))
+    cloud = rng.integers(-radius, radius + 1, size=(count, dim)) @ lift + rng.integers(-3, 4, size=ambient - 1)
+    return [(5, *map(int, p)) for p in cloud]
+
+
+FLATS = {
+    "segment-3d": [(0, 0, 0), (1, 2, 3), (2, 4, 6), (-1, -2, -3), (3, 6, 9)],
+    "segment-4d": [(1, 0, 2, -1), (1, 1, 1, 0), (1, 3, -1, 2), (1, 2, 0, 1)],
+    "triangle-3d": [(1, 0, 0), (0, 1, 0), (0, 0, 1), ("1/3", "1/3", "1/3"), ("1/2", "1/2", 0)],
+    "triangle-4d": [(0, 0, 0, 0), (2, 1, 0, 1), (0, 1, 2, 1), (1, 1, 1, 1), (2, 2, 2, 2)],
+    "rational-3d": [("1/2", "1/3", 0), ("3/4", 0, "1/5"), ("-1/6", "2/3", "-1/5"), ("1/4", "1/6", "1/10"),
+                    ("7/12", "1/9", "2/15")],
+    "planar-support": [(1, 1, 0), (-1, -1, 0), (0, 1, 0), (0, -1, 0), (0, 0, 0)],
+    "plane-in-4d": [(a, b, a + b, a - b) for a in range(-2, 3) for b in range(-1, 2)],
+}
+
+
+@pytest.mark.parametrize("points", list(FLATS.values()), ids=list(FLATS))
+def test_flat_hulls_match_the_affine_coordinate_oracle(points):
+    # a flat is hulled in its shadow on the pivot columns of its affine basis,
+    # not in affine coordinates from one solve per point
+    h = convex_hull(points)
+    assert h.volume() == 0 and h.facets == ()
+    assert h.vertices == hull_oracle.flat_vertices(points)
+
+
+@pytest.mark.parametrize("dim,ambient,seed", [(1, 3, 30), (2, 3, 31), (1, 4, 32), (2, 4, 33), (3, 4, 34)])
+def test_random_flat_hulls_match_the_affine_coordinate_oracle(dim, ambient, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        points = _integer_flat(rng, dim, 30, ambient, 3)
+        if len({tuple(p) for p in points}) > dim:
+            rational = [tuple(Fraction(x, 3) for x in p) for p in points]
+            for pts in (points, rational):
+                assert convex_hull(pts).vertices == hull_oracle.flat_vertices(pts)
+
+
 def test_convex_hull_affine_basis_stops_at_full_rank(monkeypatch):
     # the affine basis of the 81 points of box_support(4, 1) is complete after
-    # a few points; no rank test may run on d + 1 rows after that (stubbing
-    # the hull itself, whose vertex test takes rank on more rows)
+    # a few points; no elimination may run on d + 1 difference rows after
+    # that (stubbing the hull itself, whose vertex test eliminates more rows)
     import realroots.convex as cx
 
     class BasisDone(Exception):
@@ -266,17 +307,17 @@ def test_convex_hull_affine_basis_stops_at_full_rank(monkeypatch):
         raise BasisDone
 
     rows_seen = []
-    real_rank = xa.rank
+    real_eliminate = xa._eliminate
 
-    def rank(rows):
+    def eliminate(rows, ncols):
         rows_seen.append(len(rows))
-        return real_rank(rows)
+        return real_eliminate(rows, ncols)
 
-    monkeypatch.setattr(xa, "rank", rank)
+    monkeypatch.setattr(xa, "_eliminate", eliminate)
     monkeypatch.setattr(cx, "_beneath_beyond", stop)
     with pytest.raises(BasisDone):
         convex_hull(box_support(4, 1).points)
-    assert rows_seen and max(rows_seen) <= 4
+    assert rows_seen and max(rows_seen) <= 4 and rows_seen[-1] == 4
 
 
 @pytest.mark.parametrize("support", [box_support(4, 1), ball_support(3, 3)], ids=["box:4:1", "ball:3:3"])

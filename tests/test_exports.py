@@ -1,9 +1,11 @@
-"""Every name a module lists in `__all__` exists in that module, and every
-package name the bench tracer wraps (bench/layers.py) still exists."""
+"""Every name a module lists in `__all__` exists in that module, every
+package name the bench tracer wraps (bench/layers.py) still exists, and a
+name moved out of the package is gone from it."""
 
 import importlib
 import importlib.util
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,13 @@ def test_bench_tracer_targets_exist(layers):
         module = importlib.import_module(f"realroots.{mod_name}")
         names = layers.EXPORTS.get(mod_name) or module.__all__
         assert [n for n in names if not hasattr(module, n)] == [], mod_name
+
+
+def test_vec_sub_left_the_exact_layer():
+    # the Fraction vector difference lost its last library caller when the
+    # hull took to integer rows; the quadrature oracles that use it keep it
+    import quadrature_oracles
+    from realroots import exactalg
+
+    assert "vec_sub" not in exactalg.__all__ and not hasattr(exactalg, "vec_sub")
+    assert quadrature_oracles.vec_sub((1, 2), (Fraction(1, 2), 3)) == (Fraction(1, 2), -1)

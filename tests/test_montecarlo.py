@@ -1,5 +1,6 @@
 """Seeded stochastic estimators and the matrix-element oracle for rank one."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -489,6 +490,82 @@ def test_a_zero_decided_by_the_lipschitz_bound_in_three_dimensions_is_counted():
         np.array([[-0.5j, 0.5j]]),
     ]
     assert montecarlo._certified_counts(freqs, coeffs) == [24]
+
+
+def split_boxes(monkeypatch) -> dict[float, list[tuple[float, ...]]]:
+    """The centres of the boxes `_certified_counts` splits, by the radius of
+    their children, as the run records them."""
+    split: dict[float, list[tuple[float, ...]]] = {}
+    children = montecarlo._children
+
+    def record(centers, products, radius, half):
+        split.setdefault(radius, []).extend(map(tuple, centers))
+        return children(centers, products, radius, half)
+
+    monkeypatch.setattr(montecarlo, "_children", record)
+    return split
+
+
+def axis_equation(axis, terms):
+    """(freqs, one-row coefficients) of sum_k c_k e(m_k x_axis) for the
+    (m_k, c_k) in `terms`, e(t) = exp(2 pi i t)."""
+    freqs = np.zeros((len(terms), 3))
+    freqs[:, axis] = [m for m, _ in terms]
+    return freqs, np.array([[c for _, c in terms]])
+
+
+def test_the_exclusion_keeps_a_box_within_its_three_rounding_allowances(monkeypatch):
+    # F_1 = cos 2 pi (x - c_x) + kappa, sin 2 pi (y - c_y), sin 2 pi (z - c_z)
+    # at the centre c of a starting box, where F_1's Jacobian row is 0: its
+    # Taylor reach is n ed r + (n / 2) hess r^2, n ed r the rounding
+    # allowance of the n entries of that row.  kappa puts |F_1(c)| - ef half
+    # an ed r below the reach, so the box is kept and split; with the planar
+    # 2 ed it is half an ed r above, and the box was dropped.  No count can
+    # show this: ed is far above the rounding it covers.
+    c = np.array([5.5, 9.5, 12.5]) / montecarlo._BOX_BASE
+    r, n, rounding = 0.5 / montecarlo._BOX_BASE, 3, montecarlo._ROUNDING
+    lip, hess = 2 * math.pi, (2 * math.pi) ** 2
+    ed = rounding * lip
+    reach = min(lip * math.sqrt(n) * r, n * ed * r + hess * n / 2 * r * r)
+    # F_1(c) = 1 + kappa = reach + ef - ed r / 2, ef = rounding (1 + |kappa|), kappa < 0
+    value = (reach + 2 * rounding - ed * r / 2) / (1 + rounding)
+    e = [np.exp(-2j * math.pi * t) for t in c]
+    first = axis_equation(0, [(1, e[0] / 2), (-1, e[0].conjugate() / 2), (0, value - 1)])
+    rest = [axis_equation(a, [(1, -0.5j * e[a]), (-1, 0.5j * e[a].conjugate())]) for a in (1, 2)]
+    freqs, coeffs = zip(first, *rest)
+    split = split_boxes(monkeypatch)
+    assert montecarlo._certified_counts(list(freqs), list(coeffs)) == [8]
+    assert tuple(c) in split.get(r / 2, [])
+
+
+def test_the_krawczyk_radius_bounds_the_jacobian_over_the_whole_box_in_three_dimensions(monkeypatch):
+    # F_a = sin theta_a - 2 eps sin^2 theta_a, theta_a = 2 pi (x_a - t_a),
+    # vanishes only at x_a = t_a and t_a + 1/2, with J = +-2 pi I there and
+    # hess = (2 pi)^2 (1 + 4 eps) per row.  The eight zeros sit at the
+    # centres of level-1 boxes, whose Krawczyk step is 0, so a box is
+    # certified when its radius wide n |J^-1| (hess sqrt(n) wide + ed) is
+    # below wide = 2 r:
+    #   6 pi sqrt(3) (1 + 4 eps) wide = 1.12 at level 1 and 0.56 at level 2.
+    # So each zero's level-1 box is split and its child certified.  With
+    # the planar sqrt(2) in the Jacobian bound the factor read 0.92, and with
+    # the planar 2 in `spread += n * ...` 0.75: certified one level early.
+    # Both planar bounds still hold in 3-D, so the count cannot show them.
+    eps = 1 / 40
+    t = np.array([5.5, 9.5, 20.5]) / (2 * montecarlo._BOX_BASE)
+    wide = 2 * 0.25 / montecarlo._BOX_BASE
+    assert 6 * math.pi * math.sqrt(3) * (1 + 4 * eps) * wide == pytest.approx(1.122, abs=1e-3)
+    equations = []
+    for a, shift in enumerate(t):
+        e = np.exp(-2j * math.pi * shift)
+        terms = [(1, -0.5j * e), (-1, 0.5j * e.conjugate()), (2, eps / 2 * e * e),
+                 (-2, eps / 2 * (e * e).conjugate()), (0, -eps)]
+        equations.append(axis_equation(a, terms))
+    freqs, coeffs = zip(*equations)
+    split = split_boxes(monkeypatch)
+    assert montecarlo._certified_counts(list(freqs), list(coeffs)) == [8]
+    zeros = {tuple(float(x) for x in z) for z in itertools.product(*((s, (s + 0.5) % 1) for s in t))}
+    assert zeros <= set(split.get(wide / 4, []))
+    assert not zeros & set(split.get(wide / 8, []))
 
 
 def test_three_torus_box_counts_match_the_kac_rice_mean():

@@ -264,6 +264,58 @@ def test_coroot_table_matches_the_fraction_gram_oracle(name):
     assert met.root_product_at_rho() == rootsystem_oracle.root_product(met, rs.rho)
 
 
+def _published_duality(name: str) -> tuple[int, tuple[int, ...]]:
+    """det C and -w0 on the fundamental weights (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. VI, plates): reversal on A_n, the swap of the two spin
+    nodes on D_n with n odd, the identity otherwise."""
+    family, rank = name[0], int(name[1:])
+    det = {"A": rank + 1, "B": 2, "C": 2, "D": 4, "G": 1}[family]
+    dual = list(range(rank))
+    if family == "A":
+        dual.reverse()
+    elif family == "D" and rank % 2:
+        dual[-2:] = dual[-1], dual[-2]
+    return det, tuple(dual)
+
+
+@pytest.mark.parametrize("name", DEGREE_SYSTEMS)
+def test_cartan_determinant_and_dual_permutation_match_the_plates(name):
+    rs = root_system(name)
+    assert (rs.cartan_det, rs.dual_permutation) == _published_duality(name)
+    inverse, s = rs.cartan_inverse, rs.inverse_denominator
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in rs.cartan] == \
+        [[s * (i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+    assert math.gcd(s, *(x for row in inverse for x in row)) == 1
+
+
+@pytest.mark.parametrize("name", DEGREE_SYSTEMS)
+def test_dual_weights_of_rational_and_non_dominant_weights_match_the_fraction_oracle(name):
+    # the dual is the dominant form permuted by pi; the oracle negates and
+    # reflects in Fractions
+    rs = root_system(name)
+    rng = np.random.default_rng(rs.rank)
+    weights = [tuple(Fraction(int(a), int(b)) for a, b in zip(rng.integers(-4, 5, rs.rank), rng.integers(1, 4, rs.rank)))
+               for _ in range(6)]
+    for lam in [*weights, tuple(range(rs.rank)), tuple(-x for x in range(rs.rank))]:
+        assert symmetric_partner(rs, lam) == rootsystem_oracle.symmetric_partner(rs, lam)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, x: Metric(rs, x),
+        lambda rs, x: Metric(rs).dominant_weights_in_ball(x),
+        lambda rs, x: casimir(rs, (1, 1), x),
+    ],
+    ids=["metric_scale", "ball_radius", "casimir_scale"],
+)
+def test_non_finite_floats_are_value_errors_naming_the_value(call, value):
+    # they raised OverflowError (infinity) or a ValueError without the value (NaN)
+    with pytest.raises(ValueError, match=f"^{value!r} is not a finite number$"):
+        call(root_system("A2"), value)
+
+
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
 def test_integer_duals_and_casimir_match_the_fraction_oracle(name):
     rs = root_system(name)
