@@ -4,127 +4,24 @@ compact tori and compact simple Lie groups.
 Exact convex/lattice geometry supplies the complex counts; second-moment
 ellipsoids and invariant Hessian radii supply the expected real counts;
 Monte Carlo counters verify both.
+
+The package exports the `__all__` of `convex`, `groups`, `montecarlo`,
+`rootsystems` and `torus`, plus `Polynomial`.
 """
 
-from .convex import (
-    Ellipsoid,
-    MixedVolumeResult,
-    Polytope,
-    body_from_json,
-    body_to_json,
-    convex_hull,
-    integrate_polynomial_over_polytope,
-    minkowski_sum,
-    mixed_volume_ellipsoids,
-    mixed_volume_polytopes,
-    polarize,
-    unit_ball_volume,
-)
-from .groups import (
-    GroupEnsembleResult,
-    InvariantHessianForm,
-    LimitComparison,
-    RepEnsemble,
-    asymptotic_mean,
-    asymptotic_radius,
-    complex_count_reductive,
-    f_form,
-    killing_radius,
-    limit_real_proportion_group,
-    mean_real_count_group,
-    newton_body_volume,
-    real_proportion_group,
-    weighted_polytope,
-)
-from .montecarlo import (
-    MonteCarloStats,
-    count_common_zeros_torus2,
-    count_zeros_circle,
-    gaussian_mixed_volume,
-)
+from . import convex, groups, montecarlo, rootsystems, torus
+from .convex import *
+from .groups import *
+from .montecarlo import *
 from .polynomials import Polynomial
-from .rootsystems import (
-    Metric,
-    RootSystem,
-    casimir,
-    frobenius_schur_indicator,
-    reality_type,
-    root_system,
-    symmetric_partner,
-    unit_volume_metric,
-    weyl_dimension,
-)
-from .torus import (
-    Support,
-    TorusEnsembleResult,
-    ball_support,
-    beta_constant,
-    box_support,
-    complex_count_torus,
-    kac_limit,
-    mean_real_count_torus,
-    newton_ellipsoid_torus,
-    newton_polytope,
-    real_proportion_torus,
-    segment_proportion,
-    segment_support,
-)
+from .rootsystems import *
+from .torus import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ellipsoid",
-    "MixedVolumeResult",
-    "Polytope",
-    "body_from_json",
-    "body_to_json",
-    "convex_hull",
-    "integrate_polynomial_over_polytope",
-    "minkowski_sum",
-    "mixed_volume_ellipsoids",
-    "mixed_volume_polytopes",
-    "polarize",
-    "unit_ball_volume",
-    "GroupEnsembleResult",
-    "InvariantHessianForm",
-    "LimitComparison",
-    "RepEnsemble",
-    "asymptotic_mean",
-    "asymptotic_radius",
-    "complex_count_reductive",
-    "f_form",
-    "killing_radius",
-    "limit_real_proportion_group",
-    "mean_real_count_group",
-    "newton_body_volume",
-    "real_proportion_group",
-    "weighted_polytope",
-    "MonteCarloStats",
-    "count_common_zeros_torus2",
-    "count_zeros_circle",
-    "gaussian_mixed_volume",
-    "Polynomial",
-    "Metric",
-    "RootSystem",
-    "casimir",
-    "frobenius_schur_indicator",
-    "reality_type",
-    "root_system",
-    "symmetric_partner",
-    "unit_volume_metric",
-    "weyl_dimension",
-    "Support",
-    "TorusEnsembleResult",
-    "ball_support",
-    "beta_constant",
-    "box_support",
-    "complex_count_torus",
-    "kac_limit",
-    "mean_real_count_torus",
-    "newton_ellipsoid_torus",
-    "newton_polytope",
-    "real_proportion_torus",
-    "segment_proportion",
-    "segment_support",
-    "__version__",
-]
+__all__ = ["Polynomial", "__version__"]
+__all__ += convex.__all__
+__all__ += groups.__all__
+__all__ += montecarlo.__all__
+__all__ += rootsystems.__all__
+__all__ += torus.__all__

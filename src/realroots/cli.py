@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,9 @@ NUMERICAL_ERROR = 4
 
 @dataclass
 class Report:
-    """Uniform result container for all subcommands."""
+    """Uniform result container for all subcommands.  A value that is no
+    JSON type, such as an exact `Fraction` count, renders by `str` in every
+    format."""
 
     command: str
     formula: str
@@ -234,7 +236,7 @@ def _run_torus(args) -> int:
         if args.seed is None:
             raise SystemExit("--samples requires --seed")
     result = torus.real_proportion_torus(system, method=args.method, seed=args.seed)
-    results = result.as_dict()
+    results = asdict(result)
     if args.samples is not None:
         dim = sups[0].dim
         if dim == 1:
@@ -244,7 +246,7 @@ def _run_torus(args) -> int:
             stats = montecarlo.count_common_zeros_torus2(pair, args.samples, args.seed)
         else:
             raise SystemExit("Monte Carlo counting supports dimensions 1 and 2")
-        results["monte_carlo"] = stats.as_dict()
+        results["monte_carlo"] = asdict(stats)
         spread = math.hypot(stats.stderr, result.real_stderr)
         results["monte_carlo"]["z_score"] = (
             (stats.value - result.real_count) / spread if spread > 0 else None
@@ -270,11 +272,15 @@ def _run_group(args) -> int:
     system = ensembles if len(ensembles) > 1 else ensembles[0]
     metric = None
     if args.metric_scale is not None:
-        metric = Metric(rs, Fraction(args.metric_scale))
+        try:
+            scale = Fraction(args.metric_scale)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SystemExit(f"bad --metric-scale {args.metric_scale!r}: {exc}") from exc
+        metric = Metric(rs, scale)
     route = args.route
     primary = "lattice" if route == "both" else route
     result = groups.real_proportion_group(system, route=primary, metric=metric)
-    results = result.as_dict()
+    results = asdict(result)
     results["killing_radii"] = [groups.killing_radius(e) for e in ensembles]
     if route == "both":
         other = groups.complex_count_reductive(system, route="calibrated", metric=metric)

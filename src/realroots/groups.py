@@ -403,16 +403,6 @@ class GroupEnsembleResult:
     proportion: float
     route: str
 
-    def as_dict(self) -> dict:
-        return {
-            "root_system": self.root_system,
-            "real_count": self.real_count,
-            "complex_count": self.complex_count,
-            "complex_exact": None if self.complex_exact is None else str(self.complex_exact),
-            "proportion": self.proportion,
-            "route": self.route,
-        }
-
 
 def real_proportion_group(
     ensembles: RepEnsemble | Sequence[RepEnsemble],
@@ -490,13 +480,6 @@ class LimitComparison:
     closed_form: float
     pipeline: float
     identity_factor: float
-
-    def as_dict(self) -> dict:
-        return {
-            "closed_form": self.closed_form,
-            "pipeline": self.pipeline,
-            "identity_factor": self.identity_factor,
-        }
 
 
 def limit_real_proportion_group(rs: RootSystem, metric: Metric | None = None) -> LimitComparison:

@@ -64,14 +64,6 @@ class MonteCarloStats:
     samples: int
     discarded: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "discarded": self.discarded,
-        }
-
 
 def _require_samples(samples: int, minimum: int = 2) -> None:
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < minimum:

@@ -179,16 +179,6 @@ class TorusEnsembleResult:
     method: str
     samples: int | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "real_count": self.real_count,
-            "real_stderr": self.real_stderr,
-            "complex_count": str(self.complex_count),
-            "proportion": self.proportion,
-            "method": self.method,
-            "samples": self.samples,
-        }
-
 
 def real_proportion_torus(
     supports: Support | Sequence[Support],

@@ -5,7 +5,8 @@ of the facet's vertices with a 1 appended (`xa.nullspace_vector`), cleared
 of denominators (`xa.integer_rows`), divided by its gcd and oriented away
 from ref / (d + 1), ref the vertex sum of the hull's starting simplex.
 
-`extreme_points` is the vertex pass that inserts the points in index order.
+`extreme_points` is the vertex pass that inserts the points in index order,
+in the plane too, where the library runs a monotone chain.
 
 `flat_vertices` is the hull of points that span a flat, from their affine
 coordinates on the affine basis: one `xa.solve` per point, cleared of
@@ -58,8 +59,6 @@ def extreme_points(coords: list[Sequence[int]], basis: list[int]) -> list[int]:
     beneath-beyond complex of the points in index order, from `basis`, and
     the boundary points whose facet normals have rank d."""
     d = len(coords[0])
-    if d == 2:
-        return sorted(cx._hull_2d(coords))
     normals: dict[int, set] = {}
     for key, (normal, _) in cx._beneath_beyond(coords, basis).items():
         for i in key:

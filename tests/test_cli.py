@@ -1,5 +1,8 @@
 """Command-line interface: parsing, report formats, exit codes."""
 
+import ast
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -281,6 +284,16 @@ def test_group_metric_scale_leaves_counts_alone(capsys):
     )
 
 
+@pytest.mark.parametrize("scale", ["1/0", "x"])
+def test_group_unreadable_metric_scale_is_a_usage_error_naming_the_flag(capsys, scale):
+    # 1/0 used to leave Fraction's ZeroDivisionError to the numerical-failure exit
+    argv = ["group", "--system", "A2", "--spectrum", "adjoint", "--metric-scale", scale]
+    assert main(argv) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: bad --metric-scale {scale!r}" in captured.err
+
+
 def test_group_requires_known_system(capsys):
     assert main(["group", "--system", "E9", "--spectrum", "adjoint"]) == USAGE_ERROR
 
@@ -361,6 +374,101 @@ def test_csv_and_md_render(capsys):
     assert main(["torus", "--support", "segment:2", "--format", "md"]) == 0
     md_text = capsys.readouterr().out
     assert md_text.count("|") >= 6
+
+
+RENDERED = {
+    "torus-monte-carlo": (
+        ["torus", "--support", "segment:2", "--samples", "5", "--seed", "1"],
+        [
+            ("command", "torus"),
+            ("formula", "mixed-volume-mean/bkk-count"),
+            ("status", "ok"),
+            ("config.supports", ["segment:2"]),
+            ("config.method", "auto"),
+            ("config.samples", 5),
+            ("config.seed", 1),
+            ("result.real_count", 2 * math.sqrt(2)),
+            ("result.real_stderr", 0.0),
+            ("result.complex_count", Fraction(4)),
+            ("result.proportion", math.sqrt(2) / 2),
+            ("result.method", "balls"),
+            ("result.samples", None),
+            ("result.monte_carlo", {"value": 2.8, "stderr": math.sqrt(0.24), "samples": 5,
+                                    "discarded": 0, "z_score": (2.8 - 2 * math.sqrt(2)) / math.sqrt(0.24)}),
+        ],
+    ),
+    "group-both": (
+        ["group", "--system", "A1", "--spectrum", "adjoint", "--route", "both"],
+        [
+            ("command", "group"),
+            ("formula", "weyl-mean-count/lattice-route-count/calibrated-route-count"),
+            ("status", "ok"),
+            ("config.system", "A1"),
+            ("config.spectra", ["adjoint"]),
+            ("config.route", "both"),
+            ("config.metric_scale", None),
+            ("result.root_system", "A1"),
+            ("result.real_count", 32 * math.sqrt(6) / 9),
+            ("result.complex_count", 16.0),
+            ("result.complex_exact", Fraction(16)),
+            ("result.proportion", 2 * math.sqrt(6) / 9),
+            ("result.route", "lattice"),
+            ("result.killing_radii", [1 / math.sqrt(3)]),
+            ("result.complex_count_calibrated", 16.0),
+            ("result.route_difference", 0.0),
+        ],
+    ),
+}
+
+
+def _assert_rendered(text, expected, none_text):
+    """`text` is a csv or md cell: exact rationals and strings by their
+    exact string, floats (also inside a list or dict) by value."""
+    if isinstance(expected, (Fraction, str, int)):
+        assert text == str(expected)
+    elif expected is None:
+        assert text == none_text
+    elif isinstance(expected, float):
+        assert float(text) == pytest.approx(expected, rel=1e-12)
+    else:
+        assert ast.literal_eval(text) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(RENDERED))
+def test_reports_render_keys_in_order_and_rationals_as_exact_strings(capsys, case):
+    # floats are compared by value: eigh-based means may differ in the last
+    # ulp between numpy builds
+    argv, rows = RENDERED[case]
+    keys = [key for key, _ in rows]
+
+    assert main(argv + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["command", "formula", "status", "config", "results"]
+    sections = {"config": report["config"], "result": report["results"]}
+    flat = [(key, report[key]) for key in ("command", "formula", "status")] + [
+        (f"{section}.{key}", value) for section, data in sections.items() for key, value in data.items()
+    ]
+    assert [key for key, _ in flat] == keys
+    for (key, got), (_, expected) in zip(flat, rows):
+        if isinstance(expected, Fraction):
+            assert got == str(expected), key
+        else:
+            assert got == pytest.approx(expected, rel=1e-12), key
+
+    assert main(argv + ["--format", "csv"]) == 0
+    table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert table[0] == ["key", "value"]
+    assert [key for key, _ in table[1:]] == keys
+    for (key, text), (_, expected) in zip(table[1:], rows):
+        _assert_rendered(text, expected, "")
+
+    assert main(argv + ["--format", "md"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| key | value |", "| --- | --- |"]
+    cells = [line[2:-2].split(" | ", 1) for line in lines[2:]]
+    assert [key for key, _ in cells] == keys
+    for (key, text), (_, expected) in zip(cells, rows):
+        _assert_rendered(text, expected, "None")
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Every name a module lists in `__all__` exists in that module, every
-package name the bench tracer wraps (bench/layers.py) still exists, and a
-name moved out of the package is gone from it."""
+"""Every name a module lists in `__all__` exists in that module, the
+package exports exactly its modules' `__all__`, every package name the bench
+tracer wraps (bench/layers.py) still exists, and a name moved out of the
+package is gone from it."""
 
 import importlib
 import importlib.util
@@ -35,6 +36,16 @@ def layers(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_package_exports_the_union_of_its_modules_all():
+    # derived, not hand-kept: a name a module adds to its `__all__` cannot go
+    # missing from the package, as `circle_zero_locations` once did
+    modules = [importlib.import_module(f"realroots.{name}")
+               for name in ("convex", "groups", "montecarlo", "rootsystems", "torus")]
+    expected = [name for module in modules for name in module.__all__] + ["Polynomial", "__version__"]
+    assert len(set(expected)) == len(expected)
+    assert sorted(realroots.__all__) == sorted(expected)
 
 
 def test_bench_tracer_targets_exist(layers):

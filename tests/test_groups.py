@@ -1,5 +1,7 @@
 """Invariant ensembles on compact groups: radii, counts, limits, asymptotics."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 import rootsystem_oracle
 from hull_oracle import orbit_polytope
 from package_caches import clear_package_caches, package_caches
-from realroots import convex, groups, rootsystems
+from realroots import cli, convex, groups, rootsystems
 from realroots.convex import Polytope, convex_hull
 from realroots.groups import (
     RepEnsemble,
@@ -417,14 +419,18 @@ def test_hodge_equality_rank_one():
     assert mixed ** 3 == pytest.approx(prod, rel=1e-9)
 
 
-def test_real_proportion_group_summary():
+def test_real_proportion_group_summary(capsys):
     res = real_proportion_group([adjoint(A1)] * 3)
     assert res.root_system == "A1"
     assert res.complex_exact == 16
     assert res.proportion == pytest.approx(2 * math.sqrt(6) / 9, rel=1e-12)
-    d = res.as_dict()
-    assert d["complex_exact"] == "16"
-    assert d["route"] == "lattice"
+    d = dataclasses.asdict(res)
+    assert list(d) == ["root_system", "real_count", "complex_count", "complex_exact", "proportion", "route"]
+    assert (d["complex_exact"], d["route"]) == (Fraction(16), "lattice")
+    # the CLI report carries the exact count as its exact string
+    assert cli.main(["group", "--system", "A1", *["--spectrum", "adjoint"] * 3]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert (report["complex_exact"], report["route"]) == ("16", "lattice")
 
 
 def test_real_count_needs_a_spectrum_closed_under_duality():

@@ -1,5 +1,7 @@
 """Torus ensembles: closed-form constants, Newton bodies, and count formulas."""
 
+import dataclasses
+import json
 import math
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 import realroots
 from package_caches import clear_package_caches, package_caches
 
+from realroots import cli
 from realroots.torus import (
     Support,
     ball_support,
@@ -141,22 +144,27 @@ def test_mixed_supports_complex_count():
     assert complex_count_torus([small, large]) == 16
 
 
-def test_real_proportion_pipeline_consistency():
+def test_real_proportion_pipeline_consistency(capsys):
     seg = segment_support(5)
     res = real_proportion_torus(seg)
     assert res.method == "balls"
     assert res.real_stderr == 0.0
     assert res.complex_count == 10
     assert res.proportion == pytest.approx(segment_proportion(5), rel=1e-13)
-    d = res.as_dict()
-    assert set(d) >= {"real_count", "complex_count", "proportion", "method", "samples"}
+    d = dataclasses.asdict(res)
+    assert list(d) == ["real_count", "real_stderr", "complex_count", "proportion", "method", "samples"]
     assert res.samples is None and d["samples"] is None
+    # the CLI report carries the exact count as its exact string
+    assert cli.main(["torus", "--support", "segment:5"]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert list(report) == list(d)
+    assert (report["complex_count"], report["method"], report["samples"]) == ("10", "balls", None)
 
 
 def test_real_proportion_reports_the_monte_carlo_sample_count():
     sups = [box_support(3, 1), ball_support(3, 1), ball_support(3, 1)]
     res = real_proportion_torus(sups, method="mc", samples=5000, seed=3)
-    assert (res.method, res.samples, res.as_dict()["samples"]) == ("mc", 5000, 5000)
+    assert (res.method, res.samples, dataclasses.asdict(res)["samples"]) == ("mc", 5000, 5000)
     assert res.real_stderr > 0
 
 
