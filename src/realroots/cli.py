@@ -55,14 +55,23 @@ class Report:
         }
 
     def _flat(self) -> list[tuple[str, object]]:
+        """(key, value) rows for the csv and md tables: a nested dict's
+        entries are rows of their own, under dotted keys."""
         rows: list[tuple[str, object]] = [
             ("command", self.command),
             ("formula", self.formula),
             ("status", self.status),
         ]
-        for section, data in (("config", self.config), ("result", self.results)):
+
+        def walk(prefix: str, data: dict) -> None:
             for key, value in data.items():
-                rows.append((f"{section}.{key}", value))
+                if isinstance(value, dict):
+                    walk(f"{prefix}.{key}", value)
+                else:
+                    rows.append((f"{prefix}.{key}", value))
+
+        walk("config", self.config)
+        walk("result", self.results)
         return rows
 
     def render(self, fmt: str) -> str:

@@ -42,13 +42,15 @@ dilates cost no extra Minkowski sums, n dilates of one body cost one area
 measure, and box + ball + ball costs none.
 Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
 drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
-volumes of ellipsoids, and zeros of Gaussian random fields"): a closed form
-in the plane, averaged over the sphere in R^3, and otherwise estimated by
-`montecarlo.gaussian_mixed_volume`, which draws rows 0..n-2 and integrates
-the last row out in closed form: given the others, |det G| averages to
-sqrt(2/pi) times their Gram-Schmidt residual norms times the standard
-deviation of the last row along their unit normal.  Every Q is checked to
-be finite and positive semidefinite by one rule (`_psd_eigh`).
+volumes of ellipsoids, and zeros of Gaussian random fields").  One kernel
+gives the planar mixed area from two invariants of the pair, s_1^2 + s_2^2
+and s_1 s_2, by an AGM that stops once every entry has converged.  It is the
+closed form in the plane; averaged over the sphere in R^3; and otherwise
+averaged by `montecarlo.gaussian_mixed_volume`, which draws rows 0..n-3 and
+integrates the last two out: given the others, |det G| averages to the
+volume they span times the mixed area, over pi, of the last two covariances
+restricted to the plane they leave.  Every Q is checked to be finite and
+positive semidefinite by one rule (`_psd_eigh`).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -606,62 +608,135 @@ def unit_ball_volume(n: int) -> float:
     return xa._sqrt_pi_power(*xa._quotient([(1, 1, n)], [xa._gamma_sq(n + 2)]))
 
 
-_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 # Gauss-Legendre nodes in cos(theta) of the coarse and the fine rule on S^2;
 # each takes twice as many trapezoid nodes in phi
 _SPHERE_NODES = (24, 48)
 # a body whose smallest over largest eigenvalue of Q is at most this is flat
 _FLAT = 1e-12
-# AGM steps of the mixed area: the AGM of 1 and any positive double ratio has
-# converged to double precision after 16
+# most AGM steps of the mixed area: the AGM of 1 and any positive double
+# ratio has converged to double precision after 16
 _AGM_STEPS = 16
+# the AGM stops once every c_k <= 2^-26 a_k: the next c is then below
+# 2^-54 a, and neither the mean nor the sum moves in double precision
+_AGM_TOL = 2.0**-26
+_TINY = np.finfo(float).tiny
 
 
-def _psd_sqrt(q: np.ndarray) -> np.ndarray:
-    """Square roots of a stack of PSD matrices, by eigh so singular ones work."""
-    vals, vecs = np.linalg.eigh(q)
-    root = np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
-    return (vecs * root) @ np.swapaxes(vecs, -1, -2)
+def _mixed_area_of_invariants(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mixed area V(E_1, E_2) of planar ellipses from the two invariants of
+    M = Q_1^(1/2) J Q_2^(1/2), J the quarter turn, that it depends on:
+    t = s_1^2 + s_2^2 = tr Q_1 tr Q_2 - tr(Q_1 Q_2) and p = s_1 s_2 =
+    sqrt(det Q_1) sqrt(det Q_2), for the singular values s_1 >= s_2 of M.
+
+    With row i of G drawn from N(0, Q_i), V = pi E|det G| (Kabluchko and
+    Zaporozhets), and det G is the bilinear form of M in standard normals.
+    This gives V = 2 s_1 E(1 - s_2^2 / s_1^2), half the perimeter of the
+    ellipse with semi-axes s_1, s_2:
+    pi (a_1^2 - sum_(n>=2) 2^(n-1) c_n^2) / AGM(a_1, b_1), with
+    c_n = (a_(n-1) - b_(n-1)) / 2 in the AGM steps.  Its first step needs
+    only t and p: a_1 = (s_1 + s_2) / 2 = sqrt(t + 2 p) / 2, b_1 =
+    sqrt(s_1 s_2) = sqrt(p), and the sum's first two terms leave a_1^2.
+    V = 2 s_1 = 4 a_1 when p = 0.  Batched over the shape of t and p."""
+    a1, b1 = 0.5 * np.sqrt(np.maximum(t + 2.0 * p, 0.0)), np.sqrt(p)
+    # b_1 / a_1 in [0, 1], as b_1 <= a_1 up to rounding; 0 for a point, a
+    # segment or t = 0, with no 0 / 0
+    ratio = b1 / np.maximum(np.maximum(a1, b1), _TINY)
+    flat = ratio == 0
+    b = np.where(flat, 1.0, ratio)  # no AGM(1, 0) = 0
+    a, total, weight = np.ones_like(b), np.ones_like(b), 2.0
+    for _ in range(_AGM_STEPS):
+        c = a - b
+        c *= 0.5
+        b *= a
+        np.sqrt(b, out=b)
+        a -= c
+        converged = c.max() <= _AGM_TOL * a.min()
+        c *= c
+        c *= weight
+        total -= c
+        weight *= 2.0
+        if converged:
+            break
+    return a1 * np.where(flat, 4.0, np.pi * total / a)
 
 
 def _mixed_area(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Mixed area V(E_1, E_2) of planar ellipses, batched over leading axes.
+    """Mixed area V(E_1, E_2) of planar ellipses, batched over leading axes:
+    `_mixed_area_of_invariants` of the 2 x 2 matrices' entries.  The
+    determinants' square roots are taken apart, so that their product does
+    not underflow."""
+    t = (q1[..., 0, 0] * q2[..., 1, 1] + q1[..., 1, 1] * q2[..., 0, 0]
+         - q1[..., 0, 1] * q2[..., 1, 0] - q1[..., 1, 0] * q2[..., 0, 1])
+    d1 = q1[..., 0, 0] * q1[..., 1, 1] - q1[..., 0, 1] * q1[..., 1, 0]
+    d2 = q2[..., 0, 0] * q2[..., 1, 1] - q2[..., 0, 1] * q2[..., 1, 0]
+    p = np.sqrt(np.maximum(d1, 0.0)) * np.sqrt(np.maximum(d2, 0.0))
+    return _mixed_area_of_invariants(t, p)
 
-    With row i of G drawn from N(0, Q_i), V = pi E|det G| (Kabluchko and
-    Zaporozhets), and det G is a bilinear form in standard normals with
-    matrix M = Q_1^(1/2) J Q_2^(1/2), J the quarter turn.  For singular
-    values s_1 >= s_2 of M this gives V = 2 s_1 E(1 - s_2^2 / s_1^2), half
-    the perimeter of the ellipse with semi-axes s_1, s_2:
-    pi ((s_1^2 + s_2^2) / 2 - sum_n 2^(n-1) c_n^2) / AGM(s_1, s_2), with
-    c_n = (a_(n-1) - b_(n-1)) / 2 in the AGM steps; V = 2 s_1 when s_2 = 0.
-    """
-    s = np.linalg.svd(_psd_sqrt(q1) @ _QUARTER_TURN @ _psd_sqrt(q2), compute_uv=False)
-    s1, s2 = s[..., 0], s[..., 1]
-    ratio = np.divide(s2, s1, out=np.zeros_like(s1), where=s1 > 0)
-    flat = ratio == 0
-    a, b = np.ones_like(ratio), np.where(flat, 1.0, ratio)  # no AGM(1, 0) = 0
-    total, weight = 0.5 * (1.0 + b * b), 1.0
-    for _ in range(_AGM_STEPS):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        total -= weight * c * c
-        weight *= 2.0
-    return s1 * np.where(flat, 2.0, np.pi * total / a)
+
+def _pair_products(rows: np.ndarray) -> np.ndarray:
+    """The products rows[a] * rows[b], a <= b, in combinations order."""
+    size = len(rows)
+    products = np.empty((size * (size + 1) // 2,) + rows.shape[1:])
+    start = 0
+    for a in range(size):
+        np.multiply(rows[a], rows[a:], out=products[start : start + size - a])
+        start += size - a
+    return products
+
+
+def _complement_forms(q: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Three quadratic forms in the maximal minors m of n - 2 vectors in R^n,
+    D 2 C(Q, Q') D, D C(Q, Q) D and D C(Q', Q') D, as rows against the
+    products m_a m_b, a <= b, in combinations order.  C(X, Y) is the mixed
+    second compound on the column pairs that complement the minors' column
+    sets, C(X, Y)_(ij,kl) = (X_ik Y_jl + Y_ik X_jl - X_il Y_jk - Y_il X_jk) / 2,
+    and D the diagonal of signs that turns m into the coefficients w of the
+    Laplace expansion of the determinant of those vectors and two more, x
+    and y, along x and y: that determinant is x^T W y with
+    W_ij = w_ij = -W_ji, i < j.
+
+    Let R be the volume the vectors span and A, C the covariances Q, Q'
+    restricted to the plane they leave (in an orthonormal basis).  By
+    Cauchy-Binet the three forms are R^2 (tr A tr C - tr(AC)) and R^2 det A,
+    R^2 det C: the two invariants of the mixed area of R A and R C."""
+    n = len(q)
+    pairs = [tuple(sorted(set(range(n)) - set(c))) for c in combinations(range(n), n - 2)]
+    # rows n - 2 and n - 1 against columns i and j
+    signs = np.array([(-1.0) ** (i + j + 1) for i, j in pairs])
+
+    def compound(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        c = np.array([[x[i, k] * y[j, l] + y[i, k] * x[j, l] - x[i, l] * y[j, k] - y[i, l] * x[j, k]
+                       for k, l in pairs] for i, j in pairs])
+        return 0.5 * signs[:, None] * c * signs[None, :]
+
+    upper = np.triu_indices(len(pairs))
+    return np.stack([(f + f.T - np.diag(np.diag(f)))[upper]
+                     for f in (2.0 * compound(q, q2), compound(q, q), compound(q2, q2))])
+
+
+def _plane_mixed_areas(forms: np.ndarray, minors: np.ndarray) -> np.ndarray:
+    """R V(A, C) = V(R A, R C) for n - 2 vectors with maximal minors
+    `minors` (one column per batch of vectors) and `forms` from
+    `_complement_forms`: the mixed area is homogeneous of degree 1/2 in
+    each covariance."""
+    t, det_a, det_c = forms @ _pair_products(minors)
+    p = np.sqrt(np.maximum(det_a, 0.0, out=det_a), out=det_a)
+    p *= np.sqrt(np.maximum(det_c, 0.0, out=det_c), out=det_c)
+    return _mixed_area_of_invariants(t, p)
 
 
 def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> float:
-    """Mean over u in S^2 of the mixed area of U^T P_1 U and U^T P_2 U, U an
-    orthonormal basis of the plane u^perp: Gauss-Legendre in cos(theta) times
-    the trapezoid rule in phi, whose integrand is smooth and periodic.  The
-    integrand is even in u and the Gauss-Legendre rule even in cos(theta), so
-    `nodes` angles in [0, pi) give the rule with 2 `nodes` angles in [0, 2 pi)."""
+    """Mean over u in S^2 of the mixed area of P_1 and P_2 restricted to the
+    plane u^perp: `_plane_mixed_areas` of the unit vector u, its own minors.
+    Gauss-Legendre in cos(theta) times the trapezoid rule in phi, whose
+    integrand is smooth and periodic.  The integrand is even in u and the
+    Gauss-Legendre rule even in cos(theta), so `nodes` angles in [0, pi)
+    give the rule with 2 `nodes` angles in [0, 2 pi)."""
     t, w = np.polynomial.legendre.leggauss(nodes)
     t, phi = np.meshgrid(t, np.pi * (np.arange(nodes) + 0.5) / nodes, indexing="ij")
-    e_theta = np.stack([t * np.cos(phi), t * np.sin(phi), -np.sqrt(1 - t * t)], -1)
-    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], -1)
-    u = np.stack([e_theta, e_phi], -1)
-    ut = np.swapaxes(u, -1, -2)
-    areas = _mixed_area(ut @ p1 @ u, ut @ p2 @ u)
+    s = np.sqrt(1 - t * t)
+    u = np.stack([s * np.cos(phi), s * np.sin(phi), t]).reshape(3, -1)
+    areas = _plane_mixed_areas(_complement_forms(p1, p2), u).reshape(nodes, nodes)
     return 0.5 * float(w @ areas.mean(axis=1))
 
 
@@ -715,8 +790,10 @@ def mixed_volume_ellipsoids(
     that area averaged over the planes u^perp, u in S^2, after whitening by
     the roundest body, which must be positive definite; `stderr` is the
     distance of the reported 48 x 96 node rule from a 24 x 48 one), "mc"
-    (the Gaussian determinant estimator; needs `seed`), and "auto", which
-    picks the first of balls, volume and sphere that applies, else mc.
+    (the Gaussian determinant estimator; needs `seed`; it integrates two
+    rows out through the planar mixed area, so at n <= 2 it returns the
+    closed form with stderr 0), and "auto", which picks the first of balls,
+    volume and sphere that applies, else mc.
     """
     if not ellipsoids:
         raise ValueError("mixed volume of an empty list")

@@ -393,8 +393,11 @@ RENDERED = {
             ("result.proportion", math.sqrt(2) / 2),
             ("result.method", "balls"),
             ("result.samples", None),
-            ("result.monte_carlo", {"value": 2.8, "stderr": math.sqrt(0.24), "samples": 5,
-                                    "discarded": 0, "z_score": (2.8 - 2 * math.sqrt(2)) / math.sqrt(0.24)}),
+            ("result.monte_carlo.value", 2.8),
+            ("result.monte_carlo.stderr", math.sqrt(0.24)),
+            ("result.monte_carlo.samples", 5),
+            ("result.monte_carlo.discarded", 0),
+            ("result.monte_carlo.z_score", (2.8 - 2 * math.sqrt(2)) / math.sqrt(0.24)),
         ],
     ),
     "group-both": (
@@ -423,7 +426,7 @@ RENDERED = {
 
 def _assert_rendered(text, expected, none_text):
     """`text` is a csv or md cell: exact rationals and strings by their
-    exact string, floats (also inside a list or dict) by value."""
+    exact string, floats (also inside a list) by value."""
     if isinstance(expected, (Fraction, str, int)):
         assert text == str(expected)
     elif expected is None:
@@ -432,6 +435,14 @@ def _assert_rendered(text, expected, none_text):
         assert float(text) == pytest.approx(expected, rel=1e-12)
     else:
         assert ast.literal_eval(text) == pytest.approx(expected, rel=1e-12)
+
+
+def _dotted(prefix, data):
+    """A json section's (key, value) pairs, nested objects under dotted keys."""
+    rows = []
+    for key, value in data.items():
+        rows += _dotted(f"{prefix}.{key}", value) if isinstance(value, dict) else [(f"{prefix}.{key}", value)]
+    return rows
 
 
 @pytest.mark.parametrize("case", sorted(RENDERED))
@@ -444,10 +455,8 @@ def test_reports_render_keys_in_order_and_rationals_as_exact_strings(capsys, cas
     assert main(argv + ["--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert list(report) == ["command", "formula", "status", "config", "results"]
-    sections = {"config": report["config"], "result": report["results"]}
-    flat = [(key, report[key]) for key in ("command", "formula", "status")] + [
-        (f"{section}.{key}", value) for section, data in sections.items() for key, value in data.items()
-    ]
+    flat = [(key, report[key]) for key in ("command", "formula", "status")]
+    flat += _dotted("config", report["config"]) + _dotted("result", report["results"])
     assert [key for key, _ in flat] == keys
     for (key, got), (_, expected) in zip(flat, rows):
         if isinstance(expected, Fraction):
@@ -469,6 +478,25 @@ def test_reports_render_keys_in_order_and_rationals_as_exact_strings(capsys, cas
     assert [key for key, _ in cells] == keys
     for (key, text), (_, expected) in zip(cells, rows):
         _assert_rendered(text, expected, "None")
+
+
+def test_tables_flatten_nested_results_to_dotted_keys():
+    report = Report(
+        command="c", formula="f", config={"outer": {"inner": {"deep": None}}},
+        results={"plain": Fraction(1, 3), "nested": {"exact": Fraction(-5, 2), "value": 0.5}},
+    )
+    rows = [
+        ("config.outer.inner.deep", "", "None"),
+        ("result.plain", "1/3", "1/3"),
+        ("result.nested.exact", "-5/2", "-5/2"),
+        ("result.nested.value", "0.5", "0.5"),
+    ]
+    table = list(csv.reader(io.StringIO(report.render("csv"))))
+    assert table[4:] == [[key, cell] for key, cell, _ in rows]
+    lines = report.render("md").splitlines()
+    assert lines[5:] == [f"| {key} | {cell} |" for key, _, cell in rows]
+    # json keeps the nesting
+    assert json.loads(report.render("json"))["results"]["nested"] == {"exact": "-5/2", "value": 0.5}
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from realroots import exactalg as xa
+import gaussian_oracle
 import hull_oracle
 from planar_oracle import polarized_mixed_area
 from quadrature_oracles import monomial_forms
@@ -782,9 +783,13 @@ def test_exact2d_on_general_pair_vs_monte_carlo():
     e1 = Ellipsoid(a @ a.T + 0.1 * np.eye(2))
     e2 = Ellipsoid(b @ b.T + 0.1 * np.eye(2))
     quadrature = mixed_volume_ellipsoids([e1, e2], method="sphere")
+    # in the plane the estimator integrates both rows out: it draws nothing
+    # and reads the same closed form
     mc = mixed_volume_ellipsoids([e1, e2], method="mc", samples=400_000, seed=9)
-    assert mc.stderr > 0
-    assert abs(mc.value - quadrature.value) < 4 * mc.stderr
+    assert (mc.value, mc.stderr) == (pytest.approx(quadrature.value, rel=1e-12), 0.0)
+    # so the closed form is checked against |det G| of fully drawn matrices
+    full = gaussian_oracle.full_draw_gaussian_mixed_volume([e1.Q, e2.Q], samples=400_000, seed=9)
+    assert abs(full.value - quadrature.value) < 4 * full.stderr
 
 
 def test_alexandrov_fenchel_on_ellipse_pairs():
@@ -909,6 +914,16 @@ def test_sphere_agrees_with_the_gaussian_determinant(seed):
     res = mixed_volume_ellipsoids(es)
     mc = mixed_volume_ellipsoids(es, method="mc", samples=200_000, seed=seed)
     assert abs(mc.value - res.value) <= 3 * mc.stderr
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sphere_agrees_with_the_full_draw_determinant(seed):
+    # the estimator and the sphere rule both integrate a planar mixed area;
+    # |det G| of fully drawn matrices shares no code with either
+    es = random_triple(seed)
+    res = mixed_volume_ellipsoids(es)
+    full = gaussian_oracle.full_draw_gaussian_mixed_volume([e.Q for e in es], samples=200_000, seed=seed)
+    assert abs(full.value - res.value) <= 4 * full.stderr
 
 
 def test_sphere_error_estimate_covers_flat_bodies():

@@ -671,9 +671,10 @@ def test_gaussian_volume_one_dimensional_normalization():
 
 
 def test_gaussian_volume_disc_pair():
+    # with both rows integrated out, a planar mixed area is exact
     stats = gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=300_000, seed=2)
-    z = (stats.value - math.pi) / stats.stderr
-    assert abs(z) < 4
+    assert stats.value == pytest.approx(math.pi, rel=1e-15)
+    assert stats.stderr == 0.0
 
 
 def test_gaussian_volume_reproducible():
@@ -691,9 +692,13 @@ GAUSSIAN_BODIES = {
     "line": [np.array([[2.5]])],
     "two-discs": [np.eye(2), np.eye(2)],
     "two-ellipses": [_spd(2, 1), _spd(2, 2)],
+    # the flat bodies run with a RuntimeWarning an error (pyproject.toml)
     "point-and-disc": [np.zeros((2, 2)), np.eye(2)],
+    "segment-last": [_spd(2, 9), np.diag([1.0, 0.0])],
     "three-balls": [np.eye(3)] * 3,
     "flat-and-two": [np.diag([1.0, 2.0, 0.0]), _spd(3, 3), _spd(3, 4)],
+    "coordinate-discs": [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 1.0])],
+    "point-first": [np.zeros((3, 3)), _spd(3, 10), _spd(3, 11)],
     "four-mixed": [_spd(4, 5), _spd(4, 6), np.eye(4), _spd(4, 7)],
     "four-equal": [_spd(4, 8)] * 4,
 }
@@ -714,13 +719,32 @@ def test_gaussian_volume_matches_the_lapack_determinant_oracle(bodies, samples):
 @pytest.mark.parametrize("bodies", GAUSSIAN_BODIES.values(), ids=GAUSSIAN_BODIES.keys())
 def test_gaussian_volume_agrees_with_the_full_draw_estimator(bodies):
     # averaging |det G| over all n^2 draws has the same mean and a larger
-    # variance than integrating the last row out
+    # variance than integrating the last two rows out
     samples, n = 100_003, len(bodies)
     got = gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
     full = gaussian_oracle.full_draw_gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
     assert abs(got.value - full.value) <= 4 * math.hypot(got.stderr, full.stderr)
     if n >= 2 and full.value > 0:
         assert got.stderr < full.stderr
+
+
+@pytest.mark.parametrize(
+    "bodies",
+    [b for b in GAUSSIAN_BODIES.values() if len(b) >= 3],
+    ids=[k for k, b in GAUSSIAN_BODIES.items() if len(b) >= 3],
+)
+def test_gaussian_volume_has_a_smaller_error_than_the_one_row_estimator(bodies):
+    # same mean; integrating the second-to-last row out as well can only
+    # shrink the variance (Rao-Blackwell), and both are 0 when every
+    # determinant is
+    samples, n = 100_003, len(bodies)
+    got = gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
+    one_row = gaussian_oracle.one_row_gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
+    assert abs(got.value - one_row.value) <= 4 * math.hypot(got.stderr, one_row.stderr)
+    if one_row.value > 0:
+        assert got.stderr < one_row.stderr
+    else:
+        assert got.value == got.stderr == 0.0
 
 
 @pytest.mark.parametrize(
