@@ -55,20 +55,23 @@ class Report:
         }
 
     def _flat(self) -> list[tuple[str, object]]:
-        """(key, value) rows for the csv and md tables: a nested dict's
-        entries are rows of their own, under dotted keys."""
+        """(key, value) rows for the csv and md tables: the entries of a
+        nested dict or list are rows of their own, under dotted keys (a
+        list's by index), and an empty one is a row with its JSON text."""
         rows: list[tuple[str, object]] = [
             ("command", self.command),
             ("formula", self.formula),
             ("status", self.status),
         ]
 
-        def walk(prefix: str, data: dict) -> None:
-            for key, value in data.items():
-                if isinstance(value, dict):
+        def walk(prefix: str, data: dict | list) -> None:
+            for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+                if not isinstance(value, (dict, list)):
+                    rows.append((f"{prefix}.{key}", value))
+                elif value:
                     walk(f"{prefix}.{key}", value)
                 else:
-                    rows.append((f"{prefix}.{key}", value))
+                    rows.append((f"{prefix}.{key}", json.dumps(value)))
 
         walk("config", self.config)
         walk("result", self.results)

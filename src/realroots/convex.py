@@ -49,8 +49,10 @@ closed form in the plane; averaged over the sphere in R^3; and otherwise
 averaged by `montecarlo.gaussian_mixed_volume`, which draws rows 0..n-3 and
 integrates the last two out: given the others, |det G| averages to the
 volume they span times the mixed area, over pi, of the last two covariances
-restricted to the plane they leave.  Every Q is checked to be finite and
-positive semidefinite by one rule (`_psd_eigh`).
+restricted to the plane they leave.  One map gives that product for the
+sphere rule's nodes and the estimator's samples alike, from Gram-Schmidt
+and trace formulas in O(n^3) each (`_complement_mixed_areas`).  Every Q is
+checked to be finite and positive semidefinite by one rule (`_psd_eigh`).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -673,8 +675,14 @@ def _mixed_area(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return _mixed_area_of_invariants(t, p)
 
 
+def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products of the columns of two (n, batch) arrays."""
+    return np.einsum("ib,ib->b", x, y)
+
+
 def _pair_products(rows: np.ndarray) -> np.ndarray:
-    """The products rows[a] * rows[b], a <= b, in combinations order."""
+    """The products rows[a] * rows[b], a <= b, in the order of
+    np.triu_indices."""
     size = len(rows)
     products = np.empty((size * (size + 1) // 2,) + rows.shape[1:])
     start = 0
@@ -684,50 +692,104 @@ def _pair_products(rows: np.ndarray) -> np.ndarray:
     return products
 
 
-def _complement_forms(q: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Three quadratic forms in the maximal minors m of n - 2 vectors in R^n,
-    D 2 C(Q, Q') D, D C(Q, Q) D and D C(Q', Q') D, as rows against the
-    products m_a m_b, a <= b, in combinations order.  C(X, Y) is the mixed
-    second compound on the column pairs that complement the minors' column
-    sets, C(X, Y)_(ij,kl) = (X_ik Y_jl + Y_ik X_jl - X_il Y_jk - Y_il X_jk) / 2,
-    and D the diagonal of signs that turns m into the coefficients w of the
-    Laplace expansion of the determinant of those vectors and two more, x
-    and y, along x and y: that determinant is x^T W y with
-    W_ij = w_ij = -W_ji, i < j.
+def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from batches of n - 2 vectors in R^n, an (n - 2, n, batch)
+    array `rows` whose row k holds vector k of each batch entry as a column,
+    to R V(A, C) = V(R A, R C): R is the volume they span and A, C the
+    covariances Q, Q' restricted to the plane they leave (in an orthonormal
+    basis), and the mixed area is homogeneous of degree 1/2 in each
+    covariance.  It overwrites `rows`.
 
-    Let R be the volume the vectors span and A, C the covariances Q, Q'
-    restricted to the plane they leave (in an orthonormal basis).  By
-    Cauchy-Binet the three forms are R^2 (tr A tr C - tr(AC)) and R^2 det A,
-    R^2 det C: the two invariants of the mixed area of R A and R C."""
+    Gram-Schmidt turns all vectors but the last into unit vectors b_k, and
+    R is the product of the residual norms, the last one's too.  With
+    P = I - sum_k b_k b_k^T, Q and Q' restricted to the range of P have
+
+        tr PQ = tr Q - sum_k b_k^T Q b_k,
+        tr(PQPQ') = tr(Q Q') - 2 sum_k (Q b_k)^T (Q' b_k)
+                    + sum_(k,l) (b_k^T Q b_l) (b_k^T Q' b_l),
+
+    and tr (PQ)^2 likewise with Q' = Q.  Removing the last residual v, with
+    N = |v|^2, too leaves A and C, and the two invariants of
+    `_mixed_area_of_invariants` are quadratic forms in v:
+
+        N (tr A tr C - tr(AC)) = N (tr PQ tr PQ' - tr(PQPQ'))
+            - tr PQ' v^T Q v - tr PQ v^T Q' v + v^T (Q Q' + Q' Q) v
+            - 2 sum_k (b_k^T Q v) (b_k^T Q' v),
+        N det A = N ((tr PQ)^2 - tr (PQ)^2) / 2 - tr PQ v^T Q v
+            + v^T Q^2 v - sum_k (b_k^T Q v)^2,
+
+    and N det C likewise, as det A = ((tr A)^2 - tr A^2) / 2.  So the last
+    vector is never divided by its norm, and six fixed quadratic forms in v
+    are one matmul against its coordinates' products.  Each unit vector
+    costs one matmul for its images under Q and Q' and one inner product
+    per earlier one, so the whole is O(n^3) per batch entry.  With no unit
+    vector (n = 3) the traces are numbers, and the weighted forms fold into
+    three.  A zero residual among the others makes R = 0; it stays a zero
+    vector, which removes nothing from the later ones."""
     n = len(q)
-    pairs = [tuple(sorted(set(range(n)) - set(c))) for c in combinations(range(n), n - 2)]
-    # rows n - 2 and n - 1 against columns i and j
-    signs = np.array([(-1.0) ** (i + j + 1) for i, j in pairs])
+    stacked = np.concatenate([q, q2])
+    upper = np.triu_indices(n)
+    forms = np.stack([(f + f.T - np.diag(np.diag(f)))[upper]
+                      for f in (np.eye(n), q, q2, q @ q2 + q2 @ q, q @ q, q2 @ q2)])
+    # tr Q and tr Q'; tr Q^2, tr(Q Q') and tr Q'^2
+    traces = np.array([np.trace(q), np.trace(q2)])
+    squares = np.array([[np.trace(x @ y) for y in (q, q2)] for x in (q, q2)])
 
-    def compound(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        c = np.array([[x[i, k] * y[j, l] + y[i, k] * x[j, l] - x[i, l] * y[j, k] - y[i, l] * x[j, k]
-                       for k, l in pairs] for i, j in pairs])
-        return 0.5 * signs[:, None] * c * signs[None, :]
+    def invariants(values, tr_a, tr_c, tr_aa, tr_ac, tr_cc) -> list:
+        # N (tr A tr C - tr(AC)), N det A and N det C, linear in the forms'
+        # values N, v^T Q v, v^T Q' v, v^T (Q Q' + Q' Q) v, v^T Q^2 v, v^T Q'^2 v
+        norm2, qv, q2v, mixed, qqv, q2q2v = values
+        return [(tr_a * tr_c - tr_ac) * norm2 - tr_c * qv - tr_a * q2v + mixed,
+                0.5 * (tr_a * tr_a - tr_aa) * norm2 - tr_a * qv + qqv,
+                0.5 * (tr_c * tr_c - tr_cc) * norm2 - tr_c * q2v + q2q2v]
 
-    upper = np.triu_indices(len(pairs))
-    return np.stack([(f + f.T - np.diag(np.diag(f)))[upper]
-                     for f in (2.0 * compound(q, q2), compound(q, q), compound(q2, q2))])
+    folded = np.array(invariants(forms, *traces, *squares[0], squares[1, 1]))
 
+    def areas(rows: np.ndarray) -> np.ndarray:
+        units, last = rows[:-1], rows[-1]
+        count, batch = len(units), rows.shape[2]
+        volume2 = 1.0  # squared residual norms of all vectors but the last
+        # b_k^T Q b_l and b_k^T Q' b_l; the sums over k of (Q b_k)^T (Q b_k),
+        # (Q b_k)^T (Q' b_k) and (Q' b_k)^T (Q' b_k)
+        cross = np.empty((2, count, count, batch))
+        grams = np.zeros((2, 2, batch))
+        for k, row in enumerate(units):
+            for unit in units[:k]:
+                row -= _column_dots(unit, row) * unit
+            norm2 = _column_dots(row, row)
+            volume2 = volume2 * norm2
+            row /= np.maximum(np.sqrt(norm2), _TINY)
+            images = (stacked @ row).reshape(2, n, batch)
+            cross[:, k, : k + 1] = np.einsum("lib,xib->xlb", units[: k + 1], images)
+            cross[:, :k, k] = cross[:, k, :k]
+            grams += np.einsum("xib,yib->xyb", images, images)
+        for unit in units:
+            last -= _column_dots(unit, last) * unit
+        if count:
+            # tr PQ and tr PQ'; tr (PQ)^2, tr(PQPQ') and tr (PQ')^2
+            tr_a, tr_c = traces[:, None] - np.einsum("xkkb->xb", cross)
+            grams *= -2.0
+            grams += np.einsum("xklb,yklb->xyb", cross, cross)
+            grams += squares[..., None]
+            t, det_a, det_c = invariants(forms @ _pair_products(last), tr_a, tr_c, *grams[0], grams[1, 1])
+            # b_k^T Q v and b_k^T Q' v
+            images = np.einsum("kib,xib->xkb", units, (stacked @ last).reshape(2, n, batch))
+            (qq, qq2), (_, q2q2) = np.einsum("xkb,ykb->xyb", images, images)
+            t -= 2.0 * qq2
+            det_a -= qq
+            det_c -= q2q2
+        else:
+            t, det_a, det_c = folded @ _pair_products(last)
+        p = np.sqrt(np.maximum(det_a, 0.0, out=det_a), out=det_a)
+        p *= np.sqrt(np.maximum(det_c, 0.0, out=det_c), out=det_c)
+        return np.sqrt(volume2) * _mixed_area_of_invariants(t, p)
 
-def _plane_mixed_areas(forms: np.ndarray, minors: np.ndarray) -> np.ndarray:
-    """R V(A, C) = V(R A, R C) for n - 2 vectors with maximal minors
-    `minors` (one column per batch of vectors) and `forms` from
-    `_complement_forms`: the mixed area is homogeneous of degree 1/2 in
-    each covariance."""
-    t, det_a, det_c = forms @ _pair_products(minors)
-    p = np.sqrt(np.maximum(det_a, 0.0, out=det_a), out=det_a)
-    p *= np.sqrt(np.maximum(det_c, 0.0, out=det_c), out=det_c)
-    return _mixed_area_of_invariants(t, p)
+    return areas
 
 
 def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> float:
     """Mean over u in S^2 of the mixed area of P_1 and P_2 restricted to the
-    plane u^perp: `_plane_mixed_areas` of the unit vector u, its own minors.
+    plane u^perp: `_complement_mixed_areas` of the unit vector u.
     Gauss-Legendre in cos(theta) times the trapezoid rule in phi, whose
     integrand is smooth and periodic.  The integrand is even in u and the
     Gauss-Legendre rule even in cos(theta), so `nodes` angles in [0, pi)
@@ -736,7 +798,7 @@ def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> f
     t, phi = np.meshgrid(t, np.pi * (np.arange(nodes) + 0.5) / nodes, indexing="ij")
     s = np.sqrt(1 - t * t)
     u = np.stack([s * np.cos(phi), s * np.sin(phi), t]).reshape(3, -1)
-    areas = _plane_mixed_areas(_complement_forms(p1, p2), u).reshape(nodes, nodes)
+    areas = _complement_mixed_areas(p1, p2)(u[None]).reshape(nodes, nodes)
     return 0.5 * float(w @ areas.mean(axis=1))
 
 
@@ -792,8 +854,10 @@ def mixed_volume_ellipsoids(
     distance of the reported 48 x 96 node rule from a 24 x 48 one), "mc"
     (the Gaussian determinant estimator; needs `seed`; it integrates two
     rows out through the planar mixed area, so at n <= 2 it returns the
-    closed form with stderr 0), and "auto", which picks the first of balls,
-    volume and sphere that applies, else mc.
+    closed form with stderr 0 from 0 samples), and "auto", which picks the
+    first of balls, volume and sphere that applies, else mc.  `samples` of
+    the result is the number of samples its value is averaged over (None
+    for the other methods).
     """
     if not ellipsoids:
         raise ValueError("mixed volume of an empty list")
@@ -840,7 +904,7 @@ def mixed_volume_ellipsoids(
         from .montecarlo import gaussian_mixed_volume
 
         stats = gaussian_mixed_volume([e.Q for e in ellipsoids], samples=samples, seed=seed)
-        return MixedVolumeResult(stats.value, stats.stderr, method, samples)
+        return MixedVolumeResult(stats.value, stats.stderr, method, stats.samples)
     raise ValueError(
         f"unknown method {method!r}; use auto, balls, volume, sphere or mc"
     )

@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .convex import _complement_forms, _mixed_area, _plane_mixed_areas, _psd_eigh
+from .convex import _complement_mixed_areas, _mixed_area, _psd_eigh
 from .torus import Support
 
 __all__ = [
@@ -60,7 +60,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MonteCarloStats:
-    """Sample mean with its standard error."""
+    """Sample mean with its standard error.  `samples` counts the samples
+    the mean is over: 0 for an exact value, which draws none."""
 
     value: float
     stderr: float
@@ -566,52 +567,32 @@ def count_common_zeros_torus2(
 _DET_BLOCK = 16384  # Gaussian matrices drawn and reduced together
 
 
-def _minor_terms(n: int, k: int) -> list[list[tuple[int, int, int]]]:
-    """Laplace expansion of the (k + 1)-minors of a (k + 1) x n matrix along
-    its last row: per (k + 1)-subset S of the columns, in combinations
-    order, the terms (index of S minus its c-th column among the k-subsets,
-    that column, (-1)^(k + c))."""
-    index = {cols: i for i, cols in enumerate(itertools.combinations(range(n), k))}
-    return [
-        [(index[cols[:c] + cols[c + 1 :]], col, (-1) ** (k + c)) for c, col in enumerate(cols)]
-        for cols in itertools.combinations(range(n), k + 1)
-    ]
-
-
 def gaussian_mixed_volume(
     covariances: Sequence[np.ndarray], samples: int = 100_000, seed: int = 0
 ) -> MonteCarloStats:
     """Mixed volume of ellipsoids from the expected absolute determinant of
     a Gaussian matrix G whose row i has covariance Q_i.
 
-    The last two rows are integrated out exactly.  Expanded along them,
-    det G = sum_(i<j) w_ij (x_i y_j - x_j y_i) = x^T W y, where x and y are
-    the last two rows, drawn from Q = Q_(n-2) and Q' = Q_(n-1), and w_ij is
-    the signed minor of rows 0..n-3 on the columns other than i and j.
-    Given those rows, W is the planar rotation R U J U^T: R is the volume
-    they span, U an orthonormal basis of the plane they leave and J the
-    quarter turn.  So det G = R det [U^T x, U^T y], a planar determinant of
-    rows drawn from A = U^T Q U and C = U^T Q' U, and
+    The last two rows are integrated out exactly.  Given rows 0..n-3, let
+    R be the volume they span and U an orthonormal basis of the plane they
+    leave.  Then det G = R det [U^T x, U^T y] for the last two rows x and y,
+    a planar determinant of rows drawn from A = U^T Q U and C = U^T Q' U,
+    Q = Q_(n-2) and Q' = Q_(n-1), and
 
-        E[|det G| | rows 0..n-3] = R V(A, C) / pi = V(R A, R C) / pi,
+        E[|det G| | rows 0..n-3] = R V(A, C) / pi,
 
-    V the mixed area of planar ellipses, homogeneous of degree 1/2 in each
-    covariance.  It depends on two invariants of R A and R C
-    (`convex._mixed_area_of_invariants`), R^2 (tr A tr C - tr(AC)) and
-    R^2 sqrt(det A) sqrt(det C), and by Cauchy-Binet R^2 det A =
-    w^T C(Q, Q) w and R^2 (tr A tr C - tr(AC)) = w^T 2 C(Q, Q') w, for the
-    mixed second compounds C of `convex._complement_forms`: three quadratic
-    forms in the minors (`convex._plane_mixed_areas`, which the sphere rule
-    reads as well).  The estimate averages this conditional mean: the
-    expectation of |det G| with no larger variance (Rao-Blackwellization),
-    from n(n-2) normals per sample.  At n = 3 the minors are the one drawn
-    row.  At n <= 2 nothing is drawn and the estimate is exact, with stderr
-    0: 2 sqrt(Q) at n = 1 and V(Q_0, Q_1) at n = 2.  Each block of
-    _DET_BLOCK samples is reduced at once: row i of every sample in the
-    block is one column of an (n, block) array, the minors are built one
-    row at a time by Laplace expansion, and the three forms are one matmul
-    against the minors' products.  The draws are one standard normal stream
-    in (sample, row, column) order, so the blocking does not change them.
+    V the mixed area of planar ellipses.  The estimate averages this
+    conditional mean: the expectation of |det G| with no larger variance
+    (Rao-Blackwellization), from n(n-2) normals per sample.
+    `convex._complement_mixed_areas` computes R V(A, C) from Gram-Schmidt
+    on the drawn rows and trace formulas for the two invariants of A and C
+    that V depends on, in O(n^3) per sample; the sphere rule reads its
+    areas from the same map.  At n <= 2 nothing is drawn and the estimate
+    is exact, with stderr 0 and `samples` 0: 2 sqrt(Q) at n = 1 and
+    V(Q_0, Q_1) at n = 2.  Each block of _DET_BLOCK samples is reduced at
+    once, row i of every sample in the block one column of an (n, block)
+    array.  The draws are one standard normal stream in (sample, row,
+    column) order, so the blocking does not change them.
     Every Q_i must be finite and positive semidefinite (as for
     `Ellipsoid`)."""
     _require_samples(samples)
@@ -624,24 +605,19 @@ def gaussian_mixed_volume(
         vals, vecs = _psd_eigh(q)
         factors.append(vecs * np.sqrt(vals))
     if n == 1:
-        return MonteCarloStats(2.0 * float(np.linalg.norm(factors[0])), 0.0, samples)
+        return MonteCarloStats(2.0 * float(np.linalg.norm(factors[0])), 0.0, 0)
     q, q2 = (f @ f.T for f in factors[-2:])
     if n == 2:
-        return MonteCarloStats(float(_mixed_area(q, q2)), 0.0, samples)
-    drawn = n - 2
-    forms = _complement_forms(q, q2)
-    expansions = [_minor_terms(n, k) for k in range(1, drawn)]
+        return MonteCarloStats(float(_mixed_area(q, q2)), 0.0, 0)
+    areas = _complement_mixed_areas(q, q2)
+    drawn = np.stack(factors[:-2])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     const = (2 * math.pi) ** (n / 2) / (math.pi * math.factorial(n))
     dets = np.empty(samples)
     for done in range(0, samples, _DET_BLOCK):
         block = min(_DET_BLOCK, samples - done)
-        z = rng.standard_normal((block, drawn, n))
-        minors = factors[0] @ z[:, 0, :].T
-        for i, terms in enumerate(expansions, start=1):
-            row = factors[i] @ z[:, i, :].T
-            minors = np.stack([sum(sign * minors[a] * row[col] for a, col, sign in term) for term in terms])
-        dets[done : done + block] = _plane_mixed_areas(forms, minors)
+        z = rng.standard_normal((block, n - 2, n))
+        dets[done : done + block] = areas(drawn @ z.transpose(1, 2, 0))
     # deviations from the first sample: a constant estimate has stderr 0
     shift = dets[0]
     dets -= shift

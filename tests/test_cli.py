@@ -1,6 +1,5 @@
 """Command-line interface: parsing, report formats, exit codes."""
 
-import ast
 import csv
 import io
 import json
@@ -383,7 +382,7 @@ RENDERED = {
             ("command", "torus"),
             ("formula", "mixed-volume-mean/bkk-count"),
             ("status", "ok"),
-            ("config.supports", ["segment:2"]),
+            ("config.supports.0", "segment:2"),
             ("config.method", "auto"),
             ("config.samples", 5),
             ("config.seed", 1),
@@ -407,7 +406,7 @@ RENDERED = {
             ("formula", "weyl-mean-count/lattice-route-count/calibrated-route-count"),
             ("status", "ok"),
             ("config.system", "A1"),
-            ("config.spectra", ["adjoint"]),
+            ("config.spectra.0", "adjoint"),
             ("config.route", "both"),
             ("config.metric_scale", None),
             ("result.root_system", "A1"),
@@ -416,7 +415,7 @@ RENDERED = {
             ("result.complex_exact", Fraction(16)),
             ("result.proportion", 2 * math.sqrt(6) / 9),
             ("result.route", "lattice"),
-            ("result.killing_radii", [1 / math.sqrt(3)]),
+            ("result.killing_radii.0", 1 / math.sqrt(3)),
             ("result.complex_count_calibrated", 16.0),
             ("result.route_difference", 0.0),
         ],
@@ -426,22 +425,22 @@ RENDERED = {
 
 def _assert_rendered(text, expected, none_text):
     """`text` is a csv or md cell: exact rationals and strings by their
-    exact string, floats (also inside a list) by value."""
+    exact string, floats by value."""
     if isinstance(expected, (Fraction, str, int)):
         assert text == str(expected)
     elif expected is None:
         assert text == none_text
-    elif isinstance(expected, float):
-        assert float(text) == pytest.approx(expected, rel=1e-12)
     else:
-        assert ast.literal_eval(text) == pytest.approx(expected, rel=1e-12)
+        assert float(text) == pytest.approx(expected, rel=1e-12)
 
 
 def _dotted(prefix, data):
-    """A json section's (key, value) pairs, nested objects under dotted keys."""
+    """A json section's (key, value) pairs, nested objects and arrays under
+    dotted keys."""
     rows = []
-    for key, value in data.items():
-        rows += _dotted(f"{prefix}.{key}", value) if isinstance(value, dict) else [(f"{prefix}.{key}", value)]
+    for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+        nested = isinstance(value, (dict, list))
+        rows += _dotted(f"{prefix}.{key}", value) if nested else [(f"{prefix}.{key}", value)]
     return rows
 
 
@@ -483,13 +482,19 @@ def test_reports_render_keys_in_order_and_rationals_as_exact_strings(capsys, cas
 def test_tables_flatten_nested_results_to_dotted_keys():
     report = Report(
         command="c", formula="f", config={"outer": {"inner": {"deep": None}}},
-        results={"plain": Fraction(1, 3), "nested": {"exact": Fraction(-5, 2), "value": 0.5}},
+        results={"plain": Fraction(1, 3), "nested": {"exact": Fraction(-5, 2), "value": 0.5},
+                 "listed": [Fraction(7, 4), {"name": "x"}, []], "empty": {}},
     )
     rows = [
         ("config.outer.inner.deep", "", "None"),
         ("result.plain", "1/3", "1/3"),
         ("result.nested.exact", "-5/2", "-5/2"),
         ("result.nested.value", "0.5", "0.5"),
+        # a list's entries by index; an empty list or dict by its JSON text
+        ("result.listed.0", "7/4", "7/4"),
+        ("result.listed.1.name", "x", "x"),
+        ("result.listed.2", "[]", "[]"),
+        ("result.empty", "{}", "{}"),
     ]
     table = list(csv.reader(io.StringIO(report.render("csv"))))
     assert table[4:] == [[key, cell] for key, cell, _ in rows]

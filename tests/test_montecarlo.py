@@ -674,7 +674,8 @@ def test_gaussian_volume_disc_pair():
     # with both rows integrated out, a planar mixed area is exact
     stats = gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=300_000, seed=2)
     assert stats.value == pytest.approx(math.pi, rel=1e-15)
-    assert stats.stderr == 0.0
+    # from no draws
+    assert (stats.stderr, stats.samples) == (0.0, 0)
 
 
 def test_gaussian_volume_reproducible():
@@ -701,6 +702,11 @@ GAUSSIAN_BODIES = {
     "point-first": [np.zeros((3, 3)), _spd(3, 10), _spd(3, 11)],
     "four-mixed": [_spd(4, 5), _spd(4, 6), np.eye(4), _spd(4, 7)],
     "four-equal": [_spd(4, 8)] * 4,
+    # from n = 4 on the first rows are Gram-Schmidt unit vectors; a zero
+    # residual among them makes every determinant 0
+    "point-second": [_spd(4, 12), np.zeros((4, 4)), _spd(4, 13), _spd(4, 14)],
+    "five-mixed": [_spd(5, 15), np.diag([1.0, 1.0, 0.0, 0.0, 1.0]), _spd(5, 16), _spd(5, 17), np.eye(5)],
+    "six-mixed": [_spd(6, seed) for seed in range(18, 24)],
 }
 
 
@@ -711,7 +717,8 @@ def test_gaussian_volume_matches_the_lapack_determinant_oracle(bodies, samples):
     # determinant's rounding differs
     got = gaussian_mixed_volume(bodies, samples=samples, seed=samples + len(bodies))
     want = gaussian_oracle.gaussian_mixed_volume(bodies, samples=samples, seed=samples + len(bodies))
-    assert got.samples == want.samples == samples
+    # in the plane and on the line nothing is drawn
+    assert got.samples == (samples if len(bodies) >= 3 else 0) and want.samples == samples
     assert got.value == pytest.approx(want.value, rel=1e-12)
     assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
 
@@ -805,7 +812,7 @@ def test_two_samples_give_a_finite_standard_error():
     for stats in (
         count_zeros_circle(segment_support(3), 2, seed=1),
         count_common_zeros_torus2(box_support(2, 1), 2, seed=1),
-        gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=2, seed=1),
+        gaussian_mixed_volume([np.eye(3)] * 3, samples=2, seed=1),
     ):
         assert stats.samples == 2
         assert math.isfinite(stats.value) and math.isfinite(stats.stderr)
