@@ -8,32 +8,36 @@ cell without a sign change holds none when the second-order Taylor lower
 bound on |f| stays positive.  The other cells are halved, all of a block at
 once.  On the 2-torus, a box counter written for n systems on [0,1)^n
 decides the boxes of a whole block of samples together, each box carrying
-the index of its sample: boxes are dropped by a first- or second-order
-exclusion bound as they are made, and the Krawczyk test (interval Jacobian
-= centre Jacobian +- a Hessian bound from sum |c| |lambda|^2 times the
-radius) certifies exactly one zero in a box or none.  The other boxes are
-split in 2^n.  F and its Jacobian are real matmuls of a box's exponential
-products e(<lambda, x>) with its sample's weights; the starting grid's
-products are computed once per block, and a child's are its parent's times
-a fixed unit shift per corner, so no `exp` runs below the grid.  The
-certified boxes of every level are polished by Newton together, and each
-zero is credited to the one half-open box that holds it.  A sample with
-cells or boxes still undecided after a fixed number of splits, with too
+the index of its sample, from a starting grid of 16 boxes per side per unit
+of the largest frequency coordinate: boxes are dropped by a first- or
+second-order exclusion bound as they are made, and the Krawczyk test
+(interval Jacobian = centre Jacobian +- a Hessian bound from sum |c|
+|lambda|_1^2 times the radius) certifies exactly one zero in a box or none.
+Every bound reads |<lambda, d>| <= |lambda|_1 r on a box of radius r.  The
+other boxes are split in 2^n.  F and its Jacobian are real matmuls of a
+box's exponential products e(<lambda, x>) with its sample's weights; the
+starting grid's products are computed once per block, and a child's are its
+parent's times a fixed unit shift per corner, so no `exp` runs below the
+grid.  The certified boxes of every level are polished by Newton together,
+and each zero is credited to the one half-open box that holds it.  A sample
+with cells or boxes still undecided after a fixed number of splits, with too
 many of them, or with a certified box whose polish does not settle, is
 discarded without touching the rest of its block: it is reported in
 `MonteCarloStats.discarded` and left out of the mean, and fewer than 2 kept
-samples raise ArithmeticError.  A Gaussian determinant estimator
-gives mixed volumes of ellipsoids where no closed form applies: it draws
-the first n - 2 rows and integrates the last two out through the planar
-mixed area, the closed form of `convex`.  So at n <= 2 it draws nothing
-and returns that closed form, and only from n = 3 on does it check the
-sphere rule by sampling.
+samples raise ArithmeticError.  A Gaussian determinant estimator gives mixed
+volumes of ellipsoids where no closed form applies: it draws the first n - 2
+rows and integrates the last two out through the planar mixed area, the
+closed form of `convex`.  So at n <= 2 it draws nothing and returns that
+closed form, and only from n = 3 on does it check the sphere rule by
+sampling.
 
 Everything runs in the calling thread and is deterministic given a seed.
 The circle counters draw their coefficients in blocks of 256 samples from
 one generator seeded by `seed`; the planar counter spawns one generator per
-sample from `seed`, so its sample i depends only on (seed, i), and decides
-its samples _SAMPLE_BLOCK at a time, so memory does not grow with `samples`.
+sample from `seed`, draws all of a sample's normals in one call, so its
+sample i depends only on (seed, i), and decides its samples _SAMPLE_BLOCK at
+a time.  The Gaussian estimator reduces its draws _DET_BLOCK at a time and
+keeps only pooled sums.  So no memory grows with `samples`.
 """
 
 from __future__ import annotations
@@ -78,15 +82,17 @@ def _require_samples(samples: int, minimum: int = 2) -> None:
 # coefficient sampling
 # ---------------------------------------------------------------------------
 
-def _coefficient_sampler(support: Support):
-    """A function (count, rng) -> rows of complex coefficients with conjugate
-    symmetry and unit variance per frequency, making sum a_lam
-    exp(2 pi i <lam, x>) real and stationary with the counting spectral
-    measure.  The zero frequency (if present) draws first, then one complex
-    value per (positive, mirror) pair; "positive" means lexicographically
-    larger than its negation."""
+def _coefficient_rows(support: Support):
+    """(lead, width, rows): rows(normals) turns standard normals (count x
+    width) into rows of complex coefficients with conjugate symmetry and
+    unit variance per frequency, making sum a_lam exp(2 pi i <lam, x>) real
+    and stationary with the counting spectral measure.  The first `lead`
+    columns (1 if the zero frequency is present, else 0) are its value, the
+    rest the (Re, Im) pairs of one complex value per (positive, mirror)
+    pair; "positive" means lexicographically larger than its negation."""
     index = {p: i for i, p in enumerate(support.points)}
     zero = index.get((0,) * support.dim)
+    lead = int(zero is not None)
     pos, neg = [], []
     for p, i in index.items():
         mirror = tuple(-c for c in p)
@@ -94,16 +100,29 @@ def _coefficient_sampler(support: Support):
             pos.append(i)
             neg.append(index[mirror])
 
-    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros((count, len(support)), dtype=complex)
-        if zero is not None:
-            out[:, zero] = rng.standard_normal(count)
+    def rows(normals: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(normals), len(support)), dtype=complex)
+        if lead:
+            out[:, zero] = normals[:, 0]
         if pos:
-            g = rng.standard_normal((count, len(pos), 2))
+            g = normals[:, lead:].reshape(len(normals), len(pos), 2)
             vals = (g[:, :, 0] + 1j * g[:, :, 1]) / math.sqrt(2.0)
             out[:, pos] = vals
             out[:, neg] = vals.conj()
         return out
+
+    return lead, lead + 2 * len(pos), rows
+
+
+def _coefficient_sampler(support: Support):
+    """A function (count, rng) -> `count` coefficient rows (see
+    _coefficient_rows).  A block draws the zero frequency's column first,
+    then the pairs, so one row (count 1) is its `width` normals in order."""
+    lead, width, rows = _coefficient_rows(support)
+
+    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
+        first = rng.standard_normal((count, lead))
+        return rows(np.hstack([first, rng.standard_normal((count, width - lead))]))
 
     return draw
 
@@ -286,7 +305,7 @@ def circle_zero_locations(support: Support, samples: int, seed: int) -> np.ndarr
 # torus in any dimension: exclusion and Krawczyk subdivision
 # ---------------------------------------------------------------------------
 
-_BOX_BASE = 16  # boxes per side of the starting grid
+_BOX_BASE = 16  # boxes per side of the starting grid per unit of the largest frequency
 _BOX_LEVELS = 16  # splits of an undecided box before its sample is discarded
 _BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
 _BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
@@ -401,6 +420,23 @@ def _inverse(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj / np.where(ok, det, 1.0)[:, None, None], ok
 
 
+def _row_bounds(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]) -> np.ndarray:
+    """(lip, hess, ef, ed) of the systems of `_certified_counts`, one
+    (4 x n) array per coefficient row.  A point off x by d, |d|_inf <= r,
+    has |<lam, d>| <= |lam|_1 r, so F_i moves by at most lip_i r, lip_i =
+    2 pi sum |c| |lam|_1; its Taylor remainder is at most hess_i r^2 / 2,
+    hess_i = (2 pi)^2 sum |c| |lam|_1^2; and row i of its Jacobian moves by
+    at most hess_i r in sum.  ef and ed are the rounding allowances of a
+    computed F_i and of one computed Jacobian entry."""
+    systems = list(zip(freqs, coeffs))
+    lip = np.stack([2 * np.pi * np.abs(c) @ np.abs(f).sum(axis=1) for f, c in systems], axis=1)
+    hess = np.stack(
+        [(2 * np.pi) ** 2 * np.abs(c) @ np.abs(f).sum(axis=1) ** 2 for f, c in systems], axis=1
+    )
+    ef = np.stack([_ROUNDING * np.abs(c).sum(axis=1) for _, c in systems], axis=1)
+    return np.stack([lip, hess, ef, _ROUNDING * lip], axis=1)
+
+
 def _certified_counts(
     freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
 ) -> list[int | None]:
@@ -411,42 +447,38 @@ def _certified_counts(
 
     The boxes of all rows are subdivided together, level by level; each box
     carries its row, kept sorted, and the row's bounds are gathered by it.
-    Each box is tested for exclusion as it is made: it is dropped where some
-    |F_i| is bounded away from 0 by a Lipschitz or second-order Taylor bound
-    around the centre (a box of radius r lies within sqrt(n) r of it, so the
-    Hessian term is (n / 2) r^2 sum |c| |2 pi lam|^2).  The products of the
-    starting grid are computed once for the whole block, and only the boxes
-    that survive keep theirs; a child's products are its parent's times a
-    shift (`_children`).  Boxes are made and tested _BOX_CHUNK at a time, so
-    memory stays near (live boxes x H).  On the surviving boxes, again
-    _BOX_CHUNK at a time, the Krawczyk operator K(X) of the box X blown up
-    by _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
-    +- a Hessian bound times sqrt(n) times the radius, holds every zero in
-    X: inside int X it certifies exactly one, disjoint from X none.  The
-    other boxes are split in 2^n.  A row with more than _BOX_CAP of them, or
-    with any left after _BOX_LEVELS splits, is dropped without touching the
-    others.  The certified boxes of every level are polished together at the
-    end, by _NEWTON_STEPS Newton steps from their first Krawczyk iterate,
-    and each credits its zero to its row only if its own half-open box holds
-    it, so a zero found by several boxes is counted once.  A row with a
-    certified box whose polish does not settle, or leaves the blown-up box,
-    is dropped too (it is not split further)."""
+    The starting grid has _BOX_BASE boxes per side per unit of the largest
+    |frequency coordinate|, as the circle's has 16 cells per unit of degree.
+    Each box is tested for exclusion as it is made: it is dropped where
+    some |F_i| is bounded away from 0 by the smaller of the Lipschitz bound
+    lip_i r and the second-order Taylor bound around the centre, whose
+    remainder is hess_i r^2 / 2 (`_row_bounds`, r the radius).  The
+    products of the starting grid are computed once for the whole block,
+    and only the boxes that survive keep theirs; a child's products are its
+    parent's times a shift (`_children`).  Boxes are made and tested
+    _BOX_CHUNK at a time, so memory stays near (live boxes x H).  On the
+    surviving boxes, again _BOX_CHUNK at a time, the Krawczyk operator K(X)
+    of the box X blown up by _BOX_INFLATE to radius w, with the interval
+    Jacobian taken as the centre Jacobian +- a bound whose row i sums to
+    hess_i w, holds every zero in X: inside int X it certifies exactly one,
+    disjoint from X none.  The other boxes are split in 2^n.  A row with
+    more than _BOX_CAP of them, or with any left after _BOX_LEVELS splits,
+    is dropped without touching the others.  The certified boxes of every
+    level are polished together at the end, by _NEWTON_STEPS Newton steps
+    from their first Krawczyk iterate, and each credits its zero to its row
+    only if its own half-open box holds it, so a zero found by several boxes
+    is counted once.  A row with a certified box whose polish does not
+    settle, or leaves the blown-up box, is dropped too (it is not split
+    further)."""
     n, size = len(freqs), len(coeffs[0])
-    systems = list(zip(freqs, coeffs))
-    lip = np.stack([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in systems], axis=1)
-    hess = np.stack(
-        [(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in systems], axis=1
-    )
-    ef = np.stack([_ROUNDING * np.abs(c).sum(axis=1) for _, c in systems], axis=1)
-    ed = _ROUNDING * lip
-    per_row = np.stack([lip, hess, ef, ed], axis=1)
+    per_row = _row_bounds(freqs, coeffs)
     half, jet = _product_jet(freqs, coeffs)
 
     def live(val, jac, rows, radius):
         lip, hess, ef, ed = np.take(per_row, rows, axis=0).transpose(1, 0, 2)
         reach = np.minimum(
-            lip * math.sqrt(n) * radius,
-            (_row_sums(np.abs(jac)) + n * ed) * radius + hess * (n / 2) * radius * radius,
+            lip * radius,
+            (_row_sums(np.abs(jac)) + n * ed) * radius + hess / 2 * radius * radius,
         )
         return (np.abs(val) <= reach + ef).all(axis=1)
 
@@ -458,8 +490,8 @@ def _certified_counts(
         inv, ok = _inverse(jac)
         step = np.einsum("nab,nb->na", inv, val)
         spread = _row_sums(np.abs(np.eye(n) - inv @ jac))
-        bound = hess * math.sqrt(n) * wide + ed
-        spread += n * np.einsum("nab,nb->na", np.abs(inv), bound)
+        # row i of J(X) - J(x) sums to at most hess_i wide, plus n roundings
+        spread += np.einsum("nab,nb->na", np.abs(inv), hess * wide + n * ed)
         k_radius = np.einsum("nab,nb->na", np.abs(inv), ef) + wide * spread
         free = (np.abs(step) > wide + k_radius).any(axis=1)
         ok &= (np.abs(step) + k_radius < wide).all(axis=1)
@@ -486,10 +518,11 @@ def _certified_counts(
             mine = live(val, jac, child_rows, radius)
             yield child_centers[mine], child_rows[mine], child_products[mine], val[mine], jac[mine]
 
-    axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
+    side = _BOX_BASE * max(1, int(np.abs(half).max()))
+    axis = (np.arange(side) + 0.5) / side
     grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
     grid_products = _exponentials(grid, half)
-    radius = 0.5 / _BOX_BASE
+    radius = 0.5 / side
     centers, rows, products, val, jac = (np.concatenate(c) for c in zip(*grid_survivors(radius)))
     kept = np.ones(size, dtype=bool)
     certified = []
@@ -548,14 +581,16 @@ def count_common_zeros_torus2(
     for s in supports:
         s.require_symmetric()
     freqs = [np.array(s.points, dtype=float) for s in supports]
-    draws = [_coefficient_sampler(s) for s in supports]
+    _, widths, builds = zip(*map(_coefficient_rows, supports))
     root = np.random.SeedSequence(seed)
     results: list[int | None] = []
     while len(results) < samples:
         # spawning in blocks gives the same children as spawning all at once
         rngs = map(np.random.default_rng, root.spawn(min(_SAMPLE_BLOCK, samples - len(results))))
-        rows = [[draw(1, rng) for draw in draws] for rng in rngs]
-        results += _certified_counts(freqs, [np.vstack(c) for c in zip(*rows)])
+        # a sample's normals for both equations, in the order of one row each
+        normals = np.stack([rng.standard_normal(sum(widths)) for rng in rngs])
+        parts = np.split(normals, [widths[0]], axis=1)
+        results += _certified_counts(freqs, [rows(part) for rows, part in zip(builds, parts)])
     counts = np.array([r for r in results if r is not None], dtype=float)
     return _kept_stats(counts, samples - counts.size)
 
@@ -591,10 +626,11 @@ def gaussian_mixed_volume(
     is exact, with stderr 0 and `samples` 0: 2 sqrt(Q) at n = 1 and
     V(Q_0, Q_1) at n = 2.  Each block of _DET_BLOCK samples is reduced at
     once, row i of every sample in the block one column of an (n, block)
-    array.  The draws are one standard normal stream in (sample, row,
-    column) order, so the blocking does not change them.
-    Every Q_i must be finite and positive semidefinite (as for
-    `Ellipsoid`)."""
+    array, and only its mean and squared deviations are kept, pooled with
+    the blocks before it, so memory does not grow with `samples`.  The draws
+    are one standard normal stream in (sample, row, column) order, so the
+    blocking does not change them.  Every Q_i must be finite and positive
+    semidefinite (as for `Ellipsoid`)."""
     _require_samples(samples)
     qs = [np.asarray(q, dtype=float) for q in covariances]
     n = len(qs)
@@ -613,16 +649,24 @@ def gaussian_mixed_volume(
     drawn = np.stack(factors[:-2])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     const = (2 * math.pi) ** (n / 2) / (math.pi * math.factorial(n))
-    dets = np.empty(samples)
+    # mean and squared deviations of the deviations from the first sample,
+    # so a constant estimate has stderr 0
+    shift = mean = square = 0.0
     for done in range(0, samples, _DET_BLOCK):
         block = min(_DET_BLOCK, samples - done)
         z = rng.standard_normal((block, n - 2, n))
-        dets[done : done + block] = areas(drawn @ z.transpose(1, 2, 0))
-    # deviations from the first sample: a constant estimate has stderr 0
-    shift = dets[0]
-    dets -= shift
+        dets = areas(drawn @ z.transpose(1, 2, 0))
+        if done == 0:
+            shift = dets[0]
+        dets -= shift
+        part = dets.mean()
+        dets -= part
+        # pooled with the blocks before (Chan, Golub and LeVeque, 1979)
+        gap, total = part - mean, done + block
+        mean += gap * block / total
+        square += float(dets @ dets) + gap * gap * done * block / total
     return MonteCarloStats(
-        value=const * float(shift + dets.mean()),
-        stderr=const * float(dets.std(ddof=1) / math.sqrt(samples)),
+        value=const * float(shift + mean),
+        stderr=const * math.sqrt(square / (samples - 1) / samples),
         samples=samples,
     )

@@ -21,7 +21,7 @@ from realroots.montecarlo import (
     gaussian_mixed_volume,
 )
 from realroots.rootsystems import root_system
-from realroots.torus import box_support, complex_count_torus, mean_real_count_torus, segment_support
+from realroots.torus import Support, box_support, complex_count_torus, mean_real_count_torus, segment_support
 import gaussian_oracle
 import torus2_oracle
 from circle_oracle import unimodular_root_counts
@@ -373,14 +373,18 @@ def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
     assert stats.value == pytest.approx(np.mean(kept), abs=1e-12)
 
 
-@pytest.mark.parametrize("steps,seed,kept_with_zeros", [(1, 1, 0), (2, 10, 1)])
+@pytest.mark.parametrize("steps,seed,kept_with_zeros", [(1, 1, 0), (3, 17, 61)])
 def test_a_zero_whose_polish_does_not_settle_discards_only_its_sample(
     monkeypatch, steps, seed, kept_with_zeros
 ):
     # the certified boxes of a block are polished together at the end; with
     # too few Newton steps a polish does not settle within _SNAP, and the
     # sample that certified the box is discarded while the others of the
-    # block keep the count the per-sample oracle (six steps) gives them
+    # block keep the count the per-sample oracle (six steps) gives them.
+    # With one step every sample with zeros is dropped; with three, on seed
+    # 17, one is dropped beside 61 kept with zeros.  (Two steps keep none
+    # with zeros on seeds 0..39: boxes are certified up to two levels above
+    # the zero's own, so a polish starts too far from it to settle in two.)
     support = box_support(2, 1)
     want = torus2_oracle.oracle_counts(support, support, 64, seed)
     monkeypatch.setattr(montecarlo, "_NEWTON_STEPS", steps)
@@ -455,7 +459,8 @@ def test_zeros_off_a_box_centre_in_three_dimensions_are_all_counted():
     # x - y, y - z in {0, 1/2} (4 ways), x + y + z = 3a +- 3 rho (2 planes), and
     # three points on each line: 24 zeros, two of them at (a +- rho)(1, 1, 1)
     # near the centre of a starting box.  The Taylor remainder there needs
-    # the factor n / 2 = 3 / 2; with the planar 1 the count read 16.
+    # hess from |lam|_1^2 = 9 = n |lam|_2^2; with the planar remainder,
+    # from |lam|_2^2 r^2, the count reads 16.
     a, rho = 5.5 / 16, 0.9 / 32
     freqs = [
         np.array([[1, 1, 1], [-1, -1, -1], [0, 0, 0]], dtype=float),
@@ -474,9 +479,9 @@ def test_zeros_off_a_box_centre_in_three_dimensions_are_all_counted():
 def test_a_zero_decided_by_the_lipschitz_bound_in_three_dimensions_is_counted():
     # sin 2 pi (x + y + z - 3a - 3 rho), sin 2 pi (x - y), sin 2 pi (y - z): 24
     # zeros, one at (a + rho)(1, 1, 1) off the centre of a starting box where
-    # the gradient of F_1 is nonzero, so the Lipschitz reach, whose radius
-    # factor is sqrt(n) = sqrt(3), decides that box; with the planar sqrt(2)
-    # the count read 8
+    # the gradient of F_1 is nonzero, so the Lipschitz reach, from
+    # |lam|_1 = 3 = sqrt(n) |lam|_2, decides that box; with the planar
+    # sqrt(2) |lam|_2 the count reads 16
     a, rho = 5.5 / 16, 0.9 / 32
     freqs = [
         np.array([[1, 1, 1], [-1, -1, -1]], dtype=float),
@@ -514,19 +519,68 @@ def axis_equation(axis, terms):
     return freqs, np.array([[c for _, c in terms]])
 
 
+def pairs(*points):
+    """The support {+-p} of the given frequencies."""
+    return Support([q for p in points for q in (p, tuple(-c for c in p))])
+
+
+ROW_BOUND_SYSTEMS = {
+    "box-2-2": [box_support(2, 2)] * 2,
+    # one frequency pair each: the l1 bounds are nearly attained at a corner
+    "diagonal": [pairs((1, 1)), pairs((2, -2))],
+    "skew": [pairs((1, 1), (2, -1)), pairs((2, -1))],
+    "box-3-1": [box_support(3, 1)] * 3,
+    "skew-3d": [pairs((1, 1, 1)), pairs((2, -1, 1), (0, 1, -1)), box_support(3, 1)],
+}
+
+
+@pytest.mark.parametrize("supports", ROW_BOUND_SYSTEMS.values(), ids=ROW_BOUND_SYSTEMS.keys())
+def test_the_row_bounds_hold_over_a_blown_up_box(supports):
+    # at points c + d of a starting box blown up to radius w, |d|_inf <= w:
+    # |F_i(c + d) - F_i(c)| <= lip_i w, the Taylor remainder of F_i is at
+    # most hess_i w^2 / 2, and row i of the Jacobian moves by at most
+    # hess_i w in sum.  F and J are evaluated here term by term.
+    n = len(supports)
+    freqs, coeffs = random_systems(supports, 8, seed=7 * n + len(supports[0]))
+    lip, hess, _, _ = montecarlo._row_bounds(freqs, coeffs).transpose(1, 0, 2)
+    side = montecarlo._BOX_BASE * int(max(np.abs(f).max() for f in freqs))
+    w = montecarlo._BOX_INFLATE * 0.5 / side
+    rng = np.random.default_rng(18)
+    centers = rng.random((512, n))
+    # box corners, where |<lam, d>| = |lam|_1 w for some sign pattern, and inner points
+    d = w * np.vstack([rng.choice([-1.0, 1.0], (512, n)), rng.uniform(-1, 1, (512, n))])
+    centers = np.vstack([centers, centers])
+    worst = np.zeros(3)
+    for i, (f, c) in enumerate(zip(freqs, coeffs)):
+        def jet(x):
+            e = np.exp(2j * math.pi * x @ f.T)
+            return (e @ c.T).real, np.einsum("pk,sk,kj->psj", e, c, 2j * math.pi * f).real
+
+        val, grad = jet(centers)
+        moved_val, moved_grad = jet(centers + d)
+        move = np.abs(moved_val - val)
+        remainder = np.abs(moved_val - val - np.einsum("psj,pj->ps", grad, d))
+        row = np.abs(moved_grad - grad).sum(axis=2)
+        for k, (got, bound) in enumerate(
+            [(move, lip[:, i] * w), (remainder, hess[:, i] * w * w / 2), (row, hess[:, i] * w)]
+        ):
+            worst[k] = max(worst[k], (got / bound).max())
+    assert (worst <= 1 + 1e-9).all(), worst
+
+
 def test_the_exclusion_keeps_a_box_within_its_three_rounding_allowances(monkeypatch):
     # F_1 = cos 2 pi (x - c_x) + kappa, sin 2 pi (y - c_y), sin 2 pi (z - c_z)
     # at the centre c of a starting box, where F_1's Jacobian row is 0: its
-    # Taylor reach is n ed r + (n / 2) hess r^2, n ed r the rounding
-    # allowance of the n entries of that row.  kappa puts |F_1(c)| - ef half
-    # an ed r below the reach, so the box is kept and split; with the planar
-    # 2 ed it is half an ed r above, and the box was dropped.  No count can
-    # show this: ed is far above the rounding it covers.
+    # Taylor reach is n ed r + hess r^2 / 2, n ed r the rounding allowance
+    # of the n entries of that row.  kappa puts |F_1(c)| - ef half an ed r
+    # below the reach, so the box is kept and split; with the planar 2 ed
+    # it is half an ed r above, and the box is dropped.  No count can show
+    # this: ed is far above the rounding it covers.
     c = np.array([5.5, 9.5, 12.5]) / montecarlo._BOX_BASE
     r, n, rounding = 0.5 / montecarlo._BOX_BASE, 3, montecarlo._ROUNDING
     lip, hess = 2 * math.pi, (2 * math.pi) ** 2
     ed = rounding * lip
-    reach = min(lip * math.sqrt(n) * r, n * ed * r + hess * n / 2 * r * r)
+    reach = min(lip * r, n * ed * r + hess / 2 * r * r)
     # F_1(c) = 1 + kappa = reach + ef - ed r / 2, ef = rounding (1 + |kappa|), kappa < 0
     value = (reach + 2 * rounding - ed * r / 2) / (1 + rounding)
     e = [np.exp(-2j * math.pi * t) for t in c]
@@ -539,33 +593,41 @@ def test_the_exclusion_keeps_a_box_within_its_three_rounding_allowances(monkeypa
 
 
 def test_the_krawczyk_radius_bounds_the_jacobian_over_the_whole_box_in_three_dimensions(monkeypatch):
-    # F_a = sin theta_a - 2 eps sin^2 theta_a, theta_a = 2 pi (x_a - t_a),
-    # vanishes only at x_a = t_a and t_a + 1/2, with J = +-2 pi I there and
-    # hess = (2 pi)^2 (1 + 4 eps) per row.  The eight zeros sit at the
-    # centres of level-1 boxes, whose Krawczyk step is 0, so a box is
-    # certified when its radius wide n |J^-1| (hess sqrt(n) wide + ed) is
-    # below wide = 2 r:
-    #   6 pi sqrt(3) (1 + 4 eps) wide = 1.12 at level 1 and 0.56 at level 2.
-    # So each zero's level-1 box is split and its child certified.  With
-    # the planar sqrt(2) in the Jacobian bound the factor read 0.92, and with
-    # the planar 2 in `spread += n * ...` 0.75: certified one level early.
-    # Both planar bounds still hold in 3-D, so the count cannot show them.
-    eps = 1 / 40
-    t = np.array([5.5, 9.5, 20.5]) / (2 * montecarlo._BOX_BASE)
-    wide = 2 * 0.25 / montecarlo._BOX_BASE
-    assert 6 * math.pi * math.sqrt(3) * (1 + 4 * eps) * wide == pytest.approx(1.122, abs=1e-3)
+    # F_a = sin theta_a (1 + eps sin^2 theta_a), theta_a = 2 pi (x_a - t_a),
+    # = (1 + 3 eps / 4) sin theta_a - (eps / 4) sin 3 theta_a, vanishes only
+    # at x_a = t_a and t_a + 1/2, with J = +-2 pi I there and hess =
+    # (2 pi)^2 (1 + 3 eps) per row.  Frequency 3 makes the starting grid 48
+    # boxes per side, and the eight zeros sit at the centres of level-1
+    # boxes, a quarter of the blown-up width w off the centres of their
+    # starting boxes.  The sound Krawczyk spread is |J^-1| hess w =
+    #   2 pi (1 + 3 eps) w = 0.80 at level 0 and 0.40 at level 1,
+    # so each zero's starting box is split (0.80 + 1/4 > 1) and its level-1
+    # child, whose Krawczyk step is 0, certified.  A spread below 0.92 of
+    # the sound one certifies the starting box; the planar 2 sqrt(2) or the
+    # n sqrt(n) = 5.2 the bound read before splits the child too.
+    eps, side = 1.7, 3 * montecarlo._BOX_BASE
+    t = np.array([5.5, 9.5, 20.5]) / (2 * side)
+    r = 0.5 / side
+    assert 2 * math.pi * (1 + 3 * eps) * 2 * r == pytest.approx(0.798, abs=1e-3)
     equations = []
     for a, shift in enumerate(t):
         e = np.exp(-2j * math.pi * shift)
-        terms = [(1, -0.5j * e), (-1, 0.5j * e.conjugate()), (2, eps / 2 * e * e),
-                 (-2, eps / 2 * (e * e).conjugate()), (0, -eps)]
+        amp = 1 + 3 * eps / 4
+        terms = [(1, -0.5j * amp * e), (-1, 0.5j * amp * e.conjugate()),
+                 (3, 0.5j * eps / 4 * e**3), (-3, -0.5j * eps / 4 * (e**3).conjugate())]
         equations.append(axis_equation(a, terms))
     freqs, coeffs = zip(*equations)
     split = split_boxes(monkeypatch)
     assert montecarlo._certified_counts(list(freqs), list(coeffs)) == [8]
-    zeros = {tuple(float(x) for x in z) for z in itertools.product(*((s, (s + 0.5) % 1) for s in t))}
-    assert zeros <= set(split.get(wide / 4, []))
-    assert not zeros & set(split.get(wide / 8, []))
+
+    def cells(points):
+        # centres on the lattice of level-1 centres, r / 2 apart: 1/48 is not dyadic
+        return {tuple(int(i) for i in np.round(np.array(p) * 2 / r)) for p in points}
+
+    zeros = list(itertools.product(*((s, (s + 0.5) % 1) for s in t)))
+    parents = [(np.floor(np.array(z) * side) + 0.5) / side for z in zeros]
+    assert len(cells(parents)) == 8 and cells(parents) == cells(split.get(r / 2, []))
+    assert not cells(zeros) & cells(split.get(r / 4, []))
 
 
 def test_three_torus_box_counts_match_the_kac_rice_mean():
@@ -752,6 +814,16 @@ def test_gaussian_volume_has_a_smaller_error_than_the_one_row_estimator(bodies):
         assert got.stderr < one_row.stderr
     else:
         assert got.value == got.stderr == 0.0
+
+
+def test_gaussian_volume_memory_does_not_grow_with_samples():
+    # each block of draws is reduced to its pooled mean and squares, so ten
+    # times the samples peak where one block does (one double per sample
+    # kept to the end added 1.2 MB at n = 3)
+    bodies, block = GAUSSIAN_BODIES["flat-and-two"], montecarlo._DET_BLOCK
+    one = traced_peak(lambda: gaussian_mixed_volume(bodies, samples=block, seed=1))
+    ten = traced_peak(lambda: gaussian_mixed_volume(bodies, samples=10 * block, seed=1))
+    assert ten <= 1.1 * one
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The per-sample 2-torus counter that `realroots.montecarlo` ran before it
 subdivided the boxes of a whole block of samples at once: a test oracle,
-kept verbatim.
+kept as it was but for its bounds and starting grid, which follow the
+library's (the l1 radius |lam|_1 r and the degree-scaled grid).
 
 It evaluates F and its Jacobian by one complex `exp` per point and frequency
 (`_pair_jet`) and certifies one sample at a time.  The certificate constants
@@ -13,14 +14,12 @@ share the library's Leibniz adjugate.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from realroots.montecarlo import _coefficient_sampler
 
 _ROUNDING = 1e-12
-_BOX_BASE = 16  # boxes per side of the starting grid
+_BOX_BASE = 16  # boxes per side of the starting grid per unit of the largest frequency
 _BOX_LEVELS = 16  # quarterings of an undecided box before its sample is discarded
 _BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
 _BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
@@ -59,32 +58,35 @@ def _certified_sample_count(
     """Count the common zeros of one sampled pair on [0,1)^2, or None if the
     subdivision cannot certify them (the caller discards the sample).
 
-    Each level first drops the boxes where some |F_i| is bounded away from 0
-    by a Lipschitz or second-order Taylor bound around the centre.  On the
-    others, the Krawczyk operator K(X) of the box X blown up by
+    The starting grid has _BOX_BASE boxes per side per unit of the largest
+    |frequency coordinate|.  Each level first drops the boxes where some
+    |F_i| is bounded away from 0 by a Lipschitz or second-order Taylor bound
+    around the centre, both from |<lam, d>| <= |lam|_1 r on a box of radius
+    r.  On the others, the Krawczyk operator K(X) of the box X blown up by
     _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
-    +- a Hessian bound times the radius, holds every zero in X: inside int X
-    it certifies exactly one, disjoint from X none.  Newton polishes a
-    certified zero and the box credits it only if its own half-open box
-    holds it, so a zero found by several boxes is counted once.  The
-    remaining boxes are quartered."""
+    +- a bound whose row i sums to hess_i times the radius, holds every
+    zero in X: inside int X it certifies exactly one, disjoint from X none.
+    Newton polishes a certified zero and the box credits it only if its own
+    half-open box holds it, so a zero found by several boxes is counted
+    once.  The remaining boxes are quartered."""
     pairs = ((f1, c1), (f2, c2))
-    lip = np.array([2 * np.pi * np.abs(c) @ np.linalg.norm(f, axis=1) for f, c in pairs])
-    hess = np.array([(2 * np.pi) ** 2 * np.abs(c) @ (f * f).sum(axis=1) for f, c in pairs])
+    lip = np.array([2 * np.pi * np.abs(c) @ np.abs(f).sum(axis=1) for f, c in pairs])
+    hess = np.array([(2 * np.pi) ** 2 * np.abs(c) @ np.abs(f).sum(axis=1) ** 2 for f, c in pairs])
     ef = np.array([_ROUNDING * np.abs(c).sum() for _, c in pairs])
     ed = _ROUNDING * lip
     jet = _pair_jet(f1, c1, f2, c2)
 
-    axis = (np.arange(_BOX_BASE) + 0.5) / _BOX_BASE
+    side = _BOX_BASE * max(1, int(np.abs(np.vstack([f1, f2])).max()))
+    axis = (np.arange(side) + 0.5) / side
     centers = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    radius = 0.5 / _BOX_BASE
+    radius = 0.5 / side
     offsets = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     count = 0
     for _ in range(_BOX_LEVELS + 1):
         val, jac = jet(centers)
         reach = np.minimum(
-            lip * math.sqrt(2.0) * radius,
-            (np.abs(jac).sum(axis=2) + 2 * ed) * radius + hess * radius * radius,
+            lip * radius,
+            (np.abs(jac).sum(axis=2) + 2 * ed) * radius + hess / 2 * radius * radius,
         )
         live = (np.abs(val) <= reach + ef).all(axis=1)
         centers, val, jac = centers[live], val[live], jac[live]
@@ -93,7 +95,7 @@ def _certified_sample_count(
         inv, ok = _inverse2(jac)
         step = np.einsum("nab,nb->na", inv, val)
         spread = np.abs(np.eye(2) - inv @ jac).sum(axis=2)
-        spread += 2 * np.abs(inv) @ (hess * math.sqrt(2.0) * wide + ed)
+        spread += np.abs(inv) @ (hess * wide + 2 * ed)
         k_radius = np.abs(inv) @ ef + wide * spread
         free = (np.abs(step) > wide + k_radius).any(axis=1)
         ok &= (np.abs(step) + k_radius < wide).all(axis=1)
