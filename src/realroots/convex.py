@@ -44,14 +44,16 @@ Mixed volumes of ellipsoids rest on V = (2 pi)^(n/2)/n! E|det G|, row i of G
 drawn from N(0, Q_i) (Kabluchko and Zaporozhets, "Random determinants, mixed
 volumes of ellipsoids, and zeros of Gaussian random fields").  One kernel
 gives the planar mixed area from two invariants of the pair, s_1^2 + s_2^2
-and s_1 s_2, by an AGM that stops once every entry has converged.  It is the
-closed form in the plane; averaged over the sphere in R^3; and otherwise
-averaged by `montecarlo.gaussian_mixed_volume`, which draws rows 0..n-3 and
+and s_1 s_2, by an AGM that runs, on every entry, the steps its smallest
+ratio needs.  It is the closed form in the plane; averaged over the sphere
+in R^3; and otherwise averaged by `montecarlo.gaussian_mixed_volume`, which draws rows 0..n-3 and
 integrates the last two out: given the others, |det G| averages to the
 volume they span times the mixed area, over pi, of the last two covariances
 restricted to the plane they leave.  One map gives that product for the
 sphere rule's nodes and the estimator's samples alike, from Gram-Schmidt
-and trace formulas in O(n^3) each (`_complement_mixed_areas`).  Every Q is
+and trace formulas in O(n^3) each (`_complement_mixed_areas`); at n = 3,
+where one row is drawn, its covariance factor is folded into three quadratic
+forms in the draws.  Every Q is
 checked to be finite and positive semidefinite by one rule (`_psd_eigh`).
 """
 
@@ -578,9 +580,12 @@ class Ellipsoid:
         return unit_ball_volume(self.dim) * float(np.sqrt(np.prod(self._eigvals)))
 
     def ball_radius(self) -> float | None:
-        """Radius if this is a ball (Q = r^2 I), else None."""
+        """Radius r if this is a ball, every entry of Q - r^2 I at most
+        1e-9 max(1, r^2) in absolute value, with r^2 = tr Q / n; else None."""
         r2 = float(np.trace(self.Q)) / self.dim
-        if np.allclose(self.Q, r2 * np.eye(self.dim), atol=1e-9 * max(1.0, abs(r2))):
+        gap = self.Q.copy()
+        gap.flat[:: self.dim + 1] -= r2
+        if np.abs(gap).max() <= 1e-9 * max(1.0, abs(r2)):
             return math.sqrt(max(0.0, r2))
         return None
 
@@ -624,6 +629,20 @@ _AGM_TOL = 2.0**-26
 _TINY = np.finfo(float).tiny
 
 
+def _agm_steps(b: float) -> int:
+    """Number of steps the AGM of 1 and b in (0, 1] takes until c_k <=
+    _AGM_TOL a_k, at most _AGM_STEPS: the loop of `_mixed_area_of_invariants`
+    on one entry, in the same double operations."""
+    a = 1.0
+    for step in range(1, _AGM_STEPS):
+        c = (a - b) * 0.5
+        b = math.sqrt(b * a)
+        a -= c
+        if c <= _AGM_TOL * a:
+            return step
+    return _AGM_STEPS
+
+
 def _mixed_area_of_invariants(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Mixed area V(E_1, E_2) of planar ellipses from the two invariants of
     M = Q_1^(1/2) J Q_2^(1/2), J the quarter turn, that it depends on:
@@ -638,28 +657,51 @@ def _mixed_area_of_invariants(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     c_n = (a_(n-1) - b_(n-1)) / 2 in the AGM steps.  Its first step needs
     only t and p: a_1 = (s_1 + s_2) / 2 = sqrt(t + 2 p) / 2, b_1 =
     sqrt(s_1 s_2) = sqrt(p), and the sum's first two terms leave a_1^2.
-    V = 2 s_1 = 4 a_1 when p = 0.  Batched over the shape of t and p."""
-    a1, b1 = 0.5 * np.sqrt(np.maximum(t + 2.0 * p, 0.0)), np.sqrt(p)
+    V = 2 s_1 = 4 a_1 when p = 0.  The AGM runs on the ratio b_1 / a_1 from
+    a = 1, so its first step takes a as the number 1.  The smaller the
+    ratio, the slower it converges, so every entry runs the steps that the
+    smallest ratio above 0 needs (`_agm_steps`), with no reduction in the
+    loop.
+    Batched over the shape of t and p, arrays of at least one dimension
+    that it overwrites."""
+    c = np.multiply(p, 2.0)
+    a1 = np.add(t, c, out=t)
+    np.maximum(a1, 0.0, out=a1)
+    np.sqrt(a1, out=a1)
+    a1 *= 0.5
+    b = np.sqrt(p, out=p)
     # b_1 / a_1 in [0, 1], as b_1 <= a_1 up to rounding; 0 for a point, a
     # segment or t = 0, with no 0 / 0
-    ratio = b1 / np.maximum(np.maximum(a1, b1), _TINY)
-    flat = ratio == 0
-    b = np.where(flat, 1.0, ratio)  # no AGM(1, 0) = 0
-    a, total, weight = np.ones_like(b), np.ones_like(b), 2.0
-    for _ in range(_AGM_STEPS):
-        c = a - b
+    np.maximum(a1, b, out=c)
+    np.maximum(c, _TINY, out=c)
+    b /= c
+    flat = b == 0
+    np.copyto(b, 1.0, where=flat)  # no AGM(1, 0) = 0
+    steps = _agm_steps(float(b.min(initial=1.0)))
+    # the first step, from a = 1
+    np.subtract(1.0, b, out=c)
+    c *= 0.5
+    np.sqrt(b, out=b)
+    a = np.subtract(1.0, c)
+    c *= c
+    c *= 2.0
+    total = np.subtract(1.0, c)
+    weight = 4.0
+    for _ in range(1, steps):
+        np.subtract(a, b, out=c)
         c *= 0.5
         b *= a
         np.sqrt(b, out=b)
         a -= c
-        converged = c.max() <= _AGM_TOL * a.min()
         c *= c
         c *= weight
         total -= c
         weight *= 2.0
-        if converged:
-            break
-    return a1 * np.where(flat, 4.0, np.pi * total / a)
+    total *= np.pi
+    total /= a
+    np.copyto(total, 4.0, where=flat)
+    total *= a1
+    return total
 
 
 def _mixed_area(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -672,7 +714,7 @@ def _mixed_area(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     d1 = q1[..., 0, 0] * q1[..., 1, 1] - q1[..., 0, 1] * q1[..., 1, 0]
     d2 = q2[..., 0, 0] * q2[..., 1, 1] - q2[..., 0, 1] * q2[..., 1, 0]
     p = np.sqrt(np.maximum(d1, 0.0)) * np.sqrt(np.maximum(d2, 0.0))
-    return _mixed_area_of_invariants(t, p)
+    return _mixed_area_of_invariants(*np.atleast_1d(t, p)).reshape(np.shape(t))
 
 
 def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -680,25 +722,24 @@ def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ib,ib->b", x, y)
 
 
-def _pair_products(rows: np.ndarray) -> np.ndarray:
+def _pair_products(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The products rows[a] * rows[b], a <= b, in the order of
-    np.triu_indices."""
-    size = len(rows)
-    products = np.empty((size * (size + 1) // 2,) + rows.shape[1:])
-    start = 0
+    np.triu_indices, written into `out`."""
+    size, start = len(rows), 0
     for a in range(size):
-        np.multiply(rows[a], rows[a:], out=products[start : start + size - a])
+        np.multiply(rows[a], rows[a:], out=out[start : start + size - a])
         start += size - a
-    return products
+    return out
 
 
-def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from batches of n - 2 vectors in R^n, an (n - 2, n, batch)
-    array `rows` whose row k holds vector k of each batch entry as a column,
-    to R V(A, C) = V(R A, R C): R is the volume they span and A, C the
+def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray,
+                            factors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from batches of n - 2 coordinate vectors z_k in R^n, a
+    (batch, n - 2, n) array `z`, to R V(A, C) = V(R A, R C) for the vectors
+    x_k = F_k z_k, F_k = factors[k]: R is the volume they span and A, C the
     covariances Q, Q' restricted to the plane they leave (in an orthonormal
     basis), and the mixed area is homogeneous of degree 1/2 in each
-    covariance.  It overwrites `rows`.
+    covariance.
 
     Gram-Schmidt turns all vectors but the last into unit vectors b_k, and
     R is the product of the residual norms, the last one's too.  With
@@ -723,14 +764,21 @@ def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray) -> Callable[[np.ndarr
     are one matmul against its coordinates' products.  Each unit vector
     costs one matmul for its images under Q and Q' and one inner product
     per earlier one, so the whole is O(n^3) per batch entry.  With no unit
-    vector (n = 3) the traces are numbers, and the weighted forms fold into
-    three.  A zero residual among the others makes R = 0; it stays a zero
-    vector, which removes nothing from the later ones."""
+    vector (n = 3) the traces are numbers, the weighted forms fold into
+    three, and so does v = F_0 z_0: they are three quadratic forms in z_0,
+    read off the products of its coordinates, which the map writes into one
+    buffer that it keeps from call to call.  A zero residual among the
+    others makes R = 0; it stays a zero vector, which removes nothing from
+    the later ones."""
     n = len(q)
     stacked = np.concatenate([q, q2])
     upper = np.triu_indices(n)
-    forms = np.stack([(f + f.T - np.diag(np.diag(f)))[upper]
-                      for f in (np.eye(n), q, q2, q @ q2 + q2 @ q, q @ q, q2 @ q2)])
+
+    def coefficients(f: np.ndarray) -> np.ndarray:
+        # z^T f z as a linear form in the products z_a z_b, a <= b
+        return (f + f.T - np.diag(np.diag(f)))[upper]
+
+    forms = np.stack([coefficients(f) for f in (np.eye(n), q, q2, q @ q2 + q2 @ q, q @ q, q2 @ q2)])
     # tr Q and tr Q'; tr Q^2, tr(Q Q') and tr Q'^2
     traces = np.array([np.trace(q), np.trace(q2)])
     squares = np.array([[np.trace(x @ y) for y in (q, q2)] for x in (q, q2)])
@@ -743,9 +791,31 @@ def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray) -> Callable[[np.ndarr
                 0.5 * (tr_a * tr_a - tr_aa) * norm2 - tr_a * qv + qqv,
                 0.5 * (tr_c * tr_c - tr_cc) * norm2 - tr_c * q2v + q2q2v]
 
-    folded = np.array(invariants(forms, *traces, *squares[0], squares[1, 1]))
+    def plane_areas(t: np.ndarray, det_a: np.ndarray, det_c: np.ndarray) -> np.ndarray:
+        p = np.sqrt(np.maximum(det_a, 0.0, out=det_a), out=det_a)
+        p *= np.sqrt(np.maximum(det_c, 0.0, out=det_c), out=det_c)
+        return _mixed_area_of_invariants(t, p)
 
-    def areas(rows: np.ndarray) -> np.ndarray:
+    if n == 3:
+        # the products v_a v_b of v = F z on the products z_i z_j
+        f = factors[0]
+        change = np.stack([coefficients(np.outer(f[a], f[b])) for a, b in zip(*upper)])
+        folded = np.array(invariants(forms, *traces, *squares[0], squares[1, 1])) @ change
+        buffer = np.empty(0)
+
+        def areas(z: np.ndarray) -> np.ndarray:
+            nonlocal buffer
+            batch = len(z)
+            if buffer.size < 9 * batch:
+                buffer = np.empty(9 * batch)
+            products = _pair_products(z[:, 0].T, buffer[: 6 * batch].reshape(6, batch))
+            values = np.matmul(folded, products, out=buffer[6 * batch : 9 * batch].reshape(3, batch))
+            return plane_areas(*values)
+
+        return areas
+
+    def areas(z: np.ndarray) -> np.ndarray:
+        rows = factors @ z.transpose(1, 2, 0)
         units, last = rows[:-1], rows[-1]
         count, batch = len(units), rows.shape[2]
         volume2 = 1.0  # squared residual norms of all vectors but the last
@@ -765,24 +835,22 @@ def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray) -> Callable[[np.ndarr
             grams += np.einsum("xib,yib->xyb", images, images)
         for unit in units:
             last -= _column_dots(unit, last) * unit
-        if count:
-            # tr PQ and tr PQ'; tr (PQ)^2, tr(PQPQ') and tr (PQ')^2
-            tr_a, tr_c = traces[:, None] - np.einsum("xkkb->xb", cross)
-            grams *= -2.0
-            grams += np.einsum("xklb,yklb->xyb", cross, cross)
-            grams += squares[..., None]
-            t, det_a, det_c = invariants(forms @ _pair_products(last), tr_a, tr_c, *grams[0], grams[1, 1])
-            # b_k^T Q v and b_k^T Q' v
-            images = np.einsum("kib,xib->xkb", units, (stacked @ last).reshape(2, n, batch))
-            (qq, qq2), (_, q2q2) = np.einsum("xkb,ykb->xyb", images, images)
-            t -= 2.0 * qq2
-            det_a -= qq
-            det_c -= q2q2
-        else:
-            t, det_a, det_c = folded @ _pair_products(last)
-        p = np.sqrt(np.maximum(det_a, 0.0, out=det_a), out=det_a)
-        p *= np.sqrt(np.maximum(det_c, 0.0, out=det_c), out=det_c)
-        return np.sqrt(volume2) * _mixed_area_of_invariants(t, p)
+        # tr PQ and tr PQ'; tr (PQ)^2, tr(PQPQ') and tr (PQ')^2
+        tr_a, tr_c = traces[:, None] - np.einsum("xkkb->xb", cross)
+        grams *= -2.0
+        grams += np.einsum("xklb,yklb->xyb", cross, cross)
+        grams += squares[..., None]
+        products = _pair_products(last, np.empty((len(forms[0]), batch)))
+        t, det_a, det_c = invariants(forms @ products, tr_a, tr_c, *grams[0], grams[1, 1])
+        # b_k^T Q v and b_k^T Q' v
+        images = np.einsum("kib,xib->xkb", units, (stacked @ last).reshape(2, n, batch))
+        (qq, qq2), (_, q2q2) = np.einsum("xkb,ykb->xyb", images, images)
+        t -= 2.0 * qq2
+        det_a -= qq
+        det_c -= q2q2
+        result = plane_areas(t, det_a, det_c)
+        result *= np.sqrt(volume2)
+        return result
 
     return areas
 
@@ -797,8 +865,8 @@ def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> f
     t, w = np.polynomial.legendre.leggauss(nodes)
     t, phi = np.meshgrid(t, np.pi * (np.arange(nodes) + 0.5) / nodes, indexing="ij")
     s = np.sqrt(1 - t * t)
-    u = np.stack([s * np.cos(phi), s * np.sin(phi), t]).reshape(3, -1)
-    areas = _complement_mixed_areas(p1, p2)(u[None]).reshape(nodes, nodes)
+    u = np.stack([s * np.cos(phi), s * np.sin(phi), t], axis=-1).reshape(-1, 1, 3)
+    areas = _complement_mixed_areas(p1, p2, np.eye(3)[None])(u).reshape(nodes, nodes)
     return 0.5 * float(w @ areas.mean(axis=1))
 
 

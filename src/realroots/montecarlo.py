@@ -619,17 +619,19 @@ def gaussian_mixed_volume(
     V the mixed area of planar ellipses.  The estimate averages this
     conditional mean: the expectation of |det G| with no larger variance
     (Rao-Blackwellization), from n(n-2) normals per sample.
-    `convex._complement_mixed_areas` computes R V(A, C) from Gram-Schmidt
-    on the drawn rows and trace formulas for the two invariants of A and C
-    that V depends on, in O(n^3) per sample; the sphere rule reads its
-    areas from the same map.  At n <= 2 nothing is drawn and the estimate
-    is exact, with stderr 0 and `samples` 0: 2 sqrt(Q) at n = 1 and
-    V(Q_0, Q_1) at n = 2.  Each block of _DET_BLOCK samples is reduced at
-    once, row i of every sample in the block one column of an (n, block)
-    array, and only its mean and squared deviations are kept, pooled with
-    the blocks before it, so memory does not grow with `samples`.  The draws
-    are one standard normal stream in (sample, row, column) order, so the
-    blocking does not change them.  Every Q_i must be finite and positive
+    `convex._complement_mixed_areas` computes R V(A, C) from the normals
+    and the drawn rows' covariance factors, by Gram-Schmidt on the drawn
+    rows and trace formulas for the two invariants of A and C that V
+    depends on, in O(n^3) per sample, or at n = 3 by three quadratic forms
+    in the normals; the sphere rule reads its areas from the same map.  At
+    n <= 2 nothing is drawn and the estimate is exact, with stderr 0 and
+    `samples` 0: 2 sqrt(Q) at n = 1 and V(Q_0, Q_1) at n = 2.  Each block of _DET_BLOCK samples is reduced at
+    once, and only two sums are kept of its deviations from the first
+    sample, their sum and their sum of squares, which give the block's mean
+    and squared deviations, pooled with the blocks before it; so memory does
+    not grow with `samples`, and a constant estimate has stderr 0.  The
+    draws are one standard normal stream in (sample, row, column) order, so
+    the blocking does not change them.  Every Q_i must be finite and positive
     semidefinite (as for `Ellipsoid`)."""
     _require_samples(samples)
     qs = [np.asarray(q, dtype=float) for q in covariances]
@@ -645,26 +647,23 @@ def gaussian_mixed_volume(
     q, q2 = (f @ f.T for f in factors[-2:])
     if n == 2:
         return MonteCarloStats(float(_mixed_area(q, q2)), 0.0, 0)
-    areas = _complement_mixed_areas(q, q2)
-    drawn = np.stack(factors[:-2])
+    areas = _complement_mixed_areas(q, q2, np.stack(factors[:-2]))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     const = (2 * math.pi) ** (n / 2) / (math.pi * math.factorial(n))
-    # mean and squared deviations of the deviations from the first sample,
-    # so a constant estimate has stderr 0
+    # mean and squared deviations of the deviations from the first sample
     shift = mean = square = 0.0
     for done in range(0, samples, _DET_BLOCK):
         block = min(_DET_BLOCK, samples - done)
-        z = rng.standard_normal((block, n - 2, n))
-        dets = areas(drawn @ z.transpose(1, 2, 0))
+        dets = areas(rng.standard_normal((block, n - 2, n)))
         if done == 0:
-            shift = dets[0]
+            shift = float(dets[0])
         dets -= shift
-        part = dets.mean()
-        dets -= part
+        total = float(dets.sum())
+        part = total / block
         # pooled with the blocks before (Chan, Golub and LeVeque, 1979)
-        gap, total = part - mean, done + block
-        mean += gap * block / total
-        square += float(dets @ dets) + gap * gap * done * block / total
+        gap, count = part - mean, done + block
+        mean += gap * block / count
+        square += max(float(dets @ dets) - total * part, 0.0) + gap * gap * done * block / count
     return MonteCarloStats(
         value=const * float(shift + mean),
         stderr=const * math.sqrt(square / (samples - 1) / samples),

@@ -145,13 +145,13 @@ def mean_real_count_torus(
 
     `method`, `samples` and `seed` go to `mixed_volume_ellipsoids`; `auto`
     asks for a seed only in dimension >= 4, or in dimension 3 when every
-    support lies in a plane.
+    support lies in a plane.  Each distinct support is checked and its
+    ellipsoid built once.
     """
     sups = _as_support_list(supports)
     n = sups[0].dim
-    for s in sups:
-        s.require_symmetric()
-    ell = [newton_ellipsoid_torus(s) for s in sups]
+    ellipsoids = {s: newton_ellipsoid_torus(s.require_symmetric()) for s in set(sups)}
+    ell = [ellipsoids[s] for s in sups]
     mv = mixed_volume_ellipsoids(ell, method=method, samples=samples, seed=seed)
     factor = math.factorial(n) / (2 * math.pi) ** n
     return MixedVolumeResult(factor * mv.value, factor * mv.stderr, mv.method, mv.samples)

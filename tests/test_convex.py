@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from realroots import convex
 from realroots import exactalg as xa
 import gaussian_oracle
 import hull_oracle
-from planar_oracle import polarized_mixed_area
+from planar_oracle import agm_loop_mixed_area, polarized_mixed_area
 from quadrature_oracles import monomial_forms
 from realroots.convex import (
     _affine_basis,
@@ -722,6 +723,29 @@ def test_ellipsoid_support_and_volume():
     assert Ellipsoid(np.diag([1.0, 2.0])).ball_radius() is None
 
 
+def test_a_near_ball_is_not_a_ball():
+    # diag(1, 1 + 9e-6) is 4.5e-6 off r^2 I, far outside the 1e-9 tolerance;
+    # called a ball, the pair with its mirror image took pi r^2, 5.1e-12 off
+    # its mixed area
+    near, mirror = Ellipsoid(np.diag([1.0, 1 + 9e-6])), Ellipsoid(np.diag([1 + 9e-6, 1.0]))
+    assert near.ball_radius() is None and mirror.ball_radius() is None
+    res = mixed_volume_ellipsoids([near, mirror])
+    assert (res.method, res.value) == ("sphere", float(_mixed_area(near.Q, mirror.Q)))
+    assert mixed_volume_ellipsoids([near, near]).method == "volume"
+    # within it, a rotated ball still is one
+    turn = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    assert Ellipsoid(turn @ (4.0 * np.eye(3)) @ turn.T).ball_radius() == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 1), (2, 4), (3, 1), (3, 2), (4, 1)])
+def test_lattice_boxes_and_balls_have_round_ellipsoids(n, m):
+    from realroots.torus import newton_ellipsoid_torus
+
+    for support in (box_support(n, m), ball_support(n, m)):
+        e = newton_ellipsoid_torus(support)
+        assert e.ball_radius() == pytest.approx(math.sqrt(np.trace(e.Q) / n), rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "q, message",
     [
@@ -847,6 +871,43 @@ def test_mixed_area_is_half_the_ellipse_perimeter():
     # a zero and a flat ratio, without a RuntimeWarning
     assert _mixed_area(np.zeros((2, 2)), np.eye(2)) == 0.0
     assert _mixed_area(np.diag([4.0, 0.0]), np.diag([0.0, 1.0])) == 4.0
+
+
+def _invariant_batches():
+    # unequal pairs s_1 = x > s_2 = x r with ratios r from 1e-300 to 1, at
+    # tiny, unit and huge scales x, one pair at a time and all together;
+    # then flat entries (p = 0, and t = p = 0) alone and among them
+    r = np.concatenate([np.logspace(-300, 0, 61), [0.5, 1 - 1e-12, 1 - 2.0**-52]])
+    batches = []
+    for x in (1e-150, 1.0, 1e150):
+        t, p = x * x * (1 + r * r), x * x * r
+        batches += [(t[i : i + 1], p[i : i + 1]) for i in range(len(r))] + [(t, p)]
+    flat_t, flat_p = np.array([2.0, 0.0, 1e300, 1e-300]), np.zeros(4)
+    batches.append((flat_t, flat_p))
+    for i in (0, 30, 60, 62):
+        batches.append((np.concatenate([flat_t, t[i : i + 1]]), np.concatenate([flat_p, p[i : i + 1]])))
+    rng = np.random.default_rng(7)
+    s1 = rng.random(1000)
+    s2 = s1 * rng.random(1000) ** 8
+    s2[::10] = 0.0
+    batches.append((s1 * s1 + s2 * s2, s1 * s2))
+    return batches
+
+
+def test_mixed_area_takes_its_agm_step_count_from_the_smallest_ratio(monkeypatch):
+    # bit for bit the loop that stopped once every entry had converged, in
+    # as many steps, never more than _AGM_STEPS, and with no RuntimeWarning
+    counted = []
+    steps_of = convex._agm_steps
+    monkeypatch.setattr(convex, "_agm_steps", lambda b: counted.append(steps_of(b)) or counted[-1])
+    for t, p in _invariant_batches():
+        want, steps = agm_loop_mixed_area(t.copy(), p.copy(), convex._AGM_STEPS, convex._AGM_TOL)
+        got = convex._mixed_area_of_invariants(t.copy(), p.copy())
+        assert np.array_equal(got, want), (t, p)
+        assert counted.pop() == steps <= convex._AGM_STEPS
+    # the smallest positive double ratio converges within the bound
+    assert convex._agm_steps(5e-324) <= convex._AGM_STEPS
+    assert convex._agm_steps(1.0) == 1
 
 
 def test_sphere_mixed_area_of_segments_and_a_point():

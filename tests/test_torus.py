@@ -203,6 +203,44 @@ def test_complex_count_builds_one_hull_per_distinct_support(monkeypatch, support
     assert len(built) == hulls
 
 
+# a non-round support in R^3: its ellipsoid is diag(1, 4, 1) times (2 pi)^2 2/7
+OVAL3 = Support([(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "supports,distinct",
+    [([OVAL3] * 3, 1), ([box_support(3, 1), ball_support(3, 1), ball_support(3, 1)], 2)],
+    ids=["oval3x3", "box:3:1+ball:3:1+ball:3:1"],
+)
+@pytest.mark.parametrize("method", ["auto", "mc"])
+def test_mean_builds_one_ellipsoid_per_distinct_support(monkeypatch, supports, distinct, method):
+    import realroots.torus as tor
+    from realroots.convex import mixed_volume_ellipsoids
+
+    kwargs = {"method": method, "samples": 2000, "seed": 5}
+    # one ellipsoid per copy, as the mean was assembled before
+    mv = mixed_volume_ellipsoids([newton_ellipsoid_torus(s) for s in supports], **kwargs)
+    factor = math.factorial(3) / (2 * math.pi) ** 3
+    built, checked = [], []
+    require = Support.require_symmetric
+
+    def counted_ellipsoid(support):
+        built.append(support)
+        return newton_ellipsoid_torus(support)
+
+    def counted_check(support):
+        checked.append(support)
+        return require(support)
+
+    monkeypatch.setattr(tor, "newton_ellipsoid_torus", counted_ellipsoid)
+    monkeypatch.setattr(Support, "require_symmetric", counted_check)
+    got = mean_real_count_torus(supports, **kwargs)
+    assert len(built) == len(checked) == distinct
+    assert set(built) == set(checked) == set(supports)
+    assert (got.value, got.stderr, got.method, got.samples) == (
+        factor * mv.value, factor * mv.stderr, mv.method, mv.samples)
+
+
 def test_newton_polytopes_are_hulled_once_per_support_per_process(monkeypatch):
     # the box of the one-support system is the box of the mixed one; cleared
     # by the rule the bench applies before each pass, the cache hulls again
