@@ -10,21 +10,24 @@ once.  On the 2-torus, a box counter written for n systems on [0,1)^n
 decides the boxes of a whole block of samples together, each box carrying
 the index of its sample, from a starting grid of 16 boxes per side per unit
 of the largest frequency coordinate: boxes are dropped by a first- or
-second-order exclusion bound as they are made, and the Krawczyk test
-(interval Jacobian = centre Jacobian +- a Hessian bound from sum |c|
-|lambda|_1^2 times the radius) certifies exactly one zero in a box or none.
+second-order exclusion bound as they are made, the latter with the box's
+own Hessian at its centre and a third-order remainder from sum |c|
+|lambda|_1^3, and the Krawczyk test (interval Jacobian = centre Jacobian +-
+the smaller of a bound from sum |c| |lambda|_1^2 and one from the centre
+Hessian, times the radius) certifies exactly one zero in a box or none.
 Every bound reads |<lambda, d>| <= |lambda|_1 r on a box of radius r.  The
 other boxes are split in 2^n.  F and its Jacobian are real matmuls of a
 box's exponential products e(<lambda, x>) with its sample's weights; the
 starting grid's products are computed once per block, and a child's are its
 parent's times a fixed unit shift per corner, so no `exp` runs below the
 grid.  The certified boxes of every level are polished by Newton together,
-and each zero is credited to the one half-open box that holds it.  A sample
-with cells or boxes still undecided after a fixed number of splits, with too
-many of them, or with a certified box whose polish does not settle, is
-discarded without touching the rest of its block: it is reported in
-`MonteCarloStats.discarded` and left out of the mean, and fewer than 2 kept
-samples raise ArithmeticError.  A Gaussian determinant estimator gives mixed
+until every zero has settled, and each zero is credited to the one
+half-open box that holds it.  A sample with cells or boxes still undecided
+after a fixed number of splits, with too many of them, or with a certified
+box whose polish does not settle, is discarded without touching the rest of
+its block: it is reported in `MonteCarloStats.discarded` and left out of
+the mean, and fewer than 2 kept samples raise ArithmeticError.  A Gaussian
+determinant estimator gives mixed
 volumes of ellipsoids where no closed form applies: it draws the first n - 2
 rows and integrates the last two out through the planar mixed area, the
 closed form of `convex`.  So at n <= 2 it draws nothing and returns that
@@ -309,7 +312,7 @@ _BOX_BASE = 16  # boxes per side of the starting grid per unit of the largest fr
 _BOX_LEVELS = 16  # splits of an undecided box before its sample is discarded
 _BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
 _BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
-_NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
+_NEWTON_STEPS = 6  # most Newton steps polishing the certified zeros of a block
 # A polished zero is rounded to this lattice before it is credited to a box:
 # far finer than any box edge, far coarser than the spread of two polishes of
 # one zero, so every box that finds a zero credits it to the same box.
@@ -319,48 +322,66 @@ _BOX_CHUNK = 2048  # boxes made and tested for exclusion, or Krawczyk-tested, at
 
 
 def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
-    """(half, jet) for the systems with coefficient rows coeffs[i][s] on the
-    frequencies freqs[i]: `half` (H x n) holds the distinct frequencies up
-    to sign, and jet(products, rows) gives F = (F_1, ..., F_n) (m x n) and
-    its Jacobian (m x n x n) at m points from their exponential products
-    e(<half, x>) (m x H), e(t) = exp(2 pi i t).
+    """(half, jet, curvature) for the systems with coefficient rows
+    coeffs[i][s] on the frequencies freqs[i]: `half` (H x n) holds the
+    distinct frequencies up to sign, jet(products, rows) gives F = (F_1,
+    ..., F_n) (m x n) and its Jacobian (m x n x n) at m points from their
+    exponential products e(<half, x>) (m x H), e(t) = exp(2 pi i t), and
+    curvature(products, rows) gives sum_jk |H_i,jk| (m x n), H_i the
+    Hessian of F_i, from n(n + 1)/2 more weight columns per equation.
 
     Only real parts are kept, and Re(w e(-lam t)) = Re(conj(w) e(lam t)), so
     the weights of -lam fold onto lam, whose first nonzero coordinate is
     then positive (as `_fold` does on the circle).  The weights of row s
-    are one real (2H x n(n + 1)) matrix acting on the products read as
-    (Re, Im) pairs, so F and J are real matmuls.  `rows` gives the sample
-    row of each point and must be sorted: each run of one row is contracted
-    with that row's weights in one matmul, and no weights are gathered per
+    are real (2H x columns) matrices acting on the products read as (Re, Im)
+    pairs, so F, J and H are real matmuls.  `rows` gives the sample row of
+    each point and must be sorted: each run of one row is contracted with
+    that row's weights in one matmul, and no weights are gathered per
     point.  A slice of rows instead evaluates every point for each row in
     it, one row after the other (as the starting grid, which every sample
     shares, is evaluated)."""
     n, size, every = len(freqs), len(coeffs[0]), np.vstack(freqs).astype(int)
     flip = every[np.arange(len(every)), np.argmax(every != 0, axis=1)] < 0
     half, where = np.unique(np.where(flip[:, None], -every, every), axis=0, return_inverse=True)
-    raw = np.zeros((size, len(every), n, n + 1), dtype=complex)
+    upper = np.triu_indices(n)
+    terms = np.hstack(
+        [
+            np.ones((len(every), 1)),
+            2j * np.pi * every,
+            (2j * np.pi) ** 2 * every[:, upper[0]] * every[:, upper[1]],
+        ]
+    )
+    raw = np.zeros((size, len(every), n, terms.shape[1]), dtype=complex)
     equation = np.repeat(np.arange(n), [len(f) for f in freqs])
-    terms = np.hstack([np.ones((len(every), 1)), 2j * np.pi * every])
     raw[:, np.arange(len(every)), equation] = np.hstack(coeffs)[:, :, None] * terms
-    raw = np.where(flip[None, :, None, None], raw.conj(), raw).reshape(size, len(every), -1)
-    folded = np.zeros((size, len(half), n * (n + 1)), dtype=complex)
+    raw = np.where(flip[None, :, None, None], raw.conj(), raw)
+    folded = np.zeros((size, len(half), n, terms.shape[1]), dtype=complex)
     np.add.at(folded, (slice(None), where), raw)
     # Re(p w) = Re p Re w - Im p Im w, against p's (Re, Im) pairs
-    weights = np.stack([folded.real, -folded.imag], axis=2).reshape(size, 2 * len(half), -1)
+    weights = np.stack([folded.real, -folded.imag], axis=2).reshape(size, 2 * len(half), n, -1)
+    first = np.ascontiguousarray(weights[..., : n + 1].reshape(size, 2 * len(half), -1))
+    second = np.ascontiguousarray(weights[..., n + 1 :].reshape(size, 2 * len(half), -1))
+    # an entry off the diagonal stands for two of the symmetric Hessian
+    twice = np.where(upper[0] == upper[1], 1.0, 2.0)
 
-    def jet(products: np.ndarray, rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+    def contract(table: np.ndarray, products: np.ndarray, rows: np.ndarray | slice) -> np.ndarray:
         flat = products.view(float)
         if isinstance(rows, slice):
-            out = flat @ weights[rows]
-        else:
-            out = np.empty((len(rows), n * (n + 1)))
-            starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1)][: len(rows)]
-            for lo, hi in zip(starts, [*starts[1:], len(rows)]):
-                np.matmul(flat[lo:hi], weights[rows[lo]], out=out[lo:hi])
-        out = out.reshape(-1, n, n + 1)
+            return flat @ table[rows]
+        out = np.empty((len(rows), table.shape[2]))
+        starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1)][: len(rows)]
+        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+            np.matmul(flat[lo:hi], table[rows[lo]], out=out[lo:hi])
+        return out
+
+    def jet(products: np.ndarray, rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+        out = contract(first, products, rows).reshape(-1, n, n + 1)
         return out[:, :, 0], out[:, :, 1:]
 
-    return half, jet
+    def curvature(products: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.abs(contract(second, products, rows).reshape(-1, n, len(twice))) @ twice
+
+    return half, jet, curvature
 
 
 def _exponentials(points: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -402,10 +423,16 @@ def _leibniz(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, np.array([[sign for sign, _ in entry] for entry in terms])
 
 
-def _row_sums(stack: np.ndarray) -> np.ndarray:
-    """stack.sum(axis=-1) for a short last axis, added term by term: the same
-    floats, without numpy's slow reduction over a short strided axis."""
-    return sum(np.moveaxis(stack, -1, 0))
+def _across(op, stack: np.ndarray) -> np.ndarray:
+    """op folded over the short last axis of `stack` one column at a time,
+    as op.reduce(stack, axis=-1) (np.add adds the same floats in the same
+    order), without numpy's slow loops over a short strided axis."""
+    return functools.reduce(op, (stack[..., k] for k in range(stack.shape[-1])))
+
+
+def _abs_row_sums(stack: np.ndarray) -> np.ndarray:
+    """np.abs(stack).sum(axis=-1), one column at a time (see _across)."""
+    return functools.reduce(np.add, (np.abs(stack[..., k]) for k in range(stack.shape[-1])))
 
 
 def _inverse(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,20 +448,46 @@ def _inverse(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_bounds(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]) -> np.ndarray:
-    """(lip, hess, ef, ed) of the systems of `_certified_counts`, one
-    (4 x n) array per coefficient row.  A point off x by d, |d|_inf <= r,
-    has |<lam, d>| <= |lam|_1 r, so F_i moves by at most lip_i r, lip_i =
-    2 pi sum |c| |lam|_1; its Taylor remainder is at most hess_i r^2 / 2,
-    hess_i = (2 pi)^2 sum |c| |lam|_1^2; and row i of its Jacobian moves by
-    at most hess_i r in sum.  ef and ed are the rounding allowances of a
-    computed F_i and of one computed Jacobian entry."""
+    """(lip, hess, ef, ed, third, eh) of the systems of `_certified_counts`,
+    one (6 x n) array per coefficient row.  A point off x by d, |d|_inf <=
+    r, has |<lam, d>| <= |lam|_1 r, so F_i moves by at most lip_i r, lip_i =
+    2 pi sum |c| |lam|_1; its first-order Taylor remainder is at most
+    hess_i r^2 / 2, hess_i = (2 pi)^2 sum |c| |lam|_1^2, and its
+    second-order one at most third_i r^3 / 6, third_i = (2 pi)^3 sum |c|
+    |lam|_1^3.  Row i of its Jacobian moves by at most hess_i r in sum, and
+    by at most sum_jk |H_i,jk(x)| r + third_i r^2 / 2, H_i(x) the Hessian
+    of F_i at x.  ef, ed and eh are the rounding allowances of a computed
+    F_i, of one computed Jacobian entry and of one computed Hessian entry."""
     systems = list(zip(freqs, coeffs))
-    lip = np.stack([2 * np.pi * np.abs(c) @ np.abs(f).sum(axis=1) for f, c in systems], axis=1)
-    hess = np.stack(
-        [(2 * np.pi) ** 2 * np.abs(c) @ np.abs(f).sum(axis=1) ** 2 for f, c in systems], axis=1
-    )
-    ef = np.stack([_ROUNDING * np.abs(c).sum(axis=1) for _, c in systems], axis=1)
-    return np.stack([lip, hess, ef, _ROUNDING * lip], axis=1)
+    # (2 pi)^k sum |c| |lam|_1^k for k = 0..3
+    powers = [
+        np.stack([(2 * np.pi) ** k * np.abs(c) @ np.abs(f).sum(axis=1) ** k for f, c in systems], 1)
+        for k in range(4)
+    ]
+    lip, hess, third = powers[1:]
+    ef, ed, eh = (_ROUNDING * p for p in powers[:3])
+    return np.stack([lip, hess, ef, ed, third, eh], axis=1)
+
+
+def _polish(
+    jet, half: np.ndarray, zeros: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps on the zeros (m x n) of the sorted sample rows `rows`,
+    with F and J from `jet` (see _product_jet), until a step moves every
+    zero by less than _SNAP or _NEWTON_STEPS steps have run: the polished
+    zeros, and the mask of those whose last step moved them by less than
+    _SNAP with an invertible Jacobian at every step."""
+    settled = np.ones(len(rows), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        zval, zjac = jet(_exponentials(zeros, half), rows)
+        zinv, zok = _inverse(zjac)
+        move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
+        settled &= zok
+        zeros = zeros - move
+        still = _across(np.logical_or, np.abs(move) >= _SNAP)
+        if not still.any():
+            break
+    return zeros, settled & ~still
 
 
 def _certified_counts(
@@ -450,51 +503,65 @@ def _certified_counts(
     The starting grid has _BOX_BASE boxes per side per unit of the largest
     |frequency coordinate|, as the circle's has 16 cells per unit of degree.
     Each box is tested for exclusion as it is made: it is dropped where
-    some |F_i| is bounded away from 0 by the smaller of the Lipschitz bound
-    lip_i r and the second-order Taylor bound around the centre, whose
-    remainder is hess_i r^2 / 2 (`_row_bounds`, r the radius).  The
-    products of the starting grid are computed once for the whole block,
-    and only the boxes that survive keep theirs; a child's products are its
-    parent's times a shift (`_children`).  Boxes are made and tested
-    _BOX_CHUNK at a time, so memory stays near (live boxes x H).  On the
-    surviving boxes, again _BOX_CHUNK at a time, the Krawczyk operator K(X)
-    of the box X blown up by _BOX_INFLATE to radius w, with the interval
-    Jacobian taken as the centre Jacobian +- a bound whose row i sums to
-    hess_i w, holds every zero in X: inside int X it certifies exactly one,
-    disjoint from X none.  The other boxes are split in 2^n.  A row with
-    more than _BOX_CAP of them, or with any left after _BOX_LEVELS splits,
-    is dropped without touching the others.  The certified boxes of every
-    level are polished together at the end, by _NEWTON_STEPS Newton steps
-    from their first Krawczyk iterate, and each credits its zero to its row
-    only if its own half-open box holds it, so a zero found by several boxes
-    is counted once.  A row with a certified box whose polish does not
-    settle, or leaves the blown-up box, is dropped too (it is not split
-    further)."""
+    some |F_i| is bounded away from 0 on it (`_row_bounds`, r the radius).
+    The first test takes the smaller of the Lipschitz reach lip_i r and the
+    first-order Taylor reach around the centre, with remainder hess_i r^2 /
+    2; only a box it keeps has its Hessian sums sum_jk |H_i,jk| computed,
+    for the second-order Taylor reach sum_j |J_ij| r + sum_jk |H_i,jk| r^2
+    / 2 + third_i r^3 / 6.  The products of the starting grid are computed
+    once for the whole block, and only the boxes that survive keep theirs;
+    a child's products are its parent's times a shift (`_children`).  Boxes
+    are made and tested _BOX_CHUNK at a time, so memory stays near (live
+    boxes x H).  On the surviving boxes, again _BOX_CHUNK at a time, the
+    Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE to radius
+    w, with the interval Jacobian taken as the centre Jacobian +- a bound
+    whose row i sums to the smaller of hess_i w and sum_jk |H_i,jk| w +
+    third_i w^2 / 2, holds every zero in X: inside int X it certifies
+    exactly one, disjoint from X none.  The other boxes are split in 2^n.
+    A row with more than _BOX_CAP of them, or with any left after
+    _BOX_LEVELS splits, is dropped without touching the others.  The
+    certified boxes of every level are polished together at the end, by
+    Newton steps from their first Krawczyk iterate until one step moves
+    every zero by less than _SNAP (`_polish`), and each credits its zero
+    to its row only if its own half-open box holds it, so a zero found by
+    several boxes is counted once.  A row with a certified box whose polish
+    does not settle, or leaves the blown-up box, is dropped too (it is not
+    split further)."""
     n, size = len(freqs), len(coeffs[0])
     per_row = _row_bounds(freqs, coeffs)
-    half, jet = _product_jet(freqs, coeffs)
+    half, jet, curvature = _product_jet(freqs, coeffs)
 
-    def live(val, jac, rows, radius):
-        lip, hess, ef, ed = np.take(per_row, rows, axis=0).transpose(1, 0, 2)
-        reach = np.minimum(
-            lip * radius,
-            (_row_sums(np.abs(jac)) + n * ed) * radius + hess / 2 * radius * radius,
-        )
-        return (np.abs(val) <= reach + ef).all(axis=1)
+    def live(val, jac, rows, radius, products):
+        """The mask of the boxes no exclusion bound drops, and their Hessian
+        sums with allowance; products(mask) gives the masked boxes' products."""
+        lip, hess, ef, ed = np.take(per_row[:, :4], rows, axis=0).transpose(1, 0, 2)
+        first = (_abs_row_sums(jac) + n * ed) * radius
+        reach = np.minimum(lip * radius, first + hess / 2 * radius**2)
+        mine = _across(np.logical_and, np.abs(val) <= reach + ef)
+        # only the boxes the first-order bounds keep have their Hessians computed
+        rows = rows[mine]
+        _, _, ef, _, third, eh = np.take(per_row, rows, axis=0).transpose(1, 0, 2)
+        curve = curvature(products(mine), rows) + n * n * eh
+        reach = first[mine] + curve / 2 * radius**2 + third / 6 * radius**3
+        near = _across(np.logical_and, np.abs(val[mine]) <= reach + ef)
+        mine[mine] = near
+        return mine, curve[near]
 
-    def krawczyk(val, jac, rows, radius):
+    def krawczyk(val, jac, curve, rows, radius):
         """(exactly one zero, no zero, Newton step) of each box."""
         # K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
-        _, hess, ef, ed = np.take(per_row, rows, axis=0).transpose(1, 0, 2)
+        _, hess, ef, ed, third, _ = np.take(per_row, rows, axis=0).transpose(1, 0, 2)
         wide = _BOX_INFLATE * radius
         inv, ok = _inverse(jac)
         step = np.einsum("nab,nb->na", inv, val)
-        spread = _row_sums(np.abs(np.eye(n) - inv @ jac))
-        # row i of J(X) - J(x) sums to at most hess_i wide, plus n roundings
-        spread += np.einsum("nab,nb->na", np.abs(inv), hess * wide + n * ed)
+        spread = _abs_row_sums(np.eye(n) - inv @ jac)
+        # row i of J(X) - J(x) sums to at most the smaller of hess_i wide and
+        # curve_i wide + third_i wide^2 / 2, plus n roundings
+        moved = np.minimum(hess, curve + third / 2 * wide) * wide
+        spread += np.einsum("nab,nb->na", np.abs(inv), moved + n * ed)
         k_radius = np.einsum("nab,nb->na", np.abs(inv), ef) + wide * spread
-        free = (np.abs(step) > wide + k_radius).any(axis=1)
-        ok &= (np.abs(step) + k_radius < wide).all(axis=1)
+        free = _across(np.logical_or, np.abs(step) > wide + k_radius)
+        ok &= _across(np.logical_and, np.abs(step) + k_radius < wide)
         return ok, free, step
 
     def grid_survivors(radius):
@@ -504,9 +571,11 @@ def _certified_counts(
             samples = slice(lo, lo + every)
             val, jac = jet(grid_products, samples)
             rows = np.repeat(np.arange(size)[samples], len(grid))
-            mine = live(val, jac, rows, radius)
+            mine, curve = live(
+                val, jac, rows, radius, lambda m: grid_products[np.flatnonzero(m) % len(grid)]
+            )
             at = np.flatnonzero(mine) % len(grid)
-            yield grid[at], rows[mine], grid_products[at], val[mine], jac[mine]
+            yield grid[at], rows[mine], grid_products[at], val[mine], jac[mine], curve
 
     def child_survivors(centers, rows, products, radius):
         every = max(1, _BOX_CHUNK >> n)
@@ -515,21 +584,25 @@ def _certified_counts(
             child_centers, child_products = _children(centers[part], products[part], radius, half)
             child_rows = np.repeat(rows[part], 2**n)
             val, jac = jet(child_products, child_rows)
-            mine = live(val, jac, child_rows, radius)
-            yield child_centers[mine], child_rows[mine], child_products[mine], val[mine], jac[mine]
+            mine, curve = live(val, jac, child_rows, radius, lambda m: child_products[m])
+            yield (
+                child_centers[mine], child_rows[mine], child_products[mine], val[mine], jac[mine], curve
+            )
 
     side = _BOX_BASE * max(1, int(np.abs(half).max()))
     axis = (np.arange(side) + 0.5) / side
     grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
     grid_products = _exponentials(grid, half)
     radius = 0.5 / side
-    centers, rows, products, val, jac = (np.concatenate(c) for c in zip(*grid_survivors(radius)))
+    centers, rows, products, val, jac, curve = (
+        np.concatenate(c) for c in zip(*grid_survivors(radius))
+    )
     kept = np.ones(size, dtype=bool)
     certified = []
     for level in range(_BOX_LEVELS + 1):
         # at least one part, so a level without boxes gives empty columns
         parts = [slice(lo, lo + _BOX_CHUNK) for lo in range(0, max(len(rows), 1), _BOX_CHUNK)]
-        tests = (krawczyk(val[part], jac[part], rows[part], radius) for part in parts)
+        tests = (krawczyk(val[part], jac[part], curve[part], rows[part], radius) for part in parts)
         ok, free, step = (np.concatenate(c) for c in zip(*tests))
         certified.append((centers[ok] - step[ok], centers[ok], rows[ok], np.full(ok.sum(), radius)))
         undecided = ~(ok | free)
@@ -542,21 +615,14 @@ def _certified_counts(
         centers, rows, products = centers[undecided], rows[undecided], products[undecided]
         radius /= 2.0
         children = zip(*child_survivors(centers, rows, products, radius))
-        centers, rows, products, val, jac = (np.concatenate(c) for c in children)
+        centers, rows, products, val, jac, curve = (np.concatenate(c) for c in children)
 
     # one Newton polish for the certified boxes of every level and kept row
     zeros, centers, rows, radii = (np.concatenate(column) for column in zip(*certified))
     order = np.argsort(rows, kind="stable")
     order = order[kept[rows[order]]]
     zeros, centers, rows, radii = zeros[order], centers[order], rows[order], radii[order, None]
-    settled = np.ones(len(rows), dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        zval, zjac = jet(_exponentials(zeros, half), rows)
-        zinv, zok = _inverse(zjac)
-        move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
-        settled &= zok
-        zeros = zeros - move
-    settled &= (np.abs(move) < _SNAP).all(axis=1)
+    zeros, settled = _polish(jet, half, zeros, rows)
     settled &= (np.abs(zeros - centers) < _BOX_INFLATE * radii).all(axis=1)
     kept[rows[~settled]] = False
     snapped = np.round(zeros / _SNAP) * _SNAP % 1.0

@@ -23,6 +23,7 @@ from realroots.montecarlo import (
 from realroots.rootsystems import root_system
 from realroots.torus import Support, box_support, complex_count_torus, mean_real_count_torus, segment_support
 import gaussian_oracle
+import resultant_oracle
 import torus2_oracle
 from circle_oracle import unimodular_root_counts
 from equidistribution import equidistribution_check
@@ -359,6 +360,32 @@ def test_torus_counts_match_the_per_sample_oracle(monkeypatch, first, second, sa
     assert None not in counts and stats.samples == samples
 
 
+@pytest.mark.parametrize(
+    "first,second,samples,seed",
+    [
+        ((2, 2), (2, 2), 12, 0),
+        ((2, 1), (2, 1), 40, BENCH_SEEDS[2]),
+        ((2, 1), (2, 1), 20, BENCH_SEEDS[3]),
+        ((2, 1), (2, 1), 40, 3),
+        ((2, 1), (2, 2), 40, 9),
+        ((2, 3), (2, 3), 16, 2),
+    ],
+)
+def test_torus_counts_match_the_resultant_oracle(monkeypatch, first, second, samples, seed):
+    # an oracle that shares no code with the counter: a sample with a root
+    # between 1e-6 and 1e-3 off the torus is skipped, not guessed
+    supports = [box_support(*first), box_support(*second)]
+    counts, stats = per_sample_torus_counts(monkeypatch, supports, samples, seed)
+    freqs, coeffs = random_systems(supports, samples, seed)
+    want = [
+        resultant_oracle.torus_root_count(freqs[0], coeffs[0][s], freqs[1], coeffs[1][s])
+        for s in range(samples)
+    ]
+    assert want.count(None) <= 1
+    assert None not in counts and stats.samples == samples
+    assert all(g == w for g, w in zip(counts, want) if w is not None)
+
+
 def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
     # at a cap of 20 undecided boxes some samples of the batch are discarded
     # and the others keep the count the per-sample oracle gives them
@@ -373,7 +400,7 @@ def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
     assert stats.value == pytest.approx(np.mean(kept), abs=1e-12)
 
 
-@pytest.mark.parametrize("steps,seed,kept_with_zeros", [(1, 1, 0), (3, 17, 61)])
+@pytest.mark.parametrize("steps,seed,kept_with_zeros", [(1, 1, 0), (3, 169, 54)])
 def test_a_zero_whose_polish_does_not_settle_discards_only_its_sample(
     monkeypatch, steps, seed, kept_with_zeros
 ):
@@ -382,9 +409,10 @@ def test_a_zero_whose_polish_does_not_settle_discards_only_its_sample(
     # sample that certified the box is discarded while the others of the
     # block keep the count the per-sample oracle (six steps) gives them.
     # With one step every sample with zeros is dropped; with three, on seed
-    # 17, one is dropped beside 61 kept with zeros.  (Two steps keep none
-    # with zeros on seeds 0..39: boxes are certified up to two levels above
-    # the zero's own, so a polish starts too far from it to settle in two.)
+    # 169, nine are dropped beside 54 kept with zeros, the fewest on seeds
+    # 0..199.  (Boxes are certified up to two levels above the zero's own
+    # and polished from there: three steps drop at least 9 of 64 samples on
+    # those seeds and four drop none, so no step count drops exactly one.)
     support = box_support(2, 1)
     want = torus2_oracle.oracle_counts(support, support, 64, seed)
     monkeypatch.setattr(montecarlo, "_NEWTON_STEPS", steps)
@@ -395,12 +423,60 @@ def test_a_zero_whose_polish_does_not_settle_discards_only_its_sample(
     assert 0 in got and sum(g is not None and g > 0 for g in got) == kept_with_zeros
 
 
+def polish_evaluations(monkeypatch, unsettled_row=None):
+    """The number of boxes of each jet evaluation of `_polish`, as the run
+    records them.  The F of `unsettled_row` is moved by an alternating
+    1e-9 at each evaluation, so a zero of that row never settles."""
+    calls: list[int] = []
+    polish = montecarlo._polish
+
+    def counted(jet, half, zeros, rows):
+        def shaken(products, at):
+            val, jac = jet(products, at)
+            calls.append(len(at))
+            if unsettled_row is not None:
+                val = val + np.where(at == unsettled_row, (-1.0) ** len(calls) * 1e-9, 0.0)[:, None]
+            return val, jac
+
+        return polish(shaken, half, zeros, rows)
+
+    monkeypatch.setattr(montecarlo, "_polish", counted)
+    return calls
+
+
+def test_the_polish_stops_once_every_zero_has_settled(monkeypatch):
+    # the certified boxes of a block are polished together; the polish stops
+    # at the first step that moves every zero by less than _SNAP, so allowing
+    # more steps changes neither the evaluations nor the counts
+    support = box_support(2, 1)
+    systems = random_systems([support] * 2, 64, seed=1)
+    calls = polish_evaluations(monkeypatch)
+    counts = montecarlo._certified_counts(*systems)
+    assert counts == torus2_oracle.oracle_counts(support, support, 64, 1)
+    assert len(calls) == 4 < montecarlo._NEWTON_STEPS and len(set(calls)) == 1
+    monkeypatch.setattr(montecarlo, "_NEWTON_STEPS", 20)
+    calls.clear()
+    assert montecarlo._certified_counts(*systems) == counts and len(calls) == 4
+
+
+def test_a_zero_that_never_settles_runs_every_newton_step_and_discards_only_its_sample(monkeypatch):
+    support = box_support(2, 1)
+    systems = random_systems([support] * 2, 64, seed=1)
+    want = torus2_oracle.oracle_counts(support, support, 64, 1)
+    row = next(s for s, w in enumerate(want) if w)
+    calls = polish_evaluations(monkeypatch, unsettled_row=row)
+    got = montecarlo._certified_counts(*systems)
+    assert len(calls) == montecarlo._NEWTON_STEPS
+    assert got[row] is None
+    assert got[:row] + got[row + 1 :] == want[:row] + want[row + 1 :]
+
+
 @pytest.mark.parametrize("support", [box_support(2, 2), box_support(3, 2)], ids=["n2", "n3"])
 def test_split_products_stay_within_rounding_of_a_fresh_exp(support):
     # a child's products are its parent's times a unit shift; walked down
     # every split from the starting grid they stay within 1e-14 of exp
     n = support.dim
-    half, _ = montecarlo._product_jet(*random_systems([support] * n, 1, seed=0))
+    half, *_ = montecarlo._product_jet(*random_systems([support] * n, 1, seed=0))
     rng = np.random.default_rng(16)
     radius = 0.5 / montecarlo._BOX_BASE
     centers = (rng.integers(0, montecarlo._BOX_BASE, (8, n)) + 0.5) * 2 * radius
@@ -537,12 +613,15 @@ ROW_BOUND_SYSTEMS = {
 @pytest.mark.parametrize("supports", ROW_BOUND_SYSTEMS.values(), ids=ROW_BOUND_SYSTEMS.keys())
 def test_the_row_bounds_hold_over_a_blown_up_box(supports):
     # at points c + d of a starting box blown up to radius w, |d|_inf <= w:
-    # |F_i(c + d) - F_i(c)| <= lip_i w, the Taylor remainder of F_i is at
-    # most hess_i w^2 / 2, and row i of the Jacobian moves by at most
-    # hess_i w in sum.  F and J are evaluated here term by term.
+    # |F_i(c + d) - F_i(c)| <= lip_i w, the first-order Taylor remainder of
+    # F_i is at most hess_i w^2 / 2 and the second-order one at most
+    # third_i w^3 / 6, and row i of the Jacobian moves by at most hess_i w
+    # and at most sum_jk |H_i,jk(c)| w + third_i w^2 / 2 in sum.  F, J and
+    # H are evaluated here term by term, and the Hessian sums of
+    # `_product_jet`'s curvature are theirs.
     n = len(supports)
     freqs, coeffs = random_systems(supports, 8, seed=7 * n + len(supports[0]))
-    lip, hess, _, _ = montecarlo._row_bounds(freqs, coeffs).transpose(1, 0, 2)
+    lip, hess, _, _, third, _ = montecarlo._row_bounds(freqs, coeffs).transpose(1, 0, 2)
     side = montecarlo._BOX_BASE * int(max(np.abs(f).max() for f in freqs))
     w = montecarlo._BOX_INFLATE * 0.5 / side
     rng = np.random.default_rng(18)
@@ -550,19 +629,36 @@ def test_the_row_bounds_hold_over_a_blown_up_box(supports):
     # box corners, where |<lam, d>| = |lam|_1 w for some sign pattern, and inner points
     d = w * np.vstack([rng.choice([-1.0, 1.0], (512, n)), rng.uniform(-1, 1, (512, n))])
     centers = np.vstack([centers, centers])
-    worst = np.zeros(3)
+    half, _, curvature = montecarlo._product_jet(freqs, coeffs)
+    products = montecarlo._exponentials(centers, half)
+    curves = np.stack([curvature(products, np.full(len(centers), s)) for s in range(8)], axis=1)
+    worst = np.zeros(5)
     for i, (f, c) in enumerate(zip(freqs, coeffs)):
         def jet(x):
             e = np.exp(2j * math.pi * x @ f.T)
-            return (e @ c.T).real, np.einsum("pk,sk,kj->psj", e, c, 2j * math.pi * f).real
+            lam = 2j * math.pi * f
+            return (
+                (e @ c.T).real,
+                np.einsum("pk,sk,kj->psj", e, c, lam).real,
+                np.einsum("pk,sk,kj,kl->psjl", e, c, lam, lam).real,
+            )
 
-        val, grad = jet(centers)
-        moved_val, moved_grad = jet(centers + d)
+        val, grad, hessian = jet(centers)
+        moved_val, moved_grad, _ = jet(centers + d)
+        curve = np.abs(hessian).sum(axis=(2, 3))
+        assert np.allclose(curves[:, :, i], curve, rtol=1e-9, atol=1e-12 * hess[:, i].max())
         move = np.abs(moved_val - val)
-        remainder = np.abs(moved_val - val - np.einsum("psj,pj->ps", grad, d))
+        linear = moved_val - val - np.einsum("psj,pj->ps", grad, d)
+        quadratic = linear - np.einsum("psjl,pj,pl->ps", hessian, d, d) / 2
         row = np.abs(moved_grad - grad).sum(axis=2)
         for k, (got, bound) in enumerate(
-            [(move, lip[:, i] * w), (remainder, hess[:, i] * w * w / 2), (row, hess[:, i] * w)]
+            [
+                (move, lip[:, i] * w),
+                (np.abs(linear), hess[:, i] * w * w / 2),
+                (np.abs(quadratic), third[:, i] * w**3 / 6),
+                (row, hess[:, i] * w),
+                (row, curve * w + third[:, i] * w * w / 2),
+            ]
         ):
             worst[k] = max(worst[k], (got / bound).max())
     assert (worst <= 1 + 1e-9).all(), worst
@@ -592,27 +688,68 @@ def test_the_exclusion_keeps_a_box_within_its_three_rounding_allowances(monkeypa
     assert tuple(c) in split.get(r / 2, [])
 
 
+def test_the_second_order_exclusion_keeps_a_box_within_its_hessian_allowance(monkeypatch):
+    # F_1 = sin theta - sin 3 theta / 3 + kappa = (4/3) sin^3 theta + kappa,
+    # theta = 2 pi (x - c_x), sin 2 pi (y - c_y), sin 2 pi (z - c_z) at the
+    # centre c of a starting box (48 per side: frequency 3), where F_1's
+    # Jacobian row and Hessian are 0.  Its second-order reach is n ed r +
+    # n^2 eh r^2 / 2 + third r^3 / 6, third = 10 (2 pi)^3, far inside the
+    # first-order one (hess r^2 / 2, hess = 4 (2 pi)^2).  kappa puts |F_1(c)|
+    # - ef half the Hessian allowance n^2 eh r^2 / 2 below that reach, so
+    # the box is kept and split; without the allowance it is half of it
+    # above, and without the third-order term far above, and the box is
+    # dropped.  F_1's zeros sit just outside the box, so no count shows this.
+    side, n, rounding = 3 * montecarlo._BOX_BASE, 3, montecarlo._ROUNDING
+    c = np.array([5.5, 9.5, 20.5]) / side
+    r = 0.5 / side
+    ed, eh = rounding * 4 * math.pi, rounding * 4 * (2 * math.pi) ** 2
+    allowance = n * n * eh * r * r / 2
+    reach = n * ed * r + allowance + 10 * (2 * math.pi) ** 3 * r**3 / 6
+    # kappa = reach + ef - allowance / 2, ef = rounding (4/3 + kappa)
+    kappa = (reach + rounding * 4 / 3 - allowance / 2) / (1 - rounding)
+    e = [np.exp(-2j * math.pi * t) for t in c]
+    first = axis_equation(
+        0,
+        [(1, -0.5j * e[0]), (-1, 0.5j * e[0].conjugate()),
+         (3, 0.5j / 3 * e[0] ** 3), (-3, -0.5j / 3 * (e[0] ** 3).conjugate()), (0, kappa)],
+    )
+    rest = [axis_equation(a, [(1, -0.5j * e[a]), (-1, 0.5j * e[a].conjugate())]) for a in (1, 2)]
+    freqs, coeffs = zip(first, *rest)
+    split = split_boxes(monkeypatch)
+    assert montecarlo._certified_counts(list(freqs), list(coeffs)) == [8]
+    assert tuple(c) in split.get(r / 2, [])
+
+
 def test_the_krawczyk_radius_bounds_the_jacobian_over_the_whole_box_in_three_dimensions(monkeypatch):
     # F_a = sin theta_a (1 + eps sin^2 theta_a), theta_a = 2 pi (x_a - t_a),
-    # = (1 + 3 eps / 4) sin theta_a - (eps / 4) sin 3 theta_a, vanishes only
-    # at x_a = t_a and t_a + 1/2, with J = +-2 pi I there and hess =
-    # (2 pi)^2 (1 + 3 eps) per row.  Frequency 3 makes the starting grid 48
-    # boxes per side, and the eight zeros sit at the centres of level-1
-    # boxes, a quarter of the blown-up width w off the centres of their
-    # starting boxes.  The sound Krawczyk spread is |J^-1| hess w =
-    #   2 pi (1 + 3 eps) w = 0.80 at level 0 and 0.40 at level 1,
-    # so each zero's starting box is split (0.80 + 1/4 > 1) and its level-1
-    # child, whose Krawczyk step is 0, certified.  A spread below 0.92 of
-    # the sound one certifies the starting box; the planar 2 sqrt(2) or the
-    # n sqrt(n) = 5.2 the bound read before splits the child too.
-    eps, side = 1.7, 3 * montecarlo._BOX_BASE
+    # = A sin theta_a - B sin 3 theta_a, A = 1 + 3 eps / 4, B = eps / 4,
+    # vanishes only at x_a = t_a and t_a + 1/2, with J = +-2 pi I there.
+    # Frequency 3 makes the starting grid 48 boxes per side, and the eight
+    # zeros sit at the centres of level-1 boxes, a quarter of the blown-up
+    # width w off the centres of their starting boxes.  Row a of the
+    # Jacobian moves over the blown-up box by at most |F_a''(c)| w +
+    # third w^2 / 2, third = (2 pi)^3 (A + 27 B), so the sound Krawczyk
+    # spread is that over |F_a'(c)|: 0.791 at level 0, where the Newton
+    # step is 0.245 w, and 0.147 at level 1, where it is 0.  So each zero's
+    # starting box is split (0.791 + 0.245 > 1) and its level-1 child
+    # certified.  Without the third-order term the starting box would be
+    # certified (0.22 + 0.245), and a spread below 0.955 of the sound one
+    # certifies it too; the bound hess w, hess = (2 pi)^2 (A + 9 B), alone
+    # (3.5 at level 1) splits the child as well.
+    eps, side = 9.0, 3 * montecarlo._BOX_BASE
     t = np.array([5.5, 9.5, 20.5]) / (2 * side)
     r = 0.5 / side
-    assert 2 * math.pi * (1 + 3 * eps) * 2 * r == pytest.approx(0.798, abs=1e-3)
+    amp, wide, theta = 1 + 3 * eps / 4, 2 * r, math.pi * r
+    third = (2 * math.pi) ** 3 * (amp + 27 * eps / 4)
+    slope = 2 * math.pi * (amp * math.cos(theta) - 3 * eps / 4 * math.cos(3 * theta))
+    curve = (2 * math.pi) ** 2 * abs(amp * math.sin(theta) - 9 * eps / 4 * math.sin(3 * theta))
+    step = (amp * math.sin(theta) - eps / 4 * math.sin(3 * theta)) / slope
+    assert (curve * wide + third * wide**2 / 2) / slope == pytest.approx(0.791, abs=1e-3)
+    assert step / wide == pytest.approx(0.245, abs=1e-3)
+    assert third * (wide / 2) ** 2 / 2 / (2 * math.pi) == pytest.approx(0.147, abs=1e-3)
     equations = []
     for a, shift in enumerate(t):
         e = np.exp(-2j * math.pi * shift)
-        amp = 1 + 3 * eps / 4
         terms = [(1, -0.5j * amp * e), (-1, 0.5j * amp * e.conjugate()),
                  (3, 0.5j * eps / 4 * e**3), (-3, -0.5j * eps / 4 * (e**3).conjugate())]
         equations.append(axis_equation(a, terms))
@@ -636,6 +773,21 @@ def test_three_torus_box_counts_match_the_kac_rice_mean():
     kept = np.array([c for c in counts if c is not None])
     assert len(kept) >= 60
     assert (kept % 2 == 0).all() and kept.max() <= complex_count_torus(support) == 48
+    z = (kept.mean() - mean_real_count_torus(support).value) / (kept.std(ddof=1) / math.sqrt(len(kept)))
+    assert abs(z) <= 3
+
+
+def test_three_torus_box_2_samples_certify_at_the_box_cap():
+    # box:3:2 starts from 32^3 boxes, 8 times _BOX_CAP; bounded by the
+    # box's own Hessian, 16 of 16 samples certify near a 106 MB traced peak
+    # (with hess alone every sample went over the cap)
+    support = box_support(3, 2)
+    systems = random_systems([support] * 3, 16, seed=3)
+    counts: list[int | None] = []
+    peak = traced_peak(lambda: counts.extend(montecarlo._certified_counts(*systems)))
+    kept = np.array([c for c in counts if c is not None])
+    assert len(kept) >= 15 and peak < 130e6
+    assert (kept % 2 == 0).all() and kept.max() <= complex_count_torus(support) == 384
     z = (kept.mean() - mean_real_count_torus(support).value) / (kept.std(ddof=1) / math.sqrt(len(kept)))
     assert abs(z) <= 3
 

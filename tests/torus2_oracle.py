@@ -1,7 +1,9 @@
 """The per-sample 2-torus counter that `realroots.montecarlo` ran before it
 subdivided the boxes of a whole block of samples at once: a test oracle,
-kept as it was but for its bounds and starting grid, which follow the
-library's (the l1 radius |lam|_1 r and the degree-scaled grid).
+kept as it was but for its bounds, starting grid and polish, which follow
+the library's: the l1 radius |lam|_1 r, the degree-scaled grid, the box's
+own Hessian with a third-order remainder, and a polish that stops once
+every zero has settled.
 
 It evaluates F and its Jacobian by one complex `exp` per point and frequency
 (`_pair_jet`) and certifies one sample at a time.  The certificate constants
@@ -37,17 +39,20 @@ def _inverse2(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_jet(f1: np.ndarray, c1: np.ndarray, f2: np.ndarray, c2: np.ndarray):
-    """A function of points (n x 2) giving F = (F1, F2) (n x 2) and its
-    Jacobian (n x 2 x 2), from one matmul over the distinct frequencies."""
+    """A function of points (n x 2) giving F = (F1, F2) (n x 2), its
+    Jacobian (n x 2 x 2) and the Hessians of F1 and F2 (n x 2 x 2 x 2),
+    from one matmul over the distinct frequencies."""
     freqs, where = np.unique(np.vstack([f1, f2]), axis=0, return_inverse=True)
-    weights = np.zeros((len(freqs), 2, 3), dtype=complex)
+    weights = np.zeros((len(freqs), 2, 7), dtype=complex)
     for i, rows, f, c in ((0, where[: len(f1)], f1, c1), (1, where[len(f1) :], f2, c2)):
-        weights[rows, i] = c[:, None] * np.hstack([np.ones((len(f), 1)), 2j * np.pi * f])
-    weights = weights.reshape(len(freqs), 6)
+        grad = 2j * np.pi * f
+        second = (grad[:, :, None] * grad[:, None, :]).reshape(-1, 4)
+        weights[rows, i] = c[:, None] * np.hstack([np.ones((len(f), 1)), grad, second])
+    weights = weights.reshape(len(freqs), 14)
 
-    def jet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = (np.exp(2j * np.pi * (points @ freqs.T)) @ weights).real.reshape(-1, 2, 3)
-        return out[:, :, 0], out[:, :, 1:]
+    def jet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        out = (np.exp(2j * np.pi * (points @ freqs.T)) @ weights).real.reshape(-1, 2, 7)
+        return out[:, :, 0], out[:, :, 1:3], out[:, :, 3:].reshape(-1, 2, 2, 2)
 
     return jet
 
@@ -61,19 +66,24 @@ def _certified_sample_count(
     The starting grid has _BOX_BASE boxes per side per unit of the largest
     |frequency coordinate|.  Each level first drops the boxes where some
     |F_i| is bounded away from 0 by a Lipschitz or second-order Taylor bound
-    around the centre, both from |<lam, d>| <= |lam|_1 r on a box of radius
-    r.  On the others, the Krawczyk operator K(X) of the box X blown up by
-    _BOX_INFLATE, with the interval Jacobian taken as the centre Jacobian
-    +- a bound whose row i sums to hess_i times the radius, holds every
-    zero in X: inside int X it certifies exactly one, disjoint from X none.
-    Newton polishes a certified zero and the box credits it only if its own
-    half-open box holds it, so a zero found by several boxes is counted
+    around the centre, with the Hessian bounded over the box or, a third
+    order later, taken at the centre; all from |<lam, d>| <= |lam|_1 r on a
+    box of radius r.  On the others, the Krawczyk operator K(X) of the box X
+    blown up by _BOX_INFLATE, with the interval Jacobian taken as the centre
+    Jacobian +- a bound whose row i sums to the smaller of hess_i times the
+    radius and the centre Hessian's entries times the radius plus a
+    third-order term, holds every zero in X: inside int X it certifies
+    exactly one, disjoint from X none.  Newton polishes a certified zero
+    until its steps fall below _SNAP, and the box credits it only if its
+    own half-open box holds it, so a zero found by several boxes is counted
     once.  The remaining boxes are quartered."""
     pairs = ((f1, c1), (f2, c2))
     lip = np.array([2 * np.pi * np.abs(c) @ np.abs(f).sum(axis=1) for f, c in pairs])
     hess = np.array([(2 * np.pi) ** 2 * np.abs(c) @ np.abs(f).sum(axis=1) ** 2 for f, c in pairs])
+    third = np.array([(2 * np.pi) ** 3 * np.abs(c) @ np.abs(f).sum(axis=1) ** 3 for f, c in pairs])
     ef = np.array([_ROUNDING * np.abs(c).sum() for _, c in pairs])
     ed = _ROUNDING * lip
+    eh = _ROUNDING * hess
     jet = _pair_jet(f1, c1, f2, c2)
 
     side = _BOX_BASE * max(1, int(np.abs(np.vstack([f1, f2])).max()))
@@ -83,19 +93,23 @@ def _certified_sample_count(
     offsets = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     count = 0
     for _ in range(_BOX_LEVELS + 1):
-        val, jac = jet(centers)
+        val, jac, hessian = jet(centers)
+        # every entry of the centre Hessian, plus the roundings of its 4 entries
+        curve = np.abs(hessian).sum(axis=(2, 3)) + 4 * eh
+        first = (np.abs(jac).sum(axis=2) + 2 * ed) * radius
         reach = np.minimum(
-            lip * radius,
-            (np.abs(jac).sum(axis=2) + 2 * ed) * radius + hess / 2 * radius * radius,
+            np.minimum(lip * radius, first + hess / 2 * radius * radius),
+            first + curve / 2 * radius * radius + third / 6 * radius**3,
         )
         live = (np.abs(val) <= reach + ef).all(axis=1)
-        centers, val, jac = centers[live], val[live], jac[live]
+        centers, val, jac, curve = centers[live], val[live], jac[live], curve[live]
         # Krawczyk: K(X) = x - Y F(x) + (I - Y J(X)) (X - x), Y = J(x)^-1
         wide = _BOX_INFLATE * radius
         inv, ok = _inverse2(jac)
         step = np.einsum("nab,nb->na", inv, val)
         spread = np.abs(np.eye(2) - inv @ jac).sum(axis=2)
-        spread += np.abs(inv) @ (hess * wide + 2 * ed)
+        moved = np.minimum(hess, curve + third / 2 * wide) * wide
+        spread += np.einsum("nab,nb->na", np.abs(inv), moved + 2 * ed)
         k_radius = np.abs(inv) @ ef + wide * spread
         free = (np.abs(step) > wide + k_radius).any(axis=1)
         ok &= (np.abs(step) + k_radius < wide).all(axis=1)
@@ -104,11 +118,13 @@ def _certified_sample_count(
             zeros = centers[ok] - step[ok]
             settled = np.ones(zeros.shape[0], dtype=bool)
             for _ in range(_NEWTON_STEPS):
-                zval, zjac = jet(zeros)
+                zval, zjac, _ = jet(zeros)
                 zinv, zok = _inverse2(zjac)
                 move = np.einsum("nab,nb->na", zinv, zval) * zok[:, None]
                 settled &= zok
                 zeros = zeros - move
+                if (np.abs(move) < _SNAP).all():
+                    break
             settled &= (np.abs(move) < _SNAP).all(axis=1)
             settled &= (np.abs(zeros - centers[ok]) < wide).all(axis=1)
             ok[ok] = settled
