@@ -126,8 +126,7 @@ def parse_support(text: str) -> torus.Support:
 
 
 def parse_spectrum(rs, text: str) -> groups.RepEnsemble:
-    """Spectrum shorthands: adjoint, trivial, weight:a,b,..., ball:r:m, or
-    the standalone ball-spectrum:<system>:r:m."""
+    """Spectrum shorthands: adjoint, trivial, weight:a,b,... or ball:r:m."""
     parts = text.split(":")
     try:
         if parts[0] == "adjoint" and len(parts) == 1:
@@ -139,11 +138,6 @@ def parse_spectrum(rs, text: str) -> groups.RepEnsemble:
             return groups.RepEnsemble.single(rs, coords)
         if parts[0] == "ball" and len(parts) == 3:
             return groups.RepEnsemble.ball(rs, Fraction(parts[1]), int(parts[2]))
-        if parts[0] == "ball-spectrum" and len(parts) == 4:
-            named = root_system(parts[1])
-            if named.name != rs.name:
-                raise ValueError(f"spectrum system {named.name} != --system {rs.name}")
-            return groups.RepEnsemble.ball(rs, Fraction(parts[2]), int(parts[3]))
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"bad spectrum {text!r}: {exc}") from exc
     raise SystemExit(f"cannot parse spectrum {text!r}")
@@ -209,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spectrum",
         action="append",
         required=True,
-        help="adjoint | trivial | weight:a,b | ball:r:m | ball-spectrum:SYS:r:m "
+        help="adjoint | trivial | weight:a,b | ball:r:m "
         "(repeat for mixed systems; one spectrum is reused n times)",
     )
     p_group.add_argument("--route", choices=("lattice", "calibrated", "both"), default="lattice")
@@ -373,13 +367,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
             return USAGE_ERROR
         raise
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
     except ValueError as exc:
         # domain validation (unknown system, asymmetric support, bad weight)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
     return code
 
 

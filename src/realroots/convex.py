@@ -572,10 +572,6 @@ class Ellipsoid:
         self.Q = (vecs * vals) @ vecs.T
         self._eigvals = vals
 
-    def support(self, xi: Sequence[float]) -> float:
-        x = np.asarray(xi, dtype=float)
-        return float(np.sqrt(max(0.0, x @ self.Q @ x)))
-
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * float(np.sqrt(np.prod(self._eigvals)))
 
@@ -907,10 +903,12 @@ class MixedVolumeResult:
     samples: int | None = None
 
 
+_MC_SAMPLES = 100_000  # Gaussian samples behind an "mc" mean
+
+
 def mixed_volume_ellipsoids(
     ellipsoids: Sequence[Ellipsoid],
     method: str = "auto",
-    samples: int = 100_000,
     seed: int | None = None,
 ) -> MixedVolumeResult:
     """Mixed volume V(E_1, ..., E_n) of n ellipsoids in R^n.
@@ -920,12 +918,12 @@ def mixed_volume_ellipsoids(
     that area averaged over the planes u^perp, u in S^2, after whitening by
     the roundest body, which must be positive definite; `stderr` is the
     distance of the reported 48 x 96 node rule from a 24 x 48 one), "mc"
-    (the Gaussian determinant estimator; needs `seed`; it integrates two
-    rows out through the planar mixed area, so at n <= 2 it returns the
-    closed form with stderr 0 from 0 samples), and "auto", which picks the
-    first of balls, volume and sphere that applies, else mc.  `samples` of
-    the result is the number of samples its value is averaged over (None
-    for the other methods).
+    (the Gaussian determinant estimator on _MC_SAMPLES samples; needs
+    `seed`; it integrates two rows out through the planar mixed area, so at
+    n <= 2 it returns the closed form with stderr 0 from 0 samples), and
+    "auto", which picks the first of balls, volume and sphere that applies,
+    else mc.  `samples` of the result is the number of samples its value is
+    averaged over (None for the other methods).
     """
     if not ellipsoids:
         raise ValueError("mixed volume of an empty list")
@@ -971,7 +969,7 @@ def mixed_volume_ellipsoids(
             raise ValueError("mc method needs a seed")
         from .montecarlo import gaussian_mixed_volume
 
-        stats = gaussian_mixed_volume([e.Q for e in ellipsoids], samples=samples, seed=seed)
+        stats = gaussian_mixed_volume([e.Q for e in ellipsoids], samples=_MC_SAMPLES, seed=seed)
         return MixedVolumeResult(stats.value, stats.stderr, method, stats.samples)
     raise ValueError(
         f"unknown method {method!r}; use auto, balls, volume, sphere or mc"

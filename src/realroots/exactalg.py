@@ -28,8 +28,6 @@ Mat = tuple[Vec, ...]
 __all__ = [
     "as_fraction",
     "as_vec",
-    "dot",
-    "mat_vec",
     "mat_det",
     "mat_inverse",
     "solve",
@@ -53,14 +51,6 @@ def as_fraction(x) -> Fraction:
 
 def as_vec(v: Iterable) -> Vec:
     return tuple(as_fraction(x) for x in v)
-
-
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return tuple(dot(row, v) for row in m)
 
 
 def integer_rows(m: Iterable[Iterable]) -> tuple[list[list[int]], int]:
@@ -158,7 +148,7 @@ def solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     for i in range(len(pivots), len(rows)):
         if rows[i][ncols] != 0:
             raise ValueError("inconsistent linear system")
-    if mat_vec(m, x) != tuple(b):
+    if any(sum(a * v for a, v in zip(row, x, strict=True)) != bv for row, bv in zip(m, b)):
         raise ValueError("linear system has no exact solution")
     return tuple(x)
 

@@ -181,9 +181,8 @@ class InvariantHessianForm:
     dimension: int
     radius_sq_killing: Fraction
 
-    def radius(self, metric: Metric | None = None) -> float:
-        scale = float(metric.scale) if metric is not None else 1.0
-        return math.sqrt(float(self.radius_sq_killing) / scale)
+    def radius(self) -> float:
+        return math.sqrt(float(self.radius_sq_killing))
 
 
 def f_form(ensemble: RepEnsemble) -> InvariantHessianForm:
@@ -323,17 +322,14 @@ def newton_body_volume(
     ensemble: RepEnsemble | RootSystem,
     weight=None,
     metric: Metric | None = None,
-    body: Polytope | None = None,
 ) -> float:
     """Metric volume of the Newton body of a spectrum: the weight polytope
     carrying the squared root-product density, calibrated by the group and
     torus volumes.  For the unit metric ball in rank one this reproduces the
     Euclidean unit-ball volume in the group dimension."""
     rs = ensemble.rs if isinstance(ensemble, RepEnsemble) else ensemble
-    if body is None:
-        body = weighted_polytope(ensemble, weight)
     calibration = _calibration_sq(rs, _metric_of(rs, metric))
-    integral = _density_integral(rs, body)
+    integral = _density_integral(rs, weighted_polytope(ensemble, weight))
     return xa._sqrt_pi_power(*xa._quotient([calibration, integral, integral], []))
 
 

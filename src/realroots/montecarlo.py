@@ -76,9 +76,13 @@ class MonteCarloStats:
     discarded: int = 0
 
 
-def _require_samples(samples: int, minimum: int = 2) -> None:
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < minimum:
-        raise ValueError(f"need an integer of at least {minimum} samples, got {samples!r}")
+def _require_draws(samples: int, seed: int, minimum: int = 2) -> None:
+    """ValueError, naming the value, unless `samples` is an integer of at
+    least `minimum` and `seed` a non-negative one (a bool is neither): no
+    counter draws from OS entropy."""
+    for value, least, what in ((samples, minimum, "samples"), (seed, 0, "for the seed")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"need an integer of at least {least} {what}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ def count_zeros_circle(support: Support, samples: int, seed: int) -> MonteCarloS
     real ensemble with the given frequency support.  Every counted zero is
     certified, samples that cannot be certified are discarded and reported,
     and fewer than 2 kept samples raise ArithmeticError."""
-    _require_samples(samples)
+    _require_draws(samples, seed)
     blocks = [counts[kept] for _, counts, kept, _ in _circle_blocks(support, samples, seed)]
     counts = np.concatenate(blocks).astype(float)
     return _kept_stats(counts, samples - counts.size)
@@ -286,7 +290,7 @@ def count_zeros_circle(support: Support, samples: int, seed: int) -> MonteCarloS
 def circle_zero_locations(support: Support, samples: int, seed: int) -> np.ndarray:
     """Pooled zero locations (mod 1) over the kept samples, found by bisection
     inside the certified one-zero cells."""
-    _require_samples(samples, 1)
+    _require_draws(samples, seed, 1)
     locations: list[np.ndarray] = []
     for g, _, kept, (rows, lo, width) in _circle_blocks(support, samples, seed):
         take = kept[rows]
@@ -510,9 +514,13 @@ def _certified_counts(
     for the second-order Taylor reach sum_j |J_ij| r + sum_jk |H_i,jk| r^2
     / 2 + third_i r^3 / 6.  The products of the starting grid are computed
     once for the whole block, and only the boxes that survive keep theirs;
-    a child's products are its parent's times a shift (`_children`).  Boxes
-    are made and tested _BOX_CHUNK at a time, so memory stays near (live
-    boxes x H).  On the surviving boxes, again _BOX_CHUNK at a time, the
+    a child's products are its parent's times a shift (`_children`).
+    Children are made and tested _BOX_CHUNK at a time, so their memory
+    stays near (live boxes x H).  The grid is tested a whole number of rows
+    at a time, at least one, so a grid of more than _BOX_CHUNK boxes (48^2
+    for box:2:3, 32^3 for box:3:2) is tested whole, one row at a time, and
+    its products stay held for the whole block: 32768 x 63 complex doubles,
+    33 MB, for box:3:2.  On the surviving boxes, _BOX_CHUNK at a time, the
     Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE to radius
     w, with the interval Jacobian taken as the centre Jacobian +- a bound
     whose row i sums to the smaller of hess_i w and sum_jk |H_i,jk| w +
@@ -639,7 +647,7 @@ def count_common_zeros_torus2(
     of independent random real ensembles.  Every counted zero is certified;
     samples that cannot be certified are discarded and reported, and fewer
     than 2 kept samples raise ArithmeticError."""
-    _require_samples(samples)
+    _require_draws(samples, seed)
     if isinstance(supports, Support):
         supports = [supports, supports]
     if len(supports) != 2 or any(s.dim != 2 for s in supports):
@@ -668,9 +676,7 @@ def count_common_zeros_torus2(
 _DET_BLOCK = 16384  # Gaussian matrices drawn and reduced together
 
 
-def gaussian_mixed_volume(
-    covariances: Sequence[np.ndarray], samples: int = 100_000, seed: int = 0
-) -> MonteCarloStats:
+def gaussian_mixed_volume(covariances: Sequence[np.ndarray], samples: int, seed: int) -> MonteCarloStats:
     """Mixed volume of ellipsoids from the expected absolute determinant of
     a Gaussian matrix G whose row i has covariance Q_i.
 
@@ -699,7 +705,7 @@ def gaussian_mixed_volume(
     draws are one standard normal stream in (sample, row, column) order, so
     the blocking does not change them.  Every Q_i must be finite and positive
     semidefinite (as for `Ellipsoid`)."""
-    _require_samples(samples)
+    _require_draws(samples, seed)
     qs = [np.asarray(q, dtype=float) for q in covariances]
     n = len(qs)
     if n == 0 or any(q.shape != (n, n) for q in qs):

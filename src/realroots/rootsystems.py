@@ -47,7 +47,6 @@ __all__ = [
     "weyl_dimension",
     "casimir",
     "frobenius_schur_indicator",
-    "reality_type",
     "symmetric_partner",
 ]
 
@@ -166,10 +165,6 @@ class RootSystem:
     dual_coxeter: int
 
     # -- basic derived quantities ----------------------------------------
-
-    @property
-    def rho(self) -> xa.Vec:
-        return (Fraction(1),) * self.rank
 
     @property
     def weyl_order(self) -> int:
@@ -359,13 +354,6 @@ def frobenius_schur_indicator(rs: RootSystem, lam: Sequence) -> int:
     return _fs_parity(rs, v) if symmetric_partner(rs, v) == v else 0
 
 
-def reality_type(rs: RootSystem, lam: Sequence) -> str:
-    """"real", "complex" or "quaternionic" type of the irreducible
-    representation with highest weight lam."""
-    fs = frobenius_schur_indicator(rs, lam)
-    return {1: "real", 0: "complex", -1: "quaternionic"}[fs]
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -443,12 +431,9 @@ class Metric:
         simple = math.prod(rs.root_ratios[: rs.rank])
         return (2 * rs.dual_coxeter * self.scale) ** rs.rank * simple * rs.cartan_det
 
-    def torus_volume(self) -> float:
-        """Riemannian volume of the maximal torus."""
-        return xa._sqrt_pi_power(*self._torus_volume_sq())
-
     def _torus_volume_sq(self) -> tuple[int, int, int]:
-        """(2 pi)^(2 rank) times `coroot_gram_det`, as (a, b, e), a / b pi^e."""
+        """The squared Riemannian volume of the maximal torus, (2 pi)^(2 rank)
+        times `coroot_gram_det`, as (a, b, e), a / b pi^e."""
         return xa._quotient([(4**self.rs.rank, 1, 2 * self.rs.rank), self.coroot_gram_det()], [])
 
     def group_volume(self) -> float:

@@ -41,7 +41,6 @@ __all__ = [
     "mean_real_count_torus",
     "complex_count_torus",
     "real_proportion_torus",
-    "beta_constant",
     "kac_limit",
     "segment_proportion",
 ]
@@ -136,23 +135,22 @@ def _as_support_list(supports) -> list[Support]:
 def mean_real_count_torus(
     supports: Support | Sequence[Support],
     method: str = "auto",
-    samples: int = 100_000,
     seed: int | None = None,
 ) -> MixedVolumeResult:
     """Expected number of real common zeros on the torus [0,1)^n of n
     independent random real ensembles: n!/(2 pi)^n times the mixed volume of
     the second-moment ellipsoids.
 
-    `method`, `samples` and `seed` go to `mixed_volume_ellipsoids`; `auto`
-    asks for a seed only in dimension >= 4, or in dimension 3 when every
-    support lies in a plane.  Each distinct support is checked and its
-    ellipsoid built once.
+    `method` and `seed` go to `mixed_volume_ellipsoids`; `auto` asks for a
+    seed only in dimension >= 4, or in dimension 3 when every support lies
+    in a plane.  Each distinct support is checked and its ellipsoid built
+    once.
     """
     sups = _as_support_list(supports)
     n = sups[0].dim
     ellipsoids = {s: newton_ellipsoid_torus(s.require_symmetric()) for s in set(sups)}
     ell = [ellipsoids[s] for s in sups]
-    mv = mixed_volume_ellipsoids(ell, method=method, samples=samples, seed=seed)
+    mv = mixed_volume_ellipsoids(ell, method=method, seed=seed)
     factor = math.factorial(n) / (2 * math.pi) ** n
     return MixedVolumeResult(factor * mv.value, factor * mv.stderr, mv.method, mv.samples)
 
@@ -183,12 +181,11 @@ class TorusEnsembleResult:
 def real_proportion_torus(
     supports: Support | Sequence[Support],
     method: str = "auto",
-    samples: int = 100_000,
     seed: int | None = None,
 ) -> TorusEnsembleResult:
     """Ratio of the expected real zero count to the complex count."""
     sups = _as_support_list(supports)
-    mean = mean_real_count_torus(sups, method=method, samples=samples, seed=seed)
+    mean = mean_real_count_torus(sups, method=method, seed=seed)
     total = complex_count_torus(sups)
     if total == 0:
         raise ValueError("degenerate system: zero complex count")
@@ -212,12 +209,6 @@ def _beta_sq(n: int) -> tuple[int, int, int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return xa._quotient([xa._gamma_sq(3), xa._gamma_sq(n + 1)], [xa._gamma_sq(n + 4)])
-
-
-def beta_constant(n: int) -> float:
-    """Euler beta value B(3/2, (n+1)/2), the moment constant entering the
-    n-dimensional zero-density limit."""
-    return xa._sqrt_pi_power(*_beta_sq(n))
 
 
 def kac_limit(n: int) -> float:

@@ -38,7 +38,7 @@ def fs_indicator_quadrature(rs, lam: Sequence, grid: int = 64) -> int:
     highest weight lam; raises if the average is not within 1e-6 of one."""
     v = xa.as_vec(lam)
     orbit_num = _signed_orbit(rs, [x + 1 for x in v])
-    orbit_rho = _signed_orbit(rs, rs.rho)
+    orbit_rho = _signed_orbit(rs, (Fraction(1),) * rs.rank)
 
     def max_coord(vecs: Iterable[xa.Vec]) -> int:
         return max(int(math.ceil(abs(c))) for vec in vecs for c in vec)

@@ -10,7 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from realroots.exactalg import Mat, Vec, mat_vec
+from realroots.exactalg import Mat, Vec
+
+
+def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
+    return tuple(dot(row, v) for row in m)
 
 
 def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:

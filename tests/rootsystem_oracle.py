@@ -36,11 +36,12 @@ from itertools import product
 from typing import Sequence
 from unittest.mock import patch
 
+from exactalg_oracle import dot, mat_vec
 from realroots import exactalg as xa
 
 
 def _bilinear(g: Sequence[Sequence], x: Sequence, y: Sequence) -> Fraction:
-    return xa.dot(x, xa.mat_vec(g, y))
+    return dot(x, mat_vec(g, y))
 
 
 def _simple_root_gram(family: str, rank: int) -> xa.Mat:
@@ -140,7 +141,7 @@ def _construction(name: str) -> dict:
     coroots, ratios = [], []
     for beta in pos_roots:
         ratio = 2 / _bilinear(gram_std, beta, beta)
-        row = tuple(ratio * x for x in xa.mat_vec(gram_std, beta))
+        row = tuple(ratio * x for x in mat_vec(gram_std, beta))
         assert ratio.denominator == 1 and all(k.denominator == 1 for k in row)
         ratios.append(int(ratio))
         coroots.append(tuple(int(k) for k in row))
@@ -181,11 +182,16 @@ def _construction(name: str) -> dict:
     )
 
 
+def rho_weight(rs) -> xa.Vec:
+    """rho, the sum of the fundamental weights: (1, ..., 1)."""
+    return (Fraction(1),) * rs.rank
+
+
 def weyl_dimension(rs, lam: Sequence) -> int:
     v = xa.as_vec(lam)
     num = Fraction(1)
     den = Fraction(1)
-    rho = rs.rho
+    rho = rho_weight(rs)
     lam_rho = tuple(x + 1 for x in v)
     for beta in rs.positive_roots:
         num *= _bilinear(gram_std(rs), lam_rho, beta)
@@ -224,7 +230,7 @@ def coroot(rs, beta: Sequence) -> xa.Vec:
     """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates, which
     are its pairings (omega_i, beta^vee) with the fundamental weights."""
     ratio = 2 / _bilinear(gram_std(rs), beta, beta)
-    return tuple(ratio * x for x in xa.mat_vec(gram_std(rs), beta))
+    return tuple(ratio * x for x in mat_vec(gram_std(rs), beta))
 
 
 def _dominant(cartan: Sequence[Sequence], v: xa.Vec) -> xa.Vec:

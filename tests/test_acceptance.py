@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from realroots import convex, groups, montecarlo, torus
+from realroots import exactalg as xa
 from realroots.convex import (
     Ellipsoid,
     convex_hull,
@@ -48,7 +49,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_01_beta_table_closed_forms():
     start = time.perf_counter()
     errs = [
-        abs(torus.beta_constant(n) - float(BETA_CLOSED_FORMS[n - 1]))
+        abs(xa._sqrt_pi_power(*torus._beta_sq(n)) - float(BETA_CLOSED_FORMS[n - 1]))
         for n in range(1, 11)
     ]
     elapsed = time.perf_counter() - start

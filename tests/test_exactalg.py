@@ -10,17 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exactalg_oracle as oracle
+from exactalg_oracle import dot, mat_vec
 from realroots.exactalg import (
     _gamma_sq,
     _quotient,
     _sqrt_pi_power,
     as_fraction,
     as_vec,
-    dot,
     integer_rows,
     mat_det,
     mat_inverse,
-    mat_vec,
     nullspace_vector,
     rank,
     solve,
@@ -55,13 +54,6 @@ def test_as_fraction_accepts_common_inputs():
     assert as_fraction("2/7") == Fraction(2, 7)
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
     assert as_fraction(0.25) == Fraction(1, 4)
-
-
-def test_vector_arithmetic():
-    a = as_vec([1, 2, 3])
-    b = as_vec(["1/2", 0, -1])
-    assert dot(a, b) == Fraction(-5, 2)
-    assert mat_vec([a, b], b) == (Fraction(-5, 2), Fraction(5, 4))
 
 
 @settings(max_examples=60, deadline=None)

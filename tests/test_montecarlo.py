@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1024,6 +1025,28 @@ def test_counters_need_an_integer_sample_count(samples):
         gaussian_mixed_volume([np.eye(2), np.eye(2)], samples=samples, seed=1)
     with pytest.raises(ValueError, match="integer of at least 1 sample"):
         circle_zero_locations(segment_support(3), samples, seed=1)
+
+
+SEEDED = {
+    "count_zeros_circle": lambda seed: count_zeros_circle(segment_support(3), 4, seed),
+    "circle_zero_locations": lambda seed: circle_zero_locations(segment_support(3), 4, seed),
+    "count_common_zeros_torus2": lambda seed: count_common_zeros_torus2(box_support(2, 1), 4, seed),
+    "gaussian_mixed_volume": lambda seed: gaussian_mixed_volume([np.eye(3)] * 3, samples=4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, -1, 2.5, 3.0, "3", True])
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_counters_need_a_non_negative_integer_seed(entry, seed):
+    # a seed of None drew from OS entropy: two count_zeros_circle(segment_support(3),
+    # 50, None) read 4.28 and 3.80
+    with pytest.raises(ValueError, match=re.escape(f"for the seed, got {seed!r}")):
+        SEEDED[entry](seed)
+
+
+def test_the_gaussian_estimator_has_no_default_seed():
+    with pytest.raises(TypeError, match="seed"):
+        gaussian_mixed_volume([np.eye(3)] * 3, samples=4)
 
 
 @pytest.mark.parametrize("count", [1, 3])

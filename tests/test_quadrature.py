@@ -48,7 +48,7 @@ def test_root_forms_multiply_to_the_root_product():
         const, forms = Metric(rs).root_forms()
         assert len(forms) == rs.num_positive_roots
         assert all(isinstance(c, int) for form in forms for c in form)
-        for lam in [rs.rho, rs.highest_root, (1,) + (0,) * (rs.rank - 1)]:
+        for lam in [rootsystem_oracle.rho_weight(rs), rs.highest_root, (1,) + (0,) * (rs.rank - 1)]:
             value = const
             for form in forms:
                 value *= sum(a * x for a, x in zip(form, lam))

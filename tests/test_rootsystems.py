@@ -12,7 +12,7 @@ from ball_oracles import fischer_product, float_integrate_ball, orthonormal_fram
 from character_oracle import fs_indicator_quadrature
 import rootsystem_oracle
 from realroots.convex import convex_hull
-from realroots.exactalg import dot, mat_vec
+from exactalg_oracle import dot, mat_vec
 from realroots.polynomials import Polynomial
 from realroots.rootsystems import (
     Metric,
@@ -23,7 +23,6 @@ from realroots.rootsystems import (
     _killing_numerator,
     casimir,
     frobenius_schur_indicator,
-    reality_type,
     root_system,
     symmetric_partner,
     unit_volume_metric,
@@ -54,7 +53,6 @@ def test_catalogue_invariants(name):
     assert rs.dimension == dim
     assert rs.num_positive_roots == positives
     assert rs.dimension == rs.rank + 2 * rs.num_positive_roots
-    assert rs.rho == tuple(Fraction(1) for _ in range(rs.rank))
 
 
 def test_cartan_matrices():
@@ -170,7 +168,7 @@ def test_conjugacy_key_separates_exactly_the_weyl_orbits_of_sets(name):
 
 def test_signed_orbit_of_regular_weight_balances():
     a2 = root_system("A2")
-    signs, _ = a2.lattice_orbit(a2.rho)
+    signs, _ = a2.lattice_orbit(rootsystem_oracle.rho_weight(a2))
     assert len(signs) == a2.weyl_order
     assert sum(signs.values()) == 0
     assert set(signs.values()) == {-1, 1}
@@ -222,7 +220,7 @@ def test_weyl_order_matches_regular_orbit_size(name):
     # the group acts simply transitively on the orbit of a regular point, so
     # the product of the degrees read off the root heights counts it
     rs = root_system(name)
-    assert rs.weyl_order == len(rs.lattice_orbit(rs.rho)[0])
+    assert rs.weyl_order == len(rs.lattice_orbit(rootsystem_oracle.rho_weight(rs))[0])
 
 
 ORACLE_SYSTEMS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
@@ -261,7 +259,7 @@ def test_coroot_table_matches_the_fraction_gram_oracle(name):
         assert forms_product(met, lam) == rootsystem_oracle.root_product(met, lam)
     off_lattice = ((Fraction(1, 2), Fraction(-3, 7)) + (Fraction(2),) * rs.rank)[: rs.rank]
     assert forms_product(met, off_lattice) == rootsystem_oracle.root_product(met, off_lattice)
-    assert met.root_product_at_rho() == rootsystem_oracle.root_product(met, rs.rho)
+    assert met.root_product_at_rho() == rootsystem_oracle.root_product(met, rootsystem_oracle.rho_weight(rs))
 
 
 def _published_duality(name: str) -> tuple[int, tuple[int, ...]]:
@@ -338,17 +336,16 @@ def test_integer_duals_and_casimir_match_the_fraction_oracle(name):
         lambda rs, lam: weyl_dimension(rs, lam),
         lambda rs, lam: symmetric_partner(rs, lam),
         lambda rs, lam: frobenius_schur_indicator(rs, lam),
-        lambda rs, lam: reality_type(rs, lam),
         lambda rs, lam: rs.to_dominant(lam),
         lambda rs, lam: casimir(rs, lam),
     ],
-    ids=["weyl_dimension", "symmetric_partner", "frobenius_schur_indicator", "reality_type",
-         "to_dominant", "casimir"],
+    ids=["weyl_dimension", "symmetric_partner", "frobenius_schur_indicator", "to_dominant",
+         "casimir"],
 )
 @pytest.mark.parametrize("lam", [(1,), (1, 2, 3)], ids=["short", "long"])
 def test_wrong_rank_weight_is_a_value_error(call, lam):
     # a weight row of the wrong length would zip against the Cartan or
-    # coroot rows: weyl_dimension(A2, (1,)) read 0 and reality_type "real"
+    # coroot rows: weyl_dimension(A2, (1,)) read 0 and frobenius_schur_indicator 1
     A2 = root_system("A2")
     with pytest.raises(ValueError, match="weight rank mismatch"):
         call(A2, lam)
@@ -364,12 +361,10 @@ def test_frobenius_schur_known_cases():
     a2 = root_system("A2")
     assert frobenius_schur_indicator(a2, (1, 0)) == 0
     assert frobenius_schur_indicator(a2, (1, 1)) == 1
-    assert reality_type(a2, (1, 0)) == "complex"
     assert symmetric_partner(a2, (1, 0)) == (Fraction(0), Fraction(1))
     b2 = root_system("B2")
     assert frobenius_schur_indicator(b2, (1, 0)) == 1
     assert frobenius_schur_indicator(b2, (0, 1)) == -1
-    assert reality_type(b2, (0, 1)) == "quaternionic"
     g2 = root_system("G2")
     assert frobenius_schur_indicator(g2, (1, 0)) == 1
     assert frobenius_schur_indicator(g2, (0, 1)) == 1
@@ -399,7 +394,8 @@ def test_rank_one_metric_anchors():
     assert Fraction(_killing_numerator(a1, (2,), (2,)), _casimir_unit(a1)) == Fraction(1, 2)
     assert met.root_product_at_rho() == Fraction(1, 4)
     assert casimir(a1, (1,)) == Fraction(3, 8)
-    assert met.torus_volume() == pytest.approx(4 * math.sqrt(2) * math.pi, rel=1e-12)
+    a, b, e = met._torus_volume_sq()  # vol(T) = 4 sqrt(2) pi
+    assert (Fraction(a, b), e) == (32, 2)
     assert met.group_volume() == pytest.approx(
         32 * math.sqrt(2) * math.pi ** 2, rel=1e-12
     )
@@ -414,7 +410,8 @@ def test_rank_two_metric_anchors():
     # the Gram matrix is ((1/9, 1/18), (1/18, 1/9)), and its inverse 6 C
     assert met._inverse_gram() == ([[12, -6], [-6, 12]], 1)
     assert met.root_product_at_rho() == Fraction(1, 108)
-    assert met.torus_volume() == pytest.approx(24 * math.sqrt(3) * math.pi ** 2, rel=1e-12)
+    a, b, e = met._torus_volume_sq()  # vol(T) = 24 sqrt(3) pi^2
+    assert (Fraction(a, b), e) == (1728, 4)
     assert met.group_volume() == pytest.approx(
         20736 * math.sqrt(3) * math.pi ** 5, rel=1e-12
     )
@@ -433,9 +430,8 @@ def test_metric_scaling_laws():
         [Fraction(x, s) / c for x in row] for row in sigma]
     k, p, n = a2.rank, a2.num_positive_roots, a2.dimension
     assert scaled.root_product_at_rho() == c ** p * base.root_product_at_rho()
-    assert scaled.torus_volume() == pytest.approx(
-        float(c) ** (k / 2) * base.torus_volume(), rel=1e-12
-    )
+    (a, b, e), (a0, b0, e0) = scaled._torus_volume_sq(), base._torus_volume_sq()
+    assert (Fraction(a, b), e) == (c**k * Fraction(a0, b0), e0)
     assert scaled.group_volume() == pytest.approx(
         float(c) ** (n / 2) * base.group_volume(), rel=1e-12
     )

@@ -14,10 +14,11 @@ import realroots
 from package_caches import clear_package_caches, package_caches
 
 from realroots import cli
+from realroots.exactalg import _sqrt_pi_power
 from realroots.torus import (
     Support,
+    _beta_sq,
     ball_support,
-    beta_constant,
     box_support,
     complex_count_torus,
     kac_limit,
@@ -44,9 +45,14 @@ BETA_TABLE = [
 ]
 
 
+def beta(n):
+    """B(3/2, (n+1)/2) as the kac_limit reads it, from its exact square."""
+    return _sqrt_pi_power(*_beta_sq(n))
+
+
 def test_beta_table():
     for n, want in enumerate(BETA_TABLE, start=1):
-        assert beta_constant(n) == pytest.approx(want, abs=1e-14)
+        assert beta(n) == pytest.approx(want, abs=1e-14)
 
 
 def test_kac_limit_closed_form():
@@ -69,7 +75,7 @@ def test_beta_constant_past_the_gamma_overflow():
     # math.gamma((n + 1) / 2) overflows from n = 343 on; B(3/2, (n+1)/2)
     # decays like (sqrt(pi) / 2) (n / 2)^(-3/2)
     n = 2001
-    assert beta_constant(n) == pytest.approx(
+    assert beta(n) == pytest.approx(
         math.exp(math.lgamma(1.5) + math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 2)), rel=1e-12)
 
 
@@ -163,8 +169,8 @@ def test_real_proportion_pipeline_consistency(capsys):
 
 def test_real_proportion_reports_the_monte_carlo_sample_count():
     sups = [box_support(3, 1), ball_support(3, 1), ball_support(3, 1)]
-    res = real_proportion_torus(sups, method="mc", samples=5000, seed=3)
-    assert (res.method, res.samples, dataclasses.asdict(res)["samples"]) == ("mc", 5000, 5000)
+    res = real_proportion_torus(sups, method="mc", seed=3)
+    assert (res.method, res.samples, dataclasses.asdict(res)["samples"]) == ("mc", 100_000, 100_000)
     assert res.real_stderr > 0
 
 
@@ -217,7 +223,7 @@ def test_mean_builds_one_ellipsoid_per_distinct_support(monkeypatch, supports, d
     import realroots.torus as tor
     from realroots.convex import mixed_volume_ellipsoids
 
-    kwargs = {"method": method, "samples": 2000, "seed": 5}
+    kwargs = {"method": method, "seed": 5}
     # one ellipsoid per copy, as the mean was assembled before
     mv = mixed_volume_ellipsoids([newton_ellipsoid_torus(s) for s in supports], **kwargs)
     factor = math.factorial(3) / (2 * math.pi) ** 3
