@@ -923,8 +923,14 @@ def mixed_volume_ellipsoids(
     n <= 2 it returns the closed form with stderr 0 from 0 samples), and
     "auto", which picks the first of balls, volume and sphere that applies,
     else mc.  `samples` of the result is the number of samples its value is
-    averaged over (None for the other methods).
+    averaged over (None for the other methods).  A seed other than None
+    must be a non-negative integer under every method, as the Monte Carlo
+    counters require (ValueError otherwise).
     """
+    if seed is not None:
+        from .montecarlo import _require_integer
+
+        _require_integer(seed, 0, "for the seed")
     if not ellipsoids:
         raise ValueError("mixed volume of an empty list")
     n = ellipsoids[0].dim

@@ -12,20 +12,23 @@ the index of its sample, from a starting grid of 16 boxes per side per unit
 of the largest frequency coordinate: boxes are dropped by a first- or
 second-order exclusion bound as they are made, the latter with the box's
 own Hessian at its centre and a third-order remainder from sum |c|
-|lambda|_1^3, and the Krawczyk test (interval Jacobian = centre Jacobian +-
-the smaller of a bound from sum |c| |lambda|_1^2 and one from the centre
-Hessian, times the radius) certifies exactly one zero in a box or none.
-Every bound reads |<lambda, d>| <= |lambda|_1 r on a box of radius r.  The
-other boxes are split in 2^n.  F and its Jacobian are real matmuls of a
-box's exponential products e(<lambda, x>) with its sample's weights; the
-starting grid's products are computed once per block, and a child's are its
-parent's times a fixed unit shift per corner, so no `exp` runs below the
-grid.  The certified boxes of every level are polished by Newton together,
-until every zero has settled, and each zero is credited to the one
-half-open box that holds it.  A sample with cells or boxes still undecided
-after a fixed number of splits, with too many of them, or with a certified
-box whose polish does not settle, is discarded without touching the rest of
-its block: it is reported in `MonteCarloStats.discarded` and left out of
+|lambda|_1^3, and the Krawczyk test on the box blown up by 9/8 (interval
+Jacobian = centre Jacobian +- the smaller of a bound from sum |c|
+|lambda|_1^2 and one from the centre Hessian, times the blown-up radius)
+certifies exactly one zero in a box or none.  Every bound reads |<lambda,
+d>| <= |lambda|_1 r on a box of radius r.  The other boxes are split in
+2^n.  F and its Jacobian are real matmuls of a box's exponential products
+e(<lambda, x>) with its sample's weights, one per run of a sample's boxes,
+or one batched matmul of gathered weights where the runs are short; the
+starting grid's products are computed once per block, and a child's are
+its parent's times a fixed unit shift per corner, so no `exp` runs below
+the grid.  The certified boxes of every level are polished by Newton
+together, with gathered weights where a sample holds a few zeros, until
+every zero has settled, and each zero is credited to the one half-open box
+that holds it.  A sample with cells or boxes still undecided after a fixed
+number of splits, with too many of them, or with a certified box whose
+polish does not settle, is discarded without touching the rest of its
+block: it is reported in `MonteCarloStats.discarded` and left out of
 the mean, and fewer than 2 kept samples raise ArithmeticError.  A Gaussian
 determinant estimator gives mixed
 volumes of ellipsoids where no closed form applies: it draws the first n - 2
@@ -76,13 +79,19 @@ class MonteCarloStats:
     discarded: int = 0
 
 
+def _require_integer(value, least: int, what: str) -> None:
+    """ValueError, naming the value, unless it is an integer of at least
+    `least` (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"need an integer of at least {least} {what}, got {value!r}")
+
+
 def _require_draws(samples: int, seed: int, minimum: int = 2) -> None:
     """ValueError, naming the value, unless `samples` is an integer of at
-    least `minimum` and `seed` a non-negative one (a bool is neither): no
-    counter draws from OS entropy."""
-    for value, least, what in ((samples, minimum, "samples"), (seed, 0, "for the seed")):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"need an integer of at least {least} {what}, got {value!r}")
+    least `minimum` and `seed` a non-negative one: no counter draws from OS
+    entropy."""
+    _require_integer(samples, minimum, "samples")
+    _require_integer(seed, 0, "for the seed")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +324,7 @@ def circle_zero_locations(support: Support, samples: int, seed: int) -> np.ndarr
 _BOX_BASE = 16  # boxes per side of the starting grid per unit of the largest frequency
 _BOX_LEVELS = 16  # splits of an undecided box before its sample is discarded
 _BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
-_BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
+_BOX_INFLATE = 9 / 8  # the Krawczyk test runs on the box blown up by this factor
 _NEWTON_STEPS = 6  # most Newton steps polishing the certified zeros of a block
 # A polished zero is rounded to this lattice before it is credited to a box:
 # far finer than any box edge, far coarser than the spread of two polishes of
@@ -323,6 +332,10 @@ _NEWTON_STEPS = 6  # most Newton steps polishing the certified zeros of a block
 _SNAP = 2.0**-40
 _SAMPLE_BLOCK = 64  # samples whose boxes are subdivided together
 _BOX_CHUNK = 2048  # boxes made and tested for exclusion, or Krawczyk-tested, at once
+# Points of a sample row are contracted with its weights one matmul per run
+# of the row, unless the runs average fewer points than this; then each
+# point's weights are gathered and all are contracted in one batched matmul.
+_SHORT_RUN = 8
 
 
 def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
@@ -340,13 +353,20 @@ def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
     are real (2H x columns) matrices acting on the products read as (Re, Im)
     pairs, so F, J and H are real matmuls.  `rows` gives the sample row of
     each point and must be sorted: each run of one row is contracted with
-    that row's weights in one matmul, and no weights are gathered per
-    point.  A slice of rows instead evaluates every point for each row in
-    it, one row after the other (as the starting grid, which every sample
-    shares, is evaluated)."""
+    that row's weights in one matmul, unless the runs average fewer than
+    _SHORT_RUN points (as the polish's few zeros per sample on box:2:1 do),
+    when each point's weights are gathered and all points are contracted in
+    one batched matmul.  A slice of rows instead evaluates every point for
+    each row in it, one row after the other (as the starting grid, which
+    every sample shares, is evaluated)."""
     n, size, every = len(freqs), len(coeffs[0]), np.vstack(freqs).astype(int)
+    equation = np.repeat(np.arange(n), [len(f) for f in freqs])
     flip = every[np.arange(len(every)), np.argmax(every != 0, axis=1)] < 0
-    half, where = np.unique(np.where(flip[:, None], -every, every), axis=0, return_inverse=True)
+    signed = np.where(flip[:, None], -every, every)
+    # mixed-radix keys sort as their rows do, lexicographically
+    keys = signed @ (2 * int(np.abs(every).max()) + 1) ** np.arange(n - 1, -1, -1)
+    _, at, where = np.unique(keys, return_index=True, return_inverse=True)
+    half = signed[at]
     upper = np.triu_indices(n)
     terms = np.hstack(
         [
@@ -355,12 +375,14 @@ def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
             (2j * np.pi) ** 2 * every[:, upper[0]] * every[:, upper[1]],
         ]
     )
-    raw = np.zeros((size, len(every), n, terms.shape[1]), dtype=complex)
-    equation = np.repeat(np.arange(n), [len(f) for f in freqs])
-    raw[:, np.arange(len(every)), equation] = np.hstack(coeffs)[:, :, None] * terms
-    raw = np.where(flip[None, :, None, None], raw.conj(), raw)
+    raw = np.hstack(coeffs)[:, :, None] * terms
+    raw[:, flip] = raw[:, flip].conj()
+    # an equation's frequencies are distinct, so each (half, equation) slot
+    # takes its lam once from the kept frequencies and its -lam once from the
+    # flipped ones: two scatters with no repeated index
     folded = np.zeros((size, len(half), n, terms.shape[1]), dtype=complex)
-    np.add.at(folded, (slice(None), where), raw)
+    for part in (~flip, flip):
+        folded[:, where[part], equation[part]] += raw[:, part]
     # Re(p w) = Re p Re w - Im p Im w, against p's (Re, Im) pairs
     weights = np.stack([folded.real, -folded.imag], axis=2).reshape(size, 2 * len(half), n, -1)
     first = np.ascontiguousarray(weights[..., : n + 1].reshape(size, 2 * len(half), -1))
@@ -372,8 +394,10 @@ def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
         flat = products.view(float)
         if isinstance(rows, slice):
             return flat @ table[rows]
-        out = np.empty((len(rows), table.shape[2]))
         starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1)][: len(rows)]
+        if len(rows) < _SHORT_RUN * len(starts):
+            return np.matmul(flat[:, None, :], table[rows])[:, 0]
+        out = np.empty((len(rows), table.shape[2]))
         for lo, hi in zip(starts, [*starts[1:], len(rows)]):
             np.matmul(flat[lo:hi], table[rows[lo]], out=out[lo:hi])
         return out
@@ -480,7 +504,10 @@ def _polish(
     with F and J from `jet` (see _product_jet), until a step moves every
     zero by less than _SNAP or _NEWTON_STEPS steps have run: the polished
     zeros, and the mask of those whose last step moved them by less than
-    _SNAP with an invertible Jacobian at every step."""
+    _SNAP with an invertible Jacobian at every step.  Where the samples
+    hold a few zeros each (about four on box:2:1), `jet` contracts each zero
+    with its sample's gathered weights in one matmul, not one matmul per
+    sample (see _product_jet)."""
     settled = np.ones(len(rows), dtype=bool)
     for _ in range(_NEWTON_STEPS):
         zval, zjac = jet(_exponentials(zeros, half), rows)
@@ -521,13 +548,17 @@ def _certified_counts(
     for box:2:3, 32^3 for box:3:2) is tested whole, one row at a time, and
     its products stay held for the whole block: 32768 x 63 complex doubles,
     33 MB, for box:3:2.  On the surviving boxes, _BOX_CHUNK at a time, the
-    Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE to radius
-    w, with the interval Jacobian taken as the centre Jacobian +- a bound
-    whose row i sums to the smaller of hess_i w and sum_jk |H_i,jk| w +
-    third_i w^2 / 2, holds every zero in X: inside int X it certifies
-    exactly one, disjoint from X none.  The other boxes are split in 2^n.
-    A row with more than _BOX_CAP of them, or with any left after
-    _BOX_LEVELS splits, is dropped without touching the others.  The
+    Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE (9/8) to
+    radius w, with the interval Jacobian taken as the centre Jacobian +- a
+    bound whose row i sums to the smaller of hess_i w and sum_jk |H_i,jk| w
+    + third_i w^2 / 2, holds every zero in X: inside int X it certifies
+    exactly one, disjoint from X none.  Any factor of at least 1 is sound,
+    and a wider X is harder to certify: the box:2:2 block of 12 samples
+    (seed 0) splits 945 boxes at 9/8 and 1371 at 2, and only 928 at 1.1,
+    where a zero near a face of its box has ever less room inside X.  The
+    other boxes are split in 2^n.  A row with more than _BOX_CAP of them,
+    or with any left after _BOX_LEVELS splits, is dropped without touching
+    the others.  The
     certified boxes of every level are polished together at the end, by
     Newton steps from their first Krawczyk iterate until one step moves
     every zero by less than _SNAP (`_polish`), and each credits its zero

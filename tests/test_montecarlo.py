@@ -401,7 +401,7 @@ def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
     assert stats.value == pytest.approx(np.mean(kept), abs=1e-12)
 
 
-@pytest.mark.parametrize("steps,seed,kept_with_zeros", [(1, 1, 0), (3, 169, 54)])
+@pytest.mark.parametrize("steps,seed,kept_with_zeros", [(1, 1, 0), (3, 53, 55)])
 def test_a_zero_whose_polish_does_not_settle_discards_only_its_sample(
     monkeypatch, steps, seed, kept_with_zeros
 ):
@@ -410,10 +410,11 @@ def test_a_zero_whose_polish_does_not_settle_discards_only_its_sample(
     # sample that certified the box is discarded while the others of the
     # block keep the count the per-sample oracle (six steps) gives them.
     # With one step every sample with zeros is dropped; with three, on seed
-    # 169, nine are dropped beside 54 kept with zeros, the fewest on seeds
-    # 0..199.  (Boxes are certified up to two levels above the zero's own
-    # and polished from there: three steps drop at least 9 of 64 samples on
-    # those seeds and four drop none, so no step count drops exactly one.)
+    # 53, seven are dropped beside 55 kept with zeros, the fewest on seeds
+    # 0..199 (53 is the first of four seeds that drop seven).  (Boxes are
+    # polished from their first Krawczyk iterate: three steps drop at least
+    # 7 of 64 samples on those seeds and four drop none, so no step count
+    # drops exactly one.)
     support = box_support(2, 1)
     want = torus2_oracle.oracle_counts(support, support, 64, seed)
     monkeypatch.setattr(montecarlo, "_NEWTON_STEPS", steps)
@@ -613,7 +614,8 @@ ROW_BOUND_SYSTEMS = {
 
 @pytest.mark.parametrize("supports", ROW_BOUND_SYSTEMS.values(), ids=ROW_BOUND_SYSTEMS.keys())
 def test_the_row_bounds_hold_over_a_blown_up_box(supports):
-    # at points c + d of a starting box blown up to radius w, |d|_inf <= w:
+    # at points c + d of a starting box blown up to radius w, |d|_inf <= w,
+    # w twice the box's radius or the Krawczyk test's blow-up if larger:
     # |F_i(c + d) - F_i(c)| <= lip_i w, the first-order Taylor remainder of
     # F_i is at most hess_i w^2 / 2 and the second-order one at most
     # third_i w^3 / 6, and row i of the Jacobian moves by at most hess_i w
@@ -624,7 +626,7 @@ def test_the_row_bounds_hold_over_a_blown_up_box(supports):
     freqs, coeffs = random_systems(supports, 8, seed=7 * n + len(supports[0]))
     lip, hess, _, _, third, _ = montecarlo._row_bounds(freqs, coeffs).transpose(1, 0, 2)
     side = montecarlo._BOX_BASE * int(max(np.abs(f).max() for f in freqs))
-    w = montecarlo._BOX_INFLATE * 0.5 / side
+    w = max(2.0, montecarlo._BOX_INFLATE) * 0.5 / side
     rng = np.random.default_rng(18)
     centers = rng.random((512, n))
     # box corners, where |<lam, d>| = |lam|_1 w for some sign pattern, and inner points
@@ -726,28 +728,36 @@ def test_the_krawczyk_radius_bounds_the_jacobian_over_the_whole_box_in_three_dim
     # = A sin theta_a - B sin 3 theta_a, A = 1 + 3 eps / 4, B = eps / 4,
     # vanishes only at x_a = t_a and t_a + 1/2, with J = +-2 pi I there.
     # Frequency 3 makes the starting grid 48 boxes per side, and the eight
-    # zeros sit at the centres of level-1 boxes, a quarter of the blown-up
-    # width w off the centres of their starting boxes.  Row a of the
-    # Jacobian moves over the blown-up box by at most |F_a''(c)| w +
-    # third w^2 / 2, third = (2 pi)^3 (A + 27 B), so the sound Krawczyk
-    # spread is that over |F_a'(c)|: 0.791 at level 0, where the Newton
-    # step is 0.245 w, and 0.147 at level 1, where it is 0.  So each zero's
-    # starting box is split (0.791 + 0.245 > 1) and its level-1 child
-    # certified.  Without the third-order term the starting box would be
-    # certified (0.22 + 0.245), and a spread below 0.955 of the sound one
-    # certifies it too; the bound hess w, hess = (2 pi)^2 (A + 9 B), alone
-    # (3.5 at level 1) splits the child as well.
-    eps, side = 9.0, 3 * montecarlo._BOX_BASE
+    # zeros sit at the centres of level-1 boxes, r / 2 off the centres of
+    # their starting boxes of radius r, which the Krawczyk test blows up to
+    # w = _BOX_INFLATE r.  Row a of the Jacobian moves over the blown-up box
+    # by at most |F_a''(c)| w + third w^2 / 2, third = (2 pi)^3 (A + 27 B),
+    # so the sound Krawczyk spread is that over |F_a'(c)|: 0.608 at level
+    # 0, where the Newton step is 0.428 w, and 0.095 at level 1, where it is
+    # 0.  So each zero's starting box is split (0.608 + 0.428 > 1) and its
+    # level-1 child certified.  At this eps the exclusion bounds keep the
+    # seven other starting boxes at the grid corner nearest each zero, which
+    # Krawczyk cannot decide either, so the starting boxes split are exactly
+    # those 2 x 2 x 2 blocks.  Without the third-order term the starting
+    # box would be certified (0.250 + 0.428), and a spread below 0.941 of
+    # the sound one certifies it too; the bound hess w, hess = (2 pi)^2 (A +
+    # 9 B), alone (2.08 at level 1) splits the child as well.
+    eps, side = 18.5, 3 * montecarlo._BOX_BASE
     t = np.array([5.5, 9.5, 20.5]) / (2 * side)
     r = 0.5 / side
-    amp, wide, theta = 1 + 3 * eps / 4, 2 * r, math.pi * r
+    amp, wide, theta = 1 + 3 * eps / 4, montecarlo._BOX_INFLATE * r, math.pi * r
     third = (2 * math.pi) ** 3 * (amp + 27 * eps / 4)
+    hess = (2 * math.pi) ** 2 * (amp + 9 * eps / 4)
     slope = 2 * math.pi * (amp * math.cos(theta) - 3 * eps / 4 * math.cos(3 * theta))
     curve = (2 * math.pi) ** 2 * abs(amp * math.sin(theta) - 9 * eps / 4 * math.sin(3 * theta))
     step = (amp * math.sin(theta) - eps / 4 * math.sin(3 * theta)) / slope
-    assert (curve * wide + third * wide**2 / 2) / slope == pytest.approx(0.791, abs=1e-3)
-    assert step / wide == pytest.approx(0.245, abs=1e-3)
-    assert third * (wide / 2) ** 2 / 2 / (2 * math.pi) == pytest.approx(0.147, abs=1e-3)
+    spread = (curve * wide + third * wide**2 / 2) / slope
+    assert spread == pytest.approx(0.608, abs=1e-3)
+    assert step / wide == pytest.approx(0.428, abs=1e-3)
+    assert curve * wide / slope == pytest.approx(0.250, abs=1e-3)
+    assert (1 - step / wide) / spread == pytest.approx(0.941, abs=1e-3)
+    assert third * (wide / 2) ** 2 / 2 / (2 * math.pi) == pytest.approx(0.095, abs=1e-3)
+    assert hess * (wide / 2) / (2 * math.pi) == pytest.approx(2.08, abs=1e-2)
     equations = []
     for a, shift in enumerate(t):
         e = np.exp(-2j * math.pi * shift)
@@ -764,7 +774,10 @@ def test_the_krawczyk_radius_bounds_the_jacobian_over_the_whole_box_in_three_dim
 
     zeros = list(itertools.product(*((s, (s + 0.5) % 1) for s in t)))
     parents = [(np.floor(np.array(z) * side) + 0.5) / side for z in zeros]
-    assert len(cells(parents)) == 8 and cells(parents) == cells(split.get(r / 2, []))
+    corners = [np.round(np.array(z) * side) / side for z in zeros]
+    blocks = [c + np.array(o) * r for c in corners for o in itertools.product((-1, 1), repeat=3)]
+    assert len(cells(parents)) == 8 and cells(parents) <= cells(blocks)
+    assert len(cells(blocks)) == 64 and cells(blocks) == cells(split.get(r / 2, []))
     assert not cells(zeros) & cells(split.get(r / 4, []))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -211,6 +212,19 @@ def test_complex_count_builds_one_hull_per_distinct_support(monkeypatch, support
 
 # a non-round support in R^3: its ellipsoid is diag(1, 4, 1) times (2 pi)^2 2/7
 OVAL3 = Support([(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0)])
+
+
+@pytest.mark.parametrize("seed", [-1, "x", 2.5, True])
+@pytest.mark.parametrize("method", ["auto", "balls", "volume", "sphere"])
+def test_a_seed_is_checked_under_every_method(method, seed):
+    # a closed form draws nothing, yet the seed it is given must still be a
+    # non-negative integer; box:2:1 is a ball and admits all four closed forms
+    support = box_support(2, 1)
+    assert real_proportion_torus(support, method=method, seed=7).method in (method, "balls")
+    with pytest.raises(ValueError, match=re.escape(f"for the seed, got {seed!r}")):
+        real_proportion_torus(support, method=method, seed=seed)
+    with pytest.raises(ValueError, match=re.escape(f"for the seed, got {seed!r}")):
+        real_proportion_torus(segment_support(3), method="auto", seed=seed)
 
 
 @pytest.mark.parametrize(

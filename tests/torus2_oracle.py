@@ -24,7 +24,7 @@ _ROUNDING = 1e-12
 _BOX_BASE = 16  # boxes per side of the starting grid per unit of the largest frequency
 _BOX_LEVELS = 16  # quarterings of an undecided box before its sample is discarded
 _BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
-_BOX_INFLATE = 2.0  # the Krawczyk test runs on the box blown up by this factor
+_BOX_INFLATE = 9 / 8  # the Krawczyk test runs on the box blown up by this factor
 _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
 _SNAP = 2.0**-40
 
