@@ -99,48 +99,40 @@ def _require_draws(samples: int, seed: int, minimum: int = 2) -> None:
 # ---------------------------------------------------------------------------
 
 def _coefficient_rows(support: Support):
-    """(lead, width, rows): rows(normals) turns standard normals (count x
-    width) into rows of complex coefficients with conjugate symmetry and
-    unit variance per frequency, making sum a_lam exp(2 pi i <lam, x>) real
-    and stationary with the counting spectral measure.  The first `lead`
-    columns (1 if the zero frequency is present, else 0) are its value, the
-    rest the (Re, Im) pairs of one complex value per (positive, mirror)
-    pair; "positive" means lexicographically larger than its negation."""
-    index = {p: i for i, p in enumerate(support.points)}
-    zero = index.get((0,) * support.dim)
-    lead = int(zero is not None)
-    pos, neg = [], []
-    for p, i in index.items():
-        mirror = tuple(-c for c in p)
-        if p > mirror:
-            pos.append(i)
-            neg.append(index[mirror])
+    """(half, width, rows): the real ensemble f = sum_lam a_lam e(<lam, x>),
+    e(t) = exp(2 pi i t), a_-lam = conj(a_lam) of unit variance, as one-sided
+    spectra f = Re sum_half b_lam e(<lam, x>).  `half` (H x n integers) is
+    the zero frequency, if the support has it, then each lam
+    lexicographically larger than -lam, in support order; rows(normals)
+    turns standard normals (count x width) into the weights b (count x H):
+    b_0 = a_0 is the first normal, and b_lam = 2 a_lam, a_lam = (g1 + i g2) /
+    sqrt 2 from the next pair.  So f is real and stationary with the
+    counting spectral measure."""
+    zero = (0,) * support.dim
+    lead = int(zero in support.points)
+    pos = [p for p in support.points if p > tuple(-c for c in p)]
+    half = np.array([zero] * lead + pos, dtype=int).reshape(-1, support.dim)
 
     def rows(normals: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(normals), len(support)), dtype=complex)
-        if lead:
-            out[:, zero] = normals[:, 0]
-        if pos:
-            g = normals[:, lead:].reshape(len(normals), len(pos), 2)
-            vals = (g[:, :, 0] + 1j * g[:, :, 1]) / math.sqrt(2.0)
-            out[:, pos] = vals
-            out[:, neg] = vals.conj()
-        return out
+        g = normals[:, lead:].reshape(len(normals), len(pos), 2)
+        return np.hstack([normals[:, :lead], 2 * ((g[:, :, 0] + 1j * g[:, :, 1]) / math.sqrt(2.0))])
 
-    return lead, lead + 2 * len(pos), rows
+    return half, lead + 2 * len(pos), rows
 
 
 def _coefficient_sampler(support: Support):
-    """A function (count, rng) -> `count` coefficient rows (see
-    _coefficient_rows).  A block draws the zero frequency's column first,
-    then the pairs, so one row (count 1) is its `width` normals in order."""
-    lead, width, rows = _coefficient_rows(support)
+    """(half, draw): draw(count, rng) gives `count` weight rows on the
+    frequencies `half` (see _coefficient_rows).  A block draws the zero
+    frequency's column first, then the pairs, so one row (count 1) is its
+    `width` normals in order."""
+    half, width, rows = _coefficient_rows(support)
+    lead = 2 * len(half) - width  # 1 if the zero frequency is in `half`
 
     def draw(count: int, rng: np.random.Generator) -> np.ndarray:
         first = rng.standard_normal((count, lead))
         return rows(np.hstack([first, rng.standard_normal((count, width - lead))]))
 
-    return draw
+    return half, draw
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +167,6 @@ def _kept_stats(counts: np.ndarray, discarded: int) -> MonteCarloStats:
 
 _CIRCLE_ROUNDS = 30  # halvings of an undecided cell before its sample is discarded
 _CIRCLE_CELL_CAP = 2048  # undecided cells one sample may hold before it is discarded
-
-
-def _fold(freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Rows g with Re sum_k c_k e(k x) = Re sum_j g_j e(j x), j = 0..max|k|,
-    where e(t) = exp(2 pi i t)."""
-    fold = np.zeros((len(freqs), int(np.abs(freqs).max()) + 1))
-    fold[np.arange(len(freqs)), np.abs(freqs)] = 1.0
-    return np.where(freqs < 0, coeffs.conj(), coeffs) @ fold
 
 
 def _circle_eval(g: np.ndarray, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,21 +250,24 @@ def _circle_cells(g: np.ndarray, grid: int):
 
 
 def _circle_blocks(support: Support, samples: int, seed: int) -> Iterator[tuple]:
-    """(folded coefficients g, zero counts, kept mask, one-zero cells) for
+    """(one-sided weights g, zero counts, kept mask, one-zero cells) for
     successive blocks of at most 256 samples, all drawn from one generator
     seeded by `seed`, on a starting grid of 16 cells per unit of degree; see
-    _circle_cells."""
+    _circle_cells.  Column j of g is the weight of frequency j, 0 where the
+    support lacks j."""
     support.require_symmetric()
     if support.dim != 1:
         raise ValueError("circle counting needs one-dimensional supports")
-    freqs = np.array([p[0] for p in support.points])
-    grid = 16 * max(1, int(np.abs(freqs).max()))
-    draw = _coefficient_sampler(support)
+    half, draw = _coefficient_sampler(support)
+    freqs = half[:, 0]
+    top = int(freqs.max())
+    grid = 16 * max(1, top)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     done = 0
     while done < samples:
         block = min(256, samples - done)
-        g = _fold(freqs, draw(block, rng))
+        g = np.zeros((block, top + 1), dtype=complex)
+        g[:, freqs] = draw(block, rng)
         yield (g, *_circle_cells(g, grid))
         done += block
 
@@ -339,19 +326,18 @@ _SHORT_RUN = 8
 
 
 def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
-    """(half, jet, curvature) for the systems with coefficient rows
-    coeffs[i][s] on the frequencies freqs[i]: `half` (H x n) holds the
-    distinct frequencies up to sign, jet(products, rows) gives F = (F_1,
-    ..., F_n) (m x n) and its Jacobian (m x n x n) at m points from their
-    exponential products e(<half, x>) (m x H), e(t) = exp(2 pi i t), and
-    curvature(products, rows) gives sum_jk |H_i,jk| (m x n), H_i the
-    Hessian of F_i, from n(n + 1)/2 more weight columns per equation.
+    """(half, jet, curvature) for the systems F_i = Re sum_lam c e(<lam,
+    x>), e(t) = exp(2 pi i t), with weight rows coeffs[i][s] on the distinct
+    frequencies freqs[i] (one-sided, as `_coefficient_rows` draws them, or
+    of either sign): `half` (H x n) holds the distinct frequencies of all
+    equations, jet(products, rows) gives F = (F_1, ..., F_n) (m x n) and its
+    Jacobian (m x n x n) at m points from their exponential products
+    e(<half, x>) (m x H), and curvature(products, rows) gives sum_jk
+    |H_i,jk| (m x n), H_i the Hessian of F_i, from n(n + 1)/2 more weight
+    columns per equation.
 
-    Only real parts are kept, and Re(w e(-lam t)) = Re(conj(w) e(lam t)), so
-    the weights of -lam fold onto lam, whose first nonzero coordinate is
-    then positive (as `_fold` does on the circle).  The weights of row s
-    are real (2H x columns) matrices acting on the products read as (Re, Im)
-    pairs, so F, J and H are real matmuls.  `rows` gives the sample row of
+    The weights of row s are real (2H x columns) matrices acting on the
+    products read as (Re, Im) pairs, so F, J and H are real matmuls.  `rows` gives the sample row of
     each point and must be sorted: each run of one row is contracted with
     that row's weights in one matmul, unless the runs average fewer than
     _SHORT_RUN points (as the polish's few zeros per sample on box:2:1 do),
@@ -361,12 +347,10 @@ def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
     every sample shares, is evaluated)."""
     n, size, every = len(freqs), len(coeffs[0]), np.vstack(freqs).astype(int)
     equation = np.repeat(np.arange(n), [len(f) for f in freqs])
-    flip = every[np.arange(len(every)), np.argmax(every != 0, axis=1)] < 0
-    signed = np.where(flip[:, None], -every, every)
     # mixed-radix keys sort as their rows do, lexicographically
-    keys = signed @ (2 * int(np.abs(every).max()) + 1) ** np.arange(n - 1, -1, -1)
+    keys = every @ (2 * int(np.abs(every).max()) + 1) ** np.arange(n - 1, -1, -1)
     _, at, where = np.unique(keys, return_index=True, return_inverse=True)
-    half = signed[at]
+    half = every[at]
     upper = np.triu_indices(n)
     terms = np.hstack(
         [
@@ -375,16 +359,11 @@ def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
             (2j * np.pi) ** 2 * every[:, upper[0]] * every[:, upper[1]],
         ]
     )
-    raw = np.hstack(coeffs)[:, :, None] * terms
-    raw[:, flip] = raw[:, flip].conj()
-    # an equation's frequencies are distinct, so each (half, equation) slot
-    # takes its lam once from the kept frequencies and its -lam once from the
-    # flipped ones: two scatters with no repeated index
-    folded = np.zeros((size, len(half), n, terms.shape[1]), dtype=complex)
-    for part in (~flip, flip):
-        folded[:, where[part], equation[part]] += raw[:, part]
+    # an equation's frequencies are distinct, so no (half, equation) slot repeats
+    spectra = np.zeros((size, len(half), n, terms.shape[1]), dtype=complex)
+    spectra[:, where, equation] = np.hstack(coeffs)[:, :, None] * terms
     # Re(p w) = Re p Re w - Im p Im w, against p's (Re, Im) pairs
-    weights = np.stack([folded.real, -folded.imag], axis=2).reshape(size, 2 * len(half), n, -1)
+    weights = np.stack([spectra.real, -spectra.imag], axis=2).reshape(size, 2 * len(half), n, -1)
     first = np.ascontiguousarray(weights[..., : n + 1].reshape(size, 2 * len(half), -1))
     second = np.ascontiguousarray(weights[..., n + 1 :].reshape(size, 2 * len(half), -1))
     # an entry off the diagonal stands for two of the symmetric Hessian
@@ -685,8 +664,7 @@ def count_common_zeros_torus2(
         raise ValueError("planar counting needs two two-dimensional supports")
     for s in supports:
         s.require_symmetric()
-    freqs = [np.array(s.points, dtype=float) for s in supports]
-    _, widths, builds = zip(*map(_coefficient_rows, supports))
+    halves, widths, builds = zip(*map(_coefficient_rows, supports))
     root = np.random.SeedSequence(seed)
     results: list[int | None] = []
     while len(results) < samples:
@@ -695,7 +673,7 @@ def count_common_zeros_torus2(
         # a sample's normals for both equations, in the order of one row each
         normals = np.stack([rng.standard_normal(sum(widths)) for rng in rngs])
         parts = np.split(normals, [widths[0]], axis=1)
-        results += _certified_counts(freqs, [rows(part) for rows, part in zip(builds, parts)])
+        results += _certified_counts(halves, [rows(part) for rows, part in zip(builds, parts)])
     counts = np.array([r for r in results if r is not None], dtype=float)
     return _kept_stats(counts, samples - counts.size)
 

@@ -149,17 +149,34 @@ def test_oracle_ignores_multiplicities():
 
 # -- coefficient sampling --------------------------------------------------------
 
-def test_sampled_coefficients_are_conjugate_symmetric():
+def conjugate_symmetric(half, weights):
+    """(freqs, coeffs) of the Laurent form sum a_lam e(<lam, x>) of the real
+    functions Re sum_half b_lam e(<lam, x>), one per weight row b: a_0 = b_0,
+    and b_lam / 2 at lam and conj(b_lam) / 2 at -lam for the others."""
+    zero = ~half.any(axis=1)
+    freqs = np.vstack([half, -half[~zero]])
+    return freqs, np.hstack([np.where(zero, weights, weights / 2), weights[:, ~zero].conj() / 2])
+
+
+def test_one_sided_weights_give_the_same_real_function():
+    # the weights drawn on the zero frequency and one of each pair +-lam are
+    # the real ensemble on the whole support: its Laurent form is real there
     support = box_support(2, 1)
-    coeffs = dict(zip(support.points, montecarlo._coefficient_sampler(support)(1, np.random.default_rng(7))[0]))
-    assert coeffs[(0, 0)].imag == 0.0
-    for lam, value in coeffs.items():
-        mirror = tuple(-c for c in lam)
-        assert coeffs[mirror] == np.conj(value)
+    half, draw = montecarlo._coefficient_sampler(support)
+    assert half[0].tolist() == [0, 0] and all(tuple(p) > tuple(-p) for p in half[1:])
+    weights = draw(3, np.random.default_rng(7))
+    assert (weights[:, 0].imag == 0.0).all()
+    freqs, coeffs = conjugate_symmetric(half, weights)
+    assert Support(map(tuple, freqs)) == support and len(freqs) == len(support)
+    x = np.random.default_rng(8).random((50, 2))
+    full = np.exp(2j * math.pi * x @ freqs.T) @ coeffs.T
+    one_sided = (np.exp(2j * math.pi * x @ half.T) @ weights.T).real
+    assert np.abs(full.imag).max() < 1e-14
+    assert np.abs(full.real - one_sided).max() < 1e-14
 
 
 def test_sampling_is_reproducible():
-    draw = montecarlo._coefficient_sampler(segment_support(3))
+    _, draw = montecarlo._coefficient_sampler(segment_support(3))
     assert np.array_equal(draw(4, np.random.default_rng(11)), draw(4, np.random.default_rng(11)))
 
 
@@ -377,11 +394,9 @@ def test_torus_counts_match_the_resultant_oracle(monkeypatch, first, second, sam
     # between 1e-6 and 1e-3 off the torus is skipped, not guessed
     supports = [box_support(*first), box_support(*second)]
     counts, stats = per_sample_torus_counts(monkeypatch, supports, samples, seed)
-    freqs, coeffs = random_systems(supports, samples, seed)
-    want = [
-        resultant_oracle.torus_root_count(freqs[0], coeffs[0][s], freqs[1], coeffs[1][s])
-        for s in range(samples)
-    ]
+    # the oracle solves the complex Laurent polynomials, not their real parts
+    (f1, c1), (f2, c2) = map(conjugate_symmetric, *random_systems(supports, samples, seed))
+    want = [resultant_oracle.torus_root_count(f1, c1[s], f2, c2[s]) for s in range(samples)]
     assert want.count(None) <= 1
     assert None not in counts and stats.samples == samples
     assert all(g == w for g, w in zip(counts, want) if w is not None)
@@ -499,10 +514,10 @@ def random_systems(supports, samples, seed):
     """(freqs, coeffs) of `samples` random systems, one equation per support,
     sample i drawn from the i-th child of SeedSequence(seed) as
     `count_common_zeros_torus2` draws it."""
-    draws = [montecarlo._coefficient_sampler(s) for s in supports]
+    halves, draws = zip(*map(montecarlo._coefficient_sampler, supports))
     rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(samples))
     rows = [[draw(1, rng) for draw in draws] for rng in rngs]
-    return [np.array(s.points, dtype=float) for s in supports], [np.vstack(c) for c in zip(*rows)]
+    return list(halves), [np.vstack(c) for c in zip(*rows)]
 
 
 def near_singular_stack(rng, size, n):

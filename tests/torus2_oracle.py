@@ -145,9 +145,7 @@ def oracle_counts(s1, s2, samples: int, seed: int) -> list[int | None]:
     """Per-sample counts of `count_common_zeros_torus2(s1, s2)` as the
     per-sample loop computed them: sample i draws both coefficient rows from
     the i-th child of SeedSequence(seed)."""
-    f1 = np.array(s1.points, dtype=float)
-    f2 = np.array(s2.points, dtype=float)
-    draw1, draw2 = _coefficient_sampler(s1), _coefficient_sampler(s2)
+    (f1, draw1), (f2, draw2) = _coefficient_sampler(s1), _coefficient_sampler(s2)
     out = []
     for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
