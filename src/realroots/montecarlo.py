@@ -1,49 +1,53 @@
 """Monte Carlo verification: direct zero counting for random ensembles.
 
-Both zero counters count only certified zeros.  On the circle, f and f' come
-from one matmul on a starting grid of 16 cells per unit of degree and |f''|
-is bounded by M2 = (2 pi)^2 sum |c_k| k^2.  A cell of width h with a sign
-change holds exactly one zero when |f'| - M2 h > 0 at one of its ends; a
-cell without a sign change holds none when the second-order Taylor lower
-bound on |f| stays positive.  The other cells are halved, all of a block at
-once.  On the 2-torus, a box counter written for n systems on [0,1)^n
-decides the boxes of a whole block of samples together, each box carrying
-the index of its sample, from a starting grid of 16 boxes per side per unit
-of the largest frequency coordinate: boxes are dropped by a first- or
-second-order exclusion bound as they are made, the latter with the box's
-own Hessian at its centre and a third-order remainder from sum |c|
-|lambda|_1^3, and the Krawczyk test on the box blown up by 9/8 (interval
-Jacobian = centre Jacobian +- the smaller of a bound from sum |c|
-|lambda|_1^2 and one from the centre Hessian, times the blown-up radius)
-certifies exactly one zero in a box or none.  Every bound reads |<lambda,
-d>| <= |lambda|_1 r on a box of radius r.  The other boxes are split in
-2^n.  F and its Jacobian are real matmuls of a box's exponential products
-e(<lambda, x>) with its sample's weights, one per run of a sample's boxes,
-or one batched matmul of gathered weights where the runs are short; the
-starting grid's products are computed once per block, and a child's are
-its parent's times a fixed unit shift per corner, so no `exp` runs below
-the grid.  The certified boxes of every level are polished by Newton
-together, with gathered weights where a sample holds a few zeros, until
-every zero has settled, and each zero is credited to the one half-open box
-that holds it.  A sample with cells or boxes still undecided after a fixed
-number of splits, with too many of them, or with a certified box whose
-polish does not settle, is discarded without touching the rest of its
-block: it is reported in `MonteCarloStats.discarded` and left out of
-the mean, and fewer than 2 kept samples raise ArithmeticError.  A Gaussian
-determinant estimator gives mixed
-volumes of ellipsoids where no closed form applies: it draws the first n - 2
-rows and integrates the last two out through the planar mixed area, the
-closed form of `convex`.  So at n <= 2 it draws nothing and returns that
-closed form, and only from n = 3 on does it check the sphere rule by
-sampling.
+Both zero counters count only certified zeros, and both take a sample as its
+one-sided spectrum: f = Re sum b_lam e(<lam, x>), e(t) = exp(2 pi i t), over
+the zero frequency and one lam of each pair +-lam, with b_lam = 2 a_lam for
+the real ensemble sum a_lam e(<lam, x>), a_-lam = conj(a_lam), as
+`_coefficient_rows` draws it; no weight is mirrored or folded back.  On the
+circle, f and f' come from matmuls on a starting grid of 16 cells per unit
+of degree, its angles reduced exactly, and |f''| is bounded by M2 = (2 pi)^2
+sum |b_k| k^2.  A cell of width h with a sign change holds exactly one zero
+when |f'| - M2 h > 0 at one of its ends; a cell without a sign change holds
+none when the second-order Taylor lower bound on |f| stays positive.  The
+other cells are halved, all of a block at once.  On the 2-torus, a box
+counter written for n systems on [0,1)^n decides the boxes of a whole block
+of samples together, each box carrying the index of its sample, from a
+starting grid of 16 boxes per side per unit of the largest frequency
+coordinate: boxes are dropped by a first- or second-order exclusion bound as
+they are made, the latter with the box's own Hessian at its centre and a
+third-order remainder from sum |b| |lambda|_1^3, and the Krawczyk test on
+the box blown up by 9/8 (interval Jacobian = centre Jacobian +- the smaller
+of a bound from sum |b| |lambda|_1^2 and one from the centre Hessian, times
+the blown-up radius) certifies exactly one zero in a box or none.  Every
+bound reads |<lambda, d>| <= |lambda|_1 r on a box of radius r.  The other
+boxes are split in 2^n.  F and its Jacobian are real matmuls of a box's
+exponential products e(<lambda, x>) with its sample's weights, one per run
+of a sample's boxes, or one batched matmul of gathered weights where the
+runs are short; the starting grid's products are computed once per block,
+and a child's are its parent's times a fixed unit shift per corner, so no
+`exp` runs below the grid.  The certified boxes of every level are polished
+by Newton together, with gathered weights where a sample holds a few zeros,
+until every zero has settled, and each zero is credited to the one half-open
+box that holds it.  A sample with cells or boxes still undecided after a
+fixed number of splits, with too many of them, or with a certified box whose
+polish does not settle, is discarded without touching the rest of its block:
+it is reported in `MonteCarloStats.discarded` and left out of the mean, and
+fewer than 2 kept samples raise ArithmeticError.  A Gaussian determinant
+estimator gives mixed volumes of ellipsoids where no closed form applies: it
+draws the first n - 2 rows and integrates the last two out through the
+planar mixed area, the closed form of `convex`.  So at n <= 2 it draws
+nothing and returns that closed form, and only from n = 3 on does it check
+the sphere rule by sampling.
 
 Everything runs in the calling thread and is deterministic given a seed.
 The circle counters draw their coefficients in blocks of 256 samples from
 one generator seeded by `seed`; the planar counter spawns one generator per
 sample from `seed`, draws all of a sample's normals in one call, so its
 sample i depends only on (seed, i), and decides its samples _SAMPLE_BLOCK at
-a time.  The Gaussian estimator reduces its draws _DET_BLOCK at a time and
-keeps only pooled sums.  So no memory grows with `samples`.
+a time.  The counters keep one count per sample.  The Gaussian estimator
+reduces its draws _DET_BLOCK at a time and keeps only pooled sums, so its
+memory does not grow with `samples`.
 """
 
 from __future__ import annotations
@@ -142,7 +146,9 @@ def _coefficient_sampler(support: Support):
 # A computed value of an exponential sum is trusted only beyond this multiple
 # of the sum of its |coefficients| (times 2 pi |frequency| for a derivative):
 # far above the rounding error of the evaluation, far below any value the
-# certificates need.
+# certificates need.  On the circle it holds at any degree because the
+# starting grid's angles are reduced exactly, k j mod grid in integers, so
+# each cos and sin of the table is within 1e-15 of its value.
 _ROUNDING = 1e-12
 
 
@@ -166,7 +172,7 @@ def _kept_stats(counts: np.ndarray, discarded: int) -> MonteCarloStats:
 # ---------------------------------------------------------------------------
 
 _CIRCLE_ROUNDS = 30  # halvings of an undecided cell before its sample is discarded
-_CIRCLE_CELL_CAP = 2048  # undecided cells one sample may hold before it is discarded
+_CIRCLE_CELL_CAP = 2048  # undecided cells per unit of degree one sample may hold before it is discarded
 
 
 def _circle_eval(g: np.ndarray, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,10 +206,11 @@ def _circle_cells(g: np.ndarray, grid: int):
     """Certified zeros of real trigonometric polynomials on [0, 1).
 
     Row s of `g` is f_s(x) = Re sum_j g_sj exp(2 pi i j x).  f and f' on the
-    grid come from one matmul and the cells are decided as one (rows x grid)
-    array; the undecided cells are halved as one flat array, at most
-    _CIRCLE_ROUNDS times.  A row still undecided then, or holding more than
-    _CIRCLE_CELL_CAP undecided cells, is not kept.  Returns the certified zero
+    grid come from one matmul per _BOX_CHUNK grid points and the cells are
+    decided as one (rows x grid) array; the undecided cells are halved as one
+    flat array, at most _CIRCLE_ROUNDS times.  A row still undecided then, or
+    holding more than _CIRCLE_CELL_CAP undecided cells per unit of degree of
+    `g`, is not kept.  Returns the certified zero
     count of each row, the kept mask, and the certified one-zero cells as
     (row, left end, width) arrays."""
     b = len(g)
@@ -214,8 +221,12 @@ def _circle_cells(g: np.ndarray, grid: int):
     m2 = (2 * np.pi) ** 2 * (mag @ (k * k))
     h = 1.0 / grid
     jet = np.vstack([g, 2j * np.pi * k * g])
-    angle = 2 * np.pi / grid * np.outer(k, np.arange(grid))
-    vals = np.hstack([jet.real, -jet.imag]) @ np.vstack([np.cos(angle), np.sin(angle)])
+    weights = np.hstack([jet.real, -jet.imag])
+    # the angles 2 pi k j / grid, k j reduced mod grid in integers, of
+    # _BOX_CHUNK grid points j at a time
+    cols = np.arange(grid)
+    angles = (2 * np.pi / grid * (np.outer(k, cols[lo : lo + _BOX_CHUNK]) % grid) for lo in cols[::_BOX_CHUNK])
+    vals = np.hstack([weights @ np.vstack([np.cos(a), np.sin(a)]) for a in angles])
     f, d = vals[:b], vals[b:]
     f1, d1 = np.roll(f, -1, axis=1), np.roll(d, -1, axis=1)
     one, free = _circle_decide(f, d, f1, d1, h, m2[:, None], ef[:, None], ed[:, None])
@@ -228,7 +239,7 @@ def _circle_cells(g: np.ndarray, grid: int):
     for _ in range(_CIRCLE_ROUNDS):
         if rows.size == 0:
             break
-        kept &= np.bincount(rows, minlength=b) <= _CIRCLE_CELL_CAP
+        kept &= np.bincount(rows, minlength=b) <= _CIRCLE_CELL_CAP * max(1, len(k) - 1)
         live = kept[rows]
         rows = rows[live]
         lo, f0, d0, fe, de = (a[live] for a in state)
@@ -326,25 +337,24 @@ _SHORT_RUN = 8
 
 
 def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
-    """(half, jet, curvature) for the systems F_i = Re sum_lam c e(<lam,
-    x>), e(t) = exp(2 pi i t), with weight rows coeffs[i][s] on the distinct
-    frequencies freqs[i] (one-sided, as `_coefficient_rows` draws them, or
-    of either sign): `half` (H x n) holds the distinct frequencies of all
+    """(half, jet, curvature) for the systems F_i = Re sum_lam c e(<lam, x>),
+    e(t) = exp(2 pi i t), with weight rows coeffs[i][s] on the distinct
+    frequencies freqs[i] (one-sided, as `_coefficient_rows` draws them, or of
+    either sign): `half` (H x n) holds the distinct frequencies of all
     equations, jet(products, rows) gives F = (F_1, ..., F_n) (m x n) and its
-    Jacobian (m x n x n) at m points from their exponential products
-    e(<half, x>) (m x H), and curvature(products, rows) gives sum_jk
-    |H_i,jk| (m x n), H_i the Hessian of F_i, from n(n + 1)/2 more weight
-    columns per equation.
+    Jacobian (m x n x n) at m points from their exponential products e(<half,
+    x>) (m x H), and curvature(products, rows) gives sum_jk |H_i,jk| (m x n),
+    H_i the Hessian of F_i, from n(n + 1)/2 more weight columns per equation.
 
     The weights of row s are real (2H x columns) matrices acting on the
-    products read as (Re, Im) pairs, so F, J and H are real matmuls.  `rows` gives the sample row of
-    each point and must be sorted: each run of one row is contracted with
-    that row's weights in one matmul, unless the runs average fewer than
-    _SHORT_RUN points (as the polish's few zeros per sample on box:2:1 do),
-    when each point's weights are gathered and all points are contracted in
-    one batched matmul.  A slice of rows instead evaluates every point for
-    each row in it, one row after the other (as the starting grid, which
-    every sample shares, is evaluated)."""
+    products read as (Re, Im) pairs, so F, J and H are real matmuls.  `rows`
+    gives the sample row of each point and must be sorted: each run of one row
+    is contracted with that row's weights in one matmul, unless the runs
+    average fewer than _SHORT_RUN points (as the polish's few zeros per sample
+    on box:2:1 do), when each point's weights are gathered and all points are
+    contracted in one batched matmul.  A slice of rows instead evaluates every
+    point for each row in it, one row after the other (as the starting grid,
+    which every sample shares, is evaluated)."""
     n, size, every = len(freqs), len(coeffs[0]), np.vstack(freqs).astype(int)
     equation = np.repeat(np.arange(n), [len(f) for f in freqs])
     # mixed-radix keys sort as their rows do, lexicographically
@@ -352,13 +362,9 @@ def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
     _, at, where = np.unique(keys, return_index=True, return_inverse=True)
     half = every[at]
     upper = np.triu_indices(n)
-    terms = np.hstack(
-        [
-            np.ones((len(every), 1)),
-            2j * np.pi * every,
-            (2j * np.pi) ** 2 * every[:, upper[0]] * every[:, upper[1]],
-        ]
-    )
+    # the weights of F, of J and of the upper triangle of H, per frequency
+    second_order = (2j * np.pi) ** 2 * every[:, upper[0]] * every[:, upper[1]]
+    terms = np.hstack([np.ones((len(every), 1)), 2j * np.pi * every, second_order])
     # an equation's frequencies are distinct, so no (half, equation) slot repeats
     spectra = np.zeros((size, len(half), n, terms.shape[1]), dtype=complex)
     spectra[:, where, equation] = np.hstack(coeffs)[:, :, None] * terms
@@ -503,48 +509,47 @@ def _polish(
 def _certified_counts(
     freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
 ) -> list[int | None]:
-    """Count the common zeros on [0,1)^n, n = len(freqs), of the systems with
-    coefficient rows coeffs[i][s] on the frequencies freqs[i], one count per
-    row s, or None for a row whose zeros the subdivision cannot certify (the
-    caller discards that sample).
+    """Count the common zeros on [0,1)^n, n = len(freqs), of the systems F_i =
+    Re sum c e(<lam, x>) with weight rows coeffs[i][s] on the distinct
+    frequencies freqs[i], one-sided as `_coefficient_rows` draws them (see
+    _product_jet), one count per row s, or None for a row whose zeros the
+    subdivision cannot certify (the caller discards that sample).
 
     The boxes of all rows are subdivided together, level by level; each box
     carries its row, kept sorted, and the row's bounds are gathered by it.
     The starting grid has _BOX_BASE boxes per side per unit of the largest
     |frequency coordinate|, as the circle's has 16 cells per unit of degree.
-    Each box is tested for exclusion as it is made: it is dropped where
-    some |F_i| is bounded away from 0 on it (`_row_bounds`, r the radius).
-    The first test takes the smaller of the Lipschitz reach lip_i r and the
-    first-order Taylor reach around the centre, with remainder hess_i r^2 /
-    2; only a box it keeps has its Hessian sums sum_jk |H_i,jk| computed,
-    for the second-order Taylor reach sum_j |J_ij| r + sum_jk |H_i,jk| r^2
-    / 2 + third_i r^3 / 6.  The products of the starting grid are computed
-    once for the whole block, and only the boxes that survive keep theirs;
-    a child's products are its parent's times a shift (`_children`).
-    Children are made and tested _BOX_CHUNK at a time, so their memory
-    stays near (live boxes x H).  The grid is tested a whole number of rows
-    at a time, at least one, so a grid of more than _BOX_CHUNK boxes (48^2
-    for box:2:3, 32^3 for box:3:2) is tested whole, one row at a time, and
-    its products stay held for the whole block: 32768 x 63 complex doubles,
-    33 MB, for box:3:2.  On the surviving boxes, _BOX_CHUNK at a time, the
-    Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE (9/8) to
-    radius w, with the interval Jacobian taken as the centre Jacobian +- a
-    bound whose row i sums to the smaller of hess_i w and sum_jk |H_i,jk| w
-    + third_i w^2 / 2, holds every zero in X: inside int X it certifies
-    exactly one, disjoint from X none.  Any factor of at least 1 is sound,
-    and a wider X is harder to certify: the box:2:2 block of 12 samples
-    (seed 0) splits 945 boxes at 9/8 and 1371 at 2, and only 928 at 1.1,
-    where a zero near a face of its box has ever less room inside X.  The
-    other boxes are split in 2^n.  A row with more than _BOX_CAP of them,
-    or with any left after _BOX_LEVELS splits, is dropped without touching
-    the others.  The
-    certified boxes of every level are polished together at the end, by
-    Newton steps from their first Krawczyk iterate until one step moves
-    every zero by less than _SNAP (`_polish`), and each credits its zero
-    to its row only if its own half-open box holds it, so a zero found by
-    several boxes is counted once.  A row with a certified box whose polish
-    does not settle, or leaves the blown-up box, is dropped too (it is not
-    split further)."""
+    Each box is tested for exclusion as it is made: it is dropped where some
+    |F_i| is bounded away from 0 on it (`_row_bounds`, r the radius).  The
+    first test takes the smaller of the Lipschitz reach lip_i r and the
+    first-order Taylor reach around the centre, with remainder hess_i r^2 / 2;
+    only a box it keeps has its Hessian sums sum_jk |H_i,jk| computed, for the
+    second-order Taylor reach sum_j |J_ij| r + sum_jk |H_i,jk| r^2 / 2 +
+    third_i r^3 / 6.  The products of the starting grid are computed once for
+    the whole block, and only the boxes that survive keep theirs; a child's
+    products are its parent's times a shift (`_children`).  Children are made
+    and tested _BOX_CHUNK at a time, so their memory stays near (live boxes x
+    H).  The grid is tested a whole number of rows at a time, at least one, so
+    a grid of more than _BOX_CHUNK boxes (48^2 for box:2:3, 32^3 for box:3:2)
+    is tested whole, one row at a time, and its products stay held for the
+    whole block: 32768 x 63 complex doubles, 33 MB, for box:3:2.  On the
+    surviving boxes, _BOX_CHUNK at a time, the Krawczyk operator K(X) of the
+    box X blown up by _BOX_INFLATE (9/8) to radius w, with the interval
+    Jacobian taken as the centre Jacobian +- a bound whose row i sums to the
+    smaller of hess_i w and sum_jk |H_i,jk| w + third_i w^2 / 2, holds every
+    zero in X: inside int X it certifies exactly one, disjoint from X none.
+    Any factor of at least 1 is sound, and a wider X is harder to certify: the
+    box:2:2 block of 12 samples (seed 0) splits 945 boxes at 9/8 and 1371 at
+    2, and only 928 at 1.1, where a zero near a face of its box has ever less
+    room inside X.  The other boxes are split in 2^n.  A row with more than
+    _BOX_CAP of them, or with any left after _BOX_LEVELS splits, is dropped
+    without touching the others.  The certified boxes of every level are
+    polished together at the end, by Newton steps from their first Krawczyk
+    iterate until one step moves every zero by less than _SNAP (`_polish`),
+    and each credits its zero to its row only if its own half-open box holds
+    it, so a zero found by several boxes is counted once.  A row with a
+    certified box whose polish does not settle, or leaves the blown-up box, is
+    dropped too (it is not split further)."""
     n, size = len(freqs), len(coeffs[0])
     per_row = _row_bounds(freqs, coeffs)
     half, jet, curvature = _product_jet(freqs, coeffs)

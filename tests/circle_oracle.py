@@ -1,6 +1,6 @@
 """Independent zero counter on the circle: unimodular companion eigenvalues.
 
-Row g of folded coefficients is f(x) = Re sum_j g_j exp(2 pi i j x).  On
+Row g of one-sided weights is f(x) = Re sum_j g_j exp(2 pi i j x).  On
 |z| = 1, 2 f = sum_j g_j z^j + conj(g_j) z^-j, so z^top * 2 f is a polynomial
 of degree 2 top whose roots on the unit circle are the zeros of f (the other
 roots come in pairs z, 1 / conj(z)).  The roots are the eigenvalues of its

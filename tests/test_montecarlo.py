@@ -246,6 +246,40 @@ def test_circle_counts_match_companion_eigenvalues(m, samples, seed):
         assert np.array_equal(counts, unimodular_root_counts(g))
 
 
+def dilated(support, k):
+    """The support k S: its points, in the same order, times k."""
+    return Support([tuple(k * c for c in p) for p in support.points])
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("m", [1, 2])
+def test_dilating_a_circle_support_multiplies_every_count(m, k):
+    # k {-m, ..., m} draws the normals of segment:m, so its sample is f(k x),
+    # with k zeros for each zero of f, and its rows are 0 off the multiples of k
+    supports = segment_support(m), dilated(segment_support(m), k)
+    for seed in range(5):
+        base, gapped = (montecarlo._circle_blocks(s, 300, seed) for s in supports)
+        for (g, counts, kept, _), (wide, wide_counts, wide_kept, _) in zip(base, gapped):
+            assert np.array_equal(wide[:, ::k], g) and np.count_nonzero(wide) == np.count_nonzero(g)
+            assert kept.all() and wide_kept.all()
+            assert np.array_equal(wide_counts, k * counts)
+
+
+def test_degree_400_circle_table_is_built_in_blocks():
+    # the starting grid's cos and sin table, (m + 1) x 16 m, is built
+    # _BOX_CHUNK columns at a time: near 33 MB here, 103 MB built whole
+    assert traced_peak(lambda: count_zeros_circle(segment_support(400), 4, seed=1)) < 50e6
+
+
+def test_degree_1000_circle_samples_are_all_kept():
+    # a sample holds about 3400 undecided cells after its 16000-cell grid:
+    # a cell cap that grows with the degree keeps them (2048 dropped all)
+    m = 1000
+    stats = count_zeros_circle(segment_support(m), 4, seed=1)
+    assert (stats.samples, stats.discarded) == (4, 0)
+    assert abs(stats.value - 2 * m * math.sqrt((m + 1) / (3 * m))) < 5 * stats.stderr
+
+
 @pytest.mark.parametrize("separation", [1 / 50, 1e-4])
 def test_two_zeros_inside_one_cell_are_both_counted(separation):
     # cos(2 pi (x - a)) - cos(2 pi d) vanishes at a +- d: both lie in cell 10,
@@ -336,6 +370,16 @@ def test_torus_sample_over_a_box_limit_is_discarded(monkeypatch, limit, value):
     monkeypatch.setattr(montecarlo, limit, value)
     (count,) = montecarlo._certified_counts(*sine_pair((1, 1), (1, -1)))
     assert count is None
+
+
+def test_dilating_a_planar_support_multiplies_every_count_by_four():
+    # 2 box:2:1 draws the normals of box:2:1, so each sample is F(2 x), with
+    # four zeros for each zero of F, and its weight columns off 2 Z^2 are 0
+    support = box_support(2, 1)
+    for seed in range(3):
+        base = montecarlo._certified_counts(*random_systems([support] * 2, 64, seed))
+        twice = montecarlo._certified_counts(*random_systems([dilated(support, 2)] * 2, 64, seed))
+        assert None not in base and twice == [4 * c for c in base]
 
 
 def per_sample_torus_counts(monkeypatch, supports, samples, seed):

@@ -5,8 +5,11 @@ the library's: the l1 radius |lam|_1 r, the degree-scaled grid, the box's
 own Hessian with a third-order remainder, and a polish that stops once
 every zero has settled.
 
-It evaluates F and its Jacobian by one complex `exp` per point and frequency
-(`_pair_jet`) and certifies one sample at a time.  The certificate constants
+It draws each sample as the library does, one-sided: F_i = Re sum b_lam
+e(<lam, x>) over the zero frequency and one lam of each pair +-lam
+(`_coefficient_sampler`), with no fold.  It evaluates F and its Jacobian by
+one complex `exp` per point and frequency (`_pair_jet`) and certifies one
+sample at a time.  The certificate constants
 are copied here as they were, so a change to the library's constants shows
 up as a disagreement; a test that patches a limit patches both modules.
 `_inverse2`, the closed-form 2x2 inverse the library used before its box
