@@ -210,9 +210,8 @@ def _circle_cells(g: np.ndarray, grid: int):
     decided as one (rows x grid) array; the undecided cells are halved as one
     flat array, at most _CIRCLE_ROUNDS times.  A row still undecided then, or
     holding more than _CIRCLE_CELL_CAP undecided cells per unit of degree of
-    `g`, is not kept.  Returns the certified zero
-    count of each row, the kept mask, and the certified one-zero cells as
-    (row, left end, width) arrays."""
+    `g`, is not kept.  Returns the certified zero count of each row, the kept
+    mask, and the certified one-zero cells as (row, left end, width) arrays."""
     b = len(g)
     k = np.arange(g.shape[1])
     mag = np.abs(g)
@@ -519,37 +518,38 @@ def _certified_counts(
     carries its row, kept sorted, and the row's bounds are gathered by it.
     The starting grid has _BOX_BASE boxes per side per unit of the largest
     |frequency coordinate|, as the circle's has 16 cells per unit of degree.
-    Each box is tested for exclusion as it is made: it is dropped where some
-    |F_i| is bounded away from 0 on it (`_row_bounds`, r the radius).  The
-    first test takes the smaller of the Lipschitz reach lip_i r and the
-    first-order Taylor reach around the centre, with remainder hess_i r^2 / 2;
-    only a box it keeps has its Hessian sums sum_jk |H_i,jk| computed, for the
-    second-order Taylor reach sum_j |J_ij| r + sum_jk |H_i,jk| r^2 / 2 +
-    third_i r^3 / 6.  The products of the starting grid are computed once for
-    the whole block, and only the boxes that survive keep theirs; a child's
-    products are its parent's times a shift (`_children`).  Children are made
-    and tested _BOX_CHUNK at a time, so their memory stays near (live boxes x
-    H).  The grid is tested a whole number of rows at a time, at least one, so
-    a grid of more than _BOX_CHUNK boxes (48^2 for box:2:3, 32^3 for box:3:2)
-    is tested whole, one row at a time, and its products stay held for the
-    whole block: 32768 x 63 complex doubles, 33 MB, for box:3:2.  On the
-    surviving boxes, _BOX_CHUNK at a time, the Krawczyk operator K(X) of the
-    box X blown up by _BOX_INFLATE (9/8) to radius w, with the interval
-    Jacobian taken as the centre Jacobian +- a bound whose row i sums to the
-    smaller of hess_i w and sum_jk |H_i,jk| w + third_i w^2 / 2, holds every
-    zero in X: inside int X it certifies exactly one, disjoint from X none.
-    Any factor of at least 1 is sound, and a wider X is harder to certify: the
-    box:2:2 block of 12 samples (seed 0) splits 945 boxes at 9/8 and 1371 at
-    2, and only 928 at 1.1, where a zero near a face of its box has ever less
-    room inside X.  The other boxes are split in 2^n.  A row with more than
-    _BOX_CAP of them, or with any left after _BOX_LEVELS splits, is dropped
-    without touching the others.  The certified boxes of every level are
-    polished together at the end, by Newton steps from their first Krawczyk
-    iterate until one step moves every zero by less than _SNAP (`_polish`),
-    and each credits its zero to its row only if its own half-open box holds
-    it, so a zero found by several boxes is counted once.  A row with a
-    certified box whose polish does not settle, or leaves the blown-up box, is
-    dropped too (it is not split further)."""
+    Each box is tested for exclusion as it is made: it is dropped where
+    some |F_i| is bounded away from 0 on it (`_row_bounds`, r the radius).
+    The first test takes the smaller of the Lipschitz reach lip_i r and the
+    first-order Taylor reach around the centre, with remainder hess_i r^2 /
+    2; only a box it keeps has its Hessian sums sum_jk |H_i,jk| computed,
+    for the second-order Taylor reach sum_j |J_ij| r + sum_jk |H_i,jk| r^2
+    / 2 + third_i r^3 / 6.  The products of the starting grid are computed
+    once for the whole block, and only the boxes that survive keep theirs;
+    a child's products are its parent's times a shift (`_children`).
+    Children are made and tested _BOX_CHUNK at a time, so their memory
+    stays near (live boxes x H).  The grid is tested a whole number of rows
+    at a time, at least one, so a grid of more than _BOX_CHUNK boxes (48^2
+    for box:2:3, 32^3 for box:3:2) is tested whole, one row at a time, and
+    its products stay held for the whole block: 32768 x 63 complex doubles,
+    33 MB, for box:3:2.  On the surviving boxes, _BOX_CHUNK at a time, the
+    Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE (9/8) to
+    radius w, with the interval Jacobian taken as the centre Jacobian +- a
+    bound whose row i sums to the smaller of hess_i w and sum_jk |H_i,jk| w
+    + third_i w^2 / 2, holds every zero in X: inside int X it certifies
+    exactly one, disjoint from X none.  Any factor of at least 1 is sound,
+    and a wider X is harder to certify: the box:2:2 block of 12 samples
+    (seed 0) splits 945 boxes at 9/8 and 1371 at 2, and only 928 at 1.1,
+    where a zero near a face of its box has ever less room inside X.  The
+    other boxes are split in 2^n.  A row with more than _BOX_CAP of them, or
+    with any left after _BOX_LEVELS splits, is dropped without touching the
+    others.  The certified boxes of every level are polished together at the
+    end, by Newton steps from their first Krawczyk iterate until one step
+    moves every zero by less than _SNAP (`_polish`), and each credits its zero
+    to its row only if its own half-open box holds it, so a zero found by
+    several boxes is counted once.  A row with a certified box whose polish
+    does not settle, or leaves the blown-up box, is dropped too (it is not
+    split further)."""
     n, size = len(freqs), len(coeffs[0])
     per_row = _row_bounds(freqs, coeffs)
     half, jet, curvature = _product_jet(freqs, coeffs)
