@@ -853,16 +853,18 @@ def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray,
 
 def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> float:
     """Mean over u in S^2 of the mixed area of P_1 and P_2 restricted to the
-    plane u^perp: `_complement_mixed_areas` of the unit vector u.
-    Gauss-Legendre in cos(theta) times the trapezoid rule in phi, whose
-    integrand is smooth and periodic.  The integrand is even in u and the
-    Gauss-Legendre rule even in cos(theta), so `nodes` angles in [0, pi)
-    give the rule with 2 `nodes` angles in [0, 2 pi)."""
+    plane u^perp: `_complement_mixed_areas` of the unit vector u.  A flat
+    body's restriction is singular on the great circle around its least
+    eigenvector, a kink in u, so the pole is put on that eigenvector of the
+    flatter body, and the integrand, even in u, is integrated over cos(theta)
+    in [0, 1], the kink at its end: Gauss-Legendre there with `nodes` nodes,
+    times the trapezoid rule in phi with 2 `nodes` angles."""
+    _, frame = min((np.linalg.eigh(p) for p in (p1, p2)), key=lambda e: e[0][0] / max(e[0][-1], 1e-300))
     t, w = np.polynomial.legendre.leggauss(nodes)
-    t, phi = np.meshgrid(t, np.pi * (np.arange(nodes) + 0.5) / nodes, indexing="ij")
+    t, phi = np.meshgrid((t + 1) / 2, np.pi * (np.arange(2 * nodes) + 0.5) / nodes, indexing="ij")
     s = np.sqrt(1 - t * t)
-    u = np.stack([s * np.cos(phi), s * np.sin(phi), t], axis=-1).reshape(-1, 1, 3)
-    areas = _complement_mixed_areas(p1, p2, np.eye(3)[None])(u).reshape(nodes, nodes)
+    u = np.stack([s * np.cos(phi), s * np.sin(phi), t], axis=-1) @ np.roll(frame, -1, axis=1).T
+    areas = _complement_mixed_areas(p1, p2, np.eye(3)[None])(u.reshape(-1, 1, 3)).reshape(nodes, -1)
     return 0.5 * float(w @ areas.mean(axis=1))
 
 

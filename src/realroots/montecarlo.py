@@ -22,32 +22,32 @@ of a bound from sum |b| |lambda|_1^2 and one from the centre Hessian, times
 the blown-up radius) certifies exactly one zero in a box or none.  Every
 bound reads |<lambda, d>| <= |lambda|_1 r on a box of radius r.  The other
 boxes are split in 2^n.  F and its Jacobian are real matmuls of a box's
-exponential products e(<lambda, x>) with its sample's weights, one per run
-of a sample's boxes, or one batched matmul of gathered weights where the
-runs are short; the starting grid's products are computed once per block,
-and a child's are its parent's times a fixed unit shift per corner, so no
-`exp` runs below the grid.  The certified boxes of every level are polished
-by Newton together, with gathered weights where a sample holds a few zeros,
-until every zero has settled, and each zero is credited to the one half-open
-box that holds it.  A sample with cells or boxes still undecided after a
-fixed number of splits, with too many of them, or with a certified box whose
-polish does not settle, is discarded without touching the rest of its block:
-it is reported in `MonteCarloStats.discarded` and left out of the mean, and
-fewer than 2 kept samples raise ArithmeticError.  A Gaussian determinant
-estimator gives mixed volumes of ellipsoids where no closed form applies: it
-draws the first n - 2 rows and integrates the last two out through the
-planar mixed area, the closed form of `convex`.  So at n <= 2 it draws
-nothing and returns that closed form, and only from n = 3 on does it check
-the sphere rule by sampling.
+exponential products e(<lambda, x>) with its sample's weights; the grid's
+products are built from one table per axis and a child's are its parent's
+times a fixed unit shift per corner, so no `exp` runs per box.  The
+certified boxes of every level are polished by Newton together until every
+zero has settled, and each zero is credited to the one half-open box that
+holds it.  A sample with cells or boxes still undecided after a fixed
+number of splits, with more than _BLOCK_CELLS of them when decided alone,
+or with a certified box whose polish does not settle, is discarded without
+touching the rest of its block: it is reported in
+`MonteCarloStats.discarded` and left out of the mean, and fewer than 2 kept
+samples raise ArithmeticError.  A Gaussian determinant estimator gives
+mixed volumes of ellipsoids where no closed form applies: it draws the
+first n - 2 rows and integrates the last two out through the planar mixed
+area, the closed form of `convex`.  So at n <= 2 it draws nothing and
+returns that closed form, and only from n = 3 on does it check the sphere
+rule by sampling.
 
 Everything runs in the calling thread and is deterministic given a seed.
 The circle counters draw their coefficients in blocks of 256 samples from
-one generator seeded by `seed`; the planar counter spawns one generator per
-sample from `seed`, draws all of a sample's normals in one call, so its
-sample i depends only on (seed, i), and decides its samples _SAMPLE_BLOCK at
-a time.  The counters keep one count per sample.  The Gaussian estimator
-reduces its draws _DET_BLOCK at a time and keeps only pooled sums, so its
-memory does not grow with `samples`.
+one generator seeded by `seed`, sample i from its normals [i w, (i + 1) w),
+w per sample; the planar counter spawns one generator per sample from
+`seed`, draws all of a sample's normals in one call, so its sample i
+depends only on (seed, i), and decides as many samples at a time as their
+starting grids fit in _BLOCK_CELLS boxes.  The counters keep one count per
+sample.  The Gaussian estimator reduces its draws _DET_BLOCK at a time and
+keeps only pooled sums, so its memory does not grow with `samples`.
 """
 
 from __future__ import annotations
@@ -124,21 +124,6 @@ def _coefficient_rows(support: Support):
     return half, lead + 2 * len(pos), rows
 
 
-def _coefficient_sampler(support: Support):
-    """(half, draw): draw(count, rng) gives `count` weight rows on the
-    frequencies `half` (see _coefficient_rows).  A block draws the zero
-    frequency's column first, then the pairs, so one row (count 1) is its
-    `width` normals in order."""
-    half, width, rows = _coefficient_rows(support)
-    lead = 2 * len(half) - width  # 1 if the zero frequency is in `half`
-
-    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
-        first = rng.standard_normal((count, lead))
-        return rows(np.hstack([first, rng.standard_normal((count, width - lead))]))
-
-    return half, draw
-
-
 # ---------------------------------------------------------------------------
 # certificates shared by both counters
 # ---------------------------------------------------------------------------
@@ -150,6 +135,7 @@ def _coefficient_sampler(support: Support):
 # starting grid's angles are reduced exactly, k j mod grid in integers, so
 # each cos and sin of the table is within 1e-15 of its value.
 _ROUNDING = 1e-12
+_BLOCK_CELLS = 2**15  # undecided cells or boxes one sample run alone may hold; a box block shares them
 
 
 def _kept_stats(counts: np.ndarray, discarded: int) -> MonteCarloStats:
@@ -172,7 +158,6 @@ def _kept_stats(counts: np.ndarray, discarded: int) -> MonteCarloStats:
 # ---------------------------------------------------------------------------
 
 _CIRCLE_ROUNDS = 30  # halvings of an undecided cell before its sample is discarded
-_CIRCLE_CELL_CAP = 2048  # undecided cells per unit of degree one sample may hold before it is discarded
 
 
 def _circle_eval(g: np.ndarray, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +194,9 @@ def _circle_cells(g: np.ndarray, grid: int):
     grid come from one matmul per _BOX_CHUNK grid points and the cells are
     decided as one (rows x grid) array; the undecided cells are halved as one
     flat array, at most _CIRCLE_ROUNDS times.  A row still undecided then, or
-    holding more than _CIRCLE_CELL_CAP undecided cells per unit of degree of
-    `g`, is not kept.  Returns the certified zero count of each row, the kept
-    mask, and the certified one-zero cells as (row, left end, width) arrays."""
+    holding more than _BLOCK_CELLS undecided cells, is not kept.  Returns the
+    certified zero count of each row, the kept mask, and the certified
+    one-zero cells as (row, left end, width) arrays."""
     b = len(g)
     k = np.arange(g.shape[1])
     mag = np.abs(g)
@@ -238,7 +223,7 @@ def _circle_cells(g: np.ndarray, grid: int):
     for _ in range(_CIRCLE_ROUNDS):
         if rows.size == 0:
             break
-        kept &= np.bincount(rows, minlength=b) <= _CIRCLE_CELL_CAP * max(1, len(k) - 1)
+        kept &= np.bincount(rows, minlength=b) <= _BLOCK_CELLS
         live = kept[rows]
         rows = rows[live]
         lo, f0, d0, fe, de = (a[live] for a in state)
@@ -261,14 +246,14 @@ def _circle_cells(g: np.ndarray, grid: int):
 
 def _circle_blocks(support: Support, samples: int, seed: int) -> Iterator[tuple]:
     """(one-sided weights g, zero counts, kept mask, one-zero cells) for
-    successive blocks of at most 256 samples, all drawn from one generator
-    seeded by `seed`, on a starting grid of 16 cells per unit of degree; see
-    _circle_cells.  Column j of g is the weight of frequency j, 0 where the
-    support lacks j."""
+    successive blocks of at most 256 samples, drawn from one generator
+    seeded by `seed`, one row's normals after the other, on a starting grid
+    of 16 cells per unit of degree; see _circle_cells.  Column j of g is the
+    weight of frequency j, 0 where the support lacks j."""
     support.require_symmetric()
     if support.dim != 1:
         raise ValueError("circle counting needs one-dimensional supports")
-    half, draw = _coefficient_sampler(support)
+    half, width, rows = _coefficient_rows(support)
     freqs = half[:, 0]
     top = int(freqs.max())
     grid = 16 * max(1, top)
@@ -277,7 +262,7 @@ def _circle_blocks(support: Support, samples: int, seed: int) -> Iterator[tuple]
     while done < samples:
         block = min(256, samples - done)
         g = np.zeros((block, top + 1), dtype=complex)
-        g[:, freqs] = draw(block, rng)
+        g[:, freqs] = rows(rng.standard_normal((block, width)))
         yield (g, *_circle_cells(g, grid))
         done += block
 
@@ -320,14 +305,12 @@ def circle_zero_locations(support: Support, samples: int, seed: int) -> np.ndarr
 
 _BOX_BASE = 16  # boxes per side of the starting grid per unit of the largest frequency
 _BOX_LEVELS = 16  # splits of an undecided box before its sample is discarded
-_BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
 _BOX_INFLATE = 9 / 8  # the Krawczyk test runs on the box blown up by this factor
 _NEWTON_STEPS = 6  # most Newton steps polishing the certified zeros of a block
 # A polished zero is rounded to this lattice before it is credited to a box:
 # far finer than any box edge, far coarser than the spread of two polishes of
 # one zero, so every box that finds a zero credits it to the same box.
 _SNAP = 2.0**-40
-_SAMPLE_BLOCK = 64  # samples whose boxes are subdivided together
 _BOX_CHUNK = 2048  # boxes made and tested for exclusion, or Krawczyk-tested, at once
 # Points of a sample row are contracted with its weights one matmul per run
 # of the row, unless the runs average fewer points than this; then each
@@ -349,11 +332,11 @@ def _product_jet(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]):
     products read as (Re, Im) pairs, so F, J and H are real matmuls.  `rows`
     gives the sample row of each point and must be sorted: each run of one row
     is contracted with that row's weights in one matmul, unless the runs
-    average fewer than _SHORT_RUN points (as the polish's few zeros per sample
-    on box:2:1 do), when each point's weights are gathered and all points are
-    contracted in one batched matmul.  A slice of rows instead evaluates every
-    point for each row in it, one row after the other (as the starting grid,
-    which every sample shares, is evaluated)."""
+    average fewer than _SHORT_RUN points (as the polish's four or so zeros per
+    sample on box:2:1 do), when each point's weights are gathered and all
+    points are contracted in one batched matmul.  A slice of rows evaluates
+    every point for each row in it, one row after the other (as a chunk of
+    the starting grid, which every row shares, is)."""
     n, size, every = len(freqs), len(coeffs[0]), np.vstack(freqs).astype(int)
     equation = np.repeat(np.arange(n), [len(f) for f in freqs])
     # mixed-radix keys sort as their rows do, lexicographically
@@ -408,9 +391,9 @@ def _children(
     `radius` of boxes with the given centres and products, children of one
     parent consecutive.  The child c + radius corner has the products
     e(<half, c>) e(radius <half, corner>): the parent's times a unit shift
-    per corner, so no `exp` runs per box.  Each split adds about one
-    rounding to the products, far below the _ROUNDING margin of the
-    certificates after _BOX_LEVELS splits."""
+    per corner, as the grid's are products of one table per axis, so no
+    `exp` runs per box anywhere.  Each split adds about one rounding to the
+    products, far below the _ROUNDING margin after _BOX_LEVELS splits."""
     n = centers.shape[1]
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     shifts = _exponentials(radius * corners, half)
@@ -481,17 +464,12 @@ def _row_bounds(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]) -> np
     return np.stack([lip, hess, ef, ed, third, eh], axis=1)
 
 
-def _polish(
-    jet, half: np.ndarray, zeros: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _polish(jet, half: np.ndarray, zeros: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the zeros (m x n) of the sorted sample rows `rows`,
     with F and J from `jet` (see _product_jet), until a step moves every
     zero by less than _SNAP or _NEWTON_STEPS steps have run: the polished
     zeros, and the mask of those whose last step moved them by less than
-    _SNAP with an invertible Jacobian at every step.  Where the samples
-    hold a few zeros each (about four on box:2:1), `jet` contracts each zero
-    with its sample's gathered weights in one matmul, not one matmul per
-    sample (see _product_jet)."""
+    _SNAP with an invertible Jacobian at every step."""
     settled = np.ones(len(rows), dtype=bool)
     for _ in range(_NEWTON_STEPS):
         zval, zjac = jet(_exponentials(zeros, half), rows)
@@ -505,51 +483,72 @@ def _polish(
     return zeros, settled & ~still
 
 
-def _certified_counts(
-    freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
-) -> list[int | None]:
+def _block_samples(freqs: Sequence[np.ndarray]) -> tuple[int, int]:
+    """(side, block): the starting grid has `side` boxes per side, _BOX_BASE
+    per unit of the largest |frequency coordinate| of `freqs`, and a block
+    holds as many samples as such grids fit in _BLOCK_CELLS boxes, at least 1."""
+    side = _BOX_BASE * max(1, int(max(np.abs(f).max() for f in freqs)))
+    return side, max(1, _BLOCK_CELLS // side ** len(freqs))
+
+
+def _certified_counts(freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]) -> list[int | None]:
     """Count the common zeros on [0,1)^n, n = len(freqs), of the systems F_i =
     Re sum c e(<lam, x>) with weight rows coeffs[i][s] on the distinct
     frequencies freqs[i], one-sided as `_coefficient_rows` draws them (see
     _product_jet), one count per row s, or None for a row whose zeros the
-    subdivision cannot certify (the caller discards that sample).
+    subdivision cannot certify (the caller discards that sample).  The rows
+    are decided `_block_samples` at a time, each with a share of
+    _BLOCK_CELLS // (rows in its block) undecided boxes, at least its grid's
+    side^n if that fits in _BLOCK_CELLS.  A row over its share leaves its
+    block and is decided again alone, with all of _BLOCK_CELLS, so no row's
+    count depends on the other rows."""
+    side, block = _block_samples(freqs)
+    counts: list[int | None] = []
+    for lo in range(0, len(coeffs[0]), block):
+        part = [c[lo : lo + block] for c in coeffs]
+        got, over = _block_counts(freqs, part, side, _BLOCK_CELLS // len(part[0]))
+        for s in np.flatnonzero(over) if len(part[0]) > 1 else ():
+            (got[s],), _ = _block_counts(freqs, [c[s : s + 1] for c in part], side, _BLOCK_CELLS)
+        counts += got
+    return counts
+
+
+def _block_counts(
+    freqs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray], side: int, share: int
+) -> tuple[list[int | None], np.ndarray]:
+    """The counts of `_certified_counts` for one block of rows, from a grid
+    of `side` boxes per side, and the mask of the rows over their `share`.
 
     The boxes of all rows are subdivided together, level by level; each box
     carries its row, kept sorted, and the row's bounds are gathered by it.
-    The starting grid has _BOX_BASE boxes per side per unit of the largest
-    |frequency coordinate|, as the circle's has 16 cells per unit of degree.
     Each box is tested for exclusion as it is made: it is dropped where
     some |F_i| is bounded away from 0 on it (`_row_bounds`, r the radius).
     The first test takes the smaller of the Lipschitz reach lip_i r and the
     first-order Taylor reach around the centre, with remainder hess_i r^2 /
     2; only a box it keeps has its Hessian sums sum_jk |H_i,jk| computed,
     for the second-order Taylor reach sum_j |J_ij| r + sum_jk |H_i,jk| r^2
-    / 2 + third_i r^3 / 6.  The products of the starting grid are computed
-    once for the whole block, and only the boxes that survive keep theirs;
-    a child's products are its parent's times a shift (`_children`).
-    Children are made and tested _BOX_CHUNK at a time, so their memory
-    stays near (live boxes x H).  The grid is tested a whole number of rows
-    at a time, at least one, so a grid of more than _BOX_CHUNK boxes (48^2
-    for box:2:3, 32^3 for box:3:2) is tested whole, one row at a time, and
-    its products stay held for the whole block: 32768 x 63 complex doubles,
-    33 MB, for box:3:2.  On the surviving boxes, _BOX_CHUNK at a time, the
+    / 2 + third_i r^3 / 6.  The grid is made and tested about _BOX_CHUNK
+    boxes at a time, for every row at once, each box's products those of
+    one (side x H) table per axis multiplied, as e(<lam, x>) = prod_j
+    e(lam_j x_j); its survivors keep theirs and are sorted by row.  A
+    child's products are its parent's times a shift (`_children`), and
+    children are made and tested _BOX_CHUNK at a time, so memory stays near
+    (live boxes x H).  On the surviving boxes, _BOX_CHUNK at a time, the
     Krawczyk operator K(X) of the box X blown up by _BOX_INFLATE (9/8) to
     radius w, with the interval Jacobian taken as the centre Jacobian +- a
     bound whose row i sums to the smaller of hess_i w and sum_jk |H_i,jk| w
     + third_i w^2 / 2, holds every zero in X: inside int X it certifies
-    exactly one, disjoint from X none.  Any factor of at least 1 is sound,
-    and a wider X is harder to certify: the box:2:2 block of 12 samples
-    (seed 0) splits 945 boxes at 9/8 and 1371 at 2, and only 928 at 1.1,
-    where a zero near a face of its box has ever less room inside X.  The
-    other boxes are split in 2^n.  A row with more than _BOX_CAP of them, or
+    exactly one, disjoint from X none (any factor of at least 1 is sound:
+    box:2:2's 12 samples at seed 0 split 945 boxes at 9/8, 1371 at 2 and
+    928 at 1.1, where a zero near a face has ever less room in X).  The
+    other boxes are split in 2^n; a row with more than `share` of them, or
     with any left after _BOX_LEVELS splits, is dropped without touching the
-    others.  The certified boxes of every level are polished together at the
-    end, by Newton steps from their first Krawczyk iterate until one step
-    moves every zero by less than _SNAP (`_polish`), and each credits its zero
-    to its row only if its own half-open box holds it, so a zero found by
-    several boxes is counted once.  A row with a certified box whose polish
-    does not settle, or leaves the blown-up box, is dropped too (it is not
-    split further)."""
+    others.  The certified boxes of every level are polished together at
+    the end, by Newton steps from their first Krawczyk iterate until one
+    step moves every zero by less than _SNAP (`_polish`), and each credits
+    its zero to its row only if its own half-open box holds it, so a zero
+    found by several boxes is counted once.  A row with a certified box
+    whose polish does not settle, or leaves the blown-up box, is dropped."""
     n, size = len(freqs), len(coeffs[0])
     per_row = _row_bounds(freqs, coeffs)
     half, jet, curvature = _product_jet(freqs, coeffs)
@@ -588,17 +587,22 @@ def _certified_counts(
         return ok, free, step
 
     def grid_survivors(radius):
-        # every row starts from the same grid, whose products are computed once
-        every = max(1, _BOX_CHUNK // len(grid))
-        for lo in range(0, size, every):
-            samples = slice(lo, lo + every)
-            val, jac = jet(grid_products, samples)
-            rows = np.repeat(np.arange(size)[samples], len(grid))
-            mine, curve = live(
-                val, jac, rows, radius, lambda m: grid_products[np.flatnonzero(m) % len(grid)]
-            )
-            at = np.flatnonzero(mine) % len(grid)
-            yield grid[at], rows[mine], grid_products[at], val[mine], jac[mine], curve
+        # e(lam_j x_j) at the box centres x_j = (2a + 1) / (2 side), the
+        # angles (2a + 1) lam_j mod 2 side reduced exactly in integers
+        odd = 2 * np.arange(side) + 1
+        tables = [np.exp(1j * np.pi / side * (np.outer(odd, lam) % (2 * side))) for lam in half.T]
+        # whole lines along the last axis, _BOX_CHUNK boxes at a time
+        lines = max(1, _BOX_CHUNK // side)
+        for lo in range(0, side ** (n - 1), lines):
+            lead = np.unravel_index(np.arange(lo, min(lo + lines, side ** (n - 1))), (side,) * (n - 1))
+            products = functools.reduce(np.multiply, (t[a] for t, a in zip(tables, lead)))
+            products = (products[:, None, :] * tables[-1]).reshape(-1, len(half))
+            val, jac = jet(products, slice(None))
+            rows = np.repeat(np.arange(size), len(products))
+            mine, curve = live(val, jac, rows, radius, lambda m: products[np.flatnonzero(m) % len(products)])
+            pick = np.flatnonzero(mine) % len(products)
+            centers = (np.column_stack([*(a[pick // side] for a in lead), pick % side]) + 0.5) / side
+            yield centers, rows[mine], products[pick], val[mine], jac[mine], curve
 
     def child_survivors(centers, rows, products, radius):
         every = max(1, _BOX_CHUNK >> n)
@@ -608,19 +612,13 @@ def _certified_counts(
             child_rows = np.repeat(rows[part], 2**n)
             val, jac = jet(child_products, child_rows)
             mine, curve = live(val, jac, child_rows, radius, lambda m: child_products[m])
-            yield (
-                child_centers[mine], child_rows[mine], child_products[mine], val[mine], jac[mine], curve
-            )
+            yield child_centers[mine], child_rows[mine], child_products[mine], val[mine], jac[mine], curve
 
-    side = _BOX_BASE * max(1, int(np.abs(half).max()))
-    axis = (np.arange(side) + 0.5) / side
-    grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    grid_products = _exponentials(grid, half)
     radius = 0.5 / side
-    centers, rows, products, val, jac, curve = (
-        np.concatenate(c) for c in zip(*grid_survivors(radius))
-    )
-    kept = np.ones(size, dtype=bool)
+    found = [np.concatenate(c) for c in zip(*grid_survivors(radius))]
+    order = np.argsort(found[1], kind="stable")
+    centers, rows, products, val, jac, curve = (c[order] for c in found)
+    kept, over = np.ones(size, dtype=bool), np.zeros(size, dtype=bool)
     certified = []
     for level in range(_BOX_LEVELS + 1):
         # at least one part, so a level without boxes gives empty columns
@@ -629,9 +627,10 @@ def _certified_counts(
         ok, free, step = (np.concatenate(c) for c in zip(*tests))
         certified.append((centers[ok] - step[ok], centers[ok], rows[ok], np.full(ok.sum(), radius)))
         undecided = ~(ok | free)
-        # a row over the cap, or still undecided after the last level, is dropped
+        # a row over its share, or still undecided after the last level, is dropped
         load = np.bincount(rows[undecided], minlength=size)
-        kept &= load <= (_BOX_CAP if level < _BOX_LEVELS else 0)
+        over |= (load > share) & (level < _BOX_LEVELS)
+        kept &= ~over & ((load == 0) | (level < _BOX_LEVELS))
         undecided &= kept[rows]
         if not undecided.any():
             break
@@ -652,7 +651,7 @@ def _certified_counts(
     low = centers - radii
     inside = ((low <= snapped) & (snapped < low + 2 * radii)).all(axis=1)
     counts = np.bincount(rows[inside], minlength=size)
-    return [int(c) if k else None for c, k in zip(counts, kept)]
+    return [int(c) if k else None for c, k in zip(counts, kept)], over
 
 
 def count_common_zeros_torus2(
@@ -670,11 +669,12 @@ def count_common_zeros_torus2(
     for s in supports:
         s.require_symmetric()
     halves, widths, builds = zip(*map(_coefficient_rows, supports))
+    _, block = _block_samples(halves)
     root = np.random.SeedSequence(seed)
     results: list[int | None] = []
     while len(results) < samples:
         # spawning in blocks gives the same children as spawning all at once
-        rngs = map(np.random.default_rng, root.spawn(min(_SAMPLE_BLOCK, samples - len(results))))
+        rngs = map(np.random.default_rng, root.spawn(min(block, samples - len(results))))
         # a sample's normals for both equations, in the order of one row each
         normals = np.stack([rng.standard_normal(sum(widths)) for rng in rngs])
         parts = np.split(normals, [widths[0]], axis=1)

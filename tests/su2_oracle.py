@@ -2,8 +2,9 @@
 quaternions, a Haar quadrature on SU(2), a finite-difference measurement
 of the derivative-covariance radius that is independent of the Casimir route
 in `realroots.groups`, and Hopf coordinates that turn a system on SU(2) into
-a trigonometric system on the 3-torus: the spin-1/2 systems A q and the
-adjoint systems tr(A R(q)), R(q) the rotation of the unit quaternion q.
+a trigonometric system on the 3-torus: the spin-1/2 systems A q, the
+adjoint systems tr(A R(q)), R(q) the rotation of the unit quaternion q, and
+the systems Re tr(A pi_k(q)) of any spin k/2.
 """
 
 import math
@@ -154,3 +155,26 @@ def adjoint_hopf_systems(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     freqs = lattice(np.fft.fftfreq(5, 1 / 5))
     keep = np.abs(coeffs).max(axis=(0, 1)) > 1e-9
     return freqs[keep], coeffs[:, :, keep]
+
+
+def spin_hopf_systems(k: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, coeffs) of f_i(t) = Re tr(A_i pi_k(q(t))), pi_k the
+    (k + 1)-dimensional irreducible representation (`su2_irrep_matrix`) and
+    q = `hopf_quaternion`, for the complex rows A of `a` (shape (samples, 3,
+    k + 1, k + 1)), one-sided: f_i(t) = Re sum_j coeffs[i][s, j] exp(2 pi i
+    <freqs[j], t>) over the zero frequency and each lam lexicographically
+    larger than -lam.  pi_k is of degree k in q, so each angle carries
+    frequencies |m| <= k, and the (2k + 1)^3-point FFT of f_i gives them
+    exactly; spin 2 (k = 4) carries 46 of the one-sided ones."""
+    m = 2 * k + 1
+    axis = np.arange(m) / m
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    mats = np.array([su2_irrep_matrix(k, su2_from_quaternion(q)) for q in hopf_quaternion(lattice)])
+    values = np.einsum("siab,pba->isp", a, mats).real
+    coeffs = np.fft.fftn(values.reshape(3, len(a), m, m, m), axes=(2, 3, 4)).reshape(3, len(a), -1) / m**3
+    f = np.fft.fftfreq(m, 1 / m)
+    freqs = np.stack(np.meshgrid(f, f, f, indexing="ij"), -1).reshape(-1, 3)
+    zero = ~freqs.any(axis=1)
+    upper = np.array([tuple(p) > tuple(-p) for p in freqs])
+    keep = (zero | upper) & (np.abs(coeffs).max(axis=(0, 1)) > 1e-9)
+    return freqs[keep], np.where(zero, 1.0, 2.0)[keep] * coeffs[:, :, keep]

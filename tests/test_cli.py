@@ -396,11 +396,11 @@ RENDERED = {
             ("result.proportion", math.sqrt(2) / 2),
             ("result.method", "balls"),
             ("result.samples", None),
-            ("result.monte_carlo.value", 2.8),
+            ("result.monte_carlo.value", 3.2),
             ("result.monte_carlo.stderr", math.sqrt(0.24)),
             ("result.monte_carlo.samples", 5),
             ("result.monte_carlo.discarded", 0),
-            ("result.monte_carlo.z_score", (2.8 - 2 * math.sqrt(2)) / math.sqrt(0.24)),
+            ("result.monte_carlo.z_score", (3.2 - 2 * math.sqrt(2)) / math.sqrt(0.24)),
         ],
     ),
     "group-both": (

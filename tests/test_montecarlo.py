@@ -28,11 +28,13 @@ import resultant_oracle
 import torus2_oracle
 from circle_oracle import unimodular_root_counts
 from equidistribution import equidistribution_check
+from fold_systems import near_fold
 from su2_oracle import (
     adjoint_hopf_systems,
     hopf_exponential_sums,
     hopf_quaternion,
     quaternion_rotation,
+    spin_hopf_systems,
     su2_f_form_oracle,
     su2_from_quaternion,
     su2_haar_nodes,
@@ -162,9 +164,9 @@ def test_one_sided_weights_give_the_same_real_function():
     # the weights drawn on the zero frequency and one of each pair +-lam are
     # the real ensemble on the whole support: its Laurent form is real there
     support = box_support(2, 1)
-    half, draw = montecarlo._coefficient_sampler(support)
+    half, width, rows = montecarlo._coefficient_rows(support)
     assert half[0].tolist() == [0, 0] and all(tuple(p) > tuple(-p) for p in half[1:])
-    weights = draw(3, np.random.default_rng(7))
+    weights = rows(np.random.default_rng(7).standard_normal((3, width)))
     assert (weights[:, 0].imag == 0.0).all()
     freqs, coeffs = conjugate_symmetric(half, weights)
     assert Support(map(tuple, freqs)) == support and len(freqs) == len(support)
@@ -176,8 +178,9 @@ def test_one_sided_weights_give_the_same_real_function():
 
 
 def test_sampling_is_reproducible():
-    _, draw = montecarlo._coefficient_sampler(segment_support(3))
-    assert np.array_equal(draw(4, np.random.default_rng(11)), draw(4, np.random.default_rng(11)))
+    _, width, rows = montecarlo._coefficient_rows(segment_support(3))
+    first, second = (rows(np.random.default_rng(11).standard_normal((4, width))) for _ in range(2))
+    assert np.array_equal(first, second)
 
 
 # -- circle counting ---------------------------------------------------------------
@@ -272,8 +275,8 @@ def test_degree_400_circle_table_is_built_in_blocks():
 
 
 def test_degree_1000_circle_samples_are_all_kept():
-    # a sample holds about 3400 undecided cells after its 16000-cell grid:
-    # a cell cap that grows with the degree keeps them (2048 dropped all)
+    # a sample holds about 3400 undecided cells after its 16000-cell grid,
+    # far inside _BLOCK_CELLS (a cap of 2048 cells dropped all)
     m = 1000
     stats = count_zeros_circle(segment_support(m), 4, seed=1)
     assert (stats.samples, stats.discarded) == (4, 0)
@@ -365,7 +368,7 @@ def test_common_zeros_on_box_edges_are_counted_once(first, second, zeros):
     assert count == zeros
 
 
-@pytest.mark.parametrize("limit,value", [("_BOX_CAP", 1), ("_BOX_LEVELS", 0)])
+@pytest.mark.parametrize("limit,value", [("_BLOCK_CELLS", 1), ("_BOX_LEVELS", 0)])
 def test_torus_sample_over_a_box_limit_is_discarded(monkeypatch, limit, value):
     monkeypatch.setattr(montecarlo, limit, value)
     (count,) = montecarlo._certified_counts(*sine_pair((1, 1), (1, -1)))
@@ -446,14 +449,54 @@ def test_torus_counts_match_the_resultant_oracle(monkeypatch, first, second, sam
     assert all(g == w for g, w in zip(counts, want) if w is not None)
 
 
+@pytest.mark.parametrize("decade,seed,most_discarded", [(-3, 0, 0), (-4, 1, 44)])
+def test_near_fold_counts_match_the_resultant_oracle(decade, seed, most_discarded):
+    # box:2:1 draws pushed onto a fold: a common zero p whose Jacobian has
+    # relative determinant eps, log-uniform in the decade.  The certificates
+    # bind there as they do not on random draws: on the first decade,
+    # halving lip or the centre Hessian sums gives wrong counts.  Nearer the
+    # fold interval Newton cannot separate the two zeros, and samples are
+    # discarded (a fixed cap of 4096 undecided boxes dropped 45 here)
+    support = box_support(2, 1)
+    halves, coeffs = random_systems([support] * 2, 256, seed)
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** rng.uniform(decade, decade + 1, 256)
+    p, moved = near_fold(halves[0], coeffs, eps, rng)
+    e = np.exp(2j * math.pi * p @ halves[0].T)
+    grads = np.stack([((c * e) @ (2j * math.pi * halves[0])).real for c in moved], axis=1)
+    assert max(np.abs((c * e).sum(axis=1).real).max() for c in moved) < 1e-12
+    relative = np.linalg.det(grads) / np.prod(np.linalg.norm(grads, axis=2), axis=1)
+    assert np.allclose(np.abs(relative), eps, rtol=1e-8)
+    counts = montecarlo._certified_counts(halves, moved)
+    (f1, c1), (f2, c2) = map(conjugate_symmetric, halves, moved)
+    want = [resultant_oracle.torus_root_count(f1, c1[s], f2, c2[s]) for s in range(256)]
+    assert None not in want
+    assert all(g == w for g, w in zip(counts, want) if g is not None)
+    assert counts.count(None) <= most_discarded
+
+
 def test_torus_discards_do_not_leak_across_a_batch(monkeypatch):
-    # at a cap of 20 undecided boxes some samples of the batch are discarded
-    # and the others keep the count the per-sample oracle gives them
+    # from a 2 x 2 grid at a limit of 20 undecided boxes, a block holds 5
+    # samples with a share of 4 boxes each; every sample goes over its share
+    # and is decided again alone, where those over 20 are discarded and the
+    # others keep the count the per-sample oracle, at that limit, gives them
     for module in (montecarlo, torus2_oracle):
-        monkeypatch.setattr(module, "_BOX_CAP", 20)
+        monkeypatch.setattr(module, "_BOX_BASE", 2)
+        monkeypatch.setattr(module, "_BLOCK_CELLS", 20)
+    blocks = []
+    block_counts = montecarlo._block_counts
+
+    def record(freqs, coeffs, side, share):
+        got, over = block_counts(freqs, coeffs, side, share)
+        blocks.append((len(coeffs[0]), share, int(over.sum())))
+        return got, over
+
+    monkeypatch.setattr(montecarlo, "_block_counts", record)
     support = box_support(2, 1)
     counts, stats = per_sample_torus_counts(monkeypatch, support, 40, seed=3)
     assert counts == torus2_oracle.oracle_counts(support, support, 40, 3)
+    assert set(b for b in blocks if b[0] > 1) == {(5, 4, 5)}
+    assert sum(b[:2] == (1, 20) for b in blocks) == 40
     kept = [c for c in counts if c is not None]
     assert 2 <= len(kept) < 40
     assert (stats.samples, stats.discarded) == (len(kept), 40 - len(kept))
@@ -558,9 +601,9 @@ def random_systems(supports, samples, seed):
     """(freqs, coeffs) of `samples` random systems, one equation per support,
     sample i drawn from the i-th child of SeedSequence(seed) as
     `count_common_zeros_torus2` draws it."""
-    halves, draws = zip(*map(montecarlo._coefficient_sampler, supports))
+    halves, widths, builds = zip(*map(montecarlo._coefficient_rows, supports))
     rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(samples))
-    rows = [[draw(1, rng) for draw in draws] for rng in rngs]
+    rows = [[build(rng.standard_normal((1, w))) for w, build in zip(widths, builds)] for rng in rngs]
     return list(halves), [np.vstack(c) for c in zip(*rows)]
 
 
@@ -850,26 +893,30 @@ def test_three_torus_box_counts_match_the_kac_rice_mean():
     assert abs(z) <= 3
 
 
-def test_three_torus_box_2_samples_certify_at_the_box_cap():
-    # box:3:2 starts from 32^3 boxes, 8 times _BOX_CAP; bounded by the
-    # box's own Hessian, 16 of 16 samples certify near a 106 MB traced peak
-    # (with hess alone every sample went over the cap)
+def test_three_torus_box_2_samples_all_certify_one_block_each():
+    # box:3:2 starts from 32^3 boxes, all of _BLOCK_CELLS, so each sample
+    # is a block of its own, its grid made _BOX_CHUNK boxes at a time;
+    # bounded by the box's own Hessian, 16 of 16 samples certify near a
+    # 13 MB traced peak (106 MB with the grid's products held for a block
+    # of 16, and with hess alone every sample held over 4096 boxes)
     support = box_support(3, 2)
     systems = random_systems([support] * 3, 16, seed=3)
     counts: list[int | None] = []
     peak = traced_peak(lambda: counts.extend(montecarlo._certified_counts(*systems)))
     kept = np.array([c for c in counts if c is not None])
-    assert len(kept) >= 15 and peak < 130e6
+    assert len(kept) == 16 and peak < 25e6
     assert (kept % 2 == 0).all() and kept.max() <= complex_count_torus(support) == 384
     z = (kept.mean() - mean_real_count_torus(support).value) / (kept.std(ddof=1) / math.sqrt(len(kept)))
     assert abs(z) <= 3
 
 
 def test_three_torus_krawczyk_step_runs_in_chunks():
-    # 64 615 boxes survive exclusion at level 0 of this block; Krawczyk-tested
-    # _BOX_CHUNK at a time the block peaks near 49 MB (58 MB all at once)
-    systems = random_systems([box_support(3, 1)] * 3, montecarlo._SAMPLE_BLOCK, seed=5)
-    assert traced_peak(lambda: montecarlo._certified_counts(*systems)) < 53e6
+    # box:3:1 starts from 16^3 boxes, so 64 samples run as 8 blocks of 8;
+    # with the grid, the children and the Krawczyk tests taken _BOX_CHUNK
+    # boxes at a time they peak near 7 MB (14 MB all at once)
+    systems = random_systems([box_support(3, 1)] * 3, 64, seed=5)
+    assert montecarlo._block_samples(systems[0]) == (16, 8)
+    assert traced_peak(lambda: montecarlo._certified_counts(*systems)) < 10e6
 
 
 def test_hopf_exponential_sums_give_unit_quaternions():
@@ -913,6 +960,35 @@ def test_su2_adjoint_root_counts_match_the_group_kac_rice_mean():
     assert abs(zeros.mean() - want) <= 4 * zeros.std(ddof=1) / math.sqrt(len(zeros))
 
 
+def test_spin_2_systems_keep_every_sample():
+    # f_i = Re tr(A_i pi_4(q)), A_i complex Gaussian 5 x 5, is the invariant
+    # ensemble of the spin-2 representation of SU(2); pi_4(-q) = pi_4(q), so
+    # its zeros come in pairs +-q, each with four Hopf preimages on [0,1)^3.
+    # Frequency 4 makes a 64^3 starting grid, 8 times _BLOCK_CELLS, so each
+    # sample is a block of its own, its grid made _BOX_CHUNK boxes at a time
+    # (a block of 8 holding the grid's 262144 x 46 products peaked at 392
+    # MB), and all 8 are kept (a cap of 4096 undecided boxes kept 3, those
+    # with the fewest zeros)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((8, 3, 5, 5)) + 1j * rng.standard_normal((8, 3, 5, 5))
+    freqs, coeffs = spin_hopf_systems(4, a)
+    assert len(freqs) == 46 and np.abs(freqs).max() == 4
+    t = np.random.default_rng(2).random((20, 3))
+    mats = np.array([su2_irrep_matrix(4, su2_from_quaternion(q)) for q in hopf_quaternion(t)])
+    direct = np.einsum("sab,pba->sp", a[:, 0], mats).real
+    assert np.allclose((coeffs[0] @ np.exp(2j * math.pi * freqs @ t.T)).real, direct, atol=1e-12)
+    counts: list[int | None] = []
+    peak = traced_peak(lambda: counts.extend(montecarlo._certified_counts([freqs] * 3, list(coeffs))))
+    assert None not in counts and peak < 40e6
+    group = RepEnsemble.single(A1, (4,))
+    kept = np.array(counts)
+    assert (kept % 8 == 0).all() and kept.max() <= 4 * complex_count_reductive(group) == 4 * 128
+    zeros = kept / 4
+    want = mean_real_count_group(group)
+    assert want == pytest.approx(45.2548, abs=1e-4)
+    assert abs(zeros.mean() - want) <= 4 * zeros.std(ddof=1) / math.sqrt(len(zeros))
+
+
 def traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -923,13 +999,14 @@ def traced_peak(fn) -> int:
 
 
 def test_torus_counter_memory_does_not_grow_with_samples():
-    support, block = box_support(2, 2), montecarlo._SAMPLE_BLOCK
+    # box:2:2 starts from 32 x 32 boxes: 32 samples to a block
+    support, block = box_support(2, 2), montecarlo._BLOCK_CELLS // 32**2
     one = traced_peak(lambda: count_common_zeros_torus2(support, block, seed=1))
     ten = traced_peak(lambda: count_common_zeros_torus2(support, 10 * block, seed=1))
     assert ten <= 1.5 * one
-    # boxes are made and tested _BOX_CHUNK at a time and only survivors keep
-    # their exponential products: the whole block stays near 7 MB (16 MB with
-    # every level's children made at once)
+    # boxes are made and tested _BOX_CHUNK at a time, the grid's for every
+    # sample at once, and only survivors keep their exponential products:
+    # the whole block stays near 7 MB
     assert one < 20e6
 
 

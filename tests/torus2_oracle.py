@@ -7,11 +7,12 @@ every zero has settled.
 
 It draws each sample as the library does, one-sided: F_i = Re sum b_lam
 e(<lam, x>) over the zero frequency and one lam of each pair +-lam
-(`_coefficient_sampler`), with no fold.  It evaluates F and its Jacobian by
+(`_coefficient_rows`), with no fold.  It evaluates F and its Jacobian by
 one complex `exp` per point and frequency (`_pair_jet`) and certifies one
-sample at a time.  The certificate constants
-are copied here as they were, so a change to the library's constants shows
-up as a disagreement; a test that patches a limit patches both modules.
+sample at a time.  The certificate constants are copied here as they
+were, so a change to the library's constants shows up as a disagreement; a
+test that patches a limit patches both modules.  Its one size limit is the
+library's limit on a sample decided alone, _BLOCK_CELLS undecided boxes.
 `_inverse2`, the closed-form 2x2 inverse the library used before its box
 counter was written for n dimensions, is copied too, so the oracle does not
 share the library's Leibniz adjugate.
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from realroots.montecarlo import _coefficient_sampler
+from realroots.montecarlo import _coefficient_rows
 
 _ROUNDING = 1e-12
 _BOX_BASE = 16  # boxes per side of the starting grid per unit of the largest frequency
 _BOX_LEVELS = 16  # quarterings of an undecided box before its sample is discarded
-_BOX_CAP = 4096  # undecided boxes one sample may hold before it is discarded
+_BLOCK_CELLS = 2**15  # undecided boxes one sample may hold before it is discarded
 _BOX_INFLATE = 9 / 8  # the Krawczyk test runs on the box blown up by this factor
 _NEWTON_STEPS = 6  # full Newton steps polishing a certified zero
 _SNAP = 2.0**-40
@@ -137,7 +138,7 @@ def _certified_sample_count(
         undecided = centers[~(ok | free)]
         if undecided.shape[0] == 0:
             return count
-        if undecided.shape[0] > _BOX_CAP:
+        if undecided.shape[0] > _BLOCK_CELLS:
             return None
         radius /= 2.0
         centers = (undecided[:, None, :] + radius * offsets[None, :, :]).reshape(-1, 2)
@@ -148,11 +149,11 @@ def oracle_counts(s1, s2, samples: int, seed: int) -> list[int | None]:
     """Per-sample counts of `count_common_zeros_torus2(s1, s2)` as the
     per-sample loop computed them: sample i draws both coefficient rows from
     the i-th child of SeedSequence(seed)."""
-    (f1, draw1), (f2, draw2) = _coefficient_sampler(s1), _coefficient_sampler(s2)
+    (f1, width1, rows1), (f2, width2, rows2) = _coefficient_rows(s1), _coefficient_rows(s2)
     out = []
     for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
-        c1 = draw1(1, rng)[0]
-        c2 = draw2(1, rng)[0]
+        c1 = rows1(rng.standard_normal((1, width1)))[0]
+        c2 = rows2(rng.standard_normal((1, width2)))[0]
         out.append(_certified_sample_count(f1, c1, f2, c2))
     return out
