@@ -248,8 +248,7 @@ def _run_torus(args) -> int:
         if dim == 1:
             stats = montecarlo.count_zeros_circle(sups[0], args.samples, args.seed)
         elif dim == 2:
-            pair = sups if len(sups) == 2 else [sups[0], sups[0]]
-            stats = montecarlo.count_common_zeros_torus2(pair, args.samples, args.seed)
+            stats = montecarlo.count_common_zeros_torus2(system, args.samples, args.seed)
         else:
             raise SystemExit("Monte Carlo counting supports dimensions 1 and 2")
         results["monte_carlo"] = asdict(stats)
