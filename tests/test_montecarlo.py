@@ -424,6 +424,28 @@ BENCH_SEEDS = [int(x) for x in np.random.SeedSequence(1).generate_state(5)]
         ((2, 1), (2, 1), 20, BENCH_SEEDS[3]),
         ((2, 1), (2, 1), 40, 3),
         ((2, 1), (2, 2), 40, 9),
+    ],
+)
+def test_torus_counts_match_the_per_sample_oracle(monkeypatch, first, second, samples, seed):
+    # the per-sample oracle is the counter run on each sample alone, at the
+    # full limit: a block gives every sample the count it gets by itself
+    supports = [box_support(*first), box_support(*second)]
+    halves, coeffs = random_systems(supports, samples, seed)
+    alone = [montecarlo._certified_counts(halves, [c[s : s + 1] for c in coeffs])[0]
+             for s in range(samples)]
+    counts, stats = per_sample_torus_counts(monkeypatch, supports, samples, seed)
+    assert len(counts) == samples and counts == alone
+    assert None not in counts and stats.samples == samples
+
+
+@pytest.mark.parametrize(
+    "first,second,samples,seed",
+    [
+        ((2, 2), (2, 2), 12, 0),
+        ((2, 1), (2, 1), 40, BENCH_SEEDS[2]),
+        ((2, 1), (2, 1), 20, BENCH_SEEDS[3]),
+        ((2, 1), (2, 1), 40, 3),
+        ((2, 1), (2, 2), 40, 9),
         ((2, 3), (2, 3), 16, 2),
     ],
 )
