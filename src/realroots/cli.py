@@ -121,8 +121,8 @@ def parse_support(text: str) -> torus.Support:
                     pts.append(tuple(int(c) for c in chunk.split(",")))
             return torus.Support(pts)
     except ValueError as exc:
-        raise SystemExit(f"bad support {text!r}: {exc}") from exc
-    raise SystemExit(f"cannot parse support {text!r}")
+        raise ValueError(f"bad support {text!r}: {exc}") from exc
+    raise ValueError(f"cannot parse support {text!r}")
 
 
 def parse_spectrum(rs, text: str) -> groups.RepEnsemble:
@@ -139,8 +139,8 @@ def parse_spectrum(rs, text: str) -> groups.RepEnsemble:
         if parts[0] == "ball" and len(parts) == 3:
             return groups.RepEnsemble.ball(rs, Fraction(parts[1]), int(parts[2]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"bad spectrum {text!r}: {exc}") from exc
-    raise SystemExit(f"cannot parse spectrum {text!r}")
+        raise ValueError(f"bad spectrum {text!r}: {exc}") from exc
+    raise ValueError(f"cannot parse spectrum {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,7 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_torus.add_argument(
         "--method",
         default="auto",
-        help="mixed-volume method for the mean: auto | balls | volume | sphere | mc",
+        help="mixed-volume method for the mean: auto | mc (auto takes a closed form "
+        "where one applies and reports which)",
     )
     p_torus.add_argument(
         "--samples", type=int, help="also run the Monte Carlo counter on this many samples (>= 2)"
@@ -226,21 +227,21 @@ def _emit(report: Report, fmt: str, out: str | None) -> None:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise SystemExit(f"cannot write {out}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 
 
 def _run_torus(args) -> int:
     if args.seed is not None and args.seed < 0:
-        raise SystemExit("--seed must be a non-negative integer")
+        raise ValueError("--seed must be a non-negative integer")
     sups = [parse_support(s) for s in args.support]
     system = sups if len(sups) > 1 else sups[0]
     if args.samples is not None:
         if args.samples < 2:
-            raise SystemExit("--samples must be at least 2 for a mean and its standard error")
+            raise ValueError("--samples must be at least 2 for a mean and its standard error")
         if args.seed is None:
-            raise SystemExit("--samples requires --seed")
+            raise ValueError("--samples requires --seed")
     result = torus.real_proportion_torus(system, method=args.method, seed=args.seed)
     results = asdict(result)
     if args.samples is not None:
@@ -250,7 +251,7 @@ def _run_torus(args) -> int:
         elif dim == 2:
             stats = montecarlo.count_common_zeros_torus2(system, args.samples, args.seed)
         else:
-            raise SystemExit("Monte Carlo counting supports dimensions 1 and 2")
+            raise ValueError("Monte Carlo counting supports dimensions 1 and 2")
         results["monte_carlo"] = asdict(stats)
         spread = math.hypot(stats.stderr, result.real_stderr)
         results["monte_carlo"]["z_score"] = (
@@ -280,7 +281,7 @@ def _run_group(args) -> int:
         try:
             scale = Fraction(args.metric_scale)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SystemExit(f"bad --metric-scale {args.metric_scale!r}: {exc}") from exc
+            raise ValueError(f"bad --metric-scale {args.metric_scale!r}: {exc}") from exc
         metric = Metric(rs, scale)
     route = args.route
     primary = "lattice" if route == "both" else route
@@ -313,7 +314,7 @@ def _run_group(args) -> int:
 def _run_verify(args) -> int:
     tol = args.tolerance
     if not 0 <= tol < math.inf:
-        raise SystemExit(f"--tolerance must be finite and non-negative, got {tol}")
+        raise ValueError(f"--tolerance must be finite and non-negative, got {tol}")
     checks: list[tuple[str, float]] = []
 
     for n in range(1, 11):
@@ -361,17 +362,13 @@ def main(argv: list[str] | None = None) -> int:
             code = _run_group(args)
         else:
             code = _run_verify(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return USAGE_ERROR
-        raise
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         # before ValueError, which LinAlgError subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as exc:
-        # domain validation (unknown system, asymmetric support, bad weight)
+        # usage and domain errors (bad option, unknown system, asymmetric
+        # support, bad weight)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return code

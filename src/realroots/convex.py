@@ -915,19 +915,20 @@ def mixed_volume_ellipsoids(
 ) -> MixedVolumeResult:
     """Mixed volume V(E_1, ..., E_n) of n ellipsoids in R^n.
 
-    Methods: "balls" (all E_i balls, every E_i when n = 1), "volume" (n copies
-    of one ellipsoid), "sphere" (n = 2: the closed-form mixed area; n = 3:
-    that area averaged over the planes u^perp, u in S^2, after whitening by
-    the roundest body, which must be positive definite; `stderr` is the
-    distance of the reported 48 x 96 node rule from a 24 x 48 one), "mc"
-    (the Gaussian determinant estimator on _MC_SAMPLES samples; needs
-    `seed`; it integrates two rows out through the planar mixed area, so at
-    n <= 2 it returns the closed form with stderr 0 from 0 samples), and
-    "auto", which picks the first of balls, volume and sphere that applies,
-    else mc.  `samples` of the result is the number of samples its value is
-    averaged over (None for the other methods).  A seed other than None
-    must be a non-negative integer under every method, as the Monte Carlo
-    counters require (ValueError otherwise).
+    `method` is "auto" or "mc" (ValueError otherwise).  "mc" is the Gaussian
+    determinant estimator on _MC_SAMPLES samples; it needs `seed`, and it
+    integrates two rows out through the planar mixed area, so at n <= 2 it
+    returns the closed form with stderr 0 from 0 samples.  "auto" takes the
+    first closed form that applies, and the result's `method` names it:
+    "balls" (all E_i balls, every E_i when n = 1), "volume" (n copies of one
+    ellipsoid), "sphere" (n = 2: the closed-form mixed area; n = 3: that area
+    averaged over the planes u^perp, u in S^2, after whitening by the
+    roundest body, when one is positive definite; `stderr` is the distance
+    of the reported 48 x 96 node rule from a 24 x 48 one); else it runs
+    "mc".  `samples` of the result is the number of samples its value is
+    averaged over (None for a closed form).  A seed other than None must be
+    a non-negative integer under either method, as the Monte Carlo counters
+    require (ValueError otherwise).
     """
     if seed is not None:
         from .montecarlo import _require_integer
@@ -940,48 +941,27 @@ def mixed_volume_ellipsoids(
         raise ValueError(f"need exactly {n} ellipsoids in dimension {n}")
     if any(e.dim != n for e in ellipsoids):
         raise ValueError("dimension mismatch")
+    if method not in ("auto", "mc"):
+        raise ValueError(f"unknown method {method!r}; use auto or mc")
 
-    radii = [e.ball_radius() for e in ellipsoids]
-    identical = all(np.array_equal(e.Q, ellipsoids[0].Q) for e in ellipsoids[1:])
-    whiten = _roundest_body(ellipsoids) if n == 3 else None
+    qs = [e.Q for e in ellipsoids]
     if method == "auto":
+        radii = [e.ball_radius() for e in ellipsoids]
         if all(r is not None for r in radii):
-            method = "balls"
-        elif identical:
-            method = "volume"
-        elif n == 2 or whiten is not None:
-            method = "sphere"
-        else:
-            method = "mc"
-
-    if method == "balls":
-        if any(r is None for r in radii):
-            raise ValueError("balls method needs all ellipsoids to be balls")
-        value = unit_ball_volume(n) * float(np.prod(radii))
-        return MixedVolumeResult(value, 0.0, method)
-    if method == "volume":
-        if not identical:
-            raise ValueError("volume method needs n copies of one ellipsoid")
-        return MixedVolumeResult(ellipsoids[0].volume(), 0.0, method)
-    if method == "sphere":
-        qs = [e.Q for e in ellipsoids]
+            return MixedVolumeResult(unit_ball_volume(n) * float(np.prod(radii)), 0.0, "balls")
+        if all(np.array_equal(q, qs[0]) for q in qs[1:]):
+            return MixedVolumeResult(ellipsoids[0].volume(), 0.0, "volume")
         if n == 2:
-            return MixedVolumeResult(float(_mixed_area(*qs)), 0.0, method)
-        if n != 3:
-            raise ValueError("sphere needs dimension 2 or 3")
-        if whiten is None:
-            raise ValueError("sphere needs a positive-definite ellipsoid in dimension 3")
-        return MixedVolumeResult(*_sphere_mixed_volume(qs, whiten), method)
-    if method == "mc":
-        if seed is None:
-            raise ValueError("mc method needs a seed")
-        from .montecarlo import gaussian_mixed_volume
+            return MixedVolumeResult(float(_mixed_area(*qs)), 0.0, "sphere")
+        whiten = _roundest_body(ellipsoids) if n == 3 else None
+        if whiten is not None:
+            return MixedVolumeResult(*_sphere_mixed_volume(qs, whiten), "sphere")
+    if seed is None:
+        raise ValueError("mc method needs a seed")
+    from .montecarlo import gaussian_mixed_volume
 
-        stats = gaussian_mixed_volume([e.Q for e in ellipsoids], samples=_MC_SAMPLES, seed=seed)
-        return MixedVolumeResult(stats.value, stats.stderr, method, stats.samples)
-    raise ValueError(
-        f"unknown method {method!r}; use auto, balls, volume, sphere or mc"
-    )
+    stats = gaussian_mixed_volume(qs, samples=_MC_SAMPLES, seed=seed)
+    return MixedVolumeResult(stats.value, stats.stderr, "mc", stats.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,8 @@ class RepEnsemble:
             if any(c < 0 or c.denominator != 1 for c in v):
                 raise ValueError(f"weight {v} is not dominant integral")
             m = int(mult)
+            if m != mult:
+                raise ValueError(f"multiplicity {mult} is not an integer")
             if m < 1:
                 raise ValueError("multiplicities must be positive")
             row = tuple(c.numerator for c in v)
@@ -226,6 +228,8 @@ def weighted_polytope(ensemble: RepEnsemble | RootSystem, weight=None) -> Polyto
     every orbit."""
     if isinstance(ensemble, RepEnsemble):
         rs, weights = ensemble.rs, ensemble.weights
+    elif weight is None:
+        raise ValueError("a root system needs a weight")
     else:
         rs, weights = ensemble, [xa.as_vec(weight)]
     # the orbits of the integer rows s w, s a common denominator, shrunk by s

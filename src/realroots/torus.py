@@ -46,6 +46,19 @@ __all__ = [
 ]
 
 
+def _lattice_point(p) -> tuple[int, ...]:
+    """The point p as a tuple of ints; ValueError, naming p, unless every
+    coordinate c is integral, int(c) == c."""
+    p = tuple(p)
+    try:
+        q = tuple(map(int, p))
+    except (ValueError, OverflowError):  # NaN or an infinity
+        q = None
+    if q != p:
+        raise ValueError(f"frequency ({', '.join(map(str, p))}) is not a lattice point")
+    return q
+
+
 @dataclass(frozen=True)
 class Support:
     """Finite frequency support in Z^n, deduplicated and sorted."""
@@ -53,7 +66,7 @@ class Support:
     points: tuple[tuple[int, ...], ...]
 
     def __init__(self, points):
-        pts = sorted({tuple(int(c) for c in p) for p in points})
+        pts = sorted({_lattice_point(p) for p in points})
         if not pts:
             raise ValueError("empty support")
         if len({len(p) for p in pts}) != 1:
@@ -141,10 +154,11 @@ def mean_real_count_torus(
     independent random real ensembles: n!/(2 pi)^n times the mixed volume of
     the second-moment ellipsoids.
 
-    `method` and `seed` go to `mixed_volume_ellipsoids`; `auto` asks for a
-    seed only in dimension >= 4, or in dimension 3 when every support lies
-    in a plane.  Each distinct support is checked and its ellipsoid built
-    once.
+    `method` ("auto" or "mc") and `seed` go to `mixed_volume_ellipsoids`,
+    and the result's `method` names the rule "auto" took ("balls", "volume",
+    "sphere" or "mc"); "auto" asks for a seed only in dimension >= 4, or in
+    dimension 3 when every support lies in a plane.  Each distinct support
+    is checked and its ellipsoid built once.
     """
     sups = _as_support_list(supports)
     n = sups[0].dim

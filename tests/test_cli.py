@@ -43,7 +43,7 @@ def test_parse_support_shorthands():
 
 @pytest.mark.parametrize("bad", ["segment:x", "box:2", "disk:1:1", "points:(a,b)"])
 def test_parse_support_rejects_garbage(bad):
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError):
         parse_support(bad)
 
 
@@ -62,9 +62,9 @@ def test_parse_spectrum_shorthands():
 
 
 def test_parse_spectrum_rejects_mismatched_system():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError):
         parse_spectrum(A1, "weight:1,2")  # wrong rank
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError):
         parse_spectrum(A1, "weight:-1")  # not dominant
 
 
@@ -238,20 +238,15 @@ def test_torus_mixed_non_round_mean_needs_no_seed(capsys):
     assert octahedron_mean(1, 2, 1) < res["real_count"] < octahedron_mean(1, 2, 2)
 
 
-def test_torus_removed_planar_method_is_usage_error(capsys):
-    argv = ["torus", "--support", "points:(1,0);(-1,0);(0,2);(0,-2);(0,0)", "--method", "exact2d"]
+@pytest.mark.parametrize("method", ["exact1d", "exact2d", "balls", "volume", "sphere"])
+def test_torus_removed_method_is_usage_error(capsys, method):
+    # box:2:1 is a ball, so each closed form's own condition holds: only
+    # the name is refused
+    argv = ["torus", "--support", "box:2:1", "--method", method]
     assert main(argv) == USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unknown method 'exact2d'" in captured.err
-
-
-def test_torus_removed_segment_method_is_usage_error(capsys):
-    argv = ["torus", "--support", "segment:3", "--method", "exact1d"]
-    assert main(argv) == USAGE_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unknown method 'exact1d'" in captured.err
+    assert f"error: unknown method '{method}'; use auto or mc" in captured.err
 
 
 def test_torus_bad_support_is_usage_error(capsys):

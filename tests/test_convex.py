@@ -788,8 +788,6 @@ def test_copies_of_one_ellipsoid_take_its_volume():
     assert abs(mc.value - res.value) < 4 * mc.stderr
     other = Ellipsoid(np.diag([1.0, 4.0, 4.0]))
     assert mixed_volume_ellipsoids([e, e, other], method="mc", seed=1).method == "mc"
-    with pytest.raises(ValueError):
-        mixed_volume_ellipsoids([e, e, other], method="volume")
     res = mixed_volume_ellipsoids([e, e, other])  # no seed: auto takes sphere, not mc
     assert res.method == "sphere" and res.samples is None
 
@@ -797,8 +795,7 @@ def test_copies_of_one_ellipsoid_take_its_volume():
 def test_exact2d_agrees_with_ball_formula():
     e1 = Ellipsoid(0.49 * np.eye(2))
     e2 = Ellipsoid(1.21 * np.eye(2))
-    res = mixed_volume_ellipsoids([e1, e2], method="sphere")
-    assert res.value == pytest.approx(math.pi * 0.7 * 1.1, rel=1e-9)
+    assert float(_mixed_area(e1.Q, e2.Q)) == pytest.approx(math.pi * 0.7 * 1.1, rel=1e-9)
 
 
 def test_exact2d_on_general_pair_vs_monte_carlo():
@@ -807,14 +804,14 @@ def test_exact2d_on_general_pair_vs_monte_carlo():
     b = rng.normal(size=(2, 2))
     e1 = Ellipsoid(a @ a.T + 0.1 * np.eye(2))
     e2 = Ellipsoid(b @ b.T + 0.1 * np.eye(2))
-    quadrature = mixed_volume_ellipsoids([e1, e2], method="sphere")
+    closed = float(_mixed_area(e1.Q, e2.Q))
     # in the plane the estimator integrates both rows out: it draws nothing
     # and reads the same closed form
     mc = mixed_volume_ellipsoids([e1, e2], method="mc", seed=9)
-    assert (mc.value, mc.stderr) == (pytest.approx(quadrature.value, rel=1e-12), 0.0)
+    assert (mc.value, mc.stderr) == (pytest.approx(closed, rel=1e-12), 0.0)
     # so the closed form is checked against |det G| of fully drawn matrices
     full = gaussian_oracle.full_draw_gaussian_mixed_volume([e1.Q, e2.Q], samples=400_000, seed=9)
-    assert abs(full.value - quadrature.value) < 4 * full.stderr
+    assert abs(full.value - closed) < 4 * full.stderr
 
 
 def test_alexandrov_fenchel_on_ellipse_pairs():
@@ -824,7 +821,7 @@ def test_alexandrov_fenchel_on_ellipse_pairs():
         b = rng.normal(size=(2, 2))
         e1 = Ellipsoid(a @ a.T + 0.05 * np.eye(2))
         e2 = Ellipsoid(b @ b.T + 0.05 * np.eye(2))
-        v12 = mixed_volume_ellipsoids([e1, e2], method="sphere").value
+        v12 = float(_mixed_area(e1.Q, e2.Q))
         assert v12 * v12 >= e1.volume() * e2.volume() * (1 - 1e-9)
 
 
@@ -854,9 +851,8 @@ def convex_test_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
 def test_sphere_mixed_area_equals_polarized_support_areas():
     for q1, q2 in criterion_06_pairs() + convex_test_pairs():
         e1, e2 = Ellipsoid(q1), Ellipsoid(q2)
-        res = mixed_volume_ellipsoids([e1, e2], method="sphere")
-        assert res.stderr == 0.0
-        assert res.value == pytest.approx(polarized_mixed_area(e1.Q, e2.Q), rel=1e-12)
+        assert float(_mixed_area(e1.Q, e2.Q)) == pytest.approx(
+            polarized_mixed_area(e1.Q, e2.Q), rel=1e-12)
 
 
 def test_mixed_area_is_half_the_ellipse_perimeter():
@@ -915,9 +911,9 @@ def test_sphere_mixed_area_of_segments_and_a_point():
     horizontal, vertical = Ellipsoid(np.diag([1.0, 0.0])), Ellipsoid(np.diag([0.0, 1.0]))
     # two orthogonal unit segments [-1, 1] e_i: their sum is a 2 x 2 square
     assert mixed_volume_ellipsoids([horizontal, vertical]).value == 2.0
-    assert mixed_volume_ellipsoids([horizontal, horizontal], method="sphere").value == 0.0
+    assert _mixed_area(horizontal.Q, horizontal.Q) == 0.0
     point = Ellipsoid(np.zeros((2, 2)))
-    assert mixed_volume_ellipsoids([point, Ellipsoid(np.eye(2))], method="sphere").value == 0.0
+    assert _mixed_area(point.Q, np.eye(2)) == 0.0
 
 
 def random_triple(seed: int) -> list[Ellipsoid]:
@@ -929,18 +925,19 @@ def random_triple(seed: int) -> list[Ellipsoid]:
     return out
 
 
+def sphere_rule(es: list[Ellipsoid]) -> float:
+    """The 3-D sphere rule's value, whitened by the body `auto` picks."""
+    return _sphere_mixed_volume([e.Q for e in es], convex._roundest_body(es))[0]
+
+
 def test_sphere_closed_forms_in_three_dimensions():
     e = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
-    res = mixed_volume_ellipsoids([e, e, e], method="sphere")
-    assert res.value == pytest.approx(e.volume(), rel=1e-12)
+    assert sphere_rule([e, e, e]) == pytest.approx(e.volume(), rel=1e-12)
     for e in random_triple(11):
-        assert mixed_volume_ellipsoids([e, e, e], method="sphere").value == pytest.approx(
-            e.volume(), rel=1e-12
-        )
+        assert sphere_rule([e, e, e]) == pytest.approx(e.volume(), rel=1e-12)
     radii = (0.8, 1.1, 1.7)
     balls = [Ellipsoid(r * r * np.eye(3)) for r in radii]
-    res = mixed_volume_ellipsoids(balls, method="sphere")
-    assert res.value == pytest.approx(unit_ball_volume(3) * math.prod(radii), rel=1e-12)
+    assert sphere_rule(balls) == pytest.approx(unit_ball_volume(3) * math.prod(radii), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1016,16 +1013,20 @@ def test_three_flat_bodies_go_to_monte_carlo():
     with pytest.raises(ValueError, match="mc method needs a seed"):
         mixed_volume_ellipsoids(discs)
     assert mixed_volume_ellipsoids(discs, seed=1).method == "mc"
-    with pytest.raises(ValueError, match="positive-definite"):
-        mixed_volume_ellipsoids(discs, method="sphere")
-    four = [Ellipsoid(np.eye(4))] * 3 + [Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]))]
-    with pytest.raises(ValueError, match="dimension 2 or 3"):
-        mixed_volume_ellipsoids(four, method="sphere")
 
 
 def test_one_dimensional_mixed_volume_is_diameter():
-    res = mixed_volume_ellipsoids([Ellipsoid(np.array([[6.25]]))], method="balls")
+    res = mixed_volume_ellipsoids([Ellipsoid(np.array([[6.25]]))])
     assert res.value == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("method", ["balls", "volume", "sphere", "exact2d"])
+def test_a_method_is_auto_or_mc(method):
+    # two unit discs are balls, copies of one body and a planar pair, so
+    # each closed form's own condition holds: only the name is refused
+    es = [Ellipsoid(np.eye(2)), Ellipsoid(np.eye(2))]
+    with pytest.raises(ValueError, match=f"unknown method '{method}'; use auto or mc"):
+        mixed_volume_ellipsoids(es, method=method)
 
 
 def test_mc_method_requires_seed():

@@ -47,6 +47,8 @@ def test_ensemble_validation():
         RepEnsemble(A1, [((Fraction(1, 2),), 1)])  # not integral
     with pytest.raises(ValueError):
         RepEnsemble(A1, [((1,), 0)])  # multiplicity must be positive
+    with pytest.raises(ValueError, match="multiplicity 2.5"):
+        RepEnsemble(A2, [((1, 1), 2.5)])  # refused, not truncated to 2
     merged = RepEnsemble(A1, [((1,), 1), ((1,), 2)])
     assert merged.entries == (((Fraction(1),), 3),)
 
@@ -166,6 +168,10 @@ def test_wrong_rank_weight_is_a_value_error():
         newton_body_volume(A2, (1, 1, 1))
     with pytest.raises(ValueError, match="rank"):
         A1.weyl_orbit((1, 0))
+    with pytest.raises(ValueError, match="needs a weight"):
+        weighted_polytope(A2)
+    with pytest.raises(ValueError, match="needs a weight"):
+        newton_body_volume(A2)
 
 
 def test_a_body_built_from_vertices_is_the_weight_polytope():

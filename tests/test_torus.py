@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import realroots
@@ -93,8 +94,22 @@ def test_segment_proportion_closed_form():
 def test_support_construction_dedupes_and_sorts():
     s = Support([(1,), (0,), (-1,), (1,)])
     assert s.points == ((-1,), (0,), (1,))
+    # integral coordinates of any number type are the same lattice points
+    assert Support([(1.0,), (Fraction(0),), (np.int64(-1),)]) == s
     assert s.dim == 1
     assert len(s) == 3
+
+
+@pytest.mark.parametrize("points,bad", [
+    ([(0.5, 0), (-0.5, 0)], "(0.5, 0)"),
+    ([(1.5,), (-1.5,), (0,)], "(1.5)"),
+    ([(Fraction(1, 2),), (0,)], "(1/2)"),
+    ([(float("nan"), 0)], "(nan, 0)"),
+])
+def test_support_rejects_a_non_integral_frequency(points, bad):
+    # refused, not truncated to a nearby lattice point
+    with pytest.raises(ValueError, match=re.escape(f"frequency {bad} is not a lattice point")):
+        Support(points)
 
 
 def test_support_factories():
@@ -215,16 +230,28 @@ OVAL3 = Support([(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 1), (0, 0,
 
 
 @pytest.mark.parametrize("seed", [-1, "x", 2.5, True])
-@pytest.mark.parametrize("method", ["auto", "balls", "volume", "sphere"])
+@pytest.mark.parametrize("method", ["auto", "mc"])
 def test_a_seed_is_checked_under_every_method(method, seed):
-    # a closed form draws nothing, yet the seed it is given must still be a
-    # non-negative integer; box:2:1 is a ball and admits all four closed forms
+    # neither method draws on box:2:1, yet the seed it is given must still be
+    # a non-negative integer: auto takes the ball's closed form, and mc in
+    # the plane returns the closed mixed area
     support = box_support(2, 1)
     assert real_proportion_torus(support, method=method, seed=7).method in (method, "balls")
     with pytest.raises(ValueError, match=re.escape(f"for the seed, got {seed!r}")):
         real_proportion_torus(support, method=method, seed=seed)
     with pytest.raises(ValueError, match=re.escape(f"for the seed, got {seed!r}")):
         real_proportion_torus(segment_support(3), method="auto", seed=seed)
+
+
+@pytest.mark.parametrize("method", ["balls", "volume", "sphere"])
+def test_a_forced_closed_form_is_an_unknown_method(method):
+    # box:2:1 is a ball, so each rule's own condition holds: only its name
+    # is refused (auto reports it in the result's method)
+    support = box_support(2, 1)
+    message = re.escape(f"unknown method {method!r}; use auto or mc")
+    for entry in (mean_real_count_torus, real_proportion_torus):
+        with pytest.raises(ValueError, match=message):
+            entry(support, method=method)
 
 
 @pytest.mark.parametrize(
