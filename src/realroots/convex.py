@@ -52,8 +52,8 @@ volume they span times the mixed area, over pi, of the last two covariances
 restricted to the plane they leave.  One map gives that product for the
 sphere rule's nodes and the estimator's samples alike, from Gram-Schmidt
 and trace formulas in O(n^3) each (`_complement_mixed_areas`); at n = 3,
-where one row is drawn, its covariance factor is folded into three quadratic
-forms in the draws.  Every Q is
+where one row is drawn, from three quadratic forms in the draws, sums of
+squared triple products of the covariance factors.  Every Q is
 checked to be finite and positive semidefinite by one rule (`_psd_eigh`).
 """
 
@@ -728,14 +728,14 @@ def _pair_products(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray,
-                            factors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _complement_mixed_areas(factors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map from batches of n - 2 coordinate vectors z_k in R^n, a
     (batch, n - 2, n) array `z`, to R V(A, C) = V(R A, R C) for the vectors
-    x_k = F_k z_k, F_k = factors[k]: R is the volume they span and A, C the
-    covariances Q, Q' restricted to the plane they leave (in an orthonormal
-    basis), and the mixed area is homogeneous of degree 1/2 in each
-    covariance.
+    x_k = F_k z_k, F_k = factors[k] of the (n, n, n) array `factors`: R is
+    the volume they span and A, C the covariances Q = F F^T and
+    Q' = F' F'^T of the last two factors restricted to the plane they leave
+    (in an orthonormal basis), and the mixed area is homogeneous of degree
+    1/2 in each covariance.
 
     Gram-Schmidt turns all vectors but the last into unit vectors b_k, and
     R is the product of the residual norms, the last one's too.  With
@@ -759,33 +759,28 @@ def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray,
     vector is never divided by its norm, and six fixed quadratic forms in v
     are one matmul against its coordinates' products.  Each unit vector
     costs one matmul for its images under Q and Q' and one inner product
-    per earlier one, so the whole is O(n^3) per batch entry.  With no unit
-    vector (n = 3) the traces are numbers, the weighted forms fold into
-    three, and so does v = F_0 z_0: they are three quadratic forms in z_0,
-    read off the products of its coordinates, which the map writes into one
-    buffer that it keeps from call to call.  A zero residual among the
-    others makes R = 0; it stays a zero vector, which removes nothing from
-    the later ones."""
-    n = len(q)
-    stacked = np.concatenate([q, q2])
+    per earlier one, so the whole is O(n^3) per batch entry.  A zero
+    residual among the others makes R = 0; it stays a zero vector, which
+    removes nothing from the later ones.
+
+    With no unit vector (n = 3), N (tr A tr C - tr(AC)), N det A and
+    N det C are quadratic forms in z_0 with no cancellation: by
+    Cauchy-Binet, N det A is the sum over pairs of
+    columns a, a' of F of the squared triple products <v, a x a'>, N det C
+    likewise with F', and N (tr A tr C - tr(AC)) = N (det(A + C) - det A -
+    det C) the sum over columns a of F and c of F' of <v, a x c>^2.  With
+    v = F_0 z_0 each sum is z_0^T W z_0, W = sum of w w^T over w = F_0^T
+    (a x c), read off the products of z_0's coordinates, which the map
+    writes into one buffer that it keeps from call to call.  The trace
+    formulas lose those forms to cancellation as Q's eigenvalues spread (a
+    relative error of about 3e-5 in the mean at a spread of 1e6, 15% at
+    1e8)."""
+    n = len(factors)
     upper = np.triu_indices(n)
 
     def coefficients(f: np.ndarray) -> np.ndarray:
         # z^T f z as a linear form in the products z_a z_b, a <= b
         return (f + f.T - np.diag(np.diag(f)))[upper]
-
-    forms = np.stack([coefficients(f) for f in (np.eye(n), q, q2, q @ q2 + q2 @ q, q @ q, q2 @ q2)])
-    # tr Q and tr Q'; tr Q^2, tr(Q Q') and tr Q'^2
-    traces = np.array([np.trace(q), np.trace(q2)])
-    squares = np.array([[np.trace(x @ y) for y in (q, q2)] for x in (q, q2)])
-
-    def invariants(values, tr_a, tr_c, tr_aa, tr_ac, tr_cc) -> list:
-        # N (tr A tr C - tr(AC)), N det A and N det C, linear in the forms'
-        # values N, v^T Q v, v^T Q' v, v^T (Q Q' + Q' Q) v, v^T Q^2 v, v^T Q'^2 v
-        norm2, qv, q2v, mixed, qqv, q2q2v = values
-        return [(tr_a * tr_c - tr_ac) * norm2 - tr_c * qv - tr_a * q2v + mixed,
-                0.5 * (tr_a * tr_a - tr_aa) * norm2 - tr_a * qv + qqv,
-                0.5 * (tr_c * tr_c - tr_cc) * norm2 - tr_c * q2v + q2q2v]
 
     def plane_areas(t: np.ndarray, det_a: np.ndarray, det_c: np.ndarray) -> np.ndarray:
         p = np.sqrt(np.maximum(det_a, 0.0, out=det_a), out=det_a)
@@ -793,10 +788,12 @@ def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray,
         return _mixed_area_of_invariants(t, p)
 
     if n == 3:
-        # the products v_a v_b of v = F z on the products z_i z_j
-        f = factors[0]
-        change = np.stack([coefficients(np.outer(f[a], f[b])) for a, b in zip(*upper)])
-        folded = np.array(invariants(forms, *traces, *squares[0], squares[1, 1])) @ change
+        # the triple products a x c of the columns of F and F', of pairs of
+        # F's and of pairs of F''s, as rows; w^T = (a x c)^T F_0
+        a, c = factors[1].T, factors[2].T
+        crosses = [np.cross(a[:, None], c[None]).reshape(-1, 3),
+                   *(np.cross(f[:, None], f[None])[np.triu_indices(3, 1)] for f in (a, c))]
+        folded = np.stack([coefficients(w.T @ w) for w in (x @ factors[0] for x in crosses)])
         buffer = np.empty(0)
 
         def areas(z: np.ndarray) -> np.ndarray:
@@ -810,8 +807,23 @@ def _complement_mixed_areas(q: np.ndarray, q2: np.ndarray,
 
         return areas
 
+    q, q2 = (f @ f.T for f in factors[-2:])
+    stacked = np.concatenate([q, q2])
+    forms = np.stack([coefficients(f) for f in (np.eye(n), q, q2, q @ q2 + q2 @ q, q @ q, q2 @ q2)])
+    # tr Q and tr Q'; tr Q^2, tr(Q Q') and tr Q'^2
+    traces = np.array([np.trace(q), np.trace(q2)])
+    squares = np.array([[np.trace(x @ y) for y in (q, q2)] for x in (q, q2)])
+
+    def invariants(values, tr_a, tr_c, tr_aa, tr_ac, tr_cc) -> list:
+        # N (tr A tr C - tr(AC)), N det A and N det C, linear in the forms'
+        # values N, v^T Q v, v^T Q' v, v^T (Q Q' + Q' Q) v, v^T Q^2 v, v^T Q'^2 v
+        norm2, qv, q2v, mixed, qqv, q2q2v = values
+        return [(tr_a * tr_c - tr_ac) * norm2 - tr_c * qv - tr_a * q2v + mixed,
+                0.5 * (tr_a * tr_a - tr_aa) * norm2 - tr_a * qv + qqv,
+                0.5 * (tr_c * tr_c - tr_cc) * norm2 - tr_c * q2v + q2q2v]
+
     def areas(z: np.ndarray) -> np.ndarray:
-        rows = factors @ z.transpose(1, 2, 0)
+        rows = factors[:-2] @ z.transpose(1, 2, 0)
         units, last = rows[:-1], rows[-1]
         count, batch = len(units), rows.shape[2]
         volume2 = 1.0  # squared residual norms of all vectors but the last
@@ -859,12 +871,14 @@ def _sphere_mean_of_mixed_areas(p1: np.ndarray, p2: np.ndarray, nodes: int) -> f
     flatter body, and the integrand, even in u, is integrated over cos(theta)
     in [0, 1], the kink at its end: Gauss-Legendre there with `nodes` nodes,
     times the trapezoid rule in phi with 2 `nodes` angles."""
-    _, frame = min((np.linalg.eigh(p) for p in (p1, p2)), key=lambda e: e[0][0] / max(e[0][-1], 1e-300))
+    eigs = [np.linalg.eigh(p) for p in (p1, p2)]
+    _, frame = min(eigs, key=lambda e: e[0][0] / max(e[0][-1], 1e-300))
+    factors = np.stack([np.eye(3), *(vecs * np.sqrt(np.clip(vals, 0.0, None)) for vals, vecs in eigs)])
     t, w = np.polynomial.legendre.leggauss(nodes)
     t, phi = np.meshgrid((t + 1) / 2, np.pi * (np.arange(2 * nodes) + 0.5) / nodes, indexing="ij")
     s = np.sqrt(1 - t * t)
     u = np.stack([s * np.cos(phi), s * np.sin(phi), t], axis=-1) @ np.roll(frame, -1, axis=1).T
-    areas = _complement_mixed_areas(p1, p2, np.eye(3)[None])(u.reshape(-1, 1, 3)).reshape(nodes, -1)
+    areas = _complement_mixed_areas(factors)(u.reshape(-1, 1, 3)).reshape(nodes, -1)
     return 0.5 * float(w @ areas.mean(axis=1))
 
 
@@ -905,7 +919,7 @@ class MixedVolumeResult:
     samples: int | None = None
 
 
-_MC_SAMPLES = 100_000  # Gaussian samples behind an "mc" mean
+_MC_SAMPLES = 2**15  # Gaussian samples behind an "mc" mean
 
 
 def mixed_volume_ellipsoids(
@@ -916,19 +930,20 @@ def mixed_volume_ellipsoids(
     """Mixed volume V(E_1, ..., E_n) of n ellipsoids in R^n.
 
     `method` is "auto" or "mc" (ValueError otherwise).  "mc" is the Gaussian
-    determinant estimator on _MC_SAMPLES samples; it needs `seed`, and it
-    integrates two rows out through the planar mixed area, so at n <= 2 it
-    returns the closed form with stderr 0 from 0 samples.  "auto" takes the
-    first closed form that applies, and the result's `method` names it:
-    "balls" (all E_i balls, every E_i when n = 1), "volume" (n copies of one
-    ellipsoid), "sphere" (n = 2: the closed-form mixed area; n = 3: that area
-    averaged over the planes u^perp, u in S^2, after whitening by the
-    roundest body, when one is positive definite; `stderr` is the distance
-    of the reported 48 x 96 node rule from a 24 x 48 one); else it runs
-    "mc".  `samples` of the result is the number of samples its value is
-    averaged over (None for a closed form).  A seed other than None must be
-    a non-negative integer under either method, as the Monte Carlo counters
-    require (ValueError otherwise).
+    determinant estimator on _MC_SAMPLES samples, 32 random digital shifts
+    of 2^10 Sobol points (`montecarlo.gaussian_mixed_volume`); it needs
+    `seed`, and it integrates two rows out through the planar mixed area,
+    so at n <= 2 it returns the closed form with stderr 0 from 0 samples.
+    "auto" takes the first closed form that applies, and the result's
+    `method` names it: "balls" (all E_i balls, every E_i when n = 1),
+    "volume" (n copies of one ellipsoid), "sphere" (n = 2: the closed-form
+    mixed area; n = 3: that area averaged over the planes u^perp, u in S^2,
+    after whitening by the roundest body, when one is positive definite;
+    `stderr` is the distance of the reported 48 x 96 node rule from a
+    24 x 48 one); else it runs "mc".  `samples` of the result is the number
+    of samples its value is averaged over (None for a closed form).  A seed
+    other than None must be a non-negative integer under either method, as
+    the Monte Carlo counters require (ValueError otherwise).
     """
     if seed is not None:
         from .montecarlo import _require_integer

@@ -99,7 +99,10 @@ class RepEnsemble:
                 raise ValueError("weight rank mismatch")
             if any(c < 0 or c.denominator != 1 for c in v):
                 raise ValueError(f"weight {v} is not dominant integral")
-            m = int(mult)
+            try:
+                m = int(mult)
+            except (ValueError, OverflowError):  # NaN or an infinity
+                m = None
             if m != mult:
                 raise ValueError(f"multiplicity {mult} is not an integer")
             if m < 1:

@@ -37,7 +37,8 @@ mixed volumes of ellipsoids where no closed form applies: it draws the
 first n - 2 rows and integrates the last two out through the planar mixed
 area, the closed form of `convex`.  So at n <= 2 it draws nothing and
 returns that closed form, and only from n = 3 on does it check the sphere
-rule by sampling.
+rule by sampling.  Its draws are randomized quasi-Monte Carlo: digitally
+shifted Sobol points, mapped to normals by the inverse normal distribution.
 
 Everything runs in the calling thread and is deterministic given a seed.
 The circle counters draw their coefficients in blocks of 256 samples from
@@ -46,8 +47,10 @@ w per sample; the planar counter spawns one generator per sample from
 `seed`, draws all of a sample's normals in one call, so its sample i
 depends only on (seed, i), and decides as many samples at a time as their
 starting grids fit in _BLOCK_CELLS boxes.  The counters keep one count per
-sample.  The Gaussian estimator reduces its draws _DET_BLOCK at a time and
-keeps only pooled sums, so its memory does not grow with `samples`.
+sample.  The Gaussian estimator draws its random digital shifts, and any
+coordinates past the Sobol table's 48, from one generator seeded by `seed`;
+it makes its points by index range and reduces them _DET_BLOCK at a time
+to one sum per shift, so its memory does not grow with `samples`.
 """
 
 from __future__ import annotations
@@ -688,6 +691,168 @@ def count_common_zeros_torus2(
 # ---------------------------------------------------------------------------
 
 _DET_BLOCK = 16384  # Gaussian matrices drawn and reduced together
+# Each covariance factor is divided by a power of two, exactly, that brings
+# its largest entry into [2^149, 2^150) for the last three rows, the last
+# drawn row and the two integrated out, and into [1/2, 1) for the others:
+# the first three meet in forms of degree 6 in their entries, which then stay
+# below 2^900 and, for axes down to about 1e-144 of the longest, above
+# underflow; the others enter only through the product of their norms.
+_FORM_SCALE = 150
+_SHIFTS = 32  # random digital shifts of the Sobol points; the stderr is the spread of their means
+_QUANTILE_CHUNK = 16384  # normals made at once from their uniforms
+_SOBOL_BITS = 52  # bits of a Sobol coordinate and of a shift: u = (bits + 1/2) 2^-52
+# Joe and Kuo's direction numbers (new-joe-kuo-6.21201, as scipy ships them)
+# for Sobol dimensions 2..48, one per comma: the primitive polynomial's bits,
+# then m_1..m_s; dimension 1 has every m_k = 1.  A string, as a literal table
+# of tuples costs every import about 0.7 MB more to compile
+_JOE_KUO = """
+    3 1, 7 1 3, 11 1 3 1, 13 1 1 1, 19 1 1 3 3, 25 1 3 5 13, 37 1 1 5 5 17, 41 1 1 5 5 5,
+    47 1 1 7 11 19, 55 1 1 5 1 1, 59 1 1 1 3 11, 61 1 3 5 5 31, 67 1 3 3 9 7 49,
+    91 1 1 1 15 21 21, 97 1 3 1 13 27 49, 103 1 1 1 15 7 5, 109 1 3 1 15 13 25,
+    115 1 1 5 5 19 61, 131 1 3 7 11 23 15 103, 137 1 3 7 13 13 15 69, 143 1 1 3 13 7 35 63,
+    145 1 3 5 9 1 25 53, 157 1 3 1 13 9 35 107, 167 1 3 1 5 27 61 31,
+    171 1 1 5 11 19 41 61, 185 1 3 5 3 3 13 69, 191 1 1 7 13 1 19 1, 193 1 3 7 5 13 19 59,
+    203 1 1 3 9 25 29 41, 211 1 3 5 13 23 1 55, 213 1 3 7 3 13 59 17, 229 1 3 1 3 5 53 69,
+    239 1 1 5 5 23 33 13, 241 1 1 7 7 1 61 123, 247 1 1 7 9 13 61 49, 253 1 3 3 5 3 55 33,
+    285 1 3 1 15 31 13 49 245, 299 1 3 5 15 31 59 63 97, 301 1 3 1 11 11 11 77 249,
+    333 1 3 1 11 27 43 71 9, 351 1 1 7 15 21 11 81 45, 355 1 3 7 3 25 31 65 79,
+    357 1 3 1 1 19 11 3 205, 361 1 1 5 9 19 21 29 157, 369 1 3 7 11 1 33 89 185,
+    391 1 3 3 3 15 9 79 71, 397 1 3 7 11 15 39 119 27
+""".split(",")
+# Wichura's AS 241 (PPND16): numerator and denominator coefficients, constant
+# term first, for |u - 1/2| <= 0.425, then in r = sqrt(-log min(u, 1 - u))
+# for r <= 5 and beyond
+_AS241 = (
+    ((3.387132872796366608, 133.14166789178437745, 1971.5909503065514427, 13731.693765509461125,
+      45921.953931549871457, 67265.770927008700853, 33430.575583588128105, 2509.0809287301226727),
+     (1.0, 42.313330701600911252, 687.1870074920579083, 5394.1960214247511077,
+      21213.794301586595867, 39307.89580009271061, 28729.085735721942674, 5226.495278852854561)),
+    ((1.42343711074968357734, 4.6303378461565452959, 5.7694972214606914055, 3.64784832476320460504,
+      1.27045825245236838258, 0.24178072517745061177, 0.0227238449892691845833,
+      7.7454501427834140764e-4),
+     (1.0, 2.05319162663775882187, 1.6763848301838038494, 0.68976733498510000455,
+      0.14810397642748007459, 0.0151986665636164571966, 5.475938084995344946e-4,
+      1.05075007164441684324e-9)),
+    ((6.6579046435011037772, 5.4637849111641143699, 1.7848265399172913358, 0.29656057182850489123,
+      0.026532189526576123093, 0.0012426609473880784386, 2.71155556874348757815e-5,
+      2.01033439929228813265e-7),
+     (1.0, 0.59983220655588793769, 0.13692988092273580531, 0.0148753612908506148525,
+      7.868691311456132591e-4, 1.8463183175100546818e-5, 1.4215117583164458887e-7,
+      2.04426310338993978564e-15)),
+)
+
+
+def _direction_numbers(dims: int, count: int) -> np.ndarray:
+    """The first `count` direction numbers v_dk = m_dk 2^(51 - k) of the
+    first `dims` Sobol dimensions (dims x count), from `_JOE_KUO` by m_k =
+    m_(k-s) xor 2^s m_(k-s) xor sum_j a_j 2^j m_(k-j) (Bratley and Fox,
+    1988) for a polynomial of degree s with bits a_j."""
+    rows = [[1] * count]
+    for entry in _JOE_KUO[: dims - 1]:
+        poly, *m = map(int, entry.split())
+        s = len(m)
+        for k in range(s, count):
+            new = m[k - s] ^ (m[k - s] << s)
+            for j in range(1, s):
+                if poly >> (s - j) & 1:
+                    new ^= m[k - j] << j
+            m.append(new)
+        rows.append(m[:count])
+    v = np.array(rows[:dims], dtype=np.uint64).reshape(dims, count)
+    return v << np.arange(_SOBOL_BITS - 1, _SOBOL_BITS - 1 - count, -1, dtype=np.uint64)
+
+
+def _sobol_bits(lo: int, hi: int, dims: int) -> np.ndarray:
+    """The points lo..hi-1 of the first `dims` <= 48 Sobol dimensions, as
+    _SOBOL_BITS-bit integers (hi - lo x dims), in Gray-code order as
+    scipy's unscrambled `qmc.Sobol` makes them: point i is the xor of the
+    direction numbers of the bits of i xor (i >> 1), so point i is point
+    i - 1 xor the direction number of the lowest set bit of i."""
+    v = _direction_numbers(dims, max(hi - 1, 0).bit_length())
+    gray = lo ^ (lo >> 1)
+    first = functools.reduce(np.bitwise_xor, (v[:, k] for k in range(gray.bit_length()) if gray >> k & 1),
+                             np.zeros(dims, dtype=np.uint64))
+    index = np.arange(lo + 1, hi)
+    lowest = np.log2(index & -index).astype(int)  # exact: powers of 2 below 2^52
+    steps = np.vstack([first[None], v[:, lowest].T])
+    return np.bitwise_xor.accumulate(steps, axis=0)[: hi - lo]
+
+
+def _normal_quantile(u: np.ndarray) -> np.ndarray:
+    """Overwrite each u in (0, 1) of the flat array `u` with its standard
+    normal quantile, by Wichura's AS 241 (Appl. Statist. 37, 1988), relative
+    error about 1e-16, and return it.  It runs on _QUANTILE_CHUNK entries at
+    a time, with two scratch arrays of that size: the quantiles of a block
+    are made while the determinant map keeps its buffers, so their scratch
+    stays small."""
+
+    def horner(coefficients, r, out):
+        np.multiply(r, coefficients[-1], out=out)
+        for c in coefficients[-2:0:-1]:
+            out += c
+            out *= r
+        out += coefficients[0]
+        return out
+
+    def ratio(pair, r):
+        return horner(pair[0], r, np.empty_like(r)) / horner(pair[1], r, np.empty_like(r))
+
+    num, den = _AS241[0]
+    for lo in range(0, len(u), _QUANTILE_CHUNK):
+        x = u[lo : lo + _QUANTILE_CHUNK]
+        scratch = np.subtract(x, 0.5)
+        # the tails, and in them the far tails, by index: few, and a mask is slow
+        tail = np.flatnonzero(np.abs(scratch, out=scratch) > 0.425)
+        side, low = x[tail] - 0.5, np.minimum(x[tail], 1.0 - x[tail])
+        x -= 0.5
+        r = np.multiply(x, x, out=scratch)
+        np.subtract(0.180625, r, out=r)
+        acc = np.empty_like(r)
+        x *= horner(num, r, acc)
+        x /= horner(den, r, acc)
+        r = np.sqrt(-np.log(low))
+        far = np.flatnonzero(r > 5.0)
+        value = ratio(_AS241[1], r - 1.6)
+        if far.size:
+            value[far] = ratio(_AS241[2], r[far] - 5.0)
+        x[tail] = np.copysign(value, side)
+    return u
+
+
+def _shifted_normals(width: int, shifts: int, points: int, seed: int, block: int) -> Iterator[tuple]:
+    """(shifts, standard normals (rows x width)) for the rows (shift, point)
+    in that order, about `block` rows at a time: whole shifts when a shift's
+    `points` fit in `block`, else one shift's points lo..hi-1, `block` at a
+    time; the rows are the given shifts' points, one shift after the other.
+    Coordinate k < 48 of point i under shift s is Sobol dimension k + 1 of
+    point i xor the shift's random bits; the others are uniform bits.  The
+    shifts' bits (shifts x width), then the uniform bits, row after row,
+    come from one generator seeded by `seed`, so the rows do not depend on
+    `block`.  Bits b give u = (b + 1/2) 2^-52 in [2^-53, 1 - 2^-53] and the
+    normal `_normal_quantile(u)`."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    top = np.uint64(1) << np.uint64(_SOBOL_BITS)
+    offsets = rng.integers(top, size=(shifts, width), dtype=np.uint64)
+    sobol = min(width, 1 + len(_JOE_KUO))
+    # with whole shifts per block, every block has the same points
+    base = _sobol_bits(0, points, sobol) if points <= block else None
+
+    def uniforms(which: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        bits = np.empty((len(which), hi - lo, width), dtype=np.uint64)
+        bits[..., sobol:] = rng.integers(top, size=(len(which), hi - lo, width - sobol), dtype=np.uint64)
+        bits[..., :sobol] = _sobol_bits(lo, hi, sobol) if base is None else base
+        bits ^= offsets[which, None, :]
+        u = bits.reshape(-1).astype(float)
+        u += 0.5
+        u *= 2.0**-_SOBOL_BITS
+        return u
+
+    group = max(1, block // points)
+    for first in range(0, shifts, group):
+        which = np.arange(first, min(first + group, shifts))
+        for lo in range(0, points, block):
+            hi = min(lo + block, points)
+            yield which, _normal_quantile(uniforms(which, lo, hi)).reshape(len(which) * (hi - lo), width)
 
 
 def gaussian_mixed_volume(covariances: Sequence[np.ndarray], samples: int, seed: int) -> MonteCarloStats:
@@ -706,52 +871,66 @@ def gaussian_mixed_volume(covariances: Sequence[np.ndarray], samples: int, seed:
     conditional mean: the expectation of |det G| with no larger variance
     (Rao-Blackwellization), from n(n-2) normals per sample.
     `convex._complement_mixed_areas` computes R V(A, C) from the normals
-    and the drawn rows' covariance factors, by Gram-Schmidt on the drawn
-    rows and trace formulas for the two invariants of A and C that V
-    depends on, in O(n^3) per sample, or at n = 3 by three quadratic forms
-    in the normals; the sphere rule reads its areas from the same map.  At
-    n <= 2 nothing is drawn and the estimate is exact, with stderr 0 and
-    `samples` 0: 2 sqrt(Q) at n = 1 and V(Q_0, Q_1) at n = 2.  Each block of _DET_BLOCK samples is reduced at
-    once, and only two sums are kept of its deviations from the first
-    sample, their sum and their sum of squares, which give the block's mean
-    and squared deviations, pooled with the blocks before it; so memory does
-    not grow with `samples`, and a constant estimate has stderr 0.  The
-    draws are one standard normal stream in (sample, row, column) order, so
-    the blocking does not change them.  Every Q_i must be finite and positive
-    semidefinite (as for `Ellipsoid`)."""
+    and the covariance factors, by Gram-Schmidt on the drawn rows and trace
+    formulas for the two invariants of A and C that V depends on, in
+    O(n^3) per sample, or at n = 3 by three quadratic forms in the normals,
+    sums of squares; the sphere rule reads its areas from the same map.
+    Each factor is first divided by a power of two (see _FORM_SCALE) and
+    the volume, linear in each row, multiplied back by their product, which
+    is exact, so no form overflows for Q as large as 1e200 I.  At n <= 2
+    nothing is drawn and the estimate is exact, with stderr 0 and `samples`
+    0: 2 sqrt(Q) at n = 1 and V(Q_0, Q_1) at n = 2.
+
+    The normals are randomized quasi-Monte Carlo draws (`_shifted_normals`):
+    the first `points` = ceil(samples / shifts) points of the unscrambled
+    Sobol sequence in n(n-2) dimensions (Joe and Kuo's direction numbers up
+    to 48, so up to n = 8; uniform bits beyond), each under `shifts` =
+    min(_SHIFTS, samples) independent random digital shifts, and mapped
+    coordinate by coordinate to normals, in (row, column) order.  Each shift
+    gives an unbiased mean; the estimate is the mean of the shift means,
+    its stderr their spread over sqrt(shifts), and `samples` of the result
+    is shifts * points.  The rows are reduced _DET_BLOCK at a time, and
+    only one sum per shift of their deviations from the first row is kept,
+    so memory does not grow with `samples`, and a constant estimate has
+    stderr 0.  Every Q_i must be finite and positive semidefinite (as for
+    `Ellipsoid`)."""
     _require_draws(samples, seed)
     qs = [np.asarray(q, dtype=float) for q in covariances]
     n = len(qs)
     if n == 0 or any(q.shape != (n, n) for q in qs):
         raise ValueError("need n >= 1 covariance matrices of size n")
-    factors = []
-    for q in qs:
+    factors, exponent = [], 0
+    for k, q in enumerate(qs):
         vals, vecs = _psd_eigh(q)
-        factors.append(vecs * np.sqrt(vals))
+        factor = vecs * np.sqrt(vals)
+        top = float(np.abs(factor).max())
+        if top > 0:
+            # the volume is linear in each row: scaled back exactly at the end
+            scale = math.frexp(top)[1] - (_FORM_SCALE if k >= n - 3 else 0)
+            factor = np.ldexp(factor, -scale)
+            exponent += scale
+        factors.append(factor)
     if n == 1:
-        return MonteCarloStats(2.0 * float(np.linalg.norm(factors[0])), 0.0, 0)
-    q, q2 = (f @ f.T for f in factors[-2:])
+        return MonteCarloStats(math.ldexp(2.0 * float(np.linalg.norm(factors[0])), exponent), 0.0, 0)
     if n == 2:
-        return MonteCarloStats(float(_mixed_area(q, q2)), 0.0, 0)
-    areas = _complement_mixed_areas(q, q2, np.stack(factors[:-2]))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+        q, q2 = (f @ f.T for f in factors)
+        return MonteCarloStats(math.ldexp(float(_mixed_area(q, q2)), exponent), 0.0, 0)
+    areas = _complement_mixed_areas(np.stack(factors))
     const = (2 * math.pi) ** (n / 2) / (math.pi * math.factorial(n))
-    # mean and squared deviations of the deviations from the first sample
-    shift = mean = square = 0.0
-    for done in range(0, samples, _DET_BLOCK):
-        block = min(_DET_BLOCK, samples - done)
-        dets = areas(rng.standard_normal((block, n - 2, n)))
-        if done == 0:
-            shift = float(dets[0])
-        dets -= shift
-        total = float(dets.sum())
-        part = total / block
-        # pooled with the blocks before (Chan, Golub and LeVeque, 1979)
-        gap, count = part - mean, done + block
-        mean += gap * block / count
-        square += max(float(dets @ dets) - total * part, 0.0) + gap * gap * done * block / count
+    shifts = min(_SHIFTS, samples)
+    points = -(-samples // shifts)
+    # one sum per shift of the deviations from the first row
+    anchor, sums = None, np.zeros(shifts)
+    for which, normals in _shifted_normals(n * (n - 2), shifts, points, seed, _DET_BLOCK):
+        dets = areas(normals.reshape(-1, n - 2, n))
+        if anchor is None:
+            anchor = float(dets[0])
+        dets -= anchor
+        sums[which] += dets.reshape(len(which), -1).sum(axis=1)
+        del which, normals, dets  # freed before the next block is made
+    means = sums / points
     return MonteCarloStats(
-        value=const * float(shift + mean),
-        stderr=const * math.sqrt(square / (samples - 1) / samples),
-        samples=samples,
+        value=math.ldexp(const * (anchor + float(means.mean())), exponent),
+        stderr=math.ldexp(const * float(means.std(ddof=1)) / math.sqrt(shifts), exponent),
+        samples=shifts * points,
     )

@@ -3,15 +3,18 @@
 (`np.linalg.svd`, `np.linalg.det`) of 65536 samples at a time.
 
 `gaussian_mixed_volume` is the library's estimator computed another way: it
-draws the library's n(n-2) normals per sample (one standard normal stream
-from `SeedSequence(seed)` in (sample, row, column) order), takes the
-product of the drawn rows' singular values and an orthonormal basis U of
-the plane they leave from a full SVD, restricts the last two covariances
-to that plane, A = U^T Q_(n-2) U and C = U^T Q_(n-1) U, and averages
-|det| = volume times E|det| of the 2 x 2 Gaussian matrix with row
-covariances A and C.  That is 2 s_1 E(1 - s_2^2 / s_1^2) / pi, from the
-singular values s_1 >= s_2 of A^(1/2) J C^(1/2) (J the quarter turn,
-square roots by eigh) and `scipy.special.ellipe`.  At n = 1 it returns the
+takes the library's n(n-2) normals per sample from its point helper
+(`realroots.montecarlo._shifted_normals`: min(32, samples) digital shifts
+of ceil(samples / shifts) Sobol points, 65536 rows at a time where the
+library takes 16384), takes the product of the drawn rows' singular values
+and an orthonormal basis U of the plane they leave from a full SVD,
+restricts the last two covariances to that plane, A = U^T Q_(n-2) U and
+C = U^T Q_(n-1) U, and averages |det| = volume times E|det| of the 2 x 2
+Gaussian matrix with row covariances A and C.  That is
+2 s_1 E(1 - s_2^2 / s_1^2) / pi, from the singular values s_1 >= s_2 of
+A^(1/2) J C^(1/2) (J the quarter turn, square roots by eigh) and
+`scipy.special.ellipe`.  Its estimate is the mean of the shifts' means and
+its stderr their spread over sqrt(shifts).  At n = 1 it returns the
 segment length 2 sqrt(Q).  The two agree to rounding on every seed and
 sample count.
 
@@ -25,6 +28,9 @@ those rows.
 `full_draw_gaussian_mixed_volume` integrates nothing out: it draws all n^2
 normals per sample and averages |det G| itself.
 
+These two draw plain standard normals from `SeedSequence(seed)`, and their
+stderr is that of independent samples.
+
 All three have the same mean; each integrates out fewer rows than the one
 before it and has a larger variance.
 """
@@ -37,7 +43,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ellipe
 
-from realroots.montecarlo import MonteCarloStats
+from realroots.montecarlo import MonteCarloStats, _shifted_normals
 
 _BLOCK = 65536
 _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -68,6 +74,17 @@ def _stats(dets: np.ndarray, const: float) -> MonteCarloStats:
     )
 
 
+def _shift_stats(dets: np.ndarray, shifts: int, const: float) -> MonteCarloStats:
+    # deviations from the first sample, so a constant estimate has stderr 0
+    shift = dets[0]
+    means = (dets - shift).reshape(shifts, -1).mean(axis=1)
+    return MonteCarloStats(
+        value=const * float(shift + means.mean()),
+        stderr=const * float(means.std(ddof=1) / math.sqrt(shifts)),
+        samples=dets.size,
+    )
+
+
 def _psd_sqrt(q: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(q)
     root = np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
@@ -87,14 +104,15 @@ def gaussian_mixed_volume(
 ) -> MonteCarloStats:
     factors = _factors(covariances)
     n = len(factors)
+    shifts = min(32, samples)
+    points = -(-samples // shifts)
     if n == 1:
-        return _stats(np.full(samples, 2.0 * np.sqrt(factors[0] @ factors[0].T)[0, 0]), 1.0)
+        return _shift_stats(np.full(shifts * points, 2.0 * np.sqrt(factors[0] @ factors[0].T)[0, 0]), shifts, 1.0)
     q, q2 = (f @ f.T for f in factors[-2:])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dets = np.empty(samples)
-    for done in range(0, samples, _BLOCK):
-        block = min(_BLOCK, samples - done)
-        z = rng.standard_normal((block, n - 2, n))
+    dets = []
+    for _, normals in _shifted_normals(n * (n - 2), shifts, points, seed, _BLOCK):
+        block = len(normals)
+        z = normals.reshape(block, n - 2, n)
         if n == 2:
             volume, plane = np.ones(block), np.broadcast_to(np.eye(2), (block, 2, 2))
         else:
@@ -102,9 +120,8 @@ def gaussian_mixed_volume(
             _, sv, vh = np.linalg.svd(rows, full_matrices=True)
             volume, plane = sv.prod(axis=1), vh[:, n - 2 :, :]
         planet = np.swapaxes(plane, -1, -2)
-        area = _planar_mean_abs_det(plane @ q @ planet, plane @ q2 @ planet)
-        dets[done : done + block] = volume * area
-    return _stats(dets, (2 * math.pi) ** (n / 2) / math.factorial(n))
+        dets.append(volume * _planar_mean_abs_det(plane @ q @ planet, plane @ q2 @ planet))
+    return _shift_stats(np.concatenate(dets), shifts, (2 * math.pi) ** (n / 2) / math.factorial(n))
 
 
 def one_row_gaussian_mixed_volume(

@@ -210,7 +210,7 @@ def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
     res = report["results"]
     assert res["method"] == "mc" and res["real_stderr"] > 0
     # the mean's own sample count, apart from the counter's --samples
-    assert res["samples"] == 100_000 and report["config"]["samples"] is None
+    assert res["samples"] == 2**15 and report["config"]["samples"] is None
     # mixed volumes are monotone: V(E1, E1, E1) <= V(E1, E2, E2) <= V(E2, E2, E2)
     low, high = octahedron_mean(1, 2, 1), octahedron_mean(1, 2, 2)
     assert low - 5 * res["real_stderr"] < res["real_count"] < high + 5 * res["real_stderr"]
@@ -218,6 +218,19 @@ def test_torus_seed_reaches_the_monte_carlo_mean(capsys):
     _, other = run_json(capsys, [*argv, "--seed", "4"])
     assert again["results"]["real_count"] == res["real_count"]
     assert other["results"]["real_count"] != res["real_count"]
+
+
+def test_torus_mc_mean_of_a_long_support(capsys):
+    # Q Q' overflowed in the estimator: exit 4, "non-finite value in report"
+    long = 10**94
+    support = f"points:({long},0,0);({-long},0,0);(0,1,0);(0,-1,0);(0,0,1);(0,0,-1);(0,0,0)"
+    code, auto = run_json(capsys, ["torus", "--support", support])
+    assert code == 0 and auto["results"]["method"] == "volume"
+    code, report = run_json(capsys, ["torus", "--support", support, "--method", "mc", "--seed", "1"])
+    assert code == 0 and report["status"] == "ok"
+    res = report["results"]
+    assert res["method"] == "mc" and res["real_stderr"] > 0
+    assert abs(res["real_count"] - auto["results"]["real_count"]) <= 5 * res["real_stderr"]
 
 
 def test_torus_mc_mean_without_seed_is_usage_error(capsys):

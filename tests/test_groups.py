@@ -49,6 +49,9 @@ def test_ensemble_validation():
         RepEnsemble(A1, [((1,), 0)])  # multiplicity must be positive
     with pytest.raises(ValueError, match="multiplicity 2.5"):
         RepEnsemble(A2, [((1, 1), 2.5)])  # refused, not truncated to 2
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"multiplicity {bad} is not an integer"):
+            RepEnsemble(A2, [((1, 1), bad)])
     merged = RepEnsemble(A1, [((1,), 1), ((1,), 2)])
     assert merged.entries == (((Fraction(1),), 3),)
 

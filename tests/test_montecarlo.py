@@ -1099,15 +1099,16 @@ GAUSSIAN_BODIES = {
 }
 
 
-@pytest.mark.parametrize("samples", [2, 16385, 100_003])
+@pytest.mark.parametrize(("samples", "drawn"), [(2, 2), (16385, 16416), (100_003, 100_032)])
 @pytest.mark.parametrize("bodies", GAUSSIAN_BODIES.values(), ids=GAUSSIAN_BODIES.keys())
-def test_gaussian_volume_matches_the_lapack_determinant_oracle(bodies, samples):
+def test_gaussian_volume_matches_the_lapack_determinant_oracle(bodies, samples, drawn):
     # same draws, in the same order across block boundaries: only the
     # determinant's rounding differs
     got = gaussian_mixed_volume(bodies, samples=samples, seed=samples + len(bodies))
     want = gaussian_oracle.gaussian_mixed_volume(bodies, samples=samples, seed=samples + len(bodies))
-    # in the plane and on the line nothing is drawn
-    assert got.samples == (samples if len(bodies) >= 3 else 0) and want.samples == samples
+    # min(32, samples) shifts of ceil(samples / shifts) points; in the
+    # plane and on the line nothing is drawn
+    assert got.samples == (drawn if len(bodies) >= 3 else 0) and want.samples == drawn
     assert got.value == pytest.approx(want.value, rel=1e-12)
     assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
 
@@ -1144,13 +1145,98 @@ def test_gaussian_volume_has_a_smaller_error_than_the_one_row_estimator(bodies):
 
 
 def test_gaussian_volume_memory_does_not_grow_with_samples():
-    # each block of draws is reduced to its pooled mean and squares, so ten
-    # times the samples peak where one block does (one double per sample
-    # kept to the end added 1.2 MB at n = 3)
+    # each block of rows is reduced to one sum per shift, so ten times the
+    # samples peak where one block does (one double per sample kept to the
+    # end added 1.2 MB at n = 3)
     bodies, block = GAUSSIAN_BODIES["flat-and-two"], montecarlo._DET_BLOCK
     one = traced_peak(lambda: gaussian_mixed_volume(bodies, samples=block, seed=1))
     ten = traced_peak(lambda: gaussian_mixed_volume(bodies, samples=10 * block, seed=1))
     assert ten <= 1.1 * one
+
+
+def test_sobol_bits_match_scipy_for_every_tabulated_dimension():
+    # P = 2^10 points of the unscrambled sequence, in scipy's Gray-code order
+    from scipy.stats import qmc
+
+    for dims in range(1, 49):
+        got = montecarlo._sobol_bits(0, 1024, dims) * 2.0**-52
+        assert np.array_equal(got, qmc.Sobol(dims, scramble=False).random(1024)), dims
+    # any index range, at 52 bits
+    want = qmc.Sobol(48, scramble=False, bits=52).random(4096)
+    for lo, hi in [(0, 4096), (1000, 3001), (7, 8)]:
+        assert np.array_equal(montecarlo._sobol_bits(lo, hi, 48) * 2.0**-52, want[lo:hi])
+
+
+# the grid's ends, both sides of the |u - 1/2| = 0.425 branch edges and of
+# the r = 5 tail switch, the centre, and uniforms far below the grid
+QUANTILE_EDGES = np.array([
+    2.0**-53, 1 - 2.0**-53, 0.5, 1e-300, 2.0**-1074,
+    *(np.nextafter(x, to) for x in (0.075, 0.925, math.exp(-25.0), 1 - math.exp(-25.0)) for to in (0, x, 1)),
+])
+
+
+def test_normal_quantile_matches_ndtri_at_the_branch_edges():
+    from scipy.special import ndtri
+
+    got, want = montecarlo._normal_quantile(QUANTILE_EDGES.copy()), ndtri(QUANTILE_EDGES)
+    assert got[2] == want[2] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_normal_quantile_matches_ndtri_and_the_exact_quantile():
+    # ndtri is itself off by up to 8e-16 (u = 0.137-0.139), so on 10^5
+    # uniforms the two differ by up to 1.2e-15; against 40-digit quantiles
+    # the port is within 7e-16
+    import mpmath
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(20261022)
+    u = np.concatenate([rng.random(100_000), np.exp(-rng.uniform(0, 700, 1000)), 1 - np.exp(-rng.uniform(0, 36, 1000))])
+    np.testing.assert_allclose(montecarlo._normal_quantile(u.copy()), ndtri(u), rtol=1.5e-15, atol=0)
+    mpmath.mp.dps = 40
+    u = np.concatenate([u[:800], np.exp(-rng.uniform(0, 60, 100)), 1 - np.exp(-rng.uniform(0, 36, 100))])
+    exact = [float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(x) - 1)) for x in u]
+    np.testing.assert_allclose(montecarlo._normal_quantile(u.copy()), exact, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(("width", "shifts", "points"), [(3, 32, 1024), (0, 2, 1), (50, 3, 100), (63, 5, 37)])
+def test_shifted_normals_do_not_depend_on_the_block(width, shifts, points):
+    # past 48 coordinates the draws are uniform bits, drawn row after row
+    def rows(block):
+        parts = list(montecarlo._shifted_normals(width, shifts, points, 7, block))
+        which = np.concatenate([np.repeat(w, len(z) // len(w)) for w, z in parts])
+        return which, np.concatenate([z for _, z in parts])
+
+    (which, normals), (again, same) = rows(16384), rows(7)
+    assert np.array_equal(which, np.repeat(np.arange(shifts), points))
+    assert np.array_equal(again, which) and np.array_equal(same, normals)
+    assert normals.shape == (shifts * points, width) and np.isfinite(normals).all()
+
+
+def test_gaussian_volume_scales_exactly_with_the_covariances():
+    # each factor is scaled by a power of two and the volume back by their
+    # product; only eigh rounds differently at 2^600 Q
+    bodies = GAUSSIAN_BODIES["flat-and-two"]
+    base = gaussian_mixed_volume(bodies, samples=2**15, seed=1)
+    big = gaussian_mixed_volume([2.0**600 * q for q in bodies], samples=2**15, seed=1)
+    assert big.value == pytest.approx(2.0**900 * base.value, rel=1e-12)
+    assert big.stderr == pytest.approx(2.0**900 * base.stderr, rel=1e-12)
+    # Q Q' overflowed here: value and stderr were NaN
+    balls = gaussian_mixed_volume([1e200 * np.eye(3)] * 3, samples=2**15, seed=1)
+    assert 0 < balls.stderr < 1e-3 * balls.value
+    assert abs(balls.value - 4 / 3 * math.pi * 1e300) <= 5 * balls.stderr
+
+
+@pytest.mark.parametrize("long", [1e4, 1e94])
+def test_gaussian_volume_of_a_long_thin_ellipsoid(long):
+    # the trace formulas lost the planar invariants to cancellation: at
+    # Q = diag(1e8, 1, 1) the mean was 15% off, at diag(1e12, 1, 1) 22%
+    q = np.diag([long * long, 1.0, 1.0])
+    stats = gaussian_mixed_volume([q] * 3, samples=2**15, seed=1)
+    assert abs(stats.value - 4 / 3 * math.pi * long) <= 5 * stats.stderr
+    if long < 1e10:
+        want = gaussian_oracle.gaussian_mixed_volume([q] * 3, samples=2**15, seed=1)
+        assert stats.value == pytest.approx(want.value, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -1233,6 +1319,7 @@ def test_two_samples_give_a_finite_standard_error():
     for stats in (
         count_zeros_circle(segment_support(3), 2, seed=1),
         count_common_zeros_torus2(box_support(2, 1), 2, seed=1),
+        # two digital shifts of one point each
         gaussian_mixed_volume([np.eye(3)] * 3, samples=2, seed=1),
     ):
         assert stats.samples == 2
