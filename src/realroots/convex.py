@@ -931,7 +931,10 @@ def mixed_volume_ellipsoids(
 
     `method` is "auto" or "mc" (ValueError otherwise).  "mc" is the Gaussian
     determinant estimator on _MC_SAMPLES samples, 32 random digital shifts
-    of 2^10 Sobol points (`montecarlo.gaussian_mixed_volume`); it needs
+    of 2^10 Sobol points (`montecarlo.gaussian_mixed_volume`): up to n = 6
+    its stderr is below that of 100 000 plain draws, and from n = 8 to 12
+    1.2 to 1.5 times larger at half the time (from n = 9 on, coordinates
+    past the table's 48 dimensions are plain uniforms); it needs
     `seed`, and it integrates two rows out through the planar mixed area,
     so at n <= 2 it returns the closed form with stderr 0 from 0 samples.
     "auto" takes the first closed form that applies, and the result's

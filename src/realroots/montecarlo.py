@@ -834,13 +834,11 @@ def _shifted_normals(width: int, shifts: int, points: int, seed: int, block: int
     top = np.uint64(1) << np.uint64(_SOBOL_BITS)
     offsets = rng.integers(top, size=(shifts, width), dtype=np.uint64)
     sobol = min(width, 1 + len(_JOE_KUO))
-    # with whole shifts per block, every block has the same points
-    base = _sobol_bits(0, points, sobol) if points <= block else None
 
     def uniforms(which: np.ndarray, lo: int, hi: int) -> np.ndarray:
         bits = np.empty((len(which), hi - lo, width), dtype=np.uint64)
         bits[..., sobol:] = rng.integers(top, size=(len(which), hi - lo, width - sobol), dtype=np.uint64)
-        bits[..., :sobol] = _sobol_bits(lo, hi, sobol) if base is None else base
+        bits[..., :sobol] = _sobol_bits(lo, hi, sobol)
         bits ^= offsets[which, None, :]
         u = bits.reshape(-1).astype(float)
         u += 0.5

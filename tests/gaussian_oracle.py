@@ -19,17 +19,17 @@ segment length 2 sqrt(Q).  The two agree to rounding on every seed and
 sample count.
 
 `one_row_gaussian_mixed_volume` is the estimator the library ran before it
-integrated the last two rows out: it draws n(n-1) normals per sample,
-takes the cofactor vector w of the first n-1 rows from the determinants of
-their n maximal minors, so that det G = <w, g_(n-1)>, and averages
-sqrt(2/pi) sqrt(w^T Q_(n-1) w), the conditional mean of |det G| given
-those rows.
+integrated the last two rows out: it takes n(n-1) normals per sample from
+the same point helper and shifts, takes the cofactor vector w of the first
+n-1 rows from the determinants of their n maximal minors, so that
+det G = <w, g_(n-1)>, and averages sqrt(2/pi) sqrt(w^T Q_(n-1) w), the
+conditional mean of |det G| given those rows, with the stderr of the
+shifts' means.  As both draw the same kind of points, comparing the two
+isolates the second row integrated out.
 
 `full_draw_gaussian_mixed_volume` integrates nothing out: it draws all n^2
-normals per sample and averages |det G| itself.
-
-These two draw plain standard normals from `SeedSequence(seed)`, and their
-stderr is that of independent samples.
+plain standard normals per sample from `SeedSequence(seed)` and averages
+|det G| itself, with the stderr of independent samples.
 
 All three have the same mean; each integrates out fewer rows than the one
 before it and has a larger variance.
@@ -131,19 +131,19 @@ def one_row_gaussian_mixed_volume(
     n = len(factors)
     last = factors[-1] @ factors[-1].T
     signs = (-1.0) ** (n - 1 + np.arange(n))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dets = np.empty(samples)
-    for done in range(0, samples, _BLOCK):
-        block = min(_BLOCK, samples - done)
-        z = rng.standard_normal((block, n - 1, n))
+    shifts = min(32, samples)
+    points = -(-samples // shifts)
+    dets = []
+    for _, normals in _shifted_normals(n * (n - 1), shifts, points, seed, _BLOCK):
+        z = normals.reshape(-1, n - 1, n)
         rows = np.empty_like(z)
         for i in range(n - 1):
             rows[:, i, :] = z[:, i, :] @ factors[i].T
         minors = [np.linalg.det(np.delete(rows, j, axis=2)) for j in range(n)]
         w = np.stack(minors, axis=1) * signs
-        dets[done : done + block] = np.sqrt(np.einsum("bj,jk,bk->b", w, last, w).clip(0.0))
+        dets.append(np.sqrt(np.einsum("bj,jk,bk->b", w, last, w).clip(0.0)))
     const = math.sqrt(2 / math.pi) * (2 * math.pi) ** (n / 2) / math.factorial(n)
-    return _stats(dets, const)
+    return _shift_stats(np.concatenate(dets), shifts, const)
 
 
 def full_draw_gaussian_mixed_volume(

@@ -1131,9 +1131,9 @@ def test_gaussian_volume_agrees_with_the_full_draw_estimator(bodies):
     ids=[k for k, b in GAUSSIAN_BODIES.items() if len(b) >= 3],
 )
 def test_gaussian_volume_has_a_smaller_error_than_the_one_row_estimator(bodies):
-    # same mean; integrating the second-to-last row out as well can only
-    # shrink the variance (Rao-Blackwell), and both are 0 when every
-    # determinant is
+    # same mean; integrating the second-to-last row out as well shrinks the
+    # variance (Rao-Blackwell), and both are 0 when every determinant is.
+    # Both take shifted Sobol points, so the QMC gain cancels out
     samples, n = 100_003, len(bodies)
     got = gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
     one_row = gaussian_oracle.one_row_gaussian_mixed_volume(bodies, samples=samples, seed=samples + n)
@@ -1183,20 +1183,44 @@ def test_normal_quantile_matches_ndtri_at_the_branch_edges():
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
-def test_normal_quantile_matches_ndtri_and_the_exact_quantile():
+# (u, its normal quantile): to 400 digits by mpmath's erfinv, checked by
+# root-finding on log ncdf, rounded to double; the branch edges, the tails
+# down to 2^-1074 and u = 0.137-0.139, where ndtri is off by up to 8e-16
+EXACT_QUANTILES = np.array([
+    (1.1102230246251565e-16, -8.209536151601387), (0.9999999999999999, 8.209536151601387),
+    (5e-324, -38.467405617144344), (1e-300, -37.0470962993612),
+    (0.4999999999999999, -2.782916424671767e-16),
+    (0.07499999999999998, -1.4395314709384561), (0.07500000000000001, -1.439531470938456),
+    (0.9249999999999999, 1.4395314709384555), (0.9250000000000002, 1.439531470938457),
+    (1.388794386496402e-11, -6.657904643501103), (1.3887943864964023e-11, -6.657904643501103),
+    (0.999999999986112, 6.657904029578416), (0.9999999999861122, 6.657906380121875),
+    (0.13728541342315104, -1.09259689446869), (0.13700436699223978, -1.0938774408964602),
+    (0.13732859371821063, -1.0924003085878649), (0.1375199025132733, -1.0915298490780188),
+    (0.13728503685017457, -1.092598609069063), (0.13755273578470129, -1.0913805400565293),
+    (0.6475492624108986, 0.3787123583222475), (0.47516619390854387, -0.062289377199810515),
+    (0.29402402440273123, -0.5416668232546912), (0.02622828451189509, -1.93936779561604),
+    (0.05875749995351155, -1.5652896881643803), (0.004894185608684709, -2.5832170805621533),
+    (0.0005093721246778834, -3.2852983781068095), (6.765967540869683e-09, -5.67920862418499),
+    (1.7478845799509727e-11, -6.624012613168982), (2.400210541711069e-195, -29.793093095818698),
+    (5.160726065209124e-126, -23.84920144138667), (5.59852342037153e-284, -35.991906324403935),
+    (0.9974840822466818, 2.804988627774145), (0.9994415160608057, 3.2592764027138665),
+    (0.9635051217986853, 1.792894741108893),
+])
+
+
+def test_normal_quantile_matches_the_exact_quantile():
+    u, exact = EXACT_QUANTILES.T
+    np.testing.assert_allclose(montecarlo._normal_quantile(u.copy()), exact, rtol=1e-15, atol=0)
+
+
+def test_normal_quantile_matches_ndtri():
     # ndtri is itself off by up to 8e-16 (u = 0.137-0.139), so on 10^5
-    # uniforms the two differ by up to 1.2e-15; against 40-digit quantiles
-    # the port is within 7e-16
-    import mpmath
+    # uniforms the two differ by up to 1.2e-15
     from scipy.special import ndtri
 
     rng = np.random.default_rng(20261022)
     u = np.concatenate([rng.random(100_000), np.exp(-rng.uniform(0, 700, 1000)), 1 - np.exp(-rng.uniform(0, 36, 1000))])
     np.testing.assert_allclose(montecarlo._normal_quantile(u.copy()), ndtri(u), rtol=1.5e-15, atol=0)
-    mpmath.mp.dps = 40
-    u = np.concatenate([u[:800], np.exp(-rng.uniform(0, 60, 100)), 1 - np.exp(-rng.uniform(0, 36, 100))])
-    exact = [float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(x) - 1)) for x in u]
-    np.testing.assert_allclose(montecarlo._normal_quantile(u.copy()), exact, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize(("width", "shifts", "points"), [(3, 32, 1024), (0, 2, 1), (50, 3, 100), (63, 5, 37)])
